@@ -20,7 +20,9 @@ Usage::
 The **regression gate** (``--check-baseline``) compares the fresh results
 against the committed ``benchmarks/baseline.json``: any benchmark whose wall
 time exceeds ``baseline * tolerance`` (``--tolerance``, default 3.0 — CI
-runners are noisy) fails the run.  Refresh the baseline with
+runners are noisy) fails the run, and so does any benchmark whose
+deterministic ``fetches`` / ``candidates`` counters differ from the
+baseline's at all.  Refresh the baseline with
 ``--update-baseline`` after an intentional performance change, on a quiet
 machine.
 
@@ -189,6 +191,13 @@ def _timing_measures(entry, min_seconds):
     return measures
 
 
+#: Deterministic work counters a benchmark may record in ``extra_info``
+#: (``EXECUTION_STATS.diff``): index probes and the join candidates they
+#: returned.  They depend on the program and the planner, not on the
+#: machine, so the gate holds them to the baseline *exactly*.
+WORK_COUNTERS = ("fetches", "candidates")
+
+
 def check_baseline(results, baseline_path, tolerance, min_seconds=0.0005):
     """Compare fresh results against the committed baseline.
 
@@ -197,6 +206,10 @@ def check_baseline(results, baseline_path, tolerance, min_seconds=0.0005):
     (where the e11 maintenance benchmarks record their real numbers — the
     half-millisecond floor keeps sub-millisecond insert/retract timings
     gated while the ~2 microsecond pedantic placeholders stay excluded).
+    Where the baseline also holds :data:`WORK_COUNTERS` for a benchmark (the
+    e10 closure-scaling and e13 well-founded entries), the fresh counters
+    must *equal* it: an executor change may not move the work done, and a
+    planner change that does must refresh the baseline deliberately.
     Returns a list of human-readable regression strings; benchmarks missing
     from either side, and sub-``min_seconds`` baseline values (pure noise),
     are skipped.
@@ -226,6 +239,16 @@ def check_baseline(results, baseline_path, tolerance, min_seconds=0.0005):
                     "%s [%s]: %.4fs vs baseline %.4fs (> %.1fx tolerance)"
                     % (_benchmark_key(entry), measure, fresh_value,
                        reference_value, tolerance)
+                )
+        reference_sizes = reference.get("sizes") or {}
+        fresh_sizes = entry.get("sizes") or {}
+        for counter in WORK_COUNTERS:
+            if counter in reference_sizes \
+                    and fresh_sizes.get(counter) != reference_sizes[counter]:
+                regressions.append(
+                    "%s [%s]: %r vs baseline %r (work counters must match exactly)"
+                    % (_benchmark_key(entry), counter, fresh_sizes.get(counter),
+                       reference_sizes[counter])
                 )
     return regressions
 

@@ -77,7 +77,10 @@ from repro.engine.seminaive.engine import (
 )
 from repro.obs.metrics import COUNT_BUCKETS, get_registry
 from repro.obs.trace import current_tracer
-from repro.engine.seminaive.wellfounded import seminaive_well_founded
+from repro.engine.seminaive.wellfounded import (
+    compile_well_founded,
+    seminaive_well_founded,
+)
 from repro.engine.seminaive.relation import RelationStore, predicate_indicator
 from repro.hilog.errors import GroundingError, HiLogError
 from repro.hilog.parser import parse_program, parse_query, parse_term
@@ -344,6 +347,8 @@ class DatabaseSession:
         self._parse_cache = {}
 
         self._plans = None
+        self._wf_plans = None
+        self._edb_repr = {}
         self._owner = {}
         self._unknown_stratum = None
         self._mode = RECOMPUTE_MODE
@@ -372,10 +377,10 @@ class DatabaseSession:
             # is an indicator-level cycle through negation are recomputed
             # per update with the semi-naive alternating fixpoint instead of
             # the (orders-of-magnitude slower) Figure-1 grounding path.  The
-            # stratification probe is cheap; compile-time failures surface
-            # at the first materialization below and demote to recompute.
+            # strata depend on the rules alone, so they are compiled here,
+            # once, and every update re-evaluates them over the new EDB.
             try:
-                stratify_program(self._rules, allow_unstratified=True)
+                self._wf_plans = compile_well_founded(self._rules)
                 self._mode = WELLFOUNDED
             except SeminaiveUnsupported:
                 if strategy == WELLFOUNDED:
@@ -449,12 +454,25 @@ class DatabaseSession:
 
     # -- materialization ----------------------------------------------------
 
+    def _sorted_edb(self):
+        """The EDB in ``repr`` order — the deterministic fact order every
+        from-scratch evaluation is fed in.  Only atoms new since the last
+        call are formatted; the rest of the keys are remembered."""
+        keys = self._edb_repr
+        edb = self._edb
+        for atom in edb - keys.keys():
+            keys[atom] = repr(atom)
+        if len(keys) > len(edb):
+            for atom in keys.keys() - edb:
+                del keys[atom]
+        return sorted(edb, key=keys.__getitem__)
+
     def _full_program(self):
         """The session's program with the current EDB as facts (cached per
         version, for from-scratch recomputation and query fallbacks)."""
         if self._program_cache is not None and self._program_cache[0] == self._version:
             return self._program_cache[1]
-        facts = tuple(Rule(atom) for atom in sorted(self._edb, key=repr))
+        facts = tuple(Rule(atom) for atom in self._sorted_edb())
         program = Program(self._rules.rules + facts)
         self._program_cache = (self._version, program)
         return program
@@ -464,9 +482,10 @@ class DatabaseSession:
         EDB — the single source for well-founded materialization,
         :meth:`recompute_reference` and :meth:`check`."""
         return seminaive_well_founded(
-            self._rules, extra_facts=sorted(self._edb, key=repr),
+            self._rules, extra_facts=self._sorted_edb(),
             max_facts=self._limits.max_facts,
             max_term_depth=self._limits.max_term_depth,
+            compiled=self._wf_plans,
         )
 
     def _materialize(self):
@@ -696,8 +715,10 @@ class DatabaseSession:
     def _flush_parse_cache(self):
         """Flush-hook target: drop memoized fact-string parses so the cache
         neither pins evicted-generation atoms nor hands out stale (formerly
-        canonical) objects after a collection."""
+        canonical) objects after a collection.  The EDB's sort keys go for
+        the same reason."""
         self._parse_cache.clear()
+        self._edb_repr.clear()
 
     def add_update_listener(self, listener):
         """Register ``listener(summary)`` to run after every applied update
@@ -1255,7 +1276,7 @@ class DatabaseSession:
         with intern_generation():
             if self._mode == INCREMENTAL:
                 return seminaive_evaluate(
-                    self._rules, extra_facts=sorted(self._edb, key=repr),
+                    self._rules, extra_facts=self._sorted_edb(),
                     max_facts=self._limits.max_facts,
                     max_term_depth=self._limits.max_term_depth,
                 ).true

@@ -36,6 +36,22 @@ the alternating-fixpoint evaluator in
 :func:`evaluate_stratum` (``negation_store=`` phase hooks) and
 :func:`run_plan`.
 
+**The executor.**  There is one: the Python function
+:mod:`repro.engine.seminaive.plan` generates for each join plan
+(``plan.registers.run(sources, regs, sink, stats)``; its source is
+``plan.registers.source``).  It walks the body — fetch loops, membership
+probes, negation and builtin tests, all specialised to the plan — bumps
+``EXECUTION_STATS`` per fetch and per candidate, and hands every solution to
+``sink``, stopping when the sink returns a truthy value.  The entry points
+here are thin callers that differ only in the sink: :func:`run_plan`
+collects heads under its distinct-head and total-derivation caps,
+:func:`plan_satisfiable` / :func:`plan_satisfiable_positional` stop at the
+first solution, and plans with aggregates or deferred builtins (whose
+function reports the body's bindings instead of a head) finish each
+solution through :func:`_tail_solutions`.  Sources stay pluggable: the
+function resolves every fetch through ``sources.select(step)`` and every
+negation through ``sources.holds(atom)``.
+
 Beyond one-shot evaluation the module exposes the pieces an *incremental*
 view-maintenance layer (:mod:`repro.db`) composes: :func:`stratify_program`
 (optionally one stratum per strongly connected component),
@@ -59,16 +75,7 @@ from repro.obs.trace import current_tracer
 from repro.engine.aggregates import evaluate_aggregate
 from repro.engine.builtins import solve_builtin
 from repro.engine.interpretation import Interpretation
-from repro.engine.seminaive.plan import (
-    N_IDENT,
-    N_WRITE,
-    PlanError,
-    R_BUILTIN,
-    R_FETCH,
-    R_NEG,
-    build_term,
-    compile_rule,
-)
+from repro.engine.seminaive.plan import PlanError, compile_rule
 from repro.engine.seminaive.relation import (
     DeltaStore,
     RelationStore,
@@ -76,16 +83,7 @@ from repro.engine.seminaive.relation import (
 )
 from repro.hilog.errors import GroundingError, HiLogError
 from repro.hilog.subst import Substitution
-from repro.hilog.terms import (
-    App,
-    Num,
-    Sym,
-    Term,
-    Var,
-    intern_app,
-    predicate_name,
-    register_flush_hook,
-)
+from repro.hilog.terms import App, Term, predicate_name, register_flush_hook
 from repro.normal.depgraph import DependencyGraph
 
 
@@ -354,7 +352,7 @@ class PlanSources:
 
 class _StatsCounters:
     """The plain mutable cell behind :class:`ExecutionStats` — one per
-    execution context, handed to the register executor's hot loops so an
+    execution context, handed to the generated plan functions so an
     increment is a slot write, not a property call."""
 
     __slots__ = ("fetches", "candidates", "alternations")
@@ -373,7 +371,7 @@ _STATS_VAR = _contextvars.ContextVar("repro_execution_stats")
 
 
 class ExecutionStats:
-    """Cheap counters over the register executor, for benchmarks:
+    """Cheap counters over the plan executor, for benchmarks:
     ``fetches`` counts index probes, ``candidates`` the facts those probes
     returned (the join-candidate volume the indexes could not avoid), and
     ``alternations`` the outer over/under rounds the alternating-fixpoint
@@ -393,8 +391,8 @@ class ExecutionStats:
     @staticmethod
     def counters():
         """The calling context's mutable counter cell (created on first
-        use).  Hot loops hoist this once per fetch instead of paying a
-        property dispatch per increment."""
+        use).  A plan run fetches it once and passes it to the generated
+        function instead of paying a property dispatch per increment."""
         cell = _STATS_VAR.get(None)
         if cell is None:
             cell = _StatsCounters()
@@ -463,247 +461,6 @@ EXECUTION_STATS = ExecutionStats()
 _EXECUTION_STATS_FLUSH = register_flush_hook(EXECUTION_STATS.reset)
 
 
-def _outermost_symbol_fast(term):
-    """Outermost symbol of a (possibly non-ground) runtime name, or None."""
-    while type(term) is App:
-        term = term.name
-    return term if isinstance(term, Sym) else None
-
-
-def _struct_match(pattern, value, regs, slot_of):
-    """Structural match of a nested argument pattern against a ground value.
-
-    Variable slots reset to ``None`` before the candidate are written on
-    first sight; all other variable slots are identity-checked.
-    """
-    stack = [(pattern, value)]
-    while stack:
-        part, val = stack.pop()
-        if part is val:
-            continue
-        kind = type(part)
-        if kind is Var:
-            slot = slot_of[part]
-            current = regs[slot]
-            if current is None:
-                regs[slot] = val
-            elif current is not val:
-                return False
-        elif kind is App and type(val) is App and len(part.args) == len(val.args):
-            stack.append((part.name, val.name))
-            stack.extend(zip(part.args, val.args))
-        else:
-            return False
-    return True
-
-
-def _fetch_candidates(op, sources, regs):
-    """Resolve a fetch op to ``(facts, exact, runtime_name)``.
-
-    ``exact`` means every returned fact is known to be an application of the
-    fetched indicator, so the per-candidate name/arity checks are skipped.
-    """
-    source = sources.select(op.step)
-    prop = op.prop
-    if prop is None:
-        name = op.const_name
-        if name is None:
-            name = build_term(op.name_builder, regs)
-            if not name.is_ground():
-                facts, exact = source.spill(op.arity, _outermost_symbol_fast(name))
-                return facts, exact, None
-        key_single = op.key_single
-        if key_single is not None:
-            # Single-position probe: the index is keyed by the bare term
-            # (its hash is cached by interning — no tuple on the probe).
-            facts, exact = source.fetch(
-                name, op.arity, op.positions, regs[key_single]
-            )
-            return facts, exact, name
-        key_slots = op.key_slots
-        if key_slots is not None:
-            key = tuple(regs[slot] for slot in key_slots)
-        elif op.key_builders:
-            key = tuple(build_term(builder, regs) for builder in op.key_builders)
-        else:
-            key = ()
-        if op.membership:
-            atom = intern_app(name, key)
-            return ((atom,) if atom in source else ()), True, name
-        if len(key) == 1:
-            key = key[0]
-        facts, exact = source.fetch(name, op.arity, op.positions, key)
-        return facts, exact, name
-    if prop[0] == 0:
-        # Ground propositional subgoal: pure membership.
-        atom = prop[1]
-        return ((atom,) if atom in source else ()), True, atom
-    slot, bound = prop[1], prop[2]
-    if bound:
-        atom = regs[slot]
-        return ((atom,) if atom in source else ()), True, atom
-    facts, exact = source.all_facts()
-    return facts, exact, None
-
-
-def _match_candidate(op, fact, regs, slot_of, exact, runtime_name):
-    """Match one candidate fact against a fetch op, writing its output
-    registers on success.  *The* per-candidate hot path — shared by the
-    generator, collector and satisfiability executors so the match
-    semantics cannot drift between them."""
-    prop = op.prop
-    if prop is not None:
-        if prop[0] == 0 or prop[2]:
-            return fact is runtime_name
-        regs[prop[1]] = fact
-        return True
-    reset_slots = op.reset_slots
-    if reset_slots:
-        for slot in reset_slots:
-            regs[slot] = None
-    if not exact:
-        if type(fact) is not App or len(fact.args) != op.arity:
-            return False
-        name_check = op.name_check
-        code = name_check[0]
-        if code == N_IDENT:
-            if fact.name is not runtime_name:
-                return False
-        elif code == N_WRITE:
-            regs[name_check[1]] = fact.name
-        elif not _struct_match(name_check[1], fact.name, regs, slot_of):
-            return False
-    fact_args = fact.args
-    for mop in op.match_ops:
-        code = mop[0]
-        if code == 2:  # M_CHECK
-            if fact_args[mop[1]] is not regs[mop[2]]:
-                return False
-        elif code == 1:  # M_WRITE
-            regs[mop[2]] = fact_args[mop[1]]
-        elif code == 0:  # M_CONST
-            if fact_args[mop[1]] is not mop[2]:
-                return False
-        elif not _struct_match(mop[2], fact_args[mop[1]], regs, slot_of):
-            return False
-    return True
-
-
-def _run_register_ops(ops, position, sources, regs, slot_of, rule):
-    """Depth-first execution of the register ops from ``position``; yields
-    once per complete body solution (the solution *is* the register state)."""
-    if position == len(ops):
-        yield True
-        return
-    op = ops[position]
-    kind = op.kind
-    next_position = position + 1
-    if kind == R_FETCH:
-        facts, exact, runtime_name = _fetch_candidates(op, sources, regs)
-        stats = EXECUTION_STATS.counters()
-        stats.fetches += 1
-        stats.candidates += len(facts)
-        last = next_position == len(ops)
-        for fact in facts:
-            if not _match_candidate(op, fact, regs, slot_of, exact, runtime_name):
-                continue
-            if last:
-                yield True
-            else:
-                yield from _run_register_ops(
-                    ops, next_position, sources, regs, slot_of, rule
-                )
-        return
-    if kind == R_NEG:
-        atom = build_term(op.builder, regs)
-        if not atom.is_ground():
-            raise GroundingError(
-                "negative subgoal %r not ground at evaluation time (rule %r "
-                "flounders)" % (atom, rule)
-            )
-        if not sources.holds(atom):
-            yield from _run_register_ops(
-                ops, next_position, sources, regs, slot_of, rule
-            )
-        return
-    # R_BUILTIN: numeric fast path, else bridge through a substitution.
-    compare = op.compare
-    if compare is not None:
-        operator, left_code, right_code = compare
-        left = regs[left_code] if type(left_code) is int else left_code
-        right = regs[right_code] if type(right_code) is int else right_code
-        if type(left) is Num and type(right) is Num:
-            if operator(left.value, right.value):
-                yield from _run_register_ops(
-                    ops, next_position, sources, regs, slot_of, rule
-                )
-            return
-    bridge = Substitution._trusted({v: regs[s] for v, s in op.in_pairs})
-    for solution in solve_builtin(op.atom, bridge):
-        for variable, slot in op.out_pairs:
-            regs[slot] = solution[variable]
-        yield from _run_register_ops(
-            ops, next_position, sources, regs, slot_of, rule
-        )
-
-
-def _run_ops_collect(ops, position, sources, regs, slot_of, rule, sink):
-    """Collector twin of :func:`_run_register_ops`: calls ``sink()`` once per
-    complete body solution instead of yielding.  Plain function recursion —
-    no generator frames — which matters at fixpoint volume (one call chain
-    per derived head)."""
-    if position == len(ops):
-        sink()
-        return
-    op = ops[position]
-    kind = op.kind
-    next_position = position + 1
-    if kind == R_FETCH:
-        facts, exact, runtime_name = _fetch_candidates(op, sources, regs)
-        stats = EXECUTION_STATS.counters()
-        stats.fetches += 1
-        stats.candidates += len(facts)
-        last = next_position == len(ops)
-        for fact in facts:
-            if not _match_candidate(op, fact, regs, slot_of, exact, runtime_name):
-                continue
-            if last:
-                sink()
-            else:
-                _run_ops_collect(
-                    ops, next_position, sources, regs, slot_of, rule, sink
-                )
-        return
-    if kind == R_NEG:
-        atom = build_term(op.builder, regs)
-        if not atom.is_ground():
-            raise GroundingError(
-                "negative subgoal %r not ground at evaluation time (rule %r "
-                "flounders)" % (atom, rule)
-            )
-        if not sources.holds(atom):
-            _run_ops_collect(
-                ops, next_position, sources, regs, slot_of, rule, sink
-            )
-        return
-    compare = op.compare
-    if compare is not None:
-        operator, left_code, right_code = compare
-        left = regs[left_code] if type(left_code) is int else left_code
-        right = regs[right_code] if type(right_code) is int else right_code
-        if type(left) is Num and type(right) is Num:
-            if operator(left.value, right.value):
-                _run_ops_collect(
-                    ops, next_position, sources, regs, slot_of, rule, sink
-                )
-            return
-    bridge = Substitution._trusted({v: regs[s] for v, s in op.in_pairs})
-    for solution in solve_builtin(op.atom, bridge):
-        for variable, slot in op.out_pairs:
-            regs[slot] = solution[variable]
-        _run_ops_collect(ops, next_position, sources, regs, slot_of, rule, sink)
-
-
 def _prepare_registers(rprog, initial):
     """Allocate the register list and seed it from ``initial`` (a
     :class:`Substitution` or a plain ``{Var: Term}`` dict)."""
@@ -717,214 +474,120 @@ def _prepare_registers(rprog, initial):
     return regs
 
 
-def _slow_solutions(plan, sources, regs):
-    """Body solutions bridged back to substitutions, with deferred builtins
-    applied — the path for plans with aggregates or unscheduled builtins."""
-    rprog = plan.registers
-    bridge = rprog.bridge
-    for _ in _run_register_ops(rprog.ops, 0, sources, regs, rprog.slot_of, plan.rule):
-        bindings = {}
-        for variable, slot in bridge:
-            value = regs[slot]
-            if value is not None:
-                bindings[variable] = value
-        currents = [Substitution._trusted(bindings)]
-        for literal in plan.deferred_builtins:
-            nexts = []
-            for candidate in currents:
-                nexts.extend(solve_builtin(literal.atom, candidate))
-            currents = nexts
+def _tail_solutions(plan, sources, bindings, aggregates):
+    """The substitutions one body solution grows into once the deferred
+    builtins (and, with ``aggregates``, the aggregate subgoals) have run —
+    the tail of plans whose function reports bindings instead of heads."""
+    currents = [Substitution._trusted(bindings)]
+    for literal in plan.deferred_builtins:
+        currents = [
+            solved for current in currents
+            for solved in solve_builtin(literal.atom, current)
+        ]
+    if aggregates:
+        for astep in plan.aggregates:
             if not currents:
                 break
-        yield from currents
+            extension = sources.aggregate_extension(
+                astep.condition_name, astep.condition_arity
+            )
+            currents = [
+                folded for current in currents
+                for folded in evaluate_aggregate(
+                    astep.spec, current, extension, group_vars=astep.group_vars
+                )
+            ]
+    return currents
 
 
-#: Hard ceiling on the *total* derivations (duplicates included) one
-#: fast-path plan run may collect — a memory backstop for duplicate
-#: floods.  The semantic cap is ``max_results`` below, which counts
-#: *distinct* heads like the callers' ``max_facts`` does.
+#: Hard ceiling on the *total* derivations (duplicates included) one plan
+#: run may collect — a memory backstop for duplicate floods.  The semantic
+#: cap is ``max_results`` below, which counts *distinct* heads like the
+#: callers' ``max_facts`` does.
 MAX_PLAN_RESULTS = 8_000_000
 
 
 def run_plan(plan, sources, initial=None, max_results=None):
-    """The ground heads derivable from ``plan`` against ``sources``.
-
-    Returns an iterable (a fully materialized list on the fast path — the
-    executor collects heads through plain calls, no generator frames — and
-    a lazy generator on the aggregate/deferred-builtin slow path).
+    """The ground heads derivable from ``plan`` against ``sources``, as a
+    list (duplicate derivations are legal and preserved — counting
+    maintenance tallies them).
 
     ``initial`` seeds the registers (used by rederivation plans whose head
     was matched against a concrete fact before the body joins run); it may
-    be a :class:`Substitution` or a plain ``{Var: Term}`` dict.
+    be a :class:`Substitution` or a plain ``{Var: Term}`` dict, and must
+    bind every variable the plan was compiled with as ``bound``.
 
     ``max_results`` bounds the number of *distinct* heads one run may
-    derive (mirroring the callers' ``max_facts`` fact caps — duplicate
-    derivations are legal and preserved, counting maintenance tallies
-    them); exceeding it raises :class:`GroundingError`, so runaway
-    non-range-restricted rules fail fast inside the collector instead of
-    materializing an unbounded result first.  A separate
-    :data:`MAX_PLAN_RESULTS` ceiling on total collected derivations bounds
-    memory against pure duplicate floods.
+    derive (mirroring the callers' ``max_facts`` fact caps); exceeding it
+    raises :class:`GroundingError`, so runaway non-range-restricted rules
+    fail fast inside the collector instead of materializing an unbounded
+    result first.  A separate :data:`MAX_PLAN_RESULTS` ceiling on total
+    collected derivations bounds memory against pure duplicate floods.
     """
     rprog = plan.registers
+    rule = plan.rule
     if max_results is None:
         max_results = MAX_PLAN_RESULTS
-    if rprog.fast:
-        regs = _prepare_registers(rprog, initial)
-        ops = rprog.ops
-        slot_of = rprog.slot_of
-        rule = plan.rule
-        out = []
-        seen = set()
-        append = out.append
-        head_fast = rprog.head_fast
-
-        def emit(head):
-            if head not in seen:
-                if len(seen) >= max_results:
-                    raise GroundingError(
-                        "rule %r produced more than %d distinct heads in one "
-                        "pass; the program is probably not range restricted"
-                        % (rule, max_results)
-                    )
-                seen.add(head)
-            if len(out) >= MAX_PLAN_RESULTS:
-                raise GroundingError(
-                    "rule %r produced more than %d derivations in one pass"
-                    % (rule, MAX_PLAN_RESULTS)
-                )
-            append(head)
-
-        if head_fast is not None:
-            # Flat head of bound variables: register gather + intern probe.
-            head_name, head_slots = head_fast
-
-            def sink():
-                emit(intern_app(head_name, tuple(regs[s] for s in head_slots)))
-        else:
-            head_builder = rprog.head_builder
-
-            def sink():
-                head = build_term(head_builder, regs)
-                if not head.is_ground():
-                    raise GroundingError(
-                        "derived head %r is not ground; rule %r is not range "
-                        "restricted" % (head, rule)
-                    )
-                emit(head)
-        _run_ops_collect(ops, 0, sources, regs, slot_of, rule, sink)
-        return out
-    return _run_plan_slow(plan, sources, initial, max_results)
-
-
-def _run_plan_slow(plan, sources, initial, max_results):
-    """Generator tail of :func:`run_plan` for aggregate/deferred plans.
-
-    Lazy (heads stream to the caller), but the same distinct-head cap as
-    the fast path applies so runaway rules on this path fail too.
-    """
-    regs = _prepare_registers(plan.registers, initial)
+    out = []
     seen = set()
-    for current in _slow_solutions(plan, sources, regs):
-        finals = [current]
-        for astep in plan.aggregates:
-            extension = sources.aggregate_extension(
-                astep.condition_name, astep.condition_arity
-            )
-            nexts = []
-            for candidate in finals:
-                nexts.extend(
-                    evaluate_aggregate(
-                        astep.spec, candidate, extension, group_vars=astep.group_vars
-                    )
-                )
-            finals = nexts
-            if not finals:
-                break
-        for final in finals:
-            head = final.apply(plan.rule.head)
-            if not head.is_ground():
+    append = out.append
+
+    def emit(head):
+        if head not in seen:
+            if len(seen) >= max_results:
                 raise GroundingError(
-                    "derived head %r is not ground; rule %r is not range "
-                    "restricted" % (head, plan.rule)
+                    "rule %r produced more than %d distinct heads in one "
+                    "pass; the program is probably not range restricted"
+                    % (rule, max_results)
                 )
-            if head not in seen:
-                if len(seen) >= max_results:
-                    raise GroundingError(
-                        "rule %r produced more than %d distinct heads in one "
-                        "pass; the program is probably not range restricted"
-                        % (plan.rule, max_results)
-                    )
-                seen.add(head)
-            yield head
-
-
-def _ops_satisfiable(ops, position, sources, regs, slot_of, rule):
-    """Boolean twin of :func:`_run_register_ops`: early-exits on the first
-    solution without any generator machinery.  This runs once per
-    over-deleted fact during delete-rederive, so constant factors matter."""
-    if position == len(ops):
-        return True
-    op = ops[position]
-    kind = op.kind
-    next_position = position + 1
-    if kind == R_FETCH:
-        facts, exact, runtime_name = _fetch_candidates(op, sources, regs)
-        stats = EXECUTION_STATS.counters()
-        stats.fetches += 1
-        stats.candidates += len(facts)
-        last = next_position == len(ops)
-        for fact in facts:
-            if not _match_candidate(op, fact, regs, slot_of, exact, runtime_name):
-                continue
-            if last:
-                return True
-            if _ops_satisfiable(ops, next_position, sources, regs, slot_of, rule):
-                return True
-        return False
-    if kind == R_NEG:
-        atom = build_term(op.builder, regs)
-        if not atom.is_ground():
+            seen.add(head)
+        if len(out) >= MAX_PLAN_RESULTS:
             raise GroundingError(
-                "negative subgoal %r not ground at evaluation time (rule %r "
-                "flounders)" % (atom, rule)
+                "rule %r produced more than %d derivations in one pass"
+                % (rule, MAX_PLAN_RESULTS)
             )
-        if sources.holds(atom):
-            return False
-        return _ops_satisfiable(ops, next_position, sources, regs, slot_of, rule)
-    compare = op.compare
-    if compare is not None:
-        operator, left_code, right_code = compare
-        left = regs[left_code] if type(left_code) is int else left_code
-        right = regs[right_code] if type(right_code) is int else right_code
-        if type(left) is Num and type(right) is Num:
-            if operator(left.value, right.value):
-                return _ops_satisfiable(
-                    ops, next_position, sources, regs, slot_of, rule
-                )
-            return False
-    bridge = Substitution._trusted({v: regs[s] for v, s in op.in_pairs})
-    for solution in solve_builtin(op.atom, bridge):
-        for variable, slot in op.out_pairs:
-            regs[slot] = solution[variable]
-        if _ops_satisfiable(ops, next_position, sources, regs, slot_of, rule):
-            return True
-    return False
+        append(head)
+
+    def emit_checked(head):
+        if not head.is_ground():
+            raise GroundingError(
+                "derived head %r is not ground; rule %r is not range "
+                "restricted" % (head, rule)
+            )
+        emit(head)
+
+    if not rprog.fast:
+        def sink(bindings):
+            for final in _tail_solutions(plan, sources, bindings, aggregates=True):
+                emit_checked(final.apply(rule.head))
+    elif rprog.head_ground:
+        sink = emit
+    else:
+        sink = emit_checked
+    rprog.run(sources, _prepare_registers(rprog, initial), sink,
+              EXECUTION_STATS.counters())
+    return out
+
+
+def _satisfiable(plan, sources, regs):
+    if plan.deferred_builtins:
+        def sink(bindings):
+            return bool(_tail_solutions(plan, sources, bindings, aggregates=False))
+    else:
+        sink = _first_solution
+    return plan.registers.run(sources, regs, sink, EXECUTION_STATS.counters())
+
+
+def _first_solution(_solution):
+    return True
 
 
 def plan_satisfiable(plan, sources, initial=None):
     """``True`` when the plan's body (builtins included, aggregates ignored)
-    has at least one solution.  Used by delete-rederive maintenance to test
+    has at least one solution: the plan's function run with a sink that
+    stops it at the first.  Used by delete-rederive maintenance to test
     whether an over-deleted fact has an alternative derivation."""
-    rprog = plan.registers
-    regs = _prepare_registers(rprog, initial)
-    if plan.deferred_builtins:
-        for _solution in _slow_solutions(plan, sources, regs):
-            return True
-        return False
-    return _ops_satisfiable(
-        rprog.ops, 0, sources, regs, rprog.slot_of, plan.rule
-    )
+    return _satisfiable(plan, sources, _prepare_registers(plan.registers, initial))
 
 
 def plan_satisfiable_positional(plan, sources, slots, values):
@@ -932,17 +595,10 @@ def plan_satisfiable_positional(plan, sources, slots, values):
     ``values[i]`` lands in register ``slots[i]``.  Rederivation calls this
     once per over-deleted fact with the fact's argument tuple — no binding
     dict, no substitution."""
-    rprog = plan.registers
-    regs = [None] * rprog.nregs
+    regs = [None] * plan.registers.nregs
     for slot, value in zip(slots, values):
         regs[slot] = value
-    if plan.deferred_builtins:
-        for _solution in _slow_solutions(plan, sources, regs):
-            return True
-        return False
-    return _ops_satisfiable(
-        rprog.ops, 0, sources, regs, rprog.slot_of, plan.rule
-    )
+    return _satisfiable(plan, sources, regs)
 
 
 def check_derived_atom(head, store, max_facts, max_term_depth):

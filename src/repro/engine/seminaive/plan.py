@@ -20,15 +20,20 @@ the plan, to be scanned from the per-iteration delta relation instead of the
 full store.
 
 Beyond the (declarative) :class:`JoinPlan`, the compiler lowers every plan
-into a flat **register program** (:class:`RegisterProgram`): rule variables
-are numbered into integer slots of a preallocated register list, each fetch
-becomes an indexed probe whose index key is built straight from registers,
-and matching a candidate fact is a short sequence of identity checks and
-register writes — no per-candidate :class:`~repro.hilog.subst.Substitution`
-allocation anywhere on the hot path.  Because terms are hash-consed
+into one **generated Python function** (:class:`RegisterProgram`): rule
+variables are numbered into registers, which are the function's locals;
+each fetch is a loop over an indexed probe whose key is read straight from
+registers, and matching a candidate fact is a short run of identity tests
+and register writes — no per-candidate
+:class:`~repro.hilog.subst.Substitution` allocation anywhere on the hot
+path, no dispatch on step kinds at run time.  Because terms are hash-consed
 (:mod:`repro.hilog.terms`), "the fact's argument equals the bound value" is
-a single pointer comparison.  The executor lives in
-:mod:`repro.engine.seminaive.engine`.
+a single pointer comparison.  The function is the only thing that walks a
+plan; :func:`repro.engine.seminaive.engine.run_plan` and
+:func:`~repro.engine.seminaive.engine.plan_satisfiable` call it with
+different sinks.  To see what a plan runs::
+
+    print(compile_rule(rule).registers.source)
 """
 
 from __future__ import annotations
@@ -37,9 +42,21 @@ from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from repro.core.magic.sips import left_to_right_sips
 from repro.engine.aggregates import group_variables
-from repro.hilog.errors import HiLogError
+from repro.engine.builtins import solve_builtin
+from repro.hilog.errors import GroundingError, HiLogError
 from repro.hilog.program import Literal, Rule
-from repro.hilog.terms import App, Num, Sym, Term, Var, atom_arguments, predicate_name
+from repro.hilog.subst import Substitution
+from repro.hilog.terms import (
+    App,
+    Num,
+    Sym,
+    Term,
+    Var,
+    atom_arguments,
+    intern_app,
+    outermost_symbol,
+    predicate_name,
+)
 
 
 class PlanError(HiLogError):
@@ -286,143 +303,69 @@ def compile_rule(rule, delta_index=None, bound=frozenset()):
 
 
 # ---------------------------------------------------------------------------
-# Register-program lowering
+# Register-program lowering: one generated Python function per plan
 # ---------------------------------------------------------------------------
 #
-# A register program numbers the rule's variables into integer slots of one
-# preallocated list.  Each join step becomes a flat op:
+# The rule's variables are numbered into *registers*, and the ordered steps
+# are emitted as the straight-line source of one function
+# ``run(sources, regs, sink, stats)`` in which every register is a local:
 #
-# * a *fetch* resolves its relation by precomputed indicator, builds its
-#   index key directly from registers, and matches every candidate fact with
-#   a short list of match instructions — identity checks against interned
-#   terms, register writes, or (rarely) a structural sub-match;
-# * a *negation* builds its ground atom from registers and asks the sources
-#   for membership;
-# * a *builtin* either runs a compiled numeric comparison on registers or
-#   bridges to :func:`repro.engine.builtins.solve_builtin` through a
-#   single trusted substitution.
+# * a *fetch* is a ``for fact in source.fetch(...)`` loop whose index key is
+#   read straight from registers and whose body matches the fact with
+#   ``is`` tests against interned terms and register writes (nested argument
+#   patterns unfold into the same tests one level down) — or, when the key
+#   covers every argument, a single ``intern_app(...) in source`` probe;
+# * a *negation* is an inline ``intern_app(...)`` handed to
+#   ``sources.holds``;
+# * a *builtin* is an inline numeric comparison, or one call that bridges to
+#   :func:`repro.engine.builtins.solve_builtin` through a substitution.
 #
-# Registers are never trailed or copied: the scheduler guarantees that a
-# step only reads registers written by earlier steps on the current path,
-# and every step unconditionally (re)writes its own output slots, so
-# backtracking is free.  The only exception is variables first bound inside
-# a *nested* argument pattern, whose slots are reset to ``None`` before each
-# candidate so the structural matcher can distinguish "write" from "check".
+# A failed test is ``continue`` (``return False`` outside every loop), so
+# the nesting depth is the number of open fetch loops and backtracking is
+# free: a step only reads registers written by earlier steps on the current
+# path, and every step rewrites its own outputs.  At the innermost point the
+# function calls ``sink(solution)`` and stops the whole walk when the sink
+# returns a truthy value.  The solution is the rule head, built inline, or
+# — for plans with aggregates or deferred builtins, whose tail needs a
+# substitution — the ``{Var: Term}`` bindings of the body.
+#
+# What is decided per candidate in an interpreter is decided once here:
+# whether a predicate name is ground at runtime, which arguments form the
+# index key, whether a variable is written or checked.  ``sources.select`` /
+# ``sources.holds`` dispatch, the ``exact`` flag of the fetch protocol and
+# the ``fetches`` / ``candidates`` counters are kept as they were.
 
-#: Fetch match instructions: (code, arg position, payload).
-M_CONST = 0   # fact.args[i] is <payload: ground term>
-M_WRITE = 1   # regs[<payload: slot>] = fact.args[i]
-M_CHECK = 2   # fact.args[i] is regs[<payload: slot>]
-M_STRUCT = 3  # structural match of fact.args[i] against <payload: pattern>
+#: Fetch steps per generated function.  CPython refuses more than 20
+#: statically nested blocks, so a longer body continues in a second
+#: function called from the innermost loop of the first.
+MAX_FETCHES_PER_FUNCTION = 12
 
-#: Name-check codes (applied when candidates are not indicator-exact).
-N_IDENT = 0   # fact.name is the runtime-ground name
-N_WRITE = 1   # regs[slot] = fact.name  (bare-variable name, first occurrence)
-N_STRUCT = 2  # structural match against the (partially bound) name pattern
-
-#: Op kind tags.
-R_FETCH = 0
-R_NEG = 1
-R_BUILTIN = 2
-
-#: Comparison dispatch for the compiled numeric fast path.
-COMPARE_OPS = {
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "=<": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "=:=": lambda a, b: a == b,
-    "=\\=": lambda a, b: a != b,
-}
-
-
-class RFetch:
-    """A compiled fetch: indexed probe + per-candidate match instructions."""
-
-    __slots__ = (
-        "kind", "step", "arity", "const_name", "name_builder", "positions",
-        "key_builders", "key_slots", "key_single", "name_check", "match_ops",
-        "reset_slots", "prop", "membership",
-    )
-
-    def __init__(self, step, arity, const_name, name_builder, positions,
-                 key_builders, name_check, match_ops, reset_slots, prop):
-        self.kind = R_FETCH
-        self.step = step
-        self.arity = arity
-        self.const_name = const_name
-        self.name_builder = name_builder
-        self.positions = positions
-        self.key_builders = key_builders
-        # Fast path: every key part is a bare register read (the common
-        # case), so the probe key is a straight register gather.
-        self.key_slots = (
-            tuple(key_builders)
-            if key_builders and all(type(b) is int for b in key_builders)
-            else None
-        )
-        # Fastest path: the key covers every argument position, so the whole
-        # atom is determined by the registers and the "fetch" is a single
-        # membership probe — no index is ever materialized for it.
-        self.membership = arity >= 0 and len(positions) == arity
-        # Single-register key for a non-membership probe: the index is keyed
-        # by the bare term, so the probe key is one register read.
-        self.key_single = (
-            self.key_slots[0]
-            if self.key_slots is not None and len(self.key_slots) == 1
-            and not self.membership
-            else None
-        )
-        self.name_check = name_check
-        self.match_ops = match_ops
-        self.reset_slots = reset_slots
-        self.prop = prop
-
-
-class RNeg:
-    """A compiled negation check: build the ground atom, test membership."""
-
-    __slots__ = ("kind", "builder")
-
-    def __init__(self, builder):
-        self.kind = R_NEG
-        self.builder = builder
-
-
-class RBuiltin:
-    """A compiled builtin: numeric fast path or a substitution bridge."""
-
-    __slots__ = ("kind", "atom", "in_pairs", "out_pairs", "compare")
-
-    def __init__(self, atom, in_pairs, out_pairs, compare):
-        self.kind = R_BUILTIN
-        self.atom = atom
-        self.in_pairs = in_pairs
-        self.out_pairs = out_pairs
-        self.compare = compare
+#: Comparison builtins with an inline numeric fast path.
+COMPARE_OPS = {"<": "<", ">": ">", "=<": "<=", ">=": ">=", "=:=": "==", "=\\=": "!="}
 
 
 class RegisterProgram(NamedTuple):
-    """A join plan lowered to a flat register machine."""
+    """A join plan lowered to one specialised Python function."""
 
     #: Number of registers (one per numbered rule variable).
     nregs: int
-    #: Variable -> register index (also used by the structural matcher).
+    #: Variable -> register index; ``run`` reads the registers of pre-bound
+    #: variables from its ``regs`` argument.
     slot_of: Dict
-    #: Ops executed in order; each either fails or binds its output slots.
-    ops: Tuple
-    #: Builder for the rule head (reads registers; used on the fast path).
-    head_builder: object
-    #: ``(var, slot)`` pairs bound once all ops succeed, for bridging to a
-    #: :class:`Substitution` on the aggregate/deferred-builtin slow path.
-    bridge: Tuple
+    #: ``run(sources, regs, sink, stats)``: walk the body, call
+    #: ``sink(solution)`` per solution, return ``True`` as soon as a sink
+    #: call does.  Owned by the plan — no registry holds it.
+    run: object
+    #: The generated source of ``run``, for debugging (``print`` it).
+    source: str
     #: True when the plan has no aggregates and no deferred builtins, so
-    #: heads can be built straight from registers.
+    #: ``run`` hands the sink finished heads; otherwise it hands it the
+    #: body's ``{Var: Term}`` bindings.
     fast: bool
-    #: ``(ground name, argument slots)`` when the head is a flat application
-    #: of bound variables — the head is then one register gather + one
-    #: intern probe.  ``None`` otherwise.
-    head_fast: Optional[Tuple]
+    #: Whether every head variable is bound by the body (a head that is not
+    #: ground is an error the moment it is derived, never when only
+    #: satisfiability is asked).
+    head_ground: bool
 
 
 def build_term(builder, regs):
@@ -457,180 +400,314 @@ def _compile_builder(term, bound, slot):
     )
 
 
-def _compile_fetch(step, bound, slot):
-    """Compile one FETCH step against the running bound-variable set."""
-    atom = step.literal.atom
-    if not isinstance(atom, App):
-        # Propositional subgoal: a ground symbol, or a bare variable.
-        if atom.is_ground():
-            prop = (0, atom)
-        else:
-            prop = (1, slot(atom), atom in bound)
-        return RFetch(step, -1, None, None, (), (), None, (), (), prop)
+# -- helpers the generated functions call for the rare shapes ----------------
 
-    arity = len(atom.args)
-    name = atom.name
-    reset_slots = []
-    written = set()
-    if name.is_ground():
-        const_name = name
-        name_builder = None
-        name_check = (N_IDENT,)
-    else:
-        const_name = None
-        name_builder = _compile_builder(name, bound, slot)
-        if type(name) is Var and name not in bound:
-            name_check = (N_WRITE, slot(name))
-            written.add(name)
-        elif name.variables() <= bound:
-            name_check = (N_IDENT,)
-        else:
-            new = name.variables() - bound
-            written |= new
-            reset_slots.extend(slot(v) for v in new)
-            name_check = (N_STRUCT, name)
+def _named(facts, name, arity):
+    """The applications of ``name``/``arity`` among ``facts`` — the name and
+    arity checks for a source whose fetch was not indicator-exact."""
+    return [
+        fact for fact in facts
+        if type(fact) is App and fact.name is name and len(fact.args) == arity
+    ]
 
-    key_builders = tuple(
-        _compile_builder(atom.args[i], bound, slot) for i in step.index_positions
+
+def _solve(atom, bindings):
+    """Bridge a builtin to :func:`solve_builtin`: at most one solution."""
+    return solve_builtin(atom, Substitution._trusted(bindings))
+
+
+def _flounder(atom, rule):
+    raise GroundingError(
+        "negative subgoal %r not ground at evaluation time (rule %r "
+        "flounders)" % (atom, rule)
     )
 
-    match_ops = []
-    for i, arg in enumerate(atom.args):
-        if arg.is_ground():
-            match_ops.append((M_CONST, i, arg))
-        elif type(arg) is Var:
-            if arg in bound or arg in written:
-                match_ops.append((M_CHECK, i, slot(arg)))
+
+_RUNTIME = {
+    "App": App, "Num": Num, "intern_app": intern_app, "_named": _named,
+    "outermost_symbol": outermost_symbol, "_solve": _solve,
+    "_flounder": _flounder,
+}
+
+
+class _Codegen:
+    """Emits the source of one plan's function and collects the constants
+    (terms, steps, the rule) it refers to by global name."""
+
+    def __init__(self, rule, initially_bound):
+        self.rule = rule
+        self.namespace = dict(_RUNTIME)
+        self.constants = {}
+        self.slot_of = {}
+        self.bound = set()
+        self.temps = 0
+        # Pre-bound (head-bound) variables get the lowest slots, in name
+        # order, so rederivation bindings land deterministically.
+        for variable in sorted(initially_bound, key=lambda v: v.name):
+            self.bound.add(variable)
+            self.reg(variable)
+
+    # -- names ---------------------------------------------------------------
+
+    def const(self, value):
+        """The global name under which the function reaches ``value``."""
+        name = self.constants.get(id(value))
+        if name is None:
+            name = self.constants[id(value)] = "k%d" % len(self.constants)
+            self.namespace[name] = value
+        return name
+
+    def reg(self, variable):
+        return "r%d" % self.slot_of.setdefault(variable, len(self.slot_of))
+
+    def live(self):
+        """The registers holding a value at this point, in slot order."""
+        return ["r%d" % slot for slot in sorted(map(self.slot_of.get, self.bound))]
+
+    def temp(self):
+        self.temps += 1
+        return "t%d" % self.temps
+
+    def expr(self, term):
+        """An expression building ``term`` from registers.  Variables not
+        bound yet stay :class:`Var` constants (a non-ground result)."""
+        if term.is_ground():
+            return self.const(term)
+        if type(term) is Var:
+            return self.reg(term) if term in self.bound else self.const(term)
+        return "intern_app(%s, %s)" % (
+            self.expr(term.name), _tuple(self.expr(arg) for arg in term.args)
+        )
+
+    def bindings(self, variables):
+        """A ``{Var: Term}`` display of ``variables``' registers."""
+        return "{%s}" % ", ".join(
+            "%s: %s" % (self.const(v), self.reg(v))
+            for v in sorted(variables, key=self.slot_of.get)
+        )
+
+    # -- statements ----------------------------------------------------------
+
+    def line(self, text):
+        self.lines.append("    " * self.indent + text)
+
+    def fail(self, condition):
+        """Abandon the current candidate when ``condition`` holds."""
+        self.line("if %s: %s" % (
+            condition, "continue" if self.indent > 1 else "return False"
+        ))
+
+    def match(self, pattern, value):
+        """Match the ground term ``value`` (an expression) against
+        ``pattern``: identity tests for what is known, register writes for
+        variables seen here first."""
+        if pattern.is_ground():
+            self.fail("%s is not %s" % (value, self.const(pattern)))
+        elif type(pattern) is Var:
+            if pattern in self.bound:
+                self.fail("%s is not %s" % (value, self.reg(pattern)))
             else:
-                match_ops.append((M_WRITE, i, slot(arg)))
-                written.add(arg)
+                self.bound.add(pattern)
+                self.line("%s = %s" % (self.reg(pattern), value))
         else:
-            new = arg.variables() - bound - written
-            written |= new
-            reset_slots.extend(slot(v) for v in new)
-            match_ops.append((M_STRUCT, i, arg))
+            term, args = self.temp(), self.temp()
+            self.line("%s = %s" % (term, value))
+            self.fail("type(%s) is not App" % term)
+            self.line("%s = %s.args" % (args, term))
+            self.fail("len(%s) != %d" % (args, len(pattern.args)))
+            self.match(pattern.name, term + ".name")
+            for index, arg in enumerate(pattern.args):
+                self.match(arg, "%s[%d]" % (args, index))
 
-    return RFetch(
-        step, arity, const_name, name_builder, step.index_positions,
-        key_builders, name_check, tuple(match_ops), tuple(reset_slots), None,
-    )
+    def probe(self, atom, source):
+        """A fetch the registers determine completely: one membership test."""
+        self.fail("%s not in %s" % (atom, source))
+        self.line("stats.candidates += 1")
 
+    def scan(self, index, candidates, inexact=None):
+        """Open the loop over the candidates of fetch ``index``;
+        ``candidates`` is the statement that binds ``c<index>``."""
+        self.line(candidates)
+        self.line("stats.candidates += len(c%d)" % index)
+        if inexact:
+            self.line(inexact)
+        self.line("for f%d in c%d:" % (index, index))
+        self.indent += 1
+        return "f%d" % index
 
-def _compile_builtin(step, bound, slot):
-    """Compile one BUILTIN step: numeric fast path when both operands are
-    registers/number constants, substitution bridge otherwise."""
-    atom = step.literal.atom
-    compare = None
-    if (
-        isinstance(atom, App)
-        and isinstance(atom.name, Sym)
-        and len(atom.args) == 2
-        and atom.name.name in COMPARE_OPS
-    ):
-        codes = []
-        for operand in atom.args:
-            if type(operand) is Num:
-                codes.append(operand)
-            elif type(operand) is Var and operand in bound:
-                codes.append(slot(operand))
+    def fetch(self, step, index):
+        atom = step.literal.atom
+        source = "s%d" % index
+        self.prologue.append("%s = sources.select(%s)" % (source, self.const(step)))
+        self.line("stats.fetches += 1")
+        if not isinstance(atom, App):
+            # Propositional subgoal: a symbol, or a bare variable.
+            if atom.is_ground() or atom in self.bound:
+                self.probe(self.expr(atom), source)
             else:
-                codes = None
-                break
-        if codes is not None:
-            compare = (COMPARE_OPS[atom.name.name], codes[0], codes[1])
+                fact = self.scan(index, "c%d = %s.all_facts()[0]" % (index, source))
+                self.match(atom, fact)
+            return
+        arity = len(atom.args)
+        args = "a%d" % index
+        if atom.name.variables() <= self.bound:
+            name = self.expr(atom.name)
+            key = [self.expr(atom.args[i]) for i in step.index_positions]
+            if len(key) == arity:
+                self.probe("intern_app(%s, %s)" % (name, _tuple(key)), source)
+                return
+            if not atom.name.is_ground():
+                self.line("n%d = %s" % (index, name))
+                name = "n%d" % index
+            fact = self.scan(
+                index,
+                "c%d, x%d = %s.fetch(%s, %d, %r, %s)" % (
+                    index, index, source, name, arity, step.index_positions,
+                    key[0] if len(key) == 1 else _tuple(key),
+                ),
+                # A source that cannot promise applications of exactly this
+                # indicator gets the name and arity checked here.
+                "if not x%d: c%d = _named(c%d, %s, %d)" % (index, index, index, name, arity),
+            )
+            self.line("%s = %s.args" % (args, fact))
+        else:
+            # The predicate name is still open: scan every relation of the
+            # arity (narrowed by the name's outermost symbol when it has
+            # one) and match the name like an argument.
+            symbol = atom.name
+            while type(symbol) is App:
+                symbol = symbol.name
+            if symbol in self.bound:
+                symbol = "outermost_symbol(%s)" % self.reg(symbol)
+            else:
+                symbol = self.const(symbol) if isinstance(symbol, Sym) else "None"
+            fact = self.scan(
+                index, "c%d = %s.spill(%d, %s)[0]" % (index, source, arity, symbol)
+            )
+            self.fail("type(%s) is not App" % fact)
+            self.line("%s = %s.args" % (args, fact))
+            self.fail("len(%s) != %d" % (args, arity))
+            self.match(atom.name, fact + ".name")
+        for position, arg in enumerate(atom.args):
+            self.match(arg, "%s[%d]" % (args, position))
 
-    in_pairs = tuple(
-        sorted(((v, slot(v)) for v in atom.variables() & bound),
-               key=lambda pair: pair[1])
-    )
-    out_pairs = ()
-    if (
-        isinstance(atom, App)
-        and isinstance(atom.name, Sym)
-        and atom.name.name in ("is", "=")
-        and len(atom.args) == 2
-    ):
-        left, right = atom.args
-        if type(left) is Var and left not in bound and right.variables() <= bound:
-            out_pairs = ((left, slot(left)),)
-        elif (
-            atom.name.name == "="
-            and type(right) is Var
-            and right not in bound
-            and left.variables() <= bound
-        ):
-            out_pairs = ((right, slot(right)),)
-    return RBuiltin(atom, in_pairs, out_pairs, compare)
+    def negation(self, step):
+        atom = step.literal.atom
+        if atom.variables() <= self.bound:
+            holds = "holds = sources.holds"
+            if holds not in self.prologue:
+                self.prologue.append(holds)
+            self.fail("holds(%s)" % self.expr(atom))
+        else:
+            self.line("_flounder(%s, %s)" % (self.expr(atom), self.const(self.rule)))
 
-
-def _bind_after(step, bound):
-    """Extend ``bound`` with the variables the step binds at runtime (the
-    same rule :func:`_order_body`'s ``bind`` applies during scheduling)."""
-    literal = step.literal
-    if step.kind == BUILTIN:
-        atom = literal.atom
-        if (
-            isinstance(atom, App)
-            and isinstance(atom.name, Sym)
-            and atom.name.name in ("is", "=")
+    def builtin(self, step):
+        """An inline numeric comparison when both operands are registers or
+        number constants, else (and for non-numbers at runtime) one bridged
+        call; ``is``/``=`` write the variable they define."""
+        atom = step.literal.atom
+        solve = "_solve(%s, %s)" % (
+            self.const(atom), self.bindings(atom.variables() & self.bound)
+        )
+        binary = isinstance(atom, App) and isinstance(atom.name, Sym) \
             and len(atom.args) == 2
+        if binary and atom.name.name in COMPARE_OPS and all(
+            type(arg) is Num or (type(arg) is Var and arg in self.bound)
+            for arg in atom.args
         ):
+            left, right = (
+                repr(arg.value) if type(arg) is Num else self.reg(arg) + ".value"
+                for arg in atom.args
+            )
+            test = "not %s %s %s" % (left, COMPARE_OPS[atom.name.name], right)
+            numeric = " and ".join(
+                "type(%s) is Num" % self.reg(arg)
+                for arg in atom.args if type(arg) is Var
+            )
+            if numeric:
+                test = "(%s) if %s else not %s" % (test, numeric, solve)
+            self.fail(test)
+            return
+        output = None
+        if binary and atom.name.name in ("is", "="):
             left, right = atom.args
-            if type(left) is Var and right.variables() <= bound:
-                bound.add(left)
-            elif type(right) is Var and left.variables() <= bound:
-                bound.add(right)
-        return
-    if step.kind == FETCH:
-        bound.update(literal.atom.variables())
+            if type(left) is Var and left not in self.bound \
+                    and right.variables() <= self.bound:
+                output = left
+            elif atom.name.name == "=" and type(right) is Var \
+                    and right not in self.bound and left.variables() <= self.bound:
+                output = right
+        if output is None:
+            self.fail("not %s" % solve)
+            return
+        solution = self.temp()
+        self.line("%s = %s" % (solution, solve))
+        self.fail("not %s" % solution)
+        self.bound.add(output)
+        self.line("%s = %s[0][%s]" % (self.reg(output), solution, self.const(output)))
+
+    # -- functions -----------------------------------------------------------
+
+    def emit(self, steps, fast):
+        """The source of ``run(sources, regs, sink, stats)`` over ``steps``.
+        The sink gets finished heads when ``fast``, else — for an aggregate
+        or deferred-builtin tail, which continues from a substitution — the
+        body's bindings.  A body with more fetches than one function may
+        nest continues in a further function, called from the innermost
+        point of the one before."""
+        functions = []
+        name, params = "run", ["sources", "regs", "sink", "stats"]
+        self.prologue = ["%s = regs[%d]" % (reg, i) for i, reg in enumerate(self.live())]
+        position = 0
+        while name:
+            self.lines, self.indent = [], 1
+            fetches = 0
+            while position < len(steps):
+                step = steps[position]
+                if step.kind == FETCH:
+                    if fetches == MAX_FETCHES_PER_FUNCTION:
+                        break
+                    fetches += 1
+                    self.fetch(step, position)
+                elif step.kind == NEGATION:
+                    self.negation(step)
+                else:
+                    self.builtin(step)
+                position += 1
+            header = ["def %s(%s):" % (name, ", ".join(params))]
+            header.extend("    " + text for text in self.prologue)
+            if position < len(steps):
+                name, params = "run%d" % position, ["sources", "sink", "stats"] + self.live()
+                self.line("if %s(%s): return True" % (name, ", ".join(params)))
+                self.prologue = []
+            else:
+                name = None
+                self.line("if sink(%s): return True" % (
+                    self.expr(self.rule.head) if fast else self.bindings(self.bound)
+                ))
+            functions.append("\n".join(header + self.lines + ["    return False"]))
+        return "\n\n".join(functions) + "\n"
+
+
+def _tuple(parts):
+    parts = list(parts)
+    return "(%s,)" % ", ".join(parts) if parts else "()"
 
 
 def _compile_registers(rule, steps, deferred, aggregates, initially_bound):
     """Lower an ordered plan into a :class:`RegisterProgram`."""
-    slot_of = {}
-
-    def slot(variable):
-        index = slot_of.get(variable)
-        if index is None:
-            index = len(slot_of)
-            slot_of[variable] = index
-        return index
-
-    # Pre-bound (head-bound) variables get the lowest slots, in name order,
-    # so rederivation bindings land deterministically.
-    for variable in sorted(initially_bound, key=lambda v: v.name):
-        slot(variable)
-
-    bound = set(initially_bound)
-    ops = []
-    for step in steps:
-        if step.kind == FETCH:
-            ops.append(_compile_fetch(step, bound, slot))
-        elif step.kind == NEGATION:
-            ops.append(RNeg(_compile_builder(step.literal.atom, bound, slot)))
-        else:
-            ops.append(_compile_builtin(step, bound, slot))
-        _bind_after(step, bound)
-
-    head_builder = _compile_builder(rule.head, bound, slot)
-    head = rule.head
-    head_fast = None
-    if (
-        isinstance(head, App)
-        and head.name.is_ground()
-        and all(type(arg) is Var and arg in bound for arg in head.args)
-    ):
-        head_fast = (head.name, tuple(slot_of[arg] for arg in head.args))
-    bridge = tuple(
-        sorted(((v, slot_of[v]) for v in bound if v in slot_of),
-               key=lambda pair: pair[1])
-    )
+    gen = _Codegen(rule, initially_bound)
+    fast = not deferred and not aggregates
+    source = gen.emit(steps, fast)
+    namespace = gen.namespace
+    exec(compile(source, "<plan of %r>" % (rule,), "exec"), namespace)
     return RegisterProgram(
-        nregs=len(slot_of),
-        slot_of=slot_of,
-        ops=tuple(ops),
-        head_builder=head_builder,
-        bridge=bridge,
-        fast=not deferred and not aggregates,
-        head_fast=head_fast,
+        nregs=len(gen.slot_of),
+        slot_of=gen.slot_of,
+        # Popped, so that the function owns its globals and nothing owns it
+        # back: a dropped plan is freed at once, with no cycle to collect.
+        run=namespace.pop("run"),
+        source=source,
+        fast=fast,
+        head_ground=rule.head.variables() <= gen.bound,
     )

@@ -223,11 +223,21 @@ class LayeredStore:
         self.layers = layers
         self.top = layers[-1]
 
+    # Plain loops: the fixpoint asks ``len`` once per derived head and
+    # ``in`` once per negation candidate, and a generator per call costs
+    # more than the layers' own answers.
+
     def __len__(self):
-        return sum(len(layer) for layer in self.layers)
+        total = 0
+        for layer in self.layers:
+            total += len(layer)
+        return total
 
     def __contains__(self, atom):
-        return any(atom in layer for layer in self.layers)
+        for layer in self.layers:
+            if atom in layer:
+                return True
+        return False
 
     def __iter__(self):
         for layer in self.layers:
@@ -759,11 +769,12 @@ class RelationStore:
 
     # -- register-executor fetch protocol -----------------------------------
     #
-    # The register executor (repro.engine.seminaive.engine) resolves its own
-    # indicators and index keys from registers, so these entry points skip
-    # the Substitution machinery entirely.  Each returns ``(facts, exact)``
-    # where ``exact`` promises every fact is an application of the requested
-    # indicator (letting the executor skip per-candidate name/arity checks).
+    # The generated plan functions (repro.engine.seminaive.plan) resolve
+    # their own indicators and index keys from registers, so these entry
+    # points skip the Substitution machinery entirely.  Each returns
+    # ``(facts, exact)`` where ``exact`` promises every fact is an
+    # application of the requested indicator (letting the executor skip the
+    # name/arity checks).
     # Because terms are hash-consed, indicator and index keys compare by
     # identity — every probe is one hash lookup over interned pointers.
 

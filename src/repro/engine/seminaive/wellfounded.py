@@ -117,6 +117,27 @@ class SeminaiveWellFoundedResult(NamedTuple):
         return Interpretation(true=self.true, false=(), base=self.true | self.undefined)
 
 
+def compile_well_founded(program):
+    """Compile ``program``'s rules for :func:`seminaive_well_founded`: one
+    ``(stratum plan, flipped-negation variants or None, head names)`` per
+    stratum, lowest first, the variants present exactly for the
+    negation-SCC strata, which alternate.  The result depends on the rules
+    alone, so a caller that re-evaluates them over changing facts (a
+    well-founded session, once per write) compiles once.  Raises
+    :class:`~repro.engine.seminaive.engine.SeminaiveUnsupported` for
+    programs outside the class."""
+    stratification = stratify_program(program, allow_unstratified=True)
+    strata = []
+    for index, rules in enumerate(stratification.strata):
+        stratum = compile_stratum(rules, stratification.recursive)
+        variants = None
+        if index in stratification.unstratified:
+            variants = _negation_variants(stratum)
+        names = frozenset(predicate_name(rule.head) for rule in rules)
+        strata.append((stratum, variants, names))
+    return tuple(strata)
+
+
 def _negation_variants(stratum):
     """Flipped-negation delta variants of a negation-SCC stratum.
 
@@ -150,7 +171,8 @@ def _negation_variants(stratum):
     return tuple(variants)
 
 
-def _alternate_stratum(stratum, under, over_extra, max_facts, max_term_depth):
+def _alternate_stratum(stratum, variants, under, over_extra, max_facts,
+                       max_term_depth):
     """The alternating fixpoint of one negation-SCC stratum.
 
     ``under`` (the global underestimate) and ``over_extra`` (settled
@@ -163,7 +185,6 @@ def _alternate_stratum(stratum, under, over_extra, max_facts, max_term_depth):
 
     Returns ``(iterations, alternations, final_layer)``.
     """
-    variants = _negation_variants(stratum)
     tracer = current_tracer()
     iterations = 0
     alternations = 0
@@ -234,7 +255,7 @@ def _alternate_stratum(stratum, under, over_extra, max_facts, max_term_depth):
 
 
 def seminaive_well_founded(program, extra_facts=(), max_facts=1000000,
-                           max_term_depth=None):
+                           max_term_depth=None, compiled=None):
     """Compute the well-founded model of ``program`` semi-naively.
 
     Handles every ground-predicate-indicator program without aggregation
@@ -247,8 +268,13 @@ def seminaive_well_founded(program, extra_facts=(), max_facts=1000000,
     recursion through aggregation, aggregation over possibly-undefined
     atoms) and :class:`~repro.hilog.errors.GroundingError` when a resource
     cap trips, mirroring the stratified engine's contract.
+
+    ``compiled`` is the :func:`compile_well_founded` of ``program``'s rules,
+    for callers that evaluate the same rules again and again; by default
+    the rules are compiled here.
     """
-    stratification = stratify_program(program, allow_unstratified=True)
+    if compiled is None:
+        compiled = compile_well_founded(program)
     tracer = current_tracer()
     if tracer is not None:
         started = _perf_counter()
@@ -270,10 +296,9 @@ def seminaive_well_founded(program, extra_facts=(), max_facts=1000000,
     alternations = 0
     strata_names = []
 
-    for index, rules in enumerate(stratification.strata):
-        stratum = compile_stratum(rules, stratification.recursive)
-        strata_names.append(frozenset(predicate_name(rule.head) for rule in rules))
-        alternating = index in stratification.unstratified
+    for stratum, variants, names in compiled:
+        strata_names.append(names)
+        alternating = variants is not None
         if uncertain:
             reads = stratum.reads
             reads_uncertain = reads is None or bool(reads & uncertain)
@@ -321,7 +346,7 @@ def seminaive_well_founded(program, extra_facts=(), max_facts=1000000,
 
         # Negation-SCC stratum: the full alternating fixpoint.
         its, alts, layer = _alternate_stratum(
-            stratum, under, over_extra, max_facts, max_term_depth
+            stratum, variants, under, over_extra, max_facts, max_term_depth
         )
         iterations += its
         alternations += alts
