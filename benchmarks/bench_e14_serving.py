@@ -3,7 +3,7 @@
 The serving subsystem (:mod:`repro.serve`) must deliver the paper's
 "efficient query answering" to *concurrent* callers: readers pin immutable
 epochs while one writer thread coalesces queued updates into batched
-maintenance passes.  Two rows:
+maintenance passes.  Three rows:
 
 * **E14a — consistency under churn.**  Four reader threads hammer
   ``tc(n0, X)`` over a chain-200 transitive-closure session while the
@@ -23,6 +23,15 @@ maintenance passes.  Two rows:
   The rewires touch distinct edges, so coalescing cannot cheat by netting
   ops away; the win is one DRed delta propagation over 24 edge changes
   instead of 24 propagations of one change each.
+* **E14c — read-path work counts.**  What one ``tc(n150, X)`` read (query
+  plus rendering every answer, as ``POST /query`` does) costs in
+  machine-independent units: runs of the uncached term printer on the
+  first query (one per answer — every interned term is rendered once, its
+  text kept in the term's slot) and on a repeated one (none), and calls of
+  the general matcher (none: the pattern is linear, so
+  ``answer_from_store`` tests identity at the ground position).
+  ``run_all.py --check-baseline`` holds the counts to the baseline exactly,
+  like ``fetches`` / ``candidates``.
 
 Run with::
 
@@ -33,7 +42,12 @@ import os
 import threading
 import time
 
+from unittest import mock
+
 from repro.analysis.report import ExperimentRow, print_table
+from repro.core.magic import evaluate
+from repro.hilog import pretty
+from repro.hilog.terms import App
 from repro.serve import ServingSession
 from repro.workloads.closure import transitive_closure_program
 from repro.workloads.graphs import chain_edges
@@ -255,4 +269,64 @@ def test_writer_batching_speedup(benchmark):
     assert speedup >= BATCH_BAR, (
         "coalesced writer batching is only %.1fx faster than per-op "
         "maintenance (bar: %.1fx)" % (speedup, BATCH_BAR)
+    )
+
+
+def test_read_path_work_counts(benchmark):
+    """E14c: renders and ``match`` calls per read, as exact counts."""
+    serving = ServingSession(transitive_closure_program(chain_edges(CHAIN)))
+    uncached = pretty._render_term
+    rendered = []
+
+    def render(term):
+        # Only answers are counted: symbol texts are shared process-wide,
+        # so whether ``n151`` is rendered here depends on what ran before.
+        if isinstance(term, App):
+            rendered.append(term)
+        return uncached(term)
+
+    try:
+        with mock.patch.object(pretty, "_render_term", render), \
+                mock.patch.object(evaluate, "match",
+                                  wraps=evaluate.match) as matcher:
+
+            def read():
+                """One read: (answers, answer renders, match calls)."""
+                rendered.clear()
+                matcher.reset_mock()
+                with serving.reader() as reader:
+                    answers = [str(answer)
+                               for answer in reader.query("tc(n150, X)")]
+                return answers, len(rendered), matcher.call_count
+
+            cold, renders_cold, match_cold = read()
+            repeat, renders_repeat, match_repeat = read()
+    finally:
+        serving.close()
+
+    assert cold == repeat == sorted(
+        "tc(n150, n%d)" % k for k in range(151, CHAIN + 1))
+    assert renders_cold == len(cold)
+    assert renders_repeat == 0
+    assert match_cold == match_repeat == 0
+    benchmark.extra_info.update({
+        "answers": len(cold),
+        "renders_cold": renders_cold,
+        "renders_repeat": renders_repeat,
+        "match_calls": match_repeat,
+    })
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    print_table(
+        "E14c  Read-path work per tc(n150, X) query (chain-%d)" % CHAIN,
+        ["query", "answers", "renders", "match calls"],
+        [
+            ExperimentRow("first", {
+                "answers": len(cold), "renders": renders_cold,
+                "match calls": match_cold,
+            }),
+            ExperimentRow("repeated", {
+                "answers": len(repeat), "renders": renders_repeat,
+                "match calls": match_repeat,
+            }),
+        ],
     )

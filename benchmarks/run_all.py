@@ -21,10 +21,10 @@ The **regression gate** (``--check-baseline``) compares the fresh results
 against the committed ``benchmarks/baseline.json``: any benchmark whose wall
 time exceeds ``baseline * tolerance`` (``--tolerance``, default 3.0 — CI
 runners are noisy) fails the run, and so does any benchmark whose
-deterministic ``fetches`` / ``candidates`` counters differ from the
-baseline's at all.  Refresh the baseline with
-``--update-baseline`` after an intentional performance change, on a quiet
-machine.
+deterministic work counters (``fetches`` / ``candidates``, the read
+path's ``renders_*`` / ``match_calls``) differ from the baseline's at all.
+Refresh the baseline with ``--update-baseline`` after an intentional
+performance change, on a quiet machine.
 
 The **profiling harness** (``--profile``) reruns each benchmark file under
 ``cProfile`` and prints/records the top functions by internal time, so perf
@@ -191,11 +191,14 @@ def _timing_measures(entry, min_seconds):
     return measures
 
 
-#: Deterministic work counters a benchmark may record in ``extra_info``
-#: (``EXECUTION_STATS.diff``): index probes and the join candidates they
-#: returned.  They depend on the program and the planner, not on the
-#: machine, so the gate holds them to the baseline *exactly*.
-WORK_COUNTERS = ("fetches", "candidates")
+#: Deterministic work counters a benchmark may record in ``extra_info``:
+#: index probes and the join candidates they returned
+#: (``EXECUTION_STATS.diff``), and the read path's term renders and general
+#: ``match`` calls per query (E14c).  They depend on the program and the
+#: planner, not on the machine, so the gate holds them to the baseline
+#: *exactly*.
+WORK_COUNTERS = ("fetches", "candidates",
+                 "renders_cold", "renders_repeat", "match_calls")
 
 
 def check_baseline(results, baseline_path, tolerance, min_seconds=0.0005):
@@ -207,7 +210,8 @@ def check_baseline(results, baseline_path, tolerance, min_seconds=0.0005):
     half-millisecond floor keeps sub-millisecond insert/retract timings
     gated while the ~2 microsecond pedantic placeholders stay excluded).
     Where the baseline also holds :data:`WORK_COUNTERS` for a benchmark (the
-    e10 closure-scaling and e13 well-founded entries), the fresh counters
+    e10 closure-scaling, e13 well-founded and e14 read-path entries), the
+    fresh counters
     must *equal* it: an executor change may not move the work done, and a
     planner change that does must refresh the baseline deliberately.
     Returns a list of human-readable regression strings; benchmarks missing

@@ -36,7 +36,7 @@ from repro.engine.wellfounded import well_founded_model
 from repro.hilog.errors import EvaluationError, GroundingError
 from repro.hilog.program import Literal, Program, Rule
 from repro.hilog.subst import Substitution
-from repro.hilog.terms import Term, Var, outermost_symbol, predicate_name
+from repro.hilog.terms import App, Term, Var, outermost_symbol, predicate_name
 from repro.hilog.unify import match, unify
 
 
@@ -68,6 +68,15 @@ class _CallTable:
 
     def __len__(self):
         return len(self._patterns)
+
+
+def _sorted_matches(pattern, atoms):
+    """The atoms ``pattern`` matches, in ``repr`` order — the answer order
+    of every path.  ``repr`` of an interned term is a slot read once the
+    term has been rendered (:func:`repro.hilog.pretty.format_term`)."""
+    return sorted(
+        (atom for atom in atoms if match(pattern, atom) is not None), key=repr
+    )
 
 
 def _rename_rule(rule, counter):
@@ -203,9 +212,7 @@ def _seminaive_magic(program, query_literals, max_atoms):
         )
 
     program_atoms = frozenset(atom for atom in result.true if not is_auxiliary(atom))
-    query_atom = query_literals[0].atom
-    matched = [atom for atom in program_atoms if match(query_atom, atom) is not None]
-    matched.sort(key=repr)
+    matched = _sorted_matches(query_literals[0].atom, program_atoms)
     return MagicEvaluationResult(
         answers=tuple(matched),
         interpretation=Interpretation(true=program_atoms, base=program_atoms),
@@ -231,8 +238,6 @@ def answer_from_store(store, query_literals):
     ``ground_rules`` 0 and the interpretation restricted to the answers.
     """
     pattern = query_literals[0].atom
-    from repro.hilog.terms import App
-
     if pattern.is_ground():
         # Fully bound query: one membership probe against the store.
         matched = [pattern] if pattern in store else []
@@ -240,23 +245,37 @@ def answer_from_store(store, query_literals):
         # Bound-name query: a single indexed probe on the ground argument
         # positions (interned-identity key), then residual matching for the
         # open positions only.
-        positions = tuple(
-            i for i, arg in enumerate(pattern.args) if arg.is_ground()
-        )
+        args = pattern.args
+        positions = tuple(i for i, arg in enumerate(args) if arg.is_ground())
         if len(positions) == 1:
-            key = pattern.args[positions[0]]  # bare-term single-position key
+            key = args[positions[0]]  # bare-term single-position key
         else:
-            key = tuple(pattern.args[i] for i in positions)
-        candidates, _exact = store.fetch(
-            pattern.name, len(pattern.args), positions, key
-        )
-        matched = [atom for atom in candidates if match(pattern, atom) is not None]
+            key = tuple(args[i] for i in positions)
+        candidates, exact = store.fetch(pattern.name, len(args), positions, key)
+        open_args = [arg for arg in args if not arg.is_ground()]
+        if (
+            exact
+            and all(type(arg) is Var for arg in open_args)
+            and len(set(open_args)) == len(open_args)
+        ):
+            # Linear pattern over an indicator-exact fetch: the open
+            # arguments are distinct variables, which match anything, so
+            # ``match`` on interned terms reduces to identity at the ground
+            # positions.  Those are still tested — overlay and delta layers
+            # return their whole indicator bucket whatever the index key.
+            matched = candidates
+            for i in positions:
+                bound = args[i]
+                matched = [atom for atom in matched if atom.args[i] is bound]
+            matched = sorted(matched, key=repr)
+        else:
+            matched = _sorted_matches(pattern, candidates)
     else:
         # Higher-order / propositional-variable patterns: the store's
         # general candidate scan, then full matching.
-        candidates = store.candidates(pattern, Substitution(), ())
-        matched = [atom for atom in candidates if match(pattern, atom) is not None]
-    matched.sort(key=repr)
+        matched = _sorted_matches(
+            pattern, store.candidates(pattern, Substitution(), ())
+        )
     answers = frozenset(matched)
     return MagicEvaluationResult(
         answers=tuple(matched),
@@ -372,12 +391,7 @@ def magic_evaluate(program, query, max_atoms=500000, engine="alternating",
     ground_program = GroundProgram(tuple(ground_rules))
     interpretation = well_founded_model(ground_program, engine=engine)
 
-    query_atom = query_literals[0].atom
-    matched = []
-    for atom in interpretation.true:
-        if match(query_atom, atom) is not None:
-            matched.append(atom)
-    matched.sort(key=repr)
+    matched = _sorted_matches(query_literals[0].atom, interpretation.true)
 
     return MagicEvaluationResult(
         answers=tuple(matched),

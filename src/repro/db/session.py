@@ -348,7 +348,6 @@ class DatabaseSession:
 
         self._plans = None
         self._wf_plans = None
-        self._edb_repr = {}
         self._owner = {}
         self._unknown_stratum = None
         self._mode = RECOMPUTE_MODE
@@ -456,16 +455,9 @@ class DatabaseSession:
 
     def _sorted_edb(self):
         """The EDB in ``repr`` order — the deterministic fact order every
-        from-scratch evaluation is fed in.  Only atoms new since the last
-        call are formatted; the rest of the keys are remembered."""
-        keys = self._edb_repr
-        edb = self._edb
-        for atom in edb - keys.keys():
-            keys[atom] = repr(atom)
-        if len(keys) > len(edb):
-            for atom in keys.keys() - edb:
-                del keys[atom]
-        return sorted(edb, key=keys.__getitem__)
+        from-scratch evaluation is fed in (a slot read per atom already
+        rendered, see :func:`repro.hilog.pretty.format_term`)."""
+        return sorted(self._edb, key=repr)
 
     def _full_program(self):
         """The session's program with the current EDB as facts (cached per
@@ -715,10 +707,8 @@ class DatabaseSession:
     def _flush_parse_cache(self):
         """Flush-hook target: drop memoized fact-string parses so the cache
         neither pins evicted-generation atoms nor hands out stale (formerly
-        canonical) objects after a collection.  The EDB's sort keys go for
-        the same reason."""
+        canonical) objects after a collection."""
         self._parse_cache.clear()
-        self._edb_repr.clear()
 
     def add_update_listener(self, listener):
         """Register ``listener(summary)`` to run after every applied update

@@ -41,7 +41,28 @@ _COMPARISON_INFIX = frozenset(_INFIX_NAMES) - _ARITHMETIC_INFIX
 
 
 def format_term(term):
-    """Render a term in concrete HiLog syntax."""
+    """Render a term in concrete HiLog syntax.
+
+    The text is a function of the term's structure, and structure is
+    identity for interned terms, so it is computed once per canonical object
+    and kept in the term's ``_text`` slot (which ``Term.__repr__`` reads
+    directly): every later print or ``sorted(key=repr)`` is a slot read.
+    The slot dies with the object, so intern-generation eviction frees the
+    text with the term.  Two threads racing the first render both compute
+    the same string and one store overwrites the other — idempotent, so no
+    lock.
+    """
+    try:
+        return term._text
+    except AttributeError:
+        text = _render_term(term)
+        object.__setattr__(term, "_text", text)
+        return text
+
+
+def _render_term(term):
+    """The uncached renderer behind :func:`format_term`; subterms go back
+    through the cache."""
     if isinstance(term, Var):
         return term.name
     if isinstance(term, Num):

@@ -27,6 +27,10 @@ interned when it is constructed, so its intern key ``(name,) + args`` hashes
 with the children's cached hashes and compares by identity — one dictionary
 probe per construction.  Hash values keep the pre-interning structural
 formulas, so iteration orders (and hence printed outputs) are unchanged.
+One canonical object per structure also means one *text* per structure:
+each term has a ``_text`` slot the printer fills on first render (see
+:func:`repro.hilog.pretty.format_term`), so ``repr`` and every
+``sorted(key=repr)`` after that is a slot read.
 
 Interning alone would make memory grow with the set of *distinct terms
 ever built in the process* — fatal for a long-lived
@@ -458,12 +462,17 @@ class Term:
         """Return the number of nodes in the term tree."""
         raise NotImplementedError
 
-    # The pretty printer lives in repro.hilog.pretty; __repr__ delegates to it
-    # lazily to avoid an import cycle.
+    # Every concrete term carries a ``_text`` slot that the one printer
+    # (:func:`repro.hilog.pretty.format_term`) fills on first render and that
+    # is left *unset* until then, so construction pays nothing for it.  The
+    # printer imports this module, hence the import on the miss path only.
     def __repr__(self):
-        from repro.hilog.pretty import format_term
+        try:
+            return self._text
+        except AttributeError:
+            from repro.hilog.pretty import format_term
 
-        return format_term(self)
+            return format_term(self)
 
 
 class Var(Term):
@@ -475,7 +484,7 @@ class Var(Term):
     variables may use any string.
     """
 
-    __slots__ = ("name", "_hash", "_gen")
+    __slots__ = ("name", "_hash", "_gen", "_text")
 
     def __new__(cls, name):
         self = _VAR_INTERN.get(name)
@@ -532,7 +541,7 @@ class Sym(Term):
     not distinguish these roles.
     """
 
-    __slots__ = ("name", "_hash", "_gen")
+    __slots__ = ("name", "_hash", "_gen", "_text")
 
     def __new__(cls, name):
         self = _SYM_INTERN.get(name)
@@ -637,7 +646,7 @@ class App(Term):
     dictionary probe that returns the canonical object.
     """
 
-    __slots__ = ("name", "args", "_hash", "_ground", "_depth", "_gen")
+    __slots__ = ("name", "args", "_hash", "_ground", "_depth", "_gen", "_text")
 
     def __new__(cls, name, args=()):
         if not isinstance(name, Term):

@@ -30,7 +30,10 @@ Endpoints (JSON in, JSON out):
 Error mapping: a full write queue answers ``503`` with a ``Retry-After``
 header (backpressure is the client's problem to pace, not the server's to
 buffer); a request exceeding the per-request timeout answers ``504``;
-malformed input answers ``400``.
+malformed input answers ``400`` — a bad request line, header or JSON body,
+a missing field, and HiLog text the parser or the reader rejects (a
+:class:`~repro.hilog.errors.ParseError` on any endpoint, a non-ground
+``/ask`` or ``/value``); ``500`` is left for genuine faults.
 
 Every request lands in the ``"http"`` metric family
 (``repro_http_request_seconds`` histogram, ``repro_http_requests``
@@ -50,6 +53,7 @@ import urllib.parse
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.hilog.errors import HiLogError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import current_tracer
 from repro.serve.session import ServingClosed, ServingSession, WriteQueueFull
@@ -335,9 +339,14 @@ class ServeServer:
         return value
 
     async def _in_reader(self, fn):
-        """Run a blocking read on the pool (never on the event loop)."""
+        """Run a blocking read on the pool (never on the event loop).
+        Input the reader rejects — text that does not parse, a non-ground
+        ``/ask`` — answers 400; anything else is a fault (500)."""
         loop = asyncio.get_event_loop()
-        return await loop.run_in_executor(self._executor, fn)
+        try:
+            return await loop.run_in_executor(self._executor, fn)
+        except (HiLogError, ValueError) as error:
+            raise _HttpError(400, str(error))
 
     async def _do_query(self, payload):
         text = self._field(payload, "query")
@@ -347,10 +356,7 @@ class ServeServer:
                 answers = reader.query(text)
                 return reader.epoch.eid, [str(answer) for answer in answers]
 
-        try:
-            eid, answers = await self._in_reader(run)
-        except ValueError as error:
-            raise _HttpError(400, str(error))
+        eid, answers = await self._in_reader(run)
         return 200, {"answers": answers, "count": len(answers), "epoch": eid}
 
     async def _do_ask(self, payload, kind):
@@ -361,10 +367,7 @@ class ServeServer:
                 method = reader.ask if kind == "ask" else reader.value
                 return reader.epoch.eid, method(text)
 
-        try:
-            eid, result = await self._in_reader(run)
-        except ValueError as error:
-            raise _HttpError(400, str(error))
+        eid, result = await self._in_reader(run)
         key = "result" if kind == "ask" else "value"
         return 200, {key: result, "epoch": eid}
 

@@ -179,6 +179,39 @@ class TestEndpoints:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("path, field, text", [
+        ("/query", "query", "tc(a1, "),   # unterminated term
+        ("/query", "query", "3 +"),
+        ("/ask", "atom", "tc(a1, "),
+        ("/ask", "atom", "3 +"),
+        ("/ask", "atom", "tc(a, X)"),     # non-ground
+        ("/value", "atom", "tc(a1, "),
+        ("/value", "atom", "3 +"),
+        ("/value", "atom", "tc(a, X)"),
+    ])
+    def test_malformed_reads_map_to_400(self, server, path, field, text):
+        # Regression: ParseError is a HiLogError, not a ValueError, and
+        # used to fall through to the 500 handler.
+        conn = http.client.HTTPConnection(*server.address, timeout=10)
+        try:
+            status, body, _headers = server.post(path, {field: text},
+                                                 connection=conn)
+            assert status == 400 and body["error"]
+            # the connection and the server are still good
+            status, body, _headers = server.post(
+                "/query", {"query": "tc(a, X)"}, connection=conn)
+            assert status == 200 and body["count"] == 2
+        finally:
+            conn.close()
+
+    def test_reader_fault_still_maps_to_500(self, server, monkeypatch):
+        def broken(_self, _query):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("repro.serve.session.ReaderSession.query", broken)
+        status, body, _headers = server.post("/query", {"query": "tc(a, X)"})
+        assert status == 500 and "RuntimeError" in body["error"]
+
     def test_backpressure_maps_to_503_with_retry_after(self, server):
         server.serving.pause()
         try:
