@@ -26,12 +26,13 @@ is detected and reported as an error.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.magic.adornment import generalize_pattern
 from repro.engine.builtins import solve_builtin
 from repro.engine.grounding import GroundProgram, GroundRule
 from repro.engine.interpretation import Interpretation
+from repro.engine.seminaive.relation import FactSource, candidates
 from repro.engine.wellfounded import well_founded_model
 from repro.hilog.errors import EvaluationError, GroundingError
 from repro.hilog.program import Literal, Program, Rule
@@ -222,7 +223,7 @@ def _seminaive_magic(program, query_literals, max_atoms):
     )
 
 
-def answer_from_store(store, query_literals):
+def answer_from_store(store: FactSource, query_literals):
     """Answer a query from a materialized total model in a relation store.
 
     This is the session-backed path of :func:`magic_evaluate`: a
@@ -248,33 +249,31 @@ def answer_from_store(store, query_literals):
         args = pattern.args
         positions = tuple(i for i, arg in enumerate(args) if arg.is_ground())
         if len(positions) == 1:
-            key = args[positions[0]]  # bare-term single-position key
+            key: object = args[positions[0]]  # bare-term single-position key
         else:
             key = tuple(args[i] for i in positions)
-        candidates, exact = store.fetch(pattern.name, len(args), positions, key)
+        fetched: Sequence[Any] = store.fetch(pattern.name, len(args), positions, key)
         open_args = [arg for arg in args if not arg.is_ground()]
         if (
-            exact
-            and all(type(arg) is Var for arg in open_args)
+            all(type(arg) is Var for arg in open_args)
             and len(set(open_args)) == len(open_args)
         ):
-            # Linear pattern over an indicator-exact fetch: the open
-            # arguments are distinct variables, which match anything, so
-            # ``match`` on interned terms reduces to identity at the ground
-            # positions.  Those are still tested — overlay and delta layers
-            # return their whole indicator bucket whatever the index key.
-            matched = candidates
+            # Linear pattern: the open arguments are distinct variables,
+            # which match anything, and a fetch returns applications of the
+            # indicator only, so ``match`` on interned terms reduces to
+            # identity at the ground positions.  Those are still tested — a
+            # bucket layer returns its whole indicator whatever the key.
             for i in positions:
                 bound = args[i]
-                matched = [atom for atom in matched if atom.args[i] is bound]
-            matched = sorted(matched, key=repr)
+                fetched = [atom for atom in fetched if atom.args[i] is bound]
+            matched = sorted(fetched, key=repr)
         else:
-            matched = _sorted_matches(pattern, candidates)
+            matched = _sorted_matches(pattern, fetched)
     else:
-        # Higher-order / propositional-variable patterns: the store's
-        # general candidate scan, then full matching.
+        # Higher-order / propositional-variable patterns: the general
+        # candidate scan, then full matching.
         matched = _sorted_matches(
-            pattern, store.candidates(pattern, Substitution(), ())
+            pattern, candidates(store, pattern, Substitution(), ())
         )
     answers = frozenset(matched)
     return MagicEvaluationResult(

@@ -36,6 +36,8 @@ changes, so the next stratum up sees exactly the facts that flipped.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.engine.seminaive.engine import (
     PlanSources,
     check_derived_atom,
@@ -46,169 +48,25 @@ from repro.engine.seminaive.engine import (
 )
 from repro.engine.seminaive.plan import build_term
 from repro.db.plans import COUNTING
-from repro.engine.seminaive.relation import RelationStore, SignedStore, predicate_indicator
+from repro.engine.seminaive.relation import (
+    Delta,
+    FactBuckets,
+    FactSource,
+    StoreView,
+    predicate_indicator,
+)
 from repro.hilog.errors import GroundingError
 from repro.hilog.terms import App
 from repro.hilog.unify import match
 
 
-class Delta:
-    """A signed set of fact changes: atoms that became true (``added``) and
-    atoms that became false (``removed``), with cancellation — re-adding a
-    removed atom erases the removal instead of recording both."""
-
-    __slots__ = ("added", "removed")
-
-    def __init__(self):
-        self.added = SignedStore()
-        self.removed = SignedStore()
-
-    def record_add(self, atom):
-        if atom in self.removed:
-            self.removed.remove(atom)
-        else:
-            self.added.add(atom)
-
-    def record_remove(self, atom):
-        if atom in self.added:
-            self.added.remove(atom)
-        else:
-            self.removed.add(atom)
-
-    def is_empty(self):
-        return not len(self.added) and not len(self.removed)
-
-    def pin_roots(self):
-        """Both signed sides' atoms, for intern-generation pin sets — a
-        caller retaining a delta past the update that produced it (audit
-        logs, change feeds) pins it across collections this way."""
-        yield from self.added.pin_roots()
-        yield from self.removed.pin_roots()
-
-    def touches(self, indicators):
-        """Whether the delta contains facts of any of the given predicate
-        indicators (``None`` means "unknowable reads" — always true)."""
-        if indicators is None:
-            return not self.is_empty()
-        for name, arity in indicators:
-            if self.added.has_facts(name, arity) or self.removed.has_facts(name, arity):
-                return True
-        return False
-
-
-class _ExcludingView:
-    """A store minus the members of another store (no copying).
-
-    Implements the register executor's fetch protocol by filtering the
-    underlying store's results; exactness is inherited (filtering never
-    adds foreign-indicator facts).
-    """
-
-    __slots__ = ("store", "minus")
-
-    def __init__(self, store, minus):
-        self.store = store
-        self.minus = minus
-
-    def fetch(self, name, arity, positions, key):
-        facts, exact = self.store.fetch(name, arity, positions, key)
-        minus = self.minus
-        return [fact for fact in facts if fact not in minus], exact
-
-    def spill(self, arity, symbol):
-        facts, exact = self.store.spill(arity, symbol)
-        minus = self.minus
-        return [fact for fact in facts if fact not in minus], exact
-
-    def all_facts(self):
-        facts, exact = self.store.all_facts()
-        minus = self.minus
-        return [fact for fact in facts if fact not in minus], exact
-
-    def __contains__(self, atom):
-        return atom in self.store and atom not in self.minus
-
-
-class _UnionView:
-    """The union of several disjoint fact sources."""
-
-    __slots__ = ("sources",)
-
-    def __init__(self, *sources):
-        self.sources = sources
-
-    def fetch(self, name, arity, positions, key):
-        result = []
-        exact = True
-        for source in self.sources:
-            facts, source_exact = source.fetch(name, arity, positions, key)
-            result.extend(facts)
-            exact = exact and source_exact
-        return result, exact
-
-    def spill(self, arity, symbol):
-        result = []
-        for source in self.sources:
-            facts, _exact = source.spill(arity, symbol)
-            result.extend(facts)
-        return result, False
-
-    def all_facts(self):
-        result = []
-        for source in self.sources:
-            facts, _exact = source.all_facts()
-            result.extend(facts)
-        return result, False
-
-    def __contains__(self, atom):
-        return any(atom in source for source in self.sources)
-
-
-def old_state(store, delta):
+def old_state(store: FactSource, delta: Delta) -> FactSource:
     """A read-only view of the database state *before* ``delta`` was applied
-    to ``store`` (the delta's additions are masked out, its removals shine
-    through again).  Degenerate deltas skip the wrapper layers."""
-    if not len(delta.added):
-        if not len(delta.removed):
-            return store
-        return _UnionView(store, delta.removed)
-    return _UnionView(_ExcludingView(store, delta.added), delta.removed)
-
-
-class _FactsDelta:
-    """A small per-round delta: a plain fact list posing as a fact source.
-
-    The semi-naive worklist rounds of over-deletion are often tiny (one fact
-    per round on path-shaped data); building a full indexed
-    :class:`RelationStore` per round would dominate the maintenance cost.
-    Candidates are returned unfiltered (``exact=False``) — the executor's
-    match instructions reject non-matching facts, and the rounds are small
-    by construction.
-    """
-
-    __slots__ = ("facts", "indicators")
-
-    def __init__(self, facts):
-        self.facts = facts
-        self.indicators = {predicate_indicator(fact) for fact in facts}
-
-    def __len__(self):
-        return len(self.facts)
-
-    def fetch(self, name, arity, positions, key):
-        return self.facts, False
-
-    def spill(self, arity, symbol):
-        return self.facts, False
-
-    def all_facts(self):
-        return self.facts, False
-
-    def __contains__(self, atom):
-        return atom in self.facts  # worklist rounds are small lists
-
-    def has_indicator(self, indicator):
-        return indicator in self.indicators
+    to ``store``: the delta's additions are masked out, its removals shine
+    through again."""
+    if delta.is_empty():
+        return store
+    return StoreView((store, delta.removed), minus=delta.added)
 
 
 class StagedSources(PlanSources):
@@ -223,14 +81,16 @@ class StagedSources(PlanSources):
 
     __slots__ = ("site", "before", "after", "neg")
 
-    def __init__(self, store, delta, site, before, after, neg):
+    def __init__(self, store: FactSource, delta: FactSource, site: int,
+                 before: FactSource, after: FactSource,
+                 neg: Optional[FactSource]) -> None:
         super().__init__(store, delta)
         self.site = site
         self.before = before
         self.after = after
         self.neg = neg
 
-    def select(self, step):
+    def select(self, step) -> FactSource:
         if step.from_delta:
             return self.delta
         if step.body_index < self.site:
@@ -248,8 +108,6 @@ def _delta_relevant(delta_store, indicator):
         return False
     if indicator is None:
         return True
-    if isinstance(delta_store, _FactsDelta):
-        return delta_store.has_indicator(indicator)
     return delta_store.has_facts(indicator[0], indicator[1])
 
 
@@ -352,7 +210,7 @@ def _overdelete(plans, store, delta, edb_removed):
         if plans.site_in_stratum(variant[2])
     ]
     while worklist:
-        delta_store = _FactsDelta(worklist)
+        delta_store = FactBuckets(worklist)
         worklist = []
         for _rule, site, indicator, plan in own_variants:
             if not _delta_relevant(delta_store, indicator):
@@ -441,7 +299,7 @@ def _rederive(plans, store, overdeleted, edb):
         if plans.site_in_stratum(variant[2])
     ]
     while worklist:
-        delta_store = _FactsDelta(worklist)
+        delta_store = FactBuckets(worklist)
         worklist = []
         for _rule, site, indicator, plan in own_variants:
             if not _delta_relevant(delta_store, indicator):

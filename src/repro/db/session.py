@@ -613,7 +613,7 @@ class DatabaseSession:
             rules_text=self._program_text, mode=self._mode, edb=self._edb,
             store=self._store if store is None else store,
             undefined=self._undefined if undefined is None else undefined,
-            supports=self._store._supports,
+            supports=self._store.support_counts(),
         )
 
     def close(self, checkpoint=True):

@@ -45,11 +45,7 @@ from time import perf_counter as _perf_counter
 from zlib import crc32
 
 from repro.durable.faults import fire
-from repro.engine.seminaive.relation import (
-    Relation,
-    RelationStore,
-    predicate_indicator,
-)
+from repro.engine.seminaive.relation import RelationStore, predicate_indicator
 from repro.hilog.errors import CorruptSnapshot
 from repro.hilog.terms import App, Num, Sym
 from repro.obs.metrics import get_registry
@@ -157,12 +153,11 @@ def _term_id(term, index, pool):
 
 def _relation_groups(store):
     """``indicator -> [atoms]`` for any store shape: the fast path reads a
-    :class:`RelationStore`'s own relations; epoch overlays (and any other
+    :class:`RelationStore`'s own relations; epoch views (and any other
     iterable store) group through :func:`predicate_indicator`."""
     if isinstance(store, RelationStore):
-        return {indicator: list(relation.facts)
-                for indicator, relation in store._relations.items()
-                if relation.facts}
+        return {relation.indicator: list(relation.facts)
+                for relation in store.relations()}
     groups = {}
     for atom in store:
         groups.setdefault(predicate_indicator(atom), []).append(atom)
@@ -180,7 +175,7 @@ def encode_snapshot(*, rules_text, mode, txn, edb, store, undefined,
         rels.append((name_id, indicator[1],
                      [_term_id(atom, index, pool) for atom in atoms]))
     if supports is None:
-        supports = store._supports if isinstance(store, RelationStore) else {}
+        supports = store.support_counts() if isinstance(store, RelationStore) else {}
     sup = [(index[atom], count) for atom, count in supports.items()
            if count != 1 and atom in index]
     body = {
@@ -307,27 +302,15 @@ def _decode(payload, path):
         else:
             append(Num(entry))
 
-    store = RelationStore.__new__(RelationStore)
-    members = set()
-    relations = {}
-    by_arity = {}
-    for name_id, arity, ids in payload["rels"]:
-        facts = [terms[i] for i in ids]
-        relation = Relation((terms[name_id], arity))
-        relation.facts = dict.fromkeys(facts)
-        relations[relation.indicator] = relation
-        by_arity.setdefault(arity, []).append(relation)
-        members.update(facts)
-    supports = dict.fromkeys(members, 1)
+    store = RelationStore.from_groups(
+        ((terms[name_id], arity), [terms[i] for i in ids])
+        for name_id, arity, ids in payload["rels"]
+    )
     for term_id, count in payload["sup"]:
-        supports[terms[term_id]] = count
-    store._relations = relations
-    store._by_arity = by_arity
-    store._members = members
-    store._count = len(members)
-    store._supports = supports
-    store._frozen = False
-    store.refs = 0
+        # Recorded only for counts above the one support every fact has; a
+        # count for an atom outside ``rels`` must not make it a fact.
+        if terms[term_id] in store:
+            store.add_support(terms[term_id], count - 1)
 
     return SnapshotState(
         txn=payload["txn"],

@@ -45,7 +45,6 @@ from repro.engine.stable import stable_models, is_stable_model
 from repro.engine.builtins import evaluate_ground_builtin, is_arithmetic_term, solve_builtin
 from repro.engine.aggregates import evaluate_aggregate
 from repro.engine.seminaive import (
-    LayeredStore,
     PlanSources,
     RelationStore,
     SeminaiveResult,
@@ -86,7 +85,6 @@ __all__ = [
     "evaluate_ground_builtin",
     "is_arithmetic_term",
     "evaluate_aggregate",
-    "LayeredStore",
     "PlanSources",
     "RelationStore",
     "SeminaiveResult",

@@ -47,8 +47,6 @@ from repro.engine.seminaive.plan import (
     compile_rule,
 )
 from repro.engine.seminaive.relation import (
-    LayeredStore,
-    OverlayStore,
     Relation,
     RelationStore,
     predicate_indicator,
@@ -61,8 +59,6 @@ from repro.engine.seminaive.wellfounded import (
 )
 
 __all__ = [
-    "LayeredStore",
-    "OverlayStore",
     "SeminaiveWellFoundedResult",
     "seminaive_well_founded",
     "seminaive_well_founded_detailed",

@@ -77,7 +77,8 @@ from repro.engine.builtins import solve_builtin
 from repro.engine.interpretation import Interpretation
 from repro.engine.seminaive.plan import PlanError, compile_rule
 from repro.engine.seminaive.relation import (
-    DeltaStore,
+    FactBuckets,
+    FactSource,
     RelationStore,
     predicate_indicator,
 )
@@ -318,9 +319,8 @@ class PlanSources:
     per-iteration ``delta`` store for delta-marked steps) and answers
     negation checks against ``store``.  Maintenance algorithms subclass this
     to stage different database states (old / new / delta) per body
-    position — see :mod:`repro.db.maintenance`.  A source must implement
-    the fetch protocol of :class:`~repro.engine.seminaive.relation.RelationStore`
-    (``fetch`` / ``spill`` / ``all_facts`` / ``__contains__``).
+    position — see :mod:`repro.db.maintenance`.  A source implements
+    :class:`~repro.engine.seminaive.relation.FactSource`.
 
     ``negation`` redirects the membership test of negation steps to a
     different store: the alternating-fixpoint well-founded evaluator
@@ -332,12 +332,13 @@ class PlanSources:
 
     __slots__ = ("store", "delta", "negation")
 
-    def __init__(self, store, delta=None, negation=None):
+    def __init__(self, store: FactSource, delta: Optional[FactSource] = None,
+                 negation: Optional[FactSource] = None) -> None:
         self.store = store
         self.delta = delta
         self.negation = store if negation is None else negation
 
-    def select(self, step):
+    def select(self, step) -> FactSource:
         """The fact source a fetch step reads from."""
         return self.delta if step.from_delta else self.store
 
@@ -747,7 +748,7 @@ def evaluate_stratum(stratum, store, max_facts=1000000, max_term_depth=None,
         iterations += 1
         if tracer is not None:
             tracer.emit("iteration", iteration=iterations, delta=len(delta))
-        delta_store = DeltaStore(delta)
+        delta_store = FactBuckets(delta)
         delta = []
         sources = PlanSources(store, delta_store, negation=negation_store)
         for _rule, _site, plan in stratum.variant_plans:

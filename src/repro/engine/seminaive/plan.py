@@ -331,9 +331,9 @@ def compile_rule(rule, delta_index=None, bound=frozenset()):
 #
 # What is decided per candidate in an interpreter is decided once here:
 # whether a predicate name is ground at runtime, which arguments form the
-# index key, whether a variable is written or checked.  ``sources.select`` /
-# ``sources.holds`` dispatch, the ``exact`` flag of the fetch protocol and
-# the ``fetches`` / ``candidates`` counters are kept as they were.
+# index key, whether a variable is written or checked.  Sources stay
+# pluggable through ``sources.select`` / ``sources.holds``, and every fetch
+# and candidate bumps the ``fetches`` / ``candidates`` counters.
 
 #: Fetch steps per generated function.  CPython refuses more than 20
 #: statically nested blocks, so a longer body continues in a second
@@ -402,15 +402,6 @@ def _compile_builder(term, bound, slot):
 
 # -- helpers the generated functions call for the rare shapes ----------------
 
-def _named(facts, name, arity):
-    """The applications of ``name``/``arity`` among ``facts`` — the name and
-    arity checks for a source whose fetch was not indicator-exact."""
-    return [
-        fact for fact in facts
-        if type(fact) is App and fact.name is name and len(fact.args) == arity
-    ]
-
-
 def _solve(atom, bindings):
     """Bridge a builtin to :func:`solve_builtin`: at most one solution."""
     return solve_builtin(atom, Substitution._trusted(bindings))
@@ -424,7 +415,7 @@ def _flounder(atom, rule):
 
 
 _RUNTIME = {
-    "App": App, "Num": Num, "intern_app": intern_app, "_named": _named,
+    "App": App, "Num": Num, "intern_app": intern_app,
     "outermost_symbol": outermost_symbol, "_solve": _solve,
     "_flounder": _flounder,
 }
@@ -524,13 +515,11 @@ class _Codegen:
         self.fail("%s not in %s" % (atom, source))
         self.line("stats.candidates += 1")
 
-    def scan(self, index, candidates, inexact=None):
+    def scan(self, index, candidates):
         """Open the loop over the candidates of fetch ``index``;
         ``candidates`` is the statement that binds ``c<index>``."""
         self.line(candidates)
         self.line("stats.candidates += len(c%d)" % index)
-        if inexact:
-            self.line(inexact)
         self.line("for f%d in c%d:" % (index, index))
         self.indent += 1
         return "f%d" % index
@@ -545,7 +534,7 @@ class _Codegen:
             if atom.is_ground() or atom in self.bound:
                 self.probe(self.expr(atom), source)
             else:
-                fact = self.scan(index, "c%d = %s.all_facts()[0]" % (index, source))
+                fact = self.scan(index, "c%d = %s.all_facts()" % (index, source))
                 self.match(atom, fact)
             return
         arity = len(atom.args)
@@ -556,18 +545,12 @@ class _Codegen:
             if len(key) == arity:
                 self.probe("intern_app(%s, %s)" % (name, _tuple(key)), source)
                 return
-            if not atom.name.is_ground():
-                self.line("n%d = %s" % (index, name))
-                name = "n%d" % index
             fact = self.scan(
                 index,
-                "c%d, x%d = %s.fetch(%s, %d, %r, %s)" % (
-                    index, index, source, name, arity, step.index_positions,
+                "c%d = %s.fetch(%s, %d, %r, %s)" % (
+                    index, source, name, arity, step.index_positions,
                     key[0] if len(key) == 1 else _tuple(key),
                 ),
-                # A source that cannot promise applications of exactly this
-                # indicator gets the name and arity checked here.
-                "if not x%d: c%d = _named(c%d, %s, %d)" % (index, index, index, name, arity),
             )
             self.line("%s = %s.args" % (args, fact))
         else:
@@ -582,7 +565,7 @@ class _Codegen:
             else:
                 symbol = self.const(symbol) if isinstance(symbol, Sym) else "None"
             fact = self.scan(
-                index, "c%d = %s.spill(%d, %s)[0]" % (index, source, arity, symbol)
+                index, "c%d = %s.spill(%d, %s)" % (index, source, arity, symbol)
             )
             self.fail("type(%s) is not App" % fact)
             self.line("%s = %s.args" % (args, fact))

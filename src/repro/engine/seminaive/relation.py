@@ -1,56 +1,69 @@
-"""Indexed fact relations for the semi-naive engine.
+"""Fact sources for the semi-naive engine: one protocol, three shapes.
 
-A :class:`RelationStore` partitions ground atoms by *predicate indicator* —
-the pair ``(predicate-name term, arity)`` — the HiLog analogue of the
-``p/n`` indicators of a deductive database.  Because HiLog predicate names
-may themselves be complex terms (``winning(m)``), the name component of the
-indicator is an arbitrary ground term; atoms that are not applications
-(propositional symbols) use arity ``-1`` so that ``p`` and the zero-ary
-application ``p()`` stay distinct (footnote 1 of the paper).
+The paper's universal relation model makes a HiLog database *one* relation
+``call`` whose first column is an arbitrary name term.  The engine
+partitions it by *predicate indicator* — ``(predicate-name term, arity)``,
+the HiLog analogue of ``p/n``.  Predicate names may be complex terms
+(``winning(m)``), so the name component is an arbitrary ground term; atoms
+that are not applications (propositional symbols) use arity ``-1`` so that
+``p`` and the zero-ary application ``p()`` stay distinct (footnote 1).
 
-Each :class:`Relation` keeps its facts in an insertion-ordered set together
-with on-demand hash indexes keyed by subsets of argument positions: the
-first lookup that binds positions ``(0, 2)`` builds a dictionary from the
-values at those positions to the matching facts, and subsequent insertions
-and removals keep every existing index current.  This is what makes
-semi-naive joins run in time proportional to the number of matching facts
-instead of the size of the relation.
+Every consumer — the generated plan functions, counting and delete-rederive
+maintenance, the alternating fixpoint, reader epochs,
+:func:`~repro.core.magic.evaluate.answer_from_store` — asks a fact source
+the same four questions (:class:`FactSource`): ``fetch(name, arity,
+positions, key)``, the facts of one indicator whose arguments at
+``positions`` equal ``key`` (a bare term for one position, a term tuple
+otherwise); ``spill(arity, symbol)``, the facts of every indicator of
+``arity`` under names with outermost symbol ``symbol`` (the higher-order
+case: ``M(X, Y)`` before ``M`` is bound, ``winning(M)(X)``);
+``all_facts()``; and ``atom in source``.  A fetch never returns a fact of
+another indicator and never misses a matching one, but may *over-return
+within the indicator*, so callers test the key positions themselves: the
+plan functions match every argument, ``answer_from_store`` compares the
+ground positions by identity.  :func:`candidates` puts a ``(pattern,
+substitution)`` question to the protocol.  Three classes implement it:
 
-The store additionally supports the operations an *incremental* deductive
-database (:mod:`repro.db`) needs on top of monotone insertion:
+:class:`RelationStore`
+    The indexed store: one :class:`Relation` per indicator with on-demand
+    hash indexes per set of argument positions, so ``fetch`` honours the
+    key exactly and a join costs the matching facts, not the relation.
+    Mutable, with the *support counts* of the counting algorithm;
+    :meth:`~RelationStore.freeze` makes every mutator raise
+    :class:`~repro.hilog.errors.FrozenStoreError`, which is how an epoch's
+    base is shared between reader threads (building an index on first use
+    stays legal: it is idempotent).  A relation exists while it has facts.
 
-* :meth:`RelationStore.remove` — delete a fact, maintaining every index
-  (used by delete-rederive maintenance);
-* *support counts* — :meth:`RelationStore.add_support` /
-  :meth:`RelationStore.remove_support` track how many derivations support
-  each fact, the bookkeeping of the counting algorithm for non-recursive
-  views (Gupta, Mumick & Subrahmanian, SIGMOD'93).  A fact disappears from
-  the store exactly when its last support is removed.  The plain
-  :meth:`RelationStore.add` has set semantics (a duplicate insert does *not*
-  accumulate support) and gives a fact a single support.
+:class:`FactBuckets`
+    A plain fact set, ``{indicator: {atom: None}}``: no indexes, no counts.
+    For what is scanned whole per indicator — the semi-naive loop's
+    per-iteration delta, delete-rederive's worklist rounds, both sides of a
+    :class:`Delta`.  ``fetch`` ignores the key and lists the indicator's
+    bucket: this is the source that over-returns.  Freezable like the
+    store; a published epoch's delta is frozen before readers can see it.
 
-Lookups with a *non-ground* predicate name (the higher-order case, e.g. the
-body literal ``M(X, Y)`` before ``M`` is bound) fall back to a spill scan
-over every relation of the right arity, optionally narrowed by the
-outermost symbol of the pattern's name.
+:class:`StoreView`
+    A read view, the union of disjoint layers minus a mask, adds going to
+    the last layer.  One shape, three uses: the state *before* an update is
+    ``StoreView((store, delta.removed), minus=delta.added)``
+    (:func:`repro.db.maintenance.old_state`); a reader epoch is
+    ``StoreView((base, delta.added), minus=delta.removed)`` over a frozen
+    base (:mod:`repro.serve.epochs`); the well-founded overestimate is
+    ``StoreView((under, over_extra, layer))``, written into its top layer
+    (:mod:`repro.engine.seminaive.wellfounded`).  It owns no facts, is as
+    frozen as its layers, and is read-only under a mask.
 
-For the concurrent serving subsystem (:mod:`repro.serve`) the store grows
-*snapshot* machinery: :meth:`RelationStore.snapshot` produces an O(n)
-structural copy, :meth:`RelationStore.freeze` turns a store immutable
-(mutators raise :class:`FrozenStoreError`; lazy index building remains
-legal — it is idempotent over frozen facts, so concurrent readers can
-race it safely), and :class:`OverlayStore` is an immutable copy-on-write
-view layering a batch's added/removed atoms over a frozen base.  Frozen
-bases and overlays both carry **epoch refcounts**
-(:meth:`~RelationStore.acquire` / :meth:`~RelationStore.release`): each
-live reader epoch holds one reference, so the serving layer knows when a
-layer is unreachable and may drop it from intern-GC pin sets.
+:class:`Delta`, the signed pair of two :class:`FactBuckets` with the one
+cancellation rule, lives beside them.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
+from typing import List, Optional, Protocol, Sequence, Tuple
+
 from repro.hilog.errors import FrozenStoreError, GroundingError
-from repro.hilog.terms import App, Var, outermost_symbol
+from repro.hilog.terms import App, Term, Var, outermost_symbol
 
 
 def predicate_indicator(atom):
@@ -62,6 +75,50 @@ def predicate_indicator(atom):
     if isinstance(atom, App):
         return (atom.name, len(atom.args))
     return (atom, -1)
+
+
+class FactSource(Protocol):
+    """The four questions of the module docstring.  Every method returns a
+    sequence the caller owns."""
+
+    def fetch(self, name: Term, arity: int, positions: Tuple[int, ...],
+              key: object) -> Sequence[Term]: ...
+
+    def spill(self, arity: int, symbol: Optional[Term]) -> Sequence[Term]: ...
+
+    def all_facts(self) -> Sequence[Term]: ...
+
+    def __contains__(self, atom: Term) -> bool: ...
+
+
+def candidates(store: FactSource, pattern, subst,
+               index_positions=()) -> Sequence[Term]:
+    """Facts of ``store`` that could match ``pattern`` under ``subst``
+    (callers match each one).
+
+    ``index_positions`` names argument positions of ``pattern`` that are
+    ground once ``subst`` is applied; with a ground predicate name the
+    lookup is one ``fetch`` on them.  A name that is still open spills over
+    the pattern's arity, narrowed by the name's outermost symbol when it
+    has one (``winning(M)``); a bare unbound variable can be any fact.
+    """
+    if not isinstance(pattern, App):
+        resolved = subst.apply(pattern) if isinstance(pattern, Var) else pattern
+        if isinstance(resolved, Var):
+            return store.all_facts()
+        name, arity = predicate_indicator(resolved)
+        return store.fetch(name, arity, (), None)
+    name = subst.apply(pattern.name)
+    arity = len(pattern.args)
+    if not name.is_ground():
+        return store.spill(arity, outermost_symbol(name))
+    if index_positions:
+        key = tuple(subst.apply(pattern.args[i]) for i in index_positions)
+        if all(part.is_ground() for part in key):
+            return store.fetch(
+                name, arity, index_positions, key[0] if len(key) == 1 else key
+            )
+    return store.fetch(name, arity, (), None)
 
 
 class Relation:
@@ -81,16 +138,10 @@ class Relation:
         # positions tuple -> {argument-value tuple: {atom: None}}
         self._indexes = {}
 
-    def __len__(self):
-        return len(self.facts)
-
-    def __iter__(self):
-        return iter(self.facts)
-
     # Single-position indexes are keyed by the bare argument term (whose
     # hash is cached by interning); multi-position indexes by the argument
     # tuple.  Callers pass keys in the same shape (the join compiler and
-    # ``RelationStore.candidates`` both do).
+    # :func:`candidates` both do).
 
     def add(self, atom):
         """Insert a fact (assumed new — membership lives in the store)."""
@@ -146,467 +197,68 @@ class Relation:
         return len(self._indexes)
 
 
-class DeltaStore:
-    """A lightweight per-iteration delta: facts bucketed by indicator.
-
-    The semi-naive loop rebuilds its delta source every iteration; a full
-    :class:`RelationStore` (membership set, support counts, index
-    maintenance) is wasted work for a collection that is only ever scanned
-    whole per indicator.  Fetches ignore the index key — the register
-    executor's match instructions verify every argument position anyway —
-    but are *exact* per indicator, so variant plans anchored on predicates
-    absent from the delta cost one empty dictionary probe.
-    """
-
-    __slots__ = ("_buckets", "_count")
-
-    def __init__(self, facts=()):
-        buckets = {}
-        count = 0
-        for atom in facts:
-            buckets.setdefault(predicate_indicator(atom), []).append(atom)
-            count += 1
-        self._buckets = buckets
-        self._count = count
-
-    def __len__(self):
-        return self._count
-
-    def fetch(self, name, arity, positions, key):
-        return self._buckets.get((name, arity), ()), True
-
-    def spill(self, arity, symbol):
-        result = []
-        for (name, bucket_arity), facts in self._buckets.items():
-            if bucket_arity != arity:
-                continue
-            if symbol is not None and outermost_symbol(name) is not symbol:
-                continue
+def _spill(groups, arity, symbol):
+    """The facts of ``groups`` (``(indicator, facts)`` pairs) whose
+    indicator has ``arity`` and a name under ``symbol`` — the one spill
+    scan behind the store's and the bucket set's."""
+    result = []
+    for (name, group_arity), facts in groups:
+        if group_arity == arity and (
+                symbol is None or outermost_symbol(name) is symbol):
             result.extend(facts)
-        return result, False
-
-    def all_facts(self):
-        result = []
-        for facts in self._buckets.values():
-            result.extend(facts)
-        return result, False
-
-    def __contains__(self, atom):
-        bucket = self._buckets.get(predicate_indicator(atom))
-        return bucket is not None and atom in bucket
-
-
-class LayeredStore:
-    """A union read view over a stack of fact stores, adds going to the top.
-
-    The alternating-fixpoint well-founded evaluator
-    (:mod:`repro.engine.seminaive.wellfounded`) reads each overestimate
-    fixpoint from *proven-true atoms ∪ settled possibly-true atoms ∪ the
-    layer being built*, while writing only into that topmost layer — so the
-    (shrinking) overestimate of one alternation can be discarded wholesale
-    by dropping its layer, with no per-fact deletion and no copying of the
-    lower stores.  Layers are disjoint by construction: :meth:`add` refuses
-    atoms already present in a lower layer.
-
-    Serves the register executor's fetch protocol (``fetch`` / ``spill`` /
-    ``all_facts`` / ``__contains__``) by concatenating the layers' answers,
-    and enough of the :class:`RelationStore` surface (``add`` / ``__len__``
-    / ``facts``) for :func:`repro.engine.seminaive.engine.evaluate_stratum`
-    to run a fixpoint straight into the view.
-    """
-
-    __slots__ = ("layers", "top")
-
-    def __init__(self, *layers):
-        if not layers:
-            raise ValueError("LayeredStore needs at least one layer")
-        self.layers = layers
-        self.top = layers[-1]
-
-    # Plain loops: the fixpoint asks ``len`` once per derived head and
-    # ``in`` once per negation candidate, and a generator per call costs
-    # more than the layers' own answers.
-
-    def __len__(self):
-        total = 0
-        for layer in self.layers:
-            total += len(layer)
-        return total
-
-    def __contains__(self, atom):
-        for layer in self.layers:
-            if atom in layer:
-                return True
-        return False
-
-    def __iter__(self):
-        for layer in self.layers:
-            yield from layer
-
-    def add(self, atom):
-        """Insert into the top layer; ``False`` when present in any layer."""
-        for layer in self.layers:
-            if layer is not self.top and atom in layer:
-                return False
-        return self.top.add(atom)
-
-    def facts(self, name, arity):
-        result = []
-        for layer in self.layers:
-            result.extend(layer.facts(name, arity))
-        return result
-
-    def fetch(self, name, arity, positions, key):
-        result = None
-        exact = True
-        for layer in self.layers:
-            part, part_exact = layer.fetch(name, arity, positions, key)
-            exact = exact and part_exact
-            if part:
-                if result is None:
-                    result = part if isinstance(part, list) else list(part)
-                else:
-                    result.extend(part)
-        return (result if result is not None else ()), exact
-
-    def spill(self, arity, symbol):
-        result = []
-        for layer in self.layers:
-            part, _exact = layer.spill(arity, symbol)
-            result.extend(part)
-        return result, False
-
-    def all_facts(self):
-        result = []
-        for layer in self.layers:
-            part, _exact = layer.all_facts()
-            result.extend(part)
-        return result, False
-
-    def pin_roots(self):
-        """Every layer's atoms, for intern-generation pin sets."""
-        for layer in self.layers:
-            yield from layer
-
-
-class OverlayStore:
-    """An immutable read view layering net added/removed atoms over a frozen
-    base store — the snapshot representation of one serving **epoch**
-    (:mod:`repro.serve.epochs`).
-
-    The serving writer maintains its model in place; concurrent readers
-    must never observe a half-applied batch.  Rather than copying the whole
-    store per batch, an epoch is published as ``base ⊕ overlay``: a frozen
-    :class:`RelationStore` snapshot shared by many epochs, plus this view's
-    private net diff — ``added`` atoms bucketed by indicator and a
-    ``removed`` tombstone set (both relative to the *base*, with successive
-    batches collapsed via ``previous`` at construction, so reads always
-    consult exactly one overlay regardless of how many batches separate the
-    epoch from its base).  The view is never mutated after construction,
-    and the base is frozen, so reads need no locks; writes go to the next
-    epoch's overlay instead (copy-on-write at the batch granularity).
-
-    Serves the register executor's fetch protocol (``fetch`` / ``spill`` /
-    ``all_facts`` / ``__contains__``) and the query-answering surface of
-    :class:`RelationStore` (``facts`` / ``candidates``), in both cases by
-    filtering the base's answer through the tombstones and appending the
-    matching additions.  Like :class:`DeltaStore`, addition fetches ignore
-    the index key (the executor re-verifies every argument position, and
-    :func:`~repro.core.magic.evaluate.answer_from_store` re-matches), so
-    they may over-return but never under-return.
-
-    Carries the same epoch refcount surface as a frozen base
-    (:meth:`acquire` / :meth:`release`).
-    """
-
-    __slots__ = ("base", "refs", "_added", "_added_members", "_removed",
-                 "_count")
-
-    def __init__(self, base, added=(), removed=(), previous=None):
-        if previous is not None:
-            if previous.base is not base:
-                raise ValueError("previous overlay must share the same base")
-            buckets = {key: dict(bucket)
-                       for key, bucket in previous._added.items()}
-            members = set(previous._added_members)
-            tombstones = set(previous._removed)
-        else:
-            buckets = {}
-            members = set()
-            tombstones = set()
-        # Net out the batch: a removal of an overlay-added atom cancels the
-        # addition; a removal of a base atom becomes a tombstone; an
-        # addition of a tombstoned base atom cancels the tombstone; anything
-        # else is a genuinely new atom.  Batches report exact model diffs
-        # (UpdateSummary.added/removed), so the four cases are exhaustive.
-        for atom in removed:
-            if atom in members:
-                members.discard(atom)
-                indicator = predicate_indicator(atom)
-                bucket = buckets.get(indicator)
-                if bucket is not None:
-                    bucket.pop(atom, None)
-                    if not bucket:
-                        del buckets[indicator]
-            else:
-                tombstones.add(atom)
-        for atom in added:
-            if atom in tombstones:
-                tombstones.discard(atom)
-            elif atom not in members:
-                members.add(atom)
-                buckets.setdefault(predicate_indicator(atom), {})[atom] = None
-        self.base = base
-        self._added = buckets
-        self._added_members = members
-        self._removed = tombstones
-        self._count = len(base) - len(tombstones) + len(members)
-        self.refs = 0
-
-    def __len__(self):
-        return self._count
-
-    def __contains__(self, atom):
-        if atom in self._added_members:
-            return True
-        return atom in self.base and atom not in self._removed
-
-    def __iter__(self):
-        removed = self._removed
-        if removed:
-            for atom in self.base:
-                if atom not in removed:
-                    yield atom
-        else:
-            yield from self.base
-        yield from self._added_members
-
-    def overlay_size(self):
-        """Total overlay volume (additions + tombstones) — the serving
-        layer's rebase trigger: when this grows past a fraction of the base,
-        publishing a fresh frozen snapshot is cheaper than filtering."""
-        return len(self._added_members) + len(self._removed)
-
-    def acquire(self):
-        """Take one epoch reference (the base is *not* acquired here — the
-        epoch manager tracks base and overlay references separately)."""
-        self.refs += 1
-        return self.refs
-
-    def release(self):
-        if self.refs > 0:
-            self.refs -= 1
-        return self.refs
-
-    def facts(self, name, arity):
-        result = [atom for atom in self.base.facts(name, arity)
-                  if atom not in self._removed]
-        bucket = self._added.get((name, arity))
-        if bucket:
-            result.extend(bucket)
-        return result
-
-    def fetch(self, name, arity, positions, key):
-        facts, exact = self.base.fetch(name, arity, positions, key)
-        removed = self._removed
-        if removed:
-            facts = [atom for atom in facts if atom not in removed]
-        bucket = self._added.get((name, arity))
-        if bucket:
-            facts = list(facts)
-            facts.extend(bucket)
-        return facts, exact
-
-    def spill(self, arity, symbol):
-        facts, _exact = self.base.spill(arity, symbol)
-        removed = self._removed
-        if removed:
-            facts = [atom for atom in facts if atom not in removed]
-        extra = []
-        for (name, bucket_arity), bucket in self._added.items():
-            if bucket_arity != arity:
-                continue
-            if symbol is not None and outermost_symbol(name) is not symbol:
-                continue
-            extra.extend(bucket)
-        if extra:
-            facts = list(facts)
-            facts.extend(extra)
-        return facts, False
-
-    def all_facts(self):
-        facts, _exact = self.base.all_facts()
-        removed = self._removed
-        if removed:
-            facts = [atom for atom in facts if atom not in removed]
-        if self._added_members:
-            facts = list(facts)
-            facts.extend(self._added_members)
-        return facts, False
-
-    def candidates(self, pattern, subst, index_positions=()):
-        """Facts that could match ``pattern`` under ``subst`` — the
-        higher-order query path of
-        :func:`~repro.core.magic.evaluate.answer_from_store`.  The base's
-        candidate scan is filtered through the tombstones; the overlay side
-        over-approximates by listing every added atom of a compatible shape
-        (callers re-match every candidate)."""
-        result = [atom for atom in
-                  self.base.candidates(pattern, subst, index_positions)
-                  if atom not in self._removed]
-        if not self._added_members:
-            return result
-        if isinstance(pattern, App):
-            name = subst.apply(pattern.name)
-            arity = len(pattern.args)
-            if name.is_ground():
-                bucket = self._added.get((name, arity))
-                if bucket:
-                    result.extend(bucket)
-            else:
-                for (_name, bucket_arity), bucket in self._added.items():
-                    if bucket_arity == arity:
-                        result.extend(bucket)
-        else:
-            resolved = subst.apply(pattern) if isinstance(pattern, Var) else pattern
-            if isinstance(resolved, Var):
-                result.extend(self._added_members)
-            else:
-                bucket = self._added.get(predicate_indicator(resolved))
-                if bucket:
-                    result.extend(bucket)
-        return result
-
-    def pin_roots(self):
-        """Every atom the view can reach, for intern-generation pin sets.
-        The base is pinned in full (tombstoned atoms included — they are
-        still keys of the view's own sets, and over-pinning a retiring
-        layer is bounded by the layer's lifetime)."""
-        yield from self.base.pin_roots()
-        yield from self._added_members
-        yield from self._removed
-
-    def stats(self):
-        """Diagnostic summary mirroring :meth:`RelationStore.stats`."""
-        base = self.base.stats()
-        base.update(
-            facts=self._count,
-            overlay_added=len(self._added_members),
-            overlay_removed=len(self._removed),
-        )
-        return base
-
-
-class SignedStore:
-    """A mutable indicator-bucketed fact set for maintenance deltas.
-
-    :class:`~repro.db.maintenance.Delta` records every fact that flips truth
-    value during an update; with a full :class:`RelationStore` each record
-    pays membership-set, support-count and index bookkeeping that a delta
-    never uses.  This store keeps one ``{atom: None}`` dict per indicator —
-    O(1) add/remove/membership — and serves the register executor's fetch
-    protocol by listing the relevant bucket.
-    """
-
-    __slots__ = ("_buckets", "_count")
-
-    def __init__(self):
-        self._buckets = {}
-        self._count = 0
-
-    def __len__(self):
-        return self._count
-
-    def __iter__(self):
-        for bucket in self._buckets.values():
-            yield from bucket
-
-    def __contains__(self, atom):
-        indicator = (atom.name, len(atom.args)) if type(atom) is App else (atom, -1)
-        bucket = self._buckets.get(indicator)
-        return bucket is not None and atom in bucket
-
-    def add(self, atom):
-        indicator = (atom.name, len(atom.args)) if type(atom) is App else (atom, -1)
-        bucket = self._buckets.setdefault(indicator, {})
-        if atom in bucket:
-            return False
-        bucket[atom] = None
-        self._count += 1
-        return True
-
-    def remove(self, atom):
-        indicator = (atom.name, len(atom.args)) if type(atom) is App else (atom, -1)
-        bucket = self._buckets.get(indicator)
-        if bucket is None or atom not in bucket:
-            return False
-        del bucket[atom]
-        if not bucket:
-            del self._buckets[indicator]
-        self._count -= 1
-        return True
-
-    def has_facts(self, name, arity):
-        return (name, arity) in self._buckets
-
-    def pin_roots(self):
-        """Every recorded atom, for intern-generation pin sets (a caller
-        holding a maintenance delta across a collection pins it so the
-        flipped facts keep their canonical identity)."""
-        for bucket in self._buckets.values():
-            yield from bucket
-
-    def fetch(self, name, arity, positions, key):
-        bucket = self._buckets.get((name, arity))
-        # Listed (not iterated live) because callers may record into the
-        # delta while a plan over it is still running.
-        return (list(bucket) if bucket else ()), True
-
-    def spill(self, arity, symbol):
-        result = []
-        for (name, bucket_arity), bucket in self._buckets.items():
-            if bucket_arity != arity:
-                continue
-            if symbol is not None and outermost_symbol(name) is not symbol:
-                continue
-            result.extend(bucket)
-        return result, False
-
-    def all_facts(self):
-        result = []
-        for bucket in self._buckets.values():
-            result.extend(bucket)
-        return result, False
+    return result
 
 
 class RelationStore:
     """A database of ground atoms partitioned into indexed relations."""
 
-    __slots__ = ("_relations", "_by_arity", "_members", "_count", "_supports",
-                 "_frozen", "refs")
+    __slots__ = ("_relations", "_by_arity", "_supports", "_frozen")
 
     def __init__(self, facts=()):
+        # indicator -> Relation; a relation exists while it has facts.
         self._relations = {}
+        # arity -> {indicator: Relation}, the spill scan's partition.
         self._by_arity = {}
-        self._members = set()
-        self._count = 0
-        # atom -> number of supports (derivations / assertions); every stored
-        # atom has an entry, plain add() gives exactly one support.
+        # atom -> number of supports (derivations / assertions).  Every
+        # stored atom has an entry — this is the membership — and plain
+        # add() gives exactly one support.
         self._supports = {}
         self._frozen = False
-        #: Epoch refcount (see :meth:`acquire`); 0 outside the serving layer.
-        self.refs = 0
         for atom in facts:
             self.add(atom)
 
-    def __len__(self):
-        return self._count
+    @classmethod
+    def from_groups(cls, groups, supports=None):
+        """Bulk constructor (behind :meth:`snapshot` and the durable snapshot
+        decoder): the store holding ``groups``, ``(indicator, facts)`` pairs
+        the caller vouches for — ground atoms, each once, under its own
+        indicator.  ``supports`` is the complete ``{atom: count}`` mapping
+        when the caller has one (adopted, not copied); by default every
+        fact has one support.  Indexes build on first lookup."""
+        store = cls()
+        relations = store._relations
+        by_arity = store._by_arity
+        for indicator, facts in groups:
+            if not facts:
+                continue
+            relation = Relation(indicator)
+            relation.facts = dict.fromkeys(facts)
+            relations[indicator] = relation
+            by_arity.setdefault(indicator[1], {})[indicator] = relation
+            if supports is None:
+                store._supports.update(dict.fromkeys(relation.facts, 1))
+        if supports is not None:
+            store._supports = supports
+        return store
 
-    def __contains__(self, atom):
-        return atom in self._members
+    def __len__(self):
+        return len(self._supports)
+
+    def __contains__(self, atom: Term) -> bool:
+        return atom in self._supports
 
     def __iter__(self):
-        return iter(self._members)
+        return iter(self._supports)
 
     # -- snapshot / epoch support -------------------------------------------
 
@@ -625,36 +277,15 @@ class RelationStore:
         return self._frozen
 
     def snapshot(self):
-        """An O(n) structural copy of the current facts (no indexes, no
-        support counts — snapshots are read views, the serving layer freezes
-        them immediately).  Indexes rebuild lazily on the copy's own first
-        lookups, so a snapshot never shares mutable state with its source."""
-        clone = RelationStore.__new__(RelationStore)
-        clone._members = set(self._members)
-        clone._count = self._count
-        clone._supports = {}
-        clone._relations = {}
-        clone._by_arity = {}
-        clone._frozen = False
-        clone.refs = 0
-        for indicator, relation in self._relations.items():
-            copy = Relation(indicator)
-            copy.facts = dict(relation.facts)
-            clone._relations[indicator] = copy
-            clone._by_arity.setdefault(indicator[1], []).append(copy)
-        return clone
-
-    def acquire(self):
-        """Take one epoch reference (the serving layer's layer-liveness
-        bookkeeping — see :mod:`repro.serve.epochs`); returns the new count."""
-        self.refs += 1
-        return self.refs
-
-    def release(self):
-        """Drop one epoch reference; returns the new count (never below 0)."""
-        if self.refs > 0:
-            self.refs -= 1
-        return self.refs
+        """An O(n) structural copy of the current facts and their support
+        counts, unfrozen and without indexes (they rebuild lazily on the
+        copy's own first lookups), so a snapshot never shares mutable state
+        with its source."""
+        return RelationStore.from_groups(
+            ((indicator, relation.facts)
+             for indicator, relation in self._relations.items()),
+            dict(self._supports),
+        )
 
     def add(self, atom):
         """Insert a ground atom; return ``True`` when it was new.
@@ -662,40 +293,50 @@ class RelationStore:
         Set semantics: inserting a present atom is a no-op (its support
         count is *not* incremented — use :meth:`add_support` for counting).
         """
-        if atom in self._members:
+        if atom in self._supports:
             return False
         if self._frozen:
             raise FrozenStoreError("cannot add %r to a frozen store" % (atom,))
         if not atom.is_ground():
             raise GroundingError("cannot store non-ground atom %r" % (atom,))
-        self._members.add(atom)
-        self._count += 1
         self._supports[atom] = 1
         indicator = predicate_indicator(atom)
         relation = self._relations.get(indicator)
         if relation is None:
-            relation = Relation(indicator)
-            self._relations[indicator] = relation
-            self._by_arity.setdefault(indicator[1], []).append(relation)
+            relation = self._relations[indicator] = Relation(indicator)
+            self._by_arity.setdefault(indicator[1], {})[indicator] = relation
         relation.add(atom)
         return True
 
     def remove(self, atom):
         """Delete an atom (whatever its support count); return ``True`` when
-        it was present.  Every materialized index is kept current."""
-        if atom not in self._members:
+        it was present.  Every materialized index is kept current, and a
+        relation whose last fact goes is dropped: predicate names are data
+        in HiLog (``winning(m)``), so name churn must not pile up relations."""
+        if atom not in self._supports:
             return False
         if self._frozen:
             raise FrozenStoreError("cannot remove %r from a frozen store" % (atom,))
-        self._members.discard(atom)
-        self._count -= 1
         del self._supports[atom]
-        self._relations[predicate_indicator(atom)].remove(atom)
+        indicator = predicate_indicator(atom)
+        relation = self._relations[indicator]
+        relation.remove(atom)
+        if not relation.facts:
+            del self._relations[indicator]
+            same_arity = self._by_arity[indicator[1]]
+            del same_arity[indicator]
+            if not same_arity:
+                del self._by_arity[indicator[1]]
         return True
 
     def support(self, atom):
         """The support count of an atom (0 when absent)."""
         return self._supports.get(atom, 0)
+
+    def support_counts(self):
+        """The ``{atom: count}`` mapping of every stored atom, as a live
+        read-only view (for serializers)."""
+        return MappingProxyType(self._supports)
 
     def add_support(self, atom, count=1):
         """Add ``count`` supports to an atom; return ``True`` when the atom
@@ -704,7 +345,7 @@ class RelationStore:
             raise ValueError("support increment must be positive")
         if self._frozen:
             raise FrozenStoreError("cannot add support on a frozen store")
-        if atom in self._members:
+        if atom in self._supports:
             self._supports[atom] += count
             return False
         self.add(atom)
@@ -741,116 +382,324 @@ class RelationStore:
         relation = self._relations.get((name, arity))
         return list(relation.facts) if relation is not None else []
 
-    def has_facts(self, name, arity):
-        """``True`` when the indicator has at least one fact."""
-        relation = self._relations.get((name, arity))
-        return relation is not None and len(relation) > 0
-
     def relations(self):
         """All relations, in first-insertion order of their indicators."""
         return list(self._relations.values())
 
     def pin_roots(self):
         """The terms this store retains, for intern-generation pin sets
-        (:func:`repro.hilog.terms.collect_generation`): every stored atom,
-        plus the indicator name of every relation ever created — an emptied
-        relation keeps its (possibly generational) name term alive so it can
-        be reused with its indexes intact, and that reference must not
-        dangle across a collection."""
-        yield from self._members
-        for name, _arity in self._relations:
-            yield name
+        (:func:`repro.hilog.terms.collect_generation`): the stored atoms.
+        A relation's name is a subterm of its facts, and a relation without
+        facts does not exist."""
+        return iter(self._supports)
 
-    def atoms(self):
-        """Every stored atom (relation by relation, insertion order)."""
-        for relation in self._relations.values():
-            for atom in relation.facts:
-                yield atom
-
-    # -- register-executor fetch protocol -----------------------------------
+    # -- the FactSource protocol ---------------------------------------------
     #
     # The generated plan functions (repro.engine.seminaive.plan) resolve
     # their own indicators and index keys from registers, so these entry
-    # points skip the Substitution machinery entirely.  Each returns
-    # ``(facts, exact)`` where ``exact`` promises every fact is an
-    # application of the requested indicator (letting the executor skip the
-    # name/arity checks).
-    # Because terms are hash-consed, indicator and index keys compare by
-    # identity — every probe is one hash lookup over interned pointers.
+    # points skip the Substitution machinery entirely.  Because terms are
+    # hash-consed, indicator and index keys compare by identity — every
+    # probe is one hash lookup over interned pointers.
 
-    def fetch(self, name, arity, positions, key):
-        """Facts of the ``(name, arity)`` indicator whose arguments at
+    def fetch(self, name: Term, arity: int, positions: Tuple[int, ...],
+              key: object) -> Sequence[Term]:
+        """Exactly the facts of ``(name, arity)`` whose arguments at
         ``positions`` equal ``key`` (both precomputed by the compiler)."""
         relation = self._relations.get((name, arity))
         if relation is None:
-            return (), True
-        if positions:
-            return relation.lookup(positions, key), True
-        return list(relation.facts), True
+            return ()
+        return relation.lookup(positions, key)
 
-    def spill(self, arity, symbol):
+    def spill(self, arity: int, symbol: Optional[Term]) -> Sequence[Term]:
         """Facts of every relation of ``arity``, narrowed to relations whose
         name has outermost symbol ``symbol`` when one is known (the
         higher-order non-ground-name path)."""
-        result = []
-        for relation in self._by_arity.get(arity, ()):
-            if symbol is not None and outermost_symbol(relation.indicator[0]) is not symbol:
-                continue
-            result.extend(relation.facts)
-        return result, False
+        same_arity = self._by_arity.get(arity)
+        if same_arity is None:
+            return ()
+        return _spill(
+            ((indicator, relation.facts)
+             for indicator, relation in same_arity.items()),
+            arity, symbol,
+        )
 
-    def all_facts(self):
+    def all_facts(self) -> Sequence[Term]:
         """Every stored atom (the unbound propositional-variable scan)."""
-        return list(self._members), False
-
-    def candidates(self, pattern, subst, index_positions=()):
-        """Facts that could match ``pattern`` under ``subst``.
-
-        ``index_positions`` names the argument positions of ``pattern`` that
-        are ground once ``subst`` is applied (precomputed by the join
-        planner); when the pattern's predicate name is also ground the lookup
-        is a single hash probe.  Otherwise the spill path scans the relations
-        of the pattern's arity, narrowed by the outermost symbol of the name
-        when one exists.
-        """
-        if not isinstance(pattern, App):
-            # Propositional pattern: a ground symbol, or a bare variable
-            # (which can match any stored atom — full spill).
-            resolved = subst.apply(pattern) if isinstance(pattern, Var) else pattern
-            if isinstance(resolved, Var):
-                return list(self._members)
-            relation = self._relations.get(predicate_indicator(resolved))
-            return list(relation.facts) if relation is not None else ()
-
-        name = subst.apply(pattern.name)
-        arity = len(pattern.args)
-        if name.is_ground():
-            relation = self._relations.get((name, arity))
-            if relation is None:
-                return ()
-            if index_positions:
-                key = tuple(subst.apply(pattern.args[i]) for i in index_positions)
-                if all(part.is_ground() for part in key):
-                    if len(index_positions) == 1:
-                        return relation.lookup(index_positions, key[0])
-                    return relation.lookup(index_positions, key)
-            return list(relation.facts)
-
-        # Spill: the predicate name is still non-ground.  Narrow by the
-        # outermost symbol when the name has one (e.g. ``winning(M)``), else
-        # scan every relation of the right arity.
-        symbol = outermost_symbol(name)
-        result = []
-        for relation in self._by_arity.get(arity, ()):
-            if symbol is not None and outermost_symbol(relation.indicator[0]) != symbol:
-                continue
-            result.extend(relation.facts)
-        return result
+        return list(self._supports)
 
     def stats(self):
         """Diagnostic summary: relation count, fact count, index count."""
         return {
             "relations": len(self._relations),
-            "facts": self._count,
+            "facts": len(self._supports),
             "indexes": sum(r.index_count() for r in self._relations.values()),
         }
+
+
+class FactBuckets:
+    """A fact set bucketed by indicator: ``{indicator: {atom: None}}``.
+
+    For collections that are only ever scanned whole per indicator, on
+    which the support counts and index upkeep of a :class:`RelationStore`
+    are wasted.  ``fetch`` ignores the index key (callers test the key
+    positions themselves) but never leaves the indicator, so a plan
+    anchored on a predicate absent from the set costs one empty probe.
+    """
+
+    __slots__ = ("_buckets", "_count", "_frozen")
+
+    def __init__(self, facts=()):
+        self._buckets = {}
+        self._count = 0
+        self._frozen = False
+        for atom in facts:
+            self.add(atom)
+
+    def __len__(self):
+        return self._count
+
+    def __iter__(self):
+        for bucket in self._buckets.values():
+            yield from bucket
+
+    def __contains__(self, atom: Term) -> bool:
+        bucket = self._buckets.get(predicate_indicator(atom))
+        return bucket is not None and atom in bucket
+
+    def freeze(self):
+        """Make the set immutable, like :meth:`RelationStore.freeze`: an
+        :meth:`add` or :meth:`remove` that would change it raises
+        :class:`~repro.hilog.errors.FrozenStoreError` from now on.  Returns
+        ``self`` for chaining."""
+        self._frozen = True
+        return self
+
+    def copy(self):
+        """An unfrozen copy sharing no bucket with this set."""
+        clone = FactBuckets()
+        clone._buckets = {
+            indicator: dict(bucket) for indicator, bucket in self._buckets.items()
+        }
+        clone._count = self._count
+        return clone
+
+    def add(self, atom):
+        """Insert an atom; ``True`` when it was new."""
+        indicator = predicate_indicator(atom)
+        bucket = self._buckets.get(indicator)
+        if bucket is not None and atom in bucket:
+            return False
+        if self._frozen:
+            raise FrozenStoreError("cannot add %r to a frozen fact set" % (atom,))
+        if bucket is None:
+            self._buckets[indicator] = {atom: None}
+        else:
+            bucket[atom] = None
+        self._count += 1
+        return True
+
+    def remove(self, atom):
+        """Delete an atom; ``True`` when it was present."""
+        indicator = predicate_indicator(atom)
+        bucket = self._buckets.get(indicator)
+        if bucket is None or atom not in bucket:
+            return False
+        if self._frozen:
+            raise FrozenStoreError(
+                "cannot remove %r from a frozen fact set" % (atom,))
+        del bucket[atom]
+        if not bucket:
+            del self._buckets[indicator]
+        self._count -= 1
+        return True
+
+    def has_facts(self, name, arity):
+        """``True`` when the indicator has at least one fact."""
+        return (name, arity) in self._buckets
+
+    def pin_roots(self):
+        """Every atom of the set, for intern-generation pin sets."""
+        return iter(self)
+
+    def fetch(self, name: Term, arity: int, positions: Tuple[int, ...],
+              key: object) -> Sequence[Term]:
+        """The whole ``(name, arity)`` bucket, whatever the key."""
+        bucket = self._buckets.get((name, arity))
+        # Listed (not iterated live) because callers may record into a
+        # delta while a plan over it is still running.
+        return list(bucket) if bucket else ()
+
+    def spill(self, arity: int, symbol: Optional[Term]) -> Sequence[Term]:
+        return _spill(self._buckets.items(), arity, symbol)
+
+    def all_facts(self) -> Sequence[Term]:
+        return list(self)
+
+
+class Delta:
+    """A signed set of fact changes: atoms that became true (``added``) and
+    atoms that became false (``removed``), with cancellation — re-adding a
+    removed atom erases the removal instead of recording both.  The rule
+    lives here only: maintenance accumulates a batch's changes through it,
+    and a reader epoch's distance from its base is one."""
+
+    __slots__ = ("added", "removed")
+
+    added: FactBuckets
+    removed: FactBuckets
+
+    def __init__(self):
+        self.added = FactBuckets()
+        self.removed = FactBuckets()
+
+    def record_add(self, atom):
+        if not self.removed.remove(atom):
+            self.added.add(atom)
+
+    def record_remove(self, atom):
+        if not self.added.remove(atom):
+            self.removed.add(atom)
+
+    def __len__(self):
+        """The number of recorded changes, both signs."""
+        return len(self.added) + len(self.removed)
+
+    def is_empty(self):
+        return not len(self)
+
+    def copy(self):
+        """An unfrozen delta recording the same changes."""
+        clone = Delta()
+        clone.added = self.added.copy()
+        clone.removed = self.removed.copy()
+        return clone
+
+    def freeze(self):
+        """Freeze both sides; returns ``self`` for chaining."""
+        self.added.freeze()
+        self.removed.freeze()
+        return self
+
+    def pin_roots(self):
+        """Both signed sides' atoms, for intern-generation pin sets — a
+        caller retaining a delta past the update that produced it (audit
+        logs, change feeds) pins it across collections this way."""
+        yield from self.added
+        yield from self.removed
+
+    def touches(self, indicators):
+        """Whether the delta contains facts of any of the given predicate
+        indicators (``None`` means "unknowable reads" — always true)."""
+        if indicators is None:
+            return not self.is_empty()
+        for name, arity in indicators:
+            if self.added.has_facts(name, arity) or self.removed.has_facts(name, arity):
+                return True
+        return False
+
+
+class StoreView:
+    """The union of disjoint fact layers minus a mask, adds going to the
+    last layer (the three uses are in the module docstring).
+
+    ``layers`` are stored fact sets (:class:`RelationStore` or
+    :class:`FactBuckets`) no two of which share an atom; ``minus`` is a
+    :class:`FactBuckets` of atoms the layers hold and the view hides.  The
+    view copies nothing and follows its layers and mask as they change.
+    Besides the protocol it has enough of the store surface (``add`` /
+    ``__len__`` / ``facts``) for
+    :func:`repro.engine.seminaive.engine.evaluate_stratum` to run a
+    fixpoint straight into it.
+    """
+
+    __slots__ = ("layers", "minus")
+
+    def __init__(self, layers: Sequence[FactSource],
+                 minus: Optional[FactBuckets] = None) -> None:
+        self.layers = tuple(layers)
+        self.minus = minus
+
+    # Plain loops: the fixpoint asks ``len`` once per derived head and
+    # ``in`` once per negation candidate, and a generator per call costs
+    # more than the layers' own answers.
+
+    def __len__(self):
+        total = 0
+        for layer in self.layers:
+            total += len(layer)
+        if self.minus is not None:
+            total -= len(self.minus)
+        return total
+
+    def __contains__(self, atom: Term) -> bool:
+        for layer in self.layers:
+            if atom in layer:
+                return self.minus is None or atom not in self.minus
+        return False
+
+    def __iter__(self):
+        minus = self.minus
+        for layer in self.layers:
+            if minus:
+                for atom in layer:
+                    if atom not in minus:
+                        yield atom
+            else:
+                yield from layer
+
+    def add(self, atom):
+        """Insert into the last layer; ``False`` when present in any layer.
+        A masked view is read-only: unhiding an atom is the cancellation
+        rule, which is :class:`Delta`'s."""
+        if self.minus is not None:
+            raise FrozenStoreError("cannot add %r to a masked view" % (atom,))
+        top = self.layers[-1]
+        for layer in self.layers:
+            if layer is not top and atom in layer:
+                return False
+        return top.add(atom)
+
+    def facts(self, name, arity):
+        """All facts of one indicator."""
+        return self.fetch(name, arity, (), None)
+
+    def fetch(self, name: Term, arity: int, positions: Tuple[int, ...],
+              key: object) -> Sequence[Term]:
+        result: Optional[List[Term]] = None
+        for layer in self.layers:
+            part = layer.fetch(name, arity, positions, key)
+            if part:
+                if result is None:
+                    result = part if isinstance(part, list) else list(part)
+                else:
+                    result.extend(part)
+        if result is None:
+            return ()
+        return self._unmasked(result)
+
+    def _unmasked(self, facts):
+        minus = self.minus
+        if minus:
+            return [atom for atom in facts if atom not in minus]
+        return facts
+
+    def spill(self, arity: int, symbol: Optional[Term]) -> Sequence[Term]:
+        result: List[Term] = []
+        for layer in self.layers:
+            result.extend(layer.spill(arity, symbol))
+        return self._unmasked(result)
+
+    def all_facts(self) -> Sequence[Term]:
+        result: List[Term] = []
+        for layer in self.layers:
+            result.extend(layer.all_facts())
+        return self._unmasked(result)
+
+    def pin_roots(self):
+        """Every atom the view can reach, for intern-generation pin sets:
+        each layer in full and the mask (a hidden atom is still a key of
+        both)."""
+        for layer in self.layers:
+            yield from layer.pin_roots()
+        if self.minus is not None:
+            yield from self.minus

@@ -41,9 +41,10 @@ and iterating over its rules:
   ``evaluate_stratum(seed_delta=...)`` — no from-scratch recomputation of
   the true atoms, work per alternation proportional to what changed;
 * the *overestimate* shrinks across alternations, so each alternation
-  builds it into a fresh :class:`~repro.engine.seminaive.relation.LayeredStore`
-  layer stacked on the settled stores — discarding the previous
-  overestimate is dropping a layer, never a per-fact deletion.
+  builds it into a fresh top layer of a
+  :class:`~repro.engine.seminaive.relation.StoreView` over the settled
+  stores — discarding the previous overestimate is dropping a layer, never
+  a per-fact deletion.
 
 The result partitions the derivable atoms into true and undefined;
 everything else is false under the closed-world reading the paper's
@@ -75,9 +76,9 @@ from repro.engine.seminaive.engine import (
 )
 from repro.engine.seminaive.plan import PlanError, compile_rule
 from repro.engine.seminaive.relation import (
-    DeltaStore,
-    LayeredStore,
+    FactBuckets,
     RelationStore,
+    StoreView,
     predicate_indicator,
 )
 from repro.engine.wellfounded import WellFoundedResult
@@ -197,7 +198,7 @@ def _alternate_stratum(stratum, variants, under, over_extra, max_facts,
 
         # Overestimate phase: least fixpoint with ``not a`` ⇔ a ∉ under.
         layer = RelationStore()
-        over_view = LayeredStore(under, over_extra, layer)
+        over_view = StoreView((under, over_extra, layer))
         its, _over_added = evaluate_stratum(
             stratum, over_view, negation_store=under,
             max_facts=max_facts, max_term_depth=max_term_depth,
@@ -225,7 +226,7 @@ def _alternate_stratum(stratum, variants, under, over_extra, max_facts,
             seeds = []
             if removed:
                 sources = PlanSources(
-                    under, DeltaStore(removed), negation=over_view
+                    under, FactBuckets(removed), negation=over_view
                 )
                 for _rule, _site, plan in variants:
                     for head in run_plan(plan, sources, max_results=max_facts):
@@ -324,7 +325,7 @@ def seminaive_well_founded(program, extra_facts=(), max_facts=1000000,
             # Stratified stratum over three-valued input: negation reads
             # settled strata only, so the two phases cannot feed back —
             # one overestimate pass, one underestimate pass.
-            over_view = LayeredStore(under, over_extra)
+            over_view = StoreView((under, over_extra))
             its, over_added = evaluate_stratum(
                 stratum, over_view, negation_store=under,
                 max_facts=max_facts, max_term_depth=max_term_depth,

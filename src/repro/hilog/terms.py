@@ -648,6 +648,10 @@ class App(Term):
 
     __slots__ = ("name", "args", "_hash", "_ground", "_depth", "_gen", "_text")
 
+    # For the type checker, which cannot see ``object.__setattr__`` fill them.
+    name: Term
+    args: Tuple[Term, ...]
+
     def __new__(cls, name, args=()):
         if not isinstance(name, Term):
             raise TypeError("App name must be a Term, got %r" % (name,))

@@ -41,6 +41,7 @@ import sys
 
 from repro.engine.builtins import solve_builtin
 from repro.engine.seminaive.engine import PlanSources, plan_satisfiable
+from repro.engine.seminaive.relation import candidates as store_candidates
 from repro.hilog.errors import EvaluationError
 from repro.hilog.pretty import format_rule, format_term
 from repro.hilog.subst import Substitution
@@ -150,10 +151,10 @@ class _Explainer(object):
         return atom not in self.store
 
     def _candidates_true(self, pattern, subst):
-        return self.store.candidates(pattern, subst)
+        return store_candidates(self.store, pattern, subst)
 
     def _candidates_over(self, pattern, subst):
-        out = list(self.store.candidates(pattern, subst))
+        out = list(store_candidates(self.store, pattern, subst))
         out.extend(self.undefined)  # match() filters non-candidates
         return out
 

@@ -3,8 +3,8 @@
 The paper's thesis is that modularly stratified programs admit *efficient
 query answering*; :mod:`repro.db` delivers that for one caller.  This
 package composes the repository's machinery — frozen
-:class:`~repro.engine.seminaive.relation.RelationStore` snapshots and
-:class:`~repro.engine.seminaive.relation.OverlayStore` layers, intern-table
+:class:`~repro.engine.seminaive.relation.RelationStore` snapshots under
+frozen :class:`~repro.engine.seminaive.relation.Delta` layers, intern-table
 pin providers, incremental maintenance — into a many-readers/one-writer
 serving layer with **snapshot isolation**:
 

@@ -2,8 +2,11 @@
 
 One **epoch** is one published, never-mutated view of the maintained
 model: a frozen :class:`~repro.engine.seminaive.relation.RelationStore`
-snapshot, or an :class:`~repro.engine.seminaive.relation.OverlayStore`
-layering the net diff of one or more update batches over such a snapshot.
+snapshot (the *base*), alone or under a frozen
+:class:`~repro.engine.seminaive.relation.Delta` holding the net diff of
+the update batches since that snapshot — read through the
+:class:`~repro.engine.seminaive.relation.StoreView`
+``(base ∪ delta.added) − delta.removed``.
 The :class:`EpochManager` is the single point of coordination between the
 writer (which publishes a new epoch after every maintained batch) and the
 readers (which pin the current epoch for the duration of a query):
@@ -14,34 +17,34 @@ readers (which pin the current epoch for the duration of a query):
 * **Pinning** — :meth:`EpochManager.acquire` increments the epoch's
   refcount *under the same lock* that publication takes, so an epoch can
   never retire between a reader choosing it and pinning it.
-* **Layer liveness** — each epoch holds layer references
-  (``store.acquire()``, and the overlay's shared base) for as long as it
-  is live (current, or pinned by at least one reader).  When an epoch
-  retires its layer references drop; a base whose last overlay retires
-  becomes unreachable and falls out of the pin set.
+* **Liveness** — an epoch is live while it is current or pinned by at
+  least one reader; the manager's live table is the only liveness record.
+  A base shared by several epochs stays reachable exactly as long as one
+  of them is live.
 * **Intern-GC safety** — the manager registers a (weak) pin provider with
   :mod:`repro.hilog.terms`, covering every atom reachable from every live
   epoch.  Term eviction (:func:`~repro.hilog.terms.collect_generation`)
   therefore never invalidates a pinned reader view: terms compare by
   identity, so evicting an atom a reader can still fetch would silently
   turn its lookups into misses.
-* **Rebase policy** — overlays collapse their predecessors at
-  construction, so a reader consults exactly one overlay however many
-  batches separate its epoch from the base; when the collapsed overlay
-  volume exceeds ``rebase_ratio``  of the base (plus a small absolute
-  floor), the manager publishes a fresh frozen snapshot instead, keeping
-  per-read overhead bounded under unbounded churn.
+* **Rebase policy** — each batch is netted into a *copy* of the previous
+  epoch's delta, so a reader consults exactly one delta however many
+  batches separate its epoch from the base; when the delta's volume
+  exceeds ``rebase_ratio``  of the base (plus a small absolute floor), the
+  manager publishes a fresh frozen snapshot instead, keeping per-read
+  overhead bounded under unbounded churn.
 
 Epochs deliberately know nothing about queries — reading an epoch is
 :func:`repro.core.magic.evaluate.answer_from_store` over ``epoch.store``,
-exactly the maintained-store query path, which both store shapes serve.
+exactly the maintained-store query path, which both shapes serve.
 """
 
 from __future__ import annotations
 
 import threading
+from typing import Optional
 
-from repro.engine.seminaive.relation import OverlayStore, RelationStore
+from repro.engine.seminaive.relation import Delta, FactSource, RelationStore, StoreView
 from repro.hilog.terms import register_pin_provider
 from repro.obs.trace import current_tracer
 
@@ -49,19 +52,29 @@ from repro.obs.trace import current_tracer
 class Epoch:
     """One published snapshot of the maintained model.
 
-    Immutable after construction (the serving invariant readers rely on);
-    the mutable ``refs`` counter is owned by the :class:`EpochManager` and
-    only ever touched under its lock.
+    Immutable after construction (the serving invariant readers rely on,
+    enforced by freezing: the base and both sides of the delta raise from
+    every mutator); the mutable ``refs`` counter is owned by the
+    :class:`EpochManager` and only ever touched under its lock.
     """
 
-    __slots__ = ("eid", "store", "undefined", "version", "refs", "_live")
+    __slots__ = ("eid", "base", "delta", "store", "undefined", "version",
+                 "refs", "_live")
 
-    def __init__(self, eid, store, undefined, version):
+    def __init__(self, eid, base: RelationStore, delta: Optional[Delta],
+                 undefined, version) -> None:
         #: Monotone epoch number (0 is the initial model).
         self.eid = eid
-        #: The epoch's fact view — a frozen ``RelationStore`` or an
-        #: ``OverlayStore`` over one.
-        self.store = store
+        #: The frozen full snapshot this epoch reads through.
+        self.base = base
+        #: The frozen net diff from ``base`` to this epoch's model;
+        #: ``None`` when the epoch *is* its base.
+        self.delta = delta
+        #: The epoch's fact view: the base, or base ⊕ delta.
+        if delta is None:
+            self.store: FactSource = base
+        else:
+            self.store = StoreView((base, delta.added), minus=delta.removed)
         #: Undefined atoms of the model at this epoch (well-founded mode).
         self.undefined = undefined
         #: The session version this epoch reflects.
@@ -78,12 +91,12 @@ class Epoch:
 
     @property
     def live(self):
-        """Whether the epoch still pins its layers (current or read-pinned)."""
+        """Whether the epoch is still current or read-pinned."""
         return self._live
 
     def is_base(self):
-        """True when this epoch is a frozen full snapshot (not an overlay)."""
-        return isinstance(self.store, RelationStore)
+        """True when this epoch is a frozen full snapshot with no delta."""
+        return self.delta is None
 
     def pin_roots(self):
         """Every term reachable from this epoch, for intern pin sets."""
@@ -96,13 +109,15 @@ class EpochManager:
 
     Args:
         snapshot: zero-argument callable returning a fresh
-            :class:`RelationStore` copy of the maintained store (the
-            session's ``store.snapshot()``, called on the writer thread) —
+            :class:`RelationStore` copy of the maintained store as it is
+            when called, on the writer thread (``lambda:
+            session.store.snapshot()`` — a session that recomputes its
+            model replaces its store object, so a bound method goes stale);
             used for the initial epoch and for rebases.
         rebase_ratio: publish a fresh frozen snapshot instead of a further
-            overlay once the collapsed overlay volume (additions +
-            tombstones) exceeds this fraction of the base's size.
-        rebase_min: absolute overlay volume below which no rebase happens
+            delta once the delta's volume (additions + removals) exceeds
+            this fraction of the base's size.
+        rebase_min: absolute delta volume below which no rebase happens
             regardless of the ratio (keeps tiny models from rebasing on
             every batch).
     """
@@ -116,7 +131,7 @@ class EpochManager:
         self._lock = threading.Lock()
         self._current = None
         self._next_eid = 0
-        #: eid -> Epoch, every epoch whose layers are still pinned.
+        #: eid -> Epoch, every epoch that is current or read-pinned.
         self._live = {}
         self._rebases = 0
         self._published = 0
@@ -141,30 +156,30 @@ class EpochManager:
         """Publish a fresh frozen full snapshot as the new current epoch
         (the initial publication, and the rebase path).  Runs ``snapshot()``
         on the calling (writer) thread; only the swap takes the lock."""
-        store = self._snapshot().freeze()
-        return self._install(store, undefined, version)
+        return self._install(self._snapshot().freeze(), None, undefined, version)
 
     def publish_delta(self, added, removed, undefined=frozenset(), version=0):
         """Publish the net effect of one maintained batch as the new
-        current epoch: an overlay over the current epoch's base (collapsing
-        the current overlay, if any), or — once the collapsed overlay
-        outgrows the rebase policy — a fresh frozen snapshot.
+        current epoch: the current epoch's base under a copy of its delta
+        with the batch netted in, or — once that delta outgrows the rebase
+        policy — a fresh frozen snapshot.
 
         ``added`` / ``removed`` are exact model diffs (the maintained
         store already reflects them — :class:`~repro.db.session.UpdateSummary`
-        semantics).  Construction happens outside the lock: the inputs are
-        immutable published layers, so only the final swap synchronizes."""
+        semantics).  Construction happens outside the lock and on a copy:
+        the published layers are frozen and readers of the current epoch
+        never see the new batch, so only the final swap synchronizes."""
         with self._lock:
             current = self._current
         if current is None:
             return self.publish_base(undefined, version)
-        if current.is_base():
-            base, previous = current.store, None
-        else:
-            base, previous = current.store.base, current.store
-        overlay = OverlayStore(base, added=added, removed=removed,
-                               previous=previous)
-        volume = overlay.overlay_size()
+        delta = Delta() if current.delta is None else current.delta.copy()
+        for atom in removed:
+            delta.record_remove(atom)
+        for atom in added:
+            delta.record_add(atom)
+        base = current.base
+        volume = len(delta)
         if volume > self._rebase_min and \
                 volume > self._rebase_ratio * max(len(base), 1):
             self._rebases += 1
@@ -173,16 +188,15 @@ class EpochManager:
                 tracer.emit("rebase", overlay=volume, base=len(base),
                             version=version)
             return self.publish_base(undefined, version)
-        return self._install(overlay, undefined, version)
+        return self._install(base, delta.freeze(), undefined, version)
 
-    def _install(self, store, undefined, version):
-        """Swap ``store`` in as the current epoch, retiring the old current
-        epoch's *current* pin (readers still holding it keep it live)."""
-        store.acquire()
-        if isinstance(store, OverlayStore):
-            store.base.acquire()
+    def _install(self, base, delta, undefined, version):
+        """Swap ``base`` ⊕ ``delta`` in as the current epoch, retiring the
+        old current epoch's *current* pin (readers still holding it keep it
+        live)."""
         with self._lock:
-            epoch = Epoch(self._next_eid, store, frozenset(undefined), version)
+            epoch = Epoch(self._next_eid, base, delta, frozenset(undefined),
+                          version)
             self._next_eid += 1
             self._published += 1
             self._live[epoch.eid] = epoch
@@ -195,8 +209,8 @@ class EpochManager:
 
     def acquire(self):
         """Pin and return the current epoch.  The pin is taken under the
-        publication lock, so the returned epoch's layers are guaranteed
-        live until the matching :meth:`release`."""
+        publication lock, so the returned epoch is guaranteed live until
+        the matching :meth:`release`."""
         with self._lock:
             epoch = self._current
             if epoch is None:
@@ -215,12 +229,9 @@ class EpochManager:
                 self._retire_locked(epoch)
 
     def _retire_locked(self, epoch):
-        """Drop the epoch's layer references and remove it from the live
-        table (caller holds the lock)."""
+        """Remove the epoch from the live table, and so from the intern pin
+        set (caller holds the lock)."""
         epoch._live = False
-        epoch.store.release()
-        if isinstance(epoch.store, OverlayStore):
-            epoch.store.base.release()
         self._live.pop(epoch.eid, None)
 
     # -- introspection -------------------------------------------------------
@@ -249,7 +260,7 @@ class EpochManager:
                 "current_is_base": current.is_base() if current is not None
                 else None,
                 "current_overlay": 0 if current is None or current.is_base()
-                else current.store.overlay_size(),
+                else len(current.delta),
             }
 
     def close(self):

@@ -236,8 +236,11 @@ class ServingSession:
             raise ValueError("max_batch must be positive")
         self._max_pending = max_pending
         self._max_batch = max_batch
+        session = self._session
         self._manager = EpochManager(
-            self._session.store.snapshot,
+            # Looked up per call: a session that recomputes its model
+            # (well-founded and recompute modes) replaces its store.
+            lambda: session.store.snapshot(),
             rebase_ratio=rebase_ratio, rebase_min=rebase_min,
         )
         self._publish_hooks = []

@@ -1,18 +1,17 @@
 """Differential test: ``answer_from_store``'s identity path ≡ ``match``.
 
 For a *linear* bound-name pattern (open arguments are distinct variables)
-over an indicator-exact fetch, ``answer_from_store`` replaces the general
-``match`` by identity tests at the ground positions.  Whatever the path, the
-answers must be exactly
+``answer_from_store`` replaces the general ``match`` by identity tests at
+the ground positions.  Whatever the path, the answers must be exactly
 
     sorted((a for a in store if match(pattern, a) is not None), key=repr)
 
-over a plain :class:`RelationStore` and over a frozen base under an
-:class:`OverlayStore` whose additions sit under *other* index keys and whose
-tombstones hide base facts — the case where the fetch over-returns and the
-ground positions must still be tested.  A spy on the matcher checks which
-path ran: linear patterns make zero ``match`` calls, the others still go
-through it.
+over a plain :class:`RelationStore` and over an epoch's base ⊕ delta view —
+a frozen base under a :class:`Delta` whose additions sit under *other* index
+keys and whose removals hide base facts — the case where the fetch
+over-returns and the ground positions must still be tested.  A spy on the
+matcher checks which path ran: linear patterns make zero ``match`` calls,
+the others still go through it.
 """
 
 from unittest import mock
@@ -23,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.magic import evaluate
 from repro.core.magic.evaluate import answer_from_store
-from repro.engine.seminaive.relation import OverlayStore, RelationStore
+from repro.engine.seminaive.relation import Delta, RelationStore, StoreView
 from repro.hilog.parser import parse_term
 from repro.hilog.program import Literal
 from repro.hilog.terms import App, Var, fresh_var
@@ -70,8 +69,19 @@ def _plain(facts):
     return store
 
 
-def _overlaid(base_facts, added, removed):
-    return OverlayStore(_plain(base_facts).freeze(), added=added, removed=removed)
+def _overlaid(base_facts, *batches):
+    """The view an epoch reads: a frozen base under the delta that netted
+    the ``(added, removed)`` batches, as ``EpochManager.publish_delta``
+    builds it."""
+    delta = Delta()
+    for added, removed in batches:
+        for atom in removed:
+            delta.record_remove(atom)
+        for atom in added:
+            delta.record_add(atom)
+    delta.freeze()
+    return StoreView((_plain(base_facts).freeze(), delta.added),
+                     minus=delta.removed)
 
 
 def _check(store, pattern):
@@ -97,8 +107,8 @@ def _stores():
     rest = UNIVERSE[1::2]
     return {
         "plain": _plain(UNIVERSE),
-        "overlay": _overlaid(base, added=rest[::2], removed=base[::3]),
-        "overlay-additions-only": _overlaid(base, added=rest, removed=()),
+        "overlay": _overlaid(base, (rest[::2], base[::3])),
+        "overlay-additions-only": _overlaid(base, (rest, ())),
         "empty": _plain(()),
     }
 
@@ -125,10 +135,10 @@ def test_overlay_fetch_over_returns_and_ground_positions_still_filter():
     # fact, so only the identity test at position 0 keeps tc(b, c) out.
     a1_b, a1_c, b_c, a_a = (parse_term(t) for t in
                             ("tc(a1, b)", "tc(a1, c)", "tc(b, c)", "tc(a, a)"))
-    store = _overlaid([a1_b, a1_c], added=[b_c, a_a], removed=[a1_c])
+    store = _overlaid([a1_b, a1_c], ([b_c, a_a], [a1_c]))
     pattern = parse_term("tc(a1, X)")
-    fetched, exact = store.fetch(pattern.name, 2, (0,), pattern.args[0])
-    assert exact and set(fetched) == {a1_b, b_c, a_a}
+    fetched = store.fetch(pattern.name, 2, (0,), pattern.args[0])
+    assert set(fetched) == {a1_b, b_c, a_a}
     assert _check(store, pattern) == 0
     assert answer_from_store(store, (Literal(pattern),)).answers == (a1_b,)
 
@@ -166,8 +176,6 @@ def test_random_patterns_over_overlaid_stores(pattern, base, added, removed):
     # removals come from it.
     added = [atom for atom in added if atom not in base]
     removed = [atom for atom in removed if atom in base]
-    store = _overlaid(base, added, removed)
-    _check(store, pattern)
-    # the same view reached in two batches (overlay collapsed via previous)
-    first = OverlayStore(store.base, added=added)
-    _check(OverlayStore(store.base, removed=removed, previous=first), pattern)
+    _check(_overlaid(base, (added, removed)), pattern)
+    # the same view reached in two batches netted into one delta
+    _check(_overlaid(base, (added, ()), ((), removed)), pattern)

@@ -31,7 +31,7 @@ def _checkpoint(session, directory, txn=0):
     return write_snapshot(
         str(directory), rules_text="%% rules", mode=session.mode, txn=txn,
         edb=session.edb(), store=session.store,
-        undefined=session.undefined, supports=session.store._supports,
+        undefined=session.undefined, supports=session.store.support_counts(),
     )
 
 
@@ -48,7 +48,7 @@ def test_round_trip_preserves_model_and_supports(tmp_path):
     # Hash-consing: restored atoms are the canonical interned objects.
     for atom in session.store:
         assert atom in state.store
-    assert dict(state.store._supports) == dict(session.store._supports)
+    assert dict(state.store.support_counts()) == dict(session.store.support_counts())
     assert state.undefined == session.undefined
 
 
@@ -127,6 +127,26 @@ def test_snapshot_restores_from_frozen_store(tmp_path):
     path = write_snapshot(
         str(tmp_path), rules_text="r", mode=session.mode, txn=0,
         edb=session.edb(), store=frozen, undefined=session.undefined,
-        supports=session.store._supports,
+        supports=session.store.support_counts(),
     )
     assert set(load_snapshot(path).store) == set(session.store)
+
+
+def test_support_count_of_an_unstored_atom_adds_no_fact(tmp_path):
+    # A checkpoint serializes a pinned epoch's facts with the live store's
+    # counts; a count for an atom the epoch lacks (here: asserted, so in
+    # the term pool, but not stored) must not resurrect it on load.
+    session = DatabaseSession(TC)
+    stray = next(iter(session.edb()))
+    epoch = session.store.snapshot()
+    epoch.remove(stray)
+    supports = dict(session.store.support_counts())
+    supports[stray] = 3
+    path = write_snapshot(
+        str(tmp_path), rules_text="r", mode=session.mode, txn=0,
+        edb=session.edb(), store=epoch, undefined=session.undefined,
+        supports=supports,
+    )
+    restored = load_snapshot(path).store
+    assert set(restored) == set(epoch)
+    assert stray not in restored and restored.support(stray) == 0

@@ -31,7 +31,7 @@ from repro.engine.seminaive import (
     seminaive_well_founded,
 )
 from repro.engine.seminaive.plan import PlanError, compile_rule
-from repro.engine.seminaive.relation import DeltaStore, RelationStore
+from repro.engine.seminaive.relation import FactBuckets, RelationStore
 from repro.hilog.errors import GroundingError
 from repro.hilog.parser import parse_program
 from repro.hilog.unify import match
@@ -168,7 +168,7 @@ def record_program(program):
     """The records of one program: its base plans, one delta variant per
     positive body site, and one head-bound probe plan per rule."""
     facts = sorted(_model(program), key=repr)
-    sources = PlanSources(RelationStore(facts), DeltaStore(facts))
+    sources = PlanSources(RelationStore(facts), FactBuckets(facts))
     records = {"facts": len(facts), "run": [], "probe": []}
     for rule in program.proper_rules():
         sites = [None] + [

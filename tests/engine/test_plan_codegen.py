@@ -23,7 +23,7 @@ from repro.engine.seminaive.plan import (
     JoinStep,
     _compile_registers,
 )
-from repro.engine.seminaive.relation import DeltaStore
+from repro.engine.seminaive.relation import FactBuckets
 from repro.hilog.errors import EvaluationError, GroundingError
 from repro.hilog.parser import parse_program, parse_term
 
@@ -33,7 +33,7 @@ def _setup(text, **compile_options):
     program = parse_program(text)
     store = RelationStore([rule.head for rule in program.facts()])
     plan = compile_rule(program.proper_rules()[0], **compile_options)
-    return plan, PlanSources(store, DeltaStore(list(store)))
+    return plan, PlanSources(store, FactBuckets(store))
 
 
 def _heads(plan, sources, **options):
@@ -155,22 +155,6 @@ class TestShapes:
         with pytest.raises(GroundingError, match="flounders"):
             rprog.run(PlanSources(RelationStore()), [], lambda head: None,
                       EXECUTION_STATS.counters())
-
-    def test_source_without_exact_fetches_gets_name_and_arity_checked(self):
-        class Sloppy:
-            def __init__(self, facts):
-                self.facts = facts
-
-            def fetch(self, name, arity, positions, key):
-                return list(self.facts), False
-
-        plan, _sources = _setup("p(X) :- q(X, b).")
-        facts = [parse_term(text) for text in ("q(a, b)", "r(a, b)", "q(a, b, c)", "q", "q(c, d)")]
-        heads, fetches, candidates = counted(
-            lambda: _heads(plan, PlanSources(Sloppy(facts)))
-        )
-        assert heads == ["p(a)"]
-        assert (fetches, candidates) == (1, 5)
 
     def test_head_bound_plan_reads_its_registers_from_the_binding(self):
         plan, sources = _setup(

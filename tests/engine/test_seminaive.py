@@ -17,6 +17,7 @@ from repro.engine.seminaive import (
     seminaive_perfect_model,
 )
 from repro.engine.seminaive.plan import FETCH, NEGATION, PlanError
+from repro.engine.seminaive.relation import candidates
 from repro.hilog.errors import GroundingError
 from repro.hilog.parser import parse_program, parse_query, parse_rule, parse_term
 from repro.hilog.subst import Substitution
@@ -61,8 +62,8 @@ class TestRelationStore:
         for i in range(50):
             store.add(parse_term("e(n%d, n%d)" % (i, i + 1)))
         pattern = App(Sym("e"), (parse_term("n7"), Var("Y")))
-        candidates = store.candidates(pattern, Substitution(), index_positions=(0,))
-        assert [repr(c) for c in candidates] == ["e(n7, n8)"]
+        found = candidates(store, pattern, Substitution(), index_positions=(0,))
+        assert [repr(c) for c in found] == ["e(n7, n8)"]
         # The index was materialized on demand.
         assert store.relation(Sym("e"), 2).index_count() == 1
 
@@ -72,8 +73,8 @@ class TestRelationStore:
         store.add(parse_term("move2(x, y)"))
         store.add(parse_term("other(a, b, c)"))
         pattern = App(Var("M"), (Var("X"), Var("Y")))
-        candidates = store.candidates(pattern, Substitution())
-        assert sorted(map(repr, candidates)) == ["move1(a, b)", "move2(x, y)"]
+        found = candidates(store, pattern, Substitution())
+        assert sorted(map(repr, found)) == ["move1(a, b)", "move2(x, y)"]
 
     def test_spill_narrowed_by_outermost_symbol(self):
         store = RelationStore()
@@ -81,8 +82,8 @@ class TestRelationStore:
         store.add(parse_term("winning(m2)(b)"))
         store.add(parse_term("losing(m1)(c)"))
         pattern = App(App(Sym("winning"), (Var("M"),)), (Var("X"),))
-        candidates = store.candidates(pattern, Substitution())
-        assert sorted(map(repr, candidates)) == ["winning(m1)(a)", "winning(m2)(b)"]
+        found = candidates(store, pattern, Substitution())
+        assert sorted(map(repr, found)) == ["winning(m1)(a)", "winning(m2)(b)"]
 
     def test_rejects_non_ground_atoms(self):
         with pytest.raises(GroundingError):

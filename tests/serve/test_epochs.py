@@ -1,16 +1,20 @@
-"""Unit tests for the epoch layer: frozen snapshots, overlay stores and
-the epoch manager's publication/pinning/rebase machinery."""
+"""Unit tests for the epoch layer: frozen snapshots, base ⊕ delta epochs
+and the epoch manager's publication/pinning/rebase machinery, then the
+published epochs against the session they follow.  (What a base ⊕ delta
+view answers to each question of the fact-source protocol is in
+``tests/engine/test_fact_sources.py``.)"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine.seminaive.relation import (
-    OverlayStore,
-    RelationStore,
-    predicate_indicator,
-)
+from repro.core.magic.evaluate import answer_from_store
+from repro.db import DatabaseSession
+from repro.engine.seminaive.relation import RelationStore
 from repro.hilog.errors import FrozenStoreError
 from repro.hilog.parser import parse_term
-from repro.hilog.subst import Substitution
+from repro.hilog.program import Literal
+from repro.hilog.terms import collect_generation
 from repro.serve.epochs import EpochManager
 
 
@@ -51,8 +55,8 @@ class TestFrozenStore:
         store = base_store("e(a, b)", "e(a, c)", "e(b, c)")
         store.freeze()
         e_name, a = atoms("e", "a")
-        facts, exact = store.fetch(e_name, 2, (0,), a)
-        assert exact and len(facts) == 2  # lazy index built post-freeze
+        facts = store.fetch(e_name, 2, (0,), a)
+        assert len(facts) == 2  # lazy index built post-freeze
 
     def test_snapshot_is_independent(self):
         store = base_store("e(a, b)")
@@ -64,91 +68,6 @@ class TestFrozenStore:
         assert atoms("e(c, d)")[0] in clone
         assert atoms("e(c, d)")[0] not in store
         assert len(clone) == 2 and len(store) == 2
-
-    def test_refcounts(self):
-        store = base_store("e(a, b)")
-        assert store.acquire() == 1
-        assert store.acquire() == 2
-        assert store.release() == 1
-        assert store.release() == 0
-        assert store.release() == 0  # never below zero
-
-
-class TestOverlayStore:
-    def overlay(self, base, added=(), removed=(), previous=None):
-        return OverlayStore(base, atoms(*added), atoms(*removed),
-                            previous=previous)
-
-    def test_membership_and_length(self):
-        base = base_store("e(a, b)", "e(b, c)").freeze()
-        view = self.overlay(base, added=["e(c, d)"], removed=["e(a, b)"])
-        kept, gone, new = atoms("e(b, c)", "e(a, b)", "e(c, d)")
-        assert kept in view and new in view and gone not in view
-        assert len(view) == 2
-        assert sorted(map(str, view)) == ["e(b, c)", "e(c, d)"]
-        # the base is untouched
-        assert gone in base and new not in base
-
-    def test_fetch_filters_and_appends(self):
-        base = base_store("e(a, b)", "e(a, c)").freeze()
-        view = self.overlay(base, added=["e(a, d)"], removed=["e(a, b)"])
-        (e_name,) = atoms("e")
-        facts, _exact = view.fetch(e_name, 2, (), None)
-        assert sorted(map(str, facts)) == ["e(a, c)", "e(a, d)"]
-
-    def test_facts_and_all_facts(self):
-        base = base_store("e(a, b)", "p(x)").freeze()
-        view = self.overlay(base, added=["e(b, c)"], removed=["p(x)"])
-        (e_name,) = atoms("e")
-        assert sorted(map(str, view.facts(e_name, 2))) == [
-            "e(a, b)", "e(b, c)"]
-        facts, _exact = view.all_facts()
-        assert sorted(map(str, facts)) == ["e(a, b)", "e(b, c)"]
-
-    def test_candidates_ground_name(self):
-        base = base_store("e(a, b)").freeze()
-        view = self.overlay(base, added=["e(b, c)"])
-        pattern = parse_term("e(X, Y)")
-        result = view.candidates(pattern, Substitution(), ())
-        assert sorted(map(str, result)) == ["e(a, b)", "e(b, c)"]
-
-    def test_netting_remove_of_added_cancels(self):
-        base = base_store("e(a, b)").freeze()
-        first = self.overlay(base, added=["e(b, c)"])
-        second = self.overlay(base, removed=["e(b, c)"], previous=first)
-        assert atoms("e(b, c)")[0] not in second
-        assert second.overlay_size() == 0
-        assert len(second) == 1
-
-    def test_netting_add_of_tombstoned_cancels(self):
-        base = base_store("e(a, b)").freeze()
-        first = self.overlay(base, removed=["e(a, b)"])
-        second = self.overlay(base, added=["e(a, b)"], previous=first)
-        assert atoms("e(a, b)")[0] in second
-        assert second.overlay_size() == 0
-
-    def test_previous_collapses_chains(self):
-        base = base_store("e(a, b)").freeze()
-        view = self.overlay(base, added=["e(b, c)"])
-        for step in range(3):
-            view = self.overlay(
-                base, added=["f(n%d)" % step], previous=view)
-        assert view.base is base  # single overlay, however many batches
-        assert len(view) == 5
-
-    def test_previous_must_share_base(self):
-        base = base_store("e(a, b)").freeze()
-        other = base_store("e(a, b)").freeze()
-        first = self.overlay(base, added=["e(b, c)"])
-        with pytest.raises(ValueError):
-            OverlayStore(other, previous=first)
-
-    def test_pin_roots_cover_base_added_and_tombstones(self):
-        base = base_store("e(a, b)").freeze()
-        view = self.overlay(base, added=["e(b, c)"], removed=["e(a, b)"])
-        roots = set(view.pin_roots())
-        for text in ("e(a, b)", "e(b, c)"):
-            assert atoms(text)[0] in roots
 
 
 class TestEpochManager:
@@ -180,23 +99,72 @@ class TestEpochManager:
         assert second.live
         assert [epoch.eid for epoch in manager.live_epochs()] == [second.eid]
 
-    def test_layer_refcounts_follow_epoch_liveness(self):
+    def test_delta_is_read_over_the_untouched_base(self):
+        store = base_store("e(a, b)", "e(b, c)")
+        manager = self.manager(store)
+        first = manager.publish_base()
+        kept, gone, new = atoms("e(b, c)", "e(a, b)", "e(c, d)")
+        second = manager.publish_delta([new], [gone])
+        assert kept in second and new in second and gone not in second
+        assert len(second) == 2
+        assert sorted(map(str, second.store)) == ["e(b, c)", "e(c, d)"]
+        assert second.base is first.base
+        assert gone in first and new not in first and len(first) == 2
+
+    def test_removing_a_published_addition_cancels_it(self):
+        store = base_store("e(a, b)")
+        manager = self.manager(store)
+        manager.publish_base()
+        (extra,) = atoms("e(b, c)")
+        manager.publish_delta([extra], [])
+        assert manager.stats()["current_overlay"] == 1
+        epoch = manager.publish_delta([], [extra])
+        assert extra not in epoch and len(epoch) == 1
+        assert manager.stats()["current_overlay"] == 0
+        assert not epoch.is_base()
+
+    def test_re_adding_a_removed_base_fact_cancels_the_removal(self):
+        store = base_store("e(a, b)")
+        manager = self.manager(store)
+        manager.publish_base()
+        (old,) = atoms("e(a, b)")
+        hidden = manager.publish_delta([], [old])
+        assert old not in hidden and manager.stats()["current_overlay"] == 1
+        shown = manager.publish_delta([old], [])
+        assert old in shown and manager.stats()["current_overlay"] == 0
+        assert old not in hidden  # the earlier epoch keeps its own delta
+
+    def test_batches_collapse_into_one_delta_over_the_first_base(self):
         store = base_store("e(a, b)")
         manager = self.manager(store)
         first = manager.publish_base()
-        base_layer = first.store
-        assert base_layer.refs == 1
-        manager.acquire()  # pin the base epoch so it stays live
-        second = manager.publish_delta(atoms("e(b, c)"), [])
-        # the overlay holds the base too: one ref from each live epoch
-        assert base_layer.refs == 2
-        third = manager.publish_delta(atoms("e(c, d)"), [])
-        # second retired (unpinned, not current); first still pinned
-        assert base_layer.refs == 2
-        assert third.store.refs == 1
-        assert second.store.refs == 0
-        manager.release(first)
-        assert base_layer.refs == 1  # only third's overlay holds it now
+        epoch = manager.publish_delta(atoms("e(b, c)"), [])
+        for step in range(3):
+            epoch = manager.publish_delta(atoms("f(n%d)" % step), [])
+        assert epoch.base is first.base  # one delta, however many batches
+        assert len(epoch) == 5 and len(epoch.delta) == 4
+        assert manager.stats()["current_overlay"] == 4
+
+    def test_published_layers_are_frozen(self):
+        store = base_store("e(a, b)")
+        manager = self.manager(store)
+        manager.publish_base()
+        epoch = manager.publish_delta(atoms("e(b, c)"), atoms("e(a, b)"))
+        assert epoch.base.frozen
+        (fresh,) = atoms("e(c, d)")
+        for mutate in (epoch.base.add, epoch.delta.added.add,
+                       epoch.delta.removed.add, epoch.delta.record_add,
+                       epoch.delta.record_remove, epoch.store.add):
+            with pytest.raises(FrozenStoreError):
+                mutate(fresh)
+
+    def test_pin_roots_cover_base_additions_removals_and_undefined(self):
+        store = base_store("e(a, b)")
+        manager = self.manager(store)
+        manager.publish_base()
+        epoch = manager.publish_delta(
+            atoms("e(b, c)"), atoms("e(a, b)"), undefined=atoms("win(a)"))
+        assert set(atoms("e(a, b)", "e(b, c)", "win(a)")) <= set(epoch.pin_roots())
 
     def test_rebase_after_overlay_outgrows_base(self):
         store = base_store("e(a, b)", "e(b, c)")
@@ -224,3 +192,87 @@ class TestEpochManager:
         assert not epoch.live
         assert manager.current is None
         assert manager.live_epochs() == []
+
+
+# ---------------------------------------------------------------------------
+# Epoch ≡ session, batch by batch, across rebases
+# ---------------------------------------------------------------------------
+
+NODES = ["n%d" % i for i in range(5)]
+PROGRAMS = {
+    # a stratified session: delete-rederive over tc/2
+    "tc": ("""
+        tc(X, Y) :- e(X, Y).
+        tc(X, Y) :- e(X, Z), tc(Z, Y).
+        e(n0, n1). e(n1, n2).
+     """, "e", ["tc(n0, X)", "tc(X, n2)", "e(X, Y)", "tc(X, X)", "tc(n1, n2)",
+                "M(n0, X)", "X"]),
+    # a win/move session: every batch reruns the alternating fixpoint
+    "win": ("""
+        win(X) :- move(X, Y), not win(Y).
+        move(n0, n1). move(n1, n2).
+     """, "move", ["win(X)", "move(n0, X)", "move(X, Y)", "win(n1)", "M(n1)",
+                   "M(X, n2)"]),
+}
+
+
+def _batches(relation):
+    edges = ["%s(%s, %s)." % (relation, x, y)
+             for x in NODES for y in NODES if x != y]
+    batch = st.tuples(st.lists(st.sampled_from(edges), max_size=4),
+                      st.lists(st.sampled_from(edges), max_size=4))
+    return st.lists(batch, min_size=1, max_size=10)
+
+
+def _state(store, undefined, patterns):
+    """Everything a reader can ask of one model, in comparable form."""
+    return (
+        sorted(store, key=repr), len(store), sorted(undefined, key=repr),
+        [answer_from_store(store, (Literal(pattern),)).answers
+         for pattern in patterns],
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_epochs_follow_the_session_across_rebases(name, data):
+    text, relation, patterns = PROGRAMS[name]
+    patterns = [parse_term(pattern) for pattern in patterns]
+    batches = data.draw(_batches(relation))
+    # the fixed tail grows a chain and tears it down: whatever was drawn,
+    # the stream ends having crossed a rebase
+    chain = ["%s(%s, %s)." % (relation, x, y) for x, y in zip(NODES, NODES[1:])]
+    batches += [(chain, []), ([], chain)]
+
+    session = DatabaseSession(text)
+    # (a well-founded session replaces its store on every write)
+    manager = EpochManager(lambda: session.store.snapshot(),
+                           rebase_ratio=0.5, rebase_min=2)
+    manager.publish_base(undefined=session.undefined)
+    session.add_update_listener(lambda summary: manager.publish_delta(
+        summary.added, summary.removed, undefined=session.undefined))
+    try:
+        for inserts, retracts in batches:
+            pinned = manager.acquire()
+            before = _state(pinned.store, pinned.undefined, patterns)
+            assert before == _state(session.store, session.undefined, patterns)
+
+            session.update(
+                inserts=[fact for fact in inserts if fact not in retracts],
+                retracts=retracts)
+
+            current = manager.current
+            after = _state(session.store, session.undefined, patterns)
+            assert _state(current.store, current.undefined, patterns) == after
+            # the reader that pinned the old epoch still reads the old model
+            assert _state(pinned.store, pinned.undefined, patterns) == before
+            collect_generation()
+            assert _state(current.store, current.undefined, patterns) == after
+            assert _state(pinned.store, pinned.undefined, patterns) == before
+            assert _state(session.store, session.undefined, patterns) == after
+            manager.release(pinned)
+        assert manager.stats()["rebases"] >= 1
+        assert session.check()
+    finally:
+        manager.close()

@@ -152,6 +152,18 @@ class TestBasics:
             assert serving.value("win(a)") == "true"
             assert serving.value("win(b)") == "false"
 
+    def test_rebase_snapshots_the_store_a_recomputing_session_has_now(self):
+        # A well-founded session builds a new store per write; a rebase
+        # used to snapshot the one the serving session was opened over.
+        program = WIN_RULES + "move(a, b)."
+        with ServingSession(program, rebase_ratio=0.1, rebase_min=1) as serving:
+            serving.insert("move(b, c).", timeout=5)
+            serving.insert("move(c, d).", timeout=5)
+            assert serving.stats()["epochs"]["rebases"] >= 1
+            assert answers(serving, "win(X)") == {"win(a)", "win(c)"}
+            assert answers(serving, "move(X, Y)") == {
+                "move(a, b)", "move(b, c)", "move(c, d)"}
+
 
 class TestInternSafety:
     def test_collect_keeps_pinned_epoch_atoms_canonical(self):
