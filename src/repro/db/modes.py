@@ -1,0 +1,147 @@
+"""Session modes: which function maps the EDB to the model.
+
+The paper gives each program class exactly one model — the perfect model
+of a modularly stratified HiLog program (Figure 1, Theorem 6.1), the
+three-valued well-founded model otherwise — so a
+:class:`~repro.db.session.DatabaseSession` mode is nothing more than an
+:data:`Evaluator`.  :func:`choose_mode` picks it, once per session:
+
+* ``"incremental"`` — the program is in the semi-naive engine's
+  stratified class.  The evaluator materializes stratum by stratum, and
+  the mode carries **maintenance plans** besides, so a write patches the
+  model instead of recomputing it: non-recursive positive strata by the
+  **counting** algorithm (support counts per fact;
+  Gupta–Mumick–Subrahmanian, SIGMOD'93), recursive strata and strata with
+  stratified negation by **delete-rederive** (DRed), aggregate strata by
+  stratum-local recomputation, which is also the fallback whenever an
+  incremental step trips an integrity check.
+* ``"wellfounded"`` — the only obstacle is a cycle through negation at the
+  predicate-indicator level (win/move games over cyclic graphs).  The
+  evaluator is the semi-naive alternating fixpoint
+  (:mod:`repro.engine.seminaive.wellfounded`): no grounding, the store
+  holds the certainly-true atoms, the undefined ones come beside it.
+* ``"recompute"`` — everything else (variable predicate names mixed with
+  negation, recursion through aggregation): the evaluator is the Figure-1
+  procedure (``perfect_model_for_hilog``).
+
+One documented semantic divergence, inherited from the two evaluators:
+for an aggregate whose condition predicate is settled in a *lower*
+stratum, the engine's stratified semantics (incremental sessions,
+:func:`~repro.engine.seminaive.seminaive_evaluate`) folds over the full
+condition extension, while the Figure-1 ground path (recompute-mode
+sessions) folds only over the condition atoms of the aggregate's own
+component — deriving nothing for settled conditions.  Each session mode is
+verified (:meth:`~repro.db.session.DatabaseSession.check`) against the
+evaluator it is built on.
+"""
+
+from __future__ import annotations
+
+from typing import AbstractSet, Callable, FrozenSet, List, Optional, Tuple
+
+from repro.core.modular import perfect_model_for_hilog
+from repro.db.maintenance import _Limits, materialize_counting_stratum
+from repro.db.plans import COUNTING, MaintenancePlans, build_maintenance_plans
+from repro.engine.seminaive.engine import (
+    SeminaiveUnsupported,
+    evaluate_stratum,
+    seminaive_evaluate,
+    stratify_program,
+)
+from repro.engine.seminaive.relation import RelationStore
+from repro.engine.seminaive.wellfounded import (
+    compile_well_founded,
+    seminaive_well_founded,
+)
+from repro.hilog.program import Program, Rule
+from repro.hilog.terms import Term
+
+#: Session evaluation modes.
+INCREMENTAL = "incremental"
+WELLFOUNDED = "wellfounded"
+RECOMPUTE_MODE = "recompute"
+
+#: A mode's from-scratch evaluator: the EDB in, the model out as a fresh
+#: store of the true atoms plus the undefined atoms.
+Evaluator = Callable[[AbstractSet[Term]], Tuple[RelationStore, FrozenSet[Term]]]
+
+
+def with_facts(rules: Program, edb: AbstractSet[Term]) -> Program:
+    """``rules`` plus the EDB as facts, in ``repr`` order — the
+    deterministic fact order every from-scratch evaluation is fed in (a slot
+    read per atom already rendered, see
+    :func:`repro.hilog.pretty.format_term`)."""
+    return Program(rules.rules + tuple(Rule(atom) for atom in sorted(edb, key=repr)))
+
+
+def choose_mode(rules: Program, limits: _Limits, strategy: str) -> Tuple[
+        str, Optional[List[MaintenancePlans]], Evaluator, Evaluator]:
+    """Mode selection: ``(mode, maintenance plans, evaluator, reference)``
+    for the first mode ``strategy`` admits that accepts ``rules``.
+
+    ``plans`` is ``None`` unless the mode is incremental.  ``reference``
+    is the evaluator :meth:`DatabaseSession.check` holds the maintained
+    model against: the mode's own evaluator, except that incremental
+    sessions answer to an independent :func:`seminaive_evaluate` run, which
+    shares no maintenance plan with them.  Everything the evaluators need
+    depends on the rules alone, so it is compiled here, once, and every
+    call re-evaluates over the EDB it is given."""
+    caps = {"max_facts": limits.max_facts, "max_term_depth": limits.max_term_depth}
+    if strategy in ("auto", INCREMENTAL):
+        try:
+            stratification = stratify_program(rules, by_component=True)
+            plans = [
+                build_maintenance_plans(stratum, stratification.recursive)
+                for stratum in stratification.strata
+            ]
+        except SeminaiveUnsupported:
+            if strategy == INCREMENTAL:
+                raise
+        else:
+            def materialize(edb):
+                store = RelationStore()
+                for atom in edb:
+                    store.add_support(atom)
+                for stratum in plans:
+                    if stratum.strategy == COUNTING:
+                        # Non-recursive stratum: a single base pass sees
+                        # every derivation exactly once — count them all.
+                        materialize_counting_stratum(stratum, store, limits)
+                    else:
+                        evaluate_stratum(stratum.stratum, store, **caps)
+                return store, frozenset()
+
+            def seminaive(edb):
+                return seminaive_evaluate(
+                    rules, extra_facts=sorted(edb, key=repr), **caps
+                ).store, frozenset()
+
+            return INCREMENTAL, plans, materialize, seminaive
+    if strategy in ("auto", WELLFOUNDED):
+        # The non-stratified fast fallback: programs whose only obstacle is
+        # an indicator-level cycle through negation are recomputed per
+        # update with the semi-naive alternating fixpoint instead of the
+        # (orders-of-magnitude slower) Figure-1 grounding path.
+        try:
+            compiled = compile_well_founded(rules)
+        except SeminaiveUnsupported:
+            if strategy == WELLFOUNDED:
+                raise
+        else:
+            def wellfounded(edb):
+                result = seminaive_well_founded(
+                    rules, extra_facts=sorted(edb, key=repr),
+                    compiled=compiled, **caps
+                )
+                return result.store, result.undefined
+
+            return WELLFOUNDED, None, wellfounded, wellfounded
+
+    def figure1(edb):
+        model = perfect_model_for_hilog(
+            with_facts(rules, edb), strategy="seminaive",
+            max_atoms=limits.max_facts,
+        )
+        return RelationStore(model.true), frozenset()
+
+    return RECOMPUTE_MODE, None, figure1, figure1

@@ -1,52 +1,41 @@
-"""Stateful deductive-database sessions with incremental view maintenance.
+"""Stateful deductive-database sessions.
 
-A :class:`DatabaseSession` holds a HiLog program (its rules) together with
-an extensional database of asserted facts, materializes the perfect model
-once through the semi-naive engine, and then keeps the model consistent
-under :meth:`~DatabaseSession.insert` / :meth:`~DatabaseSession.retract` /
-batched :meth:`~DatabaseSession.transaction` updates without recomputing it
-from scratch:
+A :class:`DatabaseSession` holds a HiLog program (its rules), an
+extensional database of asserted facts, and the program's model over that
+EDB in one :class:`~repro.engine.seminaive.relation.RelationStore` — the
+same object for the session's whole life.  Three ideas carry the module:
 
-* non-recursive positive strata are maintained by the **counting**
-  algorithm (support counts per fact; Gupta–Mumick–Subrahmanian,
-  SIGMOD'93),
-* recursive strata and strata with stratified negation by
-  **delete-rederive** (DRed),
-* aggregate strata by stratum-local recomputation, which is also the
-  fallback whenever an incremental step trips an integrity check.
+**A mode is an evaluator.**  The paper gives each program class exactly
+one model, so a session mode is nothing more than *which function maps the
+EDB to* ``(true atoms, undefined atoms)``.  :func:`repro.db.modes.choose_mode`
+picks it once, at construction — incremental (with the maintenance plans
+that let a write patch the model: counting, delete-rederive, stratum-local
+recomputation), well-founded, or Figure-1 recompute — and no method
+compares the mode after that: materialization,
+:meth:`~DatabaseSession.recompute_reference` and
+:meth:`~DatabaseSession.check` call the chosen evaluator.
 
-Programs outside the semi-naive engine's stratified class still get a
-session:
+**A write is** :meth:`~DatabaseSession.update`.  ``insert`` / ``retract``
+are one-liners over it; a :class:`Transaction` commit, the serving
+writer (:mod:`repro.serve.session`) and WAL replay
+(:mod:`repro.durable.recovery`) call it.  It opens the intern generation,
+coerces the input (:meth:`~DatabaseSession.coerce`), logs to the WAL ahead
+of the apply, maintains the model, seals the WAL batch, then notifies the
+update listeners.  Batches that may name one atom twice are merged first
+by :func:`merge_ops`, the only last-operation-wins rule.
 
-* programs with a cycle through negation at the predicate-indicator level
-  (win/move games over cyclic graphs, the class between stratified and
-  arbitrary normal programs) run in **well-founded mode**: every update
-  recomputes the three-valued well-founded model through the semi-naive
-  alternating fixpoint (:mod:`repro.engine.seminaive.wellfounded`) — no
-  grounding, and the maintained store holds the certainly-true atoms while
-  :attr:`DatabaseSession.undefined` exposes the undefined ones;
-* everything else (variable predicate names mixed with negation, recursion
-  through aggregation) falls back to whole-model recomputation through the
-  Figure-1 procedure (``perfect_model_for_hilog``),
+**A recompute is evaluate-and-diff into the live store.**  Modes without
+maintenance plans, and the incremental mode's disaster path, share one
+method: evaluate the new EDB from scratch, diff the result against the
+live store, hand the result's relations to the live store
+(:meth:`~repro.engine.seminaive.relation.RelationStore.adopt`), and roll
+the EDB back when the evaluation fails.  ``session.store`` therefore never
+changes identity — an epoch manager may keep its bound ``snapshot``.
 
-so the session API is uniform across every program class the repository
-supports.
-
-One documented semantic divergence, inherited from the two evaluators:
-for an aggregate whose condition predicate is settled in a *lower*
-stratum, the engine's stratified semantics (incremental sessions,
-:func:`~repro.engine.seminaive.seminaive_evaluate`) folds over the full
-condition extension, while the Figure-1 ground path (recompute-mode
-sessions, ``perfect_model_for_hilog``) folds only over the condition
-atoms of the aggregate's own component — deriving nothing for settled
-conditions.  Each session mode is verified (:meth:`DatabaseSession.check`)
-against the evaluator it is built on; see
-:meth:`DatabaseSession.recompute_reference`.
-
-Queries are answered from the maintained store through
-:func:`repro.core.magic.evaluate.answer_from_store` (the session-backed
-path of ``magic_evaluate``) — a handful of index probes, no evaluation at
-all.
+Reads (:class:`~repro.db.reads.ModelReads`, shared with the serving
+layer's pinned readers) are answered from the store through
+:func:`repro.core.magic.evaluate.answer_from_store` — a handful of index
+probes, no evaluation at all.
 """
 
 from __future__ import annotations
@@ -54,37 +43,32 @@ from __future__ import annotations
 import weakref
 
 from time import perf_counter as _perf_counter
-from typing import NamedTuple, Tuple
+from typing import Any, ContextManager, Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from repro.core.magic.evaluate import answer_from_store
-from repro.core.modular import perfect_model_for_hilog
 from repro.db.maintenance import (
     Delta,
     _Limits,
     counting_update,
     dred_update,
-    materialize_counting_stratum,
     recompute_stratum,
 )
-from repro.db.plans import COUNTING, DRED, RECOMPUTE, build_maintenance_plans
-from repro.engine.interpretation import Interpretation
-from repro.engine.seminaive.engine import (
-    EXECUTION_STATS,
-    SeminaiveUnsupported,
-    evaluate_stratum,
-    seminaive_evaluate,
-    stratify_program,
+from repro.db.modes import (
+    INCREMENTAL,
+    RECOMPUTE_MODE,
+    WELLFOUNDED,
+    choose_mode,
+    with_facts,
 )
+from repro.db.plans import COUNTING, DRED, RECOMPUTE
+from repro.db.reads import ModelReads
+from repro.engine.interpretation import Interpretation
+from repro.engine.seminaive.engine import EXECUTION_STATS, SeminaiveUnsupported
 from repro.obs.metrics import COUNT_BUCKETS, get_registry
 from repro.obs.trace import current_tracer
-from repro.engine.seminaive.wellfounded import (
-    compile_well_founded,
-    seminaive_well_founded,
-)
-from repro.engine.seminaive.relation import RelationStore, predicate_indicator
+from repro.engine.seminaive.relation import predicate_indicator
 from repro.hilog.errors import GroundingError, HiLogError
-from repro.hilog.parser import parse_program, parse_query, parse_term
-from repro.hilog.program import Literal, Program, Rule
+from repro.hilog.parser import parse_program, parse_term
+from repro.hilog.program import Program, Rule
 from repro.hilog.terms import (
     Term,
     collect_generation,
@@ -95,10 +79,9 @@ from repro.hilog.terms import (
     register_pin_provider,
 )
 
-#: Session evaluation modes.
-INCREMENTAL = "incremental"
-WELLFOUNDED = "wellfounded"
-RECOMPUTE_MODE = "recompute"
+#: What :meth:`DatabaseSession.coerce` accepts: a ground atom, a fact rule,
+#: program text holding only facts, or an iterable of any of those.
+Facts = Union[Term, Rule, str, Iterable[Any]]
 
 
 class SessionError(HiLogError):
@@ -134,6 +117,21 @@ class UpdateSummary(NamedTuple):
     undefined_removed: Tuple[Term, ...] = ()
 
 
+def merge_ops(ops: Iterable[Tuple[str, Term]]) -> Tuple[List[Term], List[Term]]:
+    """The last-operation-wins merge: ``ops`` are ``("insert" | "retract",
+    atom)`` pairs in the order they were staged; returns the ``(inserts,
+    retracts)`` of one batch in which every atom appears once, under the
+    last action staged for it.  A transaction commit and the serving
+    writer's coalesced batch are both this."""
+    final = {}
+    for action, atom in ops:
+        final[atom] = action
+    return (
+        [atom for atom, action in final.items() if action == "insert"],
+        [atom for atom, action in final.items() if action == "retract"],
+    )
+
+
 class Transaction:
     """A batch of staged inserts/retracts applied atomically on commit.
 
@@ -148,10 +146,10 @@ class Transaction:
     staging into or re-committing a transaction that is already closed.
     """
 
-    def __init__(self, session):
+    def __init__(self, session: "DatabaseSession") -> None:
         self._session = session
-        self._ops = []
-        self._result = None
+        self._ops: List[Tuple[str, Term]] = []
+        self._result: Optional[UpdateSummary] = None
         self._closed = False
         # Tracked (weakly) so the session's pin provider keeps staged atoms
         # interned if an intern collection runs between staging and commit.
@@ -166,38 +164,35 @@ class Transaction:
                 )
             )
 
+    def _stage(self, action, facts):
+        self._check_open(action)
+        # Coerced inside a (short) intern generation, so parse transients stay
+        # evictable even when staging and commit straddle a collection (the
+        # staged atoms are pinned through the session's transaction registry).
+        with intern_generation():
+            atoms = self._session.coerce(facts)
+        self._ops.extend((action, atom) for atom in atoms)
+        return self
+
     def insert(self, facts):
         """Stage assertions."""
-        self._check_open("insert")
-        for atom in self._session._coerce_in_generation(facts):
-            self._ops.append(("insert", atom))
-        return self
+        return self._stage("insert", facts)
 
     def retract(self, facts):
         """Stage retractions."""
-        self._check_open("retract")
-        for atom in self._session._coerce_in_generation(facts):
-            self._ops.append(("retract", atom))
-        return self
+        return self._stage("retract", facts)
 
-    def commit(self):
+    def commit(self) -> UpdateSummary:
         """Apply the staged batch; returns the :class:`UpdateSummary`.
 
         Closes the transaction whether or not the batch applies cleanly —
         a failed commit's staged operations are gone, not silently
         retryable against a store the failure may have rebuilt."""
         self._check_open("commit")
-        final = {}
-        for action, atom in self._ops:
-            final[atom] = action
-        inserts = [atom for atom, action in final.items() if action == "insert"]
-        retracts = [atom for atom, action in final.items() if action == "retract"]
+        inserts, retracts = merge_ops(self._ops)
         self._ops = []
         self._closed = True
-        session = self._session
-        with intern_generation():
-            self._result = session._apply(inserts, retracts)
-        session._after_update(self._result)
+        self._result = self._session.update(inserts, retracts)
         return self._result
 
     def rollback(self):
@@ -222,18 +217,26 @@ class Transaction:
         return False
 
 
-class DatabaseSession:
+#: Per mode, what a from-scratch update counts itself under in
+#: :meth:`DatabaseSession.stats` and reports as its summary's ``mode``.  An
+#: incremental session recomputes only on its disaster path — a rebuild.
+_RECOMPUTE_LABELS = {
+    INCREMENTAL: ("rebuilds", "rebuild"),
+    WELLFOUNDED: ("wellfounded_updates", WELLFOUNDED),
+    RECOMPUTE_MODE: ("recompute_mode_updates", RECOMPUTE_MODE),
+}
+
+
+class DatabaseSession(ModelReads):
     """A long-lived deductive database over one HiLog program.
 
     Args:
         program: a :class:`~repro.hilog.program.Program` or program text;
             its facts seed the extensional database, its proper rules are
             fixed for the session's lifetime.
-        strategy: ``"auto"`` (incremental maintenance when the program is
-            in the semi-naive engine's stratified class, semi-naive
-            well-founded recomputation when it only has indicator-level
-            cycles through negation, Figure-1 whole-model recomputation
-            otherwise), ``"incremental"`` / ``"wellfounded"`` (raise
+        strategy: ``"auto"`` (the first mode of :mod:`repro.db.modes` that
+            accepts the program: incremental, well-founded, recompute),
+            ``"incremental"`` / ``"wellfounded"`` (raise
             :class:`~repro.engine.seminaive.SeminaiveUnsupported` outside
             the respective class) or ``"recompute"``.
         max_facts / max_term_depth: the engine's resource caps.
@@ -345,45 +348,8 @@ class DatabaseSession:
             self._edb.add(rule.head)
         self._limits = _Limits(max_facts, max_term_depth)
         self._parse_cache = {}
-
-        self._plans = None
-        self._wf_plans = None
-        self._owner = {}
-        self._unknown_stratum = None
-        self._mode = RECOMPUTE_MODE
-        self._undefined = frozenset()
-        if strategy in ("auto", INCREMENTAL):
-            try:
-                stratification = stratify_program(self._rules, by_component=True)
-                self._plans = [
-                    build_maintenance_plans(rules, stratification.recursive)
-                    for rules in stratification.strata
-                ]
-                for index, plans in enumerate(self._plans):
-                    if plans.head_indicators is None:
-                        if self._unknown_stratum is None:
-                            self._unknown_stratum = index
-                        continue
-                    for indicator in plans.head_indicators:
-                        self._owner[indicator] = index
-                self._mode = INCREMENTAL
-            except SeminaiveUnsupported:
-                if strategy == INCREMENTAL:
-                    raise
-                self._plans = None
-        if strategy in ("auto", WELLFOUNDED) and self._mode == RECOMPUTE_MODE:
-            # The non-stratified fast fallback: programs whose only obstacle
-            # is an indicator-level cycle through negation are recomputed
-            # per update with the semi-naive alternating fixpoint instead of
-            # the (orders-of-magnitude slower) Figure-1 grounding path.  The
-            # strata depend on the rules alone, so they are compiled here,
-            # once, and every update re-evaluates them over the new EDB.
-            try:
-                self._wf_plans = compile_well_founded(self._rules)
-                self._mode = WELLFOUNDED
-            except SeminaiveUnsupported:
-                if strategy == WELLFOUNDED:
-                    raise
+        self._mode, self._plans, self._evaluate, self._reference = \
+            choose_mode(self._rules, self._limits, strategy)
         self._stats = {
             "updates": 0,
             "counting_updates": 0,
@@ -394,13 +360,9 @@ class DatabaseSession:
             "recompute_mode_updates": 0,
             "wellfounded_updates": 0,
         }
-        self._version = 0
-        self._program_cache = None
-        self._store = None
         self._intern_gc_every = intern_gc
         self._updates_since_collect = 0
         self._transactions = weakref.WeakSet()
-        self._active_transaction = None
         self._update_listeners = []
         self._pinned = {}
         if _recover is not None:
@@ -418,7 +380,7 @@ class DatabaseSession:
             # snapshot's, making its support counts meaningless):
             # materialize from the recovered EDB the slow, safe way.
             try:
-                self._materialize()
+                self._store, self._undefined = self._evaluate(self._edb)
             except SeminaiveUnsupported:
                 # The mode probe accepted the program but compilation
                 # declined (e.g. an unschedulable rule body): demote to the
@@ -426,9 +388,18 @@ class DatabaseSession:
                 # fast mode.
                 if strategy in (INCREMENTAL, WELLFOUNDED):
                     raise
-                self._mode = RECOMPUTE_MODE
-                self._plans = None
-                self._materialize()
+                self._mode, self._plans, self._evaluate, self._reference = \
+                    choose_mode(self._rules, self._limits, RECOMPUTE_MODE)
+                self._store, self._undefined = self._evaluate(self._edb)
+        self._owner = {}
+        self._unknown_stratum = None
+        for index, plans in enumerate(self._plans or ()):
+            if plans.head_indicators is None:
+                if self._unknown_stratum is None:
+                    self._unknown_stratum = index
+                continue
+            for indicator in plans.head_indicators:
+                self._owner[indicator] = index
         # Registered weakly, and only once construction has succeeded: the
         # registry never keeps the session alive, a dead session's
         # pins/flushes drop out of collection automatically, and a session
@@ -445,71 +416,11 @@ class DatabaseSession:
                     path, fsync=fsync, checkpoint_every=checkpoint_every,
                 )
             try:
-                self._attach_durability(manager, _recover, program)
+                self._attach_durability(manager, _recover)
             except BaseException:
                 manager.close()
                 self._durable = None
                 raise
-
-    # -- materialization ----------------------------------------------------
-
-    def _sorted_edb(self):
-        """The EDB in ``repr`` order — the deterministic fact order every
-        from-scratch evaluation is fed in (a slot read per atom already
-        rendered, see :func:`repro.hilog.pretty.format_term`)."""
-        return sorted(self._edb, key=repr)
-
-    def _full_program(self):
-        """The session's program with the current EDB as facts (cached per
-        version, for from-scratch recomputation and query fallbacks)."""
-        if self._program_cache is not None and self._program_cache[0] == self._version:
-            return self._program_cache[1]
-        facts = tuple(Rule(atom) for atom in self._sorted_edb())
-        program = Program(self._rules.rules + facts)
-        self._program_cache = (self._version, program)
-        return program
-
-    def _wellfounded_from_scratch(self):
-        """The semi-naive well-founded model of the rules over the current
-        EDB — the single source for well-founded materialization,
-        :meth:`recompute_reference` and :meth:`check`."""
-        return seminaive_well_founded(
-            self._rules, extra_facts=self._sorted_edb(),
-            max_facts=self._limits.max_facts,
-            max_term_depth=self._limits.max_term_depth,
-            compiled=self._wf_plans,
-        )
-
-    def _materialize(self):
-        """(Re)compute the store — and the support counts of counting
-        strata — from the rules and the current EDB."""
-        if self._mode == WELLFOUNDED:
-            result = self._wellfounded_from_scratch()
-            self._undefined = result.undefined
-            self._store = result.store
-            return
-        if self._mode == INCREMENTAL:
-            store = RelationStore()
-            for atom in self._edb:
-                store.add_support(atom)
-            for plans in self._plans:
-                if plans.strategy == COUNTING:
-                    # Non-recursive stratum: a single base pass sees every
-                    # derivation exactly once — count them all.
-                    materialize_counting_stratum(plans, store, self._limits)
-                else:
-                    evaluate_stratum(
-                        plans.stratum, store,
-                        max_facts=self._limits.max_facts,
-                        max_term_depth=self._limits.max_term_depth,
-                    )
-        else:
-            model = perfect_model_for_hilog(
-                self._full_program(), strategy="seminaive",
-                max_atoms=self._limits.max_facts,
-            )
-            store = RelationStore(model.true)
-        self._store = store
 
     # -- durability ---------------------------------------------------------
 
@@ -558,7 +469,7 @@ class DatabaseSession:
             session.check()
         return session
 
-    def _attach_durability(self, manager, state, program):
+    def _attach_durability(self, manager, state):
         """Wire the durability manager in: persist the program text (fresh
         directories), open the WAL — truncating any torn tail — replay the
         committed tail past the snapshot, and leave the directory covered
@@ -569,7 +480,8 @@ class DatabaseSession:
         if self._program_text is None:
             from repro.hilog.pretty import format_program
 
-            self._program_text = format_program(self._full_program())
+            self._program_text = format_program(
+                with_facts(self._rules, self._edb))
         if fresh:
             manager.write_program(self._program_text)
         self._durable = manager
@@ -639,8 +551,11 @@ class DatabaseSession:
 
     # -- fact coercion ------------------------------------------------------
 
-    def _coerce_facts(self, facts):
-        """Normalize user input into a list of ground atoms.
+    def coerce(self, facts: Facts) -> List[Term]:
+        """Normalize update input into a list of ground atoms — what
+        :meth:`update` does to both its arguments, public so a caller
+        batching several submissions (the serving writer) can reject a
+        malformed one on its own before merging the rest.
 
         Accepts a :class:`Term`, a fact :class:`Rule`, program text holding
         only facts, or an iterable of any of those.  Parsed fact strings are
@@ -667,7 +582,7 @@ class DatabaseSession:
         else:
             atoms = []
             for item in facts:
-                atoms.extend(self._coerce_facts(item))
+                atoms.extend(self.coerce(item))
         for atom in atoms:
             if not atom.is_ground():
                 raise GroundingError("cannot assert/retract non-ground %r" % (atom,))
@@ -676,14 +591,6 @@ class DatabaseSession:
                 self._parse_cache.clear()
             self._parse_cache[facts] = tuple(atoms)
         return atoms
-
-    def _coerce_in_generation(self, facts):
-        """Coerce staged facts inside a (short) intern generation, so parse
-        transients stay evictable even when staging and commit straddle a
-        collection (the staged atoms themselves are pinned through the
-        session's transaction registry)."""
-        with intern_generation():
-            return self._coerce_facts(facts)
 
     # -- intern-table housekeeping ------------------------------------------
 
@@ -697,9 +604,8 @@ class DatabaseSession:
         yield from self._undefined
         yield from self._pinned
         yield from self._rules.pin_roots()
-        if self._plans is not None:
-            for plans in self._plans:
-                yield from plans.pin_roots()
+        for plans in self._plans or ():
+            yield from plans.pin_roots()
         for transaction in tuple(self._transactions):
             for _action, atom in transaction._ops:
                 yield atom
@@ -813,26 +719,21 @@ class DatabaseSession:
 
     # -- updates ------------------------------------------------------------
 
-    def insert(self, facts):
+    def insert(self, facts: Facts) -> UpdateSummary:
         """Assert facts; maintain the model.  Returns an :class:`UpdateSummary`."""
-        with intern_generation():
-            result = self._apply(self._coerce_facts(facts), [])
-        self._after_update(result)
-        return result
+        return self.update(inserts=facts)
 
-    def retract(self, facts):
+    def retract(self, facts: Facts) -> UpdateSummary:
         """Retract facts; maintain the model.  Returns an :class:`UpdateSummary`."""
-        with intern_generation():
-            result = self._apply([], self._coerce_facts(facts))
-        self._after_update(result)
-        return result
+        return self.update(retracts=facts)
 
-    def update(self, inserts=(), retracts=()):
-        """Apply assertions and retractions as one batch."""
+    def update(self, inserts: Facts = (), retracts: Facts = ()) -> UpdateSummary:
+        """Apply assertions and retractions as one batch — the session's
+        only write entry (see the module docstring).  An atom on both sides
+        raises :class:`ValueError`; :func:`merge_ops` settles such batches
+        beforehand."""
         with intern_generation():
-            result = self._apply(
-                self._coerce_facts(inserts), self._coerce_facts(retracts)
-            )
+            result = self._apply(self.coerce(inserts), self.coerce(retracts))
         self._after_update(result)
         return result
 
@@ -845,26 +746,22 @@ class DatabaseSession:
         merge and the pin bookkeeping, so re-entrant/nested use is rejected
         up front.  A transaction that is simply dropped (garbage collected)
         without closing releases the slot."""
-        active = self._active_transaction() \
-            if self._active_transaction is not None else None
-        if active is not None and not active._closed:
+        if not all(live._closed for live in tuple(self._transactions)):
             raise SessionError(
                 "a transaction is already open on this session; commit or "
                 "roll it back before opening another (nested/re-entrant "
                 "transactions are not supported)"
             )
-        transaction = Transaction(self)
-        self._active_transaction = weakref.ref(transaction)
-        return transaction
+        return Transaction(self)
 
-    def _owning_stratum(self, atom):
-        """The stratum index defining the atom's predicate, or ``None`` for
-        purely extensional predicates."""
-        indicator = predicate_indicator(atom)
-        owner = self._owner.get(indicator)
-        if owner is not None:
-            return owner
-        return self._unknown_stratum
+    def _by_stratum(self, atoms):
+        """``atoms`` grouped by the index of the stratum defining their
+        predicate — ``None`` for purely extensional predicates."""
+        groups = {}
+        for atom in atoms:
+            owner = self._owner.get(predicate_indicator(atom), self._unknown_stratum)
+            groups.setdefault(owner, []).append(atom)
+        return groups
 
     def _apply(self, inserts, retracts):
         """One maintained update batch, wrapped in the observability layer:
@@ -942,34 +839,19 @@ class DatabaseSession:
         rem = [atom for atom in dict.fromkeys(retracts) if atom in self._edb]
         self._edb.update(ins)
         self._edb.difference_update(rem)
-        self._version += 1
         self._stats["updates"] += 1
 
-        if self._mode != INCREMENTAL:
-            return self._apply_by_recompute(ins, rem)
+        if self._plans is None:
+            return self._recompute(ins, rem)
 
         delta = Delta()
-        base_ins, base_rem = [], []
-        stratum_ins, stratum_rem = {}, {}
-        for atom in ins:
-            owner = self._owning_stratum(atom)
-            if owner is None:
-                base_ins.append(atom)
-            else:
-                stratum_ins.setdefault(owner, []).append(atom)
-        for atom in rem:
-            owner = self._owning_stratum(atom)
-            if owner is None:
-                base_rem.append(atom)
-            else:
-                stratum_rem.setdefault(owner, []).append(atom)
-
+        stratum_ins, stratum_rem = self._by_stratum(ins), self._by_stratum(rem)
         try:
-            for atom in base_ins:
+            for atom in stratum_ins.get(None, ()):
                 self._limits.check(atom, self._store)
                 if self._store.add_support(atom):
                     delta.record_add(atom)
-            for atom in base_rem:
+            for atom in stratum_rem.get(None, ()):
                 if self._store.remove_support(atom):
                     delta.record_remove(atom)
 
@@ -984,37 +866,14 @@ class DatabaseSession:
         except HiLogError as error:
             # Disaster path: the incremental machinery failed mid-update
             # (resource cap, integrity check) and may have left the store
-            # half-mutated.  Rebuild the *pre-update* model first so the
-            # summary can report an accurate diff, then rebuild with the
-            # new EDB; if the latter fails (the update itself is
-            # unevaluable, e.g. it blows the fact cap), stay at the
-            # pre-update state and surface the failure.
-            self._stats["rebuilds"] += 1
-            self._edb.difference_update(ins)
-            self._edb.update(rem)
-            self._version += 1
-            self._materialize()
-            old_true = frozenset(self._store)
-            self._edb.update(ins)
-            self._edb.difference_update(rem)
-            self._version += 1
+            # half-mutated.  Recompute from scratch; when that fails too
+            # (the update itself is unevaluable, e.g. it blows the fact
+            # cap) the session is back at the pre-update state and the
+            # original failure surfaces.
             try:
-                self._materialize()
+                return self._recompute(ins, rem, dirty=True)
             except HiLogError:
-                self._edb.difference_update(ins)
-                self._edb.update(rem)
-                self._version += 1
-                self._materialize()
                 raise error
-            new_true = frozenset(self._store)
-            return UpdateSummary(
-                inserted=len(ins),
-                retracted=len(rem),
-                added=tuple(new_true - old_true),
-                removed=tuple(old_true - new_true),
-                strata_touched=0,
-                mode="rebuild",
-            )
 
         return UpdateSummary(
             inserted=len(ins),
@@ -1049,71 +908,49 @@ class DatabaseSession:
             self._stats["stratum_fallbacks"] += 1
             recompute_stratum(plans, self._store, delta, self._edb, self._limits)
 
-    def _apply_by_recompute(self, ins, rem):
-        old_true = frozenset(self._store)
-        old_undefined = self._undefined
-        if self._mode == WELLFOUNDED:
-            self._stats["wellfounded_updates"] += 1
-        else:
-            self._stats["recompute_mode_updates"] += 1
+    def _recompute(self, ins, rem, dirty=False):
+        """The one from-scratch update: evaluate the model over the EDB
+        (which already holds ``ins`` / ``rem``), diff it against the live
+        store and move it in — how every mode without maintenance plans
+        writes, and an incremental session whose maintenance failed.  An
+        evaluation that raises (the update made the program unevaluable,
+        e.g. no longer modularly stratified) rolls the EDB change back.
+
+        ``dirty``: a failed incremental step half-mutated the live store,
+        so the pre-update model is evaluated back into it first — the diff
+        is accurate and a failure leaves the session as the update found it."""
+        counter, label = _RECOMPUTE_LABELS[self._mode]
+        self._stats[counter] += 1
         try:
-            self._materialize()
+            if dirty:
+                before = self._edb.difference(ins).union(rem)
+                self._store.adopt(self._evaluate(before)[0])
+            store, undefined = self._evaluate(self._edb)
         except HiLogError:
-            # Roll the EDB change back; the update made the program
-            # unevaluable (e.g. no longer modularly stratified).
             self._edb.difference_update(ins)
             self._edb.update(rem)
-            self._version += 1
             raise
-        new_true = frozenset(self._store)
+        added, removed = self._store.adopt(store)
+        old_undefined, self._undefined = self._undefined, undefined
         return UpdateSummary(
             inserted=len(ins),
             retracted=len(rem),
-            added=tuple(new_true - old_true),
-            removed=tuple(old_true - new_true),
+            added=tuple(added),
+            removed=tuple(removed),
             strata_touched=0,
-            mode=self._mode,
-            undefined_added=tuple(self._undefined - old_undefined),
-            undefined_removed=tuple(old_undefined - self._undefined),
+            mode=label,
+            undefined_added=tuple(undefined - old_undefined),
+            undefined_removed=tuple(old_undefined - undefined),
         )
 
     # -- reads --------------------------------------------------------------
 
-    def __len__(self):
-        return len(self._store)
+    def _model(self):
+        return self._store, self._undefined
 
-    def __contains__(self, atom):
-        return atom in self._store
-
-    def ask(self, atom):
-        """Whether a ground atom is *true* in the maintained model.
-
-        In well-founded mode the model may be partial: an undefined atom
-        answers ``False`` here (it is not certainly true) — use
-        :meth:`value` for the three-valued verdict.
-        """
-        if isinstance(atom, str):
-            with intern_generation():
-                atom = parse_term(atom)
-        if not atom.is_ground():
-            raise GroundingError("ask() needs a ground atom, got %r" % (atom,))
-        return atom in self._store
-
-    def value(self, atom):
-        """The three-valued verdict for a ground atom: ``"true"``,
-        ``"undefined"`` or ``"false"`` (closed world).  Outside well-founded
-        mode the maintained model is total, so this never answers
-        ``"undefined"``."""
-        if isinstance(atom, str):
-            with intern_generation():
-                atom = parse_term(atom)
-        if not atom.is_ground():
-            raise GroundingError("value() needs a ground atom, got %r" % (atom,))
-        if atom in self._store:
-            return "true"
-        if atom in self._undefined:
-            return "undefined"
-        return "false"
+    def _parse_scope(self) -> ContextManager:
+        """An intern generation: a read's parse transients stay evictable."""
+        return intern_generation()
 
     def explain(self, fact):
         """Why is this ground atom true (or undefined)?  Returns a
@@ -1134,9 +971,7 @@ class DatabaseSession:
         """
         from repro.obs.explain import ExplainError, explain_atom
 
-        if isinstance(fact, str):
-            with intern_generation():
-                fact = parse_term(fact)
+        fact = self._parsed(fact, parse_term)
         if not isinstance(fact, Term):
             raise ExplainError("explain() takes a ground atom or its text, "
                                "got %r" % (fact,))
@@ -1145,30 +980,6 @@ class DatabaseSession:
             edb=frozenset(self._edb), undefined=self._undefined,
             plans=self._plans,
         )
-
-    def query(self, query):
-        """Answer a query against the maintained model.
-
-        Every query is answered straight from the store's indexes (the
-        session-backed path of
-        :func:`repro.core.magic.evaluate.answer_from_store`): the store
-        holds exactly the model's *true* atoms, so the evaluating paths'
-        answer contract — the true ground instances of the first query
-        atom — reduces to an indexed match, whatever the query's shape.
-        In well-founded mode the model may be partial: undefined instances
-        are not certainly true and hence never answered — inspect
-        :attr:`undefined` / :meth:`value` for the third truth value.
-        """
-        if isinstance(query, str):
-            with intern_generation():
-                query = parse_query(query)
-        if isinstance(query, Term):
-            query = (Literal(query),)
-        else:
-            query = tuple(query)
-        if not query:
-            raise ValueError("empty query")
-        return answer_from_store(self._store, query).answers
 
     @property
     def true(self):
@@ -1192,13 +1003,6 @@ class DatabaseSession:
         true = frozenset(self._store)
         return Interpretation(true=true, base=true | self._undefined)
 
-    def facts(self, name, arity):
-        """The maintained extension of one predicate indicator."""
-        if isinstance(name, str):
-            with intern_generation():
-                name = parse_term(name)
-        return tuple(self._store.facts(name, arity))
-
     def edb(self):
         """The current extensional database (asserted facts)."""
         return frozenset(self._edb)
@@ -1221,9 +1025,7 @@ class DatabaseSession:
 
     def strategies(self):
         """Maintenance strategy per stratum (empty in recompute mode)."""
-        if self._plans is None:
-            return ()
-        return tuple(plans.strategy for plans in self._plans)
+        return tuple(plans.strategy for plans in self._plans or ())
 
     def stats(self):
         """Counters and sizes describing the session so far."""
@@ -1233,7 +1035,7 @@ class DatabaseSession:
             facts=len(self._store),
             undefined_facts=len(self._undefined),
             edb_facts=len(self._edb),
-            strata=len(self._plans) if self._plans is not None else 0,
+            strata=len(self._plans or ()),
             strategies=self.strategies(),
             store=self._store.stats(),
             intern=intern_table_sizes(),
@@ -1264,26 +1066,15 @@ class DatabaseSession:
         # the maintained store stay pinned through it; divergent atoms are
         # sweepable once the caller lets go of the result.
         with intern_generation():
-            if self._mode == INCREMENTAL:
-                return seminaive_evaluate(
-                    self._rules, extra_facts=self._sorted_edb(),
-                    max_facts=self._limits.max_facts,
-                    max_term_depth=self._limits.max_term_depth,
-                ).true
-            if self._mode == WELLFOUNDED:
-                return self._wellfounded_from_scratch().true
-            return perfect_model_for_hilog(
-                self._full_program(), strategy="seminaive",
-                max_atoms=self._limits.max_facts,
-            ).true
+            return frozenset(self._reference(self._edb)[0])
 
     def check(self):
-        """Verify the maintained model against a from-scratch recomputation
-        (:meth:`recompute_reference`); well-founded sessions additionally
-        verify the undefined partition.
+        """Verify the maintained model — true atoms and undefined partition
+        — against a from-scratch recomputation (the evaluator behind
+        :meth:`recompute_reference`).
 
-        As the module docstring notes, each mode is accountable to the
-        evaluator it is built on: for incremental sessions this catches
+        Each mode is accountable to the evaluator it is built on
+        (:mod:`repro.db.modes`): for incremental sessions this catches
         maintenance-algorithm bugs, while for recompute/well-founded
         sessions — which already rematerialize through the same evaluator
         on every update — it validates the session's state bookkeeping
@@ -1296,14 +1087,9 @@ class DatabaseSession:
         with sample differences otherwise.  Intended for tests, benchmarks
         and paranoid deployments — it costs a full evaluation.
         """
-        scratch_undefined = self._undefined
-        if self._mode == WELLFOUNDED:
-            with intern_generation():
-                reference = self._wellfounded_from_scratch()
-            scratch = reference.true
-            scratch_undefined = reference.undefined
-        else:
-            scratch = self.recompute_reference()
+        with intern_generation():
+            reference, scratch_undefined = self._reference(self._edb)
+        scratch = frozenset(reference)
         maintained = frozenset(self._store)
         if maintained == scratch and self._undefined == scratch_undefined:
             return True

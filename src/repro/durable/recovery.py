@@ -12,10 +12,10 @@ exists:
 2. Opening the WAL truncates any torn tail at the first bad frame
    (``repro_recovery_truncated_bytes``).
 3. :func:`replay` feeds every committed WAL transaction newer than the
-   snapshot through ``DatabaseSession._apply`` — the same counting/DRed
-   maintenance that produced the state in the first place, which is
-   deterministic over an update stream, so the replayed model is the
-   model (``repro_recovery_replayed_records``).
+   snapshot through ``DatabaseSession.update`` — the same write path,
+   hence the same counting/DRed maintenance, that produced the state in
+   the first place, which is deterministic over an update stream, so the
+   replayed model is the model (``repro_recovery_replayed_records``).
 
 Uncommitted transactions (a ``begin`` whose ``commit`` never made it to
 disk — the process died mid-apply or mid-append) are skipped: observably
@@ -29,12 +29,15 @@ recomputation.
 from __future__ import annotations
 
 from time import perf_counter as _perf_counter
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from repro.durable.faults import fire
 from repro.durable.snapshot import list_snapshots, load_snapshot
 from repro.hilog.errors import CorruptSnapshot
-from repro.hilog.terms import intern_generation
 from repro.obs.metrics import get_registry
+
+if TYPE_CHECKING:
+    from repro.db.session import DatabaseSession
 
 
 def load_latest_state(directory):
@@ -58,7 +61,7 @@ def load_latest_state(directory):
     return None, corrupt
 
 
-def replay(session, batches):
+def replay(session: DatabaseSession, batches: Sequence) -> Tuple[int, int]:
     """Redo committed WAL ``batches`` (oldest first) through the
     session's own maintenance machinery.  Fires the
     ``recovery.mid_replay`` crash point between transactions; a crash
@@ -66,16 +69,11 @@ def replay(session, batches):
     simply replays the full tail again.  Returns ``(txns, facts)``
     replayed."""
     started = _perf_counter()
-    txns = facts = 0
     for batch in batches:
         fire("recovery.mid_replay")
-        with intern_generation():
-            session._apply(
-                session._coerce_facts(list(batch.inserts)),
-                session._coerce_facts(list(batch.retracts)),
-            )
-        txns += 1
-        facts += len(batch.inserts) + len(batch.retracts)
+        session.update(batch.inserts, batch.retracts)
+    txns = len(batches)
+    facts = sum(len(batch.inserts) + len(batch.retracts) for batch in batches)
     registry = get_registry()
     registry.counter(
         "repro_recovery_replayed_records",

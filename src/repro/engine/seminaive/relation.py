@@ -287,6 +287,21 @@ class RelationStore:
             dict(self._supports),
         )
 
+    def adopt(self, other: "RelationStore") -> Tuple[List[Term], List[Term]]:
+        """Become ``other`` in place — take over its relations, indexes and
+        support counts, so every holder of this store sees the new contents
+        — and return what that changed as ``(added, removed)`` fact lists.
+        ``other`` must not be used afterwards: the two share everything."""
+        if self._frozen:
+            raise FrozenStoreError("cannot replace the contents of a frozen store")
+        old, new = self._supports, other._supports
+        added = [atom for atom in new if atom not in old]
+        removed = [atom for atom in old if atom not in new]
+        self._relations = other._relations
+        self._by_arity = other._by_arity
+        self._supports = new
+        return added, removed
+
     def add(self, atom):
         """Insert a ground atom; return ``True`` when it was new.
 

@@ -110,10 +110,10 @@ class EpochManager:
     Args:
         snapshot: zero-argument callable returning a fresh
             :class:`RelationStore` copy of the maintained store as it is
-            when called, on the writer thread (``lambda:
-            session.store.snapshot()`` — a session that recomputes its
-            model replaces its store object, so a bound method goes stale);
-            used for the initial epoch and for rebases.
+            when called, on the writer thread — ``session.store.snapshot``:
+            a session keeps one store object for life, in every mode, so
+            the bound method stays current.  Used for the initial epoch
+            and for rebases.
         rebase_ratio: publish a fresh frozen snapshot instead of a further
             delta once the delta's volume (additions + removals) exceeds
             this fraction of the base's size.

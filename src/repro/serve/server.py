@@ -31,9 +31,10 @@ Error mapping: a full write queue answers ``503`` with a ``Retry-After``
 header (backpressure is the client's problem to pace, not the server's to
 buffer); a request exceeding the per-request timeout answers ``504``;
 malformed input answers ``400`` — a bad request line, header or JSON body,
-a missing field, and HiLog text the parser or the reader rejects (a
+a missing field, HiLog text the parser or the reader rejects (a
 :class:`~repro.hilog.errors.ParseError` on any endpoint, a non-ground
-``/ask`` or ``/value``); ``500`` is left for genuine faults.
+``/ask`` or ``/value``), a write that is the request's fault
+(:data:`_CLIENT_ERRORS`); ``500`` is left for genuine faults.
 
 Every request lands in the ``"http"`` metric family
 (``repro_http_request_seconds`` histogram, ``repro_http_requests``
@@ -53,7 +54,13 @@ import urllib.parse
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.hilog.errors import HiLogError
+from repro.hilog.errors import (
+    EvaluationError,
+    GroundingError,
+    HiLogError,
+    ParseError,
+    StratificationError,
+)
 from repro.obs.metrics import get_registry
 from repro.obs.trace import current_tracer
 from repro.serve.session import ServingClosed, ServingSession, WriteQueueFull
@@ -61,6 +68,16 @@ from repro.serve.session import ServingClosed, ServingSession, WriteQueueFull
 #: Refuse request bodies beyond this size (1 MiB) — the write path is for
 #: update streams, not bulk loads; use the CLI ``load`` command for those.
 MAX_BODY = 1 << 20
+
+#: What the writer thread raises about the *request* — text that does not
+#: parse, a rule where facts are required, a non-ground atom, an update the
+#: session rolled back as unevaluable — and the client can fix: ``400``.
+#: Anything else out of the writer (``OSError`` from the WAL,
+#: ``DurabilityError``, ``SessionError``) is the server's fault: ``500``.
+_CLIENT_ERRORS = (
+    ParseError, GroundingError, EvaluationError, StratificationError,
+    ValueError, TypeError,
+)
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -348,6 +365,16 @@ class ServeServer:
         except (HiLogError, ValueError) as error:
             raise _HttpError(400, str(error))
 
+    @staticmethod
+    async def _writer_result(future, *client_errors):
+        """Await a future the writer thread resolves (wrapped for the
+        loop); :data:`_CLIENT_ERRORS` and ``client_errors`` answer 400, any
+        other failure propagates to the connection handler's 500."""
+        try:
+            return await asyncio.wrap_future(future)
+        except _CLIENT_ERRORS + client_errors as error:
+            raise _HttpError(400, "%s: %s" % (type(error).__name__, error))
+
     async def _do_query(self, payload):
         text = self._field(payload, "query")
 
@@ -381,10 +408,10 @@ class ServeServer:
             future = self._serving.submit_explain(text)
         except ServingClosed as error:
             raise _HttpError(503, str(error))
-        try:
-            tree = await asyncio.wrap_future(future)
-        except Exception as error:
-            raise _HttpError(400, "%s: %s" % (type(error).__name__, error))
+        # Imported on use: 0.5 MiB resident a server that never explains saves.
+        from repro.obs.explain import ExplainError
+
+        tree = await self._writer_result(future, ExplainError)
         return 200, {"atom": text, "explanation": tree.to_dict()}
 
     async def _do_write(self, payload, insert):
@@ -403,11 +430,7 @@ class ServeServer:
             raise _HttpError(503, str(error))
         if not wait:
             return 200, {"queued": True, "pending": self._serving.pending()}
-        # The future resolves on the writer thread; wrap it for the loop.
-        try:
-            summary = await asyncio.wrap_future(future)
-        except Exception as error:
-            raise _HttpError(400, "%s: %s" % (type(error).__name__, error))
+        summary = await self._writer_result(future)
         return 200, {
             "inserted": summary.inserted,
             "retracted": summary.retracted,

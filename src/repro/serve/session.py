@@ -43,14 +43,13 @@ import weakref
 
 from collections import deque
 from concurrent.futures import Future
+from typing import List, Tuple
 
-from repro.db.session import DatabaseSession
+from repro.db.reads import ModelReads
+from repro.db.session import DatabaseSession, merge_ops
 from repro.obs.metrics import COUNT_BUCKETS, get_registry
 from repro.hilog.errors import HiLogError
-from repro.hilog.parser import parse_query, parse_term
-from repro.hilog.program import Literal
 from repro.hilog.terms import Term, intern_generation
-from repro.core.magic.evaluate import answer_from_store
 from repro.serve.epochs import EpochManager
 
 
@@ -108,14 +107,14 @@ class _Op:
                 pass
 
 
-class ReaderSession:
+class ReaderSession(ModelReads):
     """A pinned read view over one published epoch.
 
-    Every query answers from the epoch's immutable store — concurrent
-    writer batches are invisible until a new reader is opened.  Usable as
-    a context manager (the recommended form); :meth:`close` releases the
-    pin explicitly otherwise.  Closing is idempotent; reading after close
-    raises :class:`ServeError`.
+    Every read (:class:`~repro.db.reads.ModelReads`) answers from the
+    epoch's immutable store — concurrent writer batches are invisible until
+    a new reader is opened.  Usable as a context manager (the recommended
+    form); :meth:`close` releases the pin explicitly otherwise.  Closing is
+    idempotent; reading after close raises :class:`ServeError`.
     """
 
     __slots__ = ("_manager", "_epoch")
@@ -130,64 +129,11 @@ class ReaderSession:
         close)."""
         return self._epoch
 
-    def _store(self):
+    def _model(self):
         epoch = self._epoch
         if epoch is None:
             raise ServeError("reader session is closed")
-        return epoch.store
-
-    def __len__(self):
-        return len(self._store())
-
-    def __contains__(self, atom):
-        return atom in self._store()
-
-    def query(self, query):
-        """Answer a query against the pinned epoch — the exact
-        session-backed path (:func:`~repro.core.magic.evaluate.answer_from_store`)
-        over the epoch's store."""
-        store = self._store()
-        if isinstance(query, str):
-            query = parse_query(query)
-        if isinstance(query, Term):
-            query = (Literal(query),)
-        else:
-            query = tuple(query)
-        if not query:
-            raise ValueError("empty query")
-        return answer_from_store(store, query).answers
-
-    def ask(self, atom):
-        """Whether a ground atom is *true* in the pinned epoch."""
-        store = self._store()
-        if isinstance(atom, str):
-            atom = parse_term(atom)
-        if not atom.is_ground():
-            raise ValueError("ask() needs a ground atom, got %r" % (atom,))
-        return atom in store
-
-    def value(self, atom):
-        """Three-valued verdict in the pinned epoch: ``"true"``,
-        ``"undefined"`` or ``"false"``."""
-        epoch = self._epoch
-        if epoch is None:
-            raise ServeError("reader session is closed")
-        if isinstance(atom, str):
-            atom = parse_term(atom)
-        if not atom.is_ground():
-            raise ValueError("value() needs a ground atom, got %r" % (atom,))
-        if atom in epoch.store:
-            return "true"
-        if atom in epoch.undefined:
-            return "undefined"
-        return "false"
-
-    def facts(self, name, arity):
-        """The pinned extension of one predicate indicator."""
-        store = self._store()
-        if isinstance(name, str):
-            name = parse_term(name)
-        return tuple(store.facts(name, arity))
+        return epoch.store, epoch.undefined
 
     def close(self):
         """Release the epoch pin (idempotent)."""
@@ -221,6 +167,15 @@ class ServingSession:
 
     def __init__(self, program, max_pending=1024, max_batch=64,
                  rebase_ratio=0.5, rebase_min=256, **session_kwargs):
+        # Every argument is validated before the session is built: a
+        # durable session initialises its data directory, and a rejected
+        # serving knob must not leave one behind.
+        if max_pending <= 0:
+            raise ValueError("max_pending must be positive")
+        if max_batch <= 0:
+            raise ValueError("max_batch must be positive")
+        if rebase_ratio <= 0:
+            raise ValueError("rebase_ratio must be positive")
         if isinstance(program, DatabaseSession):
             if session_kwargs:
                 raise ValueError(
@@ -230,17 +185,10 @@ class ServingSession:
             self._session = program
         else:
             self._session = DatabaseSession(program, **session_kwargs)
-        if max_pending <= 0:
-            raise ValueError("max_pending must be positive")
-        if max_batch <= 0:
-            raise ValueError("max_batch must be positive")
         self._max_pending = max_pending
         self._max_batch = max_batch
-        session = self._session
         self._manager = EpochManager(
-            # Looked up per call: a session that recomputes its model
-            # (well-founded and recompute modes) replaces its store.
-            lambda: session.store.snapshot(),
+            self._session.store.snapshot,
             rebase_ratio=rebase_ratio, rebase_min=rebase_min,
         )
         self._publish_hooks = []
@@ -291,7 +239,7 @@ class ServingSession:
             serving = ref()
             if serving is None:
                 return 0
-            return serving._manager.stats().get("live_epochs", 0)
+            return serving.epochs.stats().get("live_epochs", 0)
 
         registry.gauge(
             "repro_serve_pending_ops", "Write-queue depth",
@@ -437,38 +385,28 @@ class ServingSession:
             self._run_special(op)
         self._apply_updates(updates)
 
-    def _apply_updates(self, ops):
-        if not ops:
-            return
+    def _apply_updates(self, ops: List[_Op]) -> None:
         # Coerce per op so one malformed payload fails its own future
         # without poisoning the ops batched alongside it.
-        final = {}
+        session: DatabaseSession = self._session
+        staged: List[Tuple[str, Term]] = []
         live = []
         for op in ops:
             try:
                 with intern_generation():
-                    staged = [
-                        (atom, "insert")
-                        for atom in self._session._coerce_facts(op.inserts)
-                    ]
-                    staged.extend(
-                        (atom, "retract")
-                        for atom in self._session._coerce_facts(op.retracts)
-                    )
+                    inserts = session.coerce(op.inserts)
+                    retracts = session.coerce(op.retracts)
             except BaseException as error:
                 self._counters["failed_ops"] += 1
                 op.fail(error)
                 continue
-            final.update(staged)
+            staged.extend(("insert", atom) for atom in inserts)
+            staged.extend(("retract", atom) for atom in retracts)
             live.append(op)
         if not live:
             return
-        inserts = [atom for atom, action in final.items() if action == "insert"]
-        retracts = [atom for atom, action in final.items() if action == "retract"]
         try:
-            with intern_generation():
-                result = self._session._apply(inserts, retracts)
-            self._session._after_update(result)
+            result = session.update(*merge_ops(staged))
         except BaseException as error:
             self._counters["failed_ops"] += len(live)
             for op in live:
@@ -512,14 +450,10 @@ class ServingSession:
         the immutable view readers share — so a large checkpoint never
         holds up the read side, and the pin keeps every serialized atom
         interned if a collect lands mid-write."""
-        epoch = self._manager.acquire()
-        try:
-            store = epoch.store if epoch is not None else None
-            undefined = epoch.undefined if epoch is not None else None
-            return self._session.checkpoint(store=store, undefined=undefined)
-        finally:
-            if epoch is not None:
-                self._manager.release(epoch)
+        with self.reader() as reader:
+            epoch = reader.epoch
+            return self._session.checkpoint(
+                store=epoch.store, undefined=epoch.undefined)
 
     def _on_update(self, summary):
         """Session update listener — the epoch publication hook.  Runs on

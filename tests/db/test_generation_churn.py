@@ -27,6 +27,7 @@ from repro.hilog.terms import (
     Num,
     Sym,
     Var,
+    intern_generation,
     intern_generation_sizes,
     term_size,
 )
@@ -99,7 +100,8 @@ def test_random_churn_keeps_model_bounds_and_identity(operations):
     for action, payload in operations:
         if action == "toggle":
             fact = "e(%s, %s)." % payload
-            atoms = session._coerce_in_generation(fact)
+            with intern_generation():
+                atoms = session.coerce(fact)
             if atoms[0] in session.edb():
                 session.retract(fact)
             else:

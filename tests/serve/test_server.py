@@ -212,6 +212,39 @@ class TestEndpoints:
         status, body, _headers = server.post("/query", {"query": "tc(a, X)"})
         assert status == 500 and "RuntimeError" in body["error"]
 
+    def test_storage_fault_on_write_maps_to_500(self, tmp_path, monkeypatch):
+        # Regression: every writer exception used to answer 400, telling
+        # the client to fix a request the server failed to store.
+        serving = ServingSession(TC_PROGRAM, path=str(tmp_path / "data"))
+        running = RunningServer(serving)
+        try:
+            edb = serving.session.edb()
+
+            def disk_full(_self, _inserts, _retracts):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(
+                "repro.durable.manager.DurabilityManager.log_begin", disk_full)
+            status, body, _headers = running.post(
+                "/insert", {"facts": "e(c, d)."})
+            assert status == 500 and "OSError" in body["error"]
+            # nothing was applied, and the next read sees the old model
+            assert serving.session.edb() == edb
+            status, body, _headers = running.post(
+                "/query", {"query": "tc(a, X)"})
+            assert status == 200 and body["count"] == 2
+            # input the client can fix still answers 400
+            status, body, _headers = running.post(
+                "/insert", {"facts": "p(X) :- q(X)."})
+            assert status == 400 and "error" in body
+            monkeypatch.undo()
+            status, body, _headers = running.post(
+                "/insert", {"facts": "e(c, d)."})
+            assert status == 200 and body["inserted"] == 1
+        finally:
+            running.stop()
+            serving.close()
+
     def test_backpressure_maps_to_503_with_retry_after(self, server):
         server.serving.pause()
         try:

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.db import DatabaseSession
+from repro.hilog.errors import GroundingError
 from repro.hilog.parser import parse_term
 from repro.hilog.terms import App, Sym
 from repro.serve import (
@@ -50,6 +51,28 @@ class TestBasics:
             assert serving.ask("tc(a, b)")
         with pytest.raises(ValueError):
             ServingSession(DatabaseSession("p(a)."), strategy="auto")
+
+    @pytest.mark.parametrize("knob", [
+        {"max_batch": 0}, {"max_pending": 0}, {"rebase_ratio": 0},
+    ])
+    def test_rejected_knob_leaves_data_directory_fresh(self, tmp_path, knob):
+        # Regression: the durable session was built (program file, WAL,
+        # first checkpoint) before the serving knobs were validated, so
+        # the corrected retry found the directory taken.
+        path = tmp_path / "data"
+        with pytest.raises(ValueError):
+            ServingSession(TC_RULES + "e(a, b).", path=str(path), **knob)
+        assert not path.exists() or not any(path.iterdir())
+        with ServingSession(TC_RULES + "e(a, b).", path=str(path),
+                            max_batch=16) as serving:
+            assert serving.ask("tc(a, b)")
+
+    def test_reader_rejects_non_ground_like_the_session(self):
+        with ServingSession(TC_RULES + "e(a, b).") as serving:
+            for read in (serving.ask, serving.value,
+                         serving.session.ask, serving.session.value):
+                with pytest.raises(GroundingError):
+                    read("tc(a, X)")
 
     def test_reader_pins_one_epoch(self):
         with ServingSession(TC_RULES + "e(a, b).") as serving:
