@@ -29,7 +29,7 @@ maintenance passes.  Three rows:
   first query (one per answer — every interned term is rendered once, its
   text kept in the term's slot) and on a repeated one (none), and calls of
   the general matcher (none: the pattern is linear, so
-  ``answer_from_store`` tests identity at the ground position).
+  ``matching_facts`` tests identity at the ground position).
   ``run_all.py --check-baseline`` holds the counts to the baseline exactly,
   like ``fetches`` / ``candidates``.
 
@@ -45,7 +45,7 @@ import time
 from unittest import mock
 
 from repro.analysis.report import ExperimentRow, print_table
-from repro.core.magic import evaluate
+from repro.engine.seminaive import relation
 from repro.hilog import pretty
 from repro.hilog.terms import App
 from repro.serve import ServingSession
@@ -287,8 +287,8 @@ def test_read_path_work_counts(benchmark):
 
     try:
         with mock.patch.object(pretty, "_render_term", render), \
-                mock.patch.object(evaluate, "match",
-                                  wraps=evaluate.match) as matcher:
+                mock.patch.object(relation, "match",
+                                  wraps=relation.match) as matcher:
 
             def read():
                 """One read: (answers, answer renders, match calls)."""

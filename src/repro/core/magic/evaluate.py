@@ -26,18 +26,17 @@ is detected and reported as an error.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.core.magic.adornment import generalize_pattern
 from repro.engine.builtins import solve_builtin
 from repro.engine.grounding import GroundProgram, GroundRule
 from repro.engine.interpretation import Interpretation
-from repro.engine.seminaive.relation import FactSource, candidates
+from repro.engine.seminaive.relation import FactSource, matching_facts, sorted_matches
 from repro.engine.wellfounded import well_founded_model
 from repro.hilog.errors import EvaluationError, GroundingError
 from repro.hilog.program import Literal, Program, Rule
-from repro.hilog.subst import Substitution
-from repro.hilog.terms import App, Term, Var, outermost_symbol, predicate_name
+from repro.hilog.terms import Term, Var, outermost_symbol, predicate_name
 from repro.hilog.unify import match, unify
 
 
@@ -69,15 +68,6 @@ class _CallTable:
 
     def __len__(self):
         return len(self._patterns)
-
-
-def _sorted_matches(pattern, atoms):
-    """The atoms ``pattern`` matches, in ``repr`` order — the answer order
-    of every path.  ``repr`` of an interned term is a slot read once the
-    term has been rendered (:func:`repro.hilog.pretty.format_term`)."""
-    return sorted(
-        (atom for atom in atoms if match(pattern, atom) is not None), key=repr
-    )
 
 
 def _rename_rule(rule, counter):
@@ -213,7 +203,7 @@ def _seminaive_magic(program, query_literals, max_atoms):
         )
 
     program_atoms = frozenset(atom for atom in result.true if not is_auxiliary(atom))
-    matched = _sorted_matches(query_literals[0].atom, program_atoms)
+    matched = sorted_matches(query_literals[0].atom, program_atoms)
     return MagicEvaluationResult(
         answers=tuple(matched),
         interpretation=Interpretation(true=program_atoms, base=program_atoms),
@@ -224,60 +214,25 @@ def _seminaive_magic(program, query_literals, max_atoms):
 
 
 def answer_from_store(store: FactSource, query_literals):
-    """Answer a query from a materialized total model in a relation store.
+    """Answer a query from a materialized total model in a relation store,
+    in :func:`magic_evaluate`'s result shape.
 
-    This is the session-backed path of :func:`magic_evaluate`: a
-    :class:`~repro.db.session.DatabaseSession` keeps its (total) perfect
-    model maintained in a relation store, so a bound query is a handful of
-    index probes — no rewriting, no evaluation.  The answers follow
-    :func:`magic_evaluate`'s contract exactly — the ground instances of the
-    *first* query literal's atom that are true in the model (additional
-    literals drive relevance in the evaluating paths, never filter
-    answers) — so any query shape, including negative and conjunctive ones
-    the evaluating paths would reject on aggregate programs, is answered by
-    one indexed match.  Returns a :class:`MagicEvaluationResult` with
-    ``ground_rules`` 0 and the interpretation restricted to the answers.
+    The answers follow :func:`magic_evaluate`'s contract exactly — the
+    ground instances of the *first* query literal's atom that are true in
+    the model (additional literals drive relevance in the evaluating paths,
+    never filter answers) — so any query shape, including negative and
+    conjunctive ones the evaluating paths would reject on aggregate
+    programs, is answered by one indexed match
+    (:func:`repro.engine.seminaive.relation.matching_facts`, which sessions
+    and reader epochs call directly).  Returns a
+    :class:`MagicEvaluationResult` with ``ground_rules`` 0 and the
+    interpretation restricted to the answers.
     """
     pattern = query_literals[0].atom
-    if pattern.is_ground():
-        # Fully bound query: one membership probe against the store.
-        matched = [pattern] if pattern in store else []
-    elif isinstance(pattern, App) and pattern.name.is_ground():
-        # Bound-name query: a single indexed probe on the ground argument
-        # positions (interned-identity key), then residual matching for the
-        # open positions only.
-        args = pattern.args
-        positions = tuple(i for i, arg in enumerate(args) if arg.is_ground())
-        if len(positions) == 1:
-            key: object = args[positions[0]]  # bare-term single-position key
-        else:
-            key = tuple(args[i] for i in positions)
-        fetched: Sequence[Any] = store.fetch(pattern.name, len(args), positions, key)
-        open_args = [arg for arg in args if not arg.is_ground()]
-        if (
-            all(type(arg) is Var for arg in open_args)
-            and len(set(open_args)) == len(open_args)
-        ):
-            # Linear pattern: the open arguments are distinct variables,
-            # which match anything, and a fetch returns applications of the
-            # indicator only, so ``match`` on interned terms reduces to
-            # identity at the ground positions.  Those are still tested — a
-            # bucket layer returns its whole indicator whatever the key.
-            for i in positions:
-                bound = args[i]
-                fetched = [atom for atom in fetched if atom.args[i] is bound]
-            matched = sorted(fetched, key=repr)
-        else:
-            matched = _sorted_matches(pattern, fetched)
-    else:
-        # Higher-order / propositional-variable patterns: the general
-        # candidate scan, then full matching.
-        matched = _sorted_matches(
-            pattern, candidates(store, pattern, Substitution(), ())
-        )
+    matched = matching_facts(store, pattern)
     answers = frozenset(matched)
     return MagicEvaluationResult(
-        answers=tuple(matched),
+        answers=matched,
         interpretation=Interpretation(true=answers, base=answers),
         relevant_atoms=answers,
         call_patterns=(pattern,),
@@ -286,7 +241,7 @@ def answer_from_store(store: FactSource, query_literals):
 
 
 def magic_evaluate(program, query, max_atoms=500000, engine="alternating",
-                   strategy="ground", store=None):
+                   strategy="ground"):
     """Answer ``query`` against ``program`` by query-driven evaluation.
 
     ``query`` may be a single atom, a :class:`Literal` tuple, or a string
@@ -300,11 +255,6 @@ def magic_evaluate(program, query, max_atoms=500000, engine="alternating",
     path), falling back to the default ``"ground"`` oracle — call-pattern
     propagation plus the ground well-founded computation — whenever the fast
     path does not apply.  Both strategies return the same answers.
-
-    ``store`` is the session-backed path: a relation store already holding
-    the program's maintained total model (see :mod:`repro.db`).  Queries
-    are then answered by matching the first query atom against the store —
-    no rewriting or evaluation runs at all.
     """
     if strategy not in ("ground", "seminaive"):
         raise ValueError("unknown strategy %r (use 'ground' or 'seminaive')" % (strategy,))
@@ -314,9 +264,6 @@ def magic_evaluate(program, query, max_atoms=500000, engine="alternating",
         query_literals = tuple(query)
     if not query_literals:
         raise ValueError("empty query")
-
-    if store is not None:
-        return answer_from_store(store, query_literals)
 
     if program.has_aggregates():
         raise GroundingError("magic evaluation does not support aggregate rules")
@@ -390,7 +337,7 @@ def magic_evaluate(program, query, max_atoms=500000, engine="alternating",
     ground_program = GroundProgram(tuple(ground_rules))
     interpretation = well_founded_model(ground_program, engine=engine)
 
-    matched = _sorted_matches(query_literals[0].atom, interpretation.true)
+    matched = sorted_matches(query_literals[0].atom, interpretation.true)
 
     return MagicEvaluationResult(
         answers=tuple(matched),

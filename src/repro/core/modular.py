@@ -52,12 +52,12 @@ from repro.engine.builtins import solve_builtin
 from repro.engine.grounding import GroundProgram, GroundRule, relevant_ground_program
 from repro.engine.interpretation import Interpretation
 from repro.engine.wellfounded import well_founded_model
+from repro.hilog.depgraph import DependencyGraph
 from repro.hilog.errors import EvaluationError, GroundingError, StratificationError
 from repro.hilog.program import Literal, Program, Rule
 from repro.hilog.subst import Substitution
 from repro.hilog.terms import Term, Var, predicate_name
 from repro.hilog.unify import match
-from repro.normal.depgraph import DependencyGraph
 from repro.normal.stratification import is_locally_stratified_ground
 
 

@@ -41,15 +41,18 @@ def _name_variables(atom):
     return predicate_name(atom).variables()
 
 
-def _positive_body_atoms(rule):
-    """The positive, non-builtin body atoms, in textual order."""
-    return [lit.atom for lit in rule.body if lit.positive and not lit.is_builtin()]
+def _positive_literals(rule):
+    """The positive, non-builtin body literals, in textual order."""
+    return [lit for lit in rule.body if lit.positive and not lit.is_builtin()]
 
 
-def _builtin_bound_variables(rule, already_bound):
-    """Variables bound by assignment builtins (``V is E`` / ``V = E``) whose
-    right-hand side is bound, and by aggregates.  Applied to closure."""
-    bound = set(already_bound)
+def _positive_argument_variables(rule):
+    """Variables bound by positive body arguments, closed under assignment
+    builtins (``V is E`` / ``V = E``) whose right-hand side is bound, plus
+    the variables aggregates bind."""
+    bound = set()
+    for literal in _positive_literals(rule):
+        bound |= _argument_variables(literal.atom)
     changed = True
     while changed:
         changed = False
@@ -72,29 +75,30 @@ def _builtin_bound_variables(rule, already_bound):
     return bound
 
 
-def _name_ordering_exists(rule, seed_variables):
-    """Condition 3 of Definitions 5.5/5.6: is there an ordering of the
-    positive body literals such that every predicate-name variable of a
-    literal is bound by an earlier literal's arguments or by ``seed_variables``?
+def _name_ordering(rule, seed_variables):
+    """Condition 3 of Definitions 5.5/5.6: order the positive body literals
+    so that every predicate-name variable of a literal is bound by an
+    earlier literal's arguments or by ``seed_variables``.  Returns
+    ``(stuck, bound)``: the literals no ordering can schedule (empty exactly
+    when an ordering exists) and the variables bound by the rest.
 
     A greedy schedule is complete here: scheduling any currently eligible
     literal only enlarges the set of bound variables, so it can never block a
-    schedule that would otherwise exist.
+    schedule that would otherwise exist, and the stuck set is independent of
+    scheduling order.
     """
-    atoms = _positive_body_atoms(rule)
     bound = set(seed_variables)
-    remaining = list(range(len(atoms)))
-    while remaining:
+    remaining = _positive_literals(rule)
+    progress = True
+    while progress and remaining:
         progress = False
-        for index in list(remaining):
-            if _name_variables(atoms[index]) <= bound:
-                bound |= _argument_variables(atoms[index])
-                remaining.remove(index)
+        for literal in remaining:
+            if _name_variables(literal.atom) <= bound:
+                bound |= _argument_variables(literal.atom)
+                remaining.remove(literal)
                 progress = True
                 break
-        if not progress:
-            return False
-    return True
+    return remaining, bound
 
 
 class RangeRestrictionViolation(NamedTuple):
@@ -128,42 +132,27 @@ def range_restriction_violations(rule):
     condition/literal, so diagnostics (:mod:`repro.lint`) can name the
     unbound variable and the literal instead of reporting a bare boolean.
     """
-    positive_atoms = _positive_body_atoms(rule)
-    positive_argument_vars = set()
-    for atom in positive_atoms:
-        positive_argument_vars |= _argument_variables(atom)
-    positive_argument_vars = _builtin_bound_variables(rule, positive_argument_vars)
-
-    head_argument_vars = _argument_variables(rule.head)
+    positive_argument_vars = _positive_argument_variables(rule)
     head_name_vars = _name_variables(rule.head)
 
     violations = []
-    unbound_head = head_argument_vars - positive_argument_vars
+    # 1. Head argument variables bound by positive body arguments.
+    unbound_head = _argument_variables(rule.head) - positive_argument_vars
     if unbound_head:
         violations.append(
             RangeRestrictionViolation("head-argument", _sorted_vars(unbound_head), None)
         )
+    # 2. Negative-literal variables bound by positive body arguments or by
+    #    the head's name.
     for literal in rule.negative_literals():
         unbound = literal.atom.variables() - (positive_argument_vars | head_name_vars)
         if unbound:
             violations.append(
                 RangeRestrictionViolation("negation", _sorted_vars(unbound), literal)
             )
-    # Condition 3: replay the greedy schedule of `_name_ordering_exists` and
-    # report every literal left unscheduled (greedy completeness makes the
-    # stuck set independent of scheduling order).
-    bound = set(head_name_vars)
-    remaining = [lit for lit in rule.body if lit.positive and not lit.is_builtin()]
-    progress = True
-    while progress and remaining:
-        progress = False
-        for literal in list(remaining):
-            if _name_variables(literal.atom) <= bound:
-                bound |= _argument_variables(literal.atom)
-                remaining.remove(literal)
-                progress = True
-                break
-    for literal in remaining:
+    # 3. An ordering exists, seeded by the head-name variables.
+    stuck, bound = _name_ordering(rule, head_name_vars)
+    for literal in stuck:
         violations.append(
             RangeRestrictionViolation(
                 "name-ordering",
@@ -176,35 +165,12 @@ def range_restriction_violations(rule):
 
 def rule_is_range_restricted(rule):
     """Definition 5.5 for a single HiLog rule."""
-    positive_atoms = _positive_body_atoms(rule)
-    positive_argument_vars = set()
-    for atom in positive_atoms:
-        positive_argument_vars |= _argument_variables(atom)
-    positive_argument_vars = _builtin_bound_variables(rule, positive_argument_vars)
-
-    head_argument_vars = _argument_variables(rule.head)
-    head_name_vars = _name_variables(rule.head)
-
-    # 1. Head argument variables bound by positive body arguments.
-    if not head_argument_vars <= positive_argument_vars:
-        return False
-    # 2. Negative-literal variables bound by positive body arguments or by
-    #    the head's name.
-    for literal in rule.negative_literals():
-        if not literal.atom.variables() <= positive_argument_vars | head_name_vars:
-            return False
-    # 3. An ordering exists, seeded by the head-name variables.
-    return _name_ordering_exists(rule, head_name_vars)
+    return not range_restriction_violations(rule)
 
 
 def rule_is_strongly_range_restricted(rule):
     """Definition 5.6 for a single HiLog rule."""
-    positive_atoms = _positive_body_atoms(rule)
-    positive_argument_vars = set()
-    for atom in positive_atoms:
-        positive_argument_vars |= _argument_variables(atom)
-    positive_argument_vars = _builtin_bound_variables(rule, positive_argument_vars)
-
+    positive_argument_vars = _positive_argument_variables(rule)
     # 1. Every head variable (argument *or* name) bound by positive body arguments.
     if not rule.head.variables() <= positive_argument_vars:
         return False
@@ -213,7 +179,8 @@ def rule_is_strongly_range_restricted(rule):
         if not literal.atom.variables() <= positive_argument_vars:
             return False
     # 3. An ordering exists with an empty seed.
-    return _name_ordering_exists(rule, set())
+    stuck, _bound = _name_ordering(rule, ())
+    return not stuck
 
 
 def is_range_restricted(program):

@@ -28,10 +28,10 @@ from typing import NamedTuple, Tuple
 from repro.engine.seminaive.engine import (
     SeminaiveUnsupported,
     StratumPlan,
-    _literal_indicator,
     compile_stratum,
 )
 from repro.engine.seminaive.plan import PlanError, _compile_builder, compile_rule
+from repro.engine.seminaive.relation import literal_indicator
 from repro.hilog.program import Literal, Rule
 
 #: Maintenance strategies.
@@ -129,7 +129,7 @@ def build_maintenance_plans(rules, recursive):
                     continue
                 if literal.positive:
                     update_variants.append((
-                        rule, site, _literal_indicator(literal.atom),
+                        rule, site, literal_indicator(literal.atom),
                         compile_rule(rule, delta_index=site),
                     ))
                 else:
@@ -140,7 +140,7 @@ def build_maintenance_plans(rules, recursive):
                         rule.aggregates,
                     )
                     negation_variants.append((
-                        rule, site, _literal_indicator(literal.atom),
+                        rule, site, literal_indicator(literal.atom),
                         compile_rule(flipped, delta_index=site),
                     ))
             head_vars = frozenset(rule.head.variables())

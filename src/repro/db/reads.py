@@ -5,8 +5,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import AbstractSet, ContextManager, Iterable, Tuple, Union
 
-from repro.core.magic.evaluate import answer_from_store
-from repro.engine.seminaive.relation import RelationStore, StoreView
+from repro.engine.seminaive.relation import RelationStore, StoreView, matching_facts
 from repro.hilog.errors import GroundingError
 from repro.hilog.parser import parse_query, parse_term
 from repro.hilog.program import Literal
@@ -72,7 +71,7 @@ class ModelReads:
 
     def query(self, query: Union[str, Term, Iterable[Literal]]) -> Tuple[Term, ...]:
         """Answer a query against the model, straight from the store's
-        indexes (:func:`repro.core.magic.evaluate.answer_from_store`): the
+        indexes (:func:`repro.engine.seminaive.relation.matching_facts`): the
         store holds exactly the model's *true* atoms, so the evaluating
         paths' answer contract — the true ground instances of the first
         query atom — reduces to an indexed match, whatever the query's
@@ -83,7 +82,7 @@ class ModelReads:
         query = (Literal(query),) if isinstance(query, Term) else tuple(query)
         if not query:
             raise ValueError("empty query")
-        return answer_from_store(store, query).answers
+        return matching_facts(store, query[0].atom)
 
     def facts(self, name: Union[Term, str], arity: int) -> Tuple[Term, ...]:
         """The model's extension of one predicate indicator."""

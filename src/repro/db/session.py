@@ -34,7 +34,7 @@ changes identity — an epoch manager may keep its bound ``snapshot``.
 
 Reads (:class:`~repro.db.reads.ModelReads`, shared with the serving
 layer's pinned readers) are answered from the store through
-:func:`repro.core.magic.evaluate.answer_from_store` — a handful of index
+:func:`repro.engine.seminaive.relation.matching_facts` — a handful of index
 probes, no evaluation at all.
 """
 

@@ -22,7 +22,7 @@ interpretations over different languages:
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Iterable, Optional, Set
+from typing import Callable, FrozenSet, Iterable, NamedTuple, Optional, Set
 
 from repro.hilog.terms import App, Sym, Term, predicate_name
 
@@ -132,6 +132,23 @@ class Interpretation:
         result = {Literal(atom, True) for atom in self.true}
         result |= {Literal(atom, False) for atom in self.false}
         return result
+
+
+class WellFoundedResult(NamedTuple):
+    """The well-founded model plus diagnostics about its computation.
+
+    Shared by all three engines: the ground ``wp``/``alternating``
+    constructions of :mod:`repro.engine.wellfounded`, and the semi-naive
+    alternating fixpoint of :mod:`repro.engine.seminaive.wellfounded`.
+    ``iterations`` counts the engine's inner fixpoint steps;
+    ``alternations`` the outer over/under rounds (only the semi-naive
+    engine distinguishes the two — the ground engines leave it 0).
+    """
+
+    interpretation: Interpretation
+    iterations: int
+    engine: str
+    alternations: int = 0
 
 
 def restrict_to_symbols(interpretation, symbols):

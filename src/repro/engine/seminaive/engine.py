@@ -80,12 +80,13 @@ from repro.engine.seminaive.relation import (
     FactBuckets,
     FactSource,
     RelationStore,
+    literal_indicator,
     predicate_indicator,
 )
+from repro.hilog.depgraph import DependencyGraph
 from repro.hilog.errors import GroundingError, HiLogError
 from repro.hilog.subst import Substitution
-from repro.hilog.terms import App, Term, predicate_name, register_flush_hook
-from repro.normal.depgraph import DependencyGraph
+from repro.hilog.terms import Term, predicate_name, register_flush_hook
 
 
 class SeminaiveUnsupported(HiLogError):
@@ -129,17 +130,6 @@ class Stratification(NamedTuple):
     unstratified: FrozenSet = frozenset()
 
 
-def _literal_indicator(atom):
-    """The ``(name, arity)`` indicator of a rule atom, or ``None`` when the
-    predicate name is not ground (higher-order position)."""
-    name = predicate_name(atom)
-    if not name.is_ground():
-        return None
-    if isinstance(atom, App):
-        return (name, len(atom.args))
-    return (atom, -1)
-
-
 def _single_stratum(proper):
     """Definite program: one stratum, every positive subgoal is potentially
     recursive (names may be non-ground, so the dependency graph cannot be
@@ -168,7 +158,7 @@ def _graph_stratification(program, proper, by_component, allow_unstratified=Fals
     head_indicators = {}
     body_indicators = {}
     for rule in proper:
-        head = _literal_indicator(rule.head)
+        head = literal_indicator(rule.head)
         if head is None:
             raise SeminaiveUnsupported(
                 "rule %r has a non-ground head predicate name; semi-naive "
@@ -181,7 +171,7 @@ def _graph_stratification(program, proper, by_component, allow_unstratified=Fals
             if literal.is_builtin():
                 indicators.append(None)
                 continue
-            indicator = _literal_indicator(literal.atom)
+            indicator = literal_indicator(literal.atom)
             if indicator is None:
                 raise SeminaiveUnsupported(
                     "subgoal %r of rule %r has a non-ground predicate name in "
@@ -190,7 +180,7 @@ def _graph_stratification(program, proper, by_component, allow_unstratified=Fals
             indicators.append(indicator)
             graph.add_edge(head, indicator, negative=literal.negative)
         for spec in rule.aggregates:
-            indicator = _literal_indicator(spec.condition)
+            indicator = literal_indicator(spec.condition)
             if indicator is None:
                 raise SeminaiveUnsupported(
                     "aggregate condition %r has a non-ground predicate name"
@@ -208,38 +198,25 @@ def _graph_stratification(program, proper, by_component, allow_unstratified=Fals
 
     components, component_of, _edges = graph.condensation()
     unstratified_components = set()
-    for source, target in graph.edges():
-        if graph.is_negative_edge(source, target) and \
-                component_of[source] == component_of[target]:
-            if (source, target) in aggregate_pairs:
-                raise SeminaiveUnsupported(
-                    "recursion through aggregation at %r; no engine here "
-                    "evaluates three-valued aggregation" % (source,)
-                )
-            if not allow_unstratified:
-                raise SeminaiveUnsupported(
-                    "recursion through negation/aggregation at %r; the program is "
-                    "not stratified" % (source,)
-                )
-            unstratified_components.add(component_of[source])
+    for source, target in graph.negative_cycle_edges():
+        if (source, target) in aggregate_pairs:
+            raise SeminaiveUnsupported(
+                "recursion through aggregation at %r; no engine here "
+                "evaluates three-valued aggregation" % (source,)
+            )
+        if not allow_unstratified:
+            raise SeminaiveUnsupported(
+                "recursion through negation/aggregation at %r; the program is "
+                "not stratified" % (source,)
+            )
+        unstratified_components.add(component_of[source])
 
-    # Components arrive in reverse topological order (dependencies first).
     if by_component:
-        # One stratum per SCC: the arrival index is already a valid level.
-        level_of_component = {index: index for index in range(len(components))}
+        # One stratum per SCC: components arrive dependencies first, so the
+        # arrival index is already a valid level.
+        level_of_component = range(len(components))
     else:
-        # One pass assigns levels: +1 across negative/aggregate edges.
-        level_of_component = {}
-        for index, component in enumerate(components):
-            level = 0
-            for node in component:
-                for successor in graph.successors(node):
-                    target = component_of[successor]
-                    if target == index:
-                        continue
-                    bump = 1 if graph.is_negative_edge(node, successor) else 0
-                    level = max(level, level_of_component[target] + bump)
-            level_of_component[index] = level
+        level_of_component = graph.component_levels()
 
     def indicator_level(indicator):
         return level_of_component[component_of[indicator]]
@@ -306,7 +283,7 @@ def _delta_sites(rule, recursive_indicators):
         if recursive_indicators is None:
             sites.append(index)
             continue
-        indicator = _literal_indicator(literal.atom)
+        indicator = literal_indicator(literal.atom)
         if indicator is not None and indicator in recursive_indicators:
             sites.append(index)
     return sites
@@ -667,7 +644,7 @@ def compile_stratum(rules, recursive):
     head_indicators = set()
     reads = set()
     for rule in rules:
-        head = _literal_indicator(rule.head)
+        head = literal_indicator(rule.head)
         if head is None:
             head_indicators = None
         elif head_indicators is not None:
@@ -675,13 +652,13 @@ def compile_stratum(rules, recursive):
         for literal in rule.body:
             if literal.is_builtin():
                 continue
-            indicator = _literal_indicator(literal.atom)
+            indicator = literal_indicator(literal.atom)
             if indicator is None:
                 reads = None
             elif reads is not None:
                 reads.add(indicator)
         for spec in rule.aggregates:
-            indicator = _literal_indicator(spec.condition)
+            indicator = literal_indicator(spec.condition)
             if indicator is None:
                 reads = None
             elif reads is not None:

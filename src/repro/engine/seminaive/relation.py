@@ -9,9 +9,9 @@ that are not applications (propositional symbols) use arity ``-1`` so that
 ``p`` and the zero-ary application ``p()`` stay distinct (footnote 1).
 
 Every consumer — the generated plan functions, counting and delete-rederive
-maintenance, the alternating fixpoint, reader epochs,
-:func:`~repro.core.magic.evaluate.answer_from_store` — asks a fact source
-the same four questions (:class:`FactSource`): ``fetch(name, arity,
+maintenance, the alternating fixpoint, and :func:`matching_facts`, the read
+that answers every session and reader-epoch query — asks a fact source the
+same four questions (:class:`FactSource`): ``fetch(name, arity,
 positions, key)``, the facts of one indicator whose arguments at
 ``positions`` equal ``key`` (a bare term for one position, a term tuple
 otherwise); ``spill(arity, symbol)``, the facts of every indicator of
@@ -20,7 +20,7 @@ case: ``M(X, Y)`` before ``M`` is bound, ``winning(M)(X)``);
 ``all_facts()``; and ``atom in source``.  A fetch never returns a fact of
 another indicator and never misses a matching one, but may *over-return
 within the indicator*, so callers test the key positions themselves: the
-plan functions match every argument, ``answer_from_store`` compares the
+plan functions match every argument, ``matching_facts`` compares the
 ground positions by identity.  :func:`candidates` puts a ``(pattern,
 substitution)`` question to the protocol.  Three classes implement it:
 
@@ -60,10 +60,12 @@ cancellation rule, lives beside them.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.hilog.errors import FrozenStoreError, GroundingError
-from repro.hilog.terms import App, Term, Var, outermost_symbol
+from repro.hilog.subst import Substitution
+from repro.hilog.terms import App, Term, Var, outermost_symbol, predicate_name
+from repro.hilog.unify import match
 
 
 def predicate_indicator(atom):
@@ -75,6 +77,15 @@ def predicate_indicator(atom):
     if isinstance(atom, App):
         return (atom.name, len(atom.args))
     return (atom, -1)
+
+
+def literal_indicator(atom):
+    """The :func:`predicate_indicator` of a rule atom, or ``None`` when its
+    predicate name is not ground (a higher-order position: the indicator is
+    known only once the name is bound)."""
+    if not predicate_name(atom).is_ground():
+        return None
+    return predicate_indicator(atom)
 
 
 class FactSource(Protocol):
@@ -119,6 +130,58 @@ def candidates(store: FactSource, pattern, subst,
                 name, arity, index_positions, key[0] if len(key) == 1 else key
             )
     return store.fetch(name, arity, (), None)
+
+
+def sorted_matches(pattern: Term, atoms: Iterable[Term]) -> List[Term]:
+    """The atoms ``pattern`` matches, in ``repr`` order — the answer order
+    of every query path.  ``repr`` of an interned term is a slot read once
+    the term has been rendered (:func:`repro.hilog.pretty.format_term`)."""
+    return sorted(
+        (atom for atom in atoms if match(pattern, atom) is not None), key=repr
+    )
+
+
+def matching_facts(store: FactSource, pattern: Term) -> Tuple[Term, ...]:
+    """The facts of ``store`` that ``pattern`` matches, in ``repr`` order.
+
+    This is how a query is answered from a materialized model: the store
+    holds exactly the model's true atoms, so the true ground instances of a
+    query atom are a membership probe (ground pattern), one indexed fetch on
+    the ground argument positions (ground name) or a candidate scan
+    (higher-order and propositional-variable patterns) — no rewriting, no
+    evaluation.
+    """
+    if pattern.is_ground():
+        return (pattern,) if pattern in store else ()
+    if not (isinstance(pattern, App) and pattern.name.is_ground()):
+        # Higher-order / propositional-variable patterns: the general
+        # candidate scan, then full matching.
+        return tuple(sorted_matches(pattern, candidates(store, pattern, Substitution(), ())))
+    # Bound-name query: a single indexed probe on the ground argument
+    # positions (interned-identity key), then residual matching for the
+    # open positions only.
+    args = pattern.args
+    positions = tuple(i for i, arg in enumerate(args) if arg.is_ground())
+    if len(positions) == 1:
+        key: object = args[positions[0]]  # bare-term single-position key
+    else:
+        key = tuple(args[i] for i in positions)
+    fetched = store.fetch(pattern.name, len(args), positions, key)
+    open_args = [arg for arg in args if not arg.is_ground()]
+    if not (
+        all(type(arg) is Var for arg in open_args)
+        and len(set(open_args)) == len(open_args)
+    ):
+        return tuple(sorted_matches(pattern, fetched))
+    # Linear pattern: the open arguments are distinct variables, which match
+    # anything, and a fetch returns applications of the indicator only, so
+    # ``match`` on interned terms reduces to identity at the ground
+    # positions.  Those are still tested — a bucket layer returns its whole
+    # indicator whatever the key.
+    for i in positions:
+        bound = args[i]
+        fetched = [atom for atom in fetched if atom.args[i] is bound]
+    return tuple(sorted(fetched, key=repr))
 
 
 class Relation:

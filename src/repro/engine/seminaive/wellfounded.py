@@ -62,12 +62,11 @@ from __future__ import annotations
 from time import perf_counter as _perf_counter
 from typing import FrozenSet, NamedTuple, Tuple
 
-from repro.engine.interpretation import Interpretation
+from repro.engine.interpretation import Interpretation, WellFoundedResult
 from repro.engine.seminaive.engine import (
     EXECUTION_STATS,
     PlanSources,
     SeminaiveUnsupported,
-    _literal_indicator,
     check_derived_atom,
     compile_stratum,
     evaluate_stratum,
@@ -79,9 +78,9 @@ from repro.engine.seminaive.relation import (
     FactBuckets,
     RelationStore,
     StoreView,
+    literal_indicator,
     predicate_indicator,
 )
-from repro.engine.wellfounded import WellFoundedResult
 from repro.hilog.errors import GroundingError
 from repro.obs.trace import current_tracer
 from repro.hilog.program import Literal, Rule
@@ -156,7 +155,7 @@ def _negation_variants(stratum):
             for site, literal in enumerate(rule.body):
                 if literal.positive or literal.is_builtin():
                     continue
-                indicator = _literal_indicator(literal.atom)
+                indicator = literal_indicator(literal.atom)
                 if heads is not None and indicator is not None \
                         and indicator not in heads:
                     continue

@@ -30,24 +30,7 @@ from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Set, Tuple
 
 from repro.engine.fixpoint import gelfond_lifschitz, least_model_with_blocked
 from repro.engine.grounding import GroundProgram, GroundRule
-from repro.engine.interpretation import Interpretation
-
-
-class WellFoundedResult(NamedTuple):
-    """The well-founded model plus diagnostics about its computation.
-
-    Shared by all three engines: the ground ``wp``/``alternating``
-    constructions here, and the semi-naive alternating fixpoint of
-    :mod:`repro.engine.seminaive.wellfounded`.  ``iterations`` counts the
-    engine's inner fixpoint steps; ``alternations`` the outer over/under
-    rounds (only the semi-naive engine distinguishes the two — the ground
-    engines leave it 0).
-    """
-
-    interpretation: Interpretation
-    iterations: int
-    engine: str
-    alternations: int = 0
+from repro.engine.interpretation import Interpretation, WellFoundedResult
 
 
 def tp_operator(ground_program, interpretation):

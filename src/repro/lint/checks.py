@@ -7,7 +7,7 @@ reimplementing it:
   :func:`repro.core.range_restriction.range_restriction_violations` — the
   paper's Definition 5.5, condition by condition;
 * stratification (``W501``/``E104``) mirrors the semi-naive engine's
-  indicator dependency graph (:mod:`repro.normal.depgraph`), including its
+  indicator dependency graph (:mod:`repro.hilog.depgraph`), including its
   "aggregation behaves like negation" edge labelling, and reports a
   minimal negation-cycle witness;
 * plan quality (``E106``/``W502``) compiles every rule through the real
@@ -25,27 +25,17 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.range_restriction import range_restriction_violations
 from repro.engine.seminaive.plan import FETCH, PlanError, compile_rule
+from repro.engine.seminaive.relation import literal_indicator
+from repro.hilog.depgraph import DependencyGraph
 from repro.hilog.errors import HiLogError
 from repro.hilog.pretty import format_literal, format_term
 from repro.hilog.program import Literal, Program, Rule
 from repro.hilog.terms import App, Sym, Var, atom_arguments, predicate_name
 from repro.hilog.unify import match
 from repro.lint.diagnostics import Diagnostic, make_diagnostic
-from repro.normal.depgraph import DependencyGraph
 
 #: Body-size cap for the (worst-case exponential) subsumption search.
 _SUBSUMPTION_MAX_BODY = 8
-
-
-def _indicator(atom):
-    """The ``(name, arity)`` indicator of an atom, or ``None`` when the
-    predicate name is not ground (mirrors the semi-naive engine)."""
-    name = predicate_name(atom)
-    if not name.is_ground():
-        return None
-    if isinstance(atom, App):
-        return (name, len(atom.args))
-    return (atom, -1)
 
 
 def _arity(atom):
@@ -171,7 +161,7 @@ def check_stratification(program):
     negation_sites = {}   # (head, body) indicator pair -> (rule, literal)
     aggregate_sites = {}  # (head, condition) indicator pair -> (rule, spec)
     for rule in program.rules:
-        head = _indicator(rule.head)
+        head = literal_indicator(rule.head)
         if head is None:
             continue
         graph.add_node(head)
@@ -180,14 +170,14 @@ def check_stratification(program):
         for literal in rule.body:
             if literal.is_builtin():
                 continue
-            target = _indicator(literal.atom)
+            target = literal_indicator(literal.atom)
             if target is None:
                 continue
             graph.add_edge(head, target, negative=literal.negative)
             if literal.negative:
                 negation_sites.setdefault((head, target), (rule, literal))
         for spec in rule.aggregates:
-            target = _indicator(spec.condition)
+            target = literal_indicator(spec.condition)
             if target is None:
                 continue
             # Aggregation behaves like negation for stratification: the
@@ -198,11 +188,7 @@ def check_stratification(program):
     components, component_of, _edges = graph.condensation()
     diagnostics = []
     warned_components = set()
-    for source, target in graph.edges():
-        if not graph.is_negative_edge(source, target):
-            continue
-        if component_of[source] != component_of[target]:
-            continue
+    for source, target in graph.negative_cycle_edges():
         witness = _cycle_witness(graph, components[component_of[source]], source, target)
         if (source, target) in aggregate_sites:
             rule, spec = aggregate_sites[(source, target)]
@@ -512,7 +498,7 @@ def check_subsumption(program, error_rules):
     """
     groups = {}
     for index, rule in enumerate(program.rules):
-        head = _indicator(rule.head)
+        head = literal_indicator(rule.head)
         if head is not None:
             groups.setdefault(head, []).append(index)
 
@@ -621,7 +607,7 @@ def check_liveness(program):
     wildcard_reference_arities = set()
 
     for rule in program.rules:
-        head = _indicator(rule.head)
+        head = literal_indicator(rule.head)
         if head is None:
             # `X(A, B) :- ...` can define any arity-2 relation at runtime.
             wildcard_head_arities.add(_arity(rule.head))
@@ -634,14 +620,14 @@ def check_liveness(program):
         for literal in rule.body:
             if literal.is_builtin():
                 continue
-            target = _indicator(literal.atom)
+            target = literal_indicator(literal.atom)
             if target is None:
                 # `G(X, Y)` may read any arity-2 relation at runtime.
                 wildcard_reference_arities.add(_arity(literal.atom))
             else:
                 referenced.setdefault(target, (rule, literal))
         for spec in rule.aggregates:
-            target = _indicator(spec.condition)
+            target = literal_indicator(spec.condition)
             if target is None:
                 wildcard_reference_arities.add(_arity(spec.condition))
             else:
@@ -688,7 +674,7 @@ def check_liveness(program):
             for literal in rule.body:
                 if literal.is_builtin() or not literal.positive:
                     continue
-                body_target = _indicator(literal.atom)
+                body_target = literal_indicator(literal.atom)
                 if body_target is not None and body_target in undefined:
                     dead = body_target
                     break

@@ -6,7 +6,8 @@ symbols).  This package implements those classical notions exactly as the
 paper states them:
 
 * range restriction (Definition 4.1),
-* the predicate dependency graph and its strongly connected components,
+* the predicate dependency graph (the graph structure and its component
+  analysis are :mod:`repro.hilog.depgraph`, re-exported here),
 * stratification (Definition 6.1) and local stratification (Definition 6.2),
 * modular stratification in the sense of Ross'90 (Definitions 6.3/6.4) with
   the accompanying perfect-model computation,
@@ -24,7 +25,6 @@ from repro.normal.classify import (
 from repro.normal.range_restriction import is_range_restricted_normal, unrestricted_rules
 from repro.normal.depgraph import (
     DependencyGraph,
-    condensation_order,
     predicate_dependency_graph,
     strongly_connected_components,
 )
@@ -51,7 +51,6 @@ __all__ = [
     "DependencyGraph",
     "predicate_dependency_graph",
     "strongly_connected_components",
-    "condensation_order",
     "is_stratified",
     "stratification_levels",
     "is_locally_stratified_ground",

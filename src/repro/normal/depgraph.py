@@ -1,165 +1,22 @@
-"""Dependency graphs and strongly connected components.
+"""The predicate dependency graph of a normal program.
 
 Modular stratification (paper, Section 6) is defined in terms of the
 strongly connected components of the predicate dependency graph: ``P_i ⊏
 P_j`` when ``P_j`` contains a rule whose body mentions a predicate defined
-in ``P_i``.  This module provides:
-
-* a generic iterative Tarjan SCC implementation (no recursion limits),
-* construction of predicate dependency graphs for normal programs (nodes are
-  :class:`repro.normal.classify.PredicateSignature`) and of ground-name
-  dependency graphs for HiLog programs (nodes are ground predicate-name
-  terms, used by the Figure-1 procedure),
-* topological ordering of the component condensation.
+in ``P_i``.  The graph structure, its components and the stratification
+analysis over them live in :mod:`repro.hilog.depgraph` (shared with the
+production engine and the linter, which build graphs over other node
+kinds); this module builds the normal-program graph, whose nodes are
+:class:`repro.normal.classify.PredicateSignature`, and re-exports the shared
+names.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Sequence, Set, Tuple
-
-from repro.hilog.program import Program, Rule
-from repro.hilog.terms import Term
+from repro.hilog.depgraph import DependencyGraph, strongly_connected_components
 from repro.normal.classify import atom_signature
 
-
-class DependencyGraph:
-    """A directed graph with positively/negatively labelled edges."""
-
-    def __init__(self):
-        self._nodes = set()
-        self._edges = {}
-        self._negative_edges = set()
-
-    def add_node(self, node):
-        self._nodes.add(node)
-        self._edges.setdefault(node, set())
-
-    def add_edge(self, source, target, negative=False):
-        self.add_node(source)
-        self.add_node(target)
-        self._edges[source].add(target)
-        if negative:
-            self._negative_edges.add((source, target))
-
-    @property
-    def nodes(self):
-        return frozenset(self._nodes)
-
-    def successors(self, node):
-        return frozenset(self._edges.get(node, ()))
-
-    def edges(self):
-        for source, targets in self._edges.items():
-            for target in targets:
-                yield source, target
-
-    def is_negative_edge(self, source, target):
-        return (source, target) in self._negative_edges
-
-    def strongly_connected_components(self):
-        """The SCCs of the graph (as frozensets), in reverse topological
-        order: a component is listed before any component that depends on it."""
-        return strongly_connected_components(self._nodes, self.successors)
-
-    def condensation(self):
-        """Return (components, component_of, component_edges).
-
-        ``components`` is the SCC list from
-        :meth:`strongly_connected_components`, ``component_of`` maps a node
-        to its component index and ``component_edges`` maps a component index
-        to the set of component indices it depends on (its successors).
-        """
-        components = self.strongly_connected_components()
-        component_of = {}
-        for index, component in enumerate(components):
-            for node in component:
-                component_of[node] = index
-        component_edges = {index: set() for index in range(len(components))}
-        for source, target in self.edges():
-            source_component = component_of[source]
-            target_component = component_of[target]
-            if source_component != target_component:
-                component_edges[source_component].add(target_component)
-        return components, component_of, component_edges
-
-
-def strongly_connected_components(nodes, successors):
-    """Iterative Tarjan's algorithm.
-
-    ``successors`` is a callable from node to an iterable of successor nodes.
-    Returns a list of frozensets in reverse topological order (every
-    component appears after... i.e. before any component that can reach it is
-    emitted after it), which is the order Tarjan naturally produces: each SCC
-    is emitted only after all SCCs it can reach.
-    """
-    nodes = list(nodes)
-    index_counter = [0]
-    indices = {}
-    lowlinks = {}
-    on_stack = set()
-    stack = []
-    components = []
-
-    for start in nodes:
-        if start in indices:
-            continue
-        work = [(start, iter(list(successors(start))))]
-        indices[start] = lowlinks[start] = index_counter[0]
-        index_counter[0] += 1
-        stack.append(start)
-        on_stack.add(start)
-        while work:
-            node, children = work[-1]
-            advanced = False
-            for child in children:
-                if child not in indices:
-                    indices[child] = lowlinks[child] = index_counter[0]
-                    index_counter[0] += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(list(successors(child)))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlinks[node] = min(lowlinks[node], indices[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlinks[parent] = min(lowlinks[parent], lowlinks[node])
-            if lowlinks[node] == indices[node]:
-                component = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                components.append(frozenset(component))
-    return components
-
-
-def condensation_order(graph):
-    """Component indices of ``graph`` in dependency order (lowest first)."""
-    components, _component_of, component_edges = graph.condensation()
-    # Kahn's algorithm over the condensation, emitting components whose
-    # dependencies have all been emitted.
-    emitted = []
-    remaining = set(range(len(components)))
-    satisfied = set()
-    while remaining:
-        progress = False
-        for index in sorted(remaining):
-            if component_edges[index] <= satisfied:
-                emitted.append(index)
-                satisfied.add(index)
-                remaining.discard(index)
-                progress = True
-                break
-        if not progress:
-            raise AssertionError("condensation of an SCC graph must be acyclic")
-    return [components[index] for index in emitted]
+__all__ = ["DependencyGraph", "strongly_connected_components", "predicate_dependency_graph"]
 
 
 def predicate_dependency_graph(program):
@@ -167,15 +24,11 @@ def predicate_dependency_graph(program):
 
     Nodes are predicate signatures; there is an edge from the head's
     predicate to each body literal's predicate, labelled negative when the
-    body literal is negative.  Aggregate conditions count as positive
-    dependencies (the paper treats aggregation like negation for
-    stratification purposes, which callers can enforce by passing
-    ``aggregates_negative=True``).
+    body literal is negative.  Aggregate conditions are negative
+    dependencies: the paper treats aggregation like negation for
+    stratification, because the condition's extension must be complete
+    before the fold runs.
     """
-    return _predicate_dependency_graph(program, aggregates_negative=False)
-
-
-def _predicate_dependency_graph(program, aggregates_negative):
     graph = DependencyGraph()
     for rule in program.rules:
         head_signature = atom_signature(rule.head)
@@ -195,5 +48,5 @@ def _predicate_dependency_graph(program, aggregates_negative):
                 raise ValueError(
                     "not a normal program: aggregate condition %r" % (aggregate.condition,)
                 )
-            graph.add_edge(head_signature, condition_signature, negative=aggregates_negative)
+            graph.add_edge(head_signature, condition_signature, negative=True)
     return graph

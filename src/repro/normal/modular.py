@@ -32,7 +32,7 @@ from repro.hilog.subst import Substitution
 from repro.hilog.terms import App, Sym, Term, Var
 from repro.hilog.unify import match
 from repro.normal.classify import atom_signature
-from repro.normal.depgraph import condensation_order, predicate_dependency_graph
+from repro.normal.depgraph import predicate_dependency_graph
 from repro.normal.stratification import is_locally_stratified_ground
 
 
@@ -185,8 +185,8 @@ def modular_stratification(program, constants=None):
         constants = normal_herbrand_universe(program)
     constants = list(constants)
 
-    graph = predicate_dependency_graph(program)
-    components = tuple(condensation_order(graph))
+    # Tarjan emits components dependencies first: the order of Definition 6.3.
+    components = tuple(predicate_dependency_graph(program).strongly_connected_components())
 
     settled_signatures = set()
     settled_true = set()

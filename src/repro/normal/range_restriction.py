@@ -5,13 +5,17 @@ occurring in the head or in a negative body literal also occurs in a
 positive body literal.  Range-restricted normal programs are domain
 independent, and Theorems 4.1/4.2 of the paper show that for them the HiLog
 well-founded/stable semantics conservatively extend the normal ones.
+
+Definition 4.1 is Definition 5.5 read on rules whose predicate names are
+symbols: with no name variables every variable is an argument variable,
+condition 3 (the name ordering) is vacuous and the head's name binds nothing.
+So the check is :func:`repro.core.range_restriction.rule_is_range_restricted`,
+under the names the E1–E5 experiments call it by.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-from repro.hilog.program import Program, Rule
+from repro.core.range_restriction import is_range_restricted, rule_is_range_restricted
 
 
 def rule_is_range_restricted_normal(rule):
@@ -22,56 +26,14 @@ def rule_is_range_restricted_normal(rule):
     arithmetic in Datalog systems; the paper's function-free examples are
     unaffected by this allowance.
     """
-    bound = set()
-    for literal in rule.body:
-        if literal.positive and not literal.is_builtin():
-            bound |= literal.atom.variables()
-    changed = True
-    while changed:
-        changed = False
-        for literal in rule.builtin_literals():
-            variables = literal.atom.variables()
-            unbound = variables - bound
-            if not unbound:
-                continue
-            # An assignment-style builtin binds its left-hand side once the
-            # right-hand side is bound.
-            from repro.hilog.terms import App, Sym, Var
-
-            atom = literal.atom
-            if (
-                isinstance(atom, App)
-                and isinstance(atom.name, Sym)
-                and atom.name.name in ("is", "=")
-                and len(atom.args) == 2
-                and isinstance(atom.args[0], Var)
-                and atom.args[1].variables() <= bound
-            ):
-                if atom.args[0] not in bound:
-                    bound.add(atom.args[0])
-                    changed = True
-    for aggregate in rule.aggregates:
-        # The aggregate's result variable is bound by the aggregate itself;
-        # its condition variables are bound by matching the condition.
-        bound |= aggregate.condition.variables()
-        bound |= aggregate.result.variables()
-
-    head_variables = rule.head.variables()
-    if not head_variables <= bound:
-        return False
-    for literal in rule.negative_literals():
-        if not literal.atom.variables() <= bound:
-            return False
-    return True
+    return rule_is_range_restricted(rule)
 
 
 def is_range_restricted_normal(program):
     """Definition 4.1: every rule of the program is range restricted."""
-    return all(rule_is_range_restricted_normal(rule) for rule in program.rules)
+    return is_range_restricted(program)
 
 
 def unrestricted_rules(program):
     """The rules violating Definition 4.1 (useful for error reporting)."""
-    return tuple(
-        rule for rule in program.rules if not rule_is_range_restricted_normal(rule)
-    )
+    return tuple(rule for rule in program.rules if not rule_is_range_restricted(rule))

@@ -10,64 +10,26 @@
   reproduction works with, local stratification is equivalent to the ground
   atom dependency graph having no cycle that contains a negative edge, which
   is what :func:`is_locally_stratified_ground` checks.
+
+Both are the one analysis of :mod:`repro.hilog.depgraph` asked of two graphs:
+the predicate dependency graph and the ground atom dependency graph.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
-
-from repro.engine.grounding import GroundProgram, GroundRule
-from repro.hilog.program import Program
-from repro.normal.classify import atom_signature
-from repro.normal.depgraph import (
-    DependencyGraph,
-    predicate_dependency_graph,
-    strongly_connected_components,
-)
+from repro.hilog.depgraph import DependencyGraph
+from repro.normal.depgraph import predicate_dependency_graph
 
 
 def stratification_levels(program):
     """Assign predicate levels witnessing stratification, or return ``None``.
 
-    Levels are computed on the condensation of the predicate dependency
-    graph: a component's level is the maximum over its dependencies of
-    (dependency level + 1 for negative edges, dependency level for positive
-    edges); if a negative edge stays *inside* a component the program is not
-    stratified.
+    A component's level is the maximum over its dependencies of (dependency
+    level + 1 for negative edges — aggregate conditions included —
+    dependency level for positive edges); if a negative edge stays *inside*
+    a component the program is not stratified.
     """
-    graph = predicate_dependency_graph(program)
-    components, component_of, component_edges = graph.condensation()
-
-    # A negative edge within a single SCC defeats stratification.
-    for source, target in graph.edges():
-        if graph.is_negative_edge(source, target) and component_of[source] == component_of[target]:
-            return None
-
-    levels = {}
-
-    def component_level(index):
-        if index in levels:
-            return levels[index]
-        level = 0
-        for source in components[index]:
-            for target in graph.successors(source):
-                target_component = component_of[target]
-                if target_component == index:
-                    continue
-                dependency_level = component_level(target_component)
-                if graph.is_negative_edge(source, target):
-                    level = max(level, dependency_level + 1)
-                else:
-                    level = max(level, dependency_level)
-        levels[index] = level
-        return level
-
-    result = {}
-    for index in range(len(components)):
-        level = component_level(index)
-        for node in components[index]:
-            result[node] = level
-    return result
+    return predicate_dependency_graph(program).levels()
 
 
 def is_stratified(program):
@@ -95,16 +57,8 @@ def is_locally_stratified_ground(ground_program):
     Equivalent to: within every strongly connected component of the ground
     atom dependency graph there is no negative edge.
     """
-    graph = ground_dependency_graph(ground_program)
-    components = graph.strongly_connected_components()
-    component_of = {}
-    for index, component in enumerate(components):
-        for node in component:
-            component_of[node] = index
-    for source, target in graph.edges():
-        if graph.is_negative_edge(source, target) and component_of[source] == component_of[target]:
-            return False
-    return True
+    cycle_edges = ground_dependency_graph(ground_program).negative_cycle_edges()
+    return next(cycle_edges, None) is None
 
 
 def local_stratification_levels(ground_program):
@@ -112,33 +66,4 @@ def local_stratification_levels(ground_program):
 
     Provided mainly for the tests of Example 6.1: the win/move program over
     an acyclic move graph is locally stratified only "per game position"."""
-    if not is_locally_stratified_ground(ground_program):
-        return None
-    graph = ground_dependency_graph(ground_program)
-    components, component_of, component_edges = graph.condensation()
-
-    levels = {}
-
-    def component_level(index):
-        if index in levels:
-            return levels[index]
-        level = 0
-        for source in components[index]:
-            for target in graph.successors(source):
-                target_component = component_of[target]
-                if target_component == index:
-                    continue
-                dependency_level = component_level(target_component)
-                if graph.is_negative_edge(source, target):
-                    level = max(level, dependency_level + 1)
-                else:
-                    level = max(level, dependency_level)
-        levels[index] = level
-        return level
-
-    result = {}
-    for index in range(len(components)):
-        level = component_level(index)
-        for atom in components[index]:
-            result[atom] = level
-    return result
+    return ground_dependency_graph(ground_program).levels()

@@ -35,7 +35,7 @@ readers (which pin the current epoch for the duration of a query):
   overhead bounded under unbounded churn.
 
 Epochs deliberately know nothing about queries — reading an epoch is
-:func:`repro.core.magic.evaluate.answer_from_store` over ``epoch.store``,
+:func:`repro.engine.seminaive.relation.matching_facts` over ``epoch.store``,
 exactly the maintained-store query path, which both shapes serve.
 """
 

@@ -1,8 +1,10 @@
-"""Differential test: ``answer_from_store``'s identity path ≡ ``match``.
+"""Differential test: the store read's identity path ≡ ``match``.
 
 For a *linear* bound-name pattern (open arguments are distinct variables)
-``answer_from_store`` replaces the general ``match`` by identity tests at
-the ground positions.  Whatever the path, the answers must be exactly
+``matching_facts`` (:mod:`repro.engine.seminaive.relation`, the store-level
+read under ``ModelReads.query`` and ``core.magic``'s ``answer_from_store``)
+replaces the general ``match`` by identity tests at the ground positions.
+Whatever the path, the answers must be exactly
 
     sorted((a for a in store if match(pattern, a) is not None), key=repr)
 
@@ -20,9 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.magic import evaluate
 from repro.core.magic.evaluate import answer_from_store
-from repro.engine.seminaive.relation import Delta, RelationStore, StoreView
+from repro.db import DatabaseSession
+from repro.engine.seminaive import relation
+from repro.engine.seminaive.relation import Delta, RelationStore, StoreView, matching_facts
 from repro.hilog.parser import parse_term
 from repro.hilog.program import Literal
 from repro.hilog.terms import App, Var, fresh_var
@@ -86,14 +89,13 @@ def _overlaid(base_facts, *batches):
 
 def _check(store, pattern):
     """Answers equal the oracle's; returns the number of ``match`` calls
-    ``answer_from_store`` made."""
+    ``matching_facts`` made."""
     expected = sorted(
         (atom for atom in store if match(pattern, atom) is not None), key=repr)
-    with mock.patch.object(evaluate, "match", wraps=match) as spy:
-        result = answer_from_store(store, (Literal(pattern),))
-    assert list(result.answers) == expected
-    assert [repr(atom) for atom in result.answers] == [repr(a) for a in expected]
-    assert result.relevant_atoms == frozenset(expected)
+    with mock.patch.object(relation, "match", wraps=match) as spy:
+        answers = matching_facts(store, pattern)
+    assert list(answers) == expected
+    assert [repr(atom) for atom in answers] == [repr(a) for a in expected]
     if _is_linear(pattern) or pattern.is_ground():
         assert spy.call_count == 0
     else:
@@ -140,7 +142,21 @@ def test_overlay_fetch_over_returns_and_ground_positions_still_filter():
     fetched = store.fetch(pattern.name, 2, (0,), pattern.args[0])
     assert set(fetched) == {a1_b, b_c, a_a}
     assert _check(store, pattern) == 0
-    assert answer_from_store(store, (Literal(pattern),)).answers == (a1_b,)
+    # the same read through the ``core.magic`` wrapper, which adds the
+    # interpretation restricted to the answers
+    result = answer_from_store(store, (Literal(pattern), Literal(b_c, False)))
+    assert result.answers == (a1_b,)
+    assert result.relevant_atoms == result.interpretation.true == frozenset([a1_b])
+    assert result.call_patterns == (pattern,) and result.ground_rules == 0
+
+
+def test_model_reads_query_is_the_store_read():
+    session = DatabaseSession(
+        "tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y). e(a, b). e(b, c).")
+    for text in ("tc(a, X)", "tc(X, X)", "M(a, X)", "tc(a, c)", "tc(c, a)"):
+        pattern = parse_term(text)
+        assert session.query(text) == matching_facts(session.store, pattern)
+        _check(session.store, pattern)
 
 
 def test_fresh_variables_are_distinct_and_one_variable_twice_is_not():

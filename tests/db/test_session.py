@@ -3,7 +3,7 @@ strategies, session-backed queries, and the disaster fallbacks."""
 
 import pytest
 
-from repro.core.magic.evaluate import magic_evaluate
+from repro.core.magic.evaluate import answer_from_store, magic_evaluate
 from repro.db import (
     COUNTING,
     DRED,
@@ -321,10 +321,12 @@ class TestQueries:
         assert len(session.query("tc(X, Y)")) == 6
 
     def test_magic_evaluate_store_path(self):
+        # ``magic_evaluate(store=)`` is gone; ``answer_from_store`` is the
+        # function it dispatched to.
         program = transitive_closure_program(chain_edges(8))
         session = DatabaseSession(program)
         query = parse_query("tc(n2, Y)")
-        stored = magic_evaluate(program, query, store=session.store)
+        stored = answer_from_store(session.store, query)
         plain = magic_evaluate(program, query)
         assert stored.answers == plain.answers
         assert stored.ground_rules == 0

@@ -3,7 +3,6 @@
 from repro.normal.classify import PredicateSignature
 from repro.normal.depgraph import (
     DependencyGraph,
-    condensation_order,
     predicate_dependency_graph,
     strongly_connected_components,
 )
@@ -60,10 +59,12 @@ class TestDependencyGraph:
         assert not component_edges[c_index]
 
     def test_condensation_order_dependencies_first(self):
+        # ``condensation_order`` is gone: Tarjan's own emission order is the
+        # dependency order it used to recompute.
         graph = DependencyGraph()
         graph.add_edge("top", "middle")
         graph.add_edge("middle", "bottom")
-        order = condensation_order(graph)
+        order = graph.strongly_connected_components()
         positions = {next(iter(component)): index for index, component in enumerate(order)}
         assert positions["bottom"] < positions["middle"] < positions["top"]
 
@@ -78,7 +79,7 @@ class TestPredicateDependencyGraph:
     def test_components_of_transitive_closure(self):
         program = parse_program("t(X, Y) :- e(X, Y). t(X, Y) :- e(X, Z), t(Z, Y). e(a, b).")
         graph = predicate_dependency_graph(program)
-        order = condensation_order(graph)
+        order = graph.strongly_connected_components()
         assert order[0] == frozenset({sig("e", 2)})
         assert order[1] == frozenset({sig("t", 2)})
 

@@ -1,8 +1,12 @@
 """Tests for stratification (Def 6.1) and local stratification (Def 6.2)."""
 
+import pytest
+
 from repro.engine.grounding import ground_over_universe, relevant_ground_program
+from repro.engine.seminaive import SeminaiveUnsupported, stratify_program
 from repro.hilog.herbrand import normal_herbrand_universe
 from repro.hilog.parser import parse_program, parse_term
+from repro.lint import lint_program
 from repro.normal.classify import PredicateSignature
 from repro.normal.stratification import (
     is_locally_stratified_ground,
@@ -37,6 +41,31 @@ class TestStratification:
     def test_even_odd_not_stratified(self):
         program = parse_program("even(X) :- not odd(X). odd(X) :- not even(X). num(a).")
         assert not is_stratified(program)
+
+    @pytest.mark.parametrize("sub_body, stratified", [
+        ("uses(P, Q), cost(Q, C)", False),   # recursion through the aggregate
+        ("uses(P, Q), price(Q, C)", True),   # its non-recursive variant
+    ])
+    def test_aggregation_stratifies_like_negation_in_every_analysis(
+            self, sub_body, stratified):
+        # Regression: aggregate-condition edges were labelled positive here,
+        # so the recursive program answered "stratified" while the engine
+        # refused it and lint warned about the same cycle.
+        program = parse_program("""
+            cost(P, N) :- part(P), N = sum(C : sub(P, Q, C)).
+            sub(P, Q, C) :- %s.
+            part(a). uses(a, b). price(b, 3).
+        """ % sub_body)
+        assert is_stratified(program) == stratified
+        if stratified:
+            levels = stratification_levels(program)
+            assert levels[PredicateSignature("cost", 2)] > levels[PredicateSignature("sub", 3)]
+            assert len(stratify_program(program).strata) == 2
+        else:
+            with pytest.raises(SeminaiveUnsupported, match="through aggregation"):
+                stratify_program(program)
+        cycle_codes = {d.code for d in lint_program(program)} & {"W501", "W503", "E104"}
+        assert cycle_codes == (set() if stratified else {"W503"})
 
     def test_stratified_implies_levels_exist(self):
         program = parse_program("a :- not b. b :- not c. c.")
