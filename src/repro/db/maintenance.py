@@ -43,10 +43,8 @@ from repro.engine.seminaive.engine import (
     check_derived_atom,
     evaluate_stratum,
     plan_satisfiable,
-    plan_satisfiable_positional,
     run_plan,
 )
-from repro.engine.seminaive.plan import build_term
 from repro.db.plans import COUNTING
 from repro.engine.seminaive.relation import (
     Delta,
@@ -56,8 +54,6 @@ from repro.engine.seminaive.relation import (
     predicate_indicator,
 )
 from repro.hilog.errors import GroundingError
-from repro.hilog.terms import App
-from repro.hilog.unify import match
 
 
 def old_state(store: FactSource, delta: Delta) -> FactSource:
@@ -232,47 +228,8 @@ def _rederive(plans, store, overdeleted, edb):
     sources = PlanSources(store)
 
     def derivable(atom):
-        for rule, plan, bound_body, linear_head, compiled_body, init_slots \
-                in plans.rederive_plans:
-            if linear_head is not None:
-                if type(atom) is not App or atom.name is not rule.head.name \
-                        or len(atom.args) != len(linear_head):
-                    continue
-                args = atom.args
-                if compiled_body is not None:
-                    # Fastest path: the head instantiates the whole body and
-                    # binds by position — membership tests over terms built
-                    # straight from the candidate's argument tuple.
-                    positives, negatives = compiled_body
-                    matched = True
-                    for builder in positives:
-                        if build_term(builder, args) not in store:
-                            matched = False
-                            break
-                    if matched:
-                        for builder in negatives:
-                            if build_term(builder, args) in store:
-                                matched = False
-                                break
-                    if matched:
-                        return True
-                    continue
-                if plan_satisfiable_positional(plan, sources, init_slots, args):
-                    return True
-                continue
-            binding = match(rule.head, atom)
-            if binding is None:
-                continue
-            if bound_body is not None:
-                # The head instantiates the whole body — the derivation test
-                # is pure membership, no join machinery.
-                positives, negatives = bound_body
-                if all(binding.apply(body_atom) in store for body_atom in positives) \
-                        and not any(binding.apply(body_atom) in store
-                                    for body_atom in negatives):
-                    return True
-                continue
-            if plan_satisfiable(plan, sources, binding):
+        for plan in plans.rederive_plans:
+            if plan_satisfiable(plan, sources, atom):
                 return True
         return False
 

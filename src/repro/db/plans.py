@@ -11,9 +11,10 @@ algorithms of :mod:`repro.db.maintenance` need:
 * *negation variants* — the rule with one negative literal flipped positive
   and anchored on the delta, used to find derivations created (destroyed)
   when a negated subgoal becomes false (true);
-* *rederivation plans* — the rule body compiled with every head variable
-  pre-bound, so "does this over-deleted fact still have a derivation?" is
-  answered with indexed probes instead of open joins.
+* *rederivation plans* — each rule compiled ``from_head``: the plan takes
+  an over-deleted fact, matches it against the rule head and joins the body
+  with the head's variables bound, so "does this fact still have a
+  derivation?" is answered with indexed probes instead of open joins.
 
 The bundle also decides the stratum's maintenance strategy: ``counting``
 for non-recursive positive strata, ``dred`` for recursive strata and strata
@@ -30,7 +31,7 @@ from repro.engine.seminaive.engine import (
     StratumPlan,
     compile_stratum,
 )
-from repro.engine.seminaive.plan import PlanError, _compile_builder, compile_rule
+from repro.engine.seminaive.plan import PlanError, compile_rule
 from repro.engine.seminaive.relation import literal_indicator
 from repro.hilog.program import Literal, Rule
 
@@ -38,25 +39,6 @@ from repro.hilog.program import Literal, Rule
 COUNTING = "counting"
 DRED = "dred"
 RECOMPUTE = "recompute"
-
-
-def _linear_head_vars(head):
-    """The argument variables of a *linear* head — a flat application with a
-    ground name and pairwise-distinct variable arguments — or ``None``.
-    Linear heads let rederivation bind a candidate fact with one ``zip``
-    instead of a full structural match."""
-    from repro.hilog.terms import App, Var
-
-    if not isinstance(head, App) or not head.name.is_ground():
-        return None
-    names = []
-    for arg in head.args:
-        if not isinstance(arg, Var):
-            return None
-        names.append(arg)
-    if len(set(names)) != len(names):
-        return None
-    return tuple(names)
 
 
 class MaintenancePlans(NamedTuple):
@@ -69,16 +51,8 @@ class MaintenancePlans(NamedTuple):
     #: ``(rule, site, indicator, plan)`` — one per negative body site,
     #: with the negation flipped into a positive delta anchor.
     negation_variants: Tuple
-    #: ``(rule, plan, bound_body, linear_head, compiled_body, init_slots)``
-    #: — bodies compiled with the head variables bound; ``bound_body`` is
-    #: ``(positives, negatives)`` when the head instantiates the entire body
-    #: (rederivation is then a membership test), else ``None``;
-    #: ``linear_head`` is the head's argument-variable tuple when one ``zip``
-    #: can bind it, else ``None``; ``compiled_body`` (set with both of the
-    #: above) holds the body atoms as register builders whose "registers"
-    #: are the candidate fact's argument tuple, so the membership test runs
-    #: without any substitution at all; ``init_slots`` maps head positions
-    #: to the plan's register slots for positional satisfiability probes.
+    #: One ``from_head`` plan per rule: run on an over-deleted fact, it is
+    #: satisfiable when the rule still derives the fact.
     rederive_plans: Tuple
 
     @property
@@ -97,11 +71,11 @@ class MaintenancePlans(NamedTuple):
 
     def pin_roots(self):
         """Term roots the maintenance bundle retains, for intern-generation
-        pin sets.  The update/negation variants, rederivation plans and
-        compiled membership builders are all compiled from the stratum's
-        rules — the flipped negation variants reuse the original atom
-        objects — so the stratum's rule roots cover every constant any of
-        the bundled register programs holds."""
+        pin sets.  The update/negation variants and rederivation plans are
+        all compiled from the stratum's rules — the flipped negation
+        variants reuse the original atom objects — so the stratum's rule
+        roots cover every constant any of the bundled register programs
+        holds."""
         return self.stratum.pin_roots()
 
 
@@ -143,37 +117,7 @@ def build_maintenance_plans(rules, recursive):
                         rule, site, literal_indicator(literal.atom),
                         compile_rule(flipped, delta_index=site),
                     ))
-            head_vars = frozenset(rule.head.variables())
-            bound_body = None
-            if all(not literal.is_builtin() and literal.atom.variables() <= head_vars
-                   for literal in rule.body):
-                bound_body = (
-                    tuple(lit.atom for lit in rule.body if lit.positive),
-                    tuple(lit.atom for lit in rule.body if lit.negative),
-                )
-            linear_head = _linear_head_vars(rule.head)
-            compiled_body = None
-            if bound_body is not None and linear_head is not None:
-                # The candidate fact's argument tuple doubles as the register
-                # file: variable i of the linear head reads ``args[i]``.
-                position_of = {v: i for i, v in enumerate(linear_head)}
-                compiled_body = tuple(
-                    tuple(_compile_builder(atom, head_vars, position_of.__getitem__)
-                          for atom in group)
-                    for group in bound_body
-                )
-            plan = compile_rule(rule, bound=head_vars)
-            init_slots = None
-            if linear_head is not None:
-                # Register slots of the head variables, by head position, so
-                # rederivation can seed the registers straight from a
-                # candidate fact's argument tuple.
-                init_slots = tuple(
-                    plan.registers.slot_of[v] for v in linear_head
-                )
-            rederive_plans.append((
-                rule, plan, bound_body, linear_head, compiled_body, init_slots,
-            ))
+            rederive_plans.append(compile_rule(rule, from_head=True))
     except PlanError as error:
         if stratum.head_indicators is None:
             raise SeminaiveUnsupported(str(error))

@@ -958,14 +958,12 @@ class DatabaseSession(ModelReads):
 
         A true atom gets a proof: a rule instance re-verified against the
         store, its positive body facts recursively explained down to the
-        EDB (in incremental mode the maintenance bundles' head-bound
-        rederivation plans pre-filter candidate rules, and counting-stratum
-        support counts annotate each node).  In well-founded mode an
-        undefined atom gets a negation-loop witness: a chain of
-        overestimate rule instances hinging on undefined subgoals until the
-        chain bites its own tail — the negation SCC the alternating
-        fixpoint could not resolve.  A false atom returns a single
-        ``"false"`` node.  Raises
+        EDB (counting-stratum support counts annotate each node).  In
+        well-founded mode an undefined atom gets a negation-loop witness: a
+        chain of overestimate rule instances hinging on undefined subgoals
+        until the chain bites its own tail — the negation SCC the
+        alternating fixpoint could not resolve.  A false atom returns a
+        single ``"false"`` node.  Raises
         :class:`~repro.obs.explain.ExplainError` for non-ground input and
         atoms derivable only through aggregates.
         """
@@ -978,7 +976,6 @@ class DatabaseSession(ModelReads):
         return explain_atom(
             fact, self._rules, self._store,
             edb=frozenset(self._edb), undefined=self._undefined,
-            plans=self._plans,
         )
 
     @property

@@ -38,19 +38,20 @@ the alternating-fixpoint evaluator in
 
 **The executor.**  There is one: the Python function
 :mod:`repro.engine.seminaive.plan` generates for each join plan
-(``plan.registers.run(sources, regs, sink, stats)``; its source is
-``plan.registers.source``).  It walks the body — fetch loops, membership
-probes, negation and builtin tests, all specialised to the plan — bumps
-``EXECUTION_STATS`` per fetch and per candidate, and hands every solution to
-``sink``, stopping when the sink returns a truthy value.  The entry points
-here are thin callers that differ only in the sink: :func:`run_plan`
-collects heads under its distinct-head and total-derivation caps,
-:func:`plan_satisfiable` / :func:`plan_satisfiable_positional` stop at the
-first solution, and plans with aggregates or deferred builtins (whose
-function reports the body's bindings instead of a head) finish each
-solution through :func:`_tail_solutions`.  Sources stay pluggable: the
-function resolves every fetch through ``sources.select(step)`` and every
-negation through ``sources.holds(atom)``.
+(``plan.registers.run``; its source is ``plan.registers.source``).  It walks
+the body — fetch loops, membership probes, negation and builtin tests, all
+specialised to the plan — bumps ``EXECUTION_STATS`` per fetch and per
+candidate, and hands every solution to ``sink``, stopping when the sink
+returns a truthy value.  The entry points here are thin callers that differ
+only in the sink.  Forwards, :func:`run_plan` collects the heads of a base
+or delta plan under its distinct-head and total-derivation caps.  Backwards,
+from a fact through a ``from_head`` plan, :func:`plan_satisfiable` stops at
+the first instance of the rule deriving the fact and
+:func:`plan_instances` hands each instance to its caller.  Plans whose
+function reports the body's bindings instead of a head finish each solution
+through :func:`_tail_solutions`.  Sources stay pluggable: the function
+resolves every fetch through ``sources.select(step)`` and every negation
+through ``sources.holds(atom)``.
 
 Beyond one-shot evaluation the module exposes the pieces an *incremental*
 view-maintenance layer (:mod:`repro.db`) composes: :func:`stratify_program`
@@ -86,7 +87,7 @@ from repro.engine.seminaive.relation import (
 from repro.hilog.depgraph import DependencyGraph
 from repro.hilog.errors import GroundingError, HiLogError
 from repro.hilog.subst import Substitution
-from repro.hilog.terms import Term, predicate_name, register_flush_hook
+from repro.hilog.terms import Term, predicate_name
 
 
 class SeminaiveUnsupported(HiLogError):
@@ -363,8 +364,7 @@ class ExecutionStats:
     calling context's cell — single-threaded callers (the benchmarks, the
     tests) observe exactly the old global-counter behaviour."""
 
-    # __weakref__ so the intern-table flush hook can register weakly.
-    __slots__ = ("__weakref__",)
+    __slots__ = ()
 
     @staticmethod
     def counters():
@@ -432,26 +432,6 @@ class ExecutionStats:
 #: Module-level execution counters (see :class:`ExecutionStats`).
 EXECUTION_STATS = ExecutionStats()
 
-# The counters hold no terms, but a collection marks a measurement
-# boundary: flushing them keeps benchmark windows that straddle a
-# collection honest (registered weakly; the module keeps the singleton
-# alive for the process lifetime).
-_EXECUTION_STATS_FLUSH = register_flush_hook(EXECUTION_STATS.reset)
-
-
-def _prepare_registers(rprog, initial):
-    """Allocate the register list and seed it from ``initial`` (a
-    :class:`Substitution` or a plain ``{Var: Term}`` dict)."""
-    regs = [None] * rprog.nregs
-    if initial is not None:
-        slot_of = rprog.slot_of
-        for variable, value in initial.items():
-            slot = slot_of.get(variable)
-            if slot is not None:
-                regs[slot] = value
-    return regs
-
-
 def _tail_solutions(plan, sources, bindings, aggregates):
     """The substitutions one body solution grows into once the deferred
     builtins (and, with ``aggregates``, the aggregate subgoals) have run —
@@ -485,15 +465,10 @@ def _tail_solutions(plan, sources, bindings, aggregates):
 MAX_PLAN_RESULTS = 8_000_000
 
 
-def run_plan(plan, sources, initial=None, max_results=None):
-    """The ground heads derivable from ``plan`` against ``sources``, as a
-    list (duplicate derivations are legal and preserved — counting
-    maintenance tallies them).
-
-    ``initial`` seeds the registers (used by rederivation plans whose head
-    was matched against a concrete fact before the body joins run); it may
-    be a :class:`Substitution` or a plain ``{Var: Term}`` dict, and must
-    bind every variable the plan was compiled with as ``bound``.
+def run_plan(plan, sources, max_results=None):
+    """The ground heads derivable from ``plan`` (a base or delta plan)
+    against ``sources``, as a list (duplicate derivations are legal and
+    preserved — counting maintenance tallies them).
 
     ``max_results`` bounds the number of *distinct* heads one run may
     derive (mirroring the callers' ``max_facts`` fact caps); exceeding it
@@ -542,41 +517,40 @@ def run_plan(plan, sources, initial=None, max_results=None):
         sink = emit
     else:
         sink = emit_checked
-    rprog.run(sources, _prepare_registers(rprog, initial), sink,
-              EXECUTION_STATS.counters())
+    rprog.run(sources, sink, EXECUTION_STATS.counters())
     return out
-
-
-def _satisfiable(plan, sources, regs):
-    if plan.deferred_builtins:
-        def sink(bindings):
-            return bool(_tail_solutions(plan, sources, bindings, aggregates=False))
-    else:
-        sink = _first_solution
-    return plan.registers.run(sources, regs, sink, EXECUTION_STATS.counters())
 
 
 def _first_solution(_solution):
     return True
 
 
-def plan_satisfiable(plan, sources, initial=None):
-    """``True`` when the plan's body (builtins included, aggregates ignored)
-    has at least one solution: the plan's function run with a sink that
-    stops it at the first.  Used by delete-rederive maintenance to test
-    whether an over-deleted fact has an alternative derivation."""
-    return _satisfiable(plan, sources, _prepare_registers(plan.registers, initial))
+def plan_instances(plan, sources, atom, sink):
+    """Run ``plan`` — a ``from_head`` plan — backwards from the ground
+    ``atom``: ``sink`` gets each instance of the rule deriving it, as the
+    :class:`Substitution` of the rule's variables (builtins solved,
+    aggregates ignored), until a call returns a truthy value.  Returns
+    whether one did."""
+    def each(bindings):
+        return any(map(
+            sink, _tail_solutions(plan, sources, bindings, aggregates=False)
+        ))
+
+    return plan.registers.run(sources, atom, each, EXECUTION_STATS.counters())
 
 
-def plan_satisfiable_positional(plan, sources, slots, values):
-    """:func:`plan_satisfiable` with the initial binding given positionally:
-    ``values[i]`` lands in register ``slots[i]``.  Rederivation calls this
-    once per over-deleted fact with the fact's argument tuple — no binding
-    dict, no substitution."""
-    regs = [None] * plan.registers.nregs
-    for slot, value in zip(slots, values):
-        regs[slot] = value
-    return _satisfiable(plan, sources, regs)
+def plan_satisfiable(plan, sources, atom):
+    """``True`` when some instance of the rule of ``plan`` — a ``from_head``
+    plan — derives the ground ``atom`` from ``sources`` (builtins included,
+    aggregates ignored).  Delete-rederive maintenance asks this of every
+    over-deleted fact."""
+    if plan.deferred_builtins:
+        return plan_instances(plan, sources, atom, _first_solution)
+    # No tail to run: the first body solution is the answer, and the
+    # rederivation loop is spared a substitution per probe.
+    return plan.registers.run(
+        sources, atom, _first_solution, EXECUTION_STATS.counters()
+    )
 
 
 def check_derived_atom(head, store, max_facts, max_term_depth):

@@ -14,10 +14,18 @@ step; from it the planner derives, for every fetch, the argument positions
 that will be ground at runtime — exactly the positions the relation store
 indexes on.
 
-For semi-naive evaluation the compiler also produces *delta variants*: the
-same rule with one designated recursive body literal forced to the front of
-the plan, to be scanned from the per-iteration delta relation instead of the
-full store.
+A rule has three entry points.  Besides the *base* plan, the compiler
+produces, for semi-naive evaluation, *delta variants*: the same rule with
+one designated recursive body literal forced to the front of the plan, to
+be scanned from the per-iteration delta relation instead of the full store.
+And it produces the plan *from the head* (``from_head=True``), which runs
+the rule backwards: in the paper's universal-relation reading a rule head is
+one more tuple pattern over ``call``, so the plan first matches a candidate
+fact against the head exactly as it matches a fetched fact against a
+subgoal, then joins the body — ordered and indexed with the head's
+variables bound — and reports the instances of the rule that derive the
+fact.  Delete-rederive's rederivation test (:mod:`repro.db.maintenance`)
+and explain's proof search (:mod:`repro.obs.explain`) are this entry point.
 
 Beyond the (declarative) :class:`JoinPlan`, the compiler lowers every plan
 into one **generated Python function** (:class:`RegisterProgram`): rule
@@ -29,16 +37,18 @@ and register writes — no per-candidate
 path, no dispatch on step kinds at run time.  Because terms are hash-consed
 (:mod:`repro.hilog.terms`), "the fact's argument equals the bound value" is
 a single pointer comparison.  The function is the only thing that walks a
-plan; :func:`repro.engine.seminaive.engine.run_plan` and
-:func:`~repro.engine.seminaive.engine.plan_satisfiable` call it with
-different sinks.  To see what a plan runs::
+rule; :func:`repro.engine.seminaive.engine.run_plan` (forwards),
+:func:`~repro.engine.seminaive.engine.plan_satisfiable` and
+:func:`~repro.engine.seminaive.engine.plan_instances` (backwards) call it
+with different sinks.  To see what a plan runs::
 
     print(compile_rule(rule).registers.source)
+    print(compile_rule(rule, from_head=True).registers.source)
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
+from typing import FrozenSet, NamedTuple, Optional, Tuple
 
 from repro.core.magic.sips import left_to_right_sips
 from repro.engine.aggregates import group_variables
@@ -111,11 +121,10 @@ class JoinPlan(NamedTuple):
     def pin_roots(self):
         """Term roots this plan retains, for intern-generation pin sets.
 
-        Every constant the lowering bakes into the register program —
-        indicator names (``RFetch.const_name``), ``M_CONST`` payloads,
-        builder constants, the ``head_fast`` name — is a subterm of the
-        source rule, so pinning the rule's roots keeps all compiled
-        references canonical across a collection."""
+        Every constant the lowering bakes into the generated function's
+        globals is a subterm of the source rule, so pinning the rule's
+        roots keeps all compiled references canonical across a
+        collection."""
         return self.rule.pin_roots()
 
 
@@ -233,16 +242,18 @@ def _order_body(rule, delta_index, initially_bound=frozenset()):
     return ordered, tuple(deferred)
 
 
-def compile_rule(rule, delta_index=None, bound=frozenset()):
+def compile_rule(rule, delta_index=None, from_head=False):
     """Compile ``rule`` into a :class:`JoinPlan`.
 
     ``delta_index`` (a body position of a positive non-builtin literal)
     produces the semi-naive delta variant in which that literal is read from
-    the delta relation and scheduled first.  ``bound`` names head variables
-    that will already be bound when the plan runs (the rederivation plans of
-    incremental maintenance match the head against a concrete fact first, so
-    every head variable is ground before the body joins start).
+    the delta relation and scheduled first.  ``from_head`` produces the plan
+    that runs the rule backwards: its function takes a candidate fact,
+    matches it against the rule head, and joins the body with every head
+    variable bound — "which instances of this rule derive this fact"
+    (delete-rederive's rederivation test, explain's proof search).
     """
+    bound = frozenset(rule.head.variables()) if from_head else frozenset()
     ordered, deferred = _order_body(rule, delta_index, initially_bound=bound)
 
     # Annotate the reordered body with the SIPS machinery: bound-before sets
@@ -250,7 +261,7 @@ def compile_rule(rule, delta_index=None, bound=frozenset()):
     # safety (the delta-first step is exempt — a delta scan needs no
     # bindings).
     reordered = Rule(rule.head, tuple(lit for _i, lit in ordered), rule.aggregates)
-    sips_steps = left_to_right_sips(reordered, frozenset(bound))
+    sips_steps = left_to_right_sips(reordered, bound)
 
     steps = []
     for position, ((body_index, literal), sip) in enumerate(zip(ordered, sips_steps)):
@@ -295,7 +306,7 @@ def compile_rule(rule, delta_index=None, bound=frozenset()):
         i for i, lit in enumerate(rule.body) if lit.positive and not lit.is_builtin()
     )
     registers = _compile_registers(
-        rule, tuple(steps), deferred, tuple(aggregate_steps), frozenset(bound)
+        rule, tuple(steps), deferred, tuple(aggregate_steps), from_head
     )
     return JoinPlan(
         rule, tuple(steps), deferred, tuple(aggregate_steps), positives, registers
@@ -308,8 +319,14 @@ def compile_rule(rule, delta_index=None, bound=frozenset()):
 #
 # The rule's variables are numbered into *registers*, and the ordered steps
 # are emitted as the straight-line source of one function
-# ``run(sources, regs, sink, stats)`` in which every register is a local:
+# ``run(sources, sink, stats)`` in which every register is a local:
 #
+# * the *head entry* of a ``from_head`` plan — ``run(sources, atom, sink,
+#   stats)`` — matches the candidate ``atom`` against the rule head before
+#   anything else, with the tests and register writes that match a fetched
+#   fact against a subgoal (in the universal relation a head is one more
+#   tuple pattern), so the body below it starts with the head's variables
+#   bound;
 # * a *fetch* is a ``for fact in source.fetch(...)`` loop whose index key is
 #   read straight from registers and whose body matches the fact with
 #   ``is`` tests against interned terms and register writes (nested argument
@@ -327,7 +344,8 @@ def compile_rule(rule, delta_index=None, bound=frozenset()):
 # function calls ``sink(solution)`` and stops the whole walk when the sink
 # returns a truthy value.  The solution is the rule head, built inline, or
 # — for plans with aggregates or deferred builtins, whose tail needs a
-# substitution — the ``{Var: Term}`` bindings of the body.
+# substitution, and for ``from_head`` plans, whose caller has the head and
+# asks for the instance — the ``{Var: Term}`` bindings of the body.
 #
 # What is decided per candidate in an interpreter is decided once here:
 # whether a predicate name is ground at runtime, which arguments form the
@@ -347,57 +365,21 @@ COMPARE_OPS = {"<": "<", ">": ">", "=<": "<=", ">=": ">=", "=:=": "==", "=\\=": 
 class RegisterProgram(NamedTuple):
     """A join plan lowered to one specialised Python function."""
 
-    #: Number of registers (one per numbered rule variable).
-    nregs: int
-    #: Variable -> register index; ``run`` reads the registers of pre-bound
-    #: variables from its ``regs`` argument.
-    slot_of: Dict
-    #: ``run(sources, regs, sink, stats)``: walk the body, call
-    #: ``sink(solution)`` per solution, return ``True`` as soon as a sink
-    #: call does.  Owned by the plan — no registry holds it.
+    #: ``run(sources, sink, stats)`` — ``run(sources, atom, sink, stats)``
+    #: for a ``from_head`` plan: walk the body, call ``sink(solution)`` per
+    #: solution, return ``True`` as soon as a sink call does.  Owned by the
+    #: plan — no registry holds it.
     run: object
     #: The generated source of ``run``, for debugging (``print`` it).
     source: str
-    #: True when the plan has no aggregates and no deferred builtins, so
-    #: ``run`` hands the sink finished heads; otherwise it hands it the
+    #: True when ``run`` hands the sink finished heads: a forward plan with
+    #: no aggregates and no deferred builtins.  Otherwise it hands it the
     #: body's ``{Var: Term}`` bindings.
     fast: bool
     #: Whether every head variable is bound by the body (a head that is not
     #: ground is an error the moment it is derived, never when only
     #: satisfiability is asked).
     head_ground: bool
-
-
-def build_term(builder, regs):
-    """Materialize a compiled term builder against the registers.
-
-    Builders are ground :class:`Term` constants (returned as-is), ``int``
-    register reads, or ``(name_builder, arg_builders)`` application nodes.
-    Unbound variables survive as :class:`Var` constants, so callers can
-    detect non-ground results with the cached groundness bit.
-    """
-    kind = type(builder)
-    if kind is int:
-        return regs[builder]
-    if kind is tuple:
-        return App(
-            build_term(builder[0], regs),
-            tuple(build_term(part, regs) for part in builder[1]),
-        )
-    return builder
-
-
-def _compile_builder(term, bound, slot):
-    """Compile ``term`` into a builder; variables in ``bound`` become
-    register reads, other variables stay as constants (non-ground output)."""
-    if term.is_ground():
-        return term
-    if type(term) is Var:
-        return slot(term) if term in bound else term
-    return (
-        _compile_builder(term.name, bound, slot),
-        tuple(_compile_builder(arg, bound, slot) for arg in term.args),
-    )
 
 
 # -- helpers the generated functions call for the rare shapes ----------------
@@ -425,18 +407,13 @@ class _Codegen:
     """Emits the source of one plan's function and collects the constants
     (terms, steps, the rule) it refers to by global name."""
 
-    def __init__(self, rule, initially_bound):
+    def __init__(self, rule):
         self.rule = rule
         self.namespace = dict(_RUNTIME)
         self.constants = {}
         self.slot_of = {}
         self.bound = set()
         self.temps = 0
-        # Pre-bound (head-bound) variables get the lowest slots, in name
-        # order, so rederivation bindings land deterministically.
-        for variable in sorted(initially_bound, key=lambda v: v.name):
-            self.bound.add(variable)
-            self.reg(variable)
 
     # -- names ---------------------------------------------------------------
 
@@ -631,16 +608,20 @@ class _Codegen:
 
     # -- functions -----------------------------------------------------------
 
-    def emit(self, steps, fast):
-        """The source of ``run(sources, regs, sink, stats)`` over ``steps``.
-        The sink gets finished heads when ``fast``, else — for an aggregate
-        or deferred-builtin tail, which continues from a substitution — the
-        body's bindings.  A body with more fetches than one function may
-        nest continues in a further function, called from the innermost
-        point of the one before."""
+    def emit(self, steps, fast, from_head):
+        """The source of ``run`` over ``steps``.  With ``from_head`` it takes
+        the candidate ``atom`` and matches it against the rule head first.
+        The sink gets finished heads when ``fast``, else the body's
+        bindings.  A body with more fetches than one function may nest
+        continues in a further function, called from the innermost point of
+        the one before."""
         functions = []
-        name, params = "run", ["sources", "regs", "sink", "stats"]
-        self.prologue = ["%s = regs[%d]" % (reg, i) for i, reg in enumerate(self.live())]
+        name, params = "run", ["sources", "sink", "stats"]
+        self.prologue, self.lines, self.indent = [], [], 1
+        if from_head:
+            params.insert(1, "atom")
+            self.match(self.rule.head, "atom")
+        entry = self.lines  # before the prologue: a refused fact looks up no source
         position = 0
         while name:
             self.lines, self.indent = [], 1
@@ -657,12 +638,12 @@ class _Codegen:
                 else:
                     self.builtin(step)
                 position += 1
-            header = ["def %s(%s):" % (name, ", ".join(params))]
+            header = ["def %s(%s):" % (name, ", ".join(params))] + entry
             header.extend("    " + text for text in self.prologue)
             if position < len(steps):
                 name, params = "run%d" % position, ["sources", "sink", "stats"] + self.live()
                 self.line("if %s(%s): return True" % (name, ", ".join(params)))
-                self.prologue = []
+                self.prologue, entry = [], []
             else:
                 name = None
                 self.line("if sink(%s): return True" % (
@@ -677,16 +658,14 @@ def _tuple(parts):
     return "(%s,)" % ", ".join(parts) if parts else "()"
 
 
-def _compile_registers(rule, steps, deferred, aggregates, initially_bound):
+def _compile_registers(rule, steps, deferred, aggregates, from_head):
     """Lower an ordered plan into a :class:`RegisterProgram`."""
-    gen = _Codegen(rule, initially_bound)
-    fast = not deferred and not aggregates
-    source = gen.emit(steps, fast)
+    gen = _Codegen(rule)
+    fast = not (deferred or aggregates or from_head)
+    source = gen.emit(steps, fast, from_head)
     namespace = gen.namespace
     exec(compile(source, "<plan of %r>" % (rule,), "exec"), namespace)
     return RegisterProgram(
-        nregs=len(gen.slot_of),
-        slot_of=gen.slot_of,
         # Popped, so that the function owns its globals and nothing owns it
         # back: a dropped plan is freed at once, with no cycle to collect.
         run=namespace.pop("run"),

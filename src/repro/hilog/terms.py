@@ -266,8 +266,8 @@ def unregister_pin_provider(handle):
 def register_flush_hook(hook):
     """Register a callable invoked at the start of every collection, before
     the pin set is gathered — the place to clear caches keyed by something
-    other than the terms themselves (parsed-fact string caches, execution
-    counters) so they neither pin nor hand out evicted terms.  Held weakly;
+    other than the terms themselves (parsed-fact string caches) so they
+    neither pin nor hand out evicted terms.  Held weakly;
     returns a handle for :func:`unregister_flush_hook`."""
     handle = _weak_callable(hook)
     _FLUSH_HOOKS.append(handle)

@@ -4,15 +4,15 @@
 materialized model:
 
 * a **true** atom gets a proof tree — a rule instance whose body facts are
-  themselves recursively explained down to EDB leaves.  The search matches
-  the atom against each rule head (one-sided ``match``: the model side is
-  ground) and enumerates body solutions against the store's indexes, with
-  a path-visited set rejecting cyclic justifications; a least fixpoint
-  always contains an acyclic proof, so backtracking over rule instances is
-  complete.  When the session's incremental maintenance plans are
-  available, their head-bound rederivation plans (``db/plans.py``)
-  pre-filter rules by ``plan_satisfiable`` before any enumeration, and
-  the store's support counts are recorded on each node.
+  themselves recursively explained down to EDB leaves.  The search runs
+  each rule *backwards* from the atom through the generated function every
+  other rule evaluation runs through (``compile_rule(rule, from_head=True)``,
+  compiled on first need): it matches the atom against the rule head and
+  joins the body over the store's indexes, and the sink it is given tries
+  to explain each instance's body facts, a path-visited set rejecting
+  cyclic justifications; a least fixpoint always contains an acyclic
+  proof, so backtracking over rule instances is complete.  The store's
+  support counts are recorded on each node.
 
 * an **undefined** atom (well-founded mode) gets a negation-loop witness:
   a chain of rule instances, each valid in the *overestimate* (positive
@@ -21,7 +21,10 @@ materialized model:
   the unfounded/negation SCC the alternating fixpoint could never resolve.
   Such a chain always exists: every overestimate instance of an undefined
   atom must cite at least one undefined subgoal (else the underestimate
-  would have promoted the atom to true).
+  would have promoted the atom to true).  The two searches are the same
+  plans over two :class:`~repro.engine.seminaive.engine.PlanSources`: the
+  proof search fetches from the true atoms and tests negation against
+  true-or-undefined, the overestimate search the other way round.
 
 * a **false** atom gets a one-node "false" tree.
 
@@ -37,12 +40,13 @@ not single instances); atoms derivable only through an aggregate raise
 
 from __future__ import annotations
 
+import json
 import sys
 
 from repro.engine.builtins import solve_builtin
-from repro.engine.seminaive.engine import PlanSources, plan_satisfiable
-from repro.engine.seminaive.relation import candidates as store_candidates
-from repro.hilog.errors import EvaluationError
+from repro.engine.seminaive.engine import PlanSources, plan_instances
+from repro.engine.seminaive.plan import compile_rule
+from repro.engine.seminaive.relation import FactBuckets, StoreView
 from repro.hilog.pretty import format_rule, format_term
 from repro.hilog.subst import Substitution
 from repro.hilog.unify import match
@@ -85,24 +89,64 @@ class Derivation(object):
         self.children = tuple(children)
         self.meta = dict(meta) if meta else {}
 
+    def _postorder(self):
+        """Every node of the tree, children before parents.  An explicit
+        stack: a proof is as deep as the longest chain of the data."""
+        order, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(node.children)
+        order.reverse()
+        return order
+
     def size(self):
-        return 1 + sum(child.size() for child in self.children)
+        return len(self._postorder())
 
     def depth(self):
-        if not self.children:
-            return 1
-        return 1 + max(child.depth() for child in self.children)
+        depths = {}
+        for node in self._postorder():
+            depths[id(node)] = 1 + max(
+                (depths[id(child)] for child in node.children), default=0)
+        return depths[id(self)]
 
-    def to_dict(self):
-        """JSON-ready plain-data view (atoms/rules pretty-printed)."""
+    def _plain(self):
+        """The node's own JSON-ready fields (atoms/rules pretty-printed)."""
         out = {"atom": format_term(self.atom), "kind": self.kind}
         if self.rule is not None:
             out["rule"] = format_rule(self.rule)
-        if self.meta:
-            out.update(self.meta)
-        if self.children:
-            out["children"] = [child.to_dict() for child in self.children]
+        out.update(self.meta)
         return out
+
+    def to_dict(self):
+        """JSON-ready plain-data view of the tree."""
+        dicts = {}
+        for node in self._postorder():
+            out = dicts[id(node)] = node._plain()
+            if node.children:
+                out["children"] = [dicts[id(child)] for child in node.children]
+        return dicts[id(self)]
+
+    def to_json(self):
+        """``json.dumps(self.to_dict())``, written with an explicit stack:
+        the tree nests two JSON levels per proof step, and the encoder (like
+        the decoder) gives up at the interpreter's recursion limit."""
+        pieces, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                pieces.append(item)
+                continue
+            text = json.dumps(item._plain())
+            if not item.children:
+                pieces.append(text)
+                continue
+            pieces.append(text[:-1] + ', "children": [')
+            stack.append("]}")
+            for child in reversed(item.children):
+                stack += (child, ", ")
+            stack.pop()  # no separator before the first child
+        return "".join(pieces)
 
     def __repr__(self):
         return "Derivation(%s, %r, children=%d)" % (
@@ -116,98 +160,43 @@ def _proper_rules(rules):
 
 
 class _Explainer(object):
-    def __init__(self, rules, store, edb, undefined, plans=None):
+    def __init__(self, rules, store, edb, undefined):
         self.rules = _proper_rules(rules)
         self.store = store
         self.edb = edb
         self.undefined = undefined
         self.memo = {}
+        self.path = set()  # the true atoms being proved, root to here
+        self.chain = []  # the undefined atoms being witnessed, likewise
+        self.plans = {}
         self.support = getattr(store, "support", None)
-        # Head-bound rederivation plans from the session's maintenance
-        # bundles: a sound, complete satisfiability pre-filter when the
-        # model is two-valued (the plans resolve negation against the
-        # store alone, which matches the true-search exactly iff nothing
-        # is undefined).
-        self.prefilter = {}
-        if plans is not None and not undefined:
-            self.sources = PlanSources(store)
-            for bundle in plans:
-                if bundle is None:
-                    continue
-                for entry in bundle.rederive_plans:
-                    rule, plan = entry[0], entry[1]
-                    if plan is not None:
-                        self.prefilter[rule] = plan
+        # The two phases of the alternating fixpoint, as plan sources.
+        over = StoreView((store, FactBuckets(undefined)))
+        self.true_sources = PlanSources(store, negation=over)
+        self.over_sources = PlanSources(over, negation=store)
 
-    # -- membership --------------------------------------------------------
+    def _instance(self, rule, sources, atom, build):
+        """The children ``build(rule, solution)`` makes of the first
+        instance of ``rule`` deriving ``atom`` from ``sources`` for which it
+        makes any (not ``None``) — or ``None``."""
+        plan = self.plans.get(rule)
+        if plan is None:
+            plan = self.plans[rule] = compile_rule(rule, from_head=True)
+        found = []
 
-    def _neg_holds_true(self, atom):
-        """``not atom`` in the (well-founded) model: atom neither true nor
-        undefined."""
-        return atom not in self.store and atom not in self.undefined
+        def sink(solution):
+            children = build(rule, solution)
+            if children is None:
+                return False
+            found.append(children)
+            return True
 
-    def _neg_holds_over(self, atom):
-        """``not atom`` in the overestimate phase: atom not proven true."""
-        return atom not in self.store
-
-    def _candidates_true(self, pattern, subst):
-        return store_candidates(self.store, pattern, subst)
-
-    def _candidates_over(self, pattern, subst):
-        out = list(store_candidates(self.store, pattern, subst))
-        out.extend(self.undefined)  # match() filters non-candidates
-        return out
-
-    # -- instance enumeration ----------------------------------------------
-
-    def _solutions(self, rule, subst, candidates, neg_holds):
-        """Ground solutions of ``rule.body`` extending ``subst``.
-
-        Backtracking with deferral: positive literals resolve against the
-        store indexes immediately; builtins run as soon as their inputs are
-        bound (floundering defers them); negated literals wait until
-        ground.  Yields full substitutions.
-        """
-        literals = list(rule.body)
-
-        def solve(remaining, subst):
-            if not remaining:
-                yield subst
-                return
-            for index, literal in enumerate(remaining):
-                rest = remaining[:index] + remaining[index + 1:]
-                if literal.is_builtin():
-                    try:
-                        extensions = solve_builtin(literal.atom, subst)
-                    except EvaluationError:
-                        continue  # not ready: defer behind a binder
-                    for extension in extensions:
-                        for solution in solve(rest, extension):
-                            yield solution
-                    return
-                if literal.positive:
-                    pattern = literal.atom
-                    for candidate in candidates(pattern, subst):
-                        extension = match(pattern, candidate, subst)
-                        if extension is not None:
-                            for solution in solve(rest, extension):
-                                yield solution
-                    return
-                atom = subst.apply(literal.atom)
-                if not atom.is_ground():
-                    continue  # defer until the positives bind it
-                if not neg_holds(atom):
-                    return  # instance dead, no later binding can revive it
-                for solution in solve(rest, subst):
-                    yield solution
-                return
-            return  # floundered: nothing ready (non-range-restricted body)
-
-        return solve(literals, subst)
+        plan_instances(plan, sources, atom, sink)
+        return found[0] if found else None
 
     # -- true atoms --------------------------------------------------------
 
-    def explain_true(self, atom, path):
+    def explain_true(self, atom):
         memo = self.memo.get(atom)
         if memo is not None:
             return memo
@@ -215,45 +204,40 @@ class _Explainer(object):
             node = Derivation(atom, "edb", meta=self._support_meta(atom))
             self.memo[atom] = node
             return node
-        path = path | {atom}
         skipped_aggregate = False
-        for rule in self.rules:
-            head_subst = match(rule.head, atom)
-            if head_subst is None:
-                continue
-            if rule.aggregates:
-                skipped_aggregate = True
-                continue
-            plan = self.prefilter.get(rule)
-            if plan is not None and not plan_satisfiable(
-                    plan, self.sources, initial=dict(head_subst.items())):
-                continue
-            for solution in self._solutions(
-                    rule, head_subst, self._candidates_true,
-                    self._neg_holds_true):
-                children = self._true_children(rule, solution, path)
+        self.path.add(atom)
+        try:
+            for rule in self.rules:
+                if rule.aggregates:
+                    if match(rule.head, atom) is not None:
+                        skipped_aggregate = True
+                    continue
+                children = self._instance(
+                    rule, self.true_sources, atom, self._true_children)
                 if children is not None:
                     node = Derivation(
                         atom, "rule", rule=rule, children=children,
                         meta=self._support_meta(atom))
                     self.memo[atom] = node
                     return node
+        finally:
+            self.path.discard(atom)
         if skipped_aggregate:
             raise ExplainError(
                 "%s is only derivable through an aggregate rule, which "
                 "explain does not reconstruct" % format_term(atom))
         return None
 
-    def _true_children(self, rule, solution, path):
+    def _true_children(self, rule, solution):
         children = []
         for literal in rule.body:
             atom = solution.apply(literal.atom)
             if literal.is_builtin():
                 children.append(Derivation(atom, "builtin"))
             elif literal.positive:
-                if atom in path:
+                if atom in self.path:
                     return None  # cyclic justification: backtrack
-                child = self.explain_true(atom, path)
+                child = self.explain_true(atom)
                 if child is None:
                     return None
                 children.append(child)
@@ -271,29 +255,27 @@ class _Explainer(object):
 
     # -- undefined atoms ---------------------------------------------------
 
-    def explain_undefined(self, atom, chain):
+    def explain_undefined(self, atom):
+        chain = self.chain
         if atom in chain:
             cycle = chain[chain.index(atom):] + [atom]
             return Derivation(atom, "loop", meta={
                 "cycle": [format_term(a) for a in cycle]})
+        chain.append(atom)
         for rule in self.rules:
             if rule.aggregates:
                 continue
-            head_subst = match(rule.head, atom)
-            if head_subst is None:
-                continue
-            for solution in self._solutions(
-                    rule, head_subst, self._candidates_over,
-                    self._neg_holds_over):
-                children = self._undefined_children(rule, solution, chain + [atom])
-                if children is not None:
-                    return Derivation(atom, "undefined", rule=rule,
-                                      children=children)
+            children = self._instance(
+                rule, self.over_sources, atom, self._undefined_children)
+            if children is not None:
+                chain.pop()
+                return Derivation(atom, "undefined", rule=rule,
+                                  children=children)
         raise ExplainError(
             "no overestimate instance with an undefined subgoal found for "
             "%s — is the model current?" % format_term(atom))
 
-    def _undefined_children(self, rule, solution, chain):
+    def _undefined_children(self, rule, solution):
         """Children of one overestimate instance, following the first
         undefined subgoal deeper; None when the instance has no undefined
         subgoal (it cannot witness undefinedness)."""
@@ -309,14 +291,14 @@ class _Explainer(object):
                                                meta=self._support_meta(atom)))
                 elif not followed:
                     followed = True
-                    children.append(self.explain_undefined(atom, chain))
+                    children.append(self.explain_undefined(atom))
                 else:
                     children.append(Derivation(atom, "undefined"))
             else:
                 if atom in self.undefined:
                     if not followed:
                         followed = True
-                        child = self.explain_undefined(atom, chain)
+                        child = self.explain_undefined(atom)
                         child.meta["negated"] = True
                         children.append(child)
                     else:
@@ -327,27 +309,26 @@ class _Explainer(object):
         return children if followed else None
 
 
-def explain_atom(atom, rules, store, edb=frozenset(), undefined=frozenset(),
-                 plans=None):
+def explain_atom(atom, rules, store, edb=frozenset(), undefined=frozenset()):
     """Reconstruct a derivation tree for ``atom`` (see module docstring)."""
     if not atom.is_ground():
         raise ExplainError("explain needs a ground atom, got %s"
                            % format_term(atom))
-    explainer = _Explainer(rules, store, edb, undefined, plans=plans)
+    explainer = _Explainer(rules, store, edb, undefined)
     # Deep chains (chain-200 transitive closure) recurse one search level
     # per fact; give the proof search headroom beyond the default limit.
     limit = sys.getrecursionlimit()
     try:
         sys.setrecursionlimit(max(limit, 100000))
         if atom in store:
-            node = explainer.explain_true(atom, frozenset())
+            node = explainer.explain_true(atom)
             if node is None:
                 raise ExplainError(
                     "no acyclic derivation found for the true atom %s — is "
                     "the model current?" % format_term(atom))
             return node
         if atom in undefined:
-            return explainer.explain_undefined(atom, [])
+            return explainer.explain_undefined(atom)
         return Derivation(atom, "false")
     finally:
         sys.setrecursionlimit(limit)

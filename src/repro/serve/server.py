@@ -69,6 +69,9 @@ from repro.serve.session import ServingClosed, ServingSession, WriteQueueFull
 #: update streams, not bulk loads; use the CLI ``load`` command for those.
 MAX_BODY = 1 << 20
 
+#: Thread-pool width for query execution.
+READERS = 8
+
 #: What the writer thread raises about the *request* — text that does not
 #: parse, a rule where facts are required, a non-ground atom, an update the
 #: session rolled back as unevaluable — and the client can fix: ``400``.
@@ -107,7 +110,6 @@ class ServeServer:
         request_timeout: per-request budget in seconds — covers reading
             the request, running the query / waiting for the write batch,
             everything up to the response.
-        readers: thread-pool width for query execution.
         slow_query_ms: requests slower than this (milliseconds) land in
             the slow-query log (``/stats``) and, when a tracer is
             installed, emit ``slow_request`` trace events.
@@ -125,14 +127,14 @@ class ServeServer:
     SLOW_LOG_CAPACITY = 64
 
     def __init__(self, serving, host="127.0.0.1", port=8273,
-                 request_timeout=10.0, readers=8, slow_query_ms=500.0):
+                 request_timeout=10.0, slow_query_ms=500.0):
         self._serving = serving
         self._host = host
         self._port = port
         self._timeout = request_timeout
         self._slow_query_ms = slow_query_ms
         self._executor = ThreadPoolExecutor(
-            max_workers=readers, thread_name_prefix="repro-serve-reader",
+            max_workers=READERS, thread_name_prefix="repro-serve-reader",
         )
         self._server = None
         self._requests = 0
@@ -412,7 +414,10 @@ class ServeServer:
         from repro.obs.explain import ExplainError
 
         tree = await self._writer_result(future, ExplainError)
-        return 200, {"atom": text, "explanation": tree.to_dict()}
+        # Encoded here: a proof is as deep as the data's longest chain, and
+        # ``json.dumps`` refuses a payload nested past the recursion limit.
+        return 200, ('{"atom": %s, "explanation": %s}' % (
+            json.dumps(text), tree.to_json())).encode("utf-8")
 
     async def _do_write(self, payload, insert):
         facts = self._field(payload, "facts")
@@ -451,7 +456,9 @@ class ServeServer:
             body = payload.encode("utf-8")
             content_type = "text/plain; version=0.0.4; charset=utf-8"
         else:
-            body = json.dumps(payload).encode("utf-8")
+            # ``bytes`` is JSON already encoded (/explain).
+            body = payload if isinstance(payload, bytes) \
+                else json.dumps(payload).encode("utf-8")
             content_type = "application/json"
         lines = [
             "HTTP/1.1 %d %s" % (status, _REASONS.get(status, "Unknown")),
@@ -476,7 +483,7 @@ class ServeServer:
 
 
 async def serve(serving, host="127.0.0.1", port=8273, request_timeout=10.0,
-                readers=8, slow_query_ms=500.0, ready=None):
+                slow_query_ms=500.0, ready=None):
     """Run a server for ``serving`` until cancelled or signalled.
 
     SIGTERM / SIGINT trigger a graceful shutdown: the listening socket
@@ -490,7 +497,7 @@ async def serve(serving, host="127.0.0.1", port=8273, request_timeout=10.0,
     :class:`ServeServer` once it is accepting connections (used by the CLI
     to print the bound address, and by tests to learn the port)."""
     server = ServeServer(serving, host=host, port=port,
-                         request_timeout=request_timeout, readers=readers,
+                         request_timeout=request_timeout,
                          slow_query_ms=slow_query_ms)
     await server.start()
     if ready is not None:
@@ -526,7 +533,7 @@ async def serve(serving, host="127.0.0.1", port=8273, request_timeout=10.0,
 
 
 def run(program, host="127.0.0.1", port=8273, request_timeout=10.0,
-        readers=8, slow_query_ms=500.0, ready=None, **serving_kwargs):
+        slow_query_ms=500.0, ready=None, **serving_kwargs):
     """Blocking convenience: build a :class:`ServingSession` for
     ``program``, serve it until interrupted or signalled, then shut both
     down cleanly — queued writes drain, and a durable session gets its
@@ -535,7 +542,7 @@ def run(program, host="127.0.0.1", port=8273, request_timeout=10.0,
                else ServingSession(program, **serving_kwargs))
     try:
         asyncio.run(serve(serving, host=host, port=port,
-                          request_timeout=request_timeout, readers=readers,
+                          request_timeout=request_timeout,
                           slow_query_ms=slow_query_ms, ready=ready))
     except KeyboardInterrupt:
         pass

@@ -2,12 +2,13 @@
 fixed program corpus and record what the executor did.
 
 For each program the model is computed once, then every rule's plans — the
-base plan, one delta variant per positive body site and the head-bound
-rederivation plan — run against that model, with the whole model as the
+base plan, one delta variant per positive body site and the head-entry
+(``from_head``) plan — run against that model, with the whole model as the
 delta.  A record is ``[derivations, digest of the sorted heads, fetches,
-candidates]`` for :func:`run_plan` and ``[satisfiable bindings, probes,
-fetches, candidates]`` for :func:`plan_satisfiable`; both are functions of
-the plan and the store alone, so they compare executors exactly.
+candidates]`` for :func:`run_plan` and ``[satisfiable facts, probes,
+fetches, candidates]`` for :func:`plan_satisfiable` on the first facts the
+rule head matches; both are functions of the plan and the store alone, so
+they compare executors exactly (matching the head bumps no counter).
 
 ``fixtures/plan_differential.json`` holds the records of the register
 *interpreter* this repository had before plans were compiled to Python
@@ -142,15 +143,15 @@ def _run_record(plan, sources):
 
 
 def _probe_record(rule, plan, sources, facts):
-    bindings = [b for b in (match(rule.head, fact) for fact in facts) if b is not None]
-    bindings = bindings[:MAX_PROBES]
+    probes = [fact for fact in facts if match(rule.head, fact) is not None]
+    probes = probes[:MAX_PROBES]
     try:
         satisfied, fetches, candidates = counted(
-            lambda: sum(plan_satisfiable(plan, sources, b) for b in bindings)
+            lambda: sum(plan_satisfiable(plan, sources, fact) for fact in probes)
         )
     except GroundingError:
         return ["GroundingError"]
-    return [satisfied, len(bindings), fetches, candidates]
+    return [satisfied, len(probes), fetches, candidates]
 
 
 def _model(program):
@@ -166,7 +167,7 @@ def _model(program):
 
 def record_program(program):
     """The records of one program: its base plans, one delta variant per
-    positive body site, and one head-bound probe plan per rule."""
+    positive body site, and one head-entry probe plan per rule."""
     facts = sorted(_model(program), key=repr)
     sources = PlanSources(RelationStore(facts), FactBuckets(facts))
     records = {"facts": len(facts), "run": [], "probe": []}
@@ -183,7 +184,7 @@ def record_program(program):
                 continue
             records["run"].append(_run_record(plan, sources))
         try:
-            plan = compile_rule(rule, bound=frozenset(rule.head.variables()))
+            plan = compile_rule(rule, from_head=True)
         except PlanError:
             records["probe"].append(["PlanError"])
             continue

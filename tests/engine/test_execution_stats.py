@@ -83,3 +83,18 @@ class TestExecutionStats:
         # identical programs, isolated counters: identical deterministic tallies
         assert len(set(results.values())) == 1
         assert all(count > 0 for count in results.values())
+
+    def test_measurement_window_survives_an_intern_sweep(self):
+        """A ``snapshot()`` / ``diff()`` window containing a collection
+        counts what ran inside it: the counters are not a cache, so an
+        intern sweep leaves them alone."""
+        chain = " ".join("e(n%d, n%d)." % (i, i + 1) for i in range(30))
+        rules = "tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y)."
+        spent = {}
+        for intern_gc in (None, 1):
+            session = DatabaseSession(chain + rules, intern_gc=intern_gc)
+            before = EXECUTION_STATS.snapshot()
+            session.retract("e(n10, n11).")
+            spent[intern_gc] = EXECUTION_STATS.diff(before)
+        assert spent[1] == spent[None]
+        assert spent[1]["fetches"] > 0 and spent[1]["candidates"] > 0

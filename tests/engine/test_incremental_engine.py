@@ -144,17 +144,15 @@ class TestInjectedDelta:
 
 
 class TestPlanHelpers:
-    def test_plan_satisfiable_with_bound_head(self):
+    def test_plan_satisfiable_from_the_head(self):
         rule = parse_rule("tc(X, Y) :- e(X, Z), tc(Z, Y).")
-        plan = compile_rule(rule, bound=frozenset(rule.head.variables()))
+        plan = compile_rule(rule, from_head=True)
         store = RelationStore([
             parse_term("e(a, b)"), parse_term("tc(b, c)"),
         ])
         sources = PlanSources(store)
-        binding = Substitution({Var("X"): Sym("a"), Var("Y"): Sym("c")})
-        assert plan_satisfiable(plan, sources, binding)
-        binding = Substitution({Var("X"): Sym("b"), Var("Y"): Sym("c")})
-        assert not plan_satisfiable(plan, sources, binding)
+        assert plan_satisfiable(plan, sources, parse_term("tc(a, c)"))
+        assert not plan_satisfiable(plan, sources, parse_term("tc(b, c)"))
 
     def test_run_plan_with_custom_sources(self):
         rule = parse_rule("p(X) :- q(X), not r(X).")

@@ -17,6 +17,7 @@ from repro.engine.seminaive import (
     plan_satisfiable,
     run_plan,
 )
+from repro.engine.seminaive.engine import plan_instances
 from repro.engine.seminaive.plan import (
     MAX_FETCHES_PER_FUNCTION,
     NEGATION,
@@ -136,36 +137,84 @@ class TestShapes:
         """)
         assert not plan.registers.fast
         assert _heads(plan, sources) == ["fanout(a, 2)", "fanout(b, 1)"]
-        assert plan_satisfiable(plan, sources)  # aggregates ignored
+        backwards = compile_rule(plan.rule, from_head=True)
+        # Satisfiability ignores the aggregate: any count will do.
+        assert plan_satisfiable(backwards, sources, parse_term("fanout(a, 7)"))
+        assert not plan_satisfiable(backwards, sources, parse_term("fanout(d, 0)"))
 
     def test_deferred_builtin_runs_in_the_tail(self):
         plan, sources = _setup("p(X) :- q(X), Z > X. q(1).")
         assert plan.deferred_builtins and not plan.registers.fast
         with pytest.raises(EvaluationError):
             run_plan(plan, sources)
+        backwards = compile_rule(plan.rule, from_head=True)
+        assert backwards.deferred_builtins
         with pytest.raises(EvaluationError):
-            plan_satisfiable(plan, sources)
+            plan_satisfiable(backwards, sources, parse_term("p(1)"))
 
     def test_floundering_negation_raises_when_reached(self):
         # The planner refuses such bodies (PlanError); the generated check
         # is the backstop for a step list that reaches one anyway.
         rule = parse_program("p :- not q(X).").rules[0]
         step = JoinStep(NEGATION, rule.body[0], 0, frozenset(), (), False)
-        rprog = _compile_registers(rule, (step,), (), (), frozenset())
+        rprog = _compile_registers(rule, (step,), (), (), False)
         with pytest.raises(GroundingError, match="flounders"):
-            rprog.run(PlanSources(RelationStore()), [], lambda head: None,
+            rprog.run(PlanSources(RelationStore()), lambda head: None,
                       EXECUTION_STATS.counters())
 
-    def test_head_bound_plan_reads_its_registers_from_the_binding(self):
+
+class TestHeadEntry:
+    def test_plan_binds_its_head_variables_from_the_fact(self):
         plan, sources = _setup(
-            "tc(X, Y) :- e(X, Z), tc(Z, Y). e(a, b). tc(b, c).",
-            bound=frozenset(parse_term("tc(X, Y)").variables()),
+            "tc(X, Y) :- e(X, Z), tc(Z, Y). e(a, b). tc(b, c).", from_head=True
         )
-        X, Y = parse_term("p(X, Y)").args
-        a, b, c = (parse_term(name) for name in "abc")
-        assert plan_satisfiable(plan, sources, {X: a, Y: c})
-        assert not plan_satisfiable(plan, sources, {X: a, Y: b})
-        assert _heads(plan, sources, initial={X: a, Y: c}) == ["tc(a, c)"]
+        assert plan.registers.source.startswith(
+            "def run(sources, atom, sink, stats):")
+        assert plan_satisfiable(plan, sources, parse_term("tc(a, c)"))
+        assert not plan_satisfiable(plan, sources, parse_term("tc(a, b)"))
+        solutions = []
+        assert not plan_instances(
+            plan, sources, parse_term("tc(a, c)"), solutions.append)
+        assert [repr(s.apply(parse_term("w(X, Z, Y)"))) for s in solutions] \
+            == ["w(a, b, c)"]
+
+    @pytest.mark.parametrize("fact", [
+        "tc(a)", "tc(a, c, c)", "td(a, c)", "tc", "tc(a)(c)",
+    ])
+    def test_fact_of_another_shape_is_refused_before_any_fetch(self, fact):
+        plan, sources = _setup(
+            "tc(X, Y) :- e(X, Z), tc(Z, Y). e(a, b). tc(b, c).", from_head=True
+        )
+        result, fetches, _candidates = counted(
+            lambda: plan_satisfiable(plan, sources, parse_term(fact)))
+        assert (result, fetches) == (False, 0)
+
+    def test_nested_name_and_repeated_variable_in_the_head(self):
+        plan, sources = _setup("""
+            winning(M)(X, X) :- game(M), M(X, Y).
+            game(m1). m1(a, b).
+        """, from_head=True)
+        assert plan_satisfiable(plan, sources, parse_term("winning(m1)(a, a)"))
+        assert not plan_satisfiable(plan, sources, parse_term("winning(m1)(a, b)"))
+        assert not plan_satisfiable(plan, sources, parse_term("winning(m2)(a, a)"))
+        assert not plan_satisfiable(plan, sources, parse_term("losing(m1)(a, a)"))
+
+    def test_ground_and_nested_head_arguments(self):
+        plan, sources = _setup(
+            "p(f(X, b), c) :- q(X). q(a).", from_head=True)
+        assert plan_satisfiable(plan, sources, parse_term("p(f(a, b), c)"))
+        for other in ("p(f(a, c), c)", "p(f(a, b), d)", "p(g(a, b), c)",
+                      "p(a, c)", "p(f(z, b), c)"):
+            assert not plan_satisfiable(plan, sources, parse_term(other))
+
+    def test_propositional_and_variable_heads(self):
+        plan, sources = _setup("on :- flag, not off. flag.", from_head=True)
+        assert plan_satisfiable(plan, sources, parse_term("on"))
+        assert not plan_satisfiable(plan, sources, parse_term("off"))
+        assert not plan_satisfiable(plan, sources, parse_term("on(a)"))
+        plan, sources = _setup("V :- cand(V). cand(q(a)).", from_head=True)
+        assert plan_satisfiable(plan, sources, parse_term("q(a)"))
+        assert not plan_satisfiable(plan, sources, parse_term("q(b)"))
 
     def test_body_longer_than_one_function_nests(self):
         length = 3 * MAX_FETCHES_PER_FUNCTION + 2
@@ -176,7 +225,12 @@ class TestShapes:
         heads, fetches, _candidates = counted(lambda: _heads(plan, sources))
         assert heads == ["path(n0, n%d)" % length, "path(n1, n%d)" % (length + 1)]
         assert fetches > length
-        assert plan_satisfiable(plan, sources)
+        backwards = compile_rule(plan.rule, from_head=True)
+        assert backwards.registers.source.count("\ndef run") == 3
+        assert plan_satisfiable(
+            backwards, sources, parse_term("path(n0, n%d)" % length))
+        assert not plan_satisfiable(
+            backwards, sources, parse_term("path(n0, n%d)" % (length + 1)))
 
 
 class TestExecutor:
@@ -191,9 +245,11 @@ class TestExecutor:
         assert not plan.registers.head_ground
         with pytest.raises(GroundingError, match="not range restricted"):
             run_plan(plan, sources)
-        assert plan_satisfiable(plan, sources)
+        backwards = compile_rule(plan.rule, from_head=True)
+        assert plan_satisfiable(backwards, sources, parse_term("p(a, b)"))
         empty = PlanSources(RelationStore())
-        assert run_plan(plan, empty) == [] and not plan_satisfiable(plan, empty)
+        assert run_plan(plan, empty) == []
+        assert not plan_satisfiable(backwards, empty, parse_term("p(a, b)"))
 
     def test_truthy_sink_stops_the_walk(self):
         plan, sources = _setup("p(X) :- q(X). q(a). q(b). q(c).")
@@ -204,9 +260,9 @@ class TestExecutor:
             return len(seen) == 2
 
         stats = EXECUTION_STATS.counters()
-        assert plan.registers.run(sources, [], sink, stats) is True
+        assert plan.registers.run(sources, sink, stats) is True
         assert len(seen) == 2
-        assert plan.registers.run(sources, [], lambda head: None, stats) is False
+        assert plan.registers.run(sources, lambda head: None, stats) is False
 
     def test_counters_are_bumped_per_fetch_and_per_candidate(self):
         plan, sources = _setup(
@@ -221,7 +277,7 @@ class TestLifetime:
     def test_source_is_a_read_only_attribute_next_to_the_function(self):
         plan, _sources = _setup("winning(X) :- move(X, Y), not winning(Y).")
         registers = plan.registers
-        assert registers.source.startswith("def run(sources, regs, sink, stats):")
+        assert registers.source.startswith("def run(sources, sink, stats):")
         assert "intern_app(" in registers.source and "holds(" in registers.source
         assert callable(registers.run)
         with pytest.raises(AttributeError):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.db import DatabaseSession
+from repro.engine.seminaive import EXECUTION_STATS
 from repro.hilog.parser import parse_program, parse_term
 from repro.hilog.pretty import format_term
 from repro.obs.explain import (
@@ -79,6 +80,35 @@ class TestTrueAtoms:
         assert tree.depth() == 201
         assert tree.size() == 400
 
+    def test_left_linear_chain_is_explained_through_the_indexes(self):
+        depth = 200
+        edges = " ".join("e(n%d, n%d)." % (i, i + 1) for i in range(depth))
+        session = DatabaseSession(
+            edges + "reach(n0). reach(Y) :- reach(X), e(X, Y).")
+        before = EXECUTION_STATS.snapshot()
+        tree = _session_explain(session, "reach(n%d)" % depth)
+        spent = EXECUTION_STATS.diff(before)
+        assert tree.depth() == depth + 1
+        # Per hop: one indexed fetch of e(X, n) on its second argument and
+        # one probe of reach(X) — never a scan of either relation.
+        assert 0 < spent["fetches"] <= 4 * depth
+        assert spent["candidates"] <= 4 * depth
+
+    def test_depth_600_explains_serialises_and_verifies(self):
+        depth = 600
+        edges = " ".join("e(n%d, n%d)." % (i, i + 1) for i in range(depth))
+        session = DatabaseSession(
+            edges + "reach(n%d). reach(X) :- e(X, Y), reach(Y)." % depth)
+        tree = _session_explain(session, "reach(n0)")
+        assert (tree.depth(), tree.size()) == (depth + 1, 2 * depth + 1)
+        payload = tree.to_dict()
+        for _hop in range(depth):
+            assert payload["kind"] == "rule"
+            payload = payload["children"][1]
+        assert payload == {"atom": "reach(n%d)" % depth, "kind": "edb",
+                           "support": 1}
+        assert tree.to_json().count('"kind"') == 2 * depth + 1
+
     def test_negation_leaf_in_stratified_program(self):
         session = DatabaseSession("""
             node(a). node(b). edge(a, b).
@@ -98,6 +128,24 @@ class TestTrueAtoms:
         tree = _session_explain(session, "big(2)")
         kinds = [child.kind for child in tree.children]
         assert kinds == ["edb", "builtin"]
+
+
+HILOG_GAME = """
+    winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).
+    game(m1). m1(a, b). m1(b, c). m1(c, d). m1(a, d).
+"""
+
+
+@pytest.mark.parametrize("mode, program, kinds", [
+    ("incremental", TC, {"edb", "rule"}),
+    ("wellfounded", GAME, {"edb", "rule", "undefined"}),
+    ("recompute", HILOG_GAME, {"edb", "rule"}),
+])
+def test_every_atom_of_the_model_explains_in_every_mode(mode, program, kinds):
+    session = DatabaseSession(program)
+    assert session.mode == mode
+    atoms = sorted(session.true | session.undefined, key=repr)
+    assert {_session_explain(session, atom).kind for atom in atoms} == kinds
 
 
 class TestFalseAndErrors:
@@ -201,8 +249,15 @@ class TestPlumbing:
         assert round_tripped["atom"] == "tc(n0, n2)"
         assert "rule" in round_tripped and "children" in round_tripped
 
-    def test_explain_without_plans_matches_session(self):
-        # The low-level entry point with no maintenance plans available.
+    def test_to_json_is_the_encoding_of_to_dict(self):
+        import json
+
+        session = DatabaseSession(GAME)
+        for atom in sorted(session.true | session.undefined, key=repr):
+            tree = session.explain(atom)
+            assert tree.to_json() == json.dumps(tree.to_dict())
+
+    def test_explain_atom_outside_a_session(self):
         program = parse_program(TC)
         from repro.engine.seminaive import seminaive_evaluate
 

@@ -334,6 +334,23 @@ class TestObservabilityEndpoints:
             "/explain?q=" + urllib.parse.quote("tc(a, d)"))
         assert status == 200 and body["explanation"]["kind"] == "rule"
 
+    def test_explain_of_a_deep_proof(self):
+        depth = 600
+        edges = " ".join("e(n%d, n%d)." % (i, i + 1) for i in range(depth))
+        serving = ServingSession(
+            edges + "reach(n%d). reach(X) :- e(X, Y), reach(Y)." % depth)
+        running = RunningServer(serving)
+        try:
+            status, content_type, text = running.get_raw(
+                "/explain?q=" + urllib.parse.quote("reach(n0)"))
+        finally:
+            running.stop()
+            serving.close()
+        assert (status, content_type) == (200, "application/json")
+        # Nested 2 x depth deep: more than json.loads takes by default.
+        assert text.count('"kind": "rule"') == depth
+        assert text.count('"kind": "edb"') == depth + 1
+
     def test_explain_requires_q(self, server):
         status, body, _headers = server.get("/explain")
         assert status == 400 and "q" in body["error"]
