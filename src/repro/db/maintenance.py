@@ -31,7 +31,11 @@ patch the stratum's materialized extension instead of recomputing it:
 
 All three leave the shared :class:`~repro.engine.seminaive.relation.RelationStore`
 consistent and extend the running :class:`Delta` with the stratum's own net
-changes, so the next stratum up sees exactly the facts that flipped.
+changes, so the next stratum up sees exactly the facts that flipped.  Each
+takes the update's :class:`~repro.engine.seminaive.engine.Limits` and, like
+the engine's own loop, calls ``limits.check`` once a head has proved new —
+and recorded: the session answers a refusal by recomputing the stratum
+over the store as the step left it.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from typing import Optional
 
 from repro.engine.seminaive.engine import (
     PlanSources,
-    check_derived_atom,
     evaluate_stratum,
     plan_satisfiable,
     run_plan,
@@ -107,19 +110,6 @@ def _delta_relevant(delta_store, indicator):
     return delta_store.has_facts(indicator[0], indicator[1])
 
 
-class _Limits:
-    """Resource caps shared by every maintenance step of one update."""
-
-    __slots__ = ("max_facts", "max_term_depth")
-
-    def __init__(self, max_facts, max_term_depth):
-        self.max_facts = max_facts
-        self.max_term_depth = max_term_depth
-
-    def check(self, head, store):
-        check_derived_atom(head, store, self.max_facts, self.max_term_depth)
-
-
 # ---------------------------------------------------------------------------
 # Counting (non-recursive strata, no negation/aggregation)
 # ---------------------------------------------------------------------------
@@ -154,9 +144,12 @@ def counting_update(plans, store, delta, edb_added, edb_removed, limits):
 
     for atom, change in changes.items():
         if change > 0:
-            limits.check(atom, store)
             if store.add_support(atom, change):
+                # Recorded before it is checked: a refusal must leave the
+                # store and ``delta`` agreeing, or the stratum-level
+                # fallback would diff against a store it cannot account for.
                 delta.record_add(atom)
+                limits.check(atom, store)
         elif change < 0:
             if store.remove_support(atom, -change):
                 delta.record_remove(atom)
@@ -292,14 +285,12 @@ def dred_update(plans, store, delta, edb, edb_added, edb_removed, limits):
     new_facts = []
 
     def try_add(head):
-        limits.check(head, store)
         if store.add(head):
             new_facts.append(head)
+            limits.check(head, store)
 
     for atom in edb_added:
-        limits.check(atom, store)
-        if store.add(atom):
-            new_facts.append(atom)
+        try_add(atom)
     for _rule, site, indicator, plan in plans.update_variants:
         if _delta_relevant(delta.added, indicator):
             sources = StagedSources(
@@ -317,9 +308,7 @@ def dred_update(plans, store, delta, edb, edb_added, edb_removed, limits):
                 try_add(head)
 
     _iterations, propagated = evaluate_stratum(
-        plans.stratum, store,
-        max_facts=limits.max_facts, max_term_depth=limits.max_term_depth,
-        seed_delta=new_facts,
+        plans.stratum, store, limits, seed_delta=new_facts
     )
     for atom in new_facts + propagated:
         delta.record_add(atom)
@@ -340,8 +329,8 @@ def materialize_counting_stratum(plans, store, limits):
     sources = PlanSources(store)
     for _rule, plan in plans.stratum.base_plans:
         for head in run_plan(plan, sources, max_results=limits.max_facts):
-            limits.check(head, store)
-            store.add_support(head)
+            if store.add_support(head):
+                limits.check(head, store)
 
 
 def recompute_stratum(plans, store, delta, edb, limits):
@@ -368,10 +357,7 @@ def recompute_stratum(plans, store, delta, edb, limits):
     if plans.strategy == COUNTING:
         materialize_counting_stratum(plans, store, limits)
     else:
-        evaluate_stratum(
-            plans.stratum, store,
-            max_facts=limits.max_facts, max_term_depth=limits.max_term_depth,
-        )
+        evaluate_stratum(plans.stratum, store, limits)
     new_facts = set()
     for name, arity in plans.head_indicators:
         new_facts.update(store.facts(name, arity))

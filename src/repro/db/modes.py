@@ -14,12 +14,18 @@ three-valued well-founded model otherwise — so a
   Gupta–Mumick–Subrahmanian, SIGMOD'93), recursive strata and strata with
   stratified negation by **delete-rederive** (DRed), aggregate strata by
   stratum-local recomputation, which is also the fallback whenever an
-  incremental step trips an integrity check.
+  incremental step trips an integrity check.  ``materialize`` stays its
+  own loop over the maintenance plans (one stratum per component,
+  per-derivation support counts on counting strata): folding it into the
+  engine's walk would make that walk branch on a maintenance strategy.
 * ``"wellfounded"`` — the only obstacle is a cycle through negation at the
   predicate-indicator level (win/move games over cyclic graphs).  The
-  evaluator is the semi-naive alternating fixpoint
-  (:mod:`repro.engine.seminaive.wellfounded`): no grounding, the store
-  holds the certainly-true atoms, the undefined ones come beside it.
+  evaluator is the engine's stratum walk
+  (:func:`repro.engine.seminaive.wellfounded.evaluate_strata`) over strata
+  compiled once with negation cycles admitted: no grounding, the store
+  holds the certainly-true atoms, the undefined ones come beside it.  The
+  incremental mode's reference is the same walk over strata compiled
+  without them.
 * ``"recompute"`` — everything else (variable predicate names mixed with
   negation, recursion through aggregation): the evaluator is the Figure-1
   procedure (``perfect_model_for_hilog``).
@@ -40,19 +46,16 @@ from __future__ import annotations
 from typing import AbstractSet, Callable, FrozenSet, List, Optional, Tuple
 
 from repro.core.modular import perfect_model_for_hilog
-from repro.db.maintenance import _Limits, materialize_counting_stratum
+from repro.db.maintenance import materialize_counting_stratum
 from repro.db.plans import COUNTING, MaintenancePlans, build_maintenance_plans
 from repro.engine.seminaive.engine import (
+    Limits,
     SeminaiveUnsupported,
     evaluate_stratum,
-    seminaive_evaluate,
     stratify_program,
 )
 from repro.engine.seminaive.relation import RelationStore
-from repro.engine.seminaive.wellfounded import (
-    compile_well_founded,
-    seminaive_well_founded,
-)
+from repro.engine.seminaive.wellfounded import compile_strata, evaluate_strata
 from repro.hilog.program import Program, Rule
 from repro.hilog.terms import Term
 
@@ -74,7 +77,7 @@ def with_facts(rules: Program, edb: AbstractSet[Term]) -> Program:
     return Program(rules.rules + tuple(Rule(atom) for atom in sorted(edb, key=repr)))
 
 
-def choose_mode(rules: Program, limits: _Limits, strategy: str) -> Tuple[
+def choose_mode(rules: Program, limits: Limits, strategy: str) -> Tuple[
         str, Optional[List[MaintenancePlans]], Evaluator, Evaluator]:
     """Mode selection: ``(mode, maintenance plans, evaluator, reference)``
     for the first mode ``strategy`` admits that accepts ``rules``.
@@ -82,11 +85,15 @@ def choose_mode(rules: Program, limits: _Limits, strategy: str) -> Tuple[
     ``plans`` is ``None`` unless the mode is incremental.  ``reference``
     is the evaluator :meth:`DatabaseSession.check` holds the maintained
     model against: the mode's own evaluator, except that incremental
-    sessions answer to an independent :func:`seminaive_evaluate` run, which
-    shares no maintenance plan with them.  Everything the evaluators need
-    depends on the rules alone, so it is compiled here, once, and every
-    call re-evaluates over the EDB it is given."""
-    caps = {"max_facts": limits.max_facts, "max_term_depth": limits.max_term_depth}
+    sessions answer to an independent run of the engine's stratum walk,
+    which shares no maintenance plan with them.  Everything the evaluators
+    need depends on the rules alone, so it is compiled here, once, and
+    every call re-evaluates over the EDB it is given (that reference apart:
+    only ``check()`` runs it, so it compiles when called)."""
+    def walk(compiled, edb):
+        result = evaluate_strata(compiled, sorted(edb, key=repr), limits)
+        return result.store, result.undefined
+
     if strategy in ("auto", INCREMENTAL):
         try:
             stratification = stratify_program(rules, by_component=True)
@@ -108,13 +115,11 @@ def choose_mode(rules: Program, limits: _Limits, strategy: str) -> Tuple[
                         # every derivation exactly once — count them all.
                         materialize_counting_stratum(stratum, store, limits)
                     else:
-                        evaluate_stratum(stratum.stratum, store, **caps)
+                        evaluate_stratum(stratum.stratum, store, limits)
                 return store, frozenset()
 
             def seminaive(edb):
-                return seminaive_evaluate(
-                    rules, extra_facts=sorted(edb, key=repr), **caps
-                ).store, frozenset()
+                return walk(compile_strata(rules), edb)
 
             return INCREMENTAL, plans, materialize, seminaive
     if strategy in ("auto", WELLFOUNDED):
@@ -123,17 +128,13 @@ def choose_mode(rules: Program, limits: _Limits, strategy: str) -> Tuple[
         # update with the semi-naive alternating fixpoint instead of the
         # (orders-of-magnitude slower) Figure-1 grounding path.
         try:
-            compiled = compile_well_founded(rules)
+            compiled = compile_strata(rules, allow_unstratified=True)
         except SeminaiveUnsupported:
             if strategy == WELLFOUNDED:
                 raise
         else:
             def wellfounded(edb):
-                result = seminaive_well_founded(
-                    rules, extra_facts=sorted(edb, key=repr),
-                    compiled=compiled, **caps
-                )
-                return result.store, result.undefined
+                return walk(compiled, edb)
 
             return WELLFOUNDED, None, wellfounded, wellfounded
 

@@ -9,8 +9,9 @@ algorithms of :mod:`repro.db.maintenance` need:
   the recursive ones), anchoring the finite-difference counting rules and
   the DRed over-deletion/insertion seeds at any lower-stratum change;
 * *negation variants* — the rule with one negative literal flipped positive
-  and anchored on the delta, used to find derivations created (destroyed)
-  when a negated subgoal becomes false (true);
+  and anchored on the delta (``compile_rule(rule, delta_index=site)`` on a
+  negative site does the flip), used to find derivations created
+  (destroyed) when a negated subgoal becomes false (true);
 * *rederivation plans* — each rule compiled ``from_head``: the plan takes
   an over-deleted fact, matches it against the rule head and joins the body
   with the head's variables bound, so "does this fact still have a
@@ -33,7 +34,6 @@ from repro.engine.seminaive.engine import (
 )
 from repro.engine.seminaive.plan import PlanError, compile_rule
 from repro.engine.seminaive.relation import literal_indicator
-from repro.hilog.program import Literal, Rule
 
 #: Maintenance strategies.
 COUNTING = "counting"
@@ -101,22 +101,11 @@ def build_maintenance_plans(rules, recursive):
             for site, literal in enumerate(rule.body):
                 if literal.is_builtin():
                     continue
-                if literal.positive:
-                    update_variants.append((
-                        rule, site, literal_indicator(literal.atom),
-                        compile_rule(rule, delta_index=site),
-                    ))
-                else:
-                    flipped = Rule(
-                        rule.head,
-                        rule.body[:site] + (Literal(literal.atom, True),)
-                        + rule.body[site + 1:],
-                        rule.aggregates,
-                    )
-                    negation_variants.append((
-                        rule, site, literal_indicator(literal.atom),
-                        compile_rule(flipped, delta_index=site),
-                    ))
+                variants = update_variants if literal.positive else negation_variants
+                variants.append((
+                    rule, site, literal_indicator(literal.atom),
+                    compile_rule(rule, delta_index=site),
+                ))
             rederive_plans.append(compile_rule(rule, from_head=True))
     except PlanError as error:
         if stratum.head_indicators is None:

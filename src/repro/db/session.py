@@ -47,7 +47,6 @@ from typing import Any, ContextManager, Iterable, List, NamedTuple, Optional, Tu
 
 from repro.db.maintenance import (
     Delta,
-    _Limits,
     counting_update,
     dred_update,
     recompute_stratum,
@@ -62,7 +61,11 @@ from repro.db.modes import (
 from repro.db.plans import COUNTING, DRED, RECOMPUTE
 from repro.db.reads import ModelReads
 from repro.engine.interpretation import Interpretation
-from repro.engine.seminaive.engine import EXECUTION_STATS, SeminaiveUnsupported
+from repro.engine.seminaive.engine import (
+    EXECUTION_STATS,
+    Limits,
+    SeminaiveUnsupported,
+)
 from repro.obs.metrics import COUNT_BUCKETS, get_registry
 from repro.obs.trace import current_tracer
 from repro.engine.seminaive.relation import predicate_indicator
@@ -75,7 +78,6 @@ from repro.hilog.terms import (
     current_generation,
     intern_generation,
     intern_table_sizes,
-    register_flush_hook,
     register_pin_provider,
 )
 
@@ -346,8 +348,7 @@ class DatabaseSession(ModelReads):
             if not rule.head.is_ground():
                 raise GroundingError("fact %r is not ground" % (rule.head,))
             self._edb.add(rule.head)
-        self._limits = _Limits(max_facts, max_term_depth)
-        self._parse_cache = {}
+        self._limits = Limits(max_facts, max_term_depth)
         self._mode, self._plans, self._evaluate, self._reference = \
             choose_mode(self._rules, self._limits, strategy)
         self._stats = {
@@ -401,12 +402,11 @@ class DatabaseSession(ModelReads):
             for indicator in plans.head_indicators:
                 self._owner[indicator] = index
         # Registered weakly, and only once construction has succeeded: the
-        # registry never keeps the session alive, a dead session's
-        # pins/flushes drop out of collection automatically, and a session
-        # whose materialization raised (the exception traceback can keep the
+        # registry never keeps the session alive, a dead session's pins
+        # drop out of collection automatically, and a session whose
+        # materialization raised (the exception traceback can keep the
         # half-built object alive) never participates in collections.
         self._pin_handle = register_pin_provider(self._intern_pin_roots)
-        self._flush_handle = register_flush_hook(self._flush_parse_cache)
         if path is not None or _manager is not None:
             manager = _manager
             if manager is None:
@@ -558,15 +558,9 @@ class DatabaseSession(ModelReads):
         malformed one on its own before merging the rest.
 
         Accepts a :class:`Term`, a fact :class:`Rule`, program text holding
-        only facts, or an iterable of any of those.  Parsed fact strings are
-        memoized (terms are interned and immutable, so the cached atoms are
-        the canonical objects): update streams re-asserting the same facts
-        skip the lexer/parser entirely.
+        only facts, or an iterable of any of those.
         """
         if isinstance(facts, str):
-            cached = self._parse_cache.get(facts)
-            if cached is not None:
-                return list(cached)
             program = parse_program(facts if facts.rstrip().endswith(".") else facts + ".")
             atoms = []
             for rule in program.rules:
@@ -586,10 +580,6 @@ class DatabaseSession(ModelReads):
         for atom in atoms:
             if not atom.is_ground():
                 raise GroundingError("cannot assert/retract non-ground %r" % (atom,))
-        if isinstance(facts, str):
-            if len(self._parse_cache) >= 4096:
-                self._parse_cache.clear()
-            self._parse_cache[facts] = tuple(atoms)
         return atoms
 
     # -- intern-table housekeeping ------------------------------------------
@@ -609,12 +599,6 @@ class DatabaseSession(ModelReads):
         for transaction in tuple(self._transactions):
             for _action, atom in transaction._ops:
                 yield atom
-
-    def _flush_parse_cache(self):
-        """Flush-hook target: drop memoized fact-string parses so the cache
-        neither pins evicted-generation atoms nor hands out stale (formerly
-        canonical) objects after a collection."""
-        self._parse_cache.clear()
 
     def add_update_listener(self, listener):
         """Register ``listener(summary)`` to run after every applied update
@@ -848,9 +832,9 @@ class DatabaseSession(ModelReads):
         stratum_ins, stratum_rem = self._by_stratum(ins), self._by_stratum(rem)
         try:
             for atom in stratum_ins.get(None, ()):
-                self._limits.check(atom, self._store)
                 if self._store.add_support(atom):
                     delta.record_add(atom)
+                    self._limits.check(atom, self._store)
             for atom in stratum_rem.get(None, ()):
                 if self._store.remove_support(atom):
                     delta.record_remove(atom)

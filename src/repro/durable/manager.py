@@ -156,8 +156,7 @@ def is_initialized(directory):
 class DurabilityManager:
     """WAL + snapshots + lockfile for one session's data directory."""
 
-    def __init__(self, directory, fsync="batch", checkpoint_every=None,
-                 sync_every=64):
+    def __init__(self, directory, fsync="batch", checkpoint_every=None):
         if checkpoint_every is not None and checkpoint_every <= 0:
             raise ValueError("checkpoint_every must be None or positive")
         directory = os.path.abspath(os.path.expanduser(directory))
@@ -165,7 +164,6 @@ class DurabilityManager:
         self.directory = directory
         self.fsync_policy = fsync
         self.checkpoint_every = checkpoint_every
-        self.sync_every = sync_every
         self.wal = None
         #: True while recovery replays the WAL tail — the session's
         #: ``_apply`` must not re-log replayed batches.
@@ -217,8 +215,7 @@ class DurabilityManager:
         transactions found in the file stay on ``wal.committed`` for the
         recovery replay."""
         self.wal = WriteAheadLog(
-            os.path.join(self.directory, WAL_NAME),
-            fsync=self.fsync_policy, sync_every=self.sync_every,
+            os.path.join(self.directory, WAL_NAME), fsync=self.fsync_policy
         )
         if self.wal.truncated_bytes:
             self.recovery["truncated_bytes"] = self.wal.truncated_bytes

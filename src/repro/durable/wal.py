@@ -19,7 +19,7 @@ Frame format (little-endian)::
 Records are JSON objects: ``{"t": "begin", "x": txn}``,
 ``{"t": "ins"|"ret", "f": [fact_text, ...]}``, ``{"t": "commit"|"abort",
 "x": txn}``.  Text payloads make the log greppable and keep replay on the
-session's memoized fact parser.
+session's fact parser.
 
 Durability policy (``fsync=``):
 
@@ -27,8 +27,8 @@ Durability policy (``fsync=``):
     fsync after every committed transaction — survives power loss at the
     cost of one fsync per batch.
 ``"batch"`` (default)
-    fsync every ``sync_every`` committed transactions, on checkpoint and
-    on close — bounded loss window, negligible steady-state overhead.
+    fsync every :data:`SYNC_EVERY` committed transactions, on checkpoint
+    and on close — bounded loss window, negligible steady-state overhead.
 ``"off"``
     never fsync (the OS flushes eventually) — for tests and bulk loads.
 
@@ -54,6 +54,9 @@ from repro.obs.metrics import get_registry
 
 #: ``crc32(payload), len(payload)`` frame header.
 _HEADER = struct.Struct("<II")
+
+#: Committed transactions between two fsyncs under the ``"batch"`` policy.
+SYNC_EVERY = 64
 
 #: Refuse to believe a single frame beyond this (a corrupt length field
 #: would otherwise make the scanner try to allocate gigabytes).
@@ -148,17 +151,14 @@ class WriteAheadLog:
     :mod:`repro.durable.manager`) enforces that.
     """
 
-    def __init__(self, path, fsync="batch", sync_every=64):
+    def __init__(self, path, fsync="batch"):
         if fsync not in ("always", "batch", "off"):
             raise ValueError(
                 "fsync policy must be 'always', 'batch' or 'off', got %r"
                 % (fsync,)
             )
-        if sync_every <= 0:
-            raise ValueError("sync_every must be positive")
         self.path = path
         self.policy = fsync
-        self.sync_every = sync_every
         #: Committed transactions found at open, oldest first (recovery
         #: replays the tail past the snapshot's txn, then drops the list).
         self.committed = []
@@ -240,7 +240,7 @@ class WriteAheadLog:
         self._unsynced += 1
         fire("wal.pre_fsync")
         if self.policy == "always" or (
-            self.policy == "batch" and self._unsynced >= self.sync_every
+            self.policy == "batch" and self._unsynced >= SYNC_EVERY
         ):
             self.sync()
 

@@ -49,7 +49,6 @@ from repro.engine.seminaive import (
     RelationStore,
     SeminaiveResult,
     SeminaiveUnsupported,
-    SeminaiveWellFoundedResult,
     Stratification,
     StratumPlan,
     compile_stratum,
@@ -89,7 +88,6 @@ __all__ = [
     "RelationStore",
     "SeminaiveResult",
     "SeminaiveUnsupported",
-    "SeminaiveWellFoundedResult",
     "Stratification",
     "StratumPlan",
     "compile_stratum",

@@ -1,4 +1,5 @@
-"""Delta-driven semi-naive evaluation over indexed relation stores.
+"""Delta-driven semi-naive evaluation over indexed relation stores: the
+pieces one stratum is evaluated with.
 
 This is the deductive-database evaluation architecture the paper's
 Section 6.1 efficiency claims presume: instead of materializing a ground
@@ -6,9 +7,14 @@ program and running the Dowling–Gallier fixpoint over it (the
 :mod:`repro.engine.grounding` path), rules are compiled into join plans
 (:mod:`repro.engine.seminaive.plan`) and evaluated bottom-up, stratum by
 stratum, with work per iteration proportional to the *new* derivations of
-the previous iteration.
+the previous iteration.  This module stratifies (:func:`stratify_program`),
+compiles a stratum (:func:`compile_stratum`) and runs one stratum's least
+fixpoint (:func:`evaluate_stratum`); the walk over a program's strata —
+what :func:`~repro.engine.seminaive.wellfounded.seminaive_evaluate` and
+:func:`~repro.engine.seminaive.wellfounded.seminaive_well_founded` both
+are — is :func:`repro.engine.seminaive.wellfounded.evaluate_strata`.
 
-Two program classes are supported:
+Two program classes stratify without ``allow_unstratified``:
 
 * **Definite programs** (no negation, no aggregates) — evaluated as a
   single stratum; predicate names may be arbitrary HiLog terms, including
@@ -29,11 +35,9 @@ negation (Example 6.3's parameterized games), recursion through aggregation
 callers such as :func:`repro.core.modular.modularly_stratified_for_hilog`
 catch it and fall back to the grounding oracle.  Ground-indicator programs
 with a cycle through negation (win/move games over cyclic graphs) sit in
-between: their three-valued well-founded model is computed semi-naively by
-the alternating-fixpoint evaluator in
-:mod:`repro.engine.seminaive.wellfounded`, built from this module's
-:func:`stratify_program` (``allow_unstratified=True``),
-:func:`evaluate_stratum` (``negation_store=`` phase hooks) and
+between: ``stratify_program(allow_unstratified=True)`` reports their
+negation-SCC strata instead of raising, and the walk alternates on those,
+through :func:`evaluate_stratum`'s ``negation_store=`` phase hook and
 :func:`run_plan`.
 
 **The executor.**  There is one: the Python function
@@ -53,15 +57,21 @@ through :func:`_tail_solutions`.  Sources stay pluggable: the function
 resolves every fetch through ``sources.select(step)`` and every negation
 through ``sources.holds(atom)``.
 
-Beyond one-shot evaluation the module exposes the pieces an *incremental*
-view-maintenance layer (:mod:`repro.db`) composes: :func:`stratify_program`
-(optionally one stratum per strongly connected component),
-:func:`compile_stratum` (the base and delta join plans of a stratum),
-:func:`evaluate_stratum` with an *injected delta* (re-run a settled stratum
-semi-naively from a batch of newly arrived facts), and :class:`PlanSources`
-(a pluggable resolver from join steps to fact sources, so maintenance
-algorithms can stage "old"/"new"/"delta" database states per body
-position).
+**The caps.**  ``max_facts`` and ``max_term_depth`` travel as one
+:class:`Limits` object, and :meth:`Limits.check` is the one place a derived
+fact meets them: every loop that adds derived heads to a store — here, in
+the alternation's reseeding, in :mod:`repro.db.maintenance`, in the
+session's EDB writes — calls it once ``add`` / ``add_support`` has said the
+head is new.
+
+An *incremental* view-maintenance layer (:mod:`repro.db`) composes the same
+pieces: :func:`stratify_program` (optionally one stratum per strongly
+connected component), :func:`compile_stratum` (the base and delta join
+plans of a stratum), :func:`evaluate_stratum` with an *injected delta*
+(re-run a settled stratum semi-naively from a batch of newly arrived
+facts), and :class:`PlanSources` (a pluggable resolver from join steps to
+fact sources, so maintenance algorithms can stage "old"/"new"/"delta"
+database states per body position).
 """
 
 from __future__ import annotations
@@ -75,19 +85,16 @@ from repro.obs.trace import current_tracer
 
 from repro.engine.aggregates import evaluate_aggregate
 from repro.engine.builtins import solve_builtin
-from repro.engine.interpretation import Interpretation
 from repro.engine.seminaive.plan import PlanError, compile_rule
 from repro.engine.seminaive.relation import (
     FactBuckets,
     FactSource,
-    RelationStore,
     literal_indicator,
     predicate_indicator,
 )
 from repro.hilog.depgraph import DependencyGraph
 from repro.hilog.errors import GroundingError, HiLogError
 from repro.hilog.subst import Substitution
-from repro.hilog.terms import Term, predicate_name
 
 
 class SeminaiveUnsupported(HiLogError):
@@ -95,21 +102,6 @@ class SeminaiveUnsupported(HiLogError):
     (non-ground predicate names with negation, a cycle through negation or
     aggregation, or an unschedulable rule body).  Callers with a grounding
     fallback should catch this and take the slow path."""
-
-
-class SeminaiveResult(NamedTuple):
-    """Outcome of a semi-naive evaluation."""
-
-    #: Every atom true in the computed model (seeds included).
-    true: FrozenSet[Term]
-    #: The atoms derived by rules (``true`` minus the seeded facts).
-    derived: FrozenSet[Term]
-    #: Predicate-name terms settled per stratum, lowest first.
-    strata: Tuple[FrozenSet[Term], ...]
-    #: Total number of delta iterations across all strata.
-    iterations: int
-    #: The final relation store (exposes index/relation statistics).
-    store: RelationStore
 
 
 class Stratification(NamedTuple):
@@ -553,18 +545,37 @@ def plan_satisfiable(plan, sources, atom):
     )
 
 
-def check_derived_atom(head, store, max_facts, max_term_depth):
-    """Enforce the resource caps on a freshly derived atom."""
-    if max_term_depth is not None and head.depth() > max_term_depth:
-        raise GroundingError(
-            "derived atom %r exceeds term depth %d; the program is probably "
-            "not strongly range restricted (cf. Example 5.2)" % (head, max_term_depth)
-        )
-    if len(store) >= max_facts:
-        raise GroundingError(
-            "semi-naive evaluation exceeded %d facts; the program is "
-            "probably not range restricted" % max_facts
-        )
+class Limits:
+    """The two resource caps of an evaluation, carried as one object by
+    every loop that derives facts: ``max_facts`` bounds the store,
+    ``max_term_depth`` (``None``: unbounded) the depth of a derived atom."""
+
+    __slots__ = ("max_facts", "max_term_depth")
+
+    def __init__(self, max_facts=1000000, max_term_depth=None):
+        self.max_facts = max_facts
+        self.max_term_depth = max_term_depth
+
+    def check(self, head, store):
+        """The one place a derived fact meets the caps.  Call it once
+        ``store.add`` / ``add_support`` has said ``head`` is new: the fact
+        cap then counts facts, not derivations, and a model of exactly
+        ``max_facts`` facts is accepted.  At a refusal ``head`` is therefore
+        in the store: the one-shot evaluators drop theirs; a maintenance
+        step has recorded ``head`` in its delta first, so the session can
+        recompute the stratum over the store as it stands, and only when
+        that is refused too re-evaluates the state before the update."""
+        if self.max_term_depth is not None and head.depth() > self.max_term_depth:
+            raise GroundingError(
+                "derived atom %r exceeds term depth %d; the program is probably "
+                "not strongly range restricted (cf. Example 5.2)"
+                % (head, self.max_term_depth)
+            )
+        if len(store) > self.max_facts:
+            raise GroundingError(
+                "semi-naive evaluation exceeded %d facts; the program is "
+                "probably not range restricted" % self.max_facts
+            )
 
 
 class StratumPlan(NamedTuple):
@@ -651,8 +662,8 @@ def compile_stratum(rules, recursive):
     )
 
 
-def evaluate_stratum(stratum, store, max_facts=1000000, max_term_depth=None,
-                     seed_delta=None, negation_store=None):
+def evaluate_stratum(stratum, store, limits=Limits(), seed_delta=None,
+                     negation_store=None):
     """Run the semi-naive fixpoint of one stratum against ``store``.
 
     Without ``seed_delta`` this is the full evaluation: one base pass over
@@ -678,17 +689,15 @@ def evaluate_stratum(stratum, store, max_facts=1000000, max_term_depth=None,
         started = _perf_counter()
         stats_before = EXECUTION_STATS.snapshot()
     added = []
-    check_depth = max_term_depth is not None
+    max_facts = limits.max_facts
+    check = limits.check
     if seed_delta is None:
         iterations = 1
         sources = PlanSources(store, negation=negation_store)
         for _rule, plan in stratum.base_plans:
             for head in run_plan(plan, sources, max_results=max_facts):
-                if check_depth:
-                    check_derived_atom(head, store, max_facts, max_term_depth)
-                elif len(store) >= max_facts:
-                    check_derived_atom(head, store, max_facts, max_term_depth)
                 if store.add(head):
+                    check(head, store)
                     added.append(head)
         delta = list(added)
     else:
@@ -704,11 +713,8 @@ def evaluate_stratum(stratum, store, max_facts=1000000, max_term_depth=None,
         sources = PlanSources(store, delta_store, negation=negation_store)
         for _rule, _site, plan in stratum.variant_plans:
             for head in run_plan(plan, sources, max_results=max_facts):
-                if check_depth:
-                    check_derived_atom(head, store, max_facts, max_term_depth)
-                elif len(store) >= max_facts:
-                    check_derived_atom(head, store, max_facts, max_term_depth)
                 if store.add(head):
+                    check(head, store)
                     delta.append(head)
                     added.append(head)
     if tracer is not None:
@@ -719,69 +725,3 @@ def evaluate_stratum(stratum, store, max_facts=1000000, max_term_depth=None,
             fetches=stats["fetches"], candidates=stats["candidates"],
         )
     return iterations, added
-
-
-def seminaive_evaluate(program, extra_facts=(), max_facts=1000000, max_term_depth=None):
-    """Evaluate ``program`` bottom-up with semi-naive iteration.
-
-    ``extra_facts`` seeds the store with additional ground atoms assumed
-    true (used by the modular evaluator to pass settled lower components
-    in).  Returns a :class:`SeminaiveResult`; the computed ``true`` set is
-    the perfect model of the (stratified) program — everything outside it is
-    false under the closed-world reading the paper's unfoundedness arguments
-    justify for range-restricted programs.
-
-    Raises :class:`SeminaiveUnsupported` for programs outside the supported
-    class and :class:`GroundingError` for unsafe (non-range-restricted)
-    rules, mirroring the grounding path's behaviour.
-    """
-    stratification = stratify_program(program)
-    tracer = current_tracer()
-    if tracer is not None:
-        started = _perf_counter()
-
-    store = RelationStore()
-    seeds = set()
-    for atom in extra_facts:
-        if not atom.is_ground():
-            raise GroundingError("extra fact %r is not ground" % (atom,))
-        store.add(atom)
-        seeds.add(atom)
-    for rule in program.rules:
-        if rule.is_fact():
-            if not rule.head.is_ground():
-                raise GroundingError("fact %r is not ground" % (rule.head,))
-            if store.add(rule.head):
-                seeds.add(rule.head)
-
-    iterations = 0
-    strata_names = []
-    for rules in stratification.strata:
-        stratum = compile_stratum(rules, stratification.recursive)
-        stratum_iterations, _added = evaluate_stratum(
-            stratum, store, max_facts=max_facts, max_term_depth=max_term_depth
-        )
-        iterations += stratum_iterations
-        strata_names.append(frozenset(predicate_name(rule.head) for rule in rules))
-
-    true = frozenset(store)
-    if tracer is not None:
-        tracer.emit(
-            "evaluate", strata=len(strata_names), iterations=iterations,
-            facts=len(true), duration_s=_perf_counter() - started,
-        )
-    return SeminaiveResult(
-        true=true,
-        derived=true - seeds,
-        strata=tuple(strata_names),
-        iterations=iterations,
-        store=store,
-    )
-
-
-def seminaive_perfect_model(program, **kwargs):
-    """The perfect model of a stratified program as a (total)
-    :class:`Interpretation`: the derived atoms are true, everything else is
-    false by closed world."""
-    result = seminaive_evaluate(program, **kwargs)
-    return Interpretation(true=result.true, base=result.true)

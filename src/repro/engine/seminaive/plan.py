@@ -16,8 +16,11 @@ indexes on.
 
 A rule has three entry points.  Besides the *base* plan, the compiler
 produces, for semi-naive evaluation, *delta variants*: the same rule with
-one designated recursive body literal forced to the front of the plan, to
-be scanned from the per-iteration delta relation instead of the full store.
+one designated body literal forced to the front of the plan, to be scanned
+from the per-iteration delta relation instead of the full store — a
+*negative* literal flipped positive first, so the variant is anchored on
+the atoms whose truth just changed (delete-rederive's negation variants,
+the alternating fixpoint's reseeding).
 And it produces the plan *from the head* (``from_head=True``), which runs
 the rule backwards: in the paper's universal-relation reading a rule head is
 one more tuple pattern over ``call``, so the plan first matches a candidate
@@ -245,14 +248,25 @@ def _order_body(rule, delta_index, initially_bound=frozenset()):
 def compile_rule(rule, delta_index=None, from_head=False):
     """Compile ``rule`` into a :class:`JoinPlan`.
 
-    ``delta_index`` (a body position of a positive non-builtin literal)
-    produces the semi-naive delta variant in which that literal is read from
-    the delta relation and scheduled first.  ``from_head`` produces the plan
-    that runs the rule backwards: its function takes a candidate fact,
-    matches it against the rule head, and joins the body with every head
-    variable bound — "which instances of this rule derive this fact"
+    ``delta_index`` (a body position of a non-builtin literal) produces the
+    semi-naive delta variant in which that literal is read from the delta
+    relation and scheduled first.  On a *negative* literal the variant is of
+    the rule with that literal flipped positive (``plan.rule`` is the
+    flipped rule): anchored on the atoms whose truth just changed, it finds
+    the instances a negated subgoal turning false enables — or, against the
+    old state, the ones its turning true destroys.  ``from_head`` produces
+    the plan that runs the rule backwards: its function takes a candidate
+    fact, matches it against the rule head, and joins the body with every
+    head variable bound — "which instances of this rule derive this fact"
     (delete-rederive's rederivation test, explain's proof search).
     """
+    if delta_index is not None and rule.body[delta_index].negative:
+        rule = Rule(
+            rule.head,
+            rule.body[:delta_index] + (rule.body[delta_index].negate(),)
+            + rule.body[delta_index + 1:],
+            rule.aggregates,
+        )
     bound = frozenset(rule.head.variables()) if from_head else frozenset()
     ordered, deferred = _order_body(rule, delta_index, initially_bound=bound)
 

@@ -697,9 +697,9 @@ class StoreView:
         self.layers = tuple(layers)
         self.minus = minus
 
-    # Plain loops: the fixpoint asks ``len`` once per derived head and
-    # ``in`` once per negation candidate, and a generator per call costs
-    # more than the layers' own answers.
+    # Plain loops: the fixpoint asks ``len`` once per new head and ``in``
+    # once per negation candidate, and a generator per call costs more than
+    # the layers' own answers.
 
     def __len__(self):
         total = 0

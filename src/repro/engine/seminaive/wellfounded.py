@@ -1,10 +1,34 @@
-"""Semi-naive well-founded evaluation: the alternating fixpoint on the
-register machine.
+"""The stratum walk from compiled rules to a model: the alternating
+fixpoint on the register machine, of which the perfect model of a
+stratified program is the case that never alternates.
+
+Theorem 6.1 makes a modularly stratified program's well-founded model total
+and equal to its perfect model, and Figure 1 settles components lowest
+first.  So there is one evaluation, :func:`evaluate_strata`: walk the
+compiled strata (:func:`compile_strata`) lowest first over one seeded
+store, and evaluate each the way what it reads demands —
+
+* a **certain** stratum (no negation cycle, nothing it reads is possibly
+  undefined) is one least fixpoint,
+  :func:`~repro.engine.seminaive.engine.evaluate_stratum`;
+* a stratified stratum that merely *reads* possibly-undefined lower atoms
+  is exactly two (one overestimate pass, one underestimate pass; with
+  negation confined to settled strata the two phases cannot feed back into
+  each other);
+* a **negation-SCC** stratum alternates (:func:`_alternate_stratum`).
+
+:func:`seminaive_evaluate` is the walk over strata compiled without
+``allow_unstratified`` — a cycle through negation raises
+:class:`~repro.engine.seminaive.engine.SeminaiveUnsupported`, every stratum
+is certain, the result is total and its ``true`` set is the perfect model;
+:func:`seminaive_well_founded` is the walk with the cycles admitted.  Both
+return the one :class:`SeminaiveResult`, and the session evaluators of
+:mod:`repro.db.modes` call :func:`evaluate_strata` themselves, with strata
+they compiled once.
 
 The paper's central examples — win/move games over arbitrary graphs,
-Example 6.3's parameterized games — live *between* the stratified programs
-(:func:`repro.engine.seminaive.engine.seminaive_evaluate`) and arbitrary
-normal programs: their predicate dependency graph has a cycle through
+Example 6.3's parameterized games — are where strata alternate: their
+predicate dependency graph has a cycle through
 negation, so no stratum order makes every negative subgoal read a settled
 stratum.  Their well-founded model is still computable bottom-up by Van
 Gelder's **alternating fixpoint**: iterate the Gelfond–Lifschitz operator
@@ -14,19 +38,11 @@ possibly-true (true-or-undefined) atoms, and the gap between them is
 exactly the undefined part of the well-founded model (Definitions 3.3–3.5
 via the Γ characterization).
 
-This module runs *both* phases of that construction as semi-naive
-fixpoints over the existing :class:`~repro.engine.seminaive.plan.JoinPlan`
-/ register-machine execution, instead of materializing a ground program
-and iterating over its rules:
+*Both* phases of that construction run as semi-naive fixpoints over the
+existing :class:`~repro.engine.seminaive.plan.JoinPlan` / register-machine
+execution, instead of materializing a ground program and iterating over
+its rules:
 
-* the program is stratified with
-  :func:`~repro.engine.seminaive.engine.stratify_program`
-  (``allow_unstratified=True``), so only the negation-SCC strata alternate
-  — genuinely stratified strata still evaluate **once** through the
-  ordinary least fixpoint, and stratified strata that merely *read*
-  possibly-undefined lower atoms evaluate exactly twice (one overestimate
-  pass, one underestimate pass; with negation confined to settled strata
-  the two phases cannot feed back into each other);
 * each phase resolves its negative subgoals against the **opposite**
   phase's store through the
   :class:`~repro.engine.seminaive.engine.PlanSources` negation hook:
@@ -35,8 +51,8 @@ and iterating over its rules:
 * the *underestimate* is monotone across alternations, so it lives in one
   :class:`~repro.engine.seminaive.relation.RelationStore` forever and each
   outer alternation resumes it semi-naively: the atoms that just fell out
-  of the overestimate anchor flipped-negation delta variants (the
-  ``compile_rule(flipped, delta_index=site)`` idiom of
+  of the overestimate anchor flipped-negation delta variants
+  (``compile_rule(rule, delta_index=site)`` on a negative site, as in
   :mod:`repro.db.plans`), and the heads they produce are injected through
   ``evaluate_stratum(seed_delta=...)`` — no from-scratch recomputation of
   the true atoms, work per alternation proportional to what changed;
@@ -54,7 +70,8 @@ makes.  The ground construction in :mod:`repro.engine.wellfounded` stays
 the verification oracle; the differential harness in
 ``tests/engine/test_wellfounded_agreement.py`` checks the two engines (and
 the paper-faithful ``W_P`` iteration) atom-for-atom on random
-non-stratified programs.
+non-stratified programs, and ``tests/engine/test_evaluator_differential.py``
+holds both entry points to what the two separate loops they replaced did.
 """
 
 from __future__ import annotations
@@ -65,9 +82,9 @@ from typing import FrozenSet, NamedTuple, Tuple
 from repro.engine.interpretation import Interpretation, WellFoundedResult
 from repro.engine.seminaive.engine import (
     EXECUTION_STATS,
+    Limits,
     PlanSources,
     SeminaiveUnsupported,
-    check_derived_atom,
     compile_stratum,
     evaluate_stratum,
     run_plan,
@@ -83,15 +100,16 @@ from repro.engine.seminaive.relation import (
 )
 from repro.hilog.errors import GroundingError
 from repro.obs.trace import current_tracer
-from repro.hilog.program import Literal, Rule
 from repro.hilog.terms import Term, predicate_name
 
 
-class SeminaiveWellFoundedResult(NamedTuple):
-    """The well-founded model computed by the alternating semi-naive
-    evaluation, as a true/undefined partition of the derivable atoms."""
+class SeminaiveResult(NamedTuple):
+    """The model :func:`evaluate_strata` computed, as a true/undefined
+    partition of the derivable atoms — everything else is false by closed
+    world.  A stratified program's is total (Theorem 6.1): ``undefined`` is
+    empty, ``alternations`` is 0 and ``true`` is the perfect model."""
 
-    #: Atoms true in the well-founded model (seeds included).
+    #: Atoms true in the model (seeds included).
     true: FrozenSet[Term]
     #: Atoms left undefined (in the overestimate but never proven).
     undefined: FrozenSet[Term]
@@ -103,6 +121,8 @@ class SeminaiveWellFoundedResult(NamedTuple):
     alternations: int
     #: The underestimate store — the true atoms, indexed.
     store: RelationStore
+    #: The atoms derived by rules (``true`` minus the seeded facts).
+    derived: FrozenSet[Term]
 
     def is_total(self):
         """True when the model leaves nothing undefined."""
@@ -112,21 +132,22 @@ class SeminaiveWellFoundedResult(NamedTuple):
         """The model as an :class:`~repro.engine.interpretation.Interpretation`
         over the derivable atoms: ``true`` is explicit, ``undefined`` is the
         rest of the base, and everything outside the base is false by
-        closed world (the same convention the seminaive perfect model
-        uses)."""
+        closed world."""
         return Interpretation(true=self.true, false=(), base=self.true | self.undefined)
 
 
-def compile_well_founded(program):
-    """Compile ``program``'s rules for :func:`seminaive_well_founded`: one
+def compile_strata(program, allow_unstratified=False):
+    """Compile ``program``'s rules for :func:`evaluate_strata`: one
     ``(stratum plan, flipped-negation variants or None, head names)`` per
     stratum, lowest first, the variants present exactly for the
-    negation-SCC strata, which alternate.  The result depends on the rules
-    alone, so a caller that re-evaluates them over changing facts (a
-    well-founded session, once per write) compiles once.  Raises
+    negation-SCC strata, which alternate — and which exist only with
+    ``allow_unstratified``; without it a cycle through negation raises.
+    The result depends on the rules alone, so a caller that re-evaluates
+    them over changing facts (a session, once per write or check) compiles
+    once.  Raises
     :class:`~repro.engine.seminaive.engine.SeminaiveUnsupported` for
     programs outside the class."""
-    stratification = stratify_program(program, allow_unstratified=True)
+    stratification = stratify_program(program, allow_unstratified=allow_unstratified)
     strata = []
     for index, rules in enumerate(stratification.strata):
         stratum = compile_stratum(rules, stratification.recursive)
@@ -142,11 +163,10 @@ def _negation_variants(stratum):
     """Flipped-negation delta variants of a negation-SCC stratum.
 
     For every body literal ``not a`` whose indicator is defined *in* the
-    stratum, compile the rule with that literal flipped positive and
-    anchored on the delta — the plan that finds every rule instance newly
-    enabled because ``a`` just fell out of the overestimate.  Negations on
-    settled lower strata are skipped: their context never changes between
-    alternations.
+    stratum, the delta variant anchored on it — the plan that finds every
+    rule instance newly enabled because ``a`` just fell out of the
+    overestimate.  Negations on settled lower strata are skipped: their
+    context never changes between alternations.
     """
     variants = []
     heads = stratum.head_indicators
@@ -159,20 +179,13 @@ def _negation_variants(stratum):
                 if heads is not None and indicator is not None \
                         and indicator not in heads:
                     continue
-                flipped = Rule(
-                    rule.head,
-                    rule.body[:site] + (Literal(literal.atom, True),)
-                    + rule.body[site + 1:],
-                    rule.aggregates,
-                )
-                variants.append((rule, site, compile_rule(flipped, delta_index=site)))
+                variants.append((rule, site, compile_rule(rule, delta_index=site)))
     except PlanError as error:
         raise SeminaiveUnsupported(str(error))
     return tuple(variants)
 
 
-def _alternate_stratum(stratum, variants, under, over_extra, max_facts,
-                       max_term_depth):
+def _alternate_stratum(stratum, variants, under, over_extra, limits):
     """The alternating fixpoint of one negation-SCC stratum.
 
     ``under`` (the global underestimate) and ``over_extra`` (settled
@@ -189,7 +202,6 @@ def _alternate_stratum(stratum, variants, under, over_extra, max_facts,
     iterations = 0
     alternations = 0
     previous_layer = None
-    check_caps = max_term_depth is not None
     while True:
         alternations += 1
         EXECUTION_STATS.alternations += 1
@@ -199,20 +211,17 @@ def _alternate_stratum(stratum, variants, under, over_extra, max_facts,
         layer = RelationStore()
         over_view = StoreView((under, over_extra, layer))
         its, _over_added = evaluate_stratum(
-            stratum, over_view, negation_store=under,
-            max_facts=max_facts, max_term_depth=max_term_depth,
+            stratum, over_view, limits, negation_store=under
         )
         iterations += its
 
         # Underestimate phase: least fixpoint with ``not a`` ⇔ a ∉ over.
         if previous_layer is None:
             # First alternation: full base pass + delta iterations.
-            its, under_added = evaluate_stratum(
-                stratum, under, negation_store=over_view,
-                max_facts=max_facts, max_term_depth=max_term_depth,
+            its, seeds = evaluate_stratum(
+                stratum, under, limits, negation_store=over_view
             )
             iterations += its
-            grew = bool(under_added)
         else:
             # Later alternations: only a shrunken overestimate can enable
             # new true derivations.  Anchor the flipped-negation variants
@@ -228,18 +237,17 @@ def _alternate_stratum(stratum, variants, under, over_extra, max_facts,
                     under, FactBuckets(removed), negation=over_view
                 )
                 for _rule, _site, plan in variants:
-                    for head in run_plan(plan, sources, max_results=max_facts):
-                        if check_caps or len(under) >= max_facts:
-                            check_derived_atom(head, under, max_facts, max_term_depth)
+                    for head in run_plan(plan, sources, max_results=limits.max_facts):
                         if under.add(head):
+                            limits.check(head, under)
                             seeds.append(head)
-            grew = bool(seeds)
             if seeds:
                 its, _more = evaluate_stratum(
-                    stratum, under, seed_delta=seeds, negation_store=over_view,
-                    max_facts=max_facts, max_term_depth=max_term_depth,
+                    stratum, under, limits, seed_delta=seeds,
+                    negation_store=over_view,
                 )
                 iterations += its
+        grew = bool(seeds)
         if tracer is not None:
             tracer.emit(
                 "alternation", alternation=alternations,
@@ -254,50 +262,45 @@ def _alternate_stratum(stratum, variants, under, over_extra, max_facts,
         previous_layer = layer
 
 
-def seminaive_well_founded(program, extra_facts=(), max_facts=1000000,
-                           max_term_depth=None, compiled=None):
-    """Compute the well-founded model of ``program`` semi-naively.
-
-    Handles every ground-predicate-indicator program without aggregation
-    through negation cycles — in particular the non-stratified class the
-    stratified engine (:func:`~repro.engine.seminaive.engine.seminaive_evaluate`)
-    refuses.  ``extra_facts`` seeds additional atoms assumed true.  Returns
-    a :class:`SeminaiveWellFoundedResult`; raises
-    :class:`~repro.engine.seminaive.engine.SeminaiveUnsupported` for
-    programs outside the class (non-ground predicate names with negation,
-    recursion through aggregation, aggregation over possibly-undefined
-    atoms) and :class:`~repro.hilog.errors.GroundingError` when a resource
-    cap trips, mirroring the stratified engine's contract.
-
-    ``compiled`` is the :func:`compile_well_founded` of ``program``'s rules,
-    for callers that evaluate the same rules again and again; by default
-    the rules are compiled here.
-    """
-    if compiled is None:
-        compiled = compile_well_founded(program)
-    tracer = current_tracer()
-    if tracer is not None:
-        started = _perf_counter()
-
-    under = RelationStore()
+def _seed_facts(program, extra_facts):
+    """The facts an entry point seeds :func:`evaluate_strata` with:
+    ``extra_facts``, then ``program``'s own, each checked ground."""
     for atom in extra_facts:
         if not atom.is_ground():
             raise GroundingError("extra fact %r is not ground" % (atom,))
-        under.add(atom)
+        yield atom
     for rule in program.rules:
         if rule.is_fact():
             if not rule.head.is_ground():
                 raise GroundingError("fact %r is not ground" % (rule.head,))
-            under.add(rule.head)
+            yield rule.head
+
+
+def evaluate_strata(compiled, facts, limits):
+    """Evaluate ``compiled`` — the :func:`compile_strata` of a program's
+    rules — over the ground atoms ``facts``: the one walk from compiled
+    strata to a model, lowest stratum first (Figure 1's order), each
+    stratum evaluated the way what it reads demands (see the module
+    docstring).  Returns a :class:`SeminaiveResult`.
+
+    Raises :class:`~repro.engine.seminaive.engine.SeminaiveUnsupported` for
+    aggregation inside a negation cycle or over possibly-undefined atoms and
+    :class:`~repro.hilog.errors.GroundingError` for an unsafe rule or a
+    tripped cap of ``limits``.
+    """
+    tracer = current_tracer()
+    if tracer is not None:
+        started = _perf_counter()
+
+    under = RelationStore(facts)
+    seeds = frozenset(under)
 
     over_extra = RelationStore()
     uncertain = set()
     iterations = 0
     alternations = 0
-    strata_names = []
 
-    for stratum, variants, names in compiled:
-        strata_names.append(names)
+    for stratum, variants, _names in compiled:
         alternating = variants is not None
         if uncertain:
             reads = stratum.reads
@@ -311,28 +314,27 @@ def seminaive_well_founded(program, extra_facts=(), max_facts=1000000,
                 "outside the supported class"
             )
 
-        if not alternating and not reads_uncertain:
-            # Certain stratum: the classic single least fixpoint — its
-            # atoms are both proven and possibly true, no second store.
-            its, _added = evaluate_stratum(
-                stratum, under, max_facts=max_facts, max_term_depth=max_term_depth,
+        if alternating:
+            # Negation-SCC stratum: the full alternating fixpoint.
+            its, alts, layer = _alternate_stratum(
+                stratum, variants, under, over_extra, limits
             )
             iterations += its
-            continue
-
-        if not alternating:
+            alternations += alts
+            for atom in layer:
+                over_extra.add(atom)
+                uncertain.add(predicate_indicator(atom))
+        elif reads_uncertain:
             # Stratified stratum over three-valued input: negation reads
             # settled strata only, so the two phases cannot feed back —
             # one overestimate pass, one underestimate pass.
             over_view = StoreView((under, over_extra))
             its, over_added = evaluate_stratum(
-                stratum, over_view, negation_store=under,
-                max_facts=max_facts, max_term_depth=max_term_depth,
+                stratum, over_view, limits, negation_store=under
             )
             iterations += its
             its, _added = evaluate_stratum(
-                stratum, under, negation_store=over_view,
-                max_facts=max_facts, max_term_depth=max_term_depth,
+                stratum, under, limits, negation_store=over_view
             )
             iterations += its
             alternations += 1
@@ -342,38 +344,86 @@ def seminaive_well_founded(program, extra_facts=(), max_facts=1000000,
                     over_extra.remove(atom)
                 else:
                     uncertain.add(predicate_indicator(atom))
-            continue
+        else:
+            # Certain stratum: the classic single least fixpoint — its
+            # atoms are both proven and possibly true, no second store.
+            its, _added = evaluate_stratum(stratum, under, limits)
+            iterations += its
 
-        # Negation-SCC stratum: the full alternating fixpoint.
-        its, alts, layer = _alternate_stratum(
-            stratum, variants, under, over_extra, max_facts, max_term_depth
-        )
-        iterations += its
-        alternations += alts
-        for atom in layer:
-            over_extra.add(atom)
-            uncertain.add(predicate_indicator(atom))
-
+    true = frozenset(under)
     if tracer is not None:
         tracer.emit(
-            "wellfounded", strata=len(strata_names), iterations=iterations,
-            alternations=alternations, true=len(under),
+            "evaluate", strata=len(compiled), iterations=iterations,
+            alternations=alternations, facts=len(true),
             undefined=len(over_extra), duration_s=_perf_counter() - started,
         )
-    return SeminaiveWellFoundedResult(
-        true=frozenset(under),
+    return SeminaiveResult(
+        true=true,
         undefined=frozenset(over_extra),
-        strata=tuple(strata_names),
+        strata=tuple(names for _stratum, _variants, names in compiled),
         iterations=iterations,
         alternations=alternations,
         store=under,
+        derived=true - seeds,
+    )
+
+
+def seminaive_evaluate(program, extra_facts=(), max_facts=1000000, max_term_depth=None):
+    """The perfect model of a definite or stratified ``program``, bottom-up
+    with semi-naive iteration: the walk of :func:`evaluate_strata` over
+    strata none of which alternates.
+
+    ``extra_facts`` seeds the store with additional ground atoms assumed
+    true (used by the modular evaluator to pass settled lower components
+    in).  Returns a :class:`SeminaiveResult`; its ``true`` set is the
+    perfect model — everything outside it is false under the closed-world
+    reading the paper's unfoundedness arguments justify for
+    range-restricted programs.
+
+    Raises :class:`~repro.engine.seminaive.engine.SeminaiveUnsupported` for
+    programs outside the class — a cycle through negation included: this
+    entry point stratifies without ``allow_unstratified`` — and
+    :class:`~repro.hilog.errors.GroundingError` for unsafe
+    (non-range-restricted) rules, mirroring the grounding path's behaviour.
+    """
+    return evaluate_strata(
+        compile_strata(program), _seed_facts(program, extra_facts),
+        Limits(max_facts, max_term_depth),
+    )
+
+
+def seminaive_perfect_model(program, **kwargs):
+    """The perfect model of a stratified program as a (total)
+    :class:`Interpretation`: the derived atoms are true, everything else is
+    false by closed world."""
+    return seminaive_evaluate(program, **kwargs).interpretation()
+
+
+def seminaive_well_founded(program, extra_facts=(), max_facts=1000000,
+                           max_term_depth=None):
+    """Compute the well-founded model of ``program`` semi-naively: the walk
+    of :func:`evaluate_strata` with negation-SCC strata admitted.
+
+    Handles every ground-predicate-indicator program without aggregation
+    through negation cycles — in particular the non-stratified class
+    :func:`seminaive_evaluate` refuses.  ``extra_facts`` seeds additional
+    atoms assumed true.  Returns a :class:`SeminaiveResult`; raises
+    :class:`~repro.engine.seminaive.engine.SeminaiveUnsupported` for
+    programs outside the class (non-ground predicate names with negation,
+    recursion through aggregation, aggregation over possibly-undefined
+    atoms) and :class:`~repro.hilog.errors.GroundingError` when a resource
+    cap trips, mirroring the stratified entry point's contract.
+    """
+    return evaluate_strata(
+        compile_strata(program, allow_unstratified=True),
+        _seed_facts(program, extra_facts), Limits(max_facts, max_term_depth),
     )
 
 
 def seminaive_well_founded_model(program, **kwargs):
     """The well-founded model as an
     :class:`~repro.engine.interpretation.Interpretation` (see
-    :meth:`SeminaiveWellFoundedResult.interpretation`)."""
+    :meth:`SeminaiveResult.interpretation`)."""
     return seminaive_well_founded(program, **kwargs).interpretation()
 
 

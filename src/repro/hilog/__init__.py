@@ -24,12 +24,10 @@ from repro.hilog.terms import (
     intern_generation_sizes,
     intern_table_sizes,
     is_ground,
-    register_flush_hook,
     register_pin_provider,
     sym,
     term_depth,
     term_size,
-    unregister_flush_hook,
     unregister_pin_provider,
     variables_of,
 )
@@ -63,8 +61,6 @@ __all__ = [
     "intern_generation_sizes",
     "register_pin_provider",
     "unregister_pin_provider",
-    "register_flush_hook",
-    "unregister_flush_hook",
     "Term",
     "Var",
     "Sym",

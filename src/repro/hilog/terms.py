@@ -103,11 +103,9 @@ _CURRENT_GEN = 0
 _OPEN_GENS = []
 _GEN_POOLS = {}
 
-#: Weak references to callables consulted at collection time:
-#: pin providers yield root terms that must survive, flush hooks clear
-#: caches that would otherwise hold (and hand out) evicted terms.
+#: Weak references to the callables consulted at collection time: pin
+#: providers yield root terms that must survive.
 _PIN_PROVIDERS = []
-_FLUSH_HOOKS = []
 
 #: Sentinel generation of *fresh* (uninterned) terms — anonymous variables
 #: and any application containing one.  Far above every real generation id,
@@ -263,25 +261,6 @@ def unregister_pin_provider(handle):
         pass
 
 
-def register_flush_hook(hook):
-    """Register a callable invoked at the start of every collection, before
-    the pin set is gathered — the place to clear caches keyed by something
-    other than the terms themselves (parsed-fact string caches) so they
-    neither pin nor hand out evicted terms.  Held weakly;
-    returns a handle for :func:`unregister_flush_hook`."""
-    handle = _weak_callable(hook)
-    _FLUSH_HOOKS.append(handle)
-    return handle
-
-
-def unregister_flush_hook(handle):
-    """Remove a previously registered flush hook (no-op when absent)."""
-    try:
-        _FLUSH_HOOKS.remove(handle)
-    except ValueError:
-        pass
-
-
 def _call_registered(registry):
     """Yield the live callables of a weak registry, pruning dead entries."""
     dead = []
@@ -328,17 +307,16 @@ def _evict(term, counts):
         counts["sym"] += 1
 
 
-def collect_generation(pins=(), generations=None):
-    """Sweep closed generations: evict every term born in them that is not
-    reachable from the pin set.
+def collect_generation(pins=()):
+    """Sweep the closed generations: evict every term born in them that is
+    not reachable from the pin set.
 
     ``pins`` is an iterable of root terms to keep (their subterms are kept
     too); the roots yielded by every registered pin provider are always
-    added.  ``generations`` optionally restricts the sweep to specific
-    closed generation ids (default: all closed generations).  Terms that
-    survive stay in their birth pool and are re-examined by future
-    collections, so a pinned term becomes evictable as soon as it stops
-    being reachable (e.g. after the fact holding it is retracted).
+    added.  Terms that survive stay in their birth pool and are
+    re-examined by future collections, so a pinned term becomes evictable
+    as soon as it stops being reachable (e.g. after the fact holding it is
+    retracted).
 
     Raises :class:`GenerationError` when any generation is still open —
     in-flight computations hold terms in places no pin provider can see.
@@ -350,9 +328,6 @@ def collect_generation(pins=(), generations=None):
             "cannot collect while generations %r are open" % (_OPEN_GENS,)
         )
     target = list(_GEN_POOLS)
-    if generations is not None:
-        wanted = set(generations)
-        target = [gen for gen in target if gen in wanted]
     evicted = {"var": 0, "sym": 0, "num": 0, "app": 0}
     if not target:
         return {
@@ -362,9 +337,6 @@ def collect_generation(pins=(), generations=None):
             "evicted_total": 0,
             "sizes": intern_table_sizes(),
         }
-
-    for hook in list(_call_registered(_FLUSH_HOOKS)):
-        hook()
 
     # Mark: the subterm closure of the pin roots, pruned at terms born
     # before the oldest swept generation (a term can only contain subterms
@@ -382,14 +354,6 @@ def collect_generation(pins=(), generations=None):
     push_roots(pins)
     for provider in list(_call_registered(_PIN_PROVIDERS)):
         push_roots(provider())
-    # A sweep restricted to specific generations must keep every term the
-    # *surviving* generations still reference: their pool members are
-    # implicit roots (an App born in a non-swept generation may hold
-    # children born in a swept one, and evicting those would leave the
-    # surviving App dangling).  Unrestricted sweeps have no such pools.
-    for gen, pool in _GEN_POOLS.items():
-        if gen not in target:
-            push_roots(pool)
     while stack:
         term = stack.pop()
         if term in pinned:

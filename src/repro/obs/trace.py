@@ -13,15 +13,24 @@ Event kinds currently emitted:
 ``iteration``    one semi-naive fixpoint round (delta size)
 ``stratum``      one stratum evaluated to fixpoint (iterations, added,
                  duration, register fetch/candidate deltas)
-``evaluate``     a full program evaluation (strata, total facts)
+``evaluate``     a full program evaluation, perfect or well-founded model
+                 alike (strata, iterations, alternations, true and
+                 undefined facts)
 ``alternation``  one alternating-fixpoint round (overestimate/underestimate
                  layer sizes, removals reseeded)
-``wellfounded``  a full well-founded computation summary
 ``maintenance``  one session update batch (mode, op counts, delta sizes,
                  duration, register stats)
 ``collect``      an intern-table sweep (swept/kept sizes, duration)
 ``rebase``       an epoch-manager overlay rebase into a fresh base snapshot
 ``slow_request`` an HTTP request slower than the server's slow-query bar
+
+**Breaking change to the trace format (PR 19):** the ``wellfounded``
+summary event (``strata``, ``iterations``, ``alternations``, ``true``,
+``undefined``, ``duration_s``) is no longer emitted.  The two evaluators
+became one stratum walk, which ends every evaluation in one ``evaluate``
+event with those fields — ``facts=`` is what ``true=`` was.  A consumer
+that selects JSONL lines by ``kind == "wellfounded"`` must select
+``evaluate`` instead; ``alternation`` events are unchanged.
 
 Install a tracer for a scope with ``tracing(tracer)`` (contextvar, test
 friendly) or process-wide with ``set_global_tracer`` (what the serving CLI

@@ -30,9 +30,9 @@ readers (which pin the current epoch for the duration of a query):
 * **Rebase policy** — each batch is netted into a *copy* of the previous
   epoch's delta, so a reader consults exactly one delta however many
   batches separate its epoch from the base; when the delta's volume
-  exceeds ``rebase_ratio``  of the base (plus a small absolute floor), the
-  manager publishes a fresh frozen snapshot instead, keeping per-read
-  overhead bounded under unbounded churn.
+  exceeds :data:`REBASE_RATIO` of the base (and the absolute floor
+  :data:`REBASE_MIN`), the manager publishes a fresh frozen snapshot
+  instead, keeping per-read overhead bounded under unbounded churn.
 
 Epochs deliberately know nothing about queries — reading an epoch is
 :func:`repro.engine.seminaive.relation.matching_facts` over ``epoch.store``,
@@ -47,6 +47,14 @@ from typing import Optional
 from repro.engine.seminaive.relation import Delta, FactSource, RelationStore, StoreView
 from repro.hilog.terms import register_pin_provider
 from repro.obs.trace import current_tracer
+
+#: The rebase policy: publish a fresh frozen snapshot instead of a further
+#: delta once the delta's volume (additions + removals) exceeds this
+#: fraction of the base's size ...
+REBASE_RATIO = 0.5
+#: ... and this absolute volume, below which no rebase happens whatever the
+#: ratio (keeps tiny models from rebasing on every batch).
+REBASE_MIN = 256
 
 
 class Epoch:
@@ -114,20 +122,10 @@ class EpochManager:
             a session keeps one store object for life, in every mode, so
             the bound method stays current.  Used for the initial epoch
             and for rebases.
-        rebase_ratio: publish a fresh frozen snapshot instead of a further
-            delta once the delta's volume (additions + removals) exceeds
-            this fraction of the base's size.
-        rebase_min: absolute delta volume below which no rebase happens
-            regardless of the ratio (keeps tiny models from rebasing on
-            every batch).
     """
 
-    def __init__(self, snapshot, rebase_ratio=0.5, rebase_min=256):
-        if rebase_ratio <= 0:
-            raise ValueError("rebase_ratio must be positive")
+    def __init__(self, snapshot):
         self._snapshot = snapshot
-        self._rebase_ratio = rebase_ratio
-        self._rebase_min = rebase_min
         self._lock = threading.Lock()
         self._current = None
         self._next_eid = 0
@@ -180,8 +178,7 @@ class EpochManager:
             delta.record_add(atom)
         base = current.base
         volume = len(delta)
-        if volume > self._rebase_min and \
-                volume > self._rebase_ratio * max(len(base), 1):
+        if volume > REBASE_MIN and volume > REBASE_RATIO * max(len(base), 1):
             self._rebases += 1
             tracer = current_tracer()
             if tracer is not None:

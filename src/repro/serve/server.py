@@ -231,8 +231,9 @@ class ServeServer:
                 pass
 
     async def _read_request(self, reader):
-        """Parse one request; ``None`` on a cleanly closed connection."""
-        line = await reader.readline()
+        """Parse one request; ``None`` on a closed connection — cleanly
+        between requests, or part-way through one."""
+        line = await self._read_line(reader)
         if not line:
             return None
         try:
@@ -241,7 +242,7 @@ class ServeServer:
             raise _HttpError(400, "malformed request line")
         headers = {}
         while True:
-            line = await reader.readline()
+            line = await self._read_line(reader)
             if not line:
                 return None
             if line in (b"\r\n", b"\n"):
@@ -251,15 +252,26 @@ class ServeServer:
             except ValueError:
                 raise _HttpError(400, "malformed header")
             headers[name.strip().lower()] = value.strip().lower()
-        length = headers.get("content-length", "0")
         try:
-            length = int(length)
+            length = int(headers.get("content-length", "0"))
         except ValueError:
+            length = -1
+        if length < 0:
             raise _HttpError(400, "bad Content-Length")
         if length > MAX_BODY:
             raise _HttpError(413, "body exceeds %d bytes" % MAX_BODY)
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:
+            return None  # closed before the body it announced arrived
         return method.upper(), path, headers, body
+
+    @staticmethod
+    async def _read_line(reader):
+        try:
+            return await reader.readline()
+        except ValueError:  # longer than the stream's 64 KiB line limit
+            raise _HttpError(400, "request line or header too long")
 
     # -- observation ---------------------------------------------------------
 

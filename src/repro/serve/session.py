@@ -159,14 +159,11 @@ class ServingSession:
         max_pending: write-queue bound; :meth:`submit` raises
             :class:`WriteQueueFull` beyond it.
         max_batch: most queued ops coalesced into one maintenance pass.
-        rebase_ratio / rebase_min: epoch rebase policy
-            (see :class:`~repro.serve.epochs.EpochManager`).
         session_kwargs: forwarded to :class:`DatabaseSession` when
             ``program`` is not already a session.
     """
 
-    def __init__(self, program, max_pending=1024, max_batch=64,
-                 rebase_ratio=0.5, rebase_min=256, **session_kwargs):
+    def __init__(self, program, max_pending=1024, max_batch=64, **session_kwargs):
         # Every argument is validated before the session is built: a
         # durable session initialises its data directory, and a rejected
         # serving knob must not leave one behind.
@@ -174,8 +171,6 @@ class ServingSession:
             raise ValueError("max_pending must be positive")
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
-        if rebase_ratio <= 0:
-            raise ValueError("rebase_ratio must be positive")
         if isinstance(program, DatabaseSession):
             if session_kwargs:
                 raise ValueError(
@@ -187,10 +182,7 @@ class ServingSession:
             self._session = DatabaseSession(program, **session_kwargs)
         self._max_pending = max_pending
         self._max_batch = max_batch
-        self._manager = EpochManager(
-            self._session.store.snapshot,
-            rebase_ratio=rebase_ratio, rebase_min=rebase_min,
-        )
+        self._manager = EpochManager(self._session.store.snapshot)
         self._publish_hooks = []
         self._counters = {
             "submitted": 0,

@@ -418,6 +418,44 @@ class TestFallbacks:
         session.insert("e(b, c).")
         assert session.ask("tc(a, c)")
 
+    def test_fact_cap_admits_a_model_of_exactly_max_facts(self):
+        """The cap counts facts: ``r(d)``'s second derivation is not an
+        eighth fact.  One fact fewer is still refused and rolled back."""
+        rules = "r(X) :- e(a, X).  r(Y) :- r(X), e(X, Y)."
+        three_edges = "e(a, b). e(a, c). e(b, d). " + rules
+        assert len(DatabaseSession(three_edges + " e(c, d).", max_facts=7).true) == 7
+        session = DatabaseSession(three_edges, max_facts=7)
+        session.insert("e(c, d).")
+        assert len(session.true) == 7 and session.check()
+
+        with pytest.raises(GroundingError):
+            DatabaseSession(three_edges + " e(c, d).", max_facts=6)
+        session = DatabaseSession(three_edges, max_facts=6)
+        before = session.true
+        with pytest.raises(GroundingError):
+            session.insert("e(c, d).")
+        assert session.true == before and len(before) == 6 and session.check()
+
+    def test_cap_overshoot_in_a_counting_step_keeps_the_delta_whole(self):
+        """A counting step adds before it removes, so a batch that swaps
+        ``e(a)`` for ``e(b)`` overshoots the cap at ``p(b, 2)`` and falls
+        back to recomputing the stratum.  The tipping atom is in the store
+        by then; it must be in the delta too, or ``q(b, 2)`` is never
+        derived and the update is silently wrong."""
+        session = DatabaseSession(
+            "p(X, Y) :- e(X), f(Y).  q(X, Y) :- p(X, Y).  e(a). f(1). f(2). f(3).",
+            max_facts=11,
+        )
+        assert len(session.true) == 10
+        summary = session.update("e(b).", "e(a).")
+        assert session.stats()["stratum_fallbacks"] == 2
+        assert session.check()
+        expected = {"e(b)"} | {
+            "%s(b, %d)" % (name, n) for name in "pq" for n in (1, 2, 3)
+        }
+        assert {repr(atom) for atom in summary.added} == expected
+        assert len(summary.removed) == 7 and len(session.true) == 10
+
     def test_rebuild_path_reports_accurate_diff(self, monkeypatch):
         import repro.db.session as session_module
 

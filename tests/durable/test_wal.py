@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.durable import wal as wal_module
 from repro.durable.wal import CommittedBatch, WriteAheadLog, read_frames
 from repro.hilog.errors import CorruptWal
 
@@ -131,8 +132,18 @@ def test_read_frames_strict_raises_corrupt_wal(tmp_path):
 def test_fsync_policy_validation(tmp_path):
     with pytest.raises(ValueError):
         _wal(tmp_path, fsync="sometimes")
-    with pytest.raises(ValueError):
-        _wal(tmp_path, fsync="batch", sync_every=0)
+
+
+def test_batch_policy_fsyncs_every_sync_every_commits(tmp_path, monkeypatch):
+    monkeypatch.setattr(wal_module, "SYNC_EVERY", 2)
+    synced = []
+    monkeypatch.setattr(wal_module.os, "fsync", synced.append)
+    wal = _wal(tmp_path, fsync="batch")
+    for n in range(5):
+        wal.commit(wal.begin(["p(%d)." % n], []))
+    assert len(synced) == 2
+    wal.close()  # the shutdown barrier covers the fifth
+    assert len(synced) == 3
 
 
 def test_abandon_keeps_written_bytes_visible(tmp_path):

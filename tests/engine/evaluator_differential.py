@@ -1,0 +1,68 @@
+"""Recorder behind ``test_evaluator_differential.py``: the idiom of
+:mod:`plan_differential`, one level up — run both whole-program evaluators
+over a fixed corpus and record what each did.
+
+A record is ``[iterations, alternations, fetches, candidates, |true|,
+|undefined|, digest of the sorted true and undefined atoms]``, or the name
+of the error the evaluator raised (``seminaive_evaluate`` refuses what is
+not stratified; both refuse recursion through aggregation).  All of it is a
+function of the program alone, so it compares two versions of the
+evaluators exactly.
+
+``fixtures/evaluator_differential.json`` holds the records of commit
+99a4471, where ``seminaive_evaluate`` and ``seminaive_well_founded`` were
+two loops with two result classes (the first had no ``alternations`` and no
+``undefined``, recorded as 0).  ``python tests/engine/evaluator_differential.py
+OUT.json`` writes whatever the checked-out evaluators do.
+"""
+
+import hashlib
+import json
+import sys
+
+import plan_differential
+from repro.engine.seminaive import seminaive_evaluate, seminaive_well_founded
+from repro.hilog.errors import HiLogError
+from repro import workloads as w
+
+EVALUATORS = {
+    "evaluate": seminaive_evaluate,
+    "well_founded": seminaive_well_founded,
+}
+
+
+def corpus():
+    """The plan corpus, plus a model large enough to need many delta
+    rounds and the smallest game whose every position is undefined."""
+    yield from plan_differential.corpus()
+    yield "tc-chain-40", w.transitive_closure_program(w.chain_edges(40))
+    yield "game-2-cycle", w.cycle_game_program(2)[0]
+
+
+def _record(evaluator, program):
+    try:
+        result, fetches, candidates = plan_differential.counted(
+            lambda: evaluator(program)
+        )
+    except HiLogError as error:
+        return [type(error).__name__]
+    undefined = getattr(result, "undefined", ())
+    text = "\n".join(sorted(map(repr, result.true)) + ["--"] + sorted(map(repr, undefined)))
+    return [
+        result.iterations, getattr(result, "alternations", 0),
+        fetches, candidates, len(result.true), len(undefined),
+        hashlib.sha1(text.encode()).hexdigest()[:12],
+    ]
+
+
+def record_program(program):
+    return {name: _record(evaluator, program) for name, evaluator in EVALUATORS.items()}
+
+
+if __name__ == "__main__":
+    lines = [
+        "%s: %s" % (json.dumps(name), json.dumps(record_program(program), separators=(",", ":"), sort_keys=True))
+        for name, program in sorted(corpus())
+    ]
+    with open(sys.argv[1], "w") as out:
+        out.write("{\n" + ",\n".join(lines) + "\n}\n")

@@ -152,6 +152,18 @@ class TestShapes:
         with pytest.raises(EvaluationError):
             plan_satisfiable(backwards, sources, parse_term("p(1)"))
 
+    def test_delta_variant_on_a_negative_site_flips_the_literal(self):
+        """Anchored on ``not r(X)``, the variant reads ``r`` from the delta:
+        the instances the atoms there, once false, enable."""
+        plan, sources = _setup("""
+            p(X) :- q(X), not r(X), not s(X).
+            q(a). q(b). q(c). r(a). r(b). s(b).
+        """, delta_index=1)
+        anchor = plan.steps[0]
+        assert (anchor.body_index, anchor.kind, anchor.from_delta) == (1, "fetch", True)
+        assert repr(plan.rule) == "p(X) :- q(X), r(X), not s(X)."
+        assert _heads(plan, sources) == ["p(a)"]
+
     def test_floundering_negation_raises_when_reached(self):
         # The planner refuses such bodies (PlanError); the generated check
         # is the backstop for a step list that reaches one anyway.

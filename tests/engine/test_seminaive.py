@@ -15,6 +15,7 @@ from repro.engine.seminaive import (
     predicate_indicator,
     seminaive_evaluate,
     seminaive_perfect_model,
+    seminaive_well_founded,
 )
 from repro.engine.seminaive.plan import FETCH, NEGATION, PlanError
 from repro.engine.seminaive.relation import candidates
@@ -203,6 +204,18 @@ class TestSeminaiveEngine:
         program = transitive_closure_program(chain_edges(10))
         with pytest.raises(GroundingError):
             seminaive_evaluate(program, max_facts=5)
+
+    @pytest.mark.parametrize("evaluate", [seminaive_evaluate, seminaive_well_founded])
+    def test_fact_cap_counts_facts_not_derivations(self, evaluate):
+        """``r(d)`` has two derivations, and the second arrives with the
+        store already holding the whole 7-atom model."""
+        program = parse_program("""
+            e(a, b). e(a, c). e(b, d). e(c, d).
+            r(X) :- e(a, X).  r(Y) :- r(X), e(X, Y).
+        """)
+        assert len(evaluate(program, max_facts=7).true) == 7
+        with pytest.raises(GroundingError, match="exceeded 6 facts"):
+            evaluate(program, max_facts=6)
 
     def test_perfect_model_is_total(self):
         model = seminaive_perfect_model(transitive_closure_program(chain_edges(5)))

@@ -36,9 +36,7 @@ from repro.hilog.terms import (
     intern_generation,
     intern_generation_sizes,
     intern_table_sizes,
-    register_flush_hook,
     register_pin_provider,
-    unregister_flush_hook,
     unregister_pin_provider,
 )
 
@@ -208,27 +206,24 @@ class TestEviction:
         # Building over the same fresh var twice gives two objects.
         assert App(Sym("fresh_wrap"), (anon,)) is not wrapped
 
-    def test_collect_specific_generations_only(self):
-        with intern_generation() as first:
+    def test_collect_sweeps_every_closed_generation(self):
+        with intern_generation():
             a = Sym("gen_specific_a")
         with intern_generation():
             b = Sym("gen_specific_b")
-        collect_generation(generations=[first])
-        assert not _interned(a)
-        assert _interned(b)
         collect_generation()
+        assert not _interned(a)
         assert not _interned(b)
 
-    def test_restricted_sweep_keeps_other_generations_references(self):
-        # A non-swept generation's App may reference a swept generation's
-        # child; the restricted sweep must treat surviving pools as roots
-        # or the App would be left dangling (and the child's identity
-        # split on rebuild).
-        with intern_generation() as first:
+    def test_pinned_term_keeps_a_child_born_in_another_generation(self):
+        # A pinned App may reference a child born in an older generation;
+        # the sweep must reach it through the parent or the App would be
+        # left dangling (and the child's identity split on rebuild).
+        with intern_generation():
             child = Sym("cross_gen_child")
-        with intern_generation() as second:
+        with intern_generation():
             parent = App(Sym("cross_gen_parent"), (child,))
-        collect_generation(generations=[first])
+        collect_generation(pins=[parent])
         assert _interned(child)
         assert _interned(parent)
         # Probe identity from inside a generation (a top-level probe would
@@ -305,18 +300,3 @@ class TestRegistries:
         gc.collect()
         collect_generation()
         assert not _interned(doomed)
-
-    def test_flush_hooks_run_before_sweep(self):
-        cache = {}
-
-        def flush():
-            cache.clear()
-
-        handle = register_flush_hook(flush)
-        try:
-            with intern_generation():
-                cache["k"] = parse_term("flush_hook_atom(f_c5)")
-            collect_generation()
-            assert cache == {}
-        finally:
-            unregister_flush_hook(handle)

@@ -146,8 +146,8 @@ class TestEngineSpans:
         with tracing(tracer):
             well_founded_for_hilog(program, strategy="seminaive")
         kinds = {event["kind"] for event in tracer.events()}
-        assert {"alternation", "wellfounded"} <= kinds
-        (summary,) = tracer.events("wellfounded")
+        assert {"alternation", "evaluate"} <= kinds
+        (summary,) = tracer.events("evaluate")
         assert summary["undefined"] == 2
         assert summary["alternations"] >= 1
 

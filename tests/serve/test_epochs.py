@@ -4,6 +4,8 @@ published epochs against the session they follow.  (What a base ⊕ delta
 view answers to each question of the fact-source protocol is in
 ``tests/engine/test_fact_sources.py``.)"""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from repro.hilog.errors import FrozenStoreError
 from repro.hilog.parser import parse_term
 from repro.hilog.program import Literal
 from repro.hilog.terms import collect_generation
+from repro.serve import epochs as epochs_module
 from repro.serve.epochs import EpochManager
 
 
@@ -71,8 +74,8 @@ class TestFrozenStore:
 
 
 class TestEpochManager:
-    def manager(self, store, **kwargs):
-        return EpochManager(store.snapshot, **kwargs)
+    def manager(self, store):
+        return EpochManager(store.snapshot)
 
     def test_publish_base_then_delta(self):
         store = base_store("e(a, b)")
@@ -166,9 +169,10 @@ class TestEpochManager:
             atoms("e(b, c)"), atoms("e(a, b)"), undefined=atoms("win(a)"))
         assert set(atoms("e(a, b)", "e(b, c)", "win(a)")) <= set(epoch.pin_roots())
 
-    def test_rebase_after_overlay_outgrows_base(self):
+    def test_rebase_after_overlay_outgrows_base(self, monkeypatch):
+        monkeypatch.setattr(epochs_module, "REBASE_MIN", 2)
         store = base_store("e(a, b)", "e(b, c)")
-        manager = self.manager(store, rebase_ratio=0.5, rebase_min=2)
+        manager = self.manager(store)
         manager.publish_base()
         epochs = []
         for step in range(4):
@@ -233,6 +237,7 @@ def _state(store, undefined, patterns):
     )
 
 
+@mock.patch.object(epochs_module, "REBASE_MIN", 2)
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -247,8 +252,7 @@ def test_epochs_follow_the_session_across_rebases(name, data):
 
     session = DatabaseSession(text)
     # (a well-founded session replaces its store on every write)
-    manager = EpochManager(lambda: session.store.snapshot(),
-                           rebase_ratio=0.5, rebase_min=2)
+    manager = EpochManager(lambda: session.store.snapshot())
     manager.publish_base(undefined=session.undefined)
     session.add_update_listener(lambda summary: manager.publish_delta(
         summary.added, summary.removed, undefined=session.undefined))

@@ -13,6 +13,7 @@ from repro.db import DatabaseSession
 from repro.hilog.errors import GroundingError
 from repro.hilog.parser import parse_term
 from repro.hilog.terms import App, Sym
+from repro.serve import epochs as epochs_module
 from repro.serve import (
     ServeError,
     ServingClosed,
@@ -53,7 +54,7 @@ class TestBasics:
             ServingSession(DatabaseSession("p(a)."), strategy="auto")
 
     @pytest.mark.parametrize("knob", [
-        {"max_batch": 0}, {"max_pending": 0}, {"rebase_ratio": 0},
+        {"max_batch": 0}, {"max_pending": 0},
     ])
     def test_rejected_knob_leaves_data_directory_fresh(self, tmp_path, knob):
         # Regression: the durable session was built (program file, WAL,
@@ -175,11 +176,14 @@ class TestBasics:
             assert serving.value("win(a)") == "true"
             assert serving.value("win(b)") == "false"
 
-    def test_rebase_snapshots_the_store_a_recomputing_session_has_now(self):
+    def test_rebase_snapshots_the_store_a_recomputing_session_has_now(
+            self, monkeypatch):
         # A well-founded session builds a new store per write; a rebase
         # used to snapshot the one the serving session was opened over.
+        monkeypatch.setattr(epochs_module, "REBASE_RATIO", 0.1)
+        monkeypatch.setattr(epochs_module, "REBASE_MIN", 1)
         program = WIN_RULES + "move(a, b)."
-        with ServingSession(program, rebase_ratio=0.1, rebase_min=1) as serving:
+        with ServingSession(program) as serving:
             serving.insert("move(b, c).", timeout=5)
             serving.insert("move(c, d).", timeout=5)
             assert serving.stats()["epochs"]["rebases"] >= 1
@@ -189,13 +193,14 @@ class TestBasics:
 
 
 class TestInternSafety:
-    def test_collect_keeps_pinned_epoch_atoms_canonical(self):
+    def test_collect_keeps_pinned_epoch_atoms_canonical(self, monkeypatch):
         # Force every publication to rebase to a fresh frozen snapshot, so
         # the post-retract epoch carries no tombstones (an overlay's
         # tombstones deliberately pin the retracted atoms for the overlay's
         # lifetime; a base epoch pins exactly its contents).
-        with ServingSession(TC_RULES, rebase_min=0,
-                            rebase_ratio=1e-9) as serving:
+        monkeypatch.setattr(epochs_module, "REBASE_RATIO", 1e-9)
+        monkeypatch.setattr(epochs_module, "REBASE_MIN", 0)
+        with ServingSession(TC_RULES) as serving:
             # Facts parsed on the writer thread are generation-born: after
             # retraction, the pinned epoch is their only owner.
             serving.insert("e(x0, y0). e(y0, z0).", timeout=5)
