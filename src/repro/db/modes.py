@@ -18,17 +18,29 @@ three-valued well-founded model otherwise — so a
   own loop over the maintenance plans (one stratum per component,
   per-derivation support counts on counting strata): folding it into the
   engine's walk would make that walk branch on a maintenance strategy.
-* ``"wellfounded"`` — the only obstacle is a cycle through negation at the
-  predicate-indicator level (win/move games over cyclic graphs).  The
-  evaluator is the engine's stratum walk
+* ``"wellfounded"`` — the obstacle is a cycle through negation at the
+  predicate-indicator level (win/move games over cyclic graphs), a
+  **name-open** rule beside negation whose name variables a binder binds
+  (Example 6.3's ``winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).``,
+  the Datahilog game), or both.  The evaluator is the engine's stratum walk
   (:func:`repro.engine.seminaive.wellfounded.evaluate_strata`) over strata
   compiled once with negation cycles admitted: no grounding, the store
-  holds the certainly-true atoms, the undefined ones come beside it.  The
-  incremental mode's reference is the same walk over strata compiled
-  without them.
-* ``"recompute"`` — everything else (variable predicate names mixed with
-  negation, recursion through aggregation): the evaluator is the Figure-1
-  procedure (``perfect_model_for_hilog``).
+  holds the certainly-true atoms, the undefined ones come beside it.
+  Name-open rules are specialised inside that walk, by a binder join over
+  the settled strata, and the compiled object memoises the specialisation,
+  so only a write to a binder relation (``game/1``) compiles anything.  The
+  model is the well-founded one: wherever Figure 1 accepts the program it
+  is total and the perfect model (Theorem 6.1); where Figure 1 rejects — a
+  cyclic move relation — the session answers three-valued instead of
+  refusing, and the *verdict* stays with
+  :func:`repro.core.modular.modularly_stratified_for_hilog` on the oracle
+  side.  The incremental mode's reference is the same walk over strata
+  compiled without negation cycles.
+* ``"recompute"`` — what the walk refuses: recursion through aggregation
+  (the parts explosion), a name-open rule beside negation with a name
+  variable no binder binds, an instance that would re-settle a head
+  (Example 6.5).  The evaluator is the Figure-1 procedure
+  (``perfect_model_for_hilog``).
 
 One documented semantic divergence, inherited from the two evaluators:
 for an aggregate whose condition predicate is settled in a *lower*
@@ -123,10 +135,10 @@ def choose_mode(rules: Program, limits: Limits, strategy: str) -> Tuple[
 
             return INCREMENTAL, plans, materialize, seminaive
     if strategy in ("auto", WELLFOUNDED):
-        # The non-stratified fast fallback: programs whose only obstacle is
-        # an indicator-level cycle through negation are recomputed per
-        # update with the semi-naive alternating fixpoint instead of the
-        # (orders-of-magnitude slower) Figure-1 grounding path.
+        # The non-stratified fast fallback: negation cycles and binder-
+        # guarded name variables are recomputed per update by the stratum
+        # walk instead of the (several times slower) Figure-1 grounding
+        # path.
         try:
             compiled = compile_strata(rules, allow_unstratified=True)
         except SeminaiveUnsupported:

@@ -240,7 +240,8 @@ class DatabaseSession(ModelReads):
             accepts the program: incremental, well-founded, recompute),
             ``"incremental"`` / ``"wellfounded"`` (raise
             :class:`~repro.engine.seminaive.SeminaiveUnsupported` outside
-            the respective class) or ``"recompute"``.
+            the respective class) or ``"recompute"`` (Figure 1, whatever
+            the program).
         max_facts / max_term_depth: the engine's resource caps.
         intern_gc: when set to a positive integer N, the session sweeps the
             term intern tables (:meth:`collect`) automatically after every N

@@ -29,16 +29,21 @@ Two program classes stratify without ``allow_unstratified``:
   well-founded model is total and coincides with it, and with the unique
   stable model).
 
-Programs outside these classes — variable predicate names combined with
-negation (Example 6.3's parameterized games), recursion through aggregation
-(the parts-explosion component) — raise :class:`SeminaiveUnsupported`;
+Programs outside these classes raise :class:`SeminaiveUnsupported` here;
 callers such as :func:`repro.core.modular.modularly_stratified_for_hilog`
-catch it and fall back to the grounding oracle.  Ground-indicator programs
-with a cycle through negation (win/move games over cyclic graphs) sit in
-between: ``stratify_program(allow_unstratified=True)`` reports their
-negation-SCC strata instead of raising, and the walk alternates on those,
-through :func:`evaluate_stratum`'s ``negation_store=`` phase hook and
-:func:`run_plan`.
+catch it and fall back to the grounding oracle.  Two of them the stratum
+walk of :mod:`repro.engine.seminaive.wellfounded` takes all the same.
+Ground-indicator programs with a cycle through negation (win/move games
+over cyclic graphs): ``stratify_program(allow_unstratified=True)`` reports
+their negation-SCC strata instead of raising, and the walk alternates on
+those, through :func:`evaluate_stratum`'s ``negation_store=`` phase hook
+and :func:`run_plan`.  Variable predicate names combined with negation
+(Example 6.3's parameterized games): :func:`stratify_program` still raises
+on such a rule, but ``compile_strata(allow_unstratified=True)`` never
+shows it one — it sets the rule aside, and the walk stratifies the rule's
+ground-named *instances* once a binder join has said what its names range
+over.  Recursion through aggregation (the parts-explosion component) stays
+outside every engine here.
 
 **The executor.**  There is one: the Python function
 :mod:`repro.engine.seminaive.plan` generates for each join plan
@@ -99,7 +104,8 @@ from repro.hilog.subst import Substitution
 
 class SeminaiveUnsupported(HiLogError):
     """The program is outside the class the semi-naive engine handles
-    (non-ground predicate names with negation, a cycle through negation or
+    (non-ground predicate names beside negation that no binder binds or
+    whose instances would re-settle a head, a cycle through negation or
     aggregation, or an unschedulable rule body).  Callers with a grounding
     fallback should catch this and take the slow path."""
 

@@ -17,6 +17,31 @@ store, and evaluate each the way what it reads demands —
   each other);
 * a **negation-SCC** stratum alternates (:func:`_alternate_stratum`).
 
+Figure 1 itself — settle the lowest components, reduce the remaining rules
+modulo what is settled (Definition 6.5), repeat — is a loop *around* that
+walk, not a second evaluator (:func:`_walk_order`).  A **name-open** rule,
+one with a variable in a predicate-name position (Example 6.3's
+``winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).``), cannot be
+stratified until its names are known, and what they range over is the
+answer to a join: its **binder**, the positive ground-named body literals
+that mention a name variable (``game(M)``).  So :func:`compile_strata` sets
+such rules aside with their binder compiled as an ordinary plan, and the
+walk, once the closed strata are settled, runs each binder plan over the
+atoms they left true or undefined, substitutes every answer into its rule
+(the binder literals stay in the body, so an undefined binder atom stays
+three-valued and no truth test happens outside a plan), compiles the now
+ground-named instances like any other rules and walks them over the same
+store — a negation component among them alternating — until no rule gains
+an instance.  It refuses a rule with a name variable no binder binds
+(Figure 1 would reduce one round by round; here it is left to the
+fallback) and, where Figure 1 must, an instance whose head indicator an
+already-walked rule defines or reads (Example 6.5's re-settled head).  It
+does not reproduce
+Figure 1's *verdict*: the result is the well-founded model — the perfect
+model whenever Figure 1 accepts (Theorem 6.1), three-valued where it
+rejects, e.g. a game over a cyclic move relation — and
+:mod:`repro.core.modular` stays the oracle that owns the verdict.
+
 :func:`seminaive_evaluate` is the walk over strata compiled without
 ``allow_unstratified`` — a cycle through negation raises
 :class:`~repro.engine.seminaive.engine.SeminaiveUnsupported`, every stratum
@@ -27,8 +52,8 @@ return the one :class:`SeminaiveResult`, and the session evaluators of
 they compiled once.
 
 The paper's central examples — win/move games over arbitrary graphs,
-Example 6.3's parameterized games — are where strata alternate: their
-predicate dependency graph has a cycle through
+the instances of Example 6.3's parameterized games — are where strata
+alternate: their predicate dependency graph has a cycle through
 negation, so no stratum order makes every negative subgoal read a settled
 stratum.  Their well-founded model is still computable bottom-up by Van
 Gelder's **alternating fixpoint**: iterate the Gelfond–Lifschitz operator
@@ -76,6 +101,7 @@ holds both entry points to what the two separate loops they replaced did.
 
 from __future__ import annotations
 
+from itertools import count as _count
 from time import perf_counter as _perf_counter
 from typing import FrozenSet, NamedTuple, Tuple
 
@@ -90,7 +116,7 @@ from repro.engine.seminaive.engine import (
     run_plan,
     stratify_program,
 )
-from repro.engine.seminaive.plan import PlanError, compile_rule
+from repro.engine.seminaive.plan import JoinPlan, PlanError, compile_rule
 from repro.engine.seminaive.relation import (
     FactBuckets,
     RelationStore,
@@ -99,8 +125,10 @@ from repro.engine.seminaive.relation import (
     predicate_indicator,
 )
 from repro.hilog.errors import GroundingError
+from repro.hilog.program import Program, Rule
+from repro.hilog.subst import Substitution
+from repro.hilog.terms import App, Term, Var, predicate_name, sym
 from repro.obs.trace import current_tracer
-from repro.hilog.terms import Term, predicate_name
 
 
 class SeminaiveResult(NamedTuple):
@@ -136,20 +164,116 @@ class SeminaiveResult(NamedTuple):
         return Interpretation(true=self.true, false=(), base=self.true | self.undefined)
 
 
-def compile_strata(program, allow_unstratified=False):
-    """Compile ``program``'s rules for :func:`evaluate_strata`: one
-    ``(stratum plan, flipped-negation variants or None, head names)`` per
-    stratum, lowest first, the variants present exactly for the
-    negation-SCC strata, which alternate — and which exist only with
-    ``allow_unstratified``; without it a cycle through negation raises.
-    The result depends on the rules alone, so a caller that re-evaluates
-    them over changing facts (a session, once per write or check) compiles
-    once.  Raises
-    :class:`~repro.engine.seminaive.engine.SeminaiveUnsupported` for
-    programs outside the class."""
+class OpenRule(NamedTuple):
+    """A **name-open** rule — a variable in the predicate name of its head,
+    of a body literal or of an aggregate condition — set aside by
+    :func:`compile_strata` with the plan that closes it."""
+
+    rule: Rule
+    #: The rule's name variables, in the order the binder plan reports them.
+    variables: Tuple[Var, ...]
+    #: The **binder plan**: the join of the positive, ground-named body
+    #: literals that mention a name variable (``game(M)``), compiled like
+    #: any rule, whose heads ``'$binder'(variables...)`` are the bindings
+    #: the rule is specialised by.
+    plan: JoinPlan
+
+
+class CompiledStrata:
+    """What :func:`compile_strata` makes of a program's rules and
+    :func:`evaluate_strata` walks: the strata of the rules whose every
+    predicate name is ground — one ``(stratum plan, flipped-negation
+    variants or None, head names)`` each, lowest first, the variants present
+    exactly for the negation-SCC strata, which alternate — and the
+    :class:`OpenRule` s, which become strata only once the store says what
+    their name variables range over.
+
+    ``rounds`` memoises the last specialisation, one ``(binder answers,
+    compiled strata)`` per round of Figure 1's loop: a walk whose binder
+    plans answer as they did last time reuses every plan (a write to
+    ``m1/2``), and only one whose answers changed (a write to ``game/1``)
+    compiles again."""
+
+    __slots__ = ("strata", "open_rules", "rounds")
+
+    def __init__(self, strata, open_rules=()):
+        self.strata = strata
+        self.open_rules = open_rules
+        self.rounds = []
+
+    def specialise(self, round_index, answers):
+        """The compiled strata of the instances that ``answers``, a list of
+        ``(open rule index, binder answer)`` pairs, stand for: each answer
+        substituted into its rule (Definition 6.5's reduction, the binder
+        literals kept in the body so an undefined binder atom stays
+        three-valued), the now ground-named instances stratified among
+        themselves.  ``round_index`` says which round of the walk asks."""
+        key = frozenset(answers)
+        rounds = self.rounds
+        if round_index < len(rounds) and rounds[round_index][0] == key:
+            return rounds[round_index][1]
+        del rounds[round_index:]
+        tracer = current_tracer()
+        if tracer is not None:
+            started = _perf_counter()
+        instances = []
+        for index, answer in answers:
+            open_rule = self.open_rules[index]
+            instances.append(open_rule.rule.substitute(
+                Substitution(dict(zip(open_rule.variables, answer.args)))
+            ))
+        strata = _compile_closed(Program(instances), allow_unstratified=True)
+        rounds.append((key, strata))
+        if tracer is not None:
+            tracer.emit(
+                "specialise", round=round_index, instances=len(instances),
+                strata=len(strata), duration_s=_perf_counter() - started,
+            )
+        return strata
+
+
+#: Head symbol of a binder plan's answers; they never enter a store.
+_BINDER = sym("$binder")
+
+
+def name_binders(rule):
+    """``(name variables, binder literals, unbound variables)`` of ``rule``.
+
+    The **name variables** are those in predicate-name position — of the
+    head, a body literal or an aggregate condition; a rule with any is
+    *name-open*.  Its **binder** is the positive, ground-named body
+    literals that mention one (``game(M)``): a join over settled relations
+    whose answers say what the names range over.  A name variable the
+    binder leaves **unbound** keeps the rule from being specialised (the
+    linter's ``W504``)."""
+    names = [predicate_name(rule.head)]
+    names.extend(
+        predicate_name(literal.atom)
+        for literal in rule.body if not literal.is_builtin()
+    )
+    names.extend(predicate_name(spec.condition) for spec in rule.aggregates)
+    variables = set()
+    for name in names:
+        variables |= name.variables()
+    binders = tuple(
+        literal for literal in rule.positive_literals()
+        if predicate_name(literal.atom).is_ground()
+        and literal.atom.variables() & variables
+    )
+    unbound = set(variables)
+    for literal in binders:
+        unbound -= literal.atom.variables()
+    return variables, binders, unbound
+
+
+def _compile_closed(program, allow_unstratified):
+    """The compiled strata of ``program``, every rule of which stratifies
+    as it stands."""
     stratification = stratify_program(program, allow_unstratified=allow_unstratified)
     strata = []
     for index, rules in enumerate(stratification.strata):
+        if not rules:
+            continue
         stratum = compile_stratum(rules, stratification.recursive)
         variants = None
         if index in stratification.unstratified:
@@ -157,6 +281,81 @@ def compile_strata(program, allow_unstratified=False):
         names = frozenset(predicate_name(rule.head) for rule in rules)
         strata.append((stratum, variants, names))
     return tuple(strata)
+
+
+def compile_strata(program, allow_unstratified=False):
+    """Compile ``program``'s rules for :func:`evaluate_strata`, as a
+    :class:`CompiledStrata`.  A negation-SCC stratum exists only with
+    ``allow_unstratified``; without it a cycle through negation raises.
+
+    With ``allow_unstratified`` the name-open rules of a program with
+    negation or aggregation — Example 6.3's ``winning(M)(X) :- game(M),
+    M(X, Y), not winning(M)(Y).`` — are set aside as :class:`OpenRule` s,
+    for the walk to specialise by their binder plans once the strata below
+    are settled; without it they raise, as a rule with no binder does
+    either way.  (A definite program keeps its name-open rules: it is one
+    stratum, whatever its names.)
+
+    The result depends on the rules alone, so a caller that re-evaluates
+    them over changing facts (a session, once per write or check) compiles
+    once.  Raises
+    :class:`~repro.engine.seminaive.engine.SeminaiveUnsupported` for
+    programs outside the class."""
+    open_rules = []
+    if allow_unstratified and (program.has_negation() or program.has_aggregates()):
+        for rule in program.proper_rules():
+            name_variables, binders, unbound = name_binders(rule)
+            if unbound:
+                raise SeminaiveUnsupported(
+                    "no positive ground-named literal of rule %r binds the "
+                    "predicate-name variable(s) %s; the rule cannot be "
+                    "specialised"
+                    % (rule, ", ".join(sorted(map(repr, unbound))))
+                )
+            if name_variables:
+                variables = tuple(sorted(name_variables, key=repr))
+                open_rules.append(OpenRule(
+                    rule, variables,
+                    compile_rule(Rule(App(_BINDER, variables), binders)),
+                ))
+        if open_rules:
+            set_aside = {open_rule.rule for open_rule in open_rules}
+            program = Program(
+                rule for rule in program.rules if rule not in set_aside
+            )
+    compiled = CompiledStrata(
+        _compile_closed(program, allow_unstratified), tuple(open_rules)
+    )
+    if open_rules:
+        # An instance whose head indicator is known already — the name
+        # variable is in the body only — and which a closed rule defines or
+        # reads can never be walked: refuse here, not at the first binder
+        # answer.
+        settled = _indicators(compiled.strata)
+        for open_rule in open_rules:
+            _refuse_resettled(literal_indicator(open_rule.rule.head), settled,
+                              open_rule.rule)
+    return compiled
+
+
+def _indicators(strata):
+    """The indicators the rules of ``strata`` define or read."""
+    indicators = set()
+    for stratum, _variants, _names in strata:
+        indicators |= stratum.head_indicators
+        indicators |= stratum.reads
+    return indicators
+
+
+def _refuse_resettled(indicator, settled, rule):
+    """Figure 1's refusal (Example 6.5): ``rule`` would derive atoms of an
+    indicator the walk has already settled."""
+    if indicator in settled:
+        raise SeminaiveUnsupported(
+            "rule %r defines %s/%d, which a rule evaluated before it "
+            "defines or reads: its head would be re-settled (cf. Example "
+            "6.5)" % (rule, indicator[0], indicator[1])
+        )
 
 
 def _negation_variants(stratum):
@@ -276,16 +475,54 @@ def _seed_facts(program, extra_facts):
             yield rule.head
 
 
+def _walk_order(compiled, possible, limits):
+    """The strata :func:`evaluate_strata` walks, in its order: the closed
+    ones, then — Figure 1's loop, around the walk — the instances of the
+    open rules, round by round until no rule gains one.  A generator,
+    resumed once the walk has evaluated what it was handed: each round's
+    binder plans run over ``possible``, the live view of the atoms the
+    strata walked so far leave true or undefined."""
+    yield from compiled.strata
+    if not compiled.open_rules:
+        return
+    settled = _indicators(compiled.strata)
+    sources = PlanSources(possible)
+    walked = set()
+    for round_index in _count():
+        answers = []
+        for index, open_rule in enumerate(compiled.open_rules):
+            for answer in run_plan(open_rule.plan, sources,
+                                   max_results=limits.max_facts):
+                if (index, answer) not in walked:
+                    walked.add((index, answer))
+                    answers.append((index, answer))
+        if not answers:
+            return
+        if len(walked) > limits.max_facts:
+            raise GroundingError(
+                "specialising the name-open rules exceeded %d instances"
+                % limits.max_facts
+            )
+        strata = compiled.specialise(round_index, answers)
+        for stratum, _variants, _names in strata:
+            for rule in stratum.rules:
+                _refuse_resettled(literal_indicator(rule.head), settled, rule)
+        settled |= _indicators(strata)
+        yield from strata
+
+
 def evaluate_strata(compiled, facts, limits):
     """Evaluate ``compiled`` — the :func:`compile_strata` of a program's
     rules — over the ground atoms ``facts``: the one walk from compiled
-    strata to a model, lowest stratum first (Figure 1's order), each
-    stratum evaluated the way what it reads demands (see the module
-    docstring).  Returns a :class:`SeminaiveResult`.
+    strata to a model, lowest stratum first (Figure 1's order, the
+    instances of name-open rules joining it as :func:`_walk_order` closes
+    them), each stratum evaluated the way what it reads demands (see the
+    module docstring).  Returns a :class:`SeminaiveResult`.
 
     Raises :class:`~repro.engine.seminaive.engine.SeminaiveUnsupported` for
-    aggregation inside a negation cycle or over possibly-undefined atoms and
-    :class:`~repro.hilog.errors.GroundingError` for an unsafe rule or a
+    aggregation inside a negation cycle or over possibly-undefined atoms
+    and for an instance of a name-open rule whose head is already settled,
+    and :class:`~repro.hilog.errors.GroundingError` for an unsafe rule or a
     tripped cap of ``limits``.
     """
     tracer = current_tracer()
@@ -299,8 +536,11 @@ def evaluate_strata(compiled, facts, limits):
     uncertain = set()
     iterations = 0
     alternations = 0
+    names_walked = []
 
-    for stratum, variants, _names in compiled:
+    for stratum, variants, names in _walk_order(
+            compiled, StoreView((under, over_extra)), limits):
+        names_walked.append(names)
         alternating = variants is not None
         if uncertain:
             reads = stratum.reads
@@ -353,14 +593,14 @@ def evaluate_strata(compiled, facts, limits):
     true = frozenset(under)
     if tracer is not None:
         tracer.emit(
-            "evaluate", strata=len(compiled), iterations=iterations,
+            "evaluate", strata=len(names_walked), iterations=iterations,
             alternations=alternations, facts=len(true),
             undefined=len(over_extra), duration_s=_perf_counter() - started,
         )
     return SeminaiveResult(
         true=true,
         undefined=frozenset(over_extra),
-        strata=tuple(names for _stratum, _variants, names in compiled),
+        strata=tuple(names_walked),
         iterations=iterations,
         alternations=alternations,
         store=under,
@@ -406,13 +646,16 @@ def seminaive_well_founded(program, extra_facts=(), max_facts=1000000,
 
     Handles every ground-predicate-indicator program without aggregation
     through negation cycles — in particular the non-stratified class
-    :func:`seminaive_evaluate` refuses.  ``extra_facts`` seeds additional
-    atoms assumed true.  Returns a :class:`SeminaiveResult`; raises
+    :func:`seminaive_evaluate` refuses — and name-open rules beside
+    negation whose name variables a binder binds (Example 6.3 as written).
+    ``extra_facts`` seeds additional atoms assumed true.  Returns a
+    :class:`SeminaiveResult`; raises
     :class:`~repro.engine.seminaive.engine.SeminaiveUnsupported` for
-    programs outside the class (non-ground predicate names with negation,
-    recursion through aggregation, aggregation over possibly-undefined
-    atoms) and :class:`~repro.hilog.errors.GroundingError` when a resource
-    cap trips, mirroring the stratified entry point's contract.
+    programs outside the class (a name variable beside negation that no
+    binder binds, an instance re-settling a head, recursion through
+    aggregation, aggregation over possibly-undefined atoms) and
+    :class:`~repro.hilog.errors.GroundingError` when a resource cap trips,
+    mirroring the stratified entry point's contract.
     """
     return evaluate_strata(
         compile_strata(program, allow_unstratified=True),

@@ -13,6 +13,9 @@ reimplementing it:
 * plan quality (``E106``/``W502``) compiles every rule through the real
   join planner (:func:`repro.engine.seminaive.plan.compile_rule`) and
   inspects the resulting fetch steps;
+* specialisability (``W504``) asks the engine's own
+  :func:`repro.engine.seminaive.wellfounded.name_binders` which predicate-
+  name variables a rule's binder leaves unbound;
 * the remaining passes (duplicates, subsumption, arity and liveness
   hygiene) are purely syntactic.
 
@@ -25,7 +28,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.range_restriction import range_restriction_violations
 from repro.engine.seminaive.plan import FETCH, PlanError, compile_rule
-from repro.engine.seminaive.relation import literal_indicator
+from repro.engine.seminaive.relation import literal_indicator, predicate_indicator
+from repro.engine.seminaive.wellfounded import name_binders
 from repro.hilog.depgraph import DependencyGraph
 from repro.hilog.errors import HiLogError
 from repro.hilog.pretty import format_literal, format_term
@@ -147,39 +151,36 @@ def check_safety(program):
 # ---------------------------------------------------------------------------
 
 def check_stratification(program):
-    """Negation/aggregation cycles over the ground-indicator graph.
+    """Negation/aggregation cycles over the predicate-indicator graph.
 
     Mirrors the semi-naive engine's stratification: aggregate edges are
     labelled negative, and a negative edge inside a strongly connected
     component means recursion through negation (``W501`` — the well-founded
     mode evaluates it) or through aggregation (``E104`` — no engine does).
-    Rules whose indicators are non-ground (higher-order HiLog) contribute
-    no edges: their stratification is a runtime property of the ground
-    names, which static analysis cannot enumerate.
+    A non-ground predicate name (higher-order HiLog) is a node by its
+    *pattern*: ``winning(M)(X) :- ..., not winning(M)(Y).`` depends on
+    itself through negation whatever ``M`` is bound to, which is how
+    Example 6.3 gets its ``W501``.  Distinct patterns that only unify once
+    the names are bound are not linked: that is a runtime property of the
+    data, which static analysis cannot enumerate.
     """
     graph = DependencyGraph()
     negation_sites = {}   # (head, body) indicator pair -> (rule, literal)
     aggregate_sites = {}  # (head, condition) indicator pair -> (rule, spec)
     for rule in program.rules:
-        head = literal_indicator(rule.head)
-        if head is None:
-            continue
+        head = predicate_indicator(rule.head)
         graph.add_node(head)
         if rule.is_fact():
             continue
         for literal in rule.body:
             if literal.is_builtin():
                 continue
-            target = literal_indicator(literal.atom)
-            if target is None:
-                continue
+            target = predicate_indicator(literal.atom)
             graph.add_edge(head, target, negative=literal.negative)
             if literal.negative:
                 negation_sites.setdefault((head, target), (rule, literal))
         for spec in rule.aggregates:
-            target = literal_indicator(spec.condition)
-            if target is None:
-                continue
+            target = predicate_indicator(spec.condition)
             # Aggregation behaves like negation for stratification: the
             # condition's extension must be complete before the fold runs.
             graph.add_edge(head, target, negative=True)
@@ -301,6 +302,56 @@ def _cycle_witness(graph, component, source, target):
         _format_indicator(source),
         " -> ".join(_format_indicator(n) for n in path),
     )
+
+
+# ---------------------------------------------------------------------------
+# Specialisability of name-open rules (W504)
+# ---------------------------------------------------------------------------
+
+def check_binders(program, error_rules):
+    """Name-open rules beside negation or aggregation that no binder closes
+    (``W504``), unless a safety error already says why (``E103``: nothing
+    binds the name at all).
+
+    With negation or aggregation in the program the engine evaluates a rule
+    with a variable in predicate-name position only after specialising it:
+    one instance per answer of its **binder**, the positive ground-named
+    body literals that mention a name variable (``game(M)`` in Example
+    6.3).  A name variable no such literal binds leaves nothing to join,
+    and the session serves the whole program by the Figure-1 grounding
+    fallback instead.  (A definite program needs no binder: it is one
+    stratum, whatever its names.)
+    """
+    if not (program.has_negation() or program.has_aggregates()):
+        return []
+    diagnostics = []
+    for index, rule in enumerate(program.rules):
+        if rule.is_fact() or index in error_rules:
+            continue
+        _variables, _binders, unbound = name_binders(rule)
+        if not unbound:
+            continue
+        span = rule.span
+        if not predicate_name(rule.head).variables() & unbound:
+            sites = [(literal.atom, literal.span) for literal in rule.body
+                     if not literal.is_builtin()]
+            sites.extend((spec.condition, spec.span) for spec in rule.aggregates)
+            for atom, site_span in sites:
+                if predicate_name(atom).variables() & unbound:
+                    span = site_span or span
+                    break
+        names = _var_names(sorted(unbound, key=lambda v: v.name))
+        diagnostics.append(make_diagnostic(
+            "W504",
+            "no positive ground-named literal binds %s: the engine cannot "
+            "specialise this rule, every write falls back to Figure-1 "
+            "grounding" % names,
+            span=span,
+            rule=repr(rule),
+            hint="guard the rule with a relation listing the names, e.g. "
+                 "game(%s)" % names,
+        ))
+    return diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +756,7 @@ def run_checks(program):
     """Run every pass over ``program`` and return the combined findings."""
     diagnostics, error_rules = check_safety(program)
     diagnostics.extend(check_stratification(program))
+    diagnostics.extend(check_binders(program, error_rules))
     diagnostics.extend(check_plans(program, error_rules))
     diagnostics.extend(check_singletons(program, error_rules))
     diagnostics.extend(check_duplicates(program))

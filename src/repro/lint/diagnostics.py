@@ -91,6 +91,11 @@ CODES = {
              "recursion through aggregation at the predicate level; "
              "evaluation succeeds only if the data keeps the ground "
              "instance acyclic (modular stratification, Theorem 6.1)"),
+        Code("W504", "unbound-name-variable", SEVERITY_WARNING,
+             "a predicate-name variable beside negation or aggregation is "
+             "bound by no positive ground-named literal, so the engine "
+             "cannot specialise the rule and the session falls back to "
+             "Figure-1 grounding"),
     )
 }
 

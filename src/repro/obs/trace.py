@@ -18,6 +18,9 @@ Event kinds currently emitted:
                  undefined facts)
 ``alternation``  one alternating-fixpoint round (overestimate/underestimate
                  layer sizes, removals reseeded)
+``specialise``   name-open rules compiled into ground-named instances for
+                 one round of binder answers (instances, strata, duration);
+                 absent when the memoised specialisation was reused
 ``maintenance``  one session update batch (mode, op counts, delta sizes,
                  duration, register stats)
 ``collect``      an intern-table sweep (swept/kept sizes, duration)

@@ -20,6 +20,11 @@ its samples routinely have genuinely three-valued well-founded models, so
 the semi-naive alternating fixpoint, the ground alternating fixpoint and
 the paper-faithful ``W_P`` iteration can be compared on all three truth
 values instead of only on totals.
+
+Both generators take ``name_open=k``: ``k`` more rules in the shape of
+Example 6.3, a variable in predicate-name position under negation, guarded
+by a binder (:func:`name_open_rules`) — HiLog programs proper, which the
+engine specialises by a binder join and the ground oracles instantiate.
 """
 
 from __future__ import annotations
@@ -31,9 +36,46 @@ from repro.hilog.program import Literal, Program, Rule
 from repro.hilog.terms import App, Sym, Var
 
 
+def name_open_rules(predicates, count, arity, rng):
+    """``count`` random **name-open** rules over ``predicates`` plus the
+    binder facts that close them, in the shape of Example 6.3::
+
+        q0(N)(X0, X1) :- rel(N), N(X0, X1), not q1(N)(X1, X0).
+        rel(p0).  rel(p2).
+
+    Every rule is guarded by the binder ``rel(N)`` and anchored by a
+    positive literal binding every variable (range restriction); its other
+    literals read the bound relation ``N``, a fixed ``p_i`` or a
+    parameterized ``q_j(N)`` — any ``j``, so the instances recurse through
+    negation among themselves — positively or negatively.  Heads are
+    ``q_j(N)`` only: no rule over ``predicates`` alone reads them, so the
+    instances never re-settle a head."""
+    binder = Sym("rel")
+    name = Var("N")
+    variables = tuple(Var("X%d" % i) for i in range(arity))
+    parameterized = [App(Sym("q%d" % i), (name,)) for i in range(count)]
+    rules = []
+    for head_name in parameterized:
+        anchor = rng.choice([name] + list(predicates))
+        body = [Literal(App(binder, (name,))), Literal(App(anchor, variables))]
+        for _ in range(rng.randint(1, 2)):
+            arguments = list(variables)
+            rng.shuffle(arguments)
+            body.append(Literal(
+                App(rng.choice([name] + list(predicates) + parameterized),
+                    tuple(arguments)),
+                positive=rng.random() < 0.4,
+            ))
+        rules.append(Rule(App(head_name, variables), tuple(body)))
+    bound = rng.sample(list(predicates), rng.randint(1, len(predicates)))
+    return rules + [Rule(App(binder, (predicate,))) for predicate in bound]
+
+
 def random_range_restricted_program(n_predicates=3, n_constants=3, n_facts=6, n_rules=4,
-                                    max_body=3, arity=2, negation="stratified", seed=0):
-    """Generate a random range-restricted normal program.
+                                    max_body=3, arity=2, negation="stratified", seed=0,
+                                    name_open=0):
+    """Generate a random range-restricted normal program — or, with
+    ``name_open``, a HiLog one.
 
     Args:
         n_predicates: number of IDB/EDB predicate symbols ``p0, p1, ...``.
@@ -46,6 +88,9 @@ def random_range_restricted_program(n_predicates=3, n_constants=3, n_facts=6, n_
             lower-numbered predicates, keeping the program stratified) or
             ``"free"`` (negation on any predicate).
         seed: RNG seed (generation is deterministic given the seed).
+        name_open: number of :func:`name_open_rules` to add (drawn from a
+            generator of their own: the normal part of the program is the
+            same whatever this is).
     """
     if negation not in ("none", "stratified", "free"):
         raise ValueError("negation must be 'none', 'stratified' or 'free'")
@@ -97,12 +142,15 @@ def random_range_restricted_program(n_predicates=3, n_constants=3, n_facts=6, n_
                 body.append(Literal(App(predicates[predicate_index], tuple(bound_vars[:arity])),
                                     positive=False))
         rules.append(Rule(head, tuple(body)))
+    if name_open:
+        rules.extend(name_open_rules(
+            predicates, name_open, arity, random.Random(seed * 104729 + 7)))
     return Program(tuple(rules))
 
 
 def random_nonstratified_program(n_predicates=4, n_constants=3, n_facts=8,
                                  n_rules=5, max_body=3, arity=2,
-                                 cycle_length=2, seed=0):
+                                 cycle_length=2, seed=0, name_open=0):
     """Generate a random range-restricted normal program with a *guaranteed*
     cycle through negation.
 
@@ -133,6 +181,7 @@ def random_nonstratified_program(n_predicates=4, n_constants=3, n_facts=8,
         arity=arity,
         negation="free",
         seed=seed,
+        name_open=name_open,
     )
     rng = random.Random(seed * 7919 + 13)
     predicates = [Sym("p%d" % i) for i in range(n_predicates)]

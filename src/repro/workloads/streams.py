@@ -121,8 +121,8 @@ def win_move_stream(nodes, base_edges, relation="m", operations=30, seed=0,
 
     Nodes are ``<prefix>0 .. <prefix><nodes-1>`` and every edge goes from a
     lower-numbered node to a higher one, so the game stays modularly
-    stratified (a DAG) under every prefix of the stream — the recompute-mode
-    session scenario.
+    stratified (a DAG) under every prefix of the stream: Figure 1 accepts
+    every step, whichever session mode serves it.
     """
     rng = random.Random(seed)
     present = set(base_edges)

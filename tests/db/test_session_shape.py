@@ -12,7 +12,7 @@ from repro.db import DatabaseSession
 from repro.hilog.errors import GroundingError
 from repro.hilog.parser import parse_query, parse_term
 from repro.serve import ServingSession
-from repro.workloads.games import datahilog_game_program
+from repro.workloads.parts import bicycle_parts_program
 
 TC = """
     tc(X, Y) :- e(X, Y).
@@ -34,9 +34,12 @@ CASES = {
         ("insert", "move(c, d)."), ("retract", "move(b, a)."),
         ("insert", "move(d, c). move(e, e)."), ("retract", "move(c, d)."),
     ]),
-    "recompute": (datahilog_game_program({"m": [("a", "b"), ("b", "c")]}), [
-        ("insert", "m(c, d)."), ("insert", "m(d, e). m(x, y)."),
-        ("retract", "m(a, b)."), ("retract", "m(x, y)."),
+    # Recursion through aggregation: what the Figure-1 fallback still owns.
+    "recompute": (bicycle_parts_program(), [
+        ("insert", "part_bike(frame, bolt, 4)."),
+        ("insert", "part_bike(wheel, hub, 1). part_bike(x, y, 2)."),
+        ("retract", "part_bike(bicycle, frame, 1)."),
+        ("retract", "part_bike(x, y, 2)."),
     ]),
 }
 

@@ -24,6 +24,12 @@ WIN_MOVE = """
 """
 
 
+HILOG_GAME = """
+    game(m). m(a, b). m(b, c).
+    winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).
+"""
+
+
 def _dir(tmp_path):
     return str(tmp_path / "data")
 
@@ -129,6 +135,55 @@ def test_wellfounded_undefined_partition_survives_recovery(tmp_path):
     assert set(recovered.undefined) == expected_undef
     assert set(recovered.true) == expected_true
     recovered.close()
+
+
+def test_snapshot_of_another_mode_is_rematerialised(tmp_path, monkeypatch):
+    """A directory checkpointed by a ``strategy="recompute"`` session
+    (Figure 1) reopens under auto, which serves Example 6.3 on the engine:
+    the snapshot's mode is not the session's, so its store is not adopted
+    — the model is evaluated from the snapshot's EDB, the WAL tail replays
+    through the new mode's write path, and the model is the same."""
+    session = DatabaseSession(HILOG_GAME, strategy="recompute",
+                              path=_dir(tmp_path), fsync="always")
+    assert session.mode == "recompute"
+    session.insert("m(c, d).")
+    session.checkpoint()
+    session.insert("m(d, e).")
+    session.retract("m(a, b).")
+    expected_true, expected_edb = set(session.true), session.edb()
+    session._durable.abandon()
+
+    import repro.db.session as session_module
+
+    evaluated = []
+    choose_mode = session_module.choose_mode
+
+    def counting(*args):
+        mode, plans, evaluator, reference = choose_mode(*args)
+
+        def counted(edb):
+            evaluated.append(len(edb))
+            return evaluator(edb)
+
+        return mode, plans, counted, reference
+
+    monkeypatch.setattr(session_module, "choose_mode", counting)
+    recovered = DatabaseSession.open(_dir(tmp_path), verify=True)
+    assert recovered.mode == "wellfounded"
+    info = recovered.stats()["durability"]
+    assert info["snapshot_txn"] == 1 and info["replayed_txns"] == 2
+    # one evaluation of the snapshot's EDB, then one per replayed batch
+    assert len(evaluated) == 3
+    assert recovered.edb() == expected_edb
+    assert set(recovered.true) == expected_true and recovered.is_total()
+    recovered.close()
+
+    # ... and the next open, snapshot and session agreeing, adopts the store.
+    del evaluated[:]
+    again = DatabaseSession.open(_dir(tmp_path), verify=True)
+    assert again.mode == "wellfounded" and evaluated == []
+    assert set(again.true) == expected_true
+    again.close()
 
 
 def test_open_uninitialized_directory_raises(tmp_path):

@@ -12,8 +12,13 @@ evaluators exactly.
 ``fixtures/evaluator_differential.json`` holds the records of commit
 99a4471, where ``seminaive_evaluate`` and ``seminaive_well_founded`` were
 two loops with two result classes (the first had no ``alternations`` and no
-``undefined``, recorded as 0).  ``python tests/engine/evaluator_differential.py
-OUT.json`` writes whatever the checked-out evaluators do.
+``undefined``, recorded as 0) — except the ``well_founded`` records of the
+four programs with a name-open rule beside negation (``game-hilog``,
+``game-datahilog``, ``game-multi``, ``handwritten``), which that commit
+refused and the walk has specialised by binder plans since; their models
+are held to the ground oracles by ``test_wellfounded_agreement.py``.
+``python tests/engine/evaluator_differential.py OUT.json`` writes whatever
+the checked-out evaluators do.
 """
 
 import hashlib

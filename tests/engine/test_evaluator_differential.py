@@ -2,7 +2,8 @@
 program of the corpus in :mod:`evaluator_differential` both entry points
 must do exactly what they did at commit 99a4471
 (``fixtures/evaluator_differential.json``) — same model, same rounds, same
-``fetches`` / ``candidates``, same refusals."""
+``fetches`` / ``candidates``, same refusals (the four name-open programs
+apart, see the recorder)."""
 
 import json
 import os

@@ -9,16 +9,25 @@ the ``strategy="seminaive"`` wiring of ``well_founded_for_hilog``.
 
 import pytest
 
+from repro.core.modular import modularly_stratified_for_hilog, perfect_model_for_hilog
 from repro.core.semantics import hilog_well_founded_model, well_founded_for_hilog
 from repro.engine.seminaive import (
+    EXECUTION_STATS,
+    PlanSources,
     SeminaiveUnsupported,
+    run_plan,
     seminaive_evaluate,
     seminaive_well_founded,
     seminaive_well_founded_detailed,
     stratify_program,
 )
+from repro.engine.seminaive.engine import Limits
+from repro.engine.seminaive.relation import RelationStore
+from repro.engine.seminaive.wellfounded import compile_strata, evaluate_strata
 from repro.hilog.errors import GroundingError
 from repro.hilog.parser import parse_program, parse_term
+from repro.hilog.program import Program
+from repro.obs.trace import EvaluationTracer, tracing
 from repro.workloads.games import (
     composed_move_game_program,
     cycle_game_program,
@@ -109,32 +118,168 @@ class TestKnownUndefinedSets:
 
 
 class TestParameterizedGames:
-    """Example 6.3's games have variable predicate names inside negation —
-    outside the semi-naive class — so ``strategy="seminaive"`` must fall
-    back to the grounding oracle and agree with it exactly."""
+    """Example 6.3's games have variable predicate names inside negation:
+    the walk specialises the rule by its binder ``game(M)`` and alternates
+    on the instances — no grounding, and exact agreement with the oracle."""
 
     GAMES = {"m1": cycle_edges(3, "a"), "m2": chain_edges(3, "b")}
 
-    def test_hilog_game_falls_back_and_agrees(self):
+    def test_hilog_game_runs_on_the_engine_and_agrees(self):
         program = hilog_game_program(self.GAMES)
-        with pytest.raises(SeminaiveUnsupported):
-            seminaive_well_founded(program)
-        fast = well_founded_for_hilog(program, strategy="seminaive")
+        result = seminaive_well_founded(program)
         oracle = well_founded_for_hilog(program)
-        assert fast.true == oracle.true
-        assert fast.undefined == oracle.undefined
+        assert result.true == oracle.true
+        assert result.undefined == oracle.undefined
         # The a-cycle game is undefined, the b-line game resolves.
-        assert parse_term("winning(m1)(a0)") in fast.undefined
-        assert parse_term("winning(m2)(b0)") in fast.true
+        assert parse_term("winning(m1)(a0)") in result.undefined
+        assert parse_term("winning(m2)(b0)") in result.true
+        # The instances are the one (alternating) stratum walked; the
+        # stratified entry point still refuses.
+        assert result.strata == (
+            frozenset({parse_term("winning(m1)"), parse_term("winning(m2)")}),
+        )
+        with pytest.raises(SeminaiveUnsupported):
+            seminaive_evaluate(program)
 
-    def test_datahilog_game_falls_back_and_agrees(self):
+    def test_datahilog_game_runs_on_the_engine_and_agrees(self):
         program = datahilog_game_program(self.GAMES)
+        result = seminaive_well_founded(program)
         fast = well_founded_for_hilog(program, strategy="seminaive")
         oracle = well_founded_for_hilog(program)
-        assert fast.true == oracle.true
-        assert fast.undefined == oracle.undefined
+        assert result.true == fast.true == oracle.true
+        assert result.undefined == fast.undefined == oracle.undefined
         assert parse_term("winning(m1, a1)") in fast.undefined
         assert parse_term("winning(m2, b0)") in fast.true
+
+
+class TestNameOpenRules:
+    """``compile_strata(allow_unstratified=True)`` sets name-open rules
+    aside with a binder plan; ``evaluate_strata`` runs Figure 1's loop
+    around the walk."""
+
+    LIMITS = Limits()
+
+    def test_binder_answers_come_from_a_counted_plan(self):
+        program = hilog_game_program({"m1": chain_edges(3), "m2": chain_edges(2)})
+        compiled = compile_strata(program, allow_unstratified=True)
+        (open_rule,) = compiled.open_rules
+        assert [repr(v) for v in open_rule.variables] == ["M"]
+        assert repr(open_rule.plan.rule) == "'$binder'(M) :- game(M)."
+        before = EXECUTION_STATS.snapshot()
+        store = RelationStore(rule.head for rule in program.facts())
+        answers = run_plan(open_rule.plan, PlanSources(store))
+        assert sorted(map(repr, answers)) == ["'$binder'(m1)", "'$binder'(m2)"]
+        assert EXECUTION_STATS.diff(before)["fetches"] == 1
+
+    def test_a_rule_with_no_binder_is_refused_at_compile_time(self):
+        for text in (
+            "tc(R)(X, Y) :- R(X, Y). p :- not q. e(a, b).",
+            "w(M)(X) :- M(X, Y), not w(M)(Y). m(a, b).",
+            # ``not game(M)`` binds nothing; ``M = m`` is a builtin
+            "w(M)(X) :- not game(M), M(X, Y). m(a, b).",
+        ):
+            with pytest.raises(SeminaiveUnsupported, match="binds"):
+                compile_strata(parse_program(text), allow_unstratified=True)
+
+    def test_definite_programs_keep_their_name_open_rules(self):
+        program = parse_program("tc(R)(X, Y) :- R(X, Y). e(a, b).")
+        compiled = compile_strata(program, allow_unstratified=True)
+        assert compiled.open_rules == () and len(compiled.strata) == 1
+
+    def test_example_6_5_resettled_head_is_refused(self):
+        program = parse_program("""
+            winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).
+            game(move1).
+            provide(move1(a, b)) :- not winning(move1)(b).
+            X :- provide(X).
+        """)
+        with pytest.raises(SeminaiveUnsupported, match="re-settled"):
+            seminaive_well_founded(program)
+        assert not modularly_stratified_for_hilog(program).is_modularly_stratified
+
+    def test_statically_known_resettled_head_is_refused_at_compile_time(self):
+        # ``in/2`` is read by a closed rule and defined by a name-open one:
+        # no EDB makes that walkable, so the mode probe must see it.
+        program = parse_program("""
+            in(M, X) :- assoc(M, P), P(X).
+            total(M, N) :- assoc(M, P), N = count(X : in(M, X)).
+        """)
+        with pytest.raises(SeminaiveUnsupported, match="re-settled"):
+            compile_strata(program, allow_unstratified=True)
+
+    def test_variable_head_resolved_by_a_second_open_rule(self):
+        program = parse_program("""
+            winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).
+            game(move1).
+            X :- supplies(X).
+            supplies(move1(a, b)). supplies(move1(b, c)).
+        """)
+        result = seminaive_well_founded(program)
+        assert result.true == perfect_model_for_hilog(program).true
+        assert parse_term("winning(move1)(b)") in result.true
+
+    def test_a_binder_defined_by_an_instance_takes_a_second_round(self):
+        program = parse_program("""
+            winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).
+            G :- enabled(G).
+            enabled(game(m)). m(a, b). m(b, c).
+        """)
+        tracer = EvaluationTracer()
+        with tracing(tracer):
+            result = seminaive_well_founded(program)
+        assert [e["round"] for e in tracer.events("specialise")] == [0, 1]
+        # Figure 1 settles ``game`` as universally false before ``G :-
+        # enabled(G).`` is reduced and rejects; the well-founded model is
+        # total all the same, and the walk computes it.
+        assert not modularly_stratified_for_hilog(program).is_modularly_stratified
+        oracle = well_founded_for_hilog(program)
+        assert (result.true, result.undefined) == (oracle.true, frozenset())
+        assert parse_term("winning(m)(b)") in result.true
+
+    def test_undefined_binder_atoms_stay_three_valued(self):
+        program = parse_program("""
+            game(M) :- candidate(M), not rival(M).
+            rival(M) :- candidate(M), not game(M).
+            winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).
+            candidate(m). m(a, b).
+        """)
+        result = seminaive_well_founded(program)
+        oracle = well_founded_for_hilog(program)
+        assert result.true == oracle.true
+        assert result.undefined == oracle.undefined
+        assert parse_term("winning(m)(a)") in result.undefined
+
+    def test_the_last_specialisation_is_memoised_by_binder_answers(self):
+        program = hilog_game_program({"m1": chain_edges(3), "m2": chain_edges(2)})
+        rules = Program(tuple(program.proper_rules()))
+        facts = sorted((rule.head for rule in program.facts()), key=repr)
+        compiled = compile_strata(rules, allow_unstratified=True)
+        first = evaluate_strata(compiled, facts, self.LIMITS)
+        (answers, strata), = compiled.rounds
+        # an edge write: same binder answers, same plans
+        evaluate_strata(compiled, facts + [parse_term("m1(n9, n0)")], self.LIMITS)
+        assert compiled.rounds[0][1] is strata
+        # a binder write: one recompile, the new game is walked
+        more = facts + [parse_term("game(m3)"), parse_term("m3(a, b)")]
+        tracer = EvaluationTracer()
+        with tracing(tracer):
+            grown = evaluate_strata(compiled, more, self.LIMITS)
+            evaluate_strata(compiled, more, self.LIMITS)
+        assert len(tracer.events("specialise")) == 1
+        assert compiled.rounds[0][1] is not strata
+        assert parse_term("winning(m3)(a)") in grown.true
+        # and back: the memo holds the last specialisation only
+        again = evaluate_strata(compiled, facts, self.LIMITS)
+        assert again.true == first.true and len(compiled.rounds) == 1
+
+    def test_instances_count_against_max_facts(self):
+        program = parse_program(
+            "on(P)(X) :- rel(P), P(X), not off(X).\n"
+            + " ".join("rel(r%d)." % i for i in range(8))
+        )
+        assert seminaive_well_founded(program, max_facts=8).true
+        with pytest.raises(GroundingError, match="instances|distinct heads"):
+            seminaive_well_founded(program, max_facts=7)
 
 
 class TestStrataMixing:

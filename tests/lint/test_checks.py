@@ -1,10 +1,13 @@
 """Per-check behavior on targeted programs: true positives with accurate
 spans, and the false-positive guards the checks were designed around."""
 
+from repro.db import DatabaseSession
 from repro.lint import lint_source
 from repro.workloads import (
     bicycle_parts_program,
+    datahilog_game_program,
     hilog_closure_program,
+    hilog_game_program,
     parts_explosion_program,
     transitive_closure_program,
 )
@@ -60,6 +63,14 @@ class TestStratification:
         assert "win/1" in finding.message
         assert not report.has_errors()
 
+    def test_example_6_3_cycles_through_its_name_pattern(self):
+        # winning(M)/1 negates itself whatever M is: the engine serves it
+        # three-valued where the move relation is cyclic, Figure 1 rejects.
+        report = lint_program(hilog_game_program({"m": [("a", "b"), ("b", "a")]}))
+        [finding] = [d for d in report if d.code == "W501"]
+        assert "winning(M)/1 -[not]-> winning(M)/1" in finding.message
+        assert not report.has_errors()
+
     def test_stratified_negation_is_clean(self):
         assert codes(
             "e(a, b). t(X, Y) :- e(X, Y). o(X, Y) :- e(X, Y), not t(Y, X)."
@@ -84,6 +95,41 @@ class TestStratification:
             report = lint_program(program)
             assert not report.has_errors(), [d.code for d in report.errors]
             assert "W503" in [d.code for d in report]
+
+
+class TestBinders:
+    """W504: a name-open rule beside negation/aggregation the engine cannot
+    specialise — the lint verdict and the session's mode agree."""
+
+    CHAINED = ("registry(games). games(m). m(a, b).\n"
+               "winning(M)(X) :- registry(R), R(M), M(X, Y), not winning(M)(Y).")
+
+    def test_name_bound_through_another_name_variable(self):
+        report = lint_source(self.CHAINED)
+        [finding] = [d for d in report if d.code == "W504"]
+        assert "binds M" in finding.message and "game(M)" in finding.hint
+        assert (finding.span.line, finding.span.column) == (2, 1)
+        assert not report.has_errors()
+        assert DatabaseSession(self.CHAINED).mode == "recompute"
+
+    def test_span_is_the_literal_when_the_head_name_is_ground(self):
+        text = ("registry(games). games(m). m(a, b).\n"
+                "won(X) :- registry(R), R(M), M(X, Y), not won(Y).")
+        assert spans(text, "W504") == [(2, 30)]
+
+    def test_guarded_rules_are_clean_and_run_on_the_engine(self):
+        for program in (hilog_game_program({"m": [("a", "b")]}),
+                        datahilog_game_program({"m": [("a", "b")]})):
+            assert "W504" not in [d.code for d in lint_program(program)]
+            assert DatabaseSession(program).mode == "wellfounded"
+
+    def test_definite_programs_need_no_binder(self):
+        assert "W504" not in codes("e(a, b). tc(R)(X, Y) :- R(X, Y).")
+
+    def test_a_safety_error_is_not_repeated_as_a_warning(self):
+        text = "m(a, b). winning(X) :- M(X, Y), not winning(Y)."
+        found = codes(text)
+        assert "E103" in found and "W504" not in found
 
 
 class TestHygiene:

@@ -136,13 +136,17 @@ HILOG_GAME = """
 """
 
 
-@pytest.mark.parametrize("mode, program, kinds", [
-    ("incremental", TC, {"edb", "rule"}),
-    ("wellfounded", GAME, {"edb", "rule", "undefined"}),
-    ("recompute", HILOG_GAME, {"edb", "rule"}),
+@pytest.mark.parametrize("strategy, mode, program, kinds", [
+    ("auto", "incremental", TC, {"edb", "rule"}),
+    ("auto", "wellfounded", GAME, {"edb", "rule", "undefined"}),
+    ("auto", "wellfounded", HILOG_GAME, {"edb", "rule"}),
+    ("auto", "wellfounded", HILOG_GAME + "m1(d, c). game(m2). m2(x, y).",
+     {"edb", "rule", "undefined"}),
+    ("recompute", "recompute", HILOG_GAME, {"edb", "rule"}),
 ])
-def test_every_atom_of_the_model_explains_in_every_mode(mode, program, kinds):
-    session = DatabaseSession(program)
+def test_every_atom_of_the_model_explains_in_every_mode(
+        strategy, mode, program, kinds):
+    session = DatabaseSession(program, strategy=strategy)
     assert session.mode == mode
     atoms = sorted(session.true | session.undefined, key=repr)
     assert {_session_explain(session, atom).kind for atom in atoms} == kinds

@@ -24,9 +24,9 @@ RUNTIME = ("db", "serve", "durable", "obs")
 #: The only ``repro.core`` imports the runtime packages may make, each with
 #: the reason it is allowed.
 CORE_ALLOWED = {
-    # The recompute mode's evaluator *is* the Figure-1 procedure: Example
-    # 6.3 (a predicate variable under negation) is outside the register
-    # machine's class and needs its ground fallback.
+    # The recompute mode's evaluator *is* the Figure-1 procedure: recursion
+    # through aggregation and name-open rules no binder closes are outside
+    # the register machine's class and need its ground fallback.
     ("db/modes.py", "repro.core.modular"),
 }
 

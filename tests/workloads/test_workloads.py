@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core.datahilog import is_datahilog
-from repro.core.range_restriction import is_strongly_range_restricted
+from repro.core.range_restriction import (
+    is_range_restricted,
+    is_strongly_range_restricted,
+)
+from repro.hilog.program import Program
+from repro.hilog.terms import predicate_name
 from repro.normal.classify import is_normal_program
 from repro.normal.range_restriction import is_range_restricted_normal
 from repro.workloads.games import (
@@ -90,6 +95,19 @@ class TestRandomPrograms:
 
     def test_determinism(self):
         assert random_range_restricted_program(seed=11) == random_range_restricted_program(seed=11)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_name_open_rules_ride_on_the_same_normal_program(self, seed):
+        normal = random_range_restricted_program(seed=seed)
+        program = random_range_restricted_program(seed=seed, name_open=2)
+        assert program.rules[:len(normal.rules)] == normal.rules
+        extra = Program(program.rules[len(normal.rules):])
+        assert not is_normal_program(program) and is_range_restricted(program)
+        open_rules = list(extra.proper_rules())
+        assert len(open_rules) == 2 and list(extra.facts())
+        for rule in open_rules:
+            assert repr(rule.body[0].atom) == "rel(N)"  # the binder
+            assert not predicate_name(rule.head).is_ground()
 
     def test_negation_modes(self):
         definite = random_range_restricted_program(seed=0, negation="none")
