@@ -26,6 +26,14 @@ register-machine fixpoints instead:
 * **E13c** — a well-founded-mode ``DatabaseSession`` absorbing move
   insertions/retractions that repeatedly break and close the cycles, with
   ``check()`` verifying the partition at the end.
+* **E13d** — the one-hop game on a *path* of n = 100 / 200 / 400 / 800
+  positions, the worst case for the alternation count (n/2 + 1 rounds,
+  each settling two positions).  The overestimate is a maintained view —
+  every round after the first patches it by delete-rederive — so the work
+  must grow with n, not with rounds × n: ``candidates`` at n may exceed
+  ``candidates`` at 100 by at most 1.25 × n/100 (recomputing the
+  overestimate every round made it 61x at n = 800), and the rows'
+  ``fetches`` / ``candidates`` are gated to the baseline exactly.
 
 ``EXECUTION_STATS`` — including the new ``alternations`` counter — and the
 headline ``*_s`` timings land in ``extra_info``, so ``run_all.py
@@ -40,10 +48,12 @@ Run with::
 import os
 import time
 
+import pytest
+
 from repro.analysis.report import ExperimentRow, print_table
 from repro.core.semantics import well_founded_for_hilog
 from repro.db import DatabaseSession
-from repro.engine.seminaive import EXECUTION_STATS
+from repro.engine.seminaive import EXECUTION_STATS, seminaive_well_founded
 from repro.workloads.games import (
     composed_move_game_program,
     normal_game_program,
@@ -200,4 +210,33 @@ def test_wellfounded_session_churn(benchmark):
         "update_ms": round(churn_s / 60 * 1000, 3),
         "undefined_atoms": len(session.undefined),
     })
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+
+PATH_SIZES = (100, 200, 400, 800)
+
+
+def _path_game_work(positions):
+    """``(result, counters)`` of the one-hop game on a path."""
+    program = normal_game_program(chain_edges(positions - 1, "n"))
+    before = EXECUTION_STATS.snapshot()
+    result = seminaive_well_founded(program)
+    return result, EXECUTION_STATS.diff(before)
+
+
+@pytest.mark.parametrize("positions", PATH_SIZES)
+def test_path_game_scaling(benchmark, positions):
+    """E13d: the alternation count grows with the path, the work per
+    position does not."""
+    _reference, smallest = _path_game_work(PATH_SIZES[0])
+    (result, stats), seminaive_s = _timed(lambda: _path_game_work(positions))
+
+    assert result.is_total()
+    assert len(result.derived) == positions // 2  # every other position wins
+    assert stats["alternations"] == positions // 2 + 1
+    assert stats["candidates"] * PATH_SIZES[0] \
+        <= 1.25 * positions * smallest["candidates"]
+
+    benchmark.extra_info.update(stats)
+    benchmark.extra_info["seminaive_s"] = round(seminaive_s, 4)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -81,11 +81,16 @@ its rules:
   :mod:`repro.db.plans`), and the heads they produce are injected through
   ``evaluate_stratum(seed_delta=...)`` — no from-scratch recomputation of
   the true atoms, work per alternation proportional to what changed;
-* the *overestimate* shrinks across alternations, so each alternation
-  builds it into a fresh top layer of a
-  :class:`~repro.engine.seminaive.relation.StoreView` over the settled
-  stores — discarding the previous overestimate is dropping a layer, never
-  a per-fact deletion.
+* the *overestimate* shrinks across alternations, and what shrinks it is
+  the growth of its negation context, the underestimate — the case
+  delete-rederive exists for.  So it is a maintained view too: one top
+  layer of a :class:`~repro.engine.seminaive.relation.StoreView` over the
+  settled stores, computed from scratch by the first alternation only and
+  patched by every later one (:func:`_shrink_overestimate`: over-delete
+  through the same flipped-negation variants, read against the *old*
+  estimates; rederive through ``from_head`` plans compiled with them) —
+  a negation stratum costs what changes between alternations, not
+  alternations × size.
 
 The result partitions the derivable atoms into true and undefined;
 everything else is false under the closed-world reading the paper's
@@ -113,6 +118,7 @@ from repro.engine.seminaive.engine import (
     SeminaiveUnsupported,
     compile_stratum,
     evaluate_stratum,
+    plan_satisfiable,
     run_plan,
     stratify_program,
 )
@@ -182,9 +188,9 @@ class OpenRule(NamedTuple):
 class CompiledStrata:
     """What :func:`compile_strata` makes of a program's rules and
     :func:`evaluate_strata` walks: the strata of the rules whose every
-    predicate name is ground — one ``(stratum plan, flipped-negation
-    variants or None, head names)`` each, lowest first, the variants present
-    exactly for the negation-SCC strata, which alternate — and the
+    predicate name is ground — one ``(stratum plan, alternation plans or
+    None, head names)`` each, lowest first, the :class:`AlternationPlans`
+    present exactly for the negation-SCC strata, which alternate — and the
     :class:`OpenRule` s, which become strata only once the store says what
     their name variables range over.
 
@@ -275,11 +281,11 @@ def _compile_closed(program, allow_unstratified):
         if not rules:
             continue
         stratum = compile_stratum(rules, stratification.recursive)
-        variants = None
+        plans = None
         if index in stratification.unstratified:
-            variants = _negation_variants(stratum)
+            plans = _alternation_plans(stratum)
         names = frozenset(predicate_name(rule.head) for rule in rules)
-        strata.append((stratum, variants, names))
+        strata.append((stratum, plans, names))
     return tuple(strata)
 
 
@@ -341,7 +347,7 @@ def compile_strata(program, allow_unstratified=False):
 def _indicators(strata):
     """The indicators the rules of ``strata`` define or read."""
     indicators = set()
-    for stratum, _variants, _names in strata:
+    for stratum, _plans, _names in strata:
         indicators |= stratum.head_indicators
         indicators |= stratum.reads
     return indicators
@@ -358,16 +364,30 @@ def _refuse_resettled(indicator, settled, rule):
         )
 
 
-def _negation_variants(stratum):
-    """Flipped-negation delta variants of a negation-SCC stratum.
+class AlternationPlans(NamedTuple):
+    """What a negation-SCC stratum alternates with, beside its
+    :class:`~repro.engine.seminaive.engine.StratumPlan`: the plans that turn
+    a change of one estimate into the change of the other."""
+
+    #: ``(rule, site, plan)`` — the **flipped-negation** delta variants, one
+    #: per body literal ``not a`` whose indicator the stratum defines.
+    flipped: Tuple
+    #: One ``from_head`` plan per rule: "does this rule still derive this
+    #: atom", asked of every atom the shrinking overestimate over-deleted.
+    from_head: Tuple
+
+
+def _alternation_plans(stratum):
+    """The :class:`AlternationPlans` of a negation-SCC stratum.
 
     For every body literal ``not a`` whose indicator is defined *in* the
     stratum, the delta variant anchored on it — the plan that finds every
     rule instance newly enabled because ``a`` just fell out of the
-    overestimate.  Negations on settled lower strata are skipped: their
-    context never changes between alternations.
+    overestimate or, read against the old estimates, newly dead because
+    ``a`` was just proven.  Negations on settled lower strata are skipped:
+    their context never changes between alternations.
     """
-    variants = []
+    flipped = []
     heads = stratum.head_indicators
     try:
         for rule in stratum.rules:
@@ -378,87 +398,171 @@ def _negation_variants(stratum):
                 if heads is not None and indicator is not None \
                         and indicator not in heads:
                     continue
-                variants.append((rule, site, compile_rule(rule, delta_index=site)))
+                flipped.append((rule, site, compile_rule(rule, delta_index=site)))
+        from_head = tuple(
+            compile_rule(rule, from_head=True) for rule in stratum.rules
+        )
     except PlanError as error:
         raise SeminaiveUnsupported(str(error))
-    return tuple(variants)
+    return AlternationPlans(tuple(flipped), from_head)
 
 
-def _alternate_stratum(stratum, variants, under, over_extra, limits):
+def _shrink_overestimate(stratum, plans, over_view, grown, limits):
+    """Patch the overestimate ``O_{k-1} = Γ(U_{k-2})`` that ``over_view`` —
+    ``(under, over_extra, layer)`` — holds into ``O_k = Γ(U_{k-1})``, where
+    ``grown`` is ``U_{k-1} - U_{k-2}``: everything the last underestimate
+    phase added to ``under``.
+    An overestimate only ever loses atoms, and what takes one away is a
+    negated subgoal just proven — delete-rederive's case
+    (:func:`repro.db.maintenance.dred_update`), in five steps:
+
+    a. ``grown`` leaves the stratum's layer (the atoms are in ``under`` now
+       and a view's layers stay disjoint); the view still reads ``O_{k-1}``.
+    b. **Over-delete.**  Anchored on ``grown``, the flipped-negation
+       variants find the rule instances behind ``O_{k-1}`` that a grown
+       atom kills; their heads still in the layer, closed under the
+       stratum's own positive delta variants, are the atoms that *may* have
+       lost every derivation.  A dying instance is one that held in the
+       **old** state, so an anchored variant reads its other negative
+       literals against the old context ``U_{k-2}`` (``under`` minus
+       ``grown``): when two negated atoms of one instance are proven in the
+       same alternation, the new context hides the instance from both
+       anchors and its head outlives it.  The closure reads ``under`` as it
+       stands — an instance the new context rejects is one an anchor has
+       found already.
+    c. They leave the layer.
+    d. **Rederive.**  An over-deleted atom that some rule still derives
+       from what is left — negation read against ``under`` as it stands —
+       returns, and so does what the returned atoms derive in turn, through
+       the ordinary seeded fixpoint.
+    e. What stayed out is ``O_{k-1} - O_k``: the atoms the underestimate
+       phase is reseeded with.
+
+    Returns ``(iterations, overdeleted, removed)``: the delta rounds run,
+    how many atoms step (b) took, the list of step (e).
+    """
+    under, _over_extra, layer = over_view.layers
+    grown = FactBuckets(grown)
+    for atom in grown:
+        layer.remove(atom)
+
+    overdeleted = {}
+    worklist = []
+
+    def collect(heads):
+        for head in heads:
+            if head in layer and head not in overdeleted:
+                overdeleted[head] = None
+                worklist.append(head)
+
+    old_under = StoreView((under,), minus=grown)
+    sources = PlanSources(over_view, grown, negation=old_under)
+    for _rule, _site, plan in plans.flipped:
+        collect(run_plan(plan, sources))
+    iterations = 0
+    while worklist and stratum.variant_plans:
+        iterations += 1
+        sources = PlanSources(over_view, FactBuckets(worklist), negation=under)
+        worklist = []
+        for _rule, _site, plan in stratum.variant_plans:
+            collect(run_plan(plan, sources))
+
+    for atom in overdeleted:
+        layer.remove(atom)
+
+    sources = PlanSources(over_view, negation=under)
+    restored = []
+    for atom in overdeleted:
+        if any(plan_satisfiable(plan, sources, atom) for plan in plans.from_head):
+            layer.add(atom)
+            restored.append(atom)
+    if restored:
+        its, _propagated = evaluate_stratum(
+            stratum, over_view, limits, seed_delta=restored, negation_store=under
+        )
+        iterations += its
+    removed = [atom for atom in overdeleted if atom not in layer]
+    return iterations, len(overdeleted), removed
+
+
+def _alternate_stratum(stratum, plans, under, over_extra, limits):
     """The alternating fixpoint of one negation-SCC stratum.
 
     ``under`` (the global underestimate) and ``over_extra`` (settled
-    lower-strata undefined atoms) are read in place; the stratum's final
-    overestimate is returned as a fresh layer disjoint from ``under``.
-    Each round computes ``O_k = Γ(U_{k-1})`` into a fresh layer and then
-    resumes ``U_k = Γ(O_k)`` semi-naively from the atoms that left the
-    overestimate; ``U`` grows and ``O`` shrinks monotonically, so the loop
-    stops the first time the underestimate stands still.
+    lower-strata undefined atoms) are read in place; the stratum's
+    overestimate is **one** layer above them for the whole fixpoint,
+    returned — disjoint from ``under`` — once it is reached.  The first
+    alternation computes ``O_1 = Γ(U_0)`` into the layer and ``U_1 =
+    Γ(O_1)`` into ``under``, each a full least fixpoint.  Every later one
+    moves each estimate by what the other just changed:
+    :func:`_shrink_overestimate` takes out of the layer what the atoms
+    ``under`` gained no longer let it derive, and the atoms that left
+    anchor the flipped-negation variants whose heads reseed ``under``.
+    ``U`` grows and ``O`` shrinks monotonically, so the loop stops the
+    first time the underestimate stands still.
 
-    Returns ``(iterations, alternations, final_layer)``.
+    Returns ``(iterations, alternations, layer)``.
     """
     tracer = current_tracer()
+    layer = RelationStore()
+    over_view = StoreView((under, over_extra, layer))
     iterations = 0
     alternations = 0
-    previous_layer = None
     while True:
         alternations += 1
         EXECUTION_STATS.alternations += 1
         iterations_before = iterations
-
-        # Overestimate phase: least fixpoint with ``not a`` ⇔ a ∉ under.
-        layer = RelationStore()
-        over_view = StoreView((under, over_extra, layer))
-        its, _over_added = evaluate_stratum(
-            stratum, over_view, limits, negation_store=under
-        )
-        iterations += its
-
-        # Underestimate phase: least fixpoint with ``not a`` ⇔ a ∉ over.
-        if previous_layer is None:
-            # First alternation: full base pass + delta iterations.
-            its, seeds = evaluate_stratum(
+        if alternations == 1:
+            # Overestimate, ``not a`` ⇔ a ∉ under, then underestimate,
+            # ``not a`` ⇔ a ∉ over: a base pass and delta iterations each.
+            its, _over_added = evaluate_stratum(
+                stratum, over_view, limits, negation_store=under
+            )
+            iterations += its
+            its, grown = evaluate_stratum(
                 stratum, under, limits, negation_store=over_view
             )
             iterations += its
+            overdeleted, removed = 0, ()
         else:
-            # Later alternations: only a shrunken overestimate can enable
-            # new true derivations.  Anchor the flipped-negation variants
-            # on the atoms that left the overestimate, then propagate the
-            # seeds through the ordinary semi-naive delta loop.
-            removed = [
-                atom for atom in previous_layer
-                if atom not in layer and atom not in under
-            ]
-            seeds = []
+            its, overdeleted, removed = _shrink_overestimate(
+                stratum, plans, over_view, grown, limits
+            )
+            iterations += its
+            # Only a shrunken overestimate can enable new true derivations.
+            # Anchor the flipped-negation variants on the atoms that left
+            # it, then propagate the seeds through the ordinary semi-naive
+            # delta loop.
+            grown = []
             if removed:
                 sources = PlanSources(
                     under, FactBuckets(removed), negation=over_view
                 )
-                for _rule, _site, plan in variants:
+                for _rule, _site, plan in plans.flipped:
                     for head in run_plan(plan, sources, max_results=limits.max_facts):
                         if under.add(head):
                             limits.check(head, under)
-                            seeds.append(head)
-            if seeds:
-                its, _more = evaluate_stratum(
-                    stratum, under, limits, seed_delta=seeds,
+                            grown.append(head)
+            if grown:
+                its, propagated = evaluate_stratum(
+                    stratum, under, limits, seed_delta=grown,
                     negation_store=over_view,
                 )
                 iterations += its
-        grew = bool(seeds)
+                grown.extend(propagated)
         if tracer is not None:
             tracer.emit(
                 "alternation", alternation=alternations,
                 over=len(layer), under=len(under),
-                iterations=iterations - iterations_before, grew=grew,
+                iterations=iterations - iterations_before, grew=bool(grown),
+                overdeleted=overdeleted,
+                rederived=overdeleted - len(removed), removed=len(removed),
             )
-        if not grew:
+        if not grown:
             # U_k == U_{k-1}, hence O_{k+1} would equal O_k: converged.
-            # ``layer`` was computed against the final underestimate, so it
+            # ``layer`` was patched against the final underestimate, so it
             # holds exactly this stratum's undefined atoms.
             return iterations, alternations, layer
-        previous_layer = layer
 
 
 def _seed_facts(program, extra_facts):
@@ -504,7 +608,7 @@ def _walk_order(compiled, possible, limits):
                 % limits.max_facts
             )
         strata = compiled.specialise(round_index, answers)
-        for stratum, _variants, _names in strata:
+        for stratum, _plans, _names in strata:
             for rule in stratum.rules:
                 _refuse_resettled(literal_indicator(rule.head), settled, rule)
         settled |= _indicators(strata)
@@ -538,10 +642,10 @@ def evaluate_strata(compiled, facts, limits):
     alternations = 0
     names_walked = []
 
-    for stratum, variants, names in _walk_order(
+    for stratum, plans, names in _walk_order(
             compiled, StoreView((under, over_extra)), limits):
         names_walked.append(names)
-        alternating = variants is not None
+        alternating = plans is not None
         if uncertain:
             reads = stratum.reads
             reads_uncertain = reads is None or bool(reads & uncertain)
@@ -557,7 +661,7 @@ def evaluate_strata(compiled, facts, limits):
         if alternating:
             # Negation-SCC stratum: the full alternating fixpoint.
             its, alts, layer = _alternate_stratum(
-                stratum, variants, under, over_extra, limits
+                stratum, plans, under, over_extra, limits
             )
             iterations += its
             alternations += alts

@@ -17,7 +17,11 @@ Event kinds currently emitted:
                  alike (strata, iterations, alternations, true and
                  undefined facts)
 ``alternation``  one alternating-fixpoint round (overestimate/underestimate
-                 layer sizes, removals reseeded)
+                 layer sizes; ``overdeleted`` atoms the round took out of
+                 the overestimate, ``rederived`` of them it put back,
+                 ``removed`` that stayed out and reseeded the
+                 underestimate — all 0 on a stratum's first round, which
+                 builds both estimates from scratch)
 ``specialise``   name-open rules compiled into ground-named instances for
                  one round of binder answers (instances, strata, duration);
                  absent when the memoised specialisation was reused

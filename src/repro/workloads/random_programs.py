@@ -150,7 +150,8 @@ def random_range_restricted_program(n_predicates=3, n_constants=3, n_facts=6, n_
 
 def random_nonstratified_program(n_predicates=4, n_constants=3, n_facts=8,
                                  n_rules=5, max_body=3, arity=2,
-                                 cycle_length=2, seed=0, name_open=0):
+                                 cycle_length=2, seed=0, name_open=0,
+                                 multi_negation=0):
     """Generate a random range-restricted normal program with a *guaranteed*
     cycle through negation.
 
@@ -167,6 +168,16 @@ def random_nonstratified_program(n_predicates=4, n_constants=3, n_facts=8,
     refuses and the alternating-fixpoint evaluator exists for.  Whether any
     ground instance actually loops depends on the random facts, so samples
     cover total and genuinely partial well-founded models alike.
+
+    ``multi_negation`` adds that many rules with two or three negative
+    literals *inside* the loop's component (head and negated predicates
+    among the first ``cycle_length``)::
+
+        p1(X0, X1) :- p3(X0, X1), not p0(X1, X0), not p1(X0, X1).
+
+    — the shape in which several negated subgoals of one rule instance can
+    be proven in the same alternation.  They are drawn from a generator of
+    their own, so the rest of the program is the same whatever this is.
     """
     if cycle_length < 1:
         raise ValueError("cycle_length must be at least 1")
@@ -205,4 +216,17 @@ def random_nonstratified_program(n_predicates=4, n_constants=3, n_facts=8,
                 ),
             )
         )
+    if multi_negation:
+        rng = random.Random(seed * 15485863 + 29)
+        looped = predicates[:cycle_length]
+        for _ in range(multi_negation):
+            body = [Literal(App(rng.choice(predicates), tuple(variables)))]
+            for _ in range(rng.randint(2, 3)):
+                negated_vars = [rng.choice(variables) for _ in range(arity)]
+                body.append(Literal(
+                    App(rng.choice(looped), tuple(negated_vars)), positive=False
+                ))
+            cycle_rules.append(
+                Rule(App(rng.choice(looped), tuple(variables)), tuple(body))
+            )
     return Program(base.rules + tuple(cycle_rules))

@@ -7,18 +7,26 @@ A record is ``[iterations, alternations, fetches, candidates, |true|,
 of the error the evaluator raised (``seminaive_evaluate`` refuses what is
 not stratified; both refuse recursion through aggregation).  All of it is a
 function of the program alone, so it compares two versions of the
-evaluators exactly.
+evaluators exactly.  It is guarded in two halves, by two files, so that a
+change in the work done can never be recorded over a change in the model:
 
-``fixtures/evaluator_differential.json`` holds the records of commit
-99a4471, where ``seminaive_evaluate`` and ``seminaive_well_founded`` were
-two loops with two result classes (the first had no ``alternations`` and no
-``undefined``, recorded as 0) — except the ``well_founded`` records of the
-four programs with a name-open rule beside negation (``game-hilog``,
-``game-datahilog``, ``game-multi``, ``handwritten``), which that commit
-refused and the walk has specialised by binder plans since; their models
-are held to the ground oracles by ``test_wellfounded_agreement.py``.
-``python tests/engine/evaluator_differential.py OUT.json`` writes whatever
-the checked-out evaluators do.
+``fixtures/evaluator_differential.json`` — **the model**
+    (:func:`model_part`: ``[alternations, |true|, |undefined|, digest]``).
+    The full records of commit 99a4471, where ``seminaive_evaluate`` and
+    ``seminaive_well_founded`` were two loops with two result classes (the
+    first had no ``alternations`` and no ``undefined``, recorded as 0) —
+    except the ``well_founded`` records of the four programs with a
+    name-open rule beside negation (``game-hilog``, ``game-datahilog``,
+    ``game-multi``, ``handwritten``), which that commit refused and the walk
+    has specialised by binder plans since; their models are held to the
+    ground oracles by ``test_wellfounded_agreement.py``.  Nothing rewrites
+    this file: its counter fields are history, and are not compared.
+
+``fixtures/evaluator_counters.json`` — **the work**
+    (:func:`counter_part`: ``[iterations, fetches, candidates]``).
+    ``python tests/engine/evaluator_differential.py OUT.json`` writes what
+    the checked-out evaluators do, these three fields only; a change that
+    means to move them re-records this file and says by how much.
 """
 
 import hashlib
@@ -64,10 +72,28 @@ def record_program(program):
     return {name: _record(evaluator, program) for name, evaluator in EVALUATORS.items()}
 
 
+def model_part(record):
+    """``[alternations, |true|, |undefined|, digest]`` of a record — or the
+    refusal, which is part of the model."""
+    return record if len(record) == 1 else [record[1]] + record[4:]
+
+
+def counter_part(record):
+    """``[iterations, fetches, candidates]`` of a record (a refusal has
+    done no work worth holding it to)."""
+    return [] if len(record) == 1 else [record[0], record[2], record[3]]
+
+
 if __name__ == "__main__":
-    lines = [
-        "%s: %s" % (json.dumps(name), json.dumps(record_program(program), separators=(",", ":"), sort_keys=True))
-        for name, program in sorted(corpus())
-    ]
+    lines = []
+    for name, program in sorted(corpus()):
+        counters = {
+            evaluator: counter_part(record)
+            for evaluator, record in record_program(program).items()
+        }
+        lines.append("%s: %s" % (
+            json.dumps(name),
+            json.dumps(counters, separators=(",", ":"), sort_keys=True),
+        ))
     with open(sys.argv[1], "w") as out:
         out.write("{\n" + ",\n".join(lines) + "\n}\n")

@@ -1,39 +1,62 @@
-"""The one stratum walk against the two loops it replaced: on every
-program of the corpus in :mod:`evaluator_differential` both entry points
-must do exactly what they did at commit 99a4471
-(``fixtures/evaluator_differential.json``) — same model, same rounds, same
-``fetches`` / ``candidates``, same refusals (the four name-open programs
-apart, see the recorder)."""
+"""The one stratum walk against the two loops it replaced, in two halves
+(see :mod:`evaluator_differential`): on every program of the corpus both
+entry points must compute exactly the **model** they did at commit 99a4471
+— same alternations, same true and undefined atoms, same refusals (the four
+name-open programs apart) — as ``fixtures/evaluator_differential.json``,
+which no change re-records, holds it; and do exactly the **work**
+(iterations, ``fetches``, ``candidates``) that
+``fixtures/evaluator_counters.json`` last recorded."""
 
+import functools
 import json
 import os
 
 import pytest
 
 import evaluator_differential
+from evaluator_differential import counter_part, model_part
 from repro.engine.seminaive import seminaive_evaluate, seminaive_well_founded
 
-FIXTURE = os.path.join(
-    os.path.dirname(__file__), "fixtures", "evaluator_differential.json"
-)
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 CORPUS = dict(evaluator_differential.corpus())
 
-with open(FIXTURE) as handle:
+with open(os.path.join(FIXTURES, "evaluator_differential.json")) as handle:
     RECORDED = json.load(handle)
+with open(os.path.join(FIXTURES, "evaluator_counters.json")) as handle:
+    COUNTERS = json.load(handle)
 
 STRATIFIED = sorted(
     name for name, records in RECORDED.items() if len(records["evaluate"]) > 1
 )
 
 
-def test_corpus_and_fixture_name_the_same_programs():
-    assert sorted(CORPUS) == sorted(RECORDED)
+@functools.lru_cache(maxsize=None)
+def _records(name):
+    return evaluator_differential.record_program(CORPUS[name])
+
+
+def test_corpus_and_fixtures_name_the_same_programs():
+    assert sorted(CORPUS) == sorted(RECORDED) == sorted(COUNTERS)
     assert len(STRATIFIED) > 30
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_evaluators_match_the_parent(name):
-    assert evaluator_differential.record_program(CORPUS[name]) == RECORDED[name]
+    for evaluator, record in _records(name).items():
+        assert model_part(record) == model_part(RECORDED[name][evaluator])
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_evaluators_do_the_recorded_work(name):
+    for evaluator, record in _records(name).items():
+        assert counter_part(record) == COUNTERS[name][evaluator]
+
+
+def test_the_perfect_model_walk_still_does_the_parent_s_work():
+    """No stratum of a stratified program alternates, so nothing since
+    99a4471 has had a reason to move an ``evaluate`` counter."""
+    for name, records in RECORDED.items():
+        assert counter_part(records["evaluate"]) == COUNTERS[name]["evaluate"]
 
 
 @pytest.mark.parametrize("name", STRATIFIED)

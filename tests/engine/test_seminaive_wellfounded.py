@@ -342,6 +342,26 @@ class TestStrataMixing:
         assert parse_term("win2(u)") in result.undefined
         assert parse_term("win1(c)") in result.true
 
+    def test_two_negated_subgoals_proven_in_the_same_alternation(self):
+        # a(1) and b(1) are proven together, and each kills the one
+        # instance that kept p(1) possibly true.  The overestimate is
+        # patched, not rebuilt: a patch that looks for the dying instance
+        # with its *other* negation read against the new underestimate
+        # finds it from neither atom and leaves p(1) undefined.
+        program = parse_program("""
+            p(X) :- n(X), not a(X), not b(X).
+            a(X) :- n(X), not c(X).
+            b(X) :- n(X), not c(X).
+            c(X) :- n(X), not p(X), z(X).
+            n(1). z(2).
+        """)
+        result = seminaive_well_founded(program)
+        oracle = well_founded_for_hilog(program, strategy="ground")
+        assert result.true == oracle.true
+        assert result.undefined == oracle.undefined == frozenset()
+        assert parse_term("p(1)") not in result.true
+        assert result.alternations == 2
+
     def test_detailed_result_uses_shared_type(self):
         program, _nodes = cycle_game_program(4)
         detailed = seminaive_well_founded_detailed(program)

@@ -70,7 +70,7 @@ SHAPES = [
 ]
 
 
-def _sample(shape, seed):
+def _sample(shape, seed, multi_negation=0):
     n_predicates, n_constants, n_facts, n_rules, max_body, cycle_length = shape
     return random_nonstratified_program(
         n_predicates=n_predicates,
@@ -80,6 +80,7 @@ def _sample(shape, seed):
         max_body=max_body,
         cycle_length=cycle_length,
         seed=seed,
+        multi_negation=multi_negation,
     )
 
 
@@ -119,6 +120,28 @@ def test_wellfounded_engines_agree_on_nonstratified_programs(
         shape, seed, isolate_example):
     with isolate_example():
         _assert_three_way_agreement(_sample(shape, seed))
+
+
+@pytest.mark.parametrize("shape", SHAPES[:3], ids=[str(s) for s in SHAPES[:3]])
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       multi_negation=st.integers(min_value=1, max_value=3))
+def test_wellfounded_engines_agree_on_multi_negation_programs(
+        shape, seed, multi_negation, isolate_example):
+    """Rules with several negative literals inside the negation component:
+    where one alternation can prove two negated subgoals of one rule
+    instance, which a patched overestimate must find from the *old*
+    underestimate (``test_overestimate_maintenance.py`` has the shape by
+    hand)."""
+    with isolate_example():
+        program = _sample(shape, seed, multi_negation)
+        seminaive = _assert_three_way_agreement(program)
+        oracle = well_founded_for_hilog(program, strategy="ground")
+        if seminaive is not None:
+            assert seminaive.true == oracle.true
+            assert seminaive.undefined == oracle.undefined
 
 
 @settings(max_examples=25, deadline=None,

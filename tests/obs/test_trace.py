@@ -6,6 +6,7 @@ import threading
 from repro.core.modular import perfect_model_for_hilog
 from repro.core.semantics import well_founded_for_hilog
 from repro.db import DatabaseSession
+from repro.engine.seminaive import seminaive_well_founded
 from repro.hilog.parser import parse_program
 from repro.obs.trace import (
     EvaluationTracer,
@@ -13,6 +14,8 @@ from repro.obs.trace import (
     set_global_tracer,
     tracing,
 )
+from repro.workloads.games import normal_game_program
+from repro.workloads.graphs import chain_edges
 
 TC = """
     e(a, b). e(b, c). e(c, d).
@@ -150,6 +153,36 @@ class TestEngineSpans:
         (summary,) = tracer.events("evaluate")
         assert summary["undefined"] == 2
         assert summary["alternations"] >= 1
+
+    def test_alternation_spans_count_what_the_overestimate_lost(self):
+        def alternations(edges):
+            tracer = EvaluationTracer()
+            with tracing(tracer):
+                result = seminaive_well_founded(normal_game_program(edges))
+            events = tracer.events("alternation")
+            assert len(events) == result.alternations
+            first = events[0]
+            assert (first["overdeleted"], first["rederived"], first["removed"]) \
+                == (0, 0, 0)
+            for event in events:
+                assert event["overdeleted"] == event["rederived"] + event["removed"]
+            assert [event["grew"] for event in events] == \
+                [True] * (len(events) - 1) + [False]
+            return events
+
+        # A path: every position has one move, so what is over-deleted has
+        # no other derivation to come back by — ten positions start out
+        # possibly winning, the five that lose are removed one a round.
+        path = alternations(chain_edges(10))
+        assert len(path) == 6
+        assert sum(event["rederived"] for event in path) == 0
+        assert [event["removed"] for event in path] == [0, 1, 1, 1, 1, 1]
+        # Alternative moves: a's move to b dies, its move into the cycle
+        # keeps it in the overestimate.
+        forked = alternations(
+            [("a", "b"), ("b", "c"), ("a", "e"), ("e", "f"), ("f", "e")]
+        )
+        assert sum(event["rederived"] for event in forked) > 0
 
     def test_untraced_evaluation_emits_nothing(self):
         tracer = EvaluationTracer()

@@ -26,7 +26,10 @@ from repro.workloads.graphs import (
     tree_edges,
 )
 from repro.workloads.parts import bicycle_parts_program, random_hierarchy
-from repro.workloads.random_programs import random_range_restricted_program
+from repro.workloads.random_programs import (
+    random_nonstratified_program,
+    random_range_restricted_program,
+)
 
 
 class TestGraphs:
@@ -108,6 +111,21 @@ class TestRandomPrograms:
         for rule in open_rules:
             assert repr(rule.body[0].atom) == "rel(N)"  # the binder
             assert not predicate_name(rule.head).is_ground()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_multi_negation_rules_ride_on_the_same_program(self, seed):
+        plain = random_nonstratified_program(seed=seed, cycle_length=2)
+        program = random_nonstratified_program(
+            seed=seed, cycle_length=2, multi_negation=3)
+        assert program.rules[:len(plain.rules)] == plain.rules
+        extra = program.rules[len(plain.rules):]
+        assert len(extra) == 3 and is_range_restricted_normal(program)
+        looped = {"p0", "p1"}
+        for rule in extra:
+            negated = rule.negative_literals()
+            assert len(negated) >= 2
+            assert {repr(predicate_name(lit.atom)) for lit in negated} <= looped
+            assert repr(predicate_name(rule.head)) in looped
 
     def test_negation_modes(self):
         definite = random_range_restricted_program(seed=0, negation="none")
