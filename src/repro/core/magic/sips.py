@@ -100,14 +100,3 @@ def left_to_right_sips(rule, bound_head_variables):
         )
         bound = bound_after
     return steps
-
-
-def final_supplementary_variables(rule, bound_head_variables):
-    """Variables carried by the last supplementary predicate ``sup_{r,n}``:
-    the bound variables that the head still needs."""
-    steps = left_to_right_sips(rule, bound_head_variables)
-    bound = set(bound_head_variables) & rule.head.variables()
-    if steps:
-        bound = set(steps[-1].bound_after)
-    head_needed = rule.head.variables()
-    return tuple(sorted(bound & head_needed, key=lambda v: v.name))

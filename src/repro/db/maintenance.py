@@ -23,6 +23,12 @@ patch the stratum's materialized extension instead of recomputing it:
   propagation.  Because HiLog fact counts can be self-supporting through
   recursion (a cycle keeps itself alive), counting alone is unsound there —
   this is the classical division of labour between the two algorithms.
+  Delete-rederive exists once, in the engine
+  (:func:`~repro.engine.seminaive.engine.delete_rederive` and
+  :func:`~repro.engine.seminaive.engine.insert_anchored`); its other caller
+  is the alternating fixpoint, shrinking an overestimate.  What is the
+  session's here is only which states it reads: the state before the
+  update (:func:`old_state`), then the store.
 
 * :func:`recompute_stratum` — stratum-local recomputation, the fallback for
   aggregate strata (whose group extensions may change non-monotonically in
@@ -40,18 +46,20 @@ over the store as the step left it.
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import chain
 
 from repro.engine.seminaive.engine import (
     PlanSources,
+    anchored_heads,
+    delete_rederive,
+    delta_relevant,
     evaluate_stratum,
-    plan_satisfiable,
+    insert_anchored,
     run_plan,
 )
 from repro.db.plans import COUNTING
 from repro.engine.seminaive.relation import (
     Delta,
-    FactBuckets,
     FactSource,
     StoreView,
     predicate_indicator,
@@ -69,25 +77,20 @@ def old_state(store: FactSource, delta: Delta) -> FactSource:
 
 
 class StagedSources(PlanSources):
-    """Plan sources that stage different database states per body position.
+    """Plan sources that stage two database states around a delta site: the
+    delta-marked step reads ``delta``; other fetches read ``before`` when
+    their original body index precedes ``site`` and ``after`` otherwise —
+    the finite-difference staging of the counting rules, which have no
+    negation."""
 
-    The delta-marked step reads ``delta``; other fetches read ``before``
-    when their original body index precedes the delta site and ``after``
-    otherwise; negation checks go against ``neg``.  This is exactly the
-    staging the finite-difference counting rules and the DRed delta rules
-    need.
-    """
-
-    __slots__ = ("site", "before", "after", "neg")
+    __slots__ = ("site", "before", "after")
 
     def __init__(self, store: FactSource, delta: FactSource, site: int,
-                 before: FactSource, after: FactSource,
-                 neg: Optional[FactSource]) -> None:
+                 before: FactSource, after: FactSource) -> None:
         super().__init__(store, delta)
         self.site = site
         self.before = before
         self.after = after
-        self.neg = neg
 
     def select(self, step) -> FactSource:
         if step.from_delta:
@@ -95,19 +98,6 @@ class StagedSources(PlanSources):
         if step.body_index < self.site:
             return self.before
         return self.after
-
-    def holds(self, atom):
-        return atom in self.neg
-
-
-def _delta_relevant(delta_store, indicator):
-    """Whether a delta store could feed a variant anchored at ``indicator``
-    (``None``: non-ground site pattern — any delta fact might match)."""
-    if not len(delta_store):
-        return False
-    if indicator is None:
-        return True
-    return delta_store.has_facts(indicator[0], indicator[1])
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +107,11 @@ def _delta_relevant(delta_store, indicator):
 def counting_update(plans, store, delta, edb_added, edb_removed, limits):
     """Maintain a non-recursive positive stratum by support counting.
 
-    ``plans`` is a :class:`~repro.db.plans.MaintenancePlans`; ``delta`` the
-    accumulated signed changes of the strata below (extended in place with
-    this stratum's own changes); ``edb_added``/``edb_removed`` the explicit
-    assertions/retractions targeting this stratum's head predicates.
+    ``plans`` is the stratum's :class:`~repro.engine.seminaive.engine.DeltaPlans`;
+    ``delta`` the accumulated signed changes of the strata below (extended
+    in place with this stratum's own changes); ``edb_added``/``edb_removed``
+    the explicit assertions/retractions targeting this stratum's head
+    predicates.
     """
     before = store  # lower strata already hold their new state
     after = old_state(store, delta)
@@ -128,10 +119,10 @@ def counting_update(plans, store, delta, edb_added, edb_removed, limits):
     changes = {}
     for _rule, site, indicator, plan in plans.update_variants:
         for sign, delta_store in ((1, delta.added), (-1, delta.removed)):
-            if not _delta_relevant(delta_store, indicator):
+            if not delta_relevant(delta_store, indicator):
                 continue
             sources = StagedSources(
-                store, delta_store, site, before=before, after=after, neg=None
+                store, delta_store, site, before=before, after=after
             )
             for head in run_plan(plan, sources, max_results=limits.max_facts):
                 changes[head] = changes.get(head, 0) + sign
@@ -159,158 +150,42 @@ def counting_update(plans, store, delta, edb_added, edb_removed, limits):
 # Delete-rederive (recursive strata, stratified negation)
 # ---------------------------------------------------------------------------
 
-def _overdelete(plans, store, delta, edb_removed):
-    """The DRed over-deletion phase: the downward closure of everything with
-    a derivation through a deleted fact (or a newly-true negated atom),
-    computed against the *old* database state.  Returns the over-deleted
-    facts; the store is not yet modified."""
-    old = old_state(store, delta)
-    overdeleted = set()
-    worklist = []
-
-    def collect(atom):
-        if atom in store and atom not in overdeleted:
-            overdeleted.add(atom)
-            worklist.append(atom)
-
-    for atom in edb_removed:
-        collect(atom)
-
-    # Seeds: lost derivations through the lower strata's changes.
-    for _rule, site, indicator, plan in plans.update_variants:
-        if _delta_relevant(delta.removed, indicator):
-            sources = StagedSources(
-                store, delta.removed, site, before=old, after=old, neg=old
-            )
-            for head in run_plan(plan, sources):
-                collect(head)
-    for _rule, site, indicator, plan in plans.negation_variants:
-        # A negated subgoal that just became true kills old derivations.
-        if _delta_relevant(delta.added, indicator):
-            sources = StagedSources(
-                store, delta.added, site, before=old, after=old, neg=old
-            )
-            for head in run_plan(plan, sources):
-                collect(head)
-
-    # Propagate through the stratum's own (recursive) dependencies.
-    own_variants = [
-        variant for variant in plans.update_variants
-        if plans.site_in_stratum(variant[2])
-    ]
-    while worklist:
-        delta_store = FactBuckets(worklist)
-        worklist = []
-        for _rule, site, indicator, plan in own_variants:
-            if not _delta_relevant(delta_store, indicator):
-                continue
-            sources = StagedSources(
-                store, delta_store, site, before=old, after=old, neg=old
-            )
-            for head in run_plan(plan, sources):
-                collect(head)
-    return overdeleted
-
-
-def _rederive(plans, store, overdeleted, edb):
-    """The DRed rederivation phase: restore every over-deleted fact that is
-    still asserted or still has a derivation in the new state.  Returns the
-    set of rederived facts."""
-    remaining = set(overdeleted)
-    rederived = set()
-    sources = PlanSources(store)
-
-    def derivable(atom):
-        for plan in plans.rederive_plans:
-            if plan_satisfiable(plan, sources, atom):
-                return True
-        return False
-
-    worklist = []
-
-    def restore(atom):
-        store.add(atom)
-        rederived.add(atom)
-        remaining.discard(atom)
-        worklist.append(atom)
-
-    # Pass 1: facts directly derivable (or still asserted) in the new state.
-    for atom in list(remaining):
-        if atom not in remaining:
-            continue
-        if atom in edb or derivable(atom):
-            restore(atom)
-
-    # Pass 2: delta-driven propagation — a restored fact may support other
-    # over-deleted facts, so push restorations through the stratum's own
-    # dependency sites instead of rescanning the whole remainder per round.
-    own_variants = [
-        variant for variant in plans.update_variants
-        if plans.site_in_stratum(variant[2])
-    ]
-    while worklist:
-        delta_store = FactBuckets(worklist)
-        worklist = []
-        for _rule, site, indicator, plan in own_variants:
-            if not _delta_relevant(delta_store, indicator):
-                continue
-            sources_staged = StagedSources(
-                store, delta_store, site, before=store, after=store, neg=store
-            )
-            for head in run_plan(plan, sources_staged):
-                if head in remaining:
-                    restore(head)
-    return rederived
-
-
 def dred_update(plans, store, delta, edb, edb_added, edb_removed, limits):
-    """Maintain a stratum by delete-rederive.
+    """Maintain a stratum by the engine's delete-rederive step, anchored on
+    the lower strata's changes.
 
-    ``edb`` is the session's current assertion set (already updated for this
-    batch) — an over-deleted fact that is still asserted is rederived
-    unconditionally.
+    ``plans`` is the stratum's :class:`~repro.engine.seminaive.engine.DeltaPlans`.
+    The deletion half reads the state before the update: a positive atom
+    that went and a negated atom that came kill old derivations, and so
+    does a retracted assertion of the stratum's own.  ``edb`` is the
+    session's current assertion set (already updated for this batch) — an
+    over-deleted fact that is still asserted is rederived unconditionally.
+    The insertion half reads the store: a positive atom that came and a
+    negated atom that went enable new derivations.
     """
-    # --- over-delete, against the old state ---
-    overdeleted = _overdelete(plans, store, delta, edb_removed)
-    for atom in overdeleted:
-        store.remove(atom)
-
-    # --- rederive what survives in the new state ---
-    rederived = _rederive(plans, store, overdeleted, edb)
-    for atom in overdeleted:
-        if atom not in rederived:
-            delta.record_remove(atom)
-
-    # --- insert: seeds from the lower strata's changes, then semi-naive ---
-    new_facts = []
-
-    def try_add(head):
-        if store.add(head):
-            new_facts.append(head)
-            limits.check(head, store)
-
-    for atom in edb_added:
-        try_add(atom)
-    for _rule, site, indicator, plan in plans.update_variants:
-        if _delta_relevant(delta.added, indicator):
-            sources = StagedSources(
-                store, delta.added, site, before=store, after=store, neg=store
-            )
-            for head in run_plan(plan, sources, max_results=limits.max_facts):
-                try_add(head)
-    for _rule, site, indicator, plan in plans.negation_variants:
-        # A negated subgoal that just became false enables new derivations.
-        if _delta_relevant(delta.removed, indicator):
-            sources = StagedSources(
-                store, delta.removed, site, before=store, after=store, neg=store
-            )
-            for head in run_plan(plan, sources, max_results=limits.max_facts):
-                try_add(head)
-
-    _iterations, propagated = evaluate_stratum(
-        plans.stratum, store, limits, seed_delta=new_facts
+    before = old_state(store, delta)
+    seeds = chain(
+        edb_removed,
+        anchored_heads(plans.positive_variants,
+                       PlanSources(before, delta.removed), limits),
+        anchored_heads(plans.negation_variants,
+                       PlanSources(before, delta.added), limits),
     )
-    for atom in new_facts + propagated:
+    _rounds, _overdeleted, removed = delete_rederive(
+        plans, store, seeds, PlanSources(before), PlanSources(store), edb, limits
+    )
+    for atom in removed:
+        delta.record_remove(atom)
+
+    heads = chain(
+        edb_added,
+        anchored_heads(plans.positive_variants,
+                       PlanSources(store, delta.added), limits),
+        anchored_heads(plans.negation_variants,
+                       PlanSources(store, delta.removed), limits),
+    )
+    _iterations, added = insert_anchored(plans.stratum, store, heads, limits)
+    for atom in added:
         delta.record_add(atom)
 
 

@@ -119,7 +119,7 @@ def choose_mode(rules: Program, limits: Limits, strategy: str) -> Tuple[
         else:
             def materialize(edb):
                 store = RelationStore()
-                for atom in edb:
+                for atom in sorted(edb, key=repr):
                     store.add_support(atom)
                 for stratum in plans:
                     if stratum.strategy == COUNTING:

@@ -1,39 +1,28 @@
-"""Per-stratum plan bundles for incremental maintenance.
+"""Per-stratum maintenance strategy.
 
-A :class:`MaintenancePlans` extends the engine's
-:class:`~repro.engine.seminaive.engine.StratumPlan` (base pass + recursive
-delta variants) with the additional compiled plans the maintenance
-algorithms of :mod:`repro.db.maintenance` need:
-
-* *update variants* — one delta variant per positive body site (not just
-  the recursive ones), anchoring the finite-difference counting rules and
-  the DRed over-deletion/insertion seeds at any lower-stratum change;
-* *negation variants* — the rule with one negative literal flipped positive
-  and anchored on the delta (``compile_rule(rule, delta_index=site)`` on a
-  negative site does the flip), used to find derivations created
-  (destroyed) when a negated subgoal becomes false (true);
-* *rederivation plans* — each rule compiled ``from_head``: the plan takes
-  an over-deleted fact, matches it against the rule head and joins the body
-  with the head's variables bound, so "does this fact still have a
-  derivation?" is answered with indexed probes instead of open joins.
-
-The bundle also decides the stratum's maintenance strategy: ``counting``
-for non-recursive positive strata, ``dred`` for recursive strata and strata
-with (stratified) negation, ``recompute`` for aggregate strata and strata
-whose maintenance plans cannot be compiled.
+A :class:`MaintenancePlans` is a stratum's
+:class:`~repro.engine.seminaive.engine.DeltaPlans` — the engine's one plan
+bundle per stratum: update variants for the positive sites the stratum does
+not define (its own are the stratum plan's recursive variants), flipped
+negation variants for every negative site, one ``from_head`` plan per rule
+— plus the strategy :mod:`repro.db.maintenance` maintains it by:
+``counting`` for non-recursive positive strata, ``dred`` (the engine's
+delete-rederive step, shared with the alternating fixpoint) for recursive
+strata and strata with (stratified) negation, ``recompute`` for aggregate
+strata and strata whose variants cannot be compiled.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
 
 from repro.engine.seminaive.engine import (
+    DeltaPlans,
     SeminaiveUnsupported,
     StratumPlan,
+    compile_delta_plans,
     compile_stratum,
 )
-from repro.engine.seminaive.plan import PlanError, compile_rule
-from repro.engine.seminaive.relation import literal_indicator
 
 #: Maintenance strategies.
 COUNTING = "counting"
@@ -44,39 +33,28 @@ RECOMPUTE = "recompute"
 class MaintenancePlans(NamedTuple):
     """Everything needed to maintain one stratum incrementally."""
 
-    stratum: StratumPlan
+    bundle: DeltaPlans
     strategy: str
-    #: ``(rule, site, indicator, plan)`` — one per positive body site.
-    update_variants: Tuple
-    #: ``(rule, site, indicator, plan)`` — one per negative body site,
-    #: with the negation flipped into a positive delta anchor.
-    negation_variants: Tuple
-    #: One ``from_head`` plan per rule: run on an over-deleted fact, it is
-    #: satisfiable when the rule still derives the fact.
-    rederive_plans: Tuple
+
+    @property
+    def stratum(self) -> StratumPlan:
+        return self.bundle.stratum
 
     @property
     def head_indicators(self):
-        return self.stratum.head_indicators
+        return self.bundle.stratum.head_indicators
 
     @property
     def reads(self):
-        return self.stratum.reads
-
-    def site_in_stratum(self, indicator):
-        """Whether a body site could read this stratum's own predicates."""
-        if indicator is None or self.stratum.head_indicators is None:
-            return True
-        return indicator in self.stratum.head_indicators
+        return self.bundle.stratum.reads
 
     def pin_roots(self):
         """Term roots the maintenance bundle retains, for intern-generation
-        pin sets.  The update/negation variants and rederivation plans are
-        all compiled from the stratum's rules — the flipped negation
-        variants reuse the original atom objects — so the stratum's rule
-        roots cover every constant any of the bundled register programs
-        holds."""
-        return self.stratum.pin_roots()
+        pin sets.  Every plan of the bundle is compiled from the stratum's
+        rules — the flipped negation variants reuse the original atom
+        objects — so the stratum's rule roots cover every constant any of
+        its register programs holds."""
+        return self.bundle.stratum.pin_roots()
 
 
 def build_maintenance_plans(rules, recursive):
@@ -89,34 +67,15 @@ def build_maintenance_plans(rules, recursive):
     boundary and the error propagates).
     """
     stratum = compile_stratum(rules, recursive)
-
+    unmaintained = MaintenancePlans(DeltaPlans(stratum, (), (), ()), RECOMPUTE)
     if stratum.has_aggregates:
-        return MaintenancePlans(stratum, RECOMPUTE, (), (), ())
-
+        return unmaintained
     try:
-        update_variants = []
-        negation_variants = []
-        rederive_plans = []
-        for rule in stratum.rules:
-            for site, literal in enumerate(rule.body):
-                if literal.is_builtin():
-                    continue
-                variants = update_variants if literal.positive else negation_variants
-                variants.append((
-                    rule, site, literal_indicator(literal.atom),
-                    compile_rule(rule, delta_index=site),
-                ))
-            rederive_plans.append(compile_rule(rule, from_head=True))
-    except PlanError as error:
+        bundle = compile_delta_plans(stratum)
+    except SeminaiveUnsupported:
         if stratum.head_indicators is None:
-            raise SeminaiveUnsupported(str(error))
-        return MaintenancePlans(stratum, RECOMPUTE, (), (), ())
-
+            raise
+        return unmaintained
     if stratum.is_recursive or stratum.has_negation:
-        strategy = DRED
-    else:
-        strategy = COUNTING
-    return MaintenancePlans(
-        stratum, strategy,
-        tuple(update_variants), tuple(negation_variants), tuple(rederive_plans),
-    )
+        return MaintenancePlans(bundle, DRED)
+    return MaintenancePlans(bundle, COUNTING)

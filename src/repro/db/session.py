@@ -873,13 +873,14 @@ class DatabaseSession(ModelReads):
         try:
             if plans.strategy == COUNTING:
                 counting_update(
-                    plans, self._store, delta, edb_added, edb_removed, self._limits
+                    plans.bundle, self._store, delta, edb_added, edb_removed,
+                    self._limits,
                 )
                 self._stats["counting_updates"] += 1
             elif plans.strategy == DRED:
                 dred_update(
-                    plans, self._store, delta, self._edb, edb_added, edb_removed,
-                    self._limits,
+                    plans.bundle, self._store, delta, self._edb, edb_added,
+                    edb_removed, self._limits,
                 )
                 self._stats["dred_updates"] += 1
             else:

@@ -86,13 +86,6 @@ class GroundProgram:
         """All ground rules whose head is ``atom``."""
         return tuple(rule for rule in self.rules if rule.head == atom)
 
-    def atoms_by_head(self):
-        """Mapping from head atom to the list of its rules."""
-        index = {}
-        for rule in self.rules:
-            index.setdefault(rule.head, []).append(rule)
-        return index
-
     def union(self, other):
         """Union of two ground programs (rule sets and bases)."""
         return GroundProgram(tuple(self.rules) + tuple(other.rules), self.base | other.base)

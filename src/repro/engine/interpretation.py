@@ -101,10 +101,6 @@ class Interpretation:
         return not self.undefined
 
     # -- construction ---------------------------------------------------------
-    def with_base(self, base):
-        """Return the same interpretation over an enlarged base."""
-        return Interpretation(self.true, self.false, frozenset(base) | self.base)
-
     def complete(self):
         """Return the total interpretation making every undefined atom false."""
         return Interpretation(self.true, self.false | self.undefined, self.base)

@@ -64,19 +64,24 @@ through ``sources.holds(atom)``.
 
 **The caps.**  ``max_facts`` and ``max_term_depth`` travel as one
 :class:`Limits` object, and :meth:`Limits.check` is the one place a derived
-fact meets them: every loop that adds derived heads to a store — here, in
-the alternation's reseeding, in :mod:`repro.db.maintenance`, in the
-session's EDB writes — calls it once ``add`` / ``add_support`` has said the
-head is new.
+fact meets them: every loop that adds derived heads to a store — here
+(:func:`evaluate_stratum`, :func:`insert_anchored`), in the counting
+algorithm of :mod:`repro.db.maintenance`, in the session's EDB writes —
+calls it once ``add`` / ``add_support`` has said the head is new.
 
-An *incremental* view-maintenance layer (:mod:`repro.db`) composes the same
-pieces: :func:`stratify_program` (optionally one stratum per strongly
-connected component), :func:`compile_stratum` (the base and delta join
-plans of a stratum), :func:`evaluate_stratum` with an *injected delta*
-(re-run a settled stratum semi-naively from a batch of newly arrived
-facts), and :class:`PlanSources` (a pluggable resolver from join steps to
-fact sources, so maintenance algorithms can stage "old"/"new"/"delta"
-database states per body position).
+**Delete-rederive exists once**, here, and has two callers: a session's
+maintenance of a recursive or negation stratum
+(:func:`repro.db.maintenance.dred_update`) and the alternating fixpoint's
+shrinking overestimate
+(:func:`repro.engine.seminaive.wellfounded.evaluate_strata`).  Both anchor
+the variants of one per-stratum bundle, :class:`DeltaPlans`
+(:func:`compile_delta_plans`), on a change with :func:`anchored_heads`, and
+hand the heads to :func:`delete_rederive` — over-delete, remove, rederive
+through the ``from_head`` plans — or to :func:`insert_anchored` — add, then
+resume :func:`evaluate_stratum` from an *injected delta*.  They differ only
+in the :class:`PlanSources` they pass: the state before a session's update
+and then its store, or the overestimate read against the old and then the
+new underestimate.
 """
 
 from __future__ import annotations
@@ -293,9 +298,9 @@ class PlanSources:
 
     The default implementation reads fetches from ``store`` (or the
     per-iteration ``delta`` store for delta-marked steps) and answers
-    negation checks against ``store``.  Maintenance algorithms subclass this
-    to stage different database states (old / new / delta) per body
-    position — see :mod:`repro.db.maintenance`.  A source implements
+    negation checks against ``store``.  The counting algorithm subclasses
+    this to stage two database states around the delta site — see
+    :mod:`repro.db.maintenance`.  A source implements
     :class:`~repro.engine.seminaive.relation.FactSource`.
 
     ``negation`` redirects the membership test of negation steps to a
@@ -593,7 +598,8 @@ class StratumPlan(NamedTuple):
     recursive: Dict
     #: ``(rule, plan)`` pairs for the initial (non-delta) pass.
     base_plans: Tuple
-    #: ``(rule, site, plan)`` delta variants, one per recursive body site.
+    #: ``(rule, site, indicator, plan)`` delta variants, one per recursive
+    #: body site (``indicator``: the site's, ``None`` when its name is open).
     variant_plans: Tuple
     #: Indicators of the stratum's head predicates, or ``None`` when some
     #: head predicate name is non-ground (the definite higher-order case).
@@ -628,7 +634,10 @@ def compile_stratum(rules, recursive):
         variant_plans = []
         for rule in rules:
             for site in _delta_sites(rule, recursive[rule]):
-                variant_plans.append((rule, site, compile_rule(rule, delta_index=site)))
+                variant_plans.append((
+                    rule, site, literal_indicator(rule.body[site].atom),
+                    compile_rule(rule, delta_index=site),
+                ))
     except PlanError as error:
         raise SeminaiveUnsupported(str(error))
 
@@ -679,8 +688,8 @@ def evaluate_stratum(stratum, store, limits=Limits(), seed_delta=None,
     skipped and the fixpoint resumes from the injected delta; this is the
     re-evaluation primitive incremental insertion maintenance is built on.
     Facts of *lower*-stratum predicates do not propagate through this
-    entry point: anchor them with per-site update variants first (as
-    :func:`repro.db.maintenance.dred_update` does) and inject the heads.
+    entry point: anchor them with per-site variants first and inject the
+    heads (:func:`insert_anchored`).
 
     ``negation_store`` redirects negative subgoals to a different store
     (see :class:`PlanSources`): the alternating-fixpoint well-founded
@@ -717,7 +726,7 @@ def evaluate_stratum(stratum, store, limits=Limits(), seed_delta=None,
         delta_store = FactBuckets(delta)
         delta = []
         sources = PlanSources(store, delta_store, negation=negation_store)
-        for _rule, _site, plan in stratum.variant_plans:
+        for _rule, _site, _indicator, plan in stratum.variant_plans:
             for head in run_plan(plan, sources, max_results=max_facts):
                 if store.add(head):
                     check(head, store)
@@ -730,4 +739,165 @@ def evaluate_stratum(stratum, store, limits=Limits(), seed_delta=None,
             added=len(added), duration_s=_perf_counter() - started,
             fetches=stats["fetches"], candidates=stats["candidates"],
         )
+    return iterations, added
+
+
+# ---------------------------------------------------------------------------
+# Delete-rederive: one step for a session's maintenance and the alternation
+# ---------------------------------------------------------------------------
+
+class DeltaPlans(NamedTuple):
+    """The plans that turn a change of what a stratum reads into the change
+    of what it derives, beside its :class:`StratumPlan` — one bundle per
+    stratum for both callers of :func:`delete_rederive` and
+    :func:`insert_anchored`.  Every variant is ``(rule, site, indicator,
+    plan)`` with ``indicator`` the anchor's (``None``: an open name)."""
+
+    stratum: StratumPlan
+    #: One delta variant per positive body site the stratum does not
+    #: define; the sites it does are ``stratum.variant_plans``.
+    update_variants: Tuple
+    #: One per negative body site: ``compile_rule(rule, delta_index=site)``
+    #: flips the negation into a positive anchor on the atoms whose truth
+    #: just changed.
+    negation_variants: Tuple
+    #: One ``from_head`` plan per rule: run on an over-deleted fact, it is
+    #: satisfiable when the rule still derives the fact.
+    from_head: Tuple
+
+    @property
+    def positive_variants(self):
+        """Every positive site's variant, the stratum's own ones last."""
+        return self.update_variants + self.stratum.variant_plans
+
+
+def compile_delta_plans(stratum):
+    """The :class:`DeltaPlans` of ``stratum``.  Raises
+    :class:`SeminaiveUnsupported` when a variant cannot be planned."""
+    update_variants = []
+    negation_variants = []
+    try:
+        for rule in stratum.rules:
+            own = _delta_sites(rule, stratum.recursive[rule])
+            for site, literal in enumerate(rule.body):
+                if literal.is_builtin() or site in own:
+                    continue
+                variants = update_variants if literal.positive else negation_variants
+                variants.append((
+                    rule, site, literal_indicator(literal.atom),
+                    compile_rule(rule, delta_index=site),
+                ))
+        from_head = tuple(compile_rule(rule, from_head=True) for rule in stratum.rules)
+    except PlanError as error:
+        raise SeminaiveUnsupported(str(error))
+    return DeltaPlans(
+        stratum, tuple(update_variants), tuple(negation_variants), from_head
+    )
+
+
+def delta_relevant(delta_store, indicator):
+    """Whether a delta store could feed a variant anchored at ``indicator``
+    (``None``: non-ground site pattern — any delta fact might match)."""
+    if not len(delta_store):
+        return False
+    if indicator is None:
+        return True
+    return delta_store.has_facts(indicator[0], indicator[1])
+
+
+def anchored_heads(variants, sources, limits):
+    """The heads of each of ``variants`` whose anchor ``sources.delta`` holds
+    facts for, one variant at a time: a caller that adds each head to a
+    store the next variant reads has it there, as in a delta round."""
+    for _rule, _site, indicator, plan in variants:
+        if delta_relevant(sources.delta, indicator):
+            yield from run_plan(plan, sources, max_results=limits.max_facts)
+
+
+def _propagate(variants, worklist, sources, admit, limits):
+    """Run ``variants`` anchored on ``worklist`` against ``sources``, then on
+    the heads ``admit`` took from that round, until it takes none.  Returns
+    the rounds run."""
+    rounds = 0
+    while worklist and variants:
+        rounds += 1
+        anchor = PlanSources(sources.store, FactBuckets(worklist), sources.negation)
+        worklist = [head for head in anchored_heads(variants, anchor, limits)
+                    if admit(head)]
+    return rounds
+
+
+def delete_rederive(plans, target, seeds, old, new, keep, limits):
+    """The deletion half of delete-rederive (Gupta, Mumick & Subrahmanian,
+    SIGMOD'93) over ``plans``, a :class:`DeltaPlans`: take out of ``target``
+    what may have lost its last derivation, then put back what has one.
+
+    ``seeds`` are the heads the caller's anchored variants found behind a
+    change that kills derivations (a deleted positive atom, a negated atom
+    just proven), read against the state *before* it.  Those of them in
+    ``target``, closed under the stratum's own variants against ``old``,
+    are **over-deleted** and leave ``target``.  Each is then probed through
+    the ``from_head`` plans against ``new`` — the state after the change,
+    ``target`` included — and returns when some rule still derives it or
+    ``keep`` holds it; what returns is pushed through the own variants
+    again, restoring only over-deleted atoms.  ``old`` and ``new`` are
+    :class:`PlanSources` (a store and a negation context), and they are
+    what the two callers differ in: a session's DRed passes the state
+    before the update, then the store, and keeps its EDB; the alternating
+    fixpoint passes the overestimate it shrinks, read against the new
+    underestimate both times (its seeds read the old one), and keeps
+    nothing.
+
+    Order is insertion order throughout, so the work done is a function of
+    the input alone.  Returns ``(rounds, overdeleted, removed)``: the delta
+    rounds run, how many atoms were over-deleted, and those that stayed out.
+    """
+    variants = plans.stratum.variant_plans
+    overdeleted = {}
+
+    def overdelete(head):
+        if head in target and head not in overdeleted:
+            overdeleted[head] = None
+            return True
+        return False
+
+    def restore(head):
+        if head in overdeleted and head not in target:
+            target.add(head)
+            return True
+        return False
+
+    rounds = _propagate(
+        variants, [head for head in seeds if overdelete(head)], old, overdelete,
+        limits,
+    )
+    for atom in overdeleted:
+        target.remove(atom)
+    restored = []
+    for atom in overdeleted:
+        if atom in keep or any(
+                plan_satisfiable(plan, new, atom) for plan in plans.from_head):
+            target.add(atom)
+            restored.append(atom)
+    rounds += _propagate(variants, restored, new, restore, limits)
+    removed = [atom for atom in overdeleted if atom not in target]
+    return rounds, len(overdeleted), removed
+
+
+def insert_anchored(stratum, store, heads, limits, negation_store=None):
+    """The insertion half of delete-rederive: add the anchored ``heads`` to
+    ``store`` — each new one past :meth:`Limits.check` — and resume the
+    stratum's fixpoint from them (:func:`evaluate_stratum` with
+    ``seed_delta``).  Returns ``(iterations, added)``, the new heads first."""
+    added = []
+    for head in heads:
+        if store.add(head):
+            limits.check(head, store)
+            added.append(head)
+    if not added:
+        return 0, added
+    iterations, propagated = evaluate_stratum(
+        stratum, store, limits, seed_delta=added, negation_store=negation_store
+    )
+    added.extend(propagated)
     return iterations, added

@@ -77,20 +77,22 @@ its rules:
   :class:`~repro.engine.seminaive.relation.RelationStore` forever and each
   outer alternation resumes it semi-naively: the atoms that just fell out
   of the overestimate anchor flipped-negation delta variants
-  (``compile_rule(rule, delta_index=site)`` on a negative site, as in
-  :mod:`repro.db.plans`), and the heads they produce are injected through
-  ``evaluate_stratum(seed_delta=...)`` — no from-scratch recomputation of
-  the true atoms, work per alternation proportional to what changed;
+  (``compile_rule(rule, delta_index=site)`` on a negative site), and the
+  heads they produce are injected through
+  :func:`~repro.engine.seminaive.engine.insert_anchored` — no from-scratch
+  recomputation of the true atoms, work per alternation proportional to
+  what changed;
 * the *overestimate* shrinks across alternations, and what shrinks it is
   the growth of its negation context, the underestimate — the case
   delete-rederive exists for.  So it is a maintained view too: one top
   layer of a :class:`~repro.engine.seminaive.relation.StoreView` over the
   settled stores, computed from scratch by the first alternation only and
-  patched by every later one (:func:`_shrink_overestimate`: over-delete
-  through the same flipped-negation variants, read against the *old*
-  estimates; rederive through ``from_head`` plans compiled with them) —
-  a negation stratum costs what changes between alternations, not
-  alternations × size.
+  patched by every later one through
+  :func:`~repro.engine.seminaive.engine.delete_rederive`, the one
+  delete-rederive step: its other caller is a session's DRed
+  (:func:`repro.db.maintenance.dred_update`), over the same per-stratum
+  :class:`~repro.engine.seminaive.engine.DeltaPlans`.  A negation stratum
+  costs what changes between alternations, not alternations × size.
 
 The result partitions the derivable atoms into true and undefined;
 everything else is false under the closed-world reading the paper's
@@ -116,13 +118,16 @@ from repro.engine.seminaive.engine import (
     Limits,
     PlanSources,
     SeminaiveUnsupported,
+    anchored_heads,
+    compile_delta_plans,
     compile_stratum,
+    delete_rederive,
     evaluate_stratum,
-    plan_satisfiable,
+    insert_anchored,
     run_plan,
     stratify_program,
 )
-from repro.engine.seminaive.plan import JoinPlan, PlanError, compile_rule
+from repro.engine.seminaive.plan import JoinPlan, compile_rule
 from repro.engine.seminaive.relation import (
     FactBuckets,
     RelationStore,
@@ -188,9 +193,10 @@ class OpenRule(NamedTuple):
 class CompiledStrata:
     """What :func:`compile_strata` makes of a program's rules and
     :func:`evaluate_strata` walks: the strata of the rules whose every
-    predicate name is ground — one ``(stratum plan, alternation plans or
-    None, head names)`` each, lowest first, the :class:`AlternationPlans`
-    present exactly for the negation-SCC strata, which alternate — and the
+    predicate name is ground — one ``(stratum plan, delta plans or None,
+    head names)`` each, lowest first, the
+    :class:`~repro.engine.seminaive.engine.DeltaPlans` present exactly for
+    the negation-SCC strata, which alternate — and the
     :class:`OpenRule` s, which become strata only once the store says what
     their name variables range over.
 
@@ -283,7 +289,7 @@ def _compile_closed(program, allow_unstratified):
         stratum = compile_stratum(rules, stratification.recursive)
         plans = None
         if index in stratification.unstratified:
-            plans = _alternation_plans(stratum)
+            plans = compile_delta_plans(stratum)
         names = frozenset(predicate_name(rule.head) for rule in rules)
         strata.append((stratum, plans, names))
     return tuple(strata)
@@ -364,129 +370,9 @@ def _refuse_resettled(indicator, settled, rule):
         )
 
 
-class AlternationPlans(NamedTuple):
-    """What a negation-SCC stratum alternates with, beside its
-    :class:`~repro.engine.seminaive.engine.StratumPlan`: the plans that turn
-    a change of one estimate into the change of the other."""
-
-    #: ``(rule, site, plan)`` — the **flipped-negation** delta variants, one
-    #: per body literal ``not a`` whose indicator the stratum defines.
-    flipped: Tuple
-    #: One ``from_head`` plan per rule: "does this rule still derive this
-    #: atom", asked of every atom the shrinking overestimate over-deleted.
-    from_head: Tuple
-
-
-def _alternation_plans(stratum):
-    """The :class:`AlternationPlans` of a negation-SCC stratum.
-
-    For every body literal ``not a`` whose indicator is defined *in* the
-    stratum, the delta variant anchored on it — the plan that finds every
-    rule instance newly enabled because ``a`` just fell out of the
-    overestimate or, read against the old estimates, newly dead because
-    ``a`` was just proven.  Negations on settled lower strata are skipped:
-    their context never changes between alternations.
-    """
-    flipped = []
-    heads = stratum.head_indicators
-    try:
-        for rule in stratum.rules:
-            for site, literal in enumerate(rule.body):
-                if literal.positive or literal.is_builtin():
-                    continue
-                indicator = literal_indicator(literal.atom)
-                if heads is not None and indicator is not None \
-                        and indicator not in heads:
-                    continue
-                flipped.append((rule, site, compile_rule(rule, delta_index=site)))
-        from_head = tuple(
-            compile_rule(rule, from_head=True) for rule in stratum.rules
-        )
-    except PlanError as error:
-        raise SeminaiveUnsupported(str(error))
-    return AlternationPlans(tuple(flipped), from_head)
-
-
-def _shrink_overestimate(stratum, plans, over_view, grown, limits):
-    """Patch the overestimate ``O_{k-1} = Γ(U_{k-2})`` that ``over_view`` —
-    ``(under, over_extra, layer)`` — holds into ``O_k = Γ(U_{k-1})``, where
-    ``grown`` is ``U_{k-1} - U_{k-2}``: everything the last underestimate
-    phase added to ``under``.
-    An overestimate only ever loses atoms, and what takes one away is a
-    negated subgoal just proven — delete-rederive's case
-    (:func:`repro.db.maintenance.dred_update`), in five steps:
-
-    a. ``grown`` leaves the stratum's layer (the atoms are in ``under`` now
-       and a view's layers stay disjoint); the view still reads ``O_{k-1}``.
-    b. **Over-delete.**  Anchored on ``grown``, the flipped-negation
-       variants find the rule instances behind ``O_{k-1}`` that a grown
-       atom kills; their heads still in the layer, closed under the
-       stratum's own positive delta variants, are the atoms that *may* have
-       lost every derivation.  A dying instance is one that held in the
-       **old** state, so an anchored variant reads its other negative
-       literals against the old context ``U_{k-2}`` (``under`` minus
-       ``grown``): when two negated atoms of one instance are proven in the
-       same alternation, the new context hides the instance from both
-       anchors and its head outlives it.  The closure reads ``under`` as it
-       stands — an instance the new context rejects is one an anchor has
-       found already.
-    c. They leave the layer.
-    d. **Rederive.**  An over-deleted atom that some rule still derives
-       from what is left — negation read against ``under`` as it stands —
-       returns, and so does what the returned atoms derive in turn, through
-       the ordinary seeded fixpoint.
-    e. What stayed out is ``O_{k-1} - O_k``: the atoms the underestimate
-       phase is reseeded with.
-
-    Returns ``(iterations, overdeleted, removed)``: the delta rounds run,
-    how many atoms step (b) took, the list of step (e).
-    """
-    under, _over_extra, layer = over_view.layers
-    grown = FactBuckets(grown)
-    for atom in grown:
-        layer.remove(atom)
-
-    overdeleted = {}
-    worklist = []
-
-    def collect(heads):
-        for head in heads:
-            if head in layer and head not in overdeleted:
-                overdeleted[head] = None
-                worklist.append(head)
-
-    old_under = StoreView((under,), minus=grown)
-    sources = PlanSources(over_view, grown, negation=old_under)
-    for _rule, _site, plan in plans.flipped:
-        collect(run_plan(plan, sources))
-    iterations = 0
-    while worklist and stratum.variant_plans:
-        iterations += 1
-        sources = PlanSources(over_view, FactBuckets(worklist), negation=under)
-        worklist = []
-        for _rule, _site, plan in stratum.variant_plans:
-            collect(run_plan(plan, sources))
-
-    for atom in overdeleted:
-        layer.remove(atom)
-
-    sources = PlanSources(over_view, negation=under)
-    restored = []
-    for atom in overdeleted:
-        if any(plan_satisfiable(plan, sources, atom) for plan in plans.from_head):
-            layer.add(atom)
-            restored.append(atom)
-    if restored:
-        its, _propagated = evaluate_stratum(
-            stratum, over_view, limits, seed_delta=restored, negation_store=under
-        )
-        iterations += its
-    removed = [atom for atom in overdeleted if atom not in layer]
-    return iterations, len(overdeleted), removed
-
-
-def _alternate_stratum(stratum, plans, under, over_extra, limits):
-    """The alternating fixpoint of one negation-SCC stratum.
+def _alternate_stratum(plans, under, over_extra, limits):
+    """The alternating fixpoint of one negation-SCC stratum, whose
+    :class:`~repro.engine.seminaive.engine.DeltaPlans` are ``plans``.
 
     ``under`` (the global underestimate) and ``over_extra`` (settled
     lower-strata undefined atoms) are read in place; the stratum's
@@ -494,18 +380,35 @@ def _alternate_stratum(stratum, plans, under, over_extra, limits):
     returned — disjoint from ``under`` — once it is reached.  The first
     alternation computes ``O_1 = Γ(U_0)`` into the layer and ``U_1 =
     Γ(O_1)`` into ``under``, each a full least fixpoint.  Every later one
-    moves each estimate by what the other just changed:
-    :func:`_shrink_overestimate` takes out of the layer what the atoms
-    ``under`` gained no longer let it derive, and the atoms that left
-    anchor the flipped-negation variants whose heads reseed ``under``.
-    ``U`` grows and ``O`` shrinks monotonically, so the loop stops the
-    first time the underestimate stands still.
+    moves each estimate by what the other just changed, through the
+    engine's delete-rederive step — the one a session's DRed takes too.
+
+    The overestimate ``O_{k-1} = Γ(U_{k-2})`` becomes ``O_k = Γ(U_{k-1})``
+    by its deletion half (:func:`~repro.engine.seminaive.engine.delete_rederive`),
+    where ``grown``, ``U_{k-1} - U_{k-2}``, is everything the last
+    underestimate phase added: an overestimate only ever loses atoms, and
+    what takes one away is a negated subgoal just proven.  ``grown`` leaves
+    the layer (a view's layers stay disjoint); anchored on it, the
+    negation variants find the rule instances behind ``O_{k-1}`` a grown
+    atom kills — reading the instance's other negated atoms against the old
+    context ``U_{k-2}``, for an instance held in the **old** state: when
+    two negated atoms of one instance are proven in the same alternation,
+    the new context hides it from both anchors and its head outlives it.
+    The closure and the rederivation read ``under`` as it stands (an
+    instance the new context rejects is one an anchor has found already).
+    What stays out is ``O_{k-1} - O_k``; anchored on it, the same negation
+    variants find the instances newly enabled below, and the insertion half
+    (:func:`~repro.engine.seminaive.engine.insert_anchored`) grows ``under``
+    from their heads.  ``U`` grows and ``O`` shrinks monotonically, so the
+    loop stops the first time the underestimate stands still.
 
     Returns ``(iterations, alternations, layer)``.
     """
+    stratum = plans.stratum
     tracer = current_tracer()
     layer = RelationStore()
     over_view = StoreView((under, over_extra, layer))
+    over = PlanSources(over_view, negation=under)
     iterations = 0
     alternations = 0
     while True:
@@ -525,31 +428,27 @@ def _alternate_stratum(stratum, plans, under, over_extra, limits):
             iterations += its
             overdeleted, removed = 0, ()
         else:
-            its, overdeleted, removed = _shrink_overestimate(
-                stratum, plans, over_view, grown, limits
+            grown = FactBuckets(grown)
+            for atom in grown:
+                layer.remove(atom)
+            old_under = StoreView((under,), minus=grown)
+            seeds = anchored_heads(
+                plans.negation_variants,
+                PlanSources(over_view, grown, negation=old_under), limits,
+            )
+            its, overdeleted, removed = delete_rederive(
+                plans, layer, seeds, over, over, (), limits
             )
             iterations += its
-            # Only a shrunken overestimate can enable new true derivations.
-            # Anchor the flipped-negation variants on the atoms that left
-            # it, then propagate the seeds through the ordinary semi-naive
-            # delta loop.
-            grown = []
-            if removed:
-                sources = PlanSources(
-                    under, FactBuckets(removed), negation=over_view
-                )
-                for _rule, _site, plan in plans.flipped:
-                    for head in run_plan(plan, sources, max_results=limits.max_facts):
-                        if under.add(head):
-                            limits.check(head, under)
-                            grown.append(head)
-            if grown:
-                its, propagated = evaluate_stratum(
-                    stratum, under, limits, seed_delta=grown,
-                    negation_store=over_view,
-                )
-                iterations += its
-                grown.extend(propagated)
+            enabled = anchored_heads(
+                plans.negation_variants,
+                PlanSources(under, FactBuckets(removed), negation=over_view),
+                limits,
+            )
+            its, grown = insert_anchored(
+                stratum, under, enabled, limits, negation_store=over_view
+            )
+            iterations += its
         if tracer is not None:
             tracer.emit(
                 "alternation", alternation=alternations,
@@ -661,7 +560,7 @@ def evaluate_strata(compiled, facts, limits):
         if alternating:
             # Negation-SCC stratum: the full alternating fixpoint.
             its, alts, layer = _alternate_stratum(
-                stratum, plans, under, over_extra, limits
+                plans, under, over_extra, limits
             )
             iterations += its
             alternations += alts

@@ -138,13 +138,6 @@ class HerbrandUniverse:
             result.extend(level)
         return result
 
-    def terms_at_depth(self, depth):
-        """Terms whose depth is exactly ``depth``."""
-        levels = self._build_levels()
-        if depth >= len(levels):
-            return []
-        return list(levels[depth])
-
     def constants(self):
         """The depth-0 terms, i.e. the bare symbols."""
         return [Sym(name) for name in self._symbols]
@@ -161,10 +154,6 @@ class HerbrandUniverse:
         if term.depth() > self._max_depth:
             return False
         return set(term.symbols()) <= set(self._symbols)
-
-    def size_estimate(self):
-        """Number of terms in the bounded fragment (forces enumeration)."""
-        return len(self)
 
 
 def _arities_of_program(program):

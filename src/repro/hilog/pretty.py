@@ -179,13 +179,3 @@ def format_rule(rule):
 def format_program(program):
     """Render a whole program, one clause per line."""
     return "\n".join(format_rule(rule) for rule in program.rules)
-
-
-def format_interpretation(true_atoms, undefined_atoms=()):
-    """Render a three-valued interpretation compactly (used by examples)."""
-    true_part = sorted(format_term(atom) for atom in true_atoms)
-    undef_part = sorted(format_term(atom) for atom in undefined_atoms)
-    lines = ["true: {%s}" % ", ".join(true_part)]
-    if undef_part:
-        lines.append("undefined: {%s}" % ", ".join(undef_part))
-    return "\n".join(lines)

@@ -35,11 +35,6 @@ def atom_signature(atom):
     return None
 
 
-def is_normal_atom(atom):
-    """True when the atom's predicate name is a plain symbol."""
-    return atom_signature(atom) is not None
-
-
 def is_normal_program(program):
     """True when every atom of the program is a normal atom.
 
@@ -60,16 +55,6 @@ def predicate_signatures(program):
             signature = atom_signature(atom)
             if signature is not None:
                 signatures.add(signature)
-    return signatures
-
-
-def head_signatures(program):
-    """Signatures of predicates defined (appearing in a head) by the program."""
-    signatures = set()
-    for rule in program.rules:
-        signature = atom_signature(rule.head)
-        if signature is not None:
-            signatures.add(signature)
     return signatures
 
 

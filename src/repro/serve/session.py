@@ -465,13 +465,6 @@ class ServingSession:
         self._publish_hooks.append(hook)
         return hook
 
-    def remove_publish_hook(self, hook):
-        """Unregister a publish hook (no-op when absent)."""
-        try:
-            self._publish_hooks.remove(hook)
-        except ValueError:
-            pass
-
     # -- read side -----------------------------------------------------------
 
     def reader(self):

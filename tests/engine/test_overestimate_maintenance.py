@@ -1,9 +1,11 @@
-"""The overestimate as a maintained view: ``_shrink_overestimate`` against
-the recompute it replaced.
+"""The overestimate as a maintained view: the engine's delete-rederive
+step, as the alternation calls it, against the recompute it replaced.
 
 From the second alternation on, ``_alternate_stratum`` patches the one
-overestimate layer by delete-rederive instead of rebuilding it.  Every test
-here runs the real walk with that step wrapped (:func:`checked_shrinks`):
+overestimate layer by delete-rederive instead of rebuilding it — the same
+:func:`~repro.engine.seminaive.engine.delete_rederive` a session's DRed
+calls.  Every test here runs the real walk with that step wrapped
+(:func:`checked_shrinks`):
 after **each** alternation the patched layer must equal ``Γ(U_k)`` computed
 from scratch — ``evaluate_stratum`` into a fresh store over the same
 ``under`` / ``over_extra`` — and the final model must be the ground
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.semantics import well_founded_for_hilog
 from repro.db import DatabaseSession
+from repro.engine.seminaive import engine
 from repro.engine.seminaive import plan as plan_module
 from repro.engine.seminaive import seminaive_well_founded
 from repro.engine.seminaive import wellfounded
@@ -35,29 +38,30 @@ from repro.workloads.random_programs import random_nonstratified_program
 
 @contextlib.contextmanager
 def checked_shrinks():
-    """Run the walk with every ``_shrink_overestimate`` call held to the
+    """Run the walk with every call of the shared deletion step held to the
     from-scratch overestimate; yields the list of ``(overdeleted,
     rederived, removed, over_extra size)`` the calls reported."""
-    shrink = wellfounded._shrink_overestimate
+    shrink = wellfounded.delete_rederive
     log = []
 
-    def checked(stratum, plans, over_view, grown, limits):
-        iterations, overdeleted, removed = shrink(
-            stratum, plans, over_view, grown, limits
+    def checked(plans, layer, seeds, old, new, keep, limits):
+        rounds, overdeleted, removed = shrink(
+            plans, layer, seeds, old, new, keep, limits
         )
-        under, over_extra, layer = over_view.layers
+        under, over_extra, top = old.store.layers
+        assert top is layer and not keep
         fresh = RelationStore()
         evaluate_stratum(
-            stratum, StoreView((under, over_extra, fresh)), limits,
+            plans.stratum, StoreView((under, over_extra, fresh)), limits,
             negation_store=under,
         )
         assert set(layer) == set(fresh)
         assert not any(atom in under for atom in layer)
         log.append((overdeleted, overdeleted - len(removed), len(removed),
                     len(over_extra)))
-        return iterations, overdeleted, removed
+        return rounds, overdeleted, removed
 
-    with mock.patch.object(wellfounded, "_shrink_overestimate", checked):
+    with mock.patch.object(wellfounded, "delete_rederive", checked):
         yield log
 
 
@@ -106,24 +110,22 @@ class TestHandWrittenFamilies:
             move(a, e). move(e, f). move(f, e).
             boost(d, a). boost(g, d).
         """)
-        seeded = []
-        propagate = wellfounded.evaluate_stratum
+        probed = []
+        probe = engine.plan_satisfiable
 
-        def spy(stratum, store, limits, seed_delta=None, negation_store=None):
-            its, added = propagate(stratum, store, limits, seed_delta=seed_delta,
-                                   negation_store=negation_store)
-            if seed_delta is not None and isinstance(store, StoreView):
-                seeded.append((list(seed_delta), added))
-            return its, added
+        def spy(plan, sources, atom):
+            found = probe(plan, sources, atom)
+            if found:
+                probed.append(atom)
+            return found
 
-        with mock.patch.object(wellfounded, "evaluate_stratum", spy):
+        with mock.patch.object(engine, "plan_satisfiable", spy):
             result, log = _checked_model(program)
         assert {"win(a)", "win(d)", "win(g)"} <= set(map(repr, result.undefined))
         # All three were taken out and all three came back ...
         assert (3, 3, 0, 0) in log
         # ... win(a) by a rederivation probe, the other two behind it.
-        assert ([parse_term("win(a)")],
-                [parse_term("win(d)"), parse_term("win(g)")]) in seeded
+        assert probed == [parse_term("win(a)")]
 
     def test_positive_loop_inside_the_component_does_not_keep_itself_alive(self):
         # up(a) and up(b) support each other; once their only outside
