@@ -1,9 +1,9 @@
 """Incremental deductive-database sessions.
 
 A DatabaseSession materializes the perfect model of a HiLog program once
-and then maintains it under fact insertion/retraction — counting for
-non-recursive strata, delete-rederive for recursive and negation strata —
-instead of recomputing from scratch on every change.
+and then maintains it under fact insertion/retraction — delete-rederive,
+one stratum per strongly connected component — instead of recomputing from
+scratch on every change.
 
 Run with::
 

@@ -13,7 +13,7 @@ paper's semantic toolkit around them:
   restriction, preservation under extensions, modular stratification for
   HiLog and magic sets (:mod:`repro.core`),
 * incremental deductive-database sessions maintaining materialized perfect
-  models under fact insertion/retraction by counting and delete-rederive
+  models under fact insertion/retraction by delete-rederive
   (:mod:`repro.db`),
 * workload generators and analysis helpers for the experiments
   (:mod:`repro.workloads`, :mod:`repro.analysis`).

@@ -3,8 +3,7 @@
 The paper's modularly stratified programs are exactly the class a
 long-lived deductive database can serve: :class:`DatabaseSession`
 materializes the perfect model once and then *maintains* it under fact
-assertion and retraction — the counting algorithm for non-recursive
-strata, delete-rederive (DRed) for recursive and negation strata,
+assertion and retraction — delete-rederive (DRed) per stratum,
 stratum-local recomputation for aggregates — instead of recomputing from
 scratch on every change (Gupta, Mumick & Subrahmanian, SIGMOD'93).
 
@@ -24,8 +23,8 @@ Quickstart::
     print(session.query("tc(a, X)"))
 """
 
-from repro.db.maintenance import Delta, counting_update, dred_update, recompute_stratum
-from repro.db.plans import COUNTING, DRED, RECOMPUTE, MaintenancePlans, build_maintenance_plans
+from repro.db.maintenance import Delta, dred_update, recompute_stratum
+from repro.db.plans import DRED, RECOMPUTE, MaintenancePlans, build_maintenance_plans
 from repro.db.session import (
     DatabaseSession,
     SessionError,
@@ -45,10 +44,8 @@ __all__ = [
     "Delta",
     "MaintenancePlans",
     "build_maintenance_plans",
-    "counting_update",
     "dred_update",
     "recompute_stratum",
-    "COUNTING",
     "DRED",
     "RECOMPUTE",
 ]

@@ -7,17 +7,13 @@ three-valued well-founded model otherwise — so a
 :data:`Evaluator`.  :func:`choose_mode` picks it, once per session:
 
 * ``"incremental"`` — the program is in the semi-naive engine's
-  stratified class.  The evaluator materializes stratum by stratum, and
-  the mode carries **maintenance plans** besides, so a write patches the
-  model instead of recomputing it: non-recursive positive strata by the
-  **counting** algorithm (support counts per fact;
-  Gupta–Mumick–Subrahmanian, SIGMOD'93), recursive strata and strata with
-  stratified negation by **delete-rederive** (DRed), aggregate strata by
-  stratum-local recomputation, which is also the fallback whenever an
-  incremental step trips an integrity check.  ``materialize`` stays its
-  own loop over the maintenance plans (one stratum per component,
-  per-derivation support counts on counting strata): folding it into the
-  engine's walk would make that walk branch on a maintenance strategy.
+  stratified class.  The mode carries **maintenance plans**, one bundle
+  per component, so a write patches the model instead of recomputing it:
+  by **delete-rederive** (DRed; Gupta–Mumick–Subrahmanian, SIGMOD'93),
+  and aggregate strata by stratum-local recomputation, which is also the
+  fallback whenever an incremental step trips an integrity check.  The
+  evaluator is the engine's stratum walk over those bundles' stratum
+  plans.
 * ``"wellfounded"`` — the obstacle is a cycle through negation at the
   predicate-indicator level (win/move games over cyclic graphs), a
   **name-open** rule beside negation whose name variables a binder binds
@@ -58,16 +54,19 @@ from __future__ import annotations
 from typing import AbstractSet, Callable, FrozenSet, List, Optional, Tuple
 
 from repro.core.modular import perfect_model_for_hilog
-from repro.db.maintenance import materialize_counting_stratum
-from repro.db.plans import COUNTING, MaintenancePlans, build_maintenance_plans
+from repro.db.plans import MaintenancePlans, build_maintenance_plans
 from repro.engine.seminaive.engine import (
     Limits,
     SeminaiveUnsupported,
-    evaluate_stratum,
     stratify_program,
 )
 from repro.engine.seminaive.relation import RelationStore
-from repro.engine.seminaive.wellfounded import compile_strata, evaluate_strata
+from repro.engine.seminaive.wellfounded import (
+    CompiledStrata,
+    compile_strata,
+    evaluate_strata,
+    stratum_entry,
+)
 from repro.hilog.program import Program, Rule
 from repro.hilog.terms import Term
 
@@ -117,18 +116,11 @@ def choose_mode(rules: Program, limits: Limits, strategy: str) -> Tuple[
             if strategy == INCREMENTAL:
                 raise
         else:
+            maintained = CompiledStrata(tuple(
+                stratum_entry(bundle.stratum) for bundle in plans))
+
             def materialize(edb):
-                store = RelationStore()
-                for atom in sorted(edb, key=repr):
-                    store.add_support(atom)
-                for stratum in plans:
-                    if stratum.strategy == COUNTING:
-                        # Non-recursive stratum: a single base pass sees
-                        # every derivation exactly once — count them all.
-                        materialize_counting_stratum(stratum, store, limits)
-                    else:
-                        evaluate_stratum(stratum.stratum, store, limits)
-                return store, frozenset()
+                return walk(maintained, edb)
 
             def seminaive(edb):
                 return walk(compile_strata(rules), edb)

@@ -6,10 +6,9 @@ bundle per stratum: update variants for the positive sites the stratum does
 not define (its own are the stratum plan's recursive variants), flipped
 negation variants for every negative site, one ``from_head`` plan per rule
 — plus the strategy :mod:`repro.db.maintenance` maintains it by:
-``counting`` for non-recursive positive strata, ``dred`` (the engine's
-delete-rederive step, shared with the alternating fixpoint) for recursive
-strata and strata with (stratified) negation, ``recompute`` for aggregate
-strata and strata whose variants cannot be compiled.
+``dred`` (the engine's delete-rederive step, shared with the alternating
+fixpoint) for every stratum whose bundle compiles, ``recompute`` for
+aggregate strata and strata whose variants cannot be compiled.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.engine.seminaive.engine import (
 )
 
 #: Maintenance strategies.
-COUNTING = "counting"
 DRED = "dred"
 RECOMPUTE = "recompute"
 
@@ -76,6 +74,4 @@ def build_maintenance_plans(rules, recursive):
         if stratum.head_indicators is None:
             raise
         return unmaintained
-    if stratum.is_recursive or stratum.has_negation:
-        return MaintenancePlans(bundle, DRED)
-    return MaintenancePlans(bundle, COUNTING)
+    return MaintenancePlans(bundle, DRED)

@@ -9,11 +9,10 @@ same object for the session's whole life.  Three ideas carry the module:
 one model, so a session mode is nothing more than *which function maps the
 EDB to* ``(true atoms, undefined atoms)``.  :func:`repro.db.modes.choose_mode`
 picks it once, at construction — incremental (with the maintenance plans
-that let a write patch the model: counting, delete-rederive, stratum-local
+that let a write patch the model: delete-rederive, stratum-local
 recomputation), well-founded, or Figure-1 recompute — and no method
-compares the mode after that: materialization,
-:meth:`~DatabaseSession.recompute_reference` and
-:meth:`~DatabaseSession.check` call the chosen evaluator.
+compares the mode after that: materialization and
+:meth:`~DatabaseSession.check` call the chosen evaluators.
 
 **A write is** :meth:`~DatabaseSession.update`.  ``insert`` / ``retract``
 are one-liners over it; a :class:`Transaction` commit, the serving
@@ -45,12 +44,7 @@ import weakref
 from time import perf_counter as _perf_counter
 from typing import Any, ContextManager, Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from repro.db.maintenance import (
-    Delta,
-    counting_update,
-    dred_update,
-    recompute_stratum,
-)
+from repro.db.maintenance import Delta, dred_update, recompute_stratum
 from repro.db.modes import (
     INCREMENTAL,
     RECOMPUTE_MODE,
@@ -58,7 +52,7 @@ from repro.db.modes import (
     choose_mode,
     with_facts,
 )
-from repro.db.plans import COUNTING, DRED, RECOMPUTE
+from repro.db.plans import DRED, RECOMPUTE
 from repro.db.reads import ModelReads
 from repro.engine.interpretation import Interpretation
 from repro.engine.seminaive.engine import (
@@ -354,7 +348,6 @@ class DatabaseSession(ModelReads):
             choose_mode(self._rules, self._limits, strategy)
         self._stats = {
             "updates": 0,
-            "counting_updates": 0,
             "dred_updates": 0,
             "recompute_updates": 0,
             "stratum_fallbacks": 0,
@@ -373,14 +366,14 @@ class DatabaseSession(ModelReads):
             self._edb = set(_recover.edb)
         if _recover is not None and _recover.store is not None \
                 and _recover.mode == self._mode:
-            # Snapshot restore: the store (with counting-support counts)
-            # and undefined partition drop in directly — no evaluation.
+            # Snapshot restore: the store and undefined partition drop in
+            # directly — no evaluation.
             self._store = _recover.store
             self._undefined = _recover.undefined
         else:
             # No usable snapshot (or the resolved mode differs from the
-            # snapshot's, making its support counts meaningless):
-            # materialize from the recovered EDB the slow, safe way.
+            # snapshot's, whose model another evaluator made): materialize
+            # from the recovered EDB the slow, safe way.
             try:
                 self._store, self._undefined = self._evaluate(self._edb)
             except SeminaiveUnsupported:
@@ -513,9 +506,7 @@ class DatabaseSession(ModelReads):
         """Write a snapshot checkpoint now (atomic temp + fsync + rename);
         returns its path.  ``store``/``undefined`` override the serialized
         source — the serving layer passes a pinned frozen epoch so
-        checkpointing never blocks concurrent readers; support counts
-        always come from the live store (the two are identical between
-        writer batches, which is when this runs).  Raises
+        checkpointing never blocks concurrent readers.  Raises
         :class:`SessionError` for sessions without a data directory."""
         if self._durable is None:
             raise SessionError(
@@ -526,7 +517,6 @@ class DatabaseSession(ModelReads):
             rules_text=self._program_text, mode=self._mode, edb=self._edb,
             store=self._store if store is None else store,
             undefined=self._undefined if undefined is None else undefined,
-            supports=self._store.support_counts(),
         )
 
     def close(self, checkpoint=True):
@@ -833,11 +823,11 @@ class DatabaseSession(ModelReads):
         stratum_ins, stratum_rem = self._by_stratum(ins), self._by_stratum(rem)
         try:
             for atom in stratum_ins.get(None, ()):
-                if self._store.add_support(atom):
+                if self._store.add(atom):
                     delta.record_add(atom)
                     self._limits.check(atom, self._store)
             for atom in stratum_rem.get(None, ()):
-                if self._store.remove_support(atom):
+                if self._store.remove(atom):
                     delta.record_remove(atom)
 
             touched = 0
@@ -871,13 +861,7 @@ class DatabaseSession(ModelReads):
 
     def _maintain_stratum(self, plans, delta, edb_added, edb_removed):
         try:
-            if plans.strategy == COUNTING:
-                counting_update(
-                    plans.bundle, self._store, delta, edb_added, edb_removed,
-                    self._limits,
-                )
-                self._stats["counting_updates"] += 1
-            elif plans.strategy == DRED:
+            if plans.strategy == DRED:
                 dred_update(
                     plans.bundle, self._store, delta, self._edb, edb_added,
                     edb_removed, self._limits,
@@ -944,12 +928,11 @@ class DatabaseSession(ModelReads):
 
         A true atom gets a proof: a rule instance re-verified against the
         store, its positive body facts recursively explained down to the
-        EDB (counting-stratum support counts annotate each node).  In
-        well-founded mode an undefined atom gets a negation-loop witness: a
-        chain of overestimate rule instances hinging on undefined subgoals
-        until the chain bites its own tail — the negation SCC the
-        alternating fixpoint could not resolve.  A false atom returns a
-        single ``"false"`` node.  Raises
+        EDB.  In well-founded mode an undefined atom gets a negation-loop
+        witness: a chain of overestimate rule instances hinging on
+        undefined subgoals until the chain bites its own tail — the
+        negation SCC the alternating fixpoint could not resolve.  A false
+        atom returns a single ``"false"`` node.  Raises
         :class:`~repro.obs.explain.ExplainError` for non-ground input and
         atoms derivable only through aggregates.
         """
@@ -1033,28 +1016,9 @@ class DatabaseSession(ModelReads):
             info["durability"] = self._durable.stats()
         return info
 
-    def recompute_reference(self):
-        """The from-scratch model the session's mode is accountable to.
-
-        Incremental sessions replay :func:`~repro.engine.seminaive.seminaive_evaluate`
-        (stratum-by-stratum semantics, aggregates folding over the full
-        condition extension); well-founded sessions replay
-        :func:`~repro.engine.seminaive.wellfounded.seminaive_well_founded`;
-        recompute sessions replay the Figure-1 procedure they are built on.
-        Returns a frozenset of true atoms.
-        """
-        # The evaluation's transient terms live in their own generation, so
-        # paranoid deployments calling check() under churn do not accrete
-        # immortal intermediates.  Atoms of the returned model that are in
-        # the maintained store stay pinned through it; divergent atoms are
-        # sweepable once the caller lets go of the result.
-        with intern_generation():
-            return frozenset(self._reference(self._edb)[0])
-
     def check(self):
         """Verify the maintained model — true atoms and undefined partition
-        — against a from-scratch recomputation (the evaluator behind
-        :meth:`recompute_reference`).
+        — against a from-scratch recomputation.
 
         Each mode is accountable to the evaluator it is built on
         (:mod:`repro.db.modes`): for incremental sessions this catches

@@ -7,8 +7,8 @@ The subsystem behind ``DatabaseSession(path=...)`` and
   batches with begin/commit/abort transaction boundaries, configurable
   fsync policy, and torn-tail truncation on open;
 * :mod:`repro.durable.snapshot` — atomic (temp + fsync + rename)
-  checkpoints of the materialized model, support counts, undefined
-  partition and WAL position;
+  checkpoints of the materialized model, undefined partition and WAL
+  position;
 * :mod:`repro.durable.recovery` — newest-valid-snapshot selection (with
   fallback past corrupt ones) and WAL-tail replay through the session's
   incremental maintenance;

@@ -255,15 +255,14 @@ class DurabilityManager:
 
     # -- checkpoints ---------------------------------------------------------
 
-    def checkpoint(self, *, rules_text, mode, edb, store, undefined,
-                   supports=None):
+    def checkpoint(self, *, rules_text, mode, edb, store, undefined):
         """Write a snapshot current through the WAL's last transaction,
         prune old snapshots, and fsync the WAL (a checkpoint is a
         durability barrier whatever the fsync policy)."""
         txn = self.wal.last_txn if self.wal is not None else 0
         path = snapshot_io.write_snapshot(
             self.directory, rules_text=rules_text, mode=mode, txn=txn,
-            edb=edb, store=store, undefined=undefined, supports=supports,
+            edb=edb, store=store, undefined=undefined,
         )
         snapshot_io.prune_snapshots(self.directory, keep=KEEP_SNAPSHOTS)
         if self.wal is not None and not self.wal.closed:

@@ -13,7 +13,7 @@ exists:
    (``repro_recovery_truncated_bytes``).
 3. :func:`replay` feeds every committed WAL transaction newer than the
    snapshot through ``DatabaseSession.update`` — the same write path,
-   hence the same counting/DRed maintenance, that produced the state in
+   hence the same maintenance, that produced the state in
    the first place, which is deterministic over an update stream, so the
    replayed model is the model (``repro_recovery_replayed_records``).
 

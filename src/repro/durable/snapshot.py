@@ -3,9 +3,10 @@
 A snapshot captures everything recovery needs to skip rematerialization:
 the program's rules, the extensional database, the materialized store
 (grouped by relation, so reload rebuilds the per-relation fact sets
-without re-deriving anything), the counting strata's per-fact support
-counts, the well-founded undefined partition, and the WAL transaction the
-snapshot is current through.
+without re-deriving anything), the well-founded undefined partition, and
+the WAL transaction the snapshot is current through.  Files written before
+support counts left the store carry a ``"sup"`` section; the decoder
+ignores it.
 
 On-disk layout::
 
@@ -164,8 +165,7 @@ def _relation_groups(store):
     return groups
 
 
-def encode_snapshot(*, rules_text, mode, txn, edb, store, undefined,
-                    supports=None):
+def encode_snapshot(*, rules_text, mode, txn, edb, store, undefined):
     """The marshal-ready body dict for one checkpoint."""
     index = {}
     pool = []
@@ -174,10 +174,6 @@ def encode_snapshot(*, rules_text, mode, txn, edb, store, undefined,
         name_id = _term_id(indicator[0], index, pool)
         rels.append((name_id, indicator[1],
                      [_term_id(atom, index, pool) for atom in atoms]))
-    if supports is None:
-        supports = store.support_counts() if isinstance(store, RelationStore) else {}
-    sup = [(index[atom], count) for atom, count in supports.items()
-           if count != 1 and atom in index]
     body = {
         "format": _FORMAT,
         "txn": txn,
@@ -186,14 +182,13 @@ def encode_snapshot(*, rules_text, mode, txn, edb, store, undefined,
         "pool": pool,
         "rels": rels,
         "edb": [_term_id(atom, index, pool) for atom in edb],
-        "sup": sup,
         "undef": [_term_id(atom, index, pool) for atom in undefined],
     }
     return body
 
 
 def write_snapshot(directory, *, rules_text, mode, txn, edb, store,
-                   undefined, supports=None):
+                   undefined):
     """Atomically write one checkpoint; returns its path.
 
     Crash points: ``snapshot.mid_write`` (tmp file half-written, never
@@ -204,7 +199,7 @@ def write_snapshot(directory, *, rules_text, mode, txn, edb, store,
     started = _perf_counter()
     body = marshal.dumps(encode_snapshot(
         rules_text=rules_text, mode=mode, txn=txn, edb=edb, store=store,
-        undefined=undefined, supports=supports,
+        undefined=undefined,
     ))
     blob = MAGIC + _TRAILER.pack(crc32(body) & 0xFFFFFFFF, len(body)) + body
     final = snapshot_path(directory, txn)
@@ -306,12 +301,6 @@ def _decode(payload, path):
         ((terms[name_id], arity), [terms[i] for i in ids])
         for name_id, arity, ids in payload["rels"]
     )
-    for term_id, count in payload["sup"]:
-        # Recorded only for counts above the one support every fact has; a
-        # count for an atom outside ``rels`` must not make it a fact.
-        if terms[term_id] in store:
-            store.add_support(terms[term_id], count - 1)
-
     return SnapshotState(
         txn=payload["txn"],
         mode=payload["mode"],

@@ -13,7 +13,7 @@ and the HiLog semantics of the paper:
 * stable models as two-valued fixpoints of ``W_P`` (Definition 3.6),
 * arithmetic/comparison builtins and aggregate subgoals,
 * the semi-naive evaluation subsystem (:mod:`repro.engine.seminaive`):
-  indexed relation stores (with deletion and support counts), SIPS-ordered
+  indexed relation stores (with deletion), SIPS-ordered
   join plans and a delta-driven stratum-by-stratum fixpoint that evaluates
   range-restricted programs without materializing a ground program and can
   resume a settled stratum from an injected delta — the primitive the

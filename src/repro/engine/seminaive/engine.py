@@ -65,12 +65,11 @@ through ``sources.holds(atom)``.
 **The caps.**  ``max_facts`` and ``max_term_depth`` travel as one
 :class:`Limits` object, and :meth:`Limits.check` is the one place a derived
 fact meets them: every loop that adds derived heads to a store — here
-(:func:`evaluate_stratum`, :func:`insert_anchored`), in the counting
-algorithm of :mod:`repro.db.maintenance`, in the session's EDB writes —
-calls it once ``add`` / ``add_support`` has said the head is new.
+(:func:`evaluate_stratum`, :func:`insert_anchored`) and in the session's
+EDB writes — calls it once ``add`` has said the head is new.
 
 **Delete-rederive exists once**, here, and has two callers: a session's
-maintenance of a recursive or negation stratum
+maintenance of a stratum
 (:func:`repro.db.maintenance.dred_update`) and the alternating fixpoint's
 shrinking overestimate
 (:func:`repro.engine.seminaive.wellfounded.evaluate_strata`).  Both anchor
@@ -147,8 +146,8 @@ def _graph_stratification(program, proper, by_component, allow_unstratified=Fals
     Raises :class:`SeminaiveUnsupported` when an indicator is non-ground or
     a cycle runs through negation/aggregation.  With ``by_component`` every
     strongly connected component becomes its own stratum (the finest valid
-    assignment, used by incremental maintenance so non-recursive components
-    can be maintained by counting); otherwise levels are bumped only across
+    assignment, used by incremental maintenance: a write re-runs only the
+    components it reaches); otherwise levels are bumped only across
     negative/aggregate edges, as the one-shot evaluator prefers.
 
     With ``allow_unstratified`` a cycle through *negation* no longer raises:
@@ -254,8 +253,9 @@ def stratify_program(program, by_component=False, allow_unstratified=False):
     Returns a :class:`Stratification`.  Definite programs normally form a
     single stratum; with ``by_component=True`` the graph-based assignment is
     attempted first even for definite programs (falling back to the single
-    stratum when predicate names are non-ground), so callers that maintain
-    models incrementally get the finest stratification available.  Raises
+    stratum when predicate names are non-ground), so a caller maintaining a
+    model incrementally gets one stratum per component, and a write re-runs
+    only the components it reaches.  Raises
     :class:`SeminaiveUnsupported` when the program mixes negation or
     aggregation with non-ground predicate names, or is not stratified at the
     predicate-indicator level.
@@ -298,9 +298,7 @@ class PlanSources:
 
     The default implementation reads fetches from ``store`` (or the
     per-iteration ``delta`` store for delta-marked steps) and answers
-    negation checks against ``store``.  The counting algorithm subclasses
-    this to stage two database states around the delta site — see
-    :mod:`repro.db.maintenance`.  A source implements
+    negation checks against ``store``.  A source implements
     :class:`~repro.engine.seminaive.relation.FactSource`.
 
     ``negation`` redirects the membership test of negation steps to a
@@ -470,8 +468,7 @@ MAX_PLAN_RESULTS = 8_000_000
 
 def run_plan(plan, sources, max_results=None):
     """The ground heads derivable from ``plan`` (a base or delta plan)
-    against ``sources``, as a list (duplicate derivations are legal and
-    preserved — counting maintenance tallies them).
+    against ``sources``, as a list, duplicate derivations included.
 
     ``max_results`` bounds the number of *distinct* heads one run may
     derive (mirroring the callers' ``max_facts`` fact caps); exceeding it
@@ -569,7 +566,7 @@ class Limits:
 
     def check(self, head, store):
         """The one place a derived fact meets the caps.  Call it once
-        ``store.add`` / ``add_support`` has said ``head`` is new: the fact
+        ``store.add`` has said ``head`` is new: the fact
         cap then counts facts, not derivations, and a model of exactly
         ``max_facts`` facts is accepted.  At a refusal ``head`` is therefore
         in the store: the one-shot evaluators drop theirs; a maintenance
@@ -606,10 +603,7 @@ class StratumPlan(NamedTuple):
     head_indicators: Optional[FrozenSet]
     #: Indicators read by bodies/aggregates, or ``None`` when unknowable.
     reads: Optional[FrozenSet]
-    has_negation: bool
     has_aggregates: bool
-    #: Whether some rule reads a same-stratum predicate.
-    is_recursive: bool
 
     def pin_roots(self):
         """Term roots the stratum's compiled plans retain, for intern
@@ -671,9 +665,7 @@ def compile_stratum(rules, recursive):
         variant_plans=tuple(variant_plans),
         head_indicators=frozenset(head_indicators) if head_indicators is not None else None,
         reads=frozenset(reads) if reads is not None else None,
-        has_negation=any(rule.negative_literals() for rule in rules),
         has_aggregates=any(rule.aggregates for rule in rules),
-        is_recursive=bool(variant_plans),
     )
 
 
@@ -726,12 +718,11 @@ def evaluate_stratum(stratum, store, limits=Limits(), seed_delta=None,
         delta_store = FactBuckets(delta)
         delta = []
         sources = PlanSources(store, delta_store, negation=negation_store)
-        for _rule, _site, _indicator, plan in stratum.variant_plans:
-            for head in run_plan(plan, sources, max_results=max_facts):
-                if store.add(head):
-                    check(head, store)
-                    delta.append(head)
-                    added.append(head)
+        for head in anchored_heads(stratum.variant_plans, sources, limits):
+            if store.add(head):
+                check(head, store)
+                delta.append(head)
+                added.append(head)
     if tracer is not None:
         stats = EXECUTION_STATS.diff(stats_before)
         tracer.emit(

@@ -8,7 +8,7 @@ the HiLog analogue of ``p/n``.  Predicate names may be complex terms
 that are not applications (propositional symbols) use arity ``-1`` so that
 ``p`` and the zero-ary application ``p()`` stay distinct (footnote 1).
 
-Every consumer — the generated plan functions, counting and delete-rederive
+Every consumer — the generated plan functions, delete-rederive
 maintenance, the alternating fixpoint, and :func:`matching_facts`, the read
 that answers every session and reader-epoch query — asks a fact source the
 same four questions (:class:`FactSource`): ``fetch(name, arity,
@@ -28,14 +28,13 @@ substitution)`` question to the protocol.  Three classes implement it:
     The indexed store: one :class:`Relation` per indicator with on-demand
     hash indexes per set of argument positions, so ``fetch`` honours the
     key exactly and a join costs the matching facts, not the relation.
-    Mutable, with the *support counts* of the counting algorithm;
-    :meth:`~RelationStore.freeze` makes every mutator raise
+    Mutable; :meth:`~RelationStore.freeze` makes every mutator raise
     :class:`~repro.hilog.errors.FrozenStoreError`, which is how an epoch's
     base is shared between reader threads (building an index on first use
     stays legal: it is idempotent).  A relation exists while it has facts.
 
 :class:`FactBuckets`
-    A plain fact set, ``{indicator: {atom: None}}``: no indexes, no counts.
+    A plain fact set, ``{indicator: {atom: None}}``: no indexes.
     For what is scanned whole per indicator — the semi-naive loop's
     per-iteration delta, delete-rederive's worklist rounds, both sides of a
     :class:`Delta`.  ``fetch`` ignores the key and lists the indicator's
@@ -59,7 +58,6 @@ cancellation rule, lives beside them.
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.hilog.errors import FrozenStoreError, GroundingError
@@ -275,32 +273,29 @@ def _spill(groups, arity, symbol):
 class RelationStore:
     """A database of ground atoms partitioned into indexed relations."""
 
-    __slots__ = ("_relations", "_by_arity", "_supports", "_frozen")
+    __slots__ = ("_relations", "_by_arity", "_members", "_frozen")
 
     def __init__(self, facts=()):
         # indicator -> Relation; a relation exists while it has facts.
         self._relations = {}
         # arity -> {indicator: Relation}, the spill scan's partition.
         self._by_arity = {}
-        # atom -> number of supports (derivations / assertions).  Every
-        # stored atom has an entry — this is the membership — and plain
-        # add() gives exactly one support.
-        self._supports = {}
+        # atom -> None: the membership, in insertion order.
+        self._members = {}
         self._frozen = False
         for atom in facts:
             self.add(atom)
 
     @classmethod
-    def from_groups(cls, groups, supports=None):
+    def from_groups(cls, groups):
         """Bulk constructor (behind :meth:`snapshot` and the durable snapshot
         decoder): the store holding ``groups``, ``(indicator, facts)`` pairs
         the caller vouches for — ground atoms, each once, under its own
-        indicator.  ``supports`` is the complete ``{atom: count}`` mapping
-        when the caller has one (adopted, not copied); by default every
-        fact has one support.  Indexes build on first lookup."""
+        indicator.  Indexes build on first lookup."""
         store = cls()
         relations = store._relations
         by_arity = store._by_arity
+        members = store._members
         for indicator, facts in groups:
             if not facts:
                 continue
@@ -308,20 +303,17 @@ class RelationStore:
             relation.facts = dict.fromkeys(facts)
             relations[indicator] = relation
             by_arity.setdefault(indicator[1], {})[indicator] = relation
-            if supports is None:
-                store._supports.update(dict.fromkeys(relation.facts, 1))
-        if supports is not None:
-            store._supports = supports
+            members.update(relation.facts)
         return store
 
     def __len__(self):
-        return len(self._supports)
+        return len(self._members)
 
     def __contains__(self, atom: Term) -> bool:
-        return atom in self._supports
+        return atom in self._members
 
     def __iter__(self):
-        return iter(self._supports)
+        return iter(self._members)
 
     # -- snapshot / epoch support -------------------------------------------
 
@@ -340,44 +332,40 @@ class RelationStore:
         return self._frozen
 
     def snapshot(self):
-        """An O(n) structural copy of the current facts and their support
-        counts, unfrozen and without indexes (they rebuild lazily on the
-        copy's own first lookups), so a snapshot never shares mutable state
-        with its source."""
+        """An O(n) structural copy of the current facts, unfrozen and
+        without indexes (they rebuild lazily on the copy's own first
+        lookups), so a snapshot never shares mutable state with its
+        source."""
         return RelationStore.from_groups(
-            ((indicator, relation.facts)
-             for indicator, relation in self._relations.items()),
-            dict(self._supports),
+            (indicator, relation.facts)
+            for indicator, relation in self._relations.items()
         )
 
     def adopt(self, other: "RelationStore") -> Tuple[List[Term], List[Term]]:
-        """Become ``other`` in place — take over its relations, indexes and
-        support counts, so every holder of this store sees the new contents
-        — and return what that changed as ``(added, removed)`` fact lists.
-        ``other`` must not be used afterwards: the two share everything."""
+        """Become ``other`` in place — take over its relations and indexes,
+        so every holder of this store sees the new contents — and return
+        what that changed as ``(added, removed)`` fact lists.  ``other``
+        must not be used afterwards: the two share everything."""
         if self._frozen:
             raise FrozenStoreError("cannot replace the contents of a frozen store")
-        old, new = self._supports, other._supports
+        old, new = self._members, other._members
         added = [atom for atom in new if atom not in old]
         removed = [atom for atom in old if atom not in new]
         self._relations = other._relations
         self._by_arity = other._by_arity
-        self._supports = new
+        self._members = new
         return added, removed
 
     def add(self, atom):
-        """Insert a ground atom; return ``True`` when it was new.
-
-        Set semantics: inserting a present atom is a no-op (its support
-        count is *not* incremented — use :meth:`add_support` for counting).
-        """
-        if atom in self._supports:
+        """Insert a ground atom; return ``True`` when it was new (inserting
+        a present atom is a no-op)."""
+        if atom in self._members:
             return False
         if self._frozen:
             raise FrozenStoreError("cannot add %r to a frozen store" % (atom,))
         if not atom.is_ground():
             raise GroundingError("cannot store non-ground atom %r" % (atom,))
-        self._supports[atom] = 1
+        self._members[atom] = None
         indicator = predicate_indicator(atom)
         relation = self._relations.get(indicator)
         if relation is None:
@@ -387,15 +375,15 @@ class RelationStore:
         return True
 
     def remove(self, atom):
-        """Delete an atom (whatever its support count); return ``True`` when
-        it was present.  Every materialized index is kept current, and a
-        relation whose last fact goes is dropped: predicate names are data
-        in HiLog (``winning(m)``), so name churn must not pile up relations."""
-        if atom not in self._supports:
+        """Delete an atom; return ``True`` when it was present.  Every
+        materialized index is kept current, and a relation whose last fact
+        goes is dropped: predicate names are data in HiLog (``winning(m)``),
+        so name churn must not pile up relations."""
+        if atom not in self._members:
             return False
         if self._frozen:
             raise FrozenStoreError("cannot remove %r from a frozen store" % (atom,))
-        del self._supports[atom]
+        del self._members[atom]
         indicator = predicate_indicator(atom)
         relation = self._relations[indicator]
         relation.remove(atom)
@@ -406,50 +394,6 @@ class RelationStore:
             if not same_arity:
                 del self._by_arity[indicator[1]]
         return True
-
-    def support(self, atom):
-        """The support count of an atom (0 when absent)."""
-        return self._supports.get(atom, 0)
-
-    def support_counts(self):
-        """The ``{atom: count}`` mapping of every stored atom, as a live
-        read-only view (for serializers)."""
-        return MappingProxyType(self._supports)
-
-    def add_support(self, atom, count=1):
-        """Add ``count`` supports to an atom; return ``True`` when the atom
-        became present (was previously unsupported)."""
-        if count <= 0:
-            raise ValueError("support increment must be positive")
-        if self._frozen:
-            raise FrozenStoreError("cannot add support on a frozen store")
-        if atom in self._supports:
-            self._supports[atom] += count
-            return False
-        self.add(atom)
-        self._supports[atom] = count
-        return True
-
-    def remove_support(self, atom, count=1):
-        """Remove ``count`` supports from an atom; return ``True`` when the
-        atom's last support disappeared (the atom was deleted).  Raises
-        :class:`GroundingError` when the atom has fewer supports than
-        ``count`` — the counting invariant was broken."""
-        if count <= 0:
-            raise ValueError("support decrement must be positive")
-        if self._frozen:
-            raise FrozenStoreError("cannot remove support on a frozen store")
-        current = self._supports.get(atom, 0)
-        if current < count:
-            raise GroundingError(
-                "removing %d supports from %r which has only %d (counting "
-                "invariant violated)" % (count, atom, current)
-            )
-        if current == count:
-            self.remove(atom)
-            return True
-        self._supports[atom] = current - count
-        return False
 
     def relation(self, name, arity):
         """The :class:`Relation` for an indicator, or ``None``."""
@@ -469,7 +413,7 @@ class RelationStore:
         (:func:`repro.hilog.terms.collect_generation`): the stored atoms.
         A relation's name is a subterm of its facts, and a relation without
         facts does not exist."""
-        return iter(self._supports)
+        return iter(self._members)
 
     # -- the FactSource protocol ---------------------------------------------
     #
@@ -503,13 +447,13 @@ class RelationStore:
 
     def all_facts(self) -> Sequence[Term]:
         """Every stored atom (the unbound propositional-variable scan)."""
-        return list(self._supports)
+        return list(self._members)
 
     def stats(self):
         """Diagnostic summary: relation count, fact count, index count."""
         return {
             "relations": len(self._relations),
-            "facts": len(self._supports),
+            "facts": len(self._members),
             "indexes": sum(r.index_count() for r in self._relations.values()),
         }
 
@@ -518,10 +462,10 @@ class FactBuckets:
     """A fact set bucketed by indicator: ``{indicator: {atom: None}}``.
 
     For collections that are only ever scanned whole per indicator, on
-    which the support counts and index upkeep of a :class:`RelationStore`
-    are wasted.  ``fetch`` ignores the index key (callers test the key
-    positions themselves) but never leaves the indicator, so a plan
-    anchored on a predicate absent from the set costs one empty probe.
+    which the index upkeep of a :class:`RelationStore` is wasted.
+    ``fetch`` ignores the index key (callers test the key positions
+    themselves) but never leaves the indicator, so a plan anchored on a
+    predicate absent from the set costs one empty probe.
     """
 
     __slots__ = ("_buckets", "_count", "_frozen")

@@ -290,9 +290,17 @@ def _compile_closed(program, allow_unstratified):
         plans = None
         if index in stratification.unstratified:
             plans = compile_delta_plans(stratum)
-        names = frozenset(predicate_name(rule.head) for rule in rules)
-        strata.append((stratum, plans, names))
+        strata.append(stratum_entry(stratum, plans))
     return tuple(strata)
+
+
+def stratum_entry(stratum, plans=None):
+    """One stratum of :attr:`CompiledStrata.strata`: ``stratum`` (a
+    :class:`~repro.engine.seminaive.engine.StratumPlan`), the
+    :class:`~repro.engine.seminaive.engine.DeltaPlans` it alternates with
+    (``None``: it does not), and its head names."""
+    return stratum, plans, frozenset(
+        predicate_name(rule.head) for rule in stratum.rules)
 
 
 def compile_strata(program, allow_unstratified=False):

@@ -23,13 +23,10 @@ from repro.hilog.terms import (
     intern_generation,
     intern_generation_sizes,
     intern_table_sizes,
-    is_ground,
     register_pin_provider,
     sym,
-    term_depth,
     term_size,
     unregister_pin_provider,
-    variables_of,
 )
 from repro.hilog.subst import Substitution, compose, empty_substitution
 from repro.hilog.unify import match, mgu, unify
@@ -68,9 +65,6 @@ __all__ = [
     "App",
     "sym",
     "app",
-    "is_ground",
-    "variables_of",
-    "term_depth",
     "term_size",
     "Substitution",
     "empty_substitution",

@@ -857,21 +857,6 @@ def list_items(term):
         return None
 
 
-def is_ground(term):
-    """Module-level alias for :meth:`Term.is_ground`."""
-    return term.is_ground()
-
-
-def variables_of(term):
-    """Module-level alias for :meth:`Term.variables`."""
-    return term.variables()
-
-
-def term_depth(term):
-    """Module-level alias for :meth:`Term.depth`."""
-    return term.depth()
-
-
 def term_size(term):
     """Module-level alias for :meth:`Term.size`."""
     return term.size()

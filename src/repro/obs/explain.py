@@ -11,8 +11,7 @@ materialized model:
   joins the body over the store's indexes, and the sink it is given tries
   to explain each instance's body facts, a path-visited set rejecting
   cyclic justifications; a least fixpoint always contains an acyclic
-  proof, so backtracking over rule instances is complete.  The store's
-  support counts are recorded on each node.
+  proof, so backtracking over rule instances is complete.
 
 * an **undefined** atom (well-founded mode) gets a negation-loop witness:
   a chain of rule instances, each valid in the *overestimate* (positive
@@ -169,7 +168,6 @@ class _Explainer(object):
         self.path = set()  # the true atoms being proved, root to here
         self.chain = []  # the undefined atoms being witnessed, likewise
         self.plans = {}
-        self.support = getattr(store, "support", None)
         # The two phases of the alternating fixpoint, as plan sources.
         over = StoreView((store, FactBuckets(undefined)))
         self.true_sources = PlanSources(store, negation=over)
@@ -201,7 +199,7 @@ class _Explainer(object):
         if memo is not None:
             return memo
         if atom in self.edb:
-            node = Derivation(atom, "edb", meta=self._support_meta(atom))
+            node = Derivation(atom, "edb")
             self.memo[atom] = node
             return node
         skipped_aggregate = False
@@ -215,9 +213,7 @@ class _Explainer(object):
                 children = self._instance(
                     rule, self.true_sources, atom, self._true_children)
                 if children is not None:
-                    node = Derivation(
-                        atom, "rule", rule=rule, children=children,
-                        meta=self._support_meta(atom))
+                    node = Derivation(atom, "rule", rule=rule, children=children)
                     self.memo[atom] = node
                     return node
         finally:
@@ -244,14 +240,6 @@ class _Explainer(object):
             else:
                 children.append(Derivation(atom, "negation"))
         return children
-
-    def _support_meta(self, atom):
-        if self.support is None:
-            return None
-        try:
-            return {"support": self.support(atom)}
-        except Exception:
-            return None
 
     # -- undefined atoms ---------------------------------------------------
 
@@ -287,8 +275,7 @@ class _Explainer(object):
                 children.append(Derivation(atom, "builtin"))
             elif literal.positive:
                 if atom in self.store:
-                    children.append(Derivation(atom, "true",
-                                               meta=self._support_meta(atom)))
+                    children.append(Derivation(atom, "true"))
                 elif not followed:
                     followed = True
                     children.append(self.explain_undefined(atom))

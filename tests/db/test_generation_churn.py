@@ -32,8 +32,8 @@ from repro.hilog.terms import (
     term_size,
 )
 
-#: Recursive (DRed) closure over edges plus a counting stratum, so churn
-#: exercises both maintenance algorithms and their transient machinery.
+#: A recursive closure over edges plus a non-recursive join stratum, so
+#: churn exercises delete-rederive's propagation and its plain probes.
 RULES = """
     tc(X, Y) :- e(X, Y).
     tc(X, Y) :- e(X, Z), tc(Z, Y).

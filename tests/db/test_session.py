@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.magic.evaluate import answer_from_store, magic_evaluate
 from repro.db import (
-    COUNTING,
     DRED,
     RECOMPUTE,
     DatabaseSession,
@@ -69,7 +68,7 @@ class TestSessionBasics:
 
     def test_insert_of_already_derived_fact_survives_retraction(self):
         session = DatabaseSession(TC)
-        session.insert("tc(a, c).")  # already derived; adds one EDB support
+        session.insert("tc(a, c).")  # already derived; now asserted too
         session.retract("tc(a, c).")
         assert session.ask("tc(a, c)")  # still rule-derived
         session.retract("e(b, c).")
@@ -109,28 +108,28 @@ class TestStrategies:
     def test_tc_is_dred(self):
         assert DatabaseSession(TC).strategies() == (DRED,)
 
-    def test_nonrecursive_join_is_counting(self):
+    def test_nonrecursive_join_is_dred(self):
         session = DatabaseSession("""
             hop2(X, Y) :- e(X, Z), e(Z, Y).
             e(a, b). e(b, c). e(a, c).
         """)
-        assert session.strategies() == (COUNTING,)
+        assert session.strategies() == (DRED,)
         session.insert("e(c, d).")
         session.retract("e(b, c).")
         assert session.check()
-        assert session.stats()["counting_updates"] == 2
+        assert session.stats()["dred_updates"] == 2
 
-    def test_counting_tracks_multiple_derivations(self):
+    def test_dred_keeps_a_fact_with_a_second_derivation(self):
         # hop2(a, c) has two derivations; retracting one leaves the other.
         session = DatabaseSession("""
             hop2(X, Y) :- e(X, Z), e(Z, Y).
             e(a, b1). e(b1, c). e(a, b2). e(b2, c).
         """)
-        assert session.store.support(parse_term("hop2(a, c)")) == 2
-        session.retract("e(a, b1).")
-        assert session.ask("hop2(a, c)")
-        session.retract("e(a, b2).")
-        assert not session.ask("hop2(a, c)")
+        hop = parse_term("hop2(a, c)")
+        summary = session.retract("e(a, b1).")
+        assert session.ask("hop2(a, c)") and hop not in summary.removed
+        summary = session.retract("e(a, b2).")
+        assert not session.ask("hop2(a, c)") and hop in summary.removed
         assert session.check()
 
     def test_stratified_negation_uses_dred(self):
@@ -381,7 +380,7 @@ class TestIntrospection:
 
 
 class TestFallbacks:
-    def test_stratum_recompute_preserves_support_counts(self):
+    def test_stratum_recompute_then_retract_keeps_the_alternative(self):
         from repro.db.maintenance import Delta, recompute_stratum
 
         session = DatabaseSession("""
@@ -389,15 +388,13 @@ class TestFallbacks:
             p(X) :- f(X).
             e(one). f(one).
         """)
-        assert session.strategies() == (COUNTING,)
-        assert session.store.support(parse_term("p(one)")) == 2
-        # Simulate the fallback path: recompute the counting stratum locally.
+        assert session.strategies() == (DRED,)
+        # Simulate the fallback path: recompute the stratum locally.
         recompute_stratum(
             session._plans[0], session.store, Delta(), session.edb(),
             session._limits,
         )
-        assert session.store.support(parse_term("p(one)")) == 2
-        # A retraction of one support must keep the other derivation alive.
+        # Retracting one derivation's fact must keep the other alive.
         session.retract("e(one).")
         assert session.ask("p(one)")
         assert session.check()
@@ -438,19 +435,18 @@ class TestFallbacks:
             session.insert("e(c, d).")
         assert session.true == before and len(before) == 6 and session.check()
 
-    def test_cap_overshoot_in_a_counting_step_keeps_the_delta_whole(self):
-        """A counting step adds before it removes, so a batch that swaps
-        ``e(a)`` for ``e(b)`` overshoots the cap at ``p(b, 2)`` and falls
-        back to recomputing the stratum.  The tipping atom is in the store
-        by then; it must be in the delta too, or ``q(b, 2)`` is never
-        derived and the update is silently wrong."""
+    def test_swap_at_the_fact_cap_keeps_the_delta_whole(self):
+        """A batch that swaps ``e(a)`` for ``e(b)`` one fact below the cap
+        publishes exactly the swapped model.  DRed deletes a stratum's lost
+        facts before it inserts the new ones, so no step overshoots the cap
+        and no stratum falls back."""
         session = DatabaseSession(
             "p(X, Y) :- e(X), f(Y).  q(X, Y) :- p(X, Y).  e(a). f(1). f(2). f(3).",
             max_facts=11,
         )
         assert len(session.true) == 10
         summary = session.update("e(b).", "e(a).")
-        assert session.stats()["stratum_fallbacks"] == 2
+        assert session.stats()["stratum_fallbacks"] == 0
         assert session.check()
         expected = {"e(b)"} | {
             "%s(b, %d)" % (name, n) for name in "pq" for n in (1, 2, 3)

@@ -1,7 +1,7 @@
 """Kill-and-recover property tests.
 
 For every registered crash point and a hypothesis-generated random op
-stream — over both a stratified program (counting + DRed) and a
+stream — over both a stratified program (maintained by DRed) and a
 non-stratified one (win/move, whose well-founded model has an undefined
 partition) — the harness:
 

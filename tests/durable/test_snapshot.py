@@ -1,13 +1,17 @@
 """Snapshot checkpoint unit tests: round-trip fidelity, write atomicity
 under injected crashes, corruption detection and pruning."""
 
+import marshal
 import os
+import struct
+import zlib
 
 import pytest
 
 from repro.db import DatabaseSession
 from repro.durable.faults import crash_at, CrashPoint
 from repro.durable.snapshot import (
+    MAGIC,
     list_snapshots,
     load_snapshot,
     prune_snapshots,
@@ -31,11 +35,11 @@ def _checkpoint(session, directory, txn=0):
     return write_snapshot(
         str(directory), rules_text="%% rules", mode=session.mode, txn=txn,
         edb=session.edb(), store=session.store,
-        undefined=session.undefined, supports=session.store.support_counts(),
+        undefined=session.undefined,
     )
 
 
-def test_round_trip_preserves_model_and_supports(tmp_path):
+def test_round_trip_preserves_model(tmp_path):
     session = DatabaseSession(TC)
     path = _checkpoint(session, tmp_path, txn=7)
 
@@ -48,7 +52,6 @@ def test_round_trip_preserves_model_and_supports(tmp_path):
     # Hash-consing: restored atoms are the canonical interned objects.
     for atom in session.store:
         assert atom in state.store
-    assert dict(state.store.support_counts()) == dict(session.store.support_counts())
     assert state.undefined == session.undefined
 
 
@@ -127,26 +130,69 @@ def test_snapshot_restores_from_frozen_store(tmp_path):
     path = write_snapshot(
         str(tmp_path), rules_text="r", mode=session.mode, txn=0,
         edb=session.edb(), store=frozen, undefined=session.undefined,
-        supports=session.store.support_counts(),
     )
     assert set(load_snapshot(path).store) == set(session.store)
 
 
+def _add_support_section(path):
+    """Rewrite the snapshot at ``path`` as the format that kept per-fact
+    support counts wrote it: the same body plus a ``"sup"`` list of
+    ``(pool id, count)`` pairs, here a count of two for every stored fact
+    and of three for every EDB atom the body does not store and for pool
+    id 0, which names no fact."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    trailer = struct.Struct("<IQ")
+    body = marshal.loads(data[len(MAGIC) + trailer.size:])
+    assert "sup" not in body
+    stored = [term_id for _name, _arity, ids in body["rels"] for term_id in ids]
+    unstored = [term_id for term_id in body["edb"] if term_id not in stored]
+    body["sup"] = ([(term_id, 2) for term_id in stored]
+                   + [(term_id, 3) for term_id in unstored] + [(0, 3)])
+    blob = marshal.dumps(body)
+    with open(path, "wb") as handle:
+        handle.write(MAGIC + trailer.pack(zlib.crc32(blob) & 0xFFFFFFFF,
+                                          len(blob)) + blob)
+
+
+def test_a_snapshot_with_support_counts_still_loads(tmp_path):
+    directory = str(tmp_path / "db")
+    DatabaseSession("""
+        hop2(X, Y) :- e(X, Z), e(Z, Y).
+        e(a, b1). e(b1, c). e(a, b2). e(b2, c).
+    """, path=directory).close()
+    path = list_snapshots(directory)[0][1]
+    current = load_snapshot(path)
+    _add_support_section(path)
+    legacy = load_snapshot(path)
+    assert list(legacy.store) == list(current.store)
+    assert legacy.edb == current.edb
+    assert legacy.undefined == current.undefined
+
+    session = DatabaseSession.open(directory, verify=True)
+    assert not session.stats()["durability"]["corrupt_snapshots"]
+    summary = session.retract("e(a, b1).")
+    assert [repr(atom) for atom in summary.removed] == ["e(a, b1)"]
+    assert session.ask("hop2(a, c)")
+    assert session.check()
+    session.close()
+
+
 def test_support_count_of_an_unstored_atom_adds_no_fact(tmp_path):
-    # A checkpoint serializes a pinned epoch's facts with the live store's
-    # counts; a count for an atom the epoch lacks (here: asserted, so in
-    # the term pool, but not stored) must not resurrect it on load.
+    # A checkpoint serialized a pinned epoch's facts with the live store's
+    # counts, so an older file can count an atom the epoch lacks (here:
+    # asserted, so in the term pool, but not stored).  Loading it must not
+    # resurrect the atom.
     session = DatabaseSession(TC)
     stray = next(iter(session.edb()))
     epoch = session.store.snapshot()
     epoch.remove(stray)
-    supports = dict(session.store.support_counts())
-    supports[stray] = 3
     path = write_snapshot(
         str(tmp_path), rules_text="r", mode=session.mode, txn=0,
         edb=session.edb(), store=epoch, undefined=session.undefined,
-        supports=supports,
     )
-    restored = load_snapshot(path).store
-    assert set(restored) == set(epoch)
-    assert stray not in restored and restored.support(stray) == 0
+    _add_support_section(path)
+    restored = load_snapshot(path)
+    assert set(restored.store) == set(epoch)
+    assert stray not in restored.store
+    assert stray in restored.edb

@@ -52,11 +52,20 @@ def test_evaluators_do_the_recorded_work(name):
         assert counter_part(record) == COUNTERS[name][evaluator]
 
 
-def test_the_perfect_model_walk_still_does_the_parent_s_work():
+def test_the_perfect_model_walk_does_at_most_the_parent_s_work():
     """No stratum of a stratified program alternates, so nothing since
-    99a4471 has had a reason to move an ``evaluate`` counter."""
+    99a4471 has had a reason to move an ``evaluate`` run's iterations or
+    candidates.  Its fetches may only fall: a delta round skips the variants
+    whose anchor has no facts in the round's delta, a fetch that could only
+    return nothing."""
     for name, records in RECORDED.items():
-        assert counter_part(records["evaluate"]) == COUNTERS[name]["evaluate"]
+        parent = counter_part(records["evaluate"])
+        now = COUNTERS[name]["evaluate"]
+        if not parent:
+            assert not now
+            continue
+        assert (now[0], now[2]) == (parent[0], parent[2])
+        assert now[1] <= parent[1]
 
 
 @pytest.mark.parametrize("name", STRATIFIED)

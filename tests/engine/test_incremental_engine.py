@@ -1,5 +1,5 @@
 """Tests for the engine primitives added for incremental maintenance:
-fact removal and support counts in the relation store, component-grained
+fact removal in the relation store, component-grained
 stratification, and per-stratum re-evaluation with injected deltas."""
 
 import pytest
@@ -46,34 +46,34 @@ class TestRemoval:
             == ["e(n7, n99)"]
 
 
-class TestSupportCounts:
-    def test_supports_accumulate_and_drain(self):
-        store = RelationStore()
-        atom = parse_term("p(a)")
-        assert store.add_support(atom)          # became present
-        assert not store.add_support(atom)      # second support
-        assert store.support(atom) == 2
-        assert not store.remove_support(atom)   # one support left
-        assert atom in store
-        assert store.remove_support(atom)       # last support gone
-        assert atom not in store
-        assert store.support(atom) == 0
-
+class TestMembership:
     def test_plain_add_has_set_semantics(self):
         store = RelationStore()
         atom = parse_term("p(a)")
-        store.add(atom)
-        store.add(atom)
-        assert store.support(atom) == 1
+        assert store.add(atom)
+        assert not store.add(atom)
+        assert len(store) == 1
+        assert store.facts(Sym("p"), 1) == [atom]
+        assert store.remove(atom)
+        assert atom not in store
 
-    def test_oversubtraction_raises(self):
+    def test_membership_keeps_insertion_order(self):
         store = RelationStore()
-        atom = parse_term("p(a)")
-        store.add_support(atom)
+        atoms = [parse_term(text) for text in ("q(c)", "p(a)", "q(b)")]
+        for atom in atoms:
+            store.add(atom)
+        store.remove(atoms[1])
+        store.add(atoms[1])
+        expected = [atoms[0], atoms[2], atoms[1]]
+        assert list(store) == expected
+        assert store.all_facts() == expected
+        assert store.facts(Sym("q"), 1) == [atoms[0], atoms[2]]
+
+    def test_non_ground_atoms_are_refused(self):
+        store = RelationStore()
         with pytest.raises(GroundingError):
-            store.remove_support(atom, 2)
-        with pytest.raises(GroundingError):
-            store.remove_support(parse_term("q(b)"))
+            store.add(parse_term("p(X)"))
+        assert len(store) == 0
 
 
 class TestStratification:

@@ -39,7 +39,7 @@ class TestTrueAtoms:
         session = DatabaseSession(TC)
         tree = _session_explain(session, "e(n0, n1)")
         assert tree.kind == "edb" and not tree.children
-        assert tree.meta["support"] == 1
+        assert tree.meta == {}
 
     def test_derived_atom_recurses_to_edb(self):
         session = DatabaseSession(TC)
@@ -105,8 +105,7 @@ class TestTrueAtoms:
         for _hop in range(depth):
             assert payload["kind"] == "rule"
             payload = payload["children"][1]
-        assert payload == {"atom": "reach(n%d)" % depth, "kind": "edb",
-                           "support": 1}
+        assert payload == {"atom": "reach(n%d)" % depth, "kind": "edb"}
         assert tree.to_json().count('"kind"') == 2 * depth + 1
 
     def test_negation_leaf_in_stratified_program(self):

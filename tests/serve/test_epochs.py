@@ -42,10 +42,6 @@ class TestFrozenStore:
             store.add(absent)
         with pytest.raises(FrozenStoreError):
             store.remove(present)
-        with pytest.raises(FrozenStoreError):
-            store.add_support(absent)
-        with pytest.raises(FrozenStoreError):
-            store.remove_support(present)
 
     def test_frozen_duplicate_add_still_short_circuits(self):
         # Set semantics win over the freeze guard: re-adding a present atom
