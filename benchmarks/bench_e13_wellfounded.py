@@ -25,7 +25,10 @@ register-machine fixpoints instead:
   ground fixpoint at its own game.
 * **E13c** — a well-founded-mode ``DatabaseSession`` absorbing move
   insertions/retractions that repeatedly break and close the cycles, with
-  ``check()`` verifying the partition at the end.
+  ``check()`` verifying the partition at the end.  Each write re-alternates
+  only its cone (the positions behind the move), so the row records the
+  churn's ``fetches`` / ``candidates``, gated to the baseline exactly, and
+  their per-update means.
 * **E13d** — the one-hop game on a *path* of n = 100 / 200 / 400 / 800
   positions, the worst case for the alternation count (n/2 + 1 rounds,
   each settling two positions).  The overestimate is a maintained view —
@@ -201,14 +204,21 @@ def test_wellfounded_session_churn(benchmark):
             session.insert(fact)    # and close it again
         return session
 
+    before = EXECUTION_STATS.snapshot()
     _result, churn_s = _timed(churn)
+    stats = EXECUTION_STATS.diff(before)
     assert session.check()
     assert not session.is_total()  # the cycle is closed again: undefined
+    assert session.stats()["alternating_updates"] == 60
     benchmark.extra_info.update({
         "updates": 60,
         "churn_s": round(churn_s, 4),
         "update_ms": round(churn_s / 60 * 1000, 3),
         "undefined_atoms": len(session.undefined),
+        "fetches": stats["fetches"],
+        "candidates": stats["candidates"],
+        "fetches_per_update": round(stats["fetches"] / 60, 2),
+        "candidates_per_update": round(stats["candidates"] / 60, 2),
     })
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 

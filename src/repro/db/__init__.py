@@ -5,7 +5,10 @@ long-lived deductive database can serve: :class:`DatabaseSession`
 materializes the perfect model once and then *maintains* it under fact
 assertion and retraction — delete-rederive (DRed) per stratum,
 stratum-local recomputation for aggregates — instead of recomputing from
-scratch on every change (Gupta, Mumick & Subrahmanian, SIGMOD'93).
+scratch on every change (Gupta, Mumick & Subrahmanian, SIGMOD'93).  A
+non-stratified program's well-founded model is maintained the same way,
+its three-valued strata by the cone step, which re-alternates only the
+atoms a write can reach.
 
 Quickstart::
 
@@ -23,8 +26,19 @@ Quickstart::
     print(session.query("tc(a, X)"))
 """
 
-from repro.db.maintenance import Delta, dred_update, recompute_stratum
-from repro.db.plans import DRED, RECOMPUTE, MaintenancePlans, build_maintenance_plans
+from repro.db.maintenance import (
+    Delta,
+    alternating_update,
+    dred_update,
+    recompute_stratum,
+)
+from repro.db.plans import (
+    ALTERNATING,
+    DRED,
+    RECOMPUTE,
+    MaintenancePlans,
+    build_maintenance_plans,
+)
 from repro.db.session import (
     DatabaseSession,
     SessionError,
@@ -44,8 +58,10 @@ __all__ = [
     "Delta",
     "MaintenancePlans",
     "build_maintenance_plans",
+    "alternating_update",
     "dred_update",
     "recompute_stratum",
+    "ALTERNATING",
     "DRED",
     "RECOMPUTE",
 ]

@@ -1,12 +1,15 @@
 """Incremental view maintenance over the semi-naive engine.
 
 Given a settled stratum and a *signed delta* of the strata below it (facts
-that just became true, facts that just became false), the functions here
-patch the stratum's materialized extension instead of recomputing it:
+that just became true, facts that just became false — and, in a
+well-founded model, facts that became or stopped being undefined), the
+functions here patch the stratum's materialized extension instead of
+recomputing it:
 
 * :func:`dred_update` — **delete-rederive** (DRed; Gupta, Mumick &
   Subrahmanian, "Maintaining views incrementally", SIGMOD'93) for every
-  stratum whose plans compile.  Deletion first *over-deletes* everything
+  stratum whose plans compile and whose reads are two-valued.  Deletion
+  first *over-deletes* everything
   with a derivation through a deleted fact (or through a negative subgoal
   that just became true), then *rederives* the over-deleted facts that
   still have an alternative derivation, then processes insertions with the
@@ -19,18 +22,25 @@ patch the stratum's materialized extension instead of recomputing it:
   the session's here is only which states it reads: the state before the
   update (:func:`old_state`), then the store.
 
+* :func:`alternating_update` — the **cone step**
+  (:func:`~repro.engine.seminaive.wellfounded.cone_step`) for a stratum of
+  a well-founded model that alternates or reads possibly-undefined atoms:
+  only the stratum's atoms a changed atom can reach are re-alternated, from
+  below, and their old and new values become the next strata's delta.
+
 * :func:`recompute_stratum` — stratum-local recomputation, the fallback for
   aggregate strata (whose group extensions may change non-monotonically in
   ways DRed does not track) and for any stratum whose incremental step
   fails its integrity checks.
 
-Both leave the shared :class:`~repro.engine.seminaive.relation.RelationStore`
-consistent and extend the running :class:`Delta` with the stratum's own net
+Each leaves the shared :class:`~repro.engine.seminaive.relation.RelationStore`
+consistent and extends the running :class:`Delta` with the stratum's own net
 changes, so the next stratum up sees exactly the facts that flipped.  Each
 takes the update's :class:`~repro.engine.seminaive.engine.Limits` and, like
 the engine's own loop, calls ``limits.check`` once a head has proved new —
 and recorded: the session answers a refusal by recomputing the stratum
-over the store as the step left it.
+over the store as the step left it, or the whole model when the stratum is
+three-valued.
 """
 
 from __future__ import annotations
@@ -46,10 +56,12 @@ from repro.engine.seminaive.engine import (
 )
 from repro.engine.seminaive.relation import (
     Delta,
+    FactBuckets,
     FactSource,
     StoreView,
     predicate_indicator,
 )
+from repro.engine.seminaive.wellfounded import cone_step
 from repro.hilog.errors import GroundingError
 
 
@@ -106,12 +118,43 @@ def dred_update(plans, store, delta, edb, edb_added, edb_removed, limits):
 
 
 # ---------------------------------------------------------------------------
+# The cone step (three-valued strata)
+# ---------------------------------------------------------------------------
+
+def alternating_update(plans, store, undefined, delta, undefined_delta, edb,
+                       own, limits):
+    """Maintain a stratum of a well-founded model by the engine's cone step,
+    anchored on every lower atom whose value changed.
+
+    ``store`` and ``undefined`` are the model's true and undefined atoms,
+    ``delta`` and ``undefined_delta`` the write's changes to each so far;
+    ``edb`` is the session's current assertion set and ``own`` the
+    stratum's asserted atoms the write inserted or retracted.  Each cone
+    atom's move between true, undefined and false is recorded in the two
+    deltas, in cone order.  Returns the cone's size."""
+    changed = FactBuckets(chain(delta.added, delta.removed,
+                                undefined_delta.added, undefined_delta.removed))
+    gone = FactBuckets(
+        atom for atom in chain(delta.removed, undefined_delta.removed)
+        if atom not in store and atom not in undefined
+    )
+    cone = cone_step(plans, store, undefined, changed, gone, own, edb, limits)
+    for atom, (was_true, was_undefined) in cone.items():
+        if was_true != (atom in store):
+            (delta.record_remove if was_true else delta.record_add)(atom)
+        if was_undefined != (atom in undefined):
+            (undefined_delta.record_remove if was_undefined
+             else undefined_delta.record_add)(atom)
+    return len(cone)
+
+
+# ---------------------------------------------------------------------------
 # Stratum-local recomputation (aggregates, integrity fallback)
 # ---------------------------------------------------------------------------
 
 def recompute_stratum(plans, store, delta, edb, limits):
     """Throw the stratum's extension away and recompute it from the current
-    lower strata — correct for every supported stratum shape, used for
+    lower strata — correct for every two-valued stratum shape, used for
     aggregate strata and as the fallback when an incremental step fails."""
     if plans.head_indicators is None:
         raise GroundingError(

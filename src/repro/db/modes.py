@@ -23,20 +23,26 @@ three-valued well-founded model otherwise — so a
   compiled once with negation cycles admitted: no grounding, the store
   holds the certainly-true atoms, the undefined ones come beside it.
   Name-open rules are specialised inside that walk, by a binder join over
-  the settled strata, and the compiled object memoises the specialisation,
-  so only a write to a binder relation (``game/1``) compiles anything.  The
-  model is the well-founded one: wherever Figure 1 accepts the program it
-  is total and the perfect model (Theorem 6.1); where Figure 1 rejects — a
-  cyclic move relation — the session answers three-valued instead of
-  refusing, and the *verdict* stays with
+  the settled strata, and the compiled object memoises the specialisation.
+  The maintenance plans are the walk's: one bundle per stratum it walked,
+  instances included — an alternating stratum, or one reading
+  possibly-undefined atoms, is maintained by the cone step, the others by
+  delete-rederive — so a write patches the model, and only a write that
+  reaches a binder plan's reads (``game/1``) walks from scratch and may
+  compile.  The model is the well-founded one: wherever Figure 1 accepts
+  the program it is total and the perfect model (Theorem 6.1); where
+  Figure 1 rejects — a cyclic move relation — the session answers
+  three-valued instead of refusing, and the *verdict* stays with
   :func:`repro.core.modular.modularly_stratified_for_hilog` on the oracle
-  side.  The incremental mode's reference is the same walk over strata
-  compiled without negation cycles.
+  side.  The mode's reference is the same walk over strata compiled afresh
+  for each check, so it shares no plan and no memoised specialisation with
+  the session; the incremental mode's is the walk over strata compiled
+  without negation cycles.
 * ``"recompute"`` — what the walk refuses: recursion through aggregation
   (the parts explosion), a name-open rule beside negation with a name
   variable no binder binds, an instance that would re-settle a head
   (Example 6.5).  The evaluator is the Figure-1 procedure
-  (``perfect_model_for_hilog``).
+  (``perfect_model_for_hilog``), and every write evaluates from scratch.
 
 One documented semantic divergence, inherited from the two evaluators:
 for an aggregate whose condition predicate is settled in a *lower*
@@ -51,10 +57,12 @@ evaluator it is built on.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Callable, FrozenSet, List, Optional, Tuple
+from typing import (
+    AbstractSet, Callable, FrozenSet, List, NamedTuple, Optional, Tuple,
+)
 
 from repro.core.modular import perfect_model_for_hilog
-from repro.db.plans import MaintenancePlans, build_maintenance_plans
+from repro.db.plans import MaintenancePlans, build_maintenance_plans, walk_plans
 from repro.engine.seminaive.engine import (
     Limits,
     SeminaiveUnsupported,
@@ -75,9 +83,25 @@ INCREMENTAL = "incremental"
 WELLFOUNDED = "wellfounded"
 RECOMPUTE_MODE = "recompute"
 
-#: A mode's from-scratch evaluator: the EDB in, the model out as a fresh
-#: store of the true atoms plus the undefined atoms.
-Evaluator = Callable[[AbstractSet[Term]], Tuple[RelationStore, FrozenSet[Term]]]
+
+class Materialized(NamedTuple):
+    """What an :data:`Evaluator` returns: the model over one EDB, and the
+    plans a write maintains it by."""
+
+    #: A fresh store of the true atoms.
+    store: RelationStore
+    #: The undefined atoms.
+    undefined: FrozenSet[Term]
+    #: One :class:`MaintenancePlans` per stratum, lowest first, or ``None``:
+    #: every write evaluates from scratch.
+    plans: Optional[List[MaintenancePlans]] = None
+    #: The indicators whose change invalidates ``plans`` — the binder
+    #: plans' reads, which decide the instances a walk compiles.
+    rewalk: FrozenSet = frozenset()
+
+
+#: A mode's from-scratch evaluator: the EDB in, the model out.
+Evaluator = Callable[[AbstractSet[Term]], Materialized]
 
 
 def with_facts(rules: Program, edb: AbstractSet[Term]) -> Program:
@@ -93,17 +117,25 @@ def choose_mode(rules: Program, limits: Limits, strategy: str) -> Tuple[
     """Mode selection: ``(mode, maintenance plans, evaluator, reference)``
     for the first mode ``strategy`` admits that accepts ``rules``.
 
-    ``plans`` is ``None`` unless the mode is incremental.  ``reference``
-    is the evaluator :meth:`DatabaseSession.check` holds the maintained
-    model against: the mode's own evaluator, except that incremental
-    sessions answer to an independent run of the engine's stratum walk,
-    which shares no maintenance plan with them.  Everything the evaluators
-    need depends on the rules alone, so it is compiled here, once, and
-    every call re-evaluates over the EDB it is given (that reference apart:
-    only ``check()`` runs it, so it compiles when called)."""
+    ``plans`` are what a model the mode did not evaluate itself (a
+    snapshot's) is maintained by: the incremental mode's, which depend on
+    the rules alone; ``None`` otherwise — a well-founded session's plans
+    are its last walk's, so its first write after a snapshot walks from
+    scratch.  ``reference`` is the evaluator :meth:`DatabaseSession.check`
+    holds the maintained model against: an independent run of the
+    engine's stratum walk, compiled when called, which shares no
+    maintenance plan with the session (the recompute mode apart, whose
+    writes are its evaluator's).  Everything the evaluators need depends
+    on the rules alone, so it is compiled here, once, and every call
+    re-evaluates over the EDB it is given."""
     def walk(compiled, edb):
-        result = evaluate_strata(compiled, sorted(edb, key=repr), limits)
-        return result.store, result.undefined
+        return evaluate_strata(compiled, sorted(edb, key=repr), limits)
+
+    def reference(allow_unstratified):
+        def scratch(edb):
+            result = walk(compile_strata(rules, allow_unstratified), edb)
+            return Materialized(result.store, result.undefined)
+        return scratch
 
     if strategy in ("auto", INCREMENTAL):
         try:
@@ -120,33 +152,36 @@ def choose_mode(rules: Program, limits: Limits, strategy: str) -> Tuple[
                 stratum_entry(bundle.stratum) for bundle in plans))
 
             def materialize(edb):
-                return walk(maintained, edb)
+                result = walk(maintained, edb)
+                return Materialized(result.store, result.undefined, plans)
 
-            def seminaive(edb):
-                return walk(compile_strata(rules), edb)
-
-            return INCREMENTAL, plans, materialize, seminaive
+            return INCREMENTAL, plans, materialize, reference(False)
     if strategy in ("auto", WELLFOUNDED):
         # The non-stratified fast fallback: negation cycles and binder-
-        # guarded name variables are recomputed per update by the stratum
-        # walk instead of the (several times slower) Figure-1 grounding
-        # path.
+        # guarded name variables are walked by the engine instead of the
+        # (several times slower) Figure-1 grounding path, and maintained
+        # per stratum along the walk.
         try:
             compiled = compile_strata(rules, allow_unstratified=True)
         except SeminaiveUnsupported:
             if strategy == WELLFOUNDED:
                 raise
         else:
-            def wellfounded(edb):
-                return walk(compiled, edb)
+            rewalk = compiled.binder_reads()
+            bundles = {}
 
-            return WELLFOUNDED, None, wellfounded, wellfounded
+            def wellfounded(edb):
+                result = walk(compiled, edb)
+                return Materialized(result.store, result.undefined,
+                                    walk_plans(result.walk, bundles), rewalk)
+
+            return WELLFOUNDED, None, wellfounded, reference(True)
 
     def figure1(edb):
         model = perfect_model_for_hilog(
             with_facts(rules, edb), strategy="seminaive",
             max_atoms=limits.max_facts,
         )
-        return RelationStore(model.true), frozenset()
+        return Materialized(RelationStore(model.true), frozenset())
 
     return RECOMPUTE_MODE, None, figure1, figure1

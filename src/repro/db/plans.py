@@ -6,9 +6,12 @@ bundle per stratum: update variants for the positive sites the stratum does
 not define (its own are the stratum plan's recursive variants), flipped
 negation variants for every negative site, one ``from_head`` plan per rule
 — plus the strategy :mod:`repro.db.maintenance` maintains it by:
-``dred`` (the engine's delete-rederive step, shared with the alternating
-fixpoint) for every stratum whose bundle compiles, ``recompute`` for
-aggregate strata and strata whose variants cannot be compiled.
+``alternating`` (the cone step, :func:`~repro.db.maintenance.alternating_update`)
+for a stratum with a cycle through negation, ``dred`` (the engine's
+delete-rederive step, shared with the alternating fixpoint) for every other
+stratum whose bundle compiles, ``recompute`` for aggregate strata and strata
+whose variants cannot be compiled.  A ``dred`` stratum that reads an atom
+undefined before or after a write takes the cone step for that write.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.engine.seminaive.engine import (
 )
 
 #: Maintenance strategies.
+ALTERNATING = "alternating"
 DRED = "dred"
 RECOMPUTE = "recompute"
 
@@ -55,16 +59,19 @@ class MaintenancePlans(NamedTuple):
         return self.bundle.stratum.pin_roots()
 
 
-def build_maintenance_plans(rules, recursive):
-    """Compile the maintenance bundle for one stratum.
+def maintenance_plans(stratum, alternating=None):
+    """The maintenance bundle of ``stratum``, a compiled
+    :class:`~repro.engine.seminaive.engine.StratumPlan`; ``alternating`` is
+    the :class:`~repro.engine.seminaive.engine.DeltaPlans` the walk
+    alternates the stratum with, when it does.
 
-    Raises :class:`SeminaiveUnsupported` when even the base stratum plan
-    cannot be compiled; a failure to compile the *incremental* plans only
-    demotes the stratum to the ``recompute`` strategy (when its head
-    indicators are ground — otherwise there is no local recomputation
-    boundary and the error propagates).
+    A failure to compile the incremental plans demotes the stratum to the
+    ``recompute`` strategy when its head indicators are ground — otherwise
+    there is no local recomputation boundary and
+    :class:`~repro.engine.seminaive.engine.SeminaiveUnsupported` propagates.
     """
-    stratum = compile_stratum(rules, recursive)
+    if alternating is not None:
+        return MaintenancePlans(alternating, ALTERNATING)
     unmaintained = MaintenancePlans(DeltaPlans(stratum, (), (), ()), RECOMPUTE)
     if stratum.has_aggregates:
         return unmaintained
@@ -75,3 +82,32 @@ def build_maintenance_plans(rules, recursive):
             raise
         return unmaintained
     return MaintenancePlans(bundle, DRED)
+
+
+def build_maintenance_plans(rules, recursive):
+    """Compile the maintenance bundle for one stratum of a stratification.
+    Raises :class:`SeminaiveUnsupported` when even the base stratum plan
+    cannot be compiled (see :func:`maintenance_plans`)."""
+    return maintenance_plans(compile_stratum(rules, recursive))
+
+
+def walk_plans(walk, cache):
+    """One :class:`MaintenancePlans` per stratum of ``walk`` — the
+    ``(stratum, alternating delta plans or None, head names)`` entries an
+    evaluation walked — or ``None`` when one of them has no local
+    maintenance boundary.  ``cache`` maps ``id(stratum)`` to the bundles of
+    the previous walk and is replaced by this walk's, so a stratum walked
+    again, memoised instances of name-open rules included, compiles
+    nothing."""
+    try:
+        plans = []
+        for stratum, alternating, _names in walk:
+            cached = cache.get(id(stratum))
+            if cached is None or cached.stratum is not stratum:
+                cached = maintenance_plans(stratum, alternating)
+            plans.append(cached)
+    except SeminaiveUnsupported:
+        plans = None
+    cache.clear()
+    cache.update((id(bundle.stratum), bundle) for bundle in plans or ())
+    return plans

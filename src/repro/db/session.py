@@ -7,29 +7,35 @@ same object for the session's whole life.  Three ideas carry the module:
 
 **A mode is an evaluator.**  The paper gives each program class exactly
 one model, so a session mode is nothing more than *which function maps the
-EDB to* ``(true atoms, undefined atoms)``.  :func:`repro.db.modes.choose_mode`
-picks it once, at construction — incremental (with the maintenance plans
-that let a write patch the model: delete-rederive, stratum-local
-recomputation), well-founded, or Figure-1 recompute — and no method
-compares the mode after that: materialization and
-:meth:`~DatabaseSession.check` call the chosen evaluators.
+EDB to* ``(true atoms, undefined atoms)`` — and to the per-stratum
+maintenance plans that let a write patch that model.
+:func:`repro.db.modes.choose_mode` picks it once, at construction —
+incremental, well-founded (whose plans are the strata its walk visited),
+or Figure-1 recompute (no plans) — and no method compares the mode after
+that: materialization and :meth:`~DatabaseSession.check` call the chosen
+evaluators, and a write walks whatever plans the last evaluation left.
 
 **A write is** :meth:`~DatabaseSession.update`.  ``insert`` / ``retract``
 are one-liners over it; a :class:`Transaction` commit, the serving
 writer (:mod:`repro.serve.session`) and WAL replay
 (:mod:`repro.durable.recovery`) call it.  It opens the intern generation,
 coerces the input (:meth:`~DatabaseSession.coerce`), logs to the WAL ahead
-of the apply, maintains the model, seals the WAL batch, then notifies the
-update listeners.  Batches that may name one atom twice are merged first
-by :func:`merge_ops`, the only last-operation-wins rule.
+of the apply, maintains the model stratum by stratum — delete-rederive
+where the stratum's reads are two-valued, the cone step where it
+alternates or reads an atom undefined before or after the write,
+stratum-local recomputation for aggregates — seals the WAL batch, then
+notifies the update listeners.  Batches that may name one atom twice are
+merged first by :func:`merge_ops`, the only last-operation-wins rule.
 
-**A recompute is evaluate-and-diff into the live store.**  Modes without
-maintenance plans, and the incremental mode's disaster path, share one
-method: evaluate the new EDB from scratch, diff the result against the
-live store, hand the result's relations to the live store
-(:meth:`~repro.engine.seminaive.relation.RelationStore.adopt`), and roll
-the EDB back when the evaluation fails.  ``session.store`` therefore never
-changes identity — an epoch manager may keep its bound ``snapshot``.
+**A recompute is evaluate-and-diff into the live store.**  The recompute
+mode, a well-founded write that reaches a binder plan's reads, the first
+well-founded write after a snapshot restore, and the disaster path of
+maintenance share one method: evaluate the new EDB from scratch, diff the
+result against the live store, hand the result's relations to the live
+store (:meth:`~repro.engine.seminaive.relation.RelationStore.adopt`), and
+roll the EDB back when the evaluation fails.  ``session.store`` therefore
+never changes identity — an epoch manager may keep its bound
+``snapshot``.
 
 Reads (:class:`~repro.db.reads.ModelReads`, shared with the serving
 layer's pinned readers) are answered from the store through
@@ -41,10 +47,16 @@ from __future__ import annotations
 
 import weakref
 
+from itertools import chain
 from time import perf_counter as _perf_counter
 from typing import Any, ContextManager, Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from repro.db.maintenance import Delta, dred_update, recompute_stratum
+from repro.db.maintenance import (
+    Delta,
+    alternating_update,
+    dred_update,
+    recompute_stratum,
+)
 from repro.db.modes import (
     INCREMENTAL,
     RECOMPUTE_MODE,
@@ -52,7 +64,7 @@ from repro.db.modes import (
     choose_mode,
     with_facts,
 )
-from repro.db.plans import DRED, RECOMPUTE
+from repro.db.plans import ALTERNATING, DRED, RECOMPUTE
 from repro.db.reads import ModelReads
 from repro.engine.interpretation import Interpretation
 from repro.engine.seminaive.engine import (
@@ -61,8 +73,8 @@ from repro.engine.seminaive.engine import (
     SeminaiveUnsupported,
 )
 from repro.obs.metrics import COUNT_BUCKETS, get_registry
-from repro.obs.trace import current_tracer
-from repro.engine.seminaive.relation import predicate_indicator
+from repro.obs.trace import current_tracer, untraced
+from repro.engine.seminaive.relation import RelationStore, predicate_indicator
 from repro.hilog.errors import GroundingError, HiLogError
 from repro.hilog.parser import parse_program, parse_term
 from repro.hilog.program import Program, Rule
@@ -102,7 +114,8 @@ class UpdateSummary(NamedTuple):
     added: Tuple[Term, ...]
     #: Atoms that became false (unordered).
     removed: Tuple[Term, ...]
-    #: Number of strata whose maintenance ran (0 for recompute mode).
+    #: Number of strata the write reached, whose maintenance ran (0 for a
+    #: write evaluated from scratch).
     strata_touched: int
     #: ``"incremental"``, ``"wellfounded"``, ``"recompute"`` or
     #: ``"rebuild"`` (disaster path).
@@ -213,13 +226,15 @@ class Transaction:
         return False
 
 
-#: Per mode, what a from-scratch update counts itself under in
-#: :meth:`DatabaseSession.stats` and reports as its summary's ``mode``.  An
-#: incremental session recomputes only on its disaster path — a rebuild.
-_RECOMPUTE_LABELS = {
-    INCREMENTAL: ("rebuilds", "rebuild"),
-    WELLFOUNDED: ("wellfounded_updates", WELLFOUNDED),
-    RECOMPUTE_MODE: ("recompute_mode_updates", RECOMPUTE_MODE),
+#: Per mode: the :meth:`DatabaseSession.stats` counter every write counts
+#: under besides ``updates`` (``None``: none), the one a write evaluated
+#: from scratch counts under (``None``: none — every write of the mode is),
+#: and the ``mode`` that write's summary reports.  An incremental session
+#: evaluates from scratch only on its disaster path — a rebuild.
+_MODE_LABELS = {
+    INCREMENTAL: (None, "rebuilds", "rebuild"),
+    WELLFOUNDED: ("wellfounded_updates", "rebuilds", WELLFOUNDED),
+    RECOMPUTE_MODE: ("recompute_mode_updates", None, RECOMPUTE_MODE),
 }
 
 
@@ -344,11 +359,12 @@ class DatabaseSession(ModelReads):
                 raise GroundingError("fact %r is not ground" % (rule.head,))
             self._edb.add(rule.head)
         self._limits = Limits(max_facts, max_term_depth)
-        self._mode, self._plans, self._evaluate, self._reference = \
+        self._mode, plans, self._evaluate, self._reference = \
             choose_mode(self._rules, self._limits, strategy)
         self._stats = {
             "updates": 0,
             "dred_updates": 0,
+            "alternating_updates": 0,
             "recompute_updates": 0,
             "stratum_fallbacks": 0,
             "rebuilds": 0,
@@ -360,6 +376,7 @@ class DatabaseSession(ModelReads):
         self._transactions = weakref.WeakSet()
         self._update_listeners = []
         self._pinned = {}
+        self._cone = 0
         if _recover is not None:
             # Recovered EDB replaces the program file's seed facts — the
             # snapshot captured the post-churn extensional database.
@@ -369,13 +386,13 @@ class DatabaseSession(ModelReads):
             # Snapshot restore: the store and undefined partition drop in
             # directly — no evaluation.
             self._store = _recover.store
-            self._undefined = _recover.undefined
+            self._install(_recover.undefined, plans)
         else:
             # No usable snapshot (or the resolved mode differs from the
             # snapshot's, whose model another evaluator made): materialize
             # from the recovered EDB the slow, safe way.
             try:
-                self._store, self._undefined = self._evaluate(self._edb)
+                model = self._evaluate(self._edb)
             except SeminaiveUnsupported:
                 # The mode probe accepted the program but compilation
                 # declined (e.g. an unschedulable rule body): demote to the
@@ -383,18 +400,11 @@ class DatabaseSession(ModelReads):
                 # fast mode.
                 if strategy in (INCREMENTAL, WELLFOUNDED):
                     raise
-                self._mode, self._plans, self._evaluate, self._reference = \
+                self._mode, plans, self._evaluate, self._reference = \
                     choose_mode(self._rules, self._limits, RECOMPUTE_MODE)
-                self._store, self._undefined = self._evaluate(self._edb)
-        self._owner = {}
-        self._unknown_stratum = None
-        for index, plans in enumerate(self._plans or ()):
-            if plans.head_indicators is None:
-                if self._unknown_stratum is None:
-                    self._unknown_stratum = index
-                continue
-            for indicator in plans.head_indicators:
-                self._owner[indicator] = index
+                model = self._evaluate(self._edb)
+            self._store = model.store
+            self._install(model.undefined, model.plans, model.rewalk)
         # Registered weakly, and only once construction has succeeded: the
         # registry never keeps the session alive, a dead session's pins
         # drop out of collection automatically, and a session whose
@@ -729,6 +739,26 @@ class DatabaseSession(ModelReads):
             )
         return Transaction(self)
 
+    def _install(self, undefined, plans, rewalk=frozenset()):
+        """Install the model's undefined atoms — indexed, in ``repr`` order,
+        as an evaluator's and a snapshot's come as sets, whose order depends
+        on the hash seed — the per-stratum maintenance plans a write walks
+        (``None``: every write evaluates from scratch) and ``rewalk``, the
+        indicators a write must not change for them to stay valid."""
+        self._undefined = RelationStore(sorted(undefined, key=repr))
+        self._undefined_atoms = None
+        self._plans = plans
+        self._rewalk = rewalk
+        self._owner = {}
+        self._unknown_stratum = None
+        for index, bundle in enumerate(plans or ()):
+            if bundle.head_indicators is None:
+                if self._unknown_stratum is None:
+                    self._unknown_stratum = index
+                continue
+            for indicator in bundle.head_indicators:
+                self._owner[indicator] = index
+
     def _by_stratum(self, atoms):
         """``atoms`` grouped by the index of the stratum defining their
         predicate — ``None`` for purely extensional predicates."""
@@ -799,7 +829,7 @@ class DatabaseSession(ModelReads):
                 added=len(result.added), removed=len(result.removed),
                 strata=result.strata_touched, duration_s=duration,
                 fetches=stats["fetches"], candidates=stats["candidates"],
-                alternations=stats["alternations"],
+                alternations=stats["alternations"], cone=self._cone,
             )
         return result
 
@@ -815,11 +845,17 @@ class DatabaseSession(ModelReads):
         self._edb.update(ins)
         self._edb.difference_update(rem)
         self._stats["updates"] += 1
+        counter = _MODE_LABELS[self._mode][0]
+        if counter is not None:
+            self._stats[counter] += 1
+        self._cone = 0
 
-        if self._plans is None:
+        rewalk = self._rewalk
+        if self._plans is None or (rewalk and any(
+                predicate_indicator(atom) in rewalk for atom in chain(ins, rem))):
             return self._recompute(ins, rem)
 
-        delta = Delta()
+        delta, undefined_delta = Delta(), Delta()
         stratum_ins, stratum_rem = self._by_stratum(ins), self._by_stratum(rem)
         try:
             for atom in stratum_ins.get(None, ()):
@@ -834,10 +870,13 @@ class DatabaseSession(ModelReads):
             for index, plans in enumerate(self._plans):
                 edb_added = stratum_ins.get(index, [])
                 edb_removed = stratum_rem.get(index, [])
-                if not edb_added and not edb_removed and not delta.touches(plans.reads):
+                if not edb_added and not edb_removed \
+                        and not delta.touches(plans.reads) \
+                        and not undefined_delta.touches(plans.reads):
                     continue
                 touched += 1
-                self._maintain_stratum(plans, delta, edb_added, edb_removed)
+                self._maintain_stratum(plans, delta, undefined_delta,
+                                       edb_added, edb_removed)
         except HiLogError as error:
             # Disaster path: the incremental machinery failed mid-update
             # (resource cap, integrity check) and may have left the store
@@ -849,6 +888,12 @@ class DatabaseSession(ModelReads):
                 return self._recompute(ins, rem, dirty=True)
             except HiLogError:
                 raise error
+        if rewalk and (delta.touches(rewalk) or undefined_delta.touches(rewalk)):
+            # A derived atom a binder plan reads changed: the instances the
+            # plans were compiled for may not be the model's any more.
+            return self._recompute(ins, rem, dirty=True)
+        if not undefined_delta.is_empty():
+            self._undefined_atoms = None
 
         return UpdateSummary(
             inserted=len(ins),
@@ -856,12 +901,49 @@ class DatabaseSession(ModelReads):
             added=tuple(delta.added),
             removed=tuple(delta.removed),
             strata_touched=touched,
-            mode=INCREMENTAL,
+            mode=self._mode,
+            undefined_added=tuple(undefined_delta.added),
+            undefined_removed=tuple(undefined_delta.removed),
         )
 
-    def _maintain_stratum(self, plans, delta, edb_added, edb_removed):
+    def _reads_uncertain(self, reads, undefined_delta):
+        """Whether a stratum reading ``reads`` reads an atom undefined before
+        or after the write (``undefined_delta`` holds the changes so far,
+        the undefined store the values below the stratum as they are now)."""
+        undefined = self._undefined
+        if not len(undefined) and undefined_delta.is_empty():
+            return False
+        if reads is None:
+            return True
+        return any(
+            undefined.relation(name, arity) is not None
+            or undefined_delta.removed.has_facts(name, arity)
+            for name, arity in reads
+        )
+
+    def _maintain_stratum(self, plans, delta, undefined_delta, edb_added,
+                          edb_removed):
+        """Maintain one stratum by its strategy — a two-valued stratum by
+        delete-rederive, one reading an atom undefined before or after the
+        write by the cone step, as an alternating one always is."""
+        strategy = plans.strategy
+        if strategy != ALTERNATING \
+                and self._reads_uncertain(plans.reads, undefined_delta):
+            if strategy == RECOMPUTE:
+                raise SeminaiveUnsupported(
+                    "a stratum without maintenance plans (aggregation) reads "
+                    "possibly-undefined atoms"
+                )
+            strategy = ALTERNATING
         try:
-            if plans.strategy == DRED:
+            if strategy == ALTERNATING:
+                self._cone += alternating_update(
+                    plans.bundle, self._store, self._undefined, delta,
+                    undefined_delta, self._edb, edb_added + edb_removed,
+                    self._limits,
+                )
+                self._stats["alternating_updates"] += 1
+            elif strategy == DRED:
                 dred_update(
                     plans.bundle, self._store, delta, self._edb, edb_added,
                     edb_removed, self._limits,
@@ -871,7 +953,7 @@ class DatabaseSession(ModelReads):
                 recompute_stratum(plans, self._store, delta, self._edb, self._limits)
                 self._stats["recompute_updates"] += 1
         except HiLogError:
-            if plans.strategy == RECOMPUTE or plans.head_indicators is None:
+            if strategy != DRED or plans.head_indicators is None:
                 raise
             # A delta invalidated the settled stratum in a way the
             # incremental step could not absorb: recompute just this stratum.
@@ -881,27 +963,32 @@ class DatabaseSession(ModelReads):
     def _recompute(self, ins, rem, dirty=False):
         """The one from-scratch update: evaluate the model over the EDB
         (which already holds ``ins`` / ``rem``), diff it against the live
-        store and move it in — how every mode without maintenance plans
-        writes, and an incremental session whose maintenance failed.  An
-        evaluation that raises (the update made the program unevaluable,
-        e.g. no longer modularly stratified) rolls the EDB change back.
+        store and move it in — how a session without maintenance plans
+        writes, a well-founded write that reaches a binder plan's reads,
+        and a session whose maintenance failed.  An evaluation that raises
+        (the update made the program unevaluable, e.g. no longer modularly
+        stratified) rolls the EDB change back.
 
         ``dirty``: a failed incremental step half-mutated the live store,
         so the pre-update model is evaluated back into it first — the diff
         is accurate and a failure leaves the session as the update found it."""
-        counter, label = _RECOMPUTE_LABELS[self._mode]
-        self._stats[counter] += 1
+        _counter, counter, label = _MODE_LABELS[self._mode]
+        if counter is not None:
+            self._stats[counter] += 1
         try:
             if dirty:
-                before = self._edb.difference(ins).union(rem)
-                self._store.adopt(self._evaluate(before)[0])
-            store, undefined = self._evaluate(self._edb)
+                before = self._evaluate(self._edb.difference(ins).union(rem))
+                self._store.adopt(before.store)
+                self._install(before.undefined, before.plans, before.rewalk)
+            model = self._evaluate(self._edb)
         except HiLogError:
             self._edb.difference_update(ins)
             self._edb.update(rem)
             raise
-        added, removed = self._store.adopt(store)
-        old_undefined, self._undefined = self._undefined, undefined
+        added, removed = self._store.adopt(model.store)
+        old = self._undefined
+        self._install(model.undefined, model.plans, model.rewalk)
+        new = self._undefined
         return UpdateSummary(
             inserted=len(ins),
             retracted=len(rem),
@@ -909,8 +996,8 @@ class DatabaseSession(ModelReads):
             removed=tuple(removed),
             strata_touched=0,
             mode=label,
-            undefined_added=tuple(undefined - old_undefined),
-            undefined_removed=tuple(old_undefined - undefined),
+            undefined_added=tuple(atom for atom in new if atom not in old),
+            undefined_removed=tuple(atom for atom in old if atom not in new),
         )
 
     # -- reads --------------------------------------------------------------
@@ -954,9 +1041,13 @@ class DatabaseSession(ModelReads):
 
     @property
     def undefined(self):
-        """The maintained model's undefined atoms (empty outside
-        well-founded mode — the other modes maintain total models)."""
-        return self._undefined
+        """The maintained model's undefined atoms, a frozenset (empty
+        outside well-founded mode — the other modes maintain total models).
+        It is built from the indexed store the session maintains them in
+        only when that store changed since the last call."""
+        if self._undefined_atoms is None:
+            self._undefined_atoms = frozenset(self._undefined)
+        return self._undefined_atoms
 
     def is_total(self):
         """True when the maintained model leaves nothing undefined."""
@@ -967,7 +1058,7 @@ class DatabaseSession(ModelReads):
         incremental/recompute mode, possibly partial (true atoms explicit,
         undefined atoms in the base) in well-founded mode."""
         true = frozenset(self._store)
-        return Interpretation(true=true, base=true | self._undefined)
+        return Interpretation(true=true, base=true | self.undefined)
 
     def edb(self):
         """The current extensional database (asserted facts)."""
@@ -990,8 +1081,17 @@ class DatabaseSession(ModelReads):
         return self._store
 
     def strategies(self):
-        """Maintenance strategy per stratum (empty in recompute mode)."""
-        return tuple(plans.strategy for plans in self._plans or ())
+        """Maintenance strategy per stratum, as the next write would take
+        it: ``"alternating"`` (the cone step) for a stratum that alternates
+        or reads an atom undefined now, ``"dred"`` or ``"recompute"``
+        otherwise.  Empty in recompute mode, and in a well-founded session
+        restored from a snapshot until its first write walks the strata."""
+        empty = Delta()
+        return tuple(
+            ALTERNATING if plans.strategy == DRED
+            and self._reads_uncertain(plans.reads, empty) else plans.strategy
+            for plans in self._plans or ()
+        )
 
     def stats(self):
         """Counters and sizes describing the session so far."""
@@ -1021,29 +1121,32 @@ class DatabaseSession(ModelReads):
         — against a from-scratch recomputation.
 
         Each mode is accountable to the evaluator it is built on
-        (:mod:`repro.db.modes`): for incremental sessions this catches
-        maintenance-algorithm bugs, while for recompute/well-founded
-        sessions — which already rematerialize through the same evaluator
-        on every update — it validates the session's state bookkeeping
-        (EDB tracking, rollbacks, partition sync), not the evaluator
-        itself.  Engine correctness is covered independently by the
+        (:mod:`repro.db.modes`): incremental and well-founded sessions
+        answer to an independent run of the engine's stratum walk, compiled
+        for the call, so this catches maintenance-algorithm bugs (delete-
+        rederive, the cone step, the plans a walk left); for recompute
+        sessions, whose every write is their evaluator's, it validates the
+        session's state bookkeeping (EDB tracking, rollbacks, partition
+        sync).  Engine correctness is covered independently by the
         differential harness against the ground oracles
-        (``tests/engine/test_wellfounded_agreement.py``).
+        (``tests/engine/test_wellfounded_agreement.py``).  The reference
+        runs untraced: its walk is the auditor's, not the session's.
 
         Returns ``True`` on agreement; raises :class:`SessionIntegrityError`
         with sample differences otherwise.  Intended for tests, benchmarks
         and paranoid deployments — it costs a full evaluation.
         """
-        with intern_generation():
-            reference, scratch_undefined = self._reference(self._edb)
-        scratch = frozenset(reference)
-        maintained = frozenset(self._store)
-        if maintained == scratch and self._undefined == scratch_undefined:
+        with intern_generation(), untraced():
+            reference = self._reference(self._edb)
+        scratch = frozenset(reference.store)
+        scratch_undefined = frozenset(reference.undefined)
+        maintained, undefined = frozenset(self._store), self.undefined
+        if maintained == scratch and undefined == scratch_undefined:
             return True
         missing = sorted(map(repr, (scratch - maintained)
-                             | (scratch_undefined - self._undefined)))[:5]
+                             | (scratch_undefined - undefined)))[:5]
         spurious = sorted(map(repr, (maintained - scratch)
-                              | (self._undefined - scratch_undefined)))[:5]
+                              | (undefined - scratch_undefined)))[:5]
         raise SessionIntegrityError(
             "maintained model diverged from recomputation: missing %s, "
             "spurious %s" % (missing, spurious)

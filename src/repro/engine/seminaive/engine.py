@@ -827,11 +827,8 @@ def delete_rederive(plans, target, seeds, old, new, keep, limits):
     change that kills derivations (a deleted positive atom, a negated atom
     just proven), read against the state *before* it.  Those of them in
     ``target``, closed under the stratum's own variants against ``old``,
-    are **over-deleted** and leave ``target``.  Each is then probed through
-    the ``from_head`` plans against ``new`` — the state after the change,
-    ``target`` included — and returns when some rule still derives it or
-    ``keep`` holds it; what returns is pushed through the own variants
-    again, restoring only over-deleted atoms.  ``old`` and ``new`` are
+    are **over-deleted** and leave ``target``; :func:`rederive` puts back
+    what ``new`` still derives.  ``old`` and ``new`` are
     :class:`PlanSources` (a store and a negation context), and they are
     what the two callers differ in: a session's DRed passes the state
     before the update, then the store, and keeps its EDB; the alternating
@@ -843,7 +840,6 @@ def delete_rederive(plans, target, seeds, old, new, keep, limits):
     the input alone.  Returns ``(rounds, overdeleted, removed)``: the delta
     rounds run, how many atoms were over-deleted, and those that stayed out.
     """
-    variants = plans.stratum.variant_plans
     overdeleted = {}
 
     def overdelete(head):
@@ -852,27 +848,42 @@ def delete_rederive(plans, target, seeds, old, new, keep, limits):
             return True
         return False
 
-    def restore(head):
-        if head in overdeleted and head not in target:
-            target.add(head)
-            return True
-        return False
-
     rounds = _propagate(
-        variants, [head for head in seeds if overdelete(head)], old, overdelete,
-        limits,
+        plans.stratum.variant_plans,
+        [head for head in seeds if overdelete(head)], old, overdelete, limits,
     )
     for atom in overdeleted:
         target.remove(atom)
+    rounds += rederive(plans, target, overdeleted, new, keep, limits)
+    removed = [atom for atom in overdeleted if atom not in target]
+    return rounds, len(overdeleted), removed
+
+
+def rederive(plans, target, candidates, new, keep, limits):
+    """The restore half of delete-rederive: put back into ``target`` each of
+    ``candidates`` (atoms out of it, in their order) that ``keep`` holds or
+    some rule still derives from ``new`` — probed through the ``from_head``
+    plans, ``target`` included — then push what returned through the
+    stratum's own variants, restoring candidates only.  Every add passes
+    :meth:`Limits.check` against ``target``.  Besides
+    :func:`delete_rederive`, the cone step of a well-founded session calls
+    it, to compute a first overestimate of the cone
+    (:func:`repro.engine.seminaive.wellfounded.cone_step`).  Returns the
+    delta rounds run."""
+    def restore(head):
+        if head in candidates and target.add(head):
+            limits.check(head, target)
+            return True
+        return False
+
     restored = []
-    for atom in overdeleted:
+    for atom in candidates:
         if atom in keep or any(
                 plan_satisfiable(plan, new, atom) for plan in plans.from_head):
             target.add(atom)
+            limits.check(atom, target)
             restored.append(atom)
-    rounds += _propagate(variants, restored, new, restore, limits)
-    removed = [atom for atom in overdeleted if atom not in target]
-    return rounds, len(overdeleted), removed
+    return _propagate(plans.stratum.variant_plans, restored, new, restore, limits)
 
 
 def insert_anchored(stratum, store, heads, limits, negation_store=None):

@@ -94,6 +94,17 @@ its rules:
   :class:`~repro.engine.seminaive.engine.DeltaPlans`.  A negation stratum
   costs what changes between alternations, not alternations × size.
 
+A session keeps the model this walk computed and patches it per write
+without walking again: :func:`cone_step` re-alternates, in a stratum that
+alternates or reads possibly-undefined atoms, only the **cone** of atoms a
+changed atom can reach — the rest of the stratum keeps its value by the
+splitting property of the well-founded model — with a first alternation
+restricted to the cone and the later ones the walk's own
+(:func:`_alternate_from`).  It starts from below rather than from the old
+estimates, because the alternating fixpoint is sound only from below.
+``SeminaiveResult.walk`` names the strata a walk visited, which is what
+the session maintains.
+
 The result partitions the derivable atoms into true and undefined;
 everything else is false under the closed-world reading the paper's
 unfoundedness arguments justify for range-restricted programs
@@ -118,12 +129,15 @@ from repro.engine.seminaive.engine import (
     Limits,
     PlanSources,
     SeminaiveUnsupported,
+    _propagate,
     anchored_heads,
     compile_delta_plans,
     compile_stratum,
     delete_rederive,
     evaluate_stratum,
     insert_anchored,
+    plan_satisfiable,
+    rederive,
     run_plan,
     stratify_program,
 )
@@ -152,8 +166,6 @@ class SeminaiveResult(NamedTuple):
     true: FrozenSet[Term]
     #: Atoms left undefined (in the overestimate but never proven).
     undefined: FrozenSet[Term]
-    #: Predicate-name terms settled per stratum, lowest first.
-    strata: Tuple[FrozenSet[Term], ...]
     #: Total inner delta iterations across all strata and phases.
     iterations: int
     #: Total outer over/under alternations (0 for stratified programs).
@@ -162,6 +174,15 @@ class SeminaiveResult(NamedTuple):
     store: RelationStore
     #: The atoms derived by rules (``true`` minus the seeded facts).
     derived: FrozenSet[Term]
+    #: The compiled strata walked, lowest first — :func:`stratum_entry`
+    #: triples, the instances of name-open rules among them — which is what
+    #: a session maintains the model by.
+    walk: Tuple[Tuple, ...]
+
+    @property
+    def strata(self) -> Tuple[FrozenSet[Term], ...]:
+        """Predicate-name terms settled per stratum, lowest first."""
+        return tuple(names for _stratum, _plans, names in self.walk)
 
     def is_total(self):
         """True when the model leaves nothing undefined."""
@@ -212,6 +233,16 @@ class CompiledStrata:
         self.strata = strata
         self.open_rules = open_rules
         self.rounds = []
+
+    def binder_reads(self):
+        """The indicators the binder plans read: a write that changes an
+        atom of one may change what the open rules' names range over, and
+        with it which instances a walk compiles."""
+        return frozenset(
+            literal_indicator(literal.atom)
+            for open_rule in self.open_rules
+            for literal in open_rule.plan.rule.body
+        )
 
     def specialise(self, round_index, answers):
         """The compiled strata of the instances that ``answers``, a list of
@@ -387,9 +418,37 @@ def _alternate_stratum(plans, under, over_extra, limits):
     overestimate is **one** layer above them for the whole fixpoint,
     returned — disjoint from ``under`` — once it is reached.  The first
     alternation computes ``O_1 = Γ(U_0)`` into the layer and ``U_1 =
-    Γ(O_1)`` into ``under``, each a full least fixpoint.  Every later one
-    moves each estimate by what the other just changed, through the
-    engine's delete-rederive step — the one a session's DRed takes too.
+    Γ(O_1)`` into ``under``, each a full least fixpoint; every later one is
+    :func:`_alternate_from`'s.
+
+    Returns ``(iterations, alternations, layer)``.
+    """
+    stratum = plans.stratum
+    layer = RelationStore()
+    over_view = StoreView((under, over_extra, layer))
+    EXECUTION_STATS.alternations += 1
+    # Overestimate, ``not a`` ⇔ a ∉ under, then underestimate, ``not a`` ⇔
+    # a ∉ over: a base pass and delta iterations each.
+    iterations, _over_added = evaluate_stratum(
+        stratum, over_view, limits, negation_store=under
+    )
+    its, grown = evaluate_stratum(
+        stratum, under, limits, negation_store=over_view
+    )
+    iterations += its
+    _trace_alternation(1, layer, under, iterations, grown, 0, ())
+    its, alternations = _alternate_from(plans, under, over_view, grown, limits)
+    return iterations + its, alternations, layer
+
+
+def _alternate_from(plans, under, over_view, grown, limits):
+    """Alternations two onwards of one stratum's alternating fixpoint, over
+    the overestimate ``over_view`` — ``under``, the settled undefined atoms
+    and the stratum's layer on top — until the underestimate stands still.
+    The from-scratch walk (:func:`_alternate_stratum`) and a session's cone
+    step (:func:`cone_step`) both finish here.  Each alternation moves each
+    estimate by what the other just changed, through the engine's
+    delete-rederive step — the one a session's DRed takes too.
 
     The overestimate ``O_{k-1} = Γ(U_{k-2})`` becomes ``O_k = Γ(U_{k-1})``
     by its deletion half (:func:`~repro.engine.seminaive.engine.delete_rederive`),
@@ -408,68 +467,152 @@ def _alternate_stratum(plans, under, over_extra, limits):
     variants find the instances newly enabled below, and the insertion half
     (:func:`~repro.engine.seminaive.engine.insert_anchored`) grows ``under``
     from their heads.  ``U`` grows and ``O`` shrinks monotonically, so the
-    loop stops the first time the underestimate stands still.
+    loop stops the first time the underestimate stands still; the layer,
+    patched against the final underestimate, then holds exactly the
+    stratum's undefined atoms.
 
-    Returns ``(iterations, alternations, layer)``.
+    Returns ``(iterations, alternations)``, the first alternation counted.
     """
     stratum = plans.stratum
-    tracer = current_tracer()
-    layer = RelationStore()
-    over_view = StoreView((under, over_extra, layer))
+    layer = over_view.layers[-1]
     over = PlanSources(over_view, negation=under)
     iterations = 0
-    alternations = 0
-    while True:
+    alternations = 1
+    while grown:
         alternations += 1
         EXECUTION_STATS.alternations += 1
-        iterations_before = iterations
-        if alternations == 1:
-            # Overestimate, ``not a`` ⇔ a ∉ under, then underestimate,
-            # ``not a`` ⇔ a ∉ over: a base pass and delta iterations each.
-            its, _over_added = evaluate_stratum(
-                stratum, over_view, limits, negation_store=under
-            )
-            iterations += its
-            its, grown = evaluate_stratum(
-                stratum, under, limits, negation_store=over_view
-            )
-            iterations += its
-            overdeleted, removed = 0, ()
+        grown = FactBuckets(grown)
+        for atom in grown:
+            layer.remove(atom)
+        old_under = StoreView((under,), minus=grown)
+        seeds = anchored_heads(
+            plans.negation_variants,
+            PlanSources(over_view, grown, negation=old_under), limits,
+        )
+        its, overdeleted, removed = delete_rederive(
+            plans, layer, seeds, over, over, (), limits
+        )
+        enabled = anchored_heads(
+            plans.negation_variants,
+            PlanSources(under, FactBuckets(removed), negation=over_view),
+            limits,
+        )
+        more, grown = insert_anchored(
+            stratum, under, enabled, limits, negation_store=over_view
+        )
+        iterations += its + more
+        _trace_alternation(alternations, layer, under, its + more, grown,
+                           overdeleted, removed)
+    return iterations, alternations
+
+
+def _trace_alternation(alternation, layer, under, iterations, grown,
+                       overdeleted, removed):
+    tracer = current_tracer()
+    if tracer is not None:
+        tracer.emit(
+            "alternation", alternation=alternation,
+            over=len(layer), under=len(under),
+            iterations=iterations, grew=bool(grown),
+            overdeleted=overdeleted,
+            rederived=overdeleted - len(removed), removed=len(removed),
+        )
+
+
+#: The negation context of a cone's closure: nothing proven, so every
+#: negated subgoal passes.
+_NOTHING = FactBuckets().freeze()
+
+
+def cone_step(plans, under, undefined, changed, gone, own, keep, limits):
+    """Patch one stratum of a maintained well-founded model after a write —
+    an alternating stratum, or one reading possibly-undefined atoms — by
+    re-alternating only its **cone**: the atoms of the stratum whose value
+    may have changed.  The rest keeps its value by the splitting property
+    of the well-founded model (Lifschitz & Turner, "Splitting a logic
+    program", ICLP 1994): no rule instance reachable from it reads a changed
+    atom, so it is input to the cone exactly as the settled strata below
+    are, and the cone's alternating fixpoint runs from below, where it is
+    sound (Van Gelder, Ross & Schlipf, JACM 1991).
+
+    ``plans`` is the stratum's
+    :class:`~repro.engine.seminaive.engine.DeltaPlans`; ``under`` and
+    ``undefined`` are the session's stores of true and undefined atoms,
+    holding the new values below the stratum and the old ones from it up;
+    ``changed`` holds the lower atoms whose value changed (true, undefined,
+    false: either way), ``gone`` those of them that were true or undefined
+    and are neither now; ``own`` lists the stratum's asserted atoms the
+    write inserted or retracted, and ``keep`` is the assertion set.  Five
+    stages:
+
+    * **Cone.** ``own``, and the heads of the instances anchored on
+      ``changed`` (every positive and negation variant), closed under the
+      stratum's own sites, positive and negated.  The joins read every
+      atom possible before or after the write — the stores, ``gone`` and
+      the cone itself — and no negation context, so every negated subgoal
+      passes.
+    * **Remove.** Each cone atom leaves both stores as it joins the cone;
+      an asserted one stays true (``keep``).
+    * **First alternation, on the cone.** The overestimate is
+      :func:`~repro.engine.seminaive.engine.rederive` of the cone over the
+      stores, negation read against ``under``; the underestimate probes
+      the overestimate's atoms against ``under``, negation read against
+      the overestimate, and resumes the stratum's fixpoint from what holds
+      (:func:`~repro.engine.seminaive.engine.insert_anchored`).
+    * **Later alternations** are :func:`_alternate_from`'s, as in the walk.
+    * **Diff.** The cone's undefined atoms join ``undefined``; the caller
+      compares each cone atom's old value with its new one.
+
+    The cone is walked in the order it was found, so the work done is a
+    function of the input alone.  Returns the cone, ``{atom: (was true,
+    was undefined)}`` in that order.
+    """
+    stratum = plans.stratum
+    cone = {}
+    fresh = RelationStore()
+
+    def admit(atom):
+        if atom in cone:
+            return False
+        was_true = atom in under
+        cone[atom] = (was_true, undefined.remove(atom))
+        if atom in keep:
+            if under.add(atom):
+                limits.check(atom, under)
         else:
-            grown = FactBuckets(grown)
-            for atom in grown:
-                layer.remove(atom)
-            old_under = StoreView((under,), minus=grown)
-            seeds = anchored_heads(
-                plans.negation_variants,
-                PlanSources(over_view, grown, negation=old_under), limits,
-            )
-            its, overdeleted, removed = delete_rederive(
-                plans, layer, seeds, over, over, (), limits
-            )
-            iterations += its
-            enabled = anchored_heads(
-                plans.negation_variants,
-                PlanSources(under, FactBuckets(removed), negation=over_view),
-                limits,
-            )
-            its, grown = insert_anchored(
-                stratum, under, enabled, limits, negation_store=over_view
-            )
-            iterations += its
-        if tracer is not None:
-            tracer.emit(
-                "alternation", alternation=alternations,
-                over=len(layer), under=len(under),
-                iterations=iterations - iterations_before, grew=bool(grown),
-                overdeleted=overdeleted,
-                rederived=overdeleted - len(removed), removed=len(removed),
-            )
-        if not grown:
-            # U_k == U_{k-1}, hence O_{k+1} would equal O_k: converged.
-            # ``layer`` was patched against the final underestimate, so it
-            # holds exactly this stratum's undefined atoms.
-            return iterations, alternations, layer
+            under.remove(atom)
+            fresh.add(atom)
+        return True
+
+    reach = StoreView((under, undefined, gone, fresh))
+    frontier = [atom for atom in own if admit(atom)]
+    frontier.extend(head for head in anchored_heads(
+        plans.positive_variants + plans.negation_variants,
+        PlanSources(reach, changed, negation=_NOTHING), limits,
+    ) if admit(head))
+    _propagate(stratum.variant_plans + plans.negation_variants, frontier,
+               PlanSources(reach, negation=_NOTHING), admit, limits)
+
+    layer = RelationStore()
+    over_view = StoreView((under, undefined, layer))
+    EXECUTION_STATS.alternations += 1
+    iterations = rederive(plans, over_view, fresh,
+                          PlanSources(over_view, negation=under), (), limits)
+    proven = PlanSources(under, negation=over_view)
+    its, grown = insert_anchored(stratum, under, [
+        atom for atom in layer
+        if any(plan_satisfiable(plan, proven, atom) for plan in plans.from_head)
+    ], limits, negation_store=over_view)
+    _trace_alternation(1, layer, under, iterations + its, grown, 0, ())
+    _its, alternations = _alternate_from(plans, under, over_view, grown, limits)
+    for atom in cone:
+        if atom in layer:
+            undefined.add(atom)
+    tracer = current_tracer()
+    if tracer is not None:
+        tracer.emit("cone", atoms=len(cone), undefined=len(layer),
+                    alternations=alternations)
+    return cone
 
 
 def _seed_facts(program, extra_facts):
@@ -547,11 +690,11 @@ def evaluate_strata(compiled, facts, limits):
     uncertain = set()
     iterations = 0
     alternations = 0
-    names_walked = []
+    walk = []
 
-    for stratum, plans, names in _walk_order(
-            compiled, StoreView((under, over_extra)), limits):
-        names_walked.append(names)
+    for entry in _walk_order(compiled, StoreView((under, over_extra)), limits):
+        walk.append(entry)
+        stratum, plans, _names = entry
         alternating = plans is not None
         if uncertain:
             reads = stratum.reads
@@ -604,18 +747,18 @@ def evaluate_strata(compiled, facts, limits):
     true = frozenset(under)
     if tracer is not None:
         tracer.emit(
-            "evaluate", strata=len(names_walked), iterations=iterations,
+            "evaluate", strata=len(walk), iterations=iterations,
             alternations=alternations, facts=len(true),
             undefined=len(over_extra), duration_s=_perf_counter() - started,
         )
     return SeminaiveResult(
         true=true,
         undefined=frozenset(over_extra),
-        strata=tuple(names_walked),
         iterations=iterations,
         alternations=alternations,
         store=under,
         derived=true - seeds,
+        walk=tuple(walk),
     )
 
 

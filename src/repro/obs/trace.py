@@ -26,7 +26,10 @@ Event kinds currently emitted:
                  one round of binder answers (instances, strata, duration);
                  absent when the memoised specialisation was reused
 ``maintenance``  one session update batch (mode, op counts, delta sizes,
-                 duration, register stats)
+                 duration, register stats, alternations, and ``cone``: the
+                 atoms the cone steps of a well-founded write re-alternated)
+``cone``         one stratum of a well-founded session patched by the cone
+                 step (cone atoms, undefined among them, alternations)
 ``collect``      an intern-table sweep (swept/kept sizes, duration)
 ``rebase``       an epoch-manager overlay rebase into a fresh base snapshot
 ``slow_request`` an HTTP request slower than the server's slow-query bar
@@ -61,6 +64,7 @@ __all__ = [
     "current_tracer",
     "set_global_tracer",
     "tracing",
+    "untraced",
 ]
 
 
@@ -137,16 +141,19 @@ class EvaluationTracer(object):
 
 _GLOBAL_TRACER = None
 _TRACER_VAR = contextvars.ContextVar("repro_tracer", default=None)
+#: The scope value of :func:`untraced`: no tracer, not even the global one.
+_UNTRACED = object()
 
 
 def current_tracer():
     """The installed tracer, or None (the fast default).
 
-    Contextvar override first — ``tracing(...)`` scopes — then the process
-    global set by ``set_global_tracer`` (which background threads see)."""
+    Contextvar override first — ``tracing(...)`` and ``untraced()`` scopes
+    — then the process global set by ``set_global_tracer`` (which
+    background threads see)."""
     tracer = _TRACER_VAR.get()
     if tracer is not None:
-        return tracer
+        return None if tracer is _UNTRACED else tracer
     return _GLOBAL_TRACER
 
 
@@ -164,5 +171,17 @@ def tracing(tracer):
     token = _TRACER_VAR.set(tracer)
     try:
         yield tracer
+    finally:
+        _TRACER_VAR.reset(token)
+
+
+@contextlib.contextmanager
+def untraced():
+    """Emit nothing inside the with-block, whatever tracer is installed —
+    for work that is not the traced computation's own, such as a session
+    check's reference evaluation."""
+    token = _TRACER_VAR.set(_UNTRACED)
+    try:
+        yield
     finally:
         _TRACER_VAR.reset(token)

@@ -20,21 +20,45 @@ from repro.db import DatabaseSession
 from repro.db.modes import with_facts
 from repro.hilog.parser import parse_program
 
-#: Replays a DAG-closure churn stream and prints the executor's counters.
+#: Replays a DAG-closure churn stream, then a win/move churn stream — the
+#: game with a positive recursion, whose rederivation probes depend on the
+#: order the cone is walked in, and strata reading the three-valued game,
+#: whose probes depend on the order undefined atoms are stored in — in
+#: single and paired moves, and prints the executor's counters.
 REPLAY = """
 import json
 from repro.db import DatabaseSession
 from repro.engine.seminaive import EXECUTION_STATS
+from repro.hilog.parser import parse_program
+from repro.hilog.pretty import format_program
 from repro.workloads.closure import transitive_closure_program
-from repro.workloads.graphs import random_dag_edges
+from repro.workloads.games import normal_game_program
+from repro.workloads.graphs import random_dag_edges, random_graph_edges
 from repro.workloads.streams import edge_churn_stream, replay
 
+def work(session, stream):
+    before = EXECUTION_STATS.snapshot()
+    replay(session, stream)
+    assert session.check()
+    return EXECUTION_STATS.diff(before)
+
 edges = random_dag_edges(30, 60, seed=11)
-session = DatabaseSession(transitive_closure_program(edges))
-stream = edge_churn_stream(edges, operations=16, seed=11)
-before = EXECUTION_STATS.snapshot()
-replay(session, stream)
-print(json.dumps(EXECUTION_STATS.diff(before)))
+closure = work(DatabaseSession(transitive_closure_program(edges)),
+               edge_churn_stream(edges, operations=16, seed=11))
+moves = random_graph_edges(30, 45, seed=13)
+links = random_graph_edges(30, 20, seed=12)
+game = DatabaseSession(
+    format_program(normal_game_program(moves))
+    + "winning(X) :- link(X, Y), move(Y, Z), winning(Y)."
+    + "losing(X) :- move(Y, X), not winning(X)."
+    + "duel(X, Y) :- move(X, Y), not winning(Y)."
+    + "threat(X) :- duel(X, Y), link(Y, Z), not losing(Z)."
+    + " ".join("link(%s, %s)." % link for link in links))
+assert game.mode == "wellfounded"
+games = [work(game, edge_churn_stream(moves, relation="move", operations=12,
+                                      batch=batch, seed=11))
+         for batch in (1, 2)]
+print(json.dumps([closure] + games))
 """
 
 
@@ -70,9 +94,11 @@ def test_several_negations_of_one_instance_proven_together(rules, batch):
 
 
 def test_work_does_not_depend_on_the_hash_seed():
-    """Over-deleted facts are probed in the order they were found, and a
-    session materializes its EDB in ``repr`` order, so a replay does the
-    same work under any ``PYTHONHASHSEED``."""
+    """Over-deleted facts are probed in the order they were found, a cone
+    is walked in the order it was found, and a session materializes its EDB
+    and its undefined atoms in ``repr`` order, so a replay — delete-rederive
+    and cone steps alike — does the same work under any
+    ``PYTHONHASHSEED``."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
     counters = []
     for seed in ("0", "1"):
@@ -87,4 +113,5 @@ def test_work_does_not_depend_on_the_hash_seed():
         assert completed.returncode == 0, completed.stderr
         counters.append(json.loads(completed.stdout))
     assert counters[0] == counters[1]
-    assert counters[0]["candidates"] > 0
+    assert all(work["candidates"] > 0 for work in counters[0])
+    assert counters[0][1]["alternations"] > 0

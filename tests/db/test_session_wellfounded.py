@@ -5,8 +5,9 @@ which outright rejects them once a ground negation loop appears — so a
 session over a cyclic win/move game either crawled or failed.  They now
 route through the semi-naive well-founded fallback: the session maintains
 the three-valued well-founded model under insert/retract/transaction
-churn, and every step is compared against a from-scratch ground oracle
-(and the session's own ``check()``).
+churn — its three-valued strata by the cone step, which re-alternates only
+the atoms a write can reach — and every step is compared against a
+from-scratch ground oracle (and the session's own ``check()``).
 """
 
 import pytest
@@ -16,15 +17,20 @@ from hypothesis import strategies as st
 from repro.core.modular import perfect_model_for_hilog
 from repro.core.semantics import hilog_well_founded_model
 from repro.db import DatabaseSession, modes
-from repro.engine.seminaive import SeminaiveUnsupported
+from repro.engine.seminaive import SeminaiveUnsupported, seminaive_well_founded
 from repro.hilog.errors import GroundingError
 from repro.hilog.parser import parse_program, parse_term
 from repro.hilog.pretty import format_program
 from repro.hilog.program import Program, Rule
 from repro.hilog.terms import App, Sym
 from repro.obs.trace import EvaluationTracer, tracing
-from repro.workloads.games import datahilog_game_program, hilog_game_program
+from repro.workloads.games import (
+    datahilog_game_program,
+    hilog_game_program,
+    normal_game_program,
+)
 from repro.workloads.graphs import chain_edges, cycle_edges, random_dag_edges
+from repro.workloads.random_programs import random_nonstratified_program
 
 WIN_MOVE_RULES = """
     winning(X) :- move(X, Y), not winning(Y).
@@ -279,3 +285,205 @@ def test_instances_count_against_max_facts():
     with pytest.raises(GroundingError):
         session.insert("rel(r8).")
     assert session.true == before and session.check()
+
+
+# -- the cone step: a write re-alternates what it can reach ------------------
+
+def _with_facts(rules, edb):
+    return Program(rules.rules + tuple(Rule(atom) for atom in sorted(edb, key=repr)))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       multi_negation=st.integers(min_value=0, max_value=2),
+       name_open=st.integers(min_value=0, max_value=1),
+       data=st.data())
+def test_every_write_leaves_the_model_a_fresh_walk_computes(
+        seed, multi_negation, name_open, data):
+    """The net under per-stratum maintenance: fifteen toggles of the
+    program's facts and their argument-reversed twins, each held to a fresh
+    walk of the whole program, and a sampled one to the ground oracle."""
+    program = random_nonstratified_program(
+        seed=seed, multi_negation=multi_negation, name_open=name_open)
+    rules = Program(tuple(program.proper_rules()))
+    facts = [rule.head for rule in program.facts()]
+    toggles = list(dict.fromkeys(
+        facts + [App(atom.name, atom.args[::-1]) for atom in facts]))
+    session = DatabaseSession(program)
+    assert session.mode == "wellfounded"
+    sampled = data.draw(st.integers(min_value=0, max_value=14))
+    for step in range(15):
+        atom = data.draw(st.sampled_from(toggles))
+        if atom in session.edb():
+            session.retract(atom)
+        else:
+            session.insert(atom)
+        walked = seminaive_well_founded(_with_facts(rules, session.edb()))
+        assert session.true == walked.true
+        assert session.undefined == walked.undefined
+        if step == sampled:
+            oracle = hilog_well_founded_model(_with_facts(rules, session.edb()))
+            assert oracle.true == walked.true
+            assert oracle.undefined == walked.undefined
+
+
+def _agrees_with_the_oracle(session, rules_text):
+    true, undefined = _oracle(rules_text, session.edb())
+    assert session.true == true and session.undefined == undefined
+    assert session.check()
+
+
+def test_the_cone_joins_read_the_atoms_the_write_makes_possible():
+    """q(a) and r(a) both become possible in one write, so the instance
+    ``p(a) :- q(a), r(a)`` is found only by a join that reads the cone
+    itself.  Joined over what was possible before, p(a) stays out of the
+    cone, the write's delta misses it and w(a) above keeps its old value."""
+    rules = """
+        q(X) :- s(X), not t(X).
+        r(X) :- s(X), not t(X).
+        p(X) :- q(X), r(X).
+        t(X) :- u(X), not p(X).
+        w(X) :- v(X), not p(X).
+    """
+    session = DatabaseSession(rules + "v(a).")
+    assert session.strategies() == ("alternating", "dred")
+    assert session.ask("w(a)")
+    summary = session.insert("s(a).")
+    assert {"p(a)", "q(a)", "r(a)"} <= set(map(repr, summary.added))
+    assert "w(a)" in map(repr, summary.removed)
+    _agrees_with_the_oracle(session, rules)
+
+
+def test_the_cone_joins_read_the_atoms_the_write_made_impossible():
+    """Both positive lower atoms of ``p(a)``'s one instance go in one
+    batch: each anchor reads the other only among the atoms that just
+    stopped being possible."""
+    rules = """
+        p(X) :- e(X), f(X), not q(X).
+        q(X) :- g(X), not p(X).
+    """
+    session = DatabaseSession(rules + "e(a). f(a).")
+    assert session.ask("p(a)")
+    summary = session.retract("e(a). f(a).")
+    assert "p(a)" in map(repr, summary.removed)
+    _agrees_with_the_oracle(session, rules)
+
+
+def test_an_asserted_atom_in_the_cone_stays_true():
+    """The write puts the asserted winning(b) in its cone, where no rule
+    derives it any more: only the assertion keeps it true.  Asserting an
+    undefined atom makes it true, and retracting it lets the cone decide."""
+    session = DatabaseSession(WIN_MOVE_RULES + "move(c, d). winning(b).")
+    summary = session.insert("move(b, c).")
+    assert session.value("winning(b)") == "true"
+    assert "winning(b)" not in map(repr, summary.removed)
+    _agrees_with_the_oracle(session, WIN_MOVE_RULES)
+
+    session.insert("move(e, f). move(f, e).")
+    assert session.value("winning(e)") == "undefined"
+    summary = session.insert("winning(e).")
+    assert {repr(a) for a in summary.undefined_removed} == \
+        {"winning(e)", "winning(f)"}
+    assert session.value("winning(e)") == "true"
+    assert session.value("winning(f)") == "false"
+    _agrees_with_the_oracle(session, WIN_MOVE_RULES)
+
+    summary = session.retract("winning(b).")
+    assert session.value("winning(b)") == "false"
+    _agrees_with_the_oracle(session, WIN_MOVE_RULES)
+
+
+def test_several_negations_of_one_instance_proven_by_one_write():
+    """The alternation's named regression on the session path: the write
+    proves a(1) and b(1) in one alternation of the cone, and each anchor
+    must read the other against the old underestimate, or p(1) is left
+    undefined."""
+    rules = """
+        p(X) :- n(X), not a(X), not b(X).
+        a(X) :- n(X), not c(X).
+        b(X) :- n(X), not c(X).
+        c(X) :- n(X), not p(X), z(X).
+    """
+    session = DatabaseSession(rules + "z(2).")
+    session.insert("n(1).")
+    assert session.value("p(1)") == "false" and session.is_total()
+    _agrees_with_the_oracle(session, rules)
+
+
+def test_a_lower_atom_flipping_undefined_to_false_reaches_the_strata_above():
+    """winning(a) goes from undefined to false — no true atom changes below
+    — and the strata reading it are two-valued after the write: they must
+    take the cone step all the same, as they read an atom that *was*
+    undefined."""
+    session = DatabaseSession(
+        MIXED_RULES + "move(a, b). move(b, a). node(a). node(b).")
+    assert session.strategies() == ("alternating",) * 3
+    assert session.value("losing(a)") == "undefined"
+    summary = session.retract("move(a, b).")
+    assert session.value("winning(a)") == "false"
+    assert "winning(a)" in map(repr, summary.undefined_removed)
+    assert "winning(a)" not in map(repr, summary.removed)
+    assert session.value("losing(a)") == "true"
+    assert session.value("drawn(a)") == "false"
+    assert session.is_total()
+    assert session.strategies() == ("alternating", "dred", "dred")
+    _agrees_with_the_oracle(session, MIXED_RULES)
+
+
+def test_a_write_reports_the_strata_and_the_cone_it_reached():
+    session = DatabaseSession(MIXED_RULES + """
+        move(a, b). move(b, a). move(c, d). node(a). node(b). node(c).
+    """)
+    tracer = EvaluationTracer()
+    with tracing(tracer):
+        summary = session.insert("move(d, e).")
+    assert summary.mode == "wellfounded" and summary.strata_touched == 3
+    assert session.stats()["alternating_updates"] == 3
+    (span,) = tracer.events("maintenance")
+    cones = tracer.events("cone")
+    assert len(cones) == 3
+    assert span["cone"] == sum(cone["atoms"] for cone in cones) > 0
+    assert span["alternations"] == sum(cone["alternations"] for cone in cones)
+    assert {repr(a) for a in summary.added} == \
+        {"move(d, e)", "winning(d)", "losing(c)"}
+    assert {repr(a) for a in summary.removed} == {"winning(c)"}
+
+
+def test_a_restored_session_walks_once_then_maintains(tmp_path):
+    directory = str(tmp_path / "data")
+    session = DatabaseSession(WIN_MOVE_RULES + "move(a, b). move(b, a).",
+                              path=directory)
+    session.close()
+    restored = DatabaseSession.open(directory)
+    assert restored.strategies() == ()
+    restored.insert("move(b, c).")
+    assert restored.stats()["rebuilds"] == 1
+    assert restored.strategies() == ("alternating",)
+    restored.retract("move(b, c).")
+    assert restored.stats()["rebuilds"] == 1
+    assert restored.stats()["alternating_updates"] == 1
+    _agrees_with_the_oracle(restored, WIN_MOVE_RULES)
+    restored.close()
+
+
+def test_a_write_costs_its_cone_not_the_walk():
+    """On a path of 200 positions a move at the far end flips every
+    position behind it — a cone of 200 — while a move into the start
+    reaches one position and costs a small fraction of a walk."""
+    from repro.engine.seminaive import EXECUTION_STATS
+
+    program = normal_game_program(chain_edges(199, "n"))
+    session = DatabaseSession(program)
+    before = EXECUTION_STATS.snapshot()
+    seminaive_well_founded(program)
+    walk = EXECUTION_STATS.diff(before)
+    tracer = EvaluationTracer()
+    with tracing(tracer):
+        session.insert("move(n199, n200).")
+        before = EXECUTION_STATS.snapshot()
+        session.insert("move(x, n0).")
+        head = EXECUTION_STATS.diff(before)
+    assert [cone["atoms"] for cone in tracer.events("cone")] == [200, 1]
+    assert head["candidates"] * 20 < walk["candidates"]
+    _agrees_with_the_oracle(session, WIN_MOVE_RULES)

@@ -11,6 +11,12 @@ from scratch — ``evaluate_stratum`` into a fresh store over the same
 ``under`` / ``over_extra`` — and the final model must be the ground
 oracle's.  Hand-written families cover the shapes the step has branches
 for; a hypothesis property covers random non-stratified programs.
+
+A well-founded session's cone step alternates too: its first overestimate
+is the restore half of the same step over the cone
+(:func:`checked_cone_overestimates`), its later alternations are the
+walk's.  The last section holds every one of them to ``Γ(U_k)`` over the
+session's stores, write after write.
 """
 
 import contextlib
@@ -31,6 +37,8 @@ from repro.engine.seminaive.relation import RelationStore, StoreView
 from repro.hilog.errors import GroundingError
 from repro.hilog.parser import parse_program, parse_term
 from repro.hilog.pretty import format_program
+from repro.hilog.program import Program, Rule
+from repro.hilog.terms import App
 from repro.workloads.games import hilog_game_program, normal_game_program
 from repro.workloads.graphs import chain_edges, cycle_edges
 from repro.workloads.random_programs import random_nonstratified_program
@@ -269,3 +277,121 @@ def test_no_plan_is_compiled_once_the_session_is_open(text, edge):
             session.retract(fact)
         assert compiled.call_count == 0
     session.check()
+
+
+# -- the cone step of a well-founded session ----------------------------------
+
+@contextlib.contextmanager
+def checked_cone_overestimates():
+    """Run sessions with the cone step's first overestimate — the restore
+    half of delete-rederive over the cone — held to ``Γ(U_0)`` from
+    scratch; yields the list of the overestimate layers' sizes."""
+    restore = wellfounded.rederive
+    log = []
+
+    def checked(plans, target, candidates, new, keep, limits):
+        rounds = restore(plans, target, candidates, new, keep, limits)
+        under, undefined, layer = target.layers
+        assert new.store is target and new.negation is under and not keep
+        fresh = RelationStore()
+        evaluate_stratum(
+            plans.stratum, StoreView((under, undefined, fresh)), limits,
+            negation_store=under,
+        )
+        assert set(layer) == set(fresh)
+        log.append(len(layer))
+        return rounds
+
+    with mock.patch.object(wellfounded, "rederive", checked):
+        yield log
+
+
+def _checked_writes(program, toggles):
+    """Toggle each of ``toggles`` on a session of ``program`` with every
+    alternation of every cone step checked, and the model after each write
+    held to a fresh walk; returns ``(overestimates, shrinks)`` logged."""
+    rules = [rule for rule in program.rules if not rule.is_fact()]
+    session = DatabaseSession(program)
+    with checked_cone_overestimates() as overestimates, \
+            checked_shrinks() as shrinks:
+        for atom in toggles:
+            if atom in session.edb():
+                session.retract(atom)
+            else:
+                session.insert(atom)
+            walked = seminaive_well_founded(Program(tuple(rules) + tuple(
+                Rule(fact) for fact in sorted(session.edb(), key=repr))))
+            assert session.true == walked.true
+            assert session.undefined == walked.undefined
+    return overestimates, shrinks
+
+
+class TestConeSteps:
+    def test_path_game_writes(self):
+        program = normal_game_program(chain_edges(12))
+        overestimates, shrinks = _checked_writes(program, [
+            parse_term(text) for text in (
+                "move(n12, n13)", "move(n6, n2)", "move(n12, n13)",
+                "move(n3, n4)", "move(n6, n2)", "move(n3, n4)",
+            )
+        ])
+        assert len(overestimates) == 6 and len(shrinks) >= 6
+
+    def test_cycle_writes_and_asserted_positions(self):
+        program = normal_game_program(
+            cycle_edges(5) + chain_edges(4) + [("n2", "c1")])
+        overestimates, shrinks = _checked_writes(program, [
+            parse_term(text) for text in (
+                "move(c1, out)", "winning(c3)", "move(c1, out)",
+                "move(n4, c0)", "winning(c3)", "move(c0, c1)",
+            )
+        ])
+        assert any(overestimates) and any(entry[0] for entry in shrinks)
+
+    def test_name_open_instance_writes(self):
+        program = hilog_game_program({
+            "m1": cycle_edges(4) + [("c1", "out"), ("t0", "c0")],
+            "m2": chain_edges(6),
+        })
+        _checked_writes(program, [
+            parse_term(text) for text in (
+                "m1(c1, out)", "m2(n6, n7)", "m1(t1, t0)", "m1(c1, out)",
+            )
+        ])
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       multi_negation=st.integers(min_value=0, max_value=3),
+       data=st.data())
+def test_every_cone_alternation_leaves_the_from_scratch_overestimate(
+        shape, seed, multi_negation, data, isolate_example):
+    with isolate_example():
+        program = random_nonstratified_program(
+            seed=seed, multi_negation=multi_negation, **SHAPES[shape]
+        )
+        facts = [rule.head for rule in program.facts()]
+        toggles = facts + [App(atom.name, atom.args[::-1]) for atom in facts]
+        try:
+            _checked_writes(program, data.draw(
+                st.lists(st.sampled_from(toggles), min_size=1, max_size=8)))
+        except GroundingError:
+            pass
+
+
+def test_random_sessions_do_reach_the_cone_shrink():
+    """The property above is only as good as its sampler."""
+    overestimated = shrinks = overdeleted = 0
+    for seed in range(20):
+        program = random_nonstratified_program(
+            seed=seed, multi_negation=seed % 3, **SHAPES["large"]
+        )
+        facts = [rule.head for rule in program.facts()]
+        over, shrink = _checked_writes(program, facts[:4] + facts[:2])
+        overestimated += sum(over)
+        shrinks += len(shrink)
+        overdeleted += sum(entry[0] for entry in shrink)
+    assert overestimated >= 100 and shrinks >= 30 and overdeleted >= 30
