@@ -37,6 +37,15 @@ register-machine fixpoints instead:
   ``candidates`` at 100 by at most 1.25 × n/100 (recomputing the
   overestimate every round made it 61x at n = 800), and the rows'
   ``fetches`` / ``candidates`` are gated to the baseline exactly.
+* **E13e** — Figure 1's verdict from the walk: ``modularly_stratified_for_hilog
+  (strategy="seminaive")`` on Example 6.3's game over twelve 15-move chains
+  (E5's largest program) and over two random 120-node / 300-move DAGs (the
+  ``hilog-recompute`` ledger workload's shape), and on the Datahilog
+  closure of a 40-edge chain (a definite program whose name-open rules the
+  walk specialises by their binder).  One walk plus the
+  local-stratification check of its alternating strata, no grounding; the
+  verdict and the model must equal the ground oracle's, and the rows'
+  ``fetches`` / ``candidates`` are gated to the baseline exactly.
 
 ``EXECUTION_STATS`` — including the new ``alternations`` counter — and the
 headline ``*_s`` timings land in ``extra_info``, so ``run_all.py
@@ -54,16 +63,24 @@ import time
 import pytest
 
 from repro.analysis.report import ExperimentRow, print_table
+from repro.core.modular import modularly_stratified_for_hilog
 from repro.core.semantics import well_founded_for_hilog
 from repro.db import DatabaseSession
 from repro.engine.seminaive import EXECUTION_STATS, seminaive_well_founded
+from repro.workloads.closure import datahilog_closure_program
 from repro.workloads.games import (
     composed_move_game_program,
+    hilog_game_program,
     normal_game_program,
     two_hop_moves,
     win_move_partition,
 )
-from repro.workloads.graphs import chain_edges, cycle_edges, random_graph_edges
+from repro.workloads.graphs import (
+    chain_edges,
+    cycle_edges,
+    random_dag_edges,
+    random_graph_edges,
+)
 
 #: Machine-independent acceptance bar for E13a (both sides are measured in
 #: the same process, so the ratio is robust; CI relaxes it for shared-runner
@@ -249,4 +266,40 @@ def test_path_game_scaling(benchmark, positions):
 
     benchmark.extra_info.update(stats)
     benchmark.extra_info["seminaive_s"] = round(seminaive_s, 4)
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+
+MODULAR_PROGRAMS = {
+    "chain-games-12": lambda: hilog_game_program({
+        "m%d" % index: chain_edges(15, "m%d_" % index) for index in range(12)
+    }),
+    "dag-games-2x120": lambda: hilog_game_program({
+        "m%d" % index: random_dag_edges(120, 300, seed=index, prefix="m%d_" % index)
+        for index in range(2)
+    }),
+    "datahilog-closure-40": lambda: datahilog_closure_program({
+        "g": chain_edges(40),
+    }),
+}
+
+
+@pytest.mark.parametrize("program", sorted(MODULAR_PROGRAMS))
+def test_modular_verdict_work(benchmark, program):
+    """E13e: Figure 1's verdict and model from one walk, counted."""
+    program = MODULAR_PROGRAMS[program]()
+    before = EXECUTION_STATS.snapshot()
+    fast, seminaive_s = _timed(
+        lambda: modularly_stratified_for_hilog(program, strategy="seminaive")
+    )
+    stats = EXECUTION_STATS.diff(before)
+    ground, ground_s = _timed(lambda: modularly_stratified_for_hilog(program))
+    assert fast.is_modularly_stratified and ground.is_modularly_stratified
+    assert fast.model.true == ground.model.true
+
+    benchmark.extra_info.update(stats)
+    benchmark.extra_info.update({
+        "true_atoms": len(fast.model.true),
+        "ground_s": round(ground_s, 4),
+        "seminaive_s": round(seminaive_s, 4),
+    })
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -41,6 +41,21 @@ forced by the infinite HiLog universe:
   instantiation rather than on the full Herbrand instantiation; atoms the
   relevance grounding omits are unfounded (hence false), so the computed
   model is unaffected.
+
+The procedure above is the oracle (``strategy="ground"``).  With
+``strategy="seminaive"`` the verdict and the model come from one stratum
+walk of the semi-naive engine instead
+(:func:`repro.engine.seminaive.wellfounded.seminaive_modular`): an
+undefined atom refutes modular stratification (Theorem 6.1), and otherwise
+each component of an alternating stratum is relevance-instantiated over
+the walk's true atoms, as the reduction and grounding above would
+instantiate it; with no cycle through a negative edge the program is
+accepted.  Nothing is grounded.  Everything else goes to the procedure
+above: a cycle (the reduction may split the component and break it), a
+name-open rule the walk cannot specialise or specialises in another
+order than the reduction would (Example 6.5's re-settled head among
+them), aggregation, a predicate name with two arities, and
+``left_to_right``.
 """
 
 from __future__ import annotations
@@ -360,113 +375,6 @@ def evaluate_aggregate_component(rules, settled_names, settled_true, max_iterati
 
 
 # ---------------------------------------------------------------------------
-# Semi-naive fast paths (strategy="seminaive")
-# ---------------------------------------------------------------------------
-
-def _names_all_ground(rules):
-    """True when every head/body/aggregate predicate name is ground."""
-    for rule in rules:
-        if not predicate_name(rule.head).is_ground():
-            return False
-        for name in _body_names(rule):
-            if not name.is_ground():
-                return False
-    return True
-
-
-def _seminaive_whole_program(program, max_atoms, max_term_depth):
-    """Evaluate the whole program with the semi-naive engine when it is
-    stratified at the predicate-indicator level.
-
-    Only attempted when every predicate name in the program is ground: in
-    that case no reduction round can ever re-introduce a settled head (the
-    Example 6.5 failure mode), so "stratified" implies that the Figure-1
-    procedure would succeed — the fast path cannot change the verdict, only
-    skip the grounding work.  Aggregate programs always go through Figure 1:
-    :func:`evaluate_aggregate_component` folds an aggregate only over its
-    component's own atoms, whereas the engine folds over every stored fact,
-    so bypassing the procedure could change which groups exist.  Returns a
-    :class:`HiLogModularResult` or ``None`` when the engine declines (the
-    caller then runs Figure 1).
-
-    Programs with a cycle through negation at the indicator level get one
-    more fast check before the grounding path: the alternating-fixpoint
-    engine (:mod:`repro.engine.seminaive.wellfounded`) computes their
-    well-founded model without grounding, and a *partial* model refutes
-    modular stratification outright (Theorem 6.1: modularly stratified ⇒
-    total well-founded model), so the negative verdict is returned without
-    instantiating a single ground rule.  A total model proves nothing —
-    Figure 1 additionally demands locally stratified component reductions
-    (cf. ``p :- not q.  q :- not p.  p.``, total but rejected) — so that
-    case still falls through to the oracle.
-    """
-    from repro.engine.seminaive import SeminaiveUnsupported, seminaive_evaluate
-
-    if program.has_aggregates() or not _names_all_ground(program.rules):
-        return None
-    try:
-        result = seminaive_evaluate(
-            program, max_facts=max_atoms, max_term_depth=max_term_depth
-        )
-    except SeminaiveUnsupported:
-        return _seminaive_refute_by_wellfounded(program, max_atoms, max_term_depth)
-    except (GroundingError, EvaluationError):
-        return None
-    model = Interpretation(result.true, base=result.true)
-    return HiLogModularResult(True, model, "", result.strata)
-
-
-def _seminaive_refute_by_wellfounded(program, max_atoms, max_term_depth):
-    """Try to refute modular stratification through the alternating engine
-    (see :func:`_seminaive_whole_program`); ``None`` when inconclusive."""
-    from repro.engine.seminaive import SeminaiveUnsupported
-    from repro.engine.seminaive.wellfounded import seminaive_well_founded
-
-    try:
-        wellfounded = seminaive_well_founded(
-            program, max_facts=max_atoms, max_term_depth=max_term_depth
-        )
-    except (SeminaiveUnsupported, GroundingError, EvaluationError):
-        return None
-    if wellfounded.undefined:
-        sample = sorted(map(repr, wellfounded.undefined))[:3]
-        return HiLogModularResult(
-            False, None,
-            "the well-founded model leaves %d atom(s) undefined (e.g. %s), "
-            "so the program has no total well-founded model and is not "
-            "modularly stratified (Theorem 6.1)"
-            % (len(wellfounded.undefined), ", ".join(sample)),
-            (),
-        )
-    return None
-
-
-def _seminaive_component(component_rules, settled_true, max_atoms, max_term_depth):
-    """Evaluate one Figure-1 component with the semi-naive engine.
-
-    The component's rules are evaluated with the settled model seeded as
-    extra facts; positive and (ground-by-join-time) negative settled
-    subgoals then resolve against the store exactly as
-    :func:`_evaluate_settled_subgoals` would resolve them after grounding.
-    Returns ``component_true`` or ``None`` when the engine declines (within-
-    component negation, unschedulable bodies, resource caps) — the caller
-    falls back to the grounding oracle, so the verdict never diverges.
-    """
-    from repro.engine.seminaive import SeminaiveUnsupported, seminaive_evaluate
-
-    try:
-        result = seminaive_evaluate(
-            Program(tuple(component_rules)),
-            extra_facts=settled_true,
-            max_facts=max_atoms,
-            max_term_depth=max_term_depth,
-        )
-    except (SeminaiveUnsupported, GroundingError, EvaluationError):
-        return None
-    return set(result.true) - settled_true
-
-
-# ---------------------------------------------------------------------------
 # The procedure of Figure 1
 # ---------------------------------------------------------------------------
 
@@ -482,19 +390,32 @@ def modularly_stratified_for_hilog(program, left_to_right=False, max_rounds=1000
 
     ``strategy`` selects the evaluation engine: ``"ground"`` (the default)
     is the reference oracle — relevance grounding plus the ground
-    well-founded computation; ``"seminaive"`` evaluates stratified
-    (sub)programs bottom-up over indexed relations without materializing
-    ground rules, falling back to the oracle wherever the fast path does not
-    apply.  Both strategies compute the same true atoms; the ``seminaive``
-    model's atom base only contains the true atoms (false-by-closed-world
-    atoms are not materialized).
+    well-founded computation, component by component; ``"seminaive"`` takes
+    the verdict and the model from one walk of the semi-naive engine plus a
+    local-stratification check of its alternating strata (see the module
+    docstring), and runs the oracle for every program the walk cannot
+    decide, for aggregate programs and with ``left_to_right``.  Both
+    strategies give the same verdict and the same true atoms; the
+    ``seminaive`` model's atom base only contains the true atoms
+    (false-by-closed-world atoms are not materialized), and its ``rounds``
+    are the walk's strata.
     """
     if strategy not in ("ground", "seminaive"):
         raise ValueError("unknown strategy %r (use 'ground' or 'seminaive')" % (strategy,))
-    if strategy == "seminaive":
-        fast = _seminaive_whole_program(program, max_atoms, max_term_depth)
-        if fast is not None:
-            return fast
+    if strategy == "seminaive" and not left_to_right:
+        from repro.engine.seminaive import SeminaiveUnsupported, seminaive_modular
+
+        try:
+            result, reason = seminaive_modular(
+                program, max_facts=max_atoms, max_term_depth=max_term_depth
+            )
+        except (SeminaiveUnsupported, GroundingError, EvaluationError):
+            pass  # refused by the walk: the procedure below decides
+        else:
+            if reason is not None:
+                return HiLogModularResult(False, None, reason, ())
+            model = Interpretation(result.true, base=result.true)
+            return HiLogModularResult(True, model, "", result.strata)
 
     remaining = list(program.rules)
     settled_names = set()
@@ -557,41 +478,29 @@ def modularly_stratified_for_hilog(program, left_to_right=False, max_rounds=1000
                 return HiLogModularResult(False, None, str(error), tuple(rounds))
             component_base = set(component_true)
         else:
-            component_true = None
-            if strategy == "seminaive":
-                # Fast path: a component that is stratified relative to the
-                # settled model is locally stratified with a total
-                # well-founded model, so the semi-naive least fixpoint is its
-                # Figure-1 model and the checks below are implied.
-                component_true = _seminaive_component(
-                    component_rules, settled_true, max_atoms, max_term_depth
+            try:
+                component_ground = _ground_component(
+                    component_rules, settled_names, settled_true, max_atoms, max_term_depth
                 )
-                if component_true is not None:
-                    component_base = set(component_true)
-            if component_true is None:
-                try:
-                    component_ground = _ground_component(
-                        component_rules, settled_names, settled_true, max_atoms, max_term_depth
-                    )
-                except GroundingError as error:
-                    return HiLogModularResult(False, None, str(error), tuple(rounds))
-                if not is_locally_stratified_ground(component_ground):
-                    return HiLogModularResult(
-                        False, None,
-                        "the reduction of the lowest component %s is not locally stratified"
-                        % sorted(map(repr, lowest)),
-                        tuple(rounds),
-                    )
-                component_model = well_founded_model(component_ground)
-                if not component_model.is_total():
-                    return HiLogModularResult(
-                        False, None,
-                        "the lowest component %s has no total well-founded model"
-                        % sorted(map(repr, lowest)),
-                        tuple(rounds),
-                    )
-                component_true = set(component_model.true)
-                component_base = set(component_ground.base)
+            except GroundingError as error:
+                return HiLogModularResult(False, None, str(error), tuple(rounds))
+            if not is_locally_stratified_ground(component_ground):
+                return HiLogModularResult(
+                    False, None,
+                    "the reduction of the lowest component %s is not locally stratified"
+                    % sorted(map(repr, lowest)),
+                    tuple(rounds),
+                )
+            component_model = well_founded_model(component_ground)
+            if not component_model.is_total():
+                return HiLogModularResult(
+                    False, None,
+                    "the lowest component %s has no total well-founded model"
+                    % sorted(map(repr, lowest)),
+                    tuple(rounds),
+                )
+            component_true = set(component_model.true)
+            component_base = set(component_ground.base)
 
         settled_true |= component_true
         base |= component_base
@@ -617,7 +526,7 @@ def perfect_model_for_hilog(program, **kwargs):
     """The total well-founded model of a modularly stratified HiLog program
     (Theorem 6.1).  Raises :class:`StratificationError` otherwise.
 
-    Pass ``strategy="seminaive"`` to evaluate stratified (sub)programs with
+    Pass ``strategy="seminaive"`` to take the verdict and the model from
     the delta-driven engine of :mod:`repro.engine.seminaive` instead of
     grounding; the default ``strategy="ground"`` is the reference oracle.
     Both strategies derive the same true atoms."""

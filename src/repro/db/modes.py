@@ -32,17 +32,21 @@ three-valued well-founded model otherwise — so a
   compile.  The model is the well-founded one: wherever Figure 1 accepts
   the program it is total and the perfect model (Theorem 6.1); where
   Figure 1 rejects — a cyclic move relation — the session answers
-  three-valued instead of refusing, and the *verdict* stays with
-  :func:`repro.core.modular.modularly_stratified_for_hilog` on the oracle
-  side.  The mode's reference is the same walk over strata compiled afresh
-  for each check, so it shares no plan and no memoised specialisation with
-  the session; the incremental mode's is the walk over strata compiled
-  without negation cycles.
+  three-valued instead of refusing.  A session never asks for Figure 1's
+  verdict; :func:`repro.core.modular.modularly_stratified_for_hilog`
+  takes it from the same walk plus a local-stratification check.  The mode's
+  reference is the same walk over strata compiled afresh for each check,
+  so it shares no plan and no memoised specialisation with the session;
+  the incremental mode's is the walk over strata compiled without
+  negation cycles.
 * ``"recompute"`` — what the walk refuses: recursion through aggregation
   (the parts explosion), a name-open rule beside negation with a name
   variable no binder binds, an instance that would re-settle a head
-  (Example 6.5).  The evaluator is the Figure-1 procedure
-  (``perfect_model_for_hilog``), and every write evaluates from scratch.
+  (Example 6.5).  The walk refuses these whatever the facts, so the
+  evaluator is the ground Figure-1 procedure itself
+  (``perfect_model_for_hilog`` with ``strategy="ground"``) rather than a
+  walk doomed on every write (``strategy="recompute"`` forces it for any
+  program), and every write evaluates from scratch.
 
 One documented semantic divergence, inherited from the two evaluators:
 for an aggregate whose condition predicate is settled in a *lower*
@@ -179,7 +183,7 @@ def choose_mode(rules: Program, limits: Limits, strategy: str) -> Tuple[
 
     def figure1(edb):
         model = perfect_model_for_hilog(
-            with_facts(rules, edb), strategy="seminaive",
+            with_facts(rules, edb), strategy="ground",
             max_atoms=limits.max_facts,
         )
         return Materialized(RelationStore(model.true), frozenset())

@@ -51,6 +51,7 @@ from repro.engine.seminaive.relation import (
 from repro.engine.seminaive.wellfounded import (
     SeminaiveResult,
     seminaive_evaluate,
+    seminaive_modular,
     seminaive_perfect_model,
     seminaive_well_founded,
     seminaive_well_founded_detailed,
@@ -60,6 +61,7 @@ from repro.engine.seminaive.wellfounded import (
 __all__ = [
     "SeminaiveResult",
     "seminaive_evaluate",
+    "seminaive_modular",
     "seminaive_perfect_model",
     "seminaive_well_founded",
     "seminaive_well_founded_detailed",

@@ -47,10 +47,21 @@ with different sinks.  To see what a plan runs::
 
     print(compile_rule(rule).registers.source)
     print(compile_rule(rule, from_head=True).registers.source)
+
+The constants the function reads are its globals, so a rule that is
+another with its symbols renamed one-to-one — each instance of a name-open
+rule, ``winning(m1)(X) :- game(m1), m1(X, Y), not winning(m1)(Y).`` and
+its ``m2`` twin — orders, plans and lowers exactly alike.  Compiling one
+leaves a **template** (:class:`_Template`) keyed by that shape: the next
+rule of the shape gets the same steps and the same code, with its own
+constants bound.  A template lives as long as some plan built from it.
 """
 
 from __future__ import annotations
 
+import weakref
+
+from types import FunctionType
 from typing import FrozenSet, NamedTuple, Optional, Tuple
 
 from repro.core.magic.sips import left_to_right_sips
@@ -260,6 +271,7 @@ def compile_rule(rule, delta_index=None, from_head=False):
     head variable bound — "which instances of this rule derive this fact"
     (delete-rederive's rederivation test, explain's proof search).
     """
+    key = _shape(rule, delta_index, from_head)
     if delta_index is not None and rule.body[delta_index].negative:
         rule = Rule(
             rule.head,
@@ -267,6 +279,9 @@ def compile_rule(rule, delta_index=None, from_head=False):
             + rule.body[delta_index + 1:],
             rule.aggregates,
         )
+    template = _TEMPLATES.get(key) if key is not None else None
+    if template is not None:
+        return template.instantiate(rule)
     bound = frozenset(rule.head.variables()) if from_head else frozenset()
     ordered, deferred = _order_body(rule, delta_index, initially_bound=bound)
 
@@ -322,9 +337,14 @@ def compile_rule(rule, delta_index=None, from_head=False):
     registers = _compile_registers(
         rule, tuple(steps), deferred, tuple(aggregate_steps), from_head
     )
-    return JoinPlan(
+    plan = JoinPlan(
         rule, tuple(steps), deferred, tuple(aggregate_steps), positives, registers
     )
+    if key is not None:
+        constants = _constants(plan)
+        if constants is not None:
+            _TEMPLATES[key] = _Template(plan, constants)
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +690,145 @@ class _Codegen:
 def _tuple(parts):
     parts = list(parts)
     return "(%s,)" % ", ".join(parts) if parts else "()"
+
+
+class _Template:
+    """What compiling a rule leaves for the next rule of its **shape** —
+    the same rule up to the symbols it names, as the instances of one
+    name-open rule are: the ordered steps, the generated functions' code
+    and where each of their constants sits in the rule.  A rule of that
+    shape then only rebinds the constants (:meth:`instantiate`).  The
+    template lives as long as a plan built from it does: every such plan's
+    function holds it among its globals, and :data:`_TEMPLATES` only weakly.
+    """
+
+    __slots__ = ("steps", "deferred", "positives", "source", "fast",
+                 "head_ground", "codes", "constants", "builtins", "__weakref__")
+
+    def __init__(self, plan, constants):
+        namespace = plan.registers.run.__globals__
+        self.steps = tuple(
+            (step.kind, step.body_index, step.bound_before, step.index_positions,
+             step.from_delta) for step in plan.steps)
+        self.deferred = tuple(
+            next(index for index, literal in enumerate(plan.rule.body)
+                 if literal is deferred) for deferred in plan.deferred_builtins)
+        self.positives = plan.positive_body_indices
+        registers = plan.registers
+        self.source, self.fast = registers.source, registers.fast
+        self.head_ground = registers.head_ground
+        self.codes = (("run", registers.run.__code__),) + tuple(
+            (name, value.__code__) for name, value in namespace.items()
+            if name.startswith("run") and type(value) is FunctionType)
+        self.constants = constants
+        self.builtins = namespace["__builtins__"]
+        namespace["__template__"] = self
+
+    def instantiate(self, rule):
+        """The plan of ``rule``, a rule of this template's shape."""
+        body = rule.body
+        steps = tuple(
+            JoinStep(kind, body[index], index, bound, positions, from_delta)
+            for kind, index, bound, positions, from_delta in self.steps)
+        namespace = dict(_RUNTIME, __template__=self, __builtins__=self.builtins)
+        for name, kind, where in self.constants:
+            if kind is _STEP:
+                namespace[name] = steps[where]
+            elif kind is _RULE:
+                namespace[name] = rule
+            elif kind is _PATH:
+                namespace[name] = _follow(rule, where)
+            else:
+                namespace[name] = where
+        for name, code in self.codes:
+            namespace[name] = FunctionType(code, namespace, name)
+        return JoinPlan(
+            rule, steps, tuple(body[index] for index in self.deferred), (),
+            self.positives,
+            RegisterProgram(namespace.pop("run"), self.source, self.fast,
+                            self.head_ground),
+        )
+
+
+_STEP, _RULE, _PATH, _SAME = "step", "rule", "path", "same"
+
+
+def _constants(plan):
+    """Where each constant of ``plan``'s functions comes from — one of its
+    steps, its rule, a path into its rule (:func:`_paths`) or itself —
+    or ``None`` when a term among them is not in the rule."""
+    paths = _paths(plan.rule)
+    step_of = {id(step): index for index, step in enumerate(plan.steps)}
+    constants = []
+    for name, value in plan.registers.run.__globals__.items():
+        if not (name[0] == "k" and name[1:].isdigit()):
+            continue
+        if id(value) in step_of:
+            constants.append((name, _STEP, step_of[id(value)]))
+        elif value is plan.rule:
+            constants.append((name, _RULE, None))
+        elif id(value) in paths:
+            constants.append((name, _PATH, paths[id(value)]))
+        elif isinstance(value, Term):
+            return None
+        else:
+            constants.append((name, _SAME, value))
+    return tuple(constants)
+
+#: Plan templates by rule shape (:func:`_shape`), held weakly.
+_TEMPLATES = weakref.WeakValueDictionary()
+
+
+def _shape(rule, delta_index, from_head):
+    """The key of ``rule``'s plan in :data:`_TEMPLATES`: the rule with each
+    symbol of its head and of its non-builtin body literals replaced by the
+    number of its first occurrence, so that two rules share a key exactly
+    when one is the other with its symbols renamed one-to-one.  ``None``
+    for a rule with aggregates, which is never templated."""
+    if rule.aggregates:
+        return None
+    numbers = {}
+
+    def shape(term):
+        kind = type(term)
+        if kind is Sym:
+            return numbers.setdefault(term, len(numbers))
+        if kind is App:
+            return (shape(term.name),) + tuple(map(shape, term.args))
+        return term
+
+    parts = [shape(rule.head), delta_index, from_head]
+    for literal in rule.body:
+        if literal.is_builtin():
+            parts.append((None, literal.positive, literal.atom))
+        else:
+            parts.append((literal.positive, shape(literal.atom)))
+    return tuple(parts)
+
+
+def _paths(rule):
+    """``{id(subterm): path}`` over the head (``(0,)``) and the body atoms
+    (``(i + 1,)``) of ``rule``; a path descends by ``0`` into a name and by
+    ``i + 1`` into an argument."""
+    paths = {}
+    stack = [(rule.head, (0,))]
+    stack.extend((literal.atom, (index + 1,)) for index, literal in enumerate(rule.body))
+    while stack:
+        term, path = stack.pop()
+        if id(term) in paths:
+            continue
+        paths[id(term)] = path
+        if type(term) is App:
+            stack.append((term.name, path + (0,)))
+            stack.extend((arg, path + (index + 1,)) for index, arg in enumerate(term.args))
+    return paths
+
+
+def _follow(rule, path):
+    term = rule.head if path[0] == 0 else rule.body[path[0] - 1].atom
+    for step in path[1:]:
+        term = term.name if step == 0 else term.args[step - 1]
+    return term
 
 
 def _compile_registers(rule, steps, deferred, aggregates, from_head):

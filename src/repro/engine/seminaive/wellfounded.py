@@ -35,12 +35,18 @@ store — a negation component among them alternating — until no rule gains
 an instance.  It refuses a rule with a name variable no binder binds
 (Figure 1 would reduce one round by round; here it is left to the
 fallback) and, where Figure 1 must, an instance whose head indicator an
-already-walked rule defines or reads (Example 6.5's re-settled head).  It
-does not reproduce
-Figure 1's *verdict*: the result is the well-founded model — the perfect
-model whenever Figure 1 accepts (Theorem 6.1), three-valued where it
-rejects, e.g. a game over a cyclic move relation — and
-:mod:`repro.core.modular` stays the oracle that owns the verdict.
+already-walked rule defines or reads (Example 6.5's re-settled head).  The
+result is the well-founded model — the perfect model whenever Figure 1
+accepts (Theorem 6.1), three-valued where it rejects, e.g. a game over a
+cyclic move relation.  Figure 1's *verdict* comes from the same walk
+(:func:`seminaive_modular`): an undefined atom refutes modular
+stratification, and relevance instances of each alternating stratum,
+enumerated over the walk's true atoms and locally stratified — one Tarjan
+pass over the ground atoms — prove it.  The ground procedure of
+:mod:`repro.core.modular` stays the oracle it is checked against, and
+decides what the walk cannot: a cycle among those instances, and
+name-open rules the walk specialises in another order than Figure 1
+reduces them.
 
 :func:`seminaive_evaluate` is the walk over strata compiled without
 ``allow_unstratified`` — a cycle through negation raises
@@ -149,6 +155,7 @@ from repro.engine.seminaive.relation import (
     literal_indicator,
     predicate_indicator,
 )
+from repro.hilog.depgraph import DependencyGraph
 from repro.hilog.errors import GroundingError
 from repro.hilog.program import Program, Rule
 from repro.hilog.subst import Substitution
@@ -210,6 +217,12 @@ class OpenRule(NamedTuple):
     #: the rule is specialised by.
     plan: JoinPlan
 
+    def instance(self, answer):
+        """The rule specialised by one answer of its binder plan."""
+        return self.rule.substitute(
+            Substitution(dict(zip(self.variables, answer.args)))
+        )
+
 
 class CompiledStrata:
     """What :func:`compile_strata` makes of a program's rules and
@@ -259,12 +272,8 @@ class CompiledStrata:
         tracer = current_tracer()
         if tracer is not None:
             started = _perf_counter()
-        instances = []
-        for index, answer in answers:
-            open_rule = self.open_rules[index]
-            instances.append(open_rule.rule.substitute(
-                Substitution(dict(zip(open_rule.variables, answer.args)))
-            ))
+        instances = [self.open_rules[index].instance(answer)
+                     for index, answer in answers]
         strata = _compile_closed(Program(instances), allow_unstratified=True)
         rounds.append((key, strata))
         if tracer is not None:
@@ -286,10 +295,14 @@ def name_binders(rule):
     head, a body literal or an aggregate condition; a rule with any is
     *name-open*.  Its **binder** is the positive, ground-named body
     literals that mention one (``game(M)``): a join over settled relations
-    whose answers say what the names range over.  A name variable the
-    binder leaves **unbound** keeps the rule from being specialised (the
-    linter's ``W504``)."""
-    names = [predicate_name(rule.head)]
+    whose answers say what the names range over.  A literal of the head's
+    own predicate name is not among them (``tc(G, Z, Y)`` in ``tc(G, X, Y)
+    :- graph(G), G(X, Z), tc(G, Z, Y).``): the head is not settled before
+    itself, so Figure 1 never binds a name through it.  A name variable
+    the binder leaves **unbound** keeps the rule from being specialised
+    (the linter's ``W504``)."""
+    head_name = predicate_name(rule.head)
+    names = [head_name]
     names.extend(
         predicate_name(literal.atom)
         for literal in rule.body if not literal.is_builtin()
@@ -301,6 +314,7 @@ def name_binders(rule):
     binders = tuple(
         literal for literal in rule.positive_literals()
         if predicate_name(literal.atom).is_ground()
+        and predicate_name(literal.atom) != head_name
         and literal.atom.variables() & variables
     )
     unbound = set(variables)
@@ -352,30 +366,37 @@ def compile_strata(program, allow_unstratified=False):
     once.  Raises
     :class:`~repro.engine.seminaive.engine.SeminaiveUnsupported` for
     programs outside the class."""
-    open_rules = []
     if allow_unstratified and (program.has_negation() or program.has_aggregates()):
-        for rule in program.proper_rules():
-            name_variables, binders, unbound = name_binders(rule)
-            if unbound:
-                raise SeminaiveUnsupported(
-                    "no positive ground-named literal of rule %r binds the "
-                    "predicate-name variable(s) %s; the rule cannot be "
-                    "specialised"
-                    % (rule, ", ".join(sorted(map(repr, unbound))))
-                )
-            if name_variables:
-                variables = tuple(sorted(name_variables, key=repr))
-                open_rules.append(OpenRule(
-                    rule, variables,
-                    compile_rule(Rule(App(_BINDER, variables), binders)),
-                ))
-        if open_rules:
-            set_aside = {open_rule.rule for open_rule in open_rules}
-            program = Program(
-                rule for rule in program.rules if rule not in set_aside
+        return _compile_specialised(program)
+    return CompiledStrata(_compile_closed(program, allow_unstratified))
+
+
+def _compile_specialised(program):
+    """:func:`compile_strata` with negation cycles admitted and every
+    name-open rule set aside, a definite program's too."""
+    open_rules = []
+    for rule in program.proper_rules():
+        name_variables, binders, unbound = name_binders(rule)
+        if unbound:
+            raise SeminaiveUnsupported(
+                "no positive ground-named literal of rule %r binds the "
+                "predicate-name variable(s) %s; the rule cannot be "
+                "specialised"
+                % (rule, ", ".join(sorted(map(repr, unbound))))
             )
+        if name_variables:
+            variables = tuple(sorted(name_variables, key=repr))
+            open_rules.append(OpenRule(
+                rule, variables,
+                compile_rule(Rule(App(_BINDER, variables), binders)),
+            ))
+    if open_rules:
+        set_aside = {open_rule.rule for open_rule in open_rules}
+        program = Program(
+            rule for rule in program.rules if rule not in set_aside
+        )
     compiled = CompiledStrata(
-        _compile_closed(program, allow_unstratified), tuple(open_rules)
+        _compile_closed(program, allow_unstratified=True), tuple(open_rules)
     )
     if open_rules:
         # An instance whose head indicator is known already — the name
@@ -836,3 +857,278 @@ def seminaive_well_founded_detailed(program, **kwargs):
         engine="seminaive",
         alternations=result.alternations,
     )
+
+
+# ---------------------------------------------------------------------------
+# Figure 1's verdict from the walk
+# ---------------------------------------------------------------------------
+
+def seminaive_modular(program, max_facts=1000000, max_term_depth=None):
+    """The walk's model of ``program`` and Figure 1's verdict on it, from
+    one walk: ``(result, reason)``, the :class:`SeminaiveResult` and
+    ``None`` when the program is modularly stratified for HiLog, else why
+    it is not.
+
+    Theorem 6.1 gives one half: an undefined atom refutes modular
+    stratification.  A total model proves nothing (``p :- not q.  q :- not
+    p.  p.`` is total and Figure 1 rejects it), because Figure 1's step 3
+    also asks that each component's reduction be locally stratified on its
+    relevance instantiation.  A stratum that never alternates is stratified
+    at the indicator level, so that holds for it; for each component of an
+    alternating stratum :func:`_record_instances` enumerates the
+    instantiation, and no strongly connected component of the recorded
+    ground graph may hold a negative edge.  The walk's components are the
+    rules' static ones, and Figure 1's, computed after each reduction, can
+    only be finer: a rule the settled model kills drops its edges.  So the
+    recorded graph holds every instance and edge Figure 1 would see, and an
+    acyclic one proves acceptance; a cycle may be one Figure 1 never meets,
+    and is left to it.
+
+    Every name-open rule is specialised by its binder, a definite
+    program's too, so the walk refuses what Figure 1 refuses for want of
+    a binder (a name variable no binder binds) and where it would
+    re-settle a head (Example 6.5).  Raises
+    :class:`~repro.engine.seminaive.engine.SeminaiveUnsupported` for those,
+    for such a cycle, for aggregation (Figure 1 folds an aggregate over its
+    own component's atoms, the walk over every stored one) and where the
+    walk's order or components are not Figure 1's: an instance Figure 1
+    would meet in another order (:func:`_refuse_out_of_order`), or a
+    predicate name with two arities beside an alternating stratum (Figure
+    1's components are names, the walk's indicators).  Raises
+    :class:`~repro.hilog.errors.GroundingError` when a cap trips.
+    """
+    if program.has_aggregates():
+        raise SeminaiveUnsupported(
+            "aggregation: Figure 1 folds over the aggregate's own component"
+        )
+    compiled = _compile_specialised(program)
+    limits = Limits(max_facts, max_term_depth)
+    result = evaluate_strata(compiled, _seed_facts(program, ()), limits)
+    _refuse_out_of_order(program, compiled)
+    if result.undefined:
+        sample = sorted(map(repr, result.undefined))[:3]
+        return result, (
+            "the well-founded model leaves %d atom(s) undefined (e.g. %s), "
+            "so the program has no total well-founded model and is not "
+            "modularly stratified (Theorem 6.1)"
+            % (len(result.undefined), ", ".join(sample))
+        )
+    alternating = [stratum for stratum, plans, _names in result.walk
+                   if plans is not None]
+    if not alternating:
+        return result, None
+    arities = {}
+    for name, arity in _indicators(result.walk):
+        if arities.setdefault(name, arity) != arity:
+            raise SeminaiveUnsupported(
+                "predicate name %r has two arities, which Figure 1 settles "
+                "as one component" % (name,)
+            )
+    graph = DependencyGraph()
+    for stratum in alternating:
+        _record_instances(stratum, result.store, graph, limits)
+    cycle = next(graph.negative_cycle_edges(), None)
+    if cycle is not None:
+        raise SeminaiveUnsupported(
+            "%r depends negatively on %r, which depends on it, in the walk's "
+            "component; Figure 1's reduction may still split the component "
+            "and break the cycle" % cycle
+        )
+    return result, None
+
+
+def _names(rule):
+    """The predicate names of ``rule``: its head's, then its body
+    literals'."""
+    return [predicate_name(rule.head)] + [
+        predicate_name(literal.atom) for literal in rule.body
+        if not literal.is_builtin()
+    ]
+
+
+def _refuse_out_of_order(program, compiled):
+    """Raise :class:`~repro.engine.seminaive.engine.SeminaiveUnsupported`
+    unless Figure 1 meets the instances of ``program``'s name-open rules in
+    the order :func:`evaluate_strata` walked them (``compiled.rounds``).
+
+    The walk specialises a name-open rule by its binder's answers over what
+    it has walked; Figure 1 reduces it once the binder's predicate is
+    settled, and settles names in the order of the name dependency graph of
+    what remains.  The two agree when
+
+    * each rule's binder reads one predicate name, its **binder name**, so
+      that all its instances appear in Figure 1 at once;
+    * an instance whose head name the rule leaves open gets a **fresh**
+      name, one no fact, closed rule, name-open rule or instance of an
+      earlier round mentions, and only instances of rules with its
+      rule's binder name mention it: otherwise Figure 1 may meet a mention
+      first, settle the name empty and refuse the instance's head as
+      already settled (Example 6.5);
+    * no binder name shares a strongly connected component of the name
+      dependency graph with the head of a rule it binds: Figure 1 would
+      reach that component with the rule's name variables unbound.
+    """
+    binder_name = {}
+    for open_rule in compiled.open_rules:
+        names = {predicate_name(literal.atom)
+                 for literal in name_binders(open_rule.rule)[1]}
+        if len(names) != 1:
+            raise SeminaiveUnsupported(
+                "rule %r binds its names through more than one predicate"
+                % (open_rule.rule,)
+            )
+        binder_name[open_rule.rule] = names.pop()
+    graph = DependencyGraph()
+    known = set()
+    binds = []
+    for rule in program.rules:
+        head, *body = names = _names(rule)
+        known.update(name for name in names if name.is_ground())
+        if head.is_ground():
+            for name in body:
+                if name.is_ground():
+                    graph.add_edge(head, name)
+            if rule in binder_name:
+                binds.append((head, binder_name[rule]))
+    fresh = {}
+    mentions = []
+    for key, _strata in compiled.rounds:
+        mentioned = set()
+        for index, answer in key:
+            open_rule = compiled.open_rules[index]
+            rule = open_rule.rule
+            head, *body = names = _names(open_rule.instance(answer))
+            binder = binder_name[rule]
+            if not predicate_name(rule.head).is_ground() and (
+                    head in known or fresh.setdefault(head, binder) != binder):
+                raise SeminaiveUnsupported(
+                    "an instance of rule %r defines %r, a name Figure 1 may "
+                    "settle before the instance exists (cf. Example 6.5)"
+                    % (rule, head)
+                )
+            mentioned.update(names)
+            mentions.append((body, binder))
+            for name in body:
+                graph.add_edge(head, name)
+            binds.append((head, binder))
+        known |= mentioned
+    for body, binder in mentions:
+        for name in body:
+            if fresh.get(name, binder) != binder:
+                raise SeminaiveUnsupported(
+                    "%r is read by an instance Figure 1 may reduce before "
+                    "the instances that define it exist" % (name,)
+                )
+    _components, component_of, _edges = graph.condensation()
+    for head, binder in binds:
+        if component_of[binder] == component_of[head]:
+            raise SeminaiveUnsupported(
+                "the binder name %r depends on the head %r it binds: Figure "
+                "1 reaches their component with a name variable unbound"
+                % (binder, head)
+            )
+
+
+def _components(stratum):
+    """Figure 1's components of ``stratum``: ``(own head indicators,
+    rules)`` per strongly connected component of its head indicators."""
+    for rules in stratify_program(Program(stratum.rules), by_component=True,
+                                  allow_unstratified=True).strata:
+        yield frozenset(literal_indicator(rule.head) for rule in rules), rules
+
+
+#: Head symbol of the instance records :func:`_record_instances` collects;
+#: they never enter a store.
+_INSTANCE = sym("$instance")
+
+
+def _instance_rule(rule, own):
+    """``rule``, whose head indicator is in ``own``, rewritten to report its
+    relevance instances: the head becomes ``$instance(head, $instance(own
+    positive atoms), $instance(own negated atoms), $instance(late lower
+    negated atoms))`` and the negated atoms it names leave the body, to be
+    read as holding.
+
+    Figure 1 relevance-grounds a component ignoring negation, after the
+    reduction (Definition 6.5) has matched the positive lower subgoals
+    against the settled model and evaluated the negated lower atoms they
+    make ground.  So a negated lower atom whose variables the positive
+    lower subgoals bind stays in the body, read against the true atoms; a
+    **late** one, ground only once a component subgoal binds it, is ignored
+    by the relevance closure and only drops the instance from the graph."""
+    bound = set()
+    for literal in rule.body:
+        if literal.positive and not literal.is_builtin() \
+                and literal_indicator(literal.atom) not in own:
+            bound |= literal.atom.variables()
+    body, positive, negative, late = [], [], [], []
+    for literal in rule.body:
+        if literal.is_builtin():
+            body.append(literal)
+        elif literal_indicator(literal.atom) in own:
+            if literal.positive:
+                body.append(literal)
+                positive.append(literal.atom)
+            else:
+                negative.append(literal.atom)
+        elif literal.positive or literal.atom.variables() <= bound:
+            body.append(literal)
+        else:
+            late.append(literal.atom)
+    return Rule(App(_INSTANCE, (
+        rule.head, App(_INSTANCE, positive), App(_INSTANCE, negative),
+        App(_INSTANCE, late),
+    )), tuple(body))
+
+
+def _record_instances(stratum, under, graph, limits):
+    """Figure 1's relevance instantiation of each component of ``stratum``
+    over the settled true atoms ``under``, recorded in the
+    :class:`~repro.hilog.depgraph.DependencyGraph` ``graph`` as ground
+    edges head → positive and head → negated component atom.
+
+    Per component it is a semi-naive least fixpoint of the
+    :func:`_instance_rule` s: positive subgoals read ``under`` plus the
+    component's own fresh layer, the negated lower atoms the reduction
+    evaluates read ``under``, and every other negated atom holds.  It cannot
+    ride on the first alternation's overestimate, which reads the
+    component's negation against ``under``: in ``p :- not q.  q :- not p.
+    p.`` that blocks ``q :- not p`` and with it the cycle Figure 1 rejects.
+    The instance rules of all the components compile together, so the
+    components of one shape — the instances of one name-open rule — share
+    one plan template."""
+    components = [(own, [_instance_rule(rule, own) for rule in rules])
+                  for own, rules in _components(stratum)]
+    plans = compile_stratum(
+        [rule for _own, rules in components for rule in rules],
+        {rule: own for own, rules in components for rule in rules},
+    )
+    for _own, rules in components:
+        rules = set(rules)
+        variants = [variant for variant in plans.variant_plans
+                    if variant[0] in rules]
+        view = StoreView((under, RelationStore()))
+        sources = PlanSources(view, negation=under)
+        records = [record for rule, plan in plans.base_plans if rule in rules
+                   for record in run_plan(plan, sources,
+                                          max_results=limits.max_facts)]
+        seen = {}
+        while records:
+            delta = FactBuckets()
+            for record in records:
+                if record not in seen:
+                    seen[record] = None
+                    head = record.args[0]
+                    if view.add(head):
+                        limits.check(head, view)
+                        delta.add(head)
+            records = list(anchored_heads(
+                variants, PlanSources(view, delta, negation=under), limits))
+        for record in seen:
+            head, positive, negated, late = record.args
+            if any(atom in under for atom in late.args):
+                continue
+            for atom in positive.args:
+                graph.add_edge(head, atom)
+            for atom in negated.args:
+                graph.add_edge(head, atom, negative=True)

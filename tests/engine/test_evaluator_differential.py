@@ -5,7 +5,8 @@ entry points must compute exactly the **model** they did at commit 99a4471
 name-open programs apart) — as ``fixtures/evaluator_differential.json``,
 which no change re-records, holds it; and do exactly the **work**
 (iterations, ``fetches``, ``candidates``) that
-``fixtures/evaluator_counters.json`` last recorded."""
+``fixtures/evaluator_counters.json`` last recorded.  Beside them, Figure
+1's verdict from the walk must be the ground oracle's on every program."""
 
 import functools
 import json
@@ -15,6 +16,7 @@ import pytest
 
 import evaluator_differential
 from evaluator_differential import counter_part, model_part
+from repro.core.modular import modularly_stratified_for_hilog
 from repro.engine.seminaive import seminaive_evaluate, seminaive_well_founded
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -77,3 +79,14 @@ def test_a_stratified_program_never_alternates(name):
     assert not well_founded.undefined
     assert (perfect.true, perfect.strata, perfect.iterations) == \
         (well_founded.true, well_founded.strata, well_founded.iterations)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_figure_1_strategies_agree(name):
+    """The walk's verdict is Figure 1's: the same ``is_modularly_stratified``
+    and, where it holds, the same true atoms as the ground oracle."""
+    ground = modularly_stratified_for_hilog(CORPUS[name])
+    fast = modularly_stratified_for_hilog(CORPUS[name], strategy="seminaive")
+    assert fast.is_modularly_stratified is ground.is_modularly_stratified
+    if ground.is_modularly_stratified:
+        assert fast.model.true == ground.model.true

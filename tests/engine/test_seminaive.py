@@ -228,41 +228,44 @@ class TestSeminaiveEngine:
 # strategy="seminaive" wiring
 # ---------------------------------------------------------------------------
 
+def _same_verdict(program):
+    """``(ground, seminaive)`` Figure-1 results on ``program``, required to
+    agree on the verdict and, where it holds, on the true atoms."""
+    ground = modularly_stratified_for_hilog(program)
+    fast = modularly_stratified_for_hilog(program, strategy="seminaive")
+    assert fast.is_modularly_stratified is ground.is_modularly_stratified
+    if ground.is_modularly_stratified:
+        assert fast.model.true == ground.model.true
+    return ground, fast
+
+
 class TestStrategyWiring:
     def test_perfect_model_strategies_agree_on_closure(self):
         program = transitive_closure_program(random_dag_edges(15, 30, seed=3))
-        ground = perfect_model_for_hilog(program)
-        fast = perfect_model_for_hilog(program, strategy="seminaive")
-        assert ground.true == fast.true
-        assert fast.is_total()
+        ground, fast = _same_verdict(program)
+        assert ground.is_modularly_stratified
+        assert fast.model.is_total()
 
     def test_strategies_agree_on_datahilog_closure(self):
         program = datahilog_closure_program({"g1": chain_edges(6), "g2": chain_edges(4, "m")})
-        ground = perfect_model_for_hilog(program)
-        fast = perfect_model_for_hilog(program, strategy="seminaive")
-        assert ground.true == fast.true
+        ground, _fast = _same_verdict(program)
+        assert ground.is_modularly_stratified
 
-    def test_strategies_agree_on_hilog_game_fallback(self):
-        # Negation inside the winning component: the fast path must fall
-        # back to the grounding oracle per component and still agree.
+    def test_strategies_agree_on_hilog_game(self):
+        # Negation inside the winning component: the walk alternates, and
+        # the local-stratification check gives Figure 1's verdict.
         program = hilog_game_program({"m": random_dag_edges(12, 24, seed=5)})
-        ground = modularly_stratified_for_hilog(program)
-        fast = modularly_stratified_for_hilog(program, strategy="seminaive")
-        assert ground.is_modularly_stratified and fast.is_modularly_stratified
-        assert ground.model.true == fast.model.true
+        ground, _fast = _same_verdict(program)
+        assert ground.is_modularly_stratified
 
     def test_strategies_agree_on_parts_explosion(self):
-        program = bicycle_parts_program()
-        ground = perfect_model_for_hilog(program)
-        fast = perfect_model_for_hilog(program, strategy="seminaive")
-        assert ground.true == fast.true
+        ground, _fast = _same_verdict(bicycle_parts_program())
+        assert ground.is_modularly_stratified
 
     def test_strategies_agree_on_negative_verdict(self):
         program = datahilog_game_program({"m": [("a", "b"), ("b", "a")]})
-        ground = modularly_stratified_for_hilog(program)
-        fast = modularly_stratified_for_hilog(program, strategy="seminaive")
+        ground, _fast = _same_verdict(program)
         assert not ground.is_modularly_stratified
-        assert not fast.is_modularly_stratified
 
     def test_unknown_strategy_rejected(self):
         program = transitive_closure_program(chain_edges(3))
@@ -295,15 +298,14 @@ class TestStrategyWiring:
 
     def test_aggregate_over_settled_component_agrees(self):
         # The oracle's aggregate components fold only over their own atoms,
-        # so the whole-program fast path must decline aggregate programs
-        # rather than fold over the full store.
+        # so the seminaive strategy must leave aggregate programs to Figure
+        # 1's own loop rather than fold over the full store.
         program = parse_program("""
             e(v, 1). e(w, 2). q(c).
             total(N) :- q(X), N = sum(P : e(Y, P)).
         """)
-        ground = perfect_model_for_hilog(program)
-        fast = perfect_model_for_hilog(program, strategy="seminaive")
-        assert ground.true == fast.true
+        ground, _fast = _same_verdict(program)
+        assert ground.is_modularly_stratified
 
     def test_magic_seminaive_declines_reserved_predicate_names(self):
         # A user predicate named `magic` (or `sup_*`) collides with the

@@ -17,6 +17,7 @@ from repro.engine.seminaive import (
     SeminaiveUnsupported,
     run_plan,
     seminaive_evaluate,
+    seminaive_modular,
     seminaive_well_founded,
     seminaive_well_founded_detailed,
     stratify_program,
@@ -28,6 +29,7 @@ from repro.hilog.errors import GroundingError
 from repro.hilog.parser import parse_program, parse_term
 from repro.hilog.program import Program
 from repro.obs.trace import EvaluationTracer, tracing
+from repro.workloads.closure import datahilog_closure_program, hilog_closure_program
 from repro.workloads.games import (
     composed_move_game_program,
     cycle_game_program,
@@ -439,3 +441,47 @@ class TestWellFoundedForHilog:
         )
         assert fast.true == oracle.true
         assert fast.base == oracle.base
+
+
+class TestModularVerdict:
+    """``seminaive_modular``: the walk's model with Figure 1's verdict."""
+
+    def test_total_and_locally_stratified_is_accepted(self):
+        program = hilog_game_program({"m": [("a", "b"), ("b", "c")]})
+        result, reason = seminaive_modular(program)
+        assert reason is None
+        assert result.is_total()
+        assert parse_term("winning(m)(b)") in result.true
+
+    def test_partial_model_is_refuted_by_theorem_6_1(self):
+        result, reason = seminaive_modular(cycle_game_program(3)[0])
+        assert result.undefined
+        assert "Theorem 6.1" in reason
+
+    @pytest.mark.parametrize("text", [
+        # Figure 1 folds over the aggregate's own component.
+        "e(v, 1). q(c). total(N) :- q(X), N = sum(P : e(Y, P)).",
+        # p/1 and p/2 are one component to Figure 1.
+        "p(a, a). p(b) :- not p(a, a). p(d) :- p(b), not p(d).",
+        # Figure 1 settles p with its fact before the instance p(b) exists.
+        "p(a). X(b) :- q(X). q(p).",
+        # The binder b depends on the head h it binds.
+        "h(X) :- b(G), G(X). b(X) :- c(G), G(X), h(X). c(k). k(a).",
+        # Two binder names: Figure 1 meets h(k) at two different times.
+        "h(G)(X) :- p(G), G(X). h(G)(X) :- c(G), G(X). p(X) :- c(X). c(k). "
+        "k(a).",
+    ])
+    def test_where_the_order_or_components_differ_the_walk_declines(self, text):
+        with pytest.raises(SeminaiveUnsupported):
+            seminaive_modular(parse_program(text))
+
+    @pytest.mark.parametrize("build", [
+        datahilog_closure_program, hilog_closure_program,
+    ])
+    def test_a_definite_program_is_specialised_by_its_binder(self, build):
+        # No negation, so no instance is checked for local stratification;
+        # the open names are specialised by graph(G) as beside negation.
+        program = build({"g": [("a", "b"), ("b", "c")]})
+        result, reason = seminaive_modular(program)
+        assert reason is None and result.is_total()
+        assert len(result.walk) == 1 and result.alternations == 0

@@ -255,7 +255,8 @@ def test_example_6_5_is_refused_by_both():
 def test_wellfounded_engines_agree_on_name_open_programs(
         negation, seed, name_open, isolate_example):
     """Random programs x binder-guarded name variables x the same oracles
-    — and Figure 1, wherever it accepts, names the same (total) model."""
+    — and Figure 1, wherever it accepts, names the same (total) model, with
+    the same verdict from the walk (``strategy="seminaive"``)."""
     with isolate_example():
         if negation == "cycle":
             program = random_nonstratified_program(
@@ -272,6 +273,10 @@ def test_wellfounded_engines_agree_on_name_open_programs(
         verdict = modularly_stratified_for_hilog(program)
         if verdict.is_modularly_stratified:
             assert result.is_total() and result.true == verdict.model.true
+        fast = modularly_stratified_for_hilog(program, strategy="seminaive")
+        assert fast.is_modularly_stratified is verdict.is_modularly_stratified
+        if fast.is_modularly_stratified:
+            assert fast.model.true == verdict.model.true
 
 
 def test_name_open_sampler_specialises_and_produces_partial_models():
