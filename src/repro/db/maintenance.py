@@ -59,7 +59,6 @@ from repro.engine.seminaive.relation import (
     FactBuckets,
     FactSource,
     StoreView,
-    predicate_indicator,
 )
 from repro.engine.seminaive.wellfounded import cone_step
 from repro.hilog.errors import GroundingError
@@ -161,19 +160,24 @@ def recompute_stratum(plans, store, delta, edb, limits):
             "cannot locally recompute a stratum with non-ground head "
             "predicate names"
         )
-    old_facts = set()
-    for name, arity in plans.head_indicators:
-        old_facts.update(store.facts(name, arity))
+    # Insertion-ordered dicts, not sets, and the indicators in rule order:
+    # the order reaches the delta.
+    indicators = dict.fromkeys(rule.head.indicator for rule in plans.stratum.rules)
+    old_facts = {}
+    for name, arity in indicators:
+        old_facts.update(dict.fromkeys(store.facts(name, arity)))
     for atom in old_facts:
         store.remove(atom)
     for atom in edb:
-        if predicate_indicator(atom) in plans.head_indicators:
+        if atom.indicator in plans.head_indicators:
             store.add(atom)
     evaluate_stratum(plans.stratum, store, limits)
-    new_facts = set()
-    for name, arity in plans.head_indicators:
-        new_facts.update(store.facts(name, arity))
-    for atom in old_facts - new_facts:
-        delta.record_remove(atom)
-    for atom in new_facts - old_facts:
-        delta.record_add(atom)
+    new_facts = {}
+    for name, arity in indicators:
+        new_facts.update(dict.fromkeys(store.facts(name, arity)))
+    for atom in old_facts:
+        if atom not in new_facts:
+            delta.record_remove(atom)
+    for atom in new_facts:
+        if atom not in old_facts:
+            delta.record_add(atom)

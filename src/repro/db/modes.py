@@ -186,6 +186,9 @@ def choose_mode(rules: Program, limits: Limits, strategy: str) -> Tuple[
             with_facts(rules, edb), strategy="ground",
             max_atoms=limits.max_facts,
         )
-        return Materialized(RelationStore(model.true), frozenset())
+        # In ``repr`` order: the model is a set, whose order changes from
+        # one process to the next (terms hash by identity).
+        return Materialized(RelationStore(sorted(model.true, key=repr)),
+                            frozenset())
 
     return RECOMPUTE_MODE, None, figure1, figure1

@@ -74,7 +74,7 @@ from repro.engine.seminaive.engine import (
 )
 from repro.obs.metrics import COUNT_BUCKETS, get_registry
 from repro.obs.trace import current_tracer, untraced
-from repro.engine.seminaive.relation import RelationStore, predicate_indicator
+from repro.engine.seminaive.relation import RelationStore
 from repro.hilog.errors import GroundingError, HiLogError
 from repro.hilog.parser import parse_program, parse_term
 from repro.hilog.program import Program, Rule
@@ -350,14 +350,17 @@ class DatabaseSession(ModelReads):
                     stacklevel=2,
                 )
         self._rules = Program(tuple(program.proper_rules()))
-        self._edb = set()
+        # The assertions, insertion-ordered: terms hash by identity, so a
+        # set would hand a stratum's recomputation and a checkpoint its
+        # atoms in an order that changes from one process to the next.
+        self._edb = {}
         for rule in program.facts():
             # Every evaluation path of the repository requires ground facts
             # (cf. seminaive_evaluate and the Figure-1 grounding); reject
             # them up front with a clear error rather than at first update.
             if not rule.head.is_ground():
                 raise GroundingError("fact %r is not ground" % (rule.head,))
-            self._edb.add(rule.head)
+            self._edb[rule.head] = None
         self._limits = Limits(max_facts, max_term_depth)
         self._mode, plans, self._evaluate, self._reference = \
             choose_mode(self._rules, self._limits, strategy)
@@ -380,7 +383,7 @@ class DatabaseSession(ModelReads):
         if _recover is not None:
             # Recovered EDB replaces the program file's seed facts — the
             # snapshot captured the post-churn extensional database.
-            self._edb = set(_recover.edb)
+            self._edb = dict.fromkeys(sorted(_recover.edb, key=repr))
         if _recover is not None and _recover.store is not None \
                 and _recover.mode == self._mode:
             # Snapshot restore: the store and undefined partition drop in
@@ -764,7 +767,7 @@ class DatabaseSession(ModelReads):
         predicate — ``None`` for purely extensional predicates."""
         groups = {}
         for atom in atoms:
-            owner = self._owner.get(predicate_indicator(atom), self._unknown_stratum)
+            owner = self._owner.get(atom.indicator, self._unknown_stratum)
             groups.setdefault(owner, []).append(atom)
         return groups
 
@@ -842,8 +845,9 @@ class DatabaseSession(ModelReads):
             )
         ins = [atom for atom in dict.fromkeys(inserts) if atom not in self._edb]
         rem = [atom for atom in dict.fromkeys(retracts) if atom in self._edb]
-        self._edb.update(ins)
-        self._edb.difference_update(rem)
+        self._edb.update(dict.fromkeys(ins))
+        for atom in rem:
+            del self._edb[atom]
         self._stats["updates"] += 1
         counter = _MODE_LABELS[self._mode][0]
         if counter is not None:
@@ -852,7 +856,7 @@ class DatabaseSession(ModelReads):
 
         rewalk = self._rewalk
         if self._plans is None or (rewalk and any(
-                predicate_indicator(atom) in rewalk for atom in chain(ins, rem))):
+                atom.indicator in rewalk for atom in chain(ins, rem))):
             return self._recompute(ins, rem)
 
         delta, undefined_delta = Delta(), Delta()
@@ -977,13 +981,14 @@ class DatabaseSession(ModelReads):
             self._stats[counter] += 1
         try:
             if dirty:
-                before = self._evaluate(self._edb.difference(ins).union(rem))
+                before = self._evaluate(set(self._edb).difference(ins).union(rem))
                 self._store.adopt(before.store)
                 self._install(before.undefined, before.plans, before.rewalk)
             model = self._evaluate(self._edb)
         except HiLogError:
-            self._edb.difference_update(ins)
-            self._edb.update(rem)
+            for atom in ins:
+                del self._edb[atom]
+            self._edb.update(dict.fromkeys(rem))
             raise
         added, removed = self._store.adopt(model.store)
         old = self._undefined

@@ -46,7 +46,7 @@ from time import perf_counter as _perf_counter
 from zlib import crc32
 
 from repro.durable.faults import fire
-from repro.engine.seminaive.relation import RelationStore, predicate_indicator
+from repro.engine.seminaive.relation import RelationStore
 from repro.hilog.errors import CorruptSnapshot
 from repro.hilog.terms import App, Num, Sym
 from repro.obs.metrics import get_registry
@@ -155,13 +155,13 @@ def _term_id(term, index, pool):
 def _relation_groups(store):
     """``indicator -> [atoms]`` for any store shape: the fast path reads a
     :class:`RelationStore`'s own relations; epoch views (and any other
-    iterable store) group through :func:`predicate_indicator`."""
+    iterable store) group through ``atom.indicator``."""
     if isinstance(store, RelationStore):
         return {relation.indicator: list(relation.facts)
                 for relation in store.relations()}
     groups = {}
     for atom in store:
-        groups.setdefault(predicate_indicator(atom), []).append(atom)
+        groups.setdefault(atom.indicator, []).append(atom)
     return groups
 
 
@@ -182,7 +182,11 @@ def encode_snapshot(*, rules_text, mode, txn, edb, store, undefined):
         "pool": pool,
         "rels": rels,
         "edb": [_term_id(atom, index, pool) for atom in edb],
-        "undef": [_term_id(atom, index, pool) for atom in undefined],
+        # A published epoch holds its undefined atoms as a frozenset, whose
+        # order changes from one process to the next (terms hash by
+        # identity): sorted, they encode to the same bytes.
+        "undef": [_term_id(atom, index, pool)
+                  for atom in sorted(undefined, key=repr)],
     }
     return body
 

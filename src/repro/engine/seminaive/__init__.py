@@ -46,7 +46,6 @@ from repro.engine.seminaive.plan import (
 from repro.engine.seminaive.relation import (
     Relation,
     RelationStore,
-    predicate_indicator,
 )
 from repro.engine.seminaive.wellfounded import (
     SeminaiveResult,
@@ -84,5 +83,4 @@ __all__ = [
     "compile_rule",
     "Relation",
     "RelationStore",
-    "predicate_indicator",
 ]

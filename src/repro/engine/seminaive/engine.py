@@ -55,7 +55,8 @@ returns a truthy value.  The entry points here are thin callers that differ
 only in the sink.  Forwards, :func:`run_plan` collects the heads of a base
 or delta plan under its distinct-head and total-derivation caps.  Backwards,
 from a fact through a ``from_head`` plan, :func:`plan_satisfiable` stops at
-the first instance of the rule deriving the fact and
+the first instance of the rule deriving the fact — :func:`rederive` asks
+the same of every candidate, calling the function itself — and
 :func:`plan_instances` hands each instance to its caller.  Plans whose
 function reports the body's bindings instead of a head finish each solution
 through :func:`_tail_solutions`.  Sources stay pluggable: the function
@@ -99,7 +100,6 @@ from repro.engine.seminaive.relation import (
     FactBuckets,
     FactSource,
     literal_indicator,
-    predicate_indicator,
 )
 from repro.hilog.depgraph import DependencyGraph
 from repro.hilog.errors import GroundingError, HiLogError
@@ -197,7 +197,7 @@ def _graph_stratification(program, proper, by_component, allow_unstratified=Fals
         body_indicators[rule] = indicators
     for rule in program.rules:
         if rule.is_fact() and rule.head.is_ground():
-            graph.add_node(predicate_indicator(rule.head))
+            graph.add_node(rule.head.indicator)
 
     components, component_of, _edges = graph.condensation()
     unstratified_components = set()
@@ -333,14 +333,17 @@ class PlanSources:
 class _StatsCounters:
     """The plain mutable cell behind :class:`ExecutionStats` — one per
     execution context, handed to the generated plan functions so an
-    increment is a slot write, not a property call."""
+    increment is a slot write, not a property call.  ``room`` is no
+    counter: it is how many more heads the running forward plan may hand
+    over before it stops (negative: no limit; see :func:`run_plan`)."""
 
-    __slots__ = ("fetches", "candidates", "alternations")
+    __slots__ = ("fetches", "candidates", "alternations", "room")
 
     def __init__(self):
         self.fetches = 0
         self.candidates = 0
         self.alternations = 0
+        self.room = -1
 
 
 #: The context-local counter cell.  ``contextvars`` gives every thread (and
@@ -476,11 +479,27 @@ def run_plan(plan, sources, max_results=None):
     fail fast inside the collector instead of materializing an unbounded
     result first.  A separate :data:`MAX_PLAN_RESULTS` ceiling on total
     collected derivations bounds memory against pure duplicate floods.
+
+    A plan whose function hands over finished ground heads — nearly every
+    plan — has them appended straight to the list, no call per head in
+    between: its function stops once it has handed over one head more
+    than ``max_results`` (``stats.room``).  Only such a run, which may
+    hold duplicates below the cap, is run again head by head.
     """
     rprog = plan.registers
     rule = plan.rule
     if max_results is None:
         max_results = MAX_PLAN_RESULTS
+    stats = EXECUTION_STATS.counters()
+    if rprog.fast and rprog.head_ground:
+        out = []
+        stats.room = min(max_results, MAX_PLAN_RESULTS) + 1
+        try:
+            stopped = rprog.run(sources, out.append, stats)
+        finally:
+            stats.room = -1
+        if not stopped:
+            return out
     out = []
     seen = set()
     append = out.append
@@ -517,12 +536,37 @@ def run_plan(plan, sources, max_results=None):
         sink = emit
     else:
         sink = emit_checked
-    rprog.run(sources, sink, EXECUTION_STATS.counters())
+    rprog.run(sources, sink, stats)
     return out
 
 
 def _first_solution(_solution):
     return True
+
+
+def _instances(plan):
+    """The function of ``plan`` — a ``from_head`` plan — with each body
+    solution finished by its tail: ``run(sources, atom, sink, stats)``
+    hands ``sink`` the :class:`Substitution` of each instance."""
+    run = plan.registers.run
+
+    def instances(sources, atom, sink, stats):
+        def each(bindings):
+            return any(map(
+                sink, _tail_solutions(plan, sources, bindings, aggregates=False)
+            ))
+
+        return run(sources, atom, each, stats)
+
+    return instances
+
+
+def _probe(plan):
+    """What asks whether a ``from_head`` plan derives an atom:
+    ``probe(sources, atom, sink, stats)``.  Without a tail to run it is the
+    generated function itself — the first body solution is the answer, and
+    a probe costs no substitution and no call in between."""
+    return _instances(plan) if plan.deferred_builtins else plan.registers.run
 
 
 def plan_instances(plan, sources, atom, sink):
@@ -531,26 +575,14 @@ def plan_instances(plan, sources, atom, sink):
     :class:`Substitution` of the rule's variables (builtins solved,
     aggregates ignored), until a call returns a truthy value.  Returns
     whether one did."""
-    def each(bindings):
-        return any(map(
-            sink, _tail_solutions(plan, sources, bindings, aggregates=False)
-        ))
-
-    return plan.registers.run(sources, atom, each, EXECUTION_STATS.counters())
+    return _instances(plan)(sources, atom, sink, EXECUTION_STATS.counters())
 
 
 def plan_satisfiable(plan, sources, atom):
     """``True`` when some instance of the rule of ``plan`` — a ``from_head``
     plan — derives the ground ``atom`` from ``sources`` (builtins included,
-    aggregates ignored).  Delete-rederive maintenance asks this of every
-    over-deleted fact."""
-    if plan.deferred_builtins:
-        return plan_instances(plan, sources, atom, _first_solution)
-    # No tail to run: the first body solution is the answer, and the
-    # rederivation loop is spared a substitution per probe.
-    return plan.registers.run(
-        sources, atom, _first_solution, EXECUTION_STATS.counters()
-    )
+    aggregates ignored)."""
+    return _probe(plan)(sources, atom, _first_solution, EXECUTION_STATS.counters())
 
 
 class Limits:
@@ -715,7 +747,7 @@ def evaluate_stratum(stratum, store, limits=Limits(), seed_delta=None,
         iterations += 1
         if tracer is not None:
             tracer.emit("iteration", iteration=iterations, delta=len(delta))
-        delta_store = FactBuckets(delta)
+        delta_store = _round_store(delta, stratum.head_indicators)
         delta = []
         sources = PlanSources(store, delta_store, negation=negation_store)
         for head in anchored_heads(stratum.variant_plans, sources, limits):
@@ -805,14 +837,28 @@ def anchored_heads(variants, sources, limits):
             yield from run_plan(plan, sources, max_results=limits.max_facts)
 
 
-def _propagate(variants, worklist, sources, admit, limits):
-    """Run ``variants`` anchored on ``worklist`` against ``sources``, then on
-    the heads ``admit`` took from that round, until it takes none.  Returns
-    the rounds run."""
+def _round_store(facts, heads):
+    """The fact set a delta round anchors on: ``facts``, atoms of a stratum
+    whose head indicators are ``heads`` (``None``: open).  The one bucket
+    of a stratum of one indicator is built whole, reading no fact's
+    indicator."""
+    if heads is not None and len(heads) == 1:
+        (indicator,) = heads
+        return FactBuckets.of(indicator, facts)
+    return FactBuckets(facts)
+
+
+def _propagate(stratum, variants, worklist, sources, admit, limits):
+    """Run ``variants`` — of ``stratum``, whose atoms ``worklist`` holds —
+    anchored on ``worklist`` against ``sources``, then on the heads
+    ``admit`` took from that round, until it takes none.  Returns the
+    rounds run."""
+    heads = stratum.head_indicators
     rounds = 0
     while worklist and variants:
         rounds += 1
-        anchor = PlanSources(sources.store, FactBuckets(worklist), sources.negation)
+        anchor = PlanSources(sources.store, _round_store(worklist, heads),
+                             sources.negation)
         worklist = [head for head in anchored_heads(variants, anchor, limits)
                     if admit(head)]
     return rounds
@@ -849,7 +895,7 @@ def delete_rederive(plans, target, seeds, old, new, keep, limits):
         return False
 
     rounds = _propagate(
-        plans.stratum.variant_plans,
+        plans.stratum, plans.stratum.variant_plans,
         [head for head in seeds if overdelete(head)], old, overdelete, limits,
     )
     for atom in overdeleted:
@@ -876,14 +922,21 @@ def rederive(plans, target, candidates, new, keep, limits):
             return True
         return False
 
+    probes = [_probe(plan) for plan in plans.from_head]
+    stats = EXECUTION_STATS.counters()
     restored = []
     for atom in candidates:
-        if atom in keep or any(
-                plan_satisfiable(plan, new, atom) for plan in plans.from_head):
-            target.add(atom)
-            limits.check(atom, target)
-            restored.append(atom)
-    return _propagate(plans.stratum.variant_plans, restored, new, restore, limits)
+        if atom not in keep:
+            for probe in probes:
+                if probe(new, atom, _first_solution, stats):
+                    break
+            else:
+                continue
+        target.add(atom)
+        limits.check(atom, target)
+        restored.append(atom)
+    return _propagate(plans.stratum, plans.stratum.variant_plans, restored,
+                      new, restore, limits)
 
 
 def insert_anchored(stratum, store, heads, limits, negation_store=None):

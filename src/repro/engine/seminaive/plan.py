@@ -379,7 +379,11 @@ def compile_rule(rule, delta_index=None, from_head=False):
 # returns a truthy value.  The solution is the rule head, built inline, or
 # — for plans with aggregates or deferred builtins, whose tail needs a
 # substitution, and for ``from_head`` plans, whose caller has the head and
-# asks for the instance — the ``{Var: Term}`` bindings of the body.
+# asks for the instance — the ``{Var: Term}`` bindings of the body.  A
+# function that hands over heads also spends one unit of ``stats.room`` per
+# head and stops when it runs out (a negative room never does), so a caller
+# collecting them into a list with its C-level ``append`` still stops at a
+# cap (:func:`repro.engine.seminaive.engine.run_plan`).
 #
 # What is decided per candidate in an interpreter is decided once here:
 # whether a predicate name is ground at runtime, which arguments form the
@@ -407,7 +411,8 @@ class RegisterProgram(NamedTuple):
     #: The generated source of ``run``, for debugging (``print`` it).
     source: str
     #: True when ``run`` hands the sink finished heads: a forward plan with
-    #: no aggregates and no deferred builtins.  Otherwise it hands it the
+    #: no aggregates and no deferred builtins.  Such a ``run`` also stops
+    #: once ``stats.room`` runs out.  Otherwise it hands the sink the
     #: body's ``{Var: Term}`` bindings.
     fast: bool
     #: Whether every head variable is bound by the body (a head that is not
@@ -680,9 +685,13 @@ class _Codegen:
                 self.prologue, entry = [], []
             else:
                 name = None
-                self.line("if sink(%s): return True" % (
-                    self.expr(self.rule.head) if fast else self.bindings(self.bound)
-                ))
+                if fast:
+                    self.line("stats.room -= 1")
+                    self.line("if sink(%s) or not stats.room: return True"
+                              % self.expr(self.rule.head))
+                else:
+                    self.line("if sink(%s): return True"
+                              % self.bindings(self.bound))
             functions.append("\n".join(header + self.lines + ["    return False"]))
         return "\n\n".join(functions) + "\n"
 

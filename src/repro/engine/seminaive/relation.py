@@ -7,6 +7,9 @@ the HiLog analogue of ``p/n``.  Predicate names may be complex terms
 (``winning(m)``), so the name component is an arbitrary ground term; atoms
 that are not applications (propositional symbols) use arity ``-1`` so that
 ``p`` and the zero-ary application ``p()`` stay distinct (footnote 1).
+Every term carries its indicator (``atom.indicator``, one tuple shared by
+the interned applications of a name and arity), so partitioning a fact is
+a slot read.
 
 Every consumer — the generated plan functions, delete-rederive
 maintenance, the alternating fixpoint, and :func:`matching_facts`, the read
@@ -66,24 +69,13 @@ from repro.hilog.terms import App, Term, Var, outermost_symbol, predicate_name
 from repro.hilog.unify import match
 
 
-def predicate_indicator(atom):
-    """The ``(name, arity)`` indicator of a ground atom.
-
-    Non-application atoms (bare symbols used as propositions) get arity
-    ``-1`` so they never collide with zero-ary applications.
-    """
-    if isinstance(atom, App):
-        return (atom.name, len(atom.args))
-    return (atom, -1)
-
-
 def literal_indicator(atom):
-    """The :func:`predicate_indicator` of a rule atom, or ``None`` when its
-    predicate name is not ground (a higher-order position: the indicator is
-    known only once the name is bound)."""
+    """The indicator of a rule atom, or ``None`` when its predicate name is
+    not ground (a higher-order position: the indicator is known only once
+    the name is bound)."""
     if not predicate_name(atom).is_ground():
         return None
-    return predicate_indicator(atom)
+    return atom.indicator
 
 
 class FactSource(Protocol):
@@ -115,7 +107,7 @@ def candidates(store: FactSource, pattern, subst,
         resolved = subst.apply(pattern) if isinstance(pattern, Var) else pattern
         if isinstance(resolved, Var):
             return store.all_facts()
-        name, arity = predicate_indicator(resolved)
+        name, arity = resolved.indicator
         return store.fetch(name, arity, (), None)
     name = subst.apply(pattern.name)
     arity = len(pattern.args)
@@ -199,34 +191,11 @@ class Relation:
         # positions tuple -> {argument-value tuple: {atom: None}}
         self._indexes = {}
 
-    # Single-position indexes are keyed by the bare argument term (whose
-    # hash is cached by interning); multi-position indexes by the argument
-    # tuple.  Callers pass keys in the same shape (the join compiler and
-    # :func:`candidates` both do).
-
-    def add(self, atom):
-        """Insert a fact (assumed new — membership lives in the store)."""
-        self.facts[atom] = None
-        for positions, table in self._indexes.items():
-            if len(positions) == 1:
-                key = atom.args[positions[0]]
-            else:
-                key = tuple(atom.args[i] for i in positions)
-            table.setdefault(key, {})[atom] = None
-
-    def remove(self, atom):
-        """Delete a fact (assumed present), maintaining every index."""
-        del self.facts[atom]
-        for positions, table in self._indexes.items():
-            if len(positions) == 1:
-                key = atom.args[positions[0]]
-            else:
-                key = tuple(atom.args[i] for i in positions)
-            bucket = table.get(key)
-            if bucket is not None:
-                bucket.pop(atom, None)
-                if not bucket:
-                    del table[key]
+    # Single-position indexes are keyed by the bare argument term (an
+    # interned term hashes by identity); multi-position indexes by the
+    # argument tuple.  Callers pass keys in the same shape (the join
+    # compiler and :func:`candidates` both do).  :class:`RelationStore`
+    # writes ``facts`` and the indexes itself, one method call per fact.
 
     def lookup(self, positions, key):
         """Facts whose arguments at ``positions`` equal ``key`` (a bare term
@@ -358,20 +327,32 @@ class RelationStore:
 
     def add(self, atom):
         """Insert a ground atom; return ``True`` when it was new (inserting
-        a present atom is a no-op)."""
-        if atom in self._members:
+        a present atom is a no-op).  Every materialized index of its
+        relation is kept current."""
+        members = self._members
+        if atom in members:
             return False
         if self._frozen:
             raise FrozenStoreError("cannot add %r to a frozen store" % (atom,))
-        if not atom.is_ground():
+        if not atom._ground:
             raise GroundingError("cannot store non-ground atom %r" % (atom,))
-        self._members[atom] = None
-        indicator = predicate_indicator(atom)
+        members[atom] = None
+        indicator = atom.indicator
         relation = self._relations.get(indicator)
         if relation is None:
             relation = self._relations[indicator] = Relation(indicator)
             self._by_arity.setdefault(indicator[1], {})[indicator] = relation
-        relation.add(atom)
+        relation.facts[atom] = None
+        for positions, table in relation._indexes.items():
+            if len(positions) == 1:
+                key = atom.args[positions[0]]
+            else:
+                key = tuple(atom.args[i] for i in positions)
+            bucket = table.get(key)
+            if bucket is None:
+                table[key] = {atom: None}
+            else:
+                bucket[atom] = None
         return True
 
     def remove(self, atom):
@@ -379,14 +360,24 @@ class RelationStore:
         materialized index is kept current, and a relation whose last fact
         goes is dropped: predicate names are data in HiLog (``winning(m)``),
         so name churn must not pile up relations."""
-        if atom not in self._members:
+        members = self._members
+        if atom not in members:
             return False
         if self._frozen:
             raise FrozenStoreError("cannot remove %r from a frozen store" % (atom,))
-        del self._members[atom]
-        indicator = predicate_indicator(atom)
+        del members[atom]
+        indicator = atom.indicator
         relation = self._relations[indicator]
-        relation.remove(atom)
+        del relation.facts[atom]
+        for positions, table in relation._indexes.items():
+            if len(positions) == 1:
+                key = atom.args[positions[0]]
+            else:
+                key = tuple(atom.args[i] for i in positions)
+            bucket = table[key]
+            del bucket[atom]
+            if not bucket:
+                del table[key]
         if not relation.facts:
             del self._relations[indicator]
             same_arity = self._by_arity[indicator[1]]
@@ -420,8 +411,8 @@ class RelationStore:
     # The generated plan functions (repro.engine.seminaive.plan) resolve
     # their own indicators and index keys from registers, so these entry
     # points skip the Substitution machinery entirely.  Because terms are
-    # hash-consed, indicator and index keys compare by identity — every
-    # probe is one hash lookup over interned pointers.
+    # hash-consed and hash by identity, every probe is one hash lookup over
+    # interned pointers.
 
     def fetch(self, name: Term, arity: int, positions: Tuple[int, ...],
               key: object) -> Sequence[Term]:
@@ -471,11 +462,26 @@ class FactBuckets:
     __slots__ = ("_buckets", "_count", "_frozen")
 
     def __init__(self, facts=()):
-        self._buckets = {}
-        self._count = 0
+        buckets = self._buckets = {}
         self._frozen = False
         for atom in facts:
-            self.add(atom)
+            bucket = buckets.get(atom.indicator)
+            if bucket is None:
+                buckets[atom.indicator] = {atom: None}
+            else:
+                bucket[atom] = None
+        self._count = sum(map(len, buckets.values()))
+
+    @classmethod
+    def of(cls, indicator, facts):
+        """The set of ``facts``, all of them of ``indicator`` (the caller
+        vouches): one bucket, built without reading a fact's indicator."""
+        self = cls()
+        bucket = dict.fromkeys(facts)
+        if bucket:
+            self._buckets[indicator] = bucket
+            self._count = len(bucket)
+        return self
 
     def __len__(self):
         return self._count
@@ -485,7 +491,7 @@ class FactBuckets:
             yield from bucket
 
     def __contains__(self, atom: Term) -> bool:
-        bucket = self._buckets.get(predicate_indicator(atom))
+        bucket = self._buckets.get(atom.indicator)
         return bucket is not None and atom in bucket
 
     def freeze(self):
@@ -507,7 +513,7 @@ class FactBuckets:
 
     def add(self, atom):
         """Insert an atom; ``True`` when it was new."""
-        indicator = predicate_indicator(atom)
+        indicator = atom.indicator
         bucket = self._buckets.get(indicator)
         if bucket is not None and atom in bucket:
             return False
@@ -522,10 +528,16 @@ class FactBuckets:
 
     def remove(self, atom):
         """Delete an atom; ``True`` when it was present."""
-        indicator = predicate_indicator(atom)
+        indicator = atom.indicator
         bucket = self._buckets.get(indicator)
         if bucket is None or atom not in bucket:
             return False
+        self._discard(indicator, bucket, atom)
+        return True
+
+    def _discard(self, indicator, bucket, atom):
+        """Take ``atom`` out of ``bucket``, the set's bucket of
+        ``indicator``, which holds it."""
         if self._frozen:
             raise FrozenStoreError(
                 "cannot remove %r from a frozen fact set" % (atom,))
@@ -533,7 +545,6 @@ class FactBuckets:
         if not bucket:
             del self._buckets[indicator]
         self._count -= 1
-        return True
 
     def has_facts(self, name, arity):
         """``True`` when the indicator has at least one fact."""
@@ -574,13 +585,50 @@ class Delta:
         self.added = FactBuckets()
         self.removed = FactBuckets()
 
+    # The two recorders inline both sides' bucket updates: they run once
+    # per changed fact of every write.
+
     def record_add(self, atom):
-        if not self.removed.remove(atom):
-            self.added.add(atom)
+        """``atom`` became true: cancel its removal, or record it added."""
+        indicator = atom.indicator
+        removed = self.removed
+        bucket = removed._buckets.get(indicator)
+        if bucket is not None and atom in bucket:
+            removed._discard(indicator, bucket, atom)
+            return
+        added = self.added
+        if added._frozen:
+            added.add(atom)  # raises unless present
+            return
+        bucket = added._buckets.get(indicator)
+        if bucket is None:
+            added._buckets[indicator] = {atom: None}
+        elif atom in bucket:
+            return
+        else:
+            bucket[atom] = None
+        added._count += 1
 
     def record_remove(self, atom):
-        if not self.added.remove(atom):
-            self.removed.add(atom)
+        """``atom`` became false: cancel its addition, or record it removed."""
+        indicator = atom.indicator
+        added = self.added
+        bucket = added._buckets.get(indicator)
+        if bucket is not None and atom in bucket:
+            added._discard(indicator, bucket, atom)
+            return
+        removed = self.removed
+        if removed._frozen:
+            removed.add(atom)  # raises unless present
+            return
+        bucket = removed._buckets.get(indicator)
+        if bucket is None:
+            removed._buckets[indicator] = {atom: None}
+        elif atom in bucket:
+            return
+        else:
+            bucket[atom] = None
+        removed._count += 1
 
     def __len__(self):
         """The number of recorded changes, both signs."""

@@ -153,7 +153,6 @@ from repro.engine.seminaive.relation import (
     RelationStore,
     StoreView,
     literal_indicator,
-    predicate_indicator,
 )
 from repro.hilog.depgraph import DependencyGraph
 from repro.hilog.errors import GroundingError
@@ -569,9 +568,11 @@ def cone_step(plans, under, undefined, changed, gone, own, keep, limits):
     * **Cone.** ``own``, and the heads of the instances anchored on
       ``changed`` (every positive and negation variant), closed under the
       stratum's own sites, positive and negated.  The joins read every
-      atom possible before or after the write — the stores, ``gone`` and
-      the cone itself — and no negation context, so every negated subgoal
-      passes.
+      atom possible before or after the write — the stores, ``gone``, the
+      cone itself and, in a stratum that negates its own atoms and reads
+      them positively too, every atom it derives when negation is ignored
+      (:func:`_possible_atoms`) — and no negation context, so every
+      negated subgoal passes.
     * **Remove.** Each cone atom leaves both stores as it joins the cone;
       an asserted one stays true (``keep``).
     * **First alternation, on the cone.** The overestimate is
@@ -591,6 +592,7 @@ def cone_step(plans, under, undefined, changed, gone, own, keep, limits):
     stratum = plans.stratum
     cone = {}
     fresh = RelationStore()
+    possible = _possible_atoms(plans, (under, undefined, gone), limits)
 
     def admit(atom):
         if atom in cone:
@@ -602,17 +604,18 @@ def cone_step(plans, under, undefined, changed, gone, own, keep, limits):
                 limits.check(atom, under)
         else:
             under.remove(atom)
+            possible.remove(atom)
             fresh.add(atom)
         return True
 
-    reach = StoreView((under, undefined, gone, fresh))
+    reach = StoreView((under, undefined, gone, possible, fresh))
     frontier = [atom for atom in own if admit(atom)]
     frontier.extend(head for head in anchored_heads(
         plans.positive_variants + plans.negation_variants,
         PlanSources(reach, changed, negation=_NOTHING), limits,
     ) if admit(head))
-    _propagate(stratum.variant_plans + plans.negation_variants, frontier,
-               PlanSources(reach, negation=_NOTHING), admit, limits)
+    _propagate(stratum, stratum.variant_plans + plans.negation_variants,
+               frontier, PlanSources(reach, negation=_NOTHING), admit, limits)
 
     layer = RelationStore()
     over_view = StoreView((under, undefined, layer))
@@ -634,6 +637,35 @@ def cone_step(plans, under, undefined, changed, gone, own, keep, limits):
         tracer.emit("cone", atoms=len(cone), undefined=len(layer),
                     alternations=alternations)
     return cone
+
+
+def _possible_atoms(plans, layers, limits):
+    """The atoms a stratum derives over ``layers`` when every negated
+    subgoal passes, beyond those the layers hold — empty unless the stratum
+    negates one of its own atoms and also reads its own atoms positively.
+
+    In such a stratum an atom false before a write can become possible
+    through a loop back to the write: ``p1(c4, c2) :- p3(c4, c2), p1(c2,
+    c4), ...`` anchored on an inserted ``p3(c4, c2)`` needs ``p1(c2, c4)``,
+    which is possible only once ``not p2(c2, c4)`` passes, which happens
+    only once ``p1(c4, c2)`` is possible.  A cone closed from the write
+    over the old values alone never enters that loop.  The least model
+    with negation ignored holds every atom possible after the write, so a
+    cone whose joins read it as well misses no instance that could fire."""
+    stratum = plans.stratum
+    possible = RelationStore()
+    if _reads_own(stratum.variant_plans, stratum.head_indicators) and \
+            _reads_own(plans.negation_variants, stratum.head_indicators):
+        evaluate_stratum(stratum, StoreView(layers + (possible,)), limits,
+                         negation_store=_NOTHING)
+    return possible
+
+
+def _reads_own(variants, heads):
+    """Whether one of ``variants`` may be anchored on an atom of ``heads``,
+    a stratum's head indicators (``None``: open)."""
+    return any(heads is None or indicator is None or indicator in heads
+               for _rule, _site, indicator, _plan in variants)
 
 
 def _seed_facts(program, extra_facts):
@@ -738,7 +770,7 @@ def evaluate_strata(compiled, facts, limits):
             alternations += alts
             for atom in layer:
                 over_extra.add(atom)
-                uncertain.add(predicate_indicator(atom))
+                uncertain.add(atom.indicator)
         elif reads_uncertain:
             # Stratified stratum over three-valued input: negation reads
             # settled strata only, so the two phases cannot feed back —
@@ -758,7 +790,7 @@ def evaluate_strata(compiled, facts, limits):
                 if atom in under:
                     over_extra.remove(atom)
                 else:
-                    uncertain.add(predicate_indicator(atom))
+                    uncertain.add(atom.indicator)
         else:
             # Certain stratum: the classic single least fixpoint — its
             # atoms are both proven and possibly true, no second store.

@@ -14,7 +14,9 @@ The graph is generic over hashable nodes.  What the nodes *are* — predicate
 signatures, ``(name, arity)`` indicators, ground name terms, ground atoms —
 and which body literals contribute edges is each caller's business, so the
 builders live with the callers; this module imports nothing above
-:mod:`repro.hilog`.
+:mod:`repro.hilog`.  Nodes and edges are kept in insertion order, so the
+components come out in an order fixed by how the graph was built, not by
+node hashes (which, for terms, are their identities).
 """
 
 from __future__ import annotations
@@ -30,30 +32,30 @@ class DependencyGraph:
     """A directed graph with positively/negatively labelled edges."""
 
     def __init__(self) -> None:
-        self._nodes: Set[Node] = set()
-        self._edges: Dict[Node, Set[Node]] = {}
+        # node -> {successor: None}, both insertion-ordered.
+        self._edges: Dict[Node, Dict[Node, None]] = {}
         self._negative_edges: Set[Tuple[Node, Node]] = set()
         # (components, component_of), dropped by every mutation.
         self._components: Optional[Tuple[List[FrozenSet[Node]], Dict[Node, int]]] = None
 
     def add_node(self, node: Node) -> None:
-        self._nodes.add(node)
-        self._edges.setdefault(node, set())
+        self._edges.setdefault(node, {})
         self._components = None
 
     def add_edge(self, source: Node, target: Node, negative: bool = False) -> None:
         self.add_node(source)
         self.add_node(target)
-        self._edges[source].add(target)
+        self._edges[source][target] = None
         if negative:
             self._negative_edges.add((source, target))
 
     @property
     def nodes(self) -> FrozenSet[Node]:
-        return frozenset(self._nodes)
+        return frozenset(self._edges)
 
-    def successors(self, node: Node) -> FrozenSet[Node]:
-        return frozenset(self._edges.get(node, ()))
+    def successors(self, node: Node) -> Tuple[Node, ...]:
+        """The nodes ``node`` has an edge into, in insertion order."""
+        return tuple(self._edges.get(node, ()))
 
     def edges(self) -> Iterator[Tuple[Node, Node]]:
         for source, targets in self._edges.items():
@@ -65,7 +67,8 @@ class DependencyGraph:
 
     def _component_index(self) -> Tuple[List[FrozenSet[Node]], Dict[Node, int]]:
         if self._components is None:
-            components = strongly_connected_components(self._nodes, self.successors)
+            edges = self._edges
+            components = strongly_connected_components(edges, edges.__getitem__)
             component_of = {
                 node: index
                 for index, component in enumerate(components)

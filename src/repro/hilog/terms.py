@@ -6,12 +6,13 @@ and if ``t, t1, ..., tn`` are terms then so is the application ``t(t1,...,tn)``
 for every ``n >= 0``.  Terms and atoms coincide; the Herbrand base and the
 Herbrand universe are the same set.
 
-Terms are immutable, hashable and **hash-consed**: every constructor interns
-its result in a global table keyed by structure, so two structurally equal
-terms are always the *same object*.  Equality is therefore pointer equality
-(``a == b`` iff ``a is b``) and the evaluation engines' hot loops — index
-probes, join matches, set membership — compare and hash terms in O(1)
-regardless of term size.  Three constructors:
+Terms are immutable and **hash-consed**: every constructor interns its
+result in a global table keyed by structure, so two structurally equal terms
+are always the *same object*.  Equality is therefore pointer equality
+(``a == b`` iff ``a is b``), and the classes define neither ``__eq__`` nor
+``__hash__``: a term compares and hashes by identity, in C, so the
+evaluation engines' hot loops — index probes, join matches, set membership
+— cost one pointer hash regardless of term size.  Three constructors:
 
 * :class:`Var` — a logical variable (``X``, ``Y``, ``Rest``).
 * :class:`Sym` — an atomic symbol (``p``, ``move``, ``a``); :class:`Num` is a
@@ -24,9 +25,14 @@ regardless of term size.  Three constructors:
 
 Because terms are built bottom-up, an :class:`App`'s children are already
 interned when it is constructed, so its intern key ``(name,) + args`` hashes
-with the children's cached hashes and compares by identity — one dictionary
-probe per construction.  Hash values keep the pre-interning structural
-formulas, so iteration orders (and hence printed outputs) are unchanged.
+and compares its children by identity — one dictionary probe per
+construction.  Identity hashes vary between processes, so a set of terms
+iterates in an order nothing may depend on: whatever reaches a store, a
+delta, a log or a counter is kept in insertion-ordered dictionaries.
+Every term also carries its **predicate indicator** (:attr:`App.indicator`),
+the ``(name, arity)`` pair the relation stores partition by: one tuple
+shared by every application of a name to an arity, and ``(term, -1)`` for
+a symbol or variable, so ``p`` and ``p()`` stay distinct (footnote 1).
 One canonical object per structure also means one *text* per structure:
 each term has a ``_text`` slot the printer fills on first render (see
 :func:`repro.hilog.pretty.format_term`), so ``repr`` and every
@@ -92,6 +98,11 @@ _VAR_INTERN = {}
 _SYM_INTERN = {}
 _NUM_INTERN = {}
 _APP_INTERN = {}
+
+#: The shared indicator tuples of interned applications, ``{name: {arity:
+#: (name, arity)}}``: every application of one name and arity carries the
+#: same tuple.  An entry goes when its name is evicted.
+_INDICATORS = {}
 
 #: Generation bookkeeping.  ``_CURRENT_GEN`` is the innermost open
 #: generation id (0 = none open: terms born now are immortal);
@@ -285,8 +296,22 @@ def _record(term, gen):
     pool.append(term)
 
 
+def _indicator(name, arity):
+    """The shared ``(name, arity)`` tuple of the interned applications of
+    ``name`` to ``arity`` arguments (called under the intern lock)."""
+    by_arity = _INDICATORS.get(name)
+    if by_arity is None:
+        by_arity = _INDICATORS[name] = {}
+    indicator = by_arity.get(arity)
+    if indicator is None:
+        indicator = by_arity[arity] = (name, arity)
+    return indicator
+
+
 def _evict(term, counts):
-    """Drop one term's intern-table entry (the sweep's unpin action)."""
+    """Drop one term's intern-table entry (the sweep's unpin action), and
+    the indicators naming it: no application of it survives the sweep."""
+    _INDICATORS.pop(term, None)
     kind = type(term)
     if kind is App:
         key = (term.name,) + term.args
@@ -399,12 +424,16 @@ class Term:
     """Abstract base class for HiLog terms.
 
     Concrete subclasses are :class:`Var`, :class:`Sym`, :class:`Num` and
-    :class:`App`.  All of them are immutable and hashable so they can be used
-    freely as dictionary keys and set members, which the grounding and
-    fixpoint engines rely on heavily.
+    :class:`App`.  All of them are immutable and interned, so they hash and
+    compare by identity and serve as dictionary keys and set members, which
+    the grounding and fixpoint engines rely on heavily.
     """
 
     __slots__ = ()
+
+    #: The predicate indicator: ``(name, arity)`` for an application (one
+    #: tuple shared per name and arity), ``(self, -1)`` otherwise.
+    indicator: Tuple["Term", int]
 
     def is_ground(self):
         """Return ``True`` when the term contains no variables."""
@@ -448,7 +477,10 @@ class Var(Term):
     variables may use any string.
     """
 
-    __slots__ = ("name", "_hash", "_gen", "_text")
+    __slots__ = ("name", "indicator", "_gen", "_text")
+
+    #: Groundness, read where :meth:`is_ground` would cost a call.
+    _ground = False
 
     def __new__(cls, name):
         self = _VAR_INTERN.get(name)
@@ -464,7 +496,7 @@ class Var(Term):
                 return self
             self = object.__new__(cls)
             object.__setattr__(self, "name", name)
-            object.__setattr__(self, "_hash", hash(("var", name)))
+            object.__setattr__(self, "indicator", (self, -1))
             gen = _CURRENT_GEN
             object.__setattr__(self, "_gen", gen)
             _VAR_INTERN[name] = self
@@ -474,12 +506,6 @@ class Var(Term):
 
     def __setattr__(self, key, value):
         raise AttributeError("Var is immutable")
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return self._hash
 
     def is_ground(self):
         return False
@@ -505,7 +531,10 @@ class Sym(Term):
     not distinguish these roles.
     """
 
-    __slots__ = ("name", "_hash", "_gen", "_text")
+    __slots__ = ("name", "indicator", "_gen", "_text")
+
+    #: Groundness, read where :meth:`is_ground` would cost a call.
+    _ground = True
 
     def __new__(cls, name):
         self = _SYM_INTERN.get(name)
@@ -521,7 +550,7 @@ class Sym(Term):
                 return self
             self = object.__new__(cls)
             object.__setattr__(self, "name", name)
-            object.__setattr__(self, "_hash", hash(("sym", name)))
+            object.__setattr__(self, "indicator", (self, -1))
             gen = _CURRENT_GEN
             object.__setattr__(self, "_gen", gen)
             _SYM_INTERN[name] = self
@@ -531,12 +560,6 @@ class Sym(Term):
 
     def __setattr__(self, key, value):
         raise AttributeError("Sym is immutable")
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return self._hash
 
     def is_ground(self):
         return True
@@ -580,19 +603,13 @@ class Num(Sym):
             self = object.__new__(cls)
             object.__setattr__(self, "name", str(value))
             object.__setattr__(self, "value", value)
-            object.__setattr__(self, "_hash", hash(("num", value)))
+            object.__setattr__(self, "indicator", (self, -1))
             gen = _CURRENT_GEN
             object.__setattr__(self, "_gen", gen)
             _NUM_INTERN[value] = self
             if gen:
                 _record(self, gen)
         return self
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return self._hash
 
 
 class App(Term):
@@ -602,15 +619,16 @@ class App(Term):
     :class:`App`, but a :class:`Var` is legal — that is what gives HiLog its
     higher-order flavour, e.g. ``G(X, Y)`` or ``winning(M)(X)``).
 
-    Hashing and groundness are the hot inner loops of every set/dict the
-    engines use, so both are memoized in slots at construction, and the
-    application itself is hash-consed: since children are already interned,
-    the intern key ``(name,) + args`` hashes with cached child hashes and
-    compares by identity, so re-building an existing application is a single
-    dictionary probe that returns the canonical object.
+    The application is hash-consed: since children are already interned,
+    the intern key ``(name,) + args`` hashes and compares them by identity,
+    so re-building an existing application is a single dictionary probe
+    that returns the canonical object.  What the engines ask of a fact per
+    use is memoized in slots at construction: groundness, depth, and
+    :attr:`indicator`, the ``(name, arity)`` tuple every interned
+    application of the same name and arity shares.
     """
 
-    __slots__ = ("name", "args", "_hash", "_ground", "_depth", "_gen", "_text")
+    __slots__ = ("name", "args", "indicator", "_ground", "_depth", "_gen", "_text")
 
     # For the type checker, which cannot see ``object.__setattr__`` fill them.
     name: Term
@@ -641,7 +659,6 @@ class App(Term):
             self = object.__new__(cls)
             object.__setattr__(self, "name", name)
             object.__setattr__(self, "args", args)
-            object.__setattr__(self, "_hash", hash(("app", name, args)))
             object.__setattr__(
                 self, "_ground",
                 name.is_ground() and all(arg.is_ground() for arg in args)
@@ -673,9 +690,13 @@ class App(Term):
                 if child_gen > gen:
                     gen = child_gen
             if gen >= _FRESH_GEN:
-                # Fresh-descended: uninterned, reclaimed by ordinary GC.
+                # Fresh-descended: uninterned, reclaimed by ordinary GC, and
+                # so is its indicator (an entry in the shared table would
+                # keep a fresh name alive).
+                object.__setattr__(self, "indicator", (name, len(args)))
                 object.__setattr__(self, "_gen", gen)
                 return self
+            object.__setattr__(self, "indicator", _indicator(name, len(args)))
             if gen and not _CURRENT_GEN:
                 # Top-level construction over generational children: the
                 # immortality promise covers everything obtained while no
@@ -693,12 +714,6 @@ class App(Term):
 
     def __setattr__(self, key, value):
         raise AttributeError("App is immutable")
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def arity(self):
@@ -812,7 +827,7 @@ def fresh_var(name):
     """
     self = object.__new__(Var)
     object.__setattr__(self, "name", name)
-    object.__setattr__(self, "_hash", hash(("var", name)))
+    object.__setattr__(self, "indicator", (self, -1))
     object.__setattr__(self, "_gen", _FRESH_GEN)
     return self
 

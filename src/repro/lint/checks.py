@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.range_restriction import range_restriction_violations
 from repro.engine.seminaive.plan import FETCH, PlanError, compile_rule
-from repro.engine.seminaive.relation import literal_indicator, predicate_indicator
+from repro.engine.seminaive.relation import literal_indicator
 from repro.engine.seminaive.wellfounded import name_binders
 from repro.hilog.depgraph import DependencyGraph
 from repro.hilog.errors import HiLogError
@@ -168,19 +168,19 @@ def check_stratification(program):
     negation_sites = {}   # (head, body) indicator pair -> (rule, literal)
     aggregate_sites = {}  # (head, condition) indicator pair -> (rule, spec)
     for rule in program.rules:
-        head = predicate_indicator(rule.head)
+        head = rule.head.indicator
         graph.add_node(head)
         if rule.is_fact():
             continue
         for literal in rule.body:
             if literal.is_builtin():
                 continue
-            target = predicate_indicator(literal.atom)
+            target = literal.atom.indicator
             graph.add_edge(head, target, negative=literal.negative)
             if literal.negative:
                 negation_sites.setdefault((head, target), (rule, literal))
         for spec in rule.aggregates:
-            target = predicate_indicator(spec.condition)
+            target = spec.condition.indicator
             # Aggregation behaves like negation for stratification: the
             # condition's extension must be complete before the fold runs.
             graph.add_edge(head, target, negative=True)

@@ -24,7 +24,8 @@ from repro.hilog.parser import parse_program
 #: game with a positive recursion, whose rederivation probes depend on the
 #: order the cone is walked in, and strata reading the three-valued game,
 #: whose probes depend on the order undefined atoms are stored in — in
-#: single and paired moves, and prints the executor's counters.
+#: single and paired moves, and prints the executor's counters and the
+#: order of each write's added and removed atoms.
 REPLAY = """
 import json
 from repro.db import DatabaseSession
@@ -36,9 +37,13 @@ from repro.workloads.games import normal_game_program
 from repro.workloads.graphs import random_dag_edges, random_graph_edges
 from repro.workloads.streams import edge_churn_stream, replay
 
+orders = []
+
 def work(session, stream):
     before = EXECUTION_STATS.snapshot()
-    replay(session, stream)
+    for summary in replay(session, stream):
+        orders.append([list(map(repr, summary.added)),
+                       list(map(repr, summary.removed))])
     assert session.check()
     return EXECUTION_STATS.diff(before)
 
@@ -58,7 +63,7 @@ assert game.mode == "wellfounded"
 games = [work(game, edge_churn_stream(moves, relation="move", operations=12,
                                       batch=batch, seed=11))
          for batch in (1, 2)]
-print(json.dumps([closure] + games))
+print(json.dumps([[closure] + games, orders]))
 """
 
 
@@ -98,9 +103,11 @@ def test_work_does_not_depend_on_the_hash_seed():
     is walked in the order it was found, and a session materializes its EDB
     and its undefined atoms in ``repr`` order, so a replay — delete-rederive
     and cone steps alike — does the same work under any
-    ``PYTHONHASHSEED``."""
+    ``PYTHONHASHSEED``, and reports each write's changes in the same order.
+    Terms hash by identity, so their hashes differ between the two
+    processes as well."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
-    counters = []
+    runs = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -111,7 +118,10 @@ def test_work_does_not_depend_on_the_hash_seed():
             capture_output=True, text=True, timeout=120,
         )
         assert completed.returncode == 0, completed.stderr
-        counters.append(json.loads(completed.stdout))
-    assert counters[0] == counters[1]
-    assert all(work["candidates"] > 0 for work in counters[0])
-    assert counters[0][1]["alternations"] > 0
+        runs.append(json.loads(completed.stdout))
+    (counters, orders), (other_counters, other_orders) = runs
+    assert counters == other_counters
+    assert all(work["candidates"] > 0 for work in counters)
+    assert counters[1]["alternations"] > 0
+    assert orders == other_orders
+    assert any(added and removed for added, removed in orders)

@@ -23,7 +23,6 @@ from repro.engine.seminaive.relation import (
     RelationStore,
     StoreView,
     candidates,
-    predicate_indicator,
 )
 from repro.hilog.errors import FrozenStoreError
 from repro.hilog.parser import parse_term
@@ -49,7 +48,7 @@ UNIVERSE = [parse_term(text) for text in (
     "p", "p()", "q", "q(a)", "rain",
 )]
 INDICATORS = sorted(
-    {predicate_indicator(atom) for atom in UNIVERSE}
+    {atom.indicator for atom in UNIVERSE}
     | {(parse_term("absent"), 2), (parse_term("e"), 3)},
     key=repr,
 )
@@ -96,7 +95,7 @@ def _check(source, facts, exact, reachable=()):
     # fetch: empty positions, one bare key (Num among them), a tuple key
     for name, arity in INDICATORS:
         of_indicator = {atom for atom in facts
-                        if predicate_indicator(atom) == (name, arity)}
+                        if atom.indicator == (name, arity)}
         keys = [((), None)]
         keys += [((i,), value) for i in range(max(arity, 0)) for value in ARGUMENTS]
         if arity >= 2:
@@ -119,7 +118,7 @@ def _check(source, facts, exact, reachable=()):
         for symbol in SYMBOLS:
             wanted = {
                 atom for atom in facts
-                if predicate_indicator(atom)[1] == arity
+                if atom.indicator[1] == arity
                 and (symbol is None or outermost_symbol(atom) is symbol)
             }
             got = source.spill(arity, symbol)
@@ -215,7 +214,7 @@ def test_bulk_constructors_agree_with_one_by_one(facts):
         one_by_one.add(atom)
     groups = {}
     for atom in facts:
-        groups.setdefault(predicate_indicator(atom), []).append(atom)
+        groups.setdefault(atom.indicator, []).append(atom)
     bulk = RelationStore.from_groups(groups.items())
     copy = one_by_one.snapshot()
     for store in (bulk, copy, FactBuckets(facts), FactBuckets(facts + facts)):

@@ -119,15 +119,20 @@ class TestHandWrittenFamilies:
             boost(d, a). boost(g, d).
         """)
         probed = []
-        probe = engine.plan_satisfiable
+        probe = engine._probe
 
-        def spy(plan, sources, atom):
-            found = probe(plan, sources, atom)
-            if found:
-                probed.append(atom)
-            return found
+        def spy(plan):
+            run = probe(plan)
 
-        with mock.patch.object(engine, "plan_satisfiable", spy):
+            def probing(sources, atom, sink, stats):
+                found = run(sources, atom, sink, stats)
+                if found:
+                    probed.append(atom)
+                return found
+
+            return probing
+
+        with mock.patch.object(engine, "_probe", spy):
             result, log = _checked_model(program)
         assert {"win(a)", "win(d)", "win(g)"} <= set(map(repr, result.undefined))
         # All three were taken out and all three came back ...
@@ -347,6 +352,28 @@ class TestConeSteps:
             )
         ])
         assert any(overestimates) and any(entry[0] for entry in shrinks)
+
+    def test_a_loop_back_to_the_write_enters_the_cone(self):
+        """Inserting ``p3(c4, c2)`` fires ``p1(c4, c2) :- p3(c4, c2), p1(c2,
+        c4), p0(c4, c4)`` only once ``p1(c2, c4)`` is possible, which needs
+        ``not p2(c2, c4)`` to pass, which needs ``p1(c4, c2)`` possible: a
+        loop through the write.  A cone closed over the old values alone
+        never enters it and keeps ``p2(c2, c4)`` and ``p4(c2, c4)`` true."""
+        program = random_nonstratified_program(
+            seed=7919, multi_negation=0, **SHAPES["large"])
+        session = DatabaseSession(program)
+        assert "alternating" in session.strategies()
+        session.insert("p3(c4, c2).")
+        assert session.check()
+        oracle = well_founded_for_hilog(Program(
+            tuple(rule for rule in program.rules if not rule.is_fact())
+            + tuple(Rule(fact) for fact in sorted(session.edb(), key=repr))),
+            strategy="ground")
+        assert session.true == oracle.true
+        assert session.undefined == oracle.undefined
+        assert {"p1(c4, c2)", "p2(c2, c4)", "p4(c2, c4)"} \
+            <= set(map(repr, session.undefined))
+        _checked_writes(program, [parse_term("p3(c4, c2)")])
 
     def test_name_open_instance_writes(self):
         program = hilog_game_program({

@@ -12,7 +12,6 @@ from repro.engine.seminaive import (
     RelationStore,
     SeminaiveUnsupported,
     compile_rule,
-    predicate_indicator,
     seminaive_evaluate,
     seminaive_perfect_model,
     seminaive_well_founded,
@@ -55,8 +54,8 @@ class TestRelationStore:
         store.add(parse_term("p"))
         store.add(parse_term("p()"))
         assert len(store) == 2
-        assert predicate_indicator(parse_term("p")) == (Sym("p"), -1)
-        assert predicate_indicator(parse_term("p()")) == (Sym("p"), 0)
+        assert parse_term("p").indicator == (Sym("p"), -1)
+        assert parse_term("p()").indicator == (Sym("p"), 0)
 
     def test_indexed_lookup_probes_only_matching_facts(self):
         store = RelationStore()
