@@ -26,8 +26,9 @@ class ModelReads:
         raise NotImplementedError
 
     def _parse_scope(self) -> ContextManager:
-        """Entered around parsing text: nothing by default (reader threads
-        parse at top level — intern generations are writer-thread-only)."""
+        """Entered around parsing text: nothing by default (readers — the
+        HTTP server's event loop, a caller's own thread — parse at top
+        level; intern generations are writer-thread-only)."""
         return nullcontext()
 
     def _parsed(self, text, parse):

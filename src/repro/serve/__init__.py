@@ -15,8 +15,10 @@ serving layer with **snapshot isolation**:
   **epoch** (:mod:`repro.serve.epochs`).  Readers pin an epoch and see that
   model — never a half-applied batch — while the writer keeps publishing.
 * :mod:`repro.serve.server` exposes the session over an asyncio HTTP front
-  end (query/ask/insert/retract/stats) with per-request timeouts and
-  backpressure (bounded write queue → 503 + ``Retry-After``).
+  end (query/ask/insert/retract/stats).  Reads are answered on the event
+  loop from a pinned epoch, in the turn that parsed the request; writes
+  wait for the writer thread under a per-request deadline (``504``), and
+  backpressure is explicit (bounded write queue → 503 + ``Retry-After``).
 * ``python -m repro.serve`` (:mod:`repro.serve.cli`) gives daemon
   ergonomics: ``serve`` / ``query`` / ``load`` / ``stats`` subcommands.
 

@@ -2,9 +2,14 @@
 
 A deliberately small HTTP/1.1 server on the standard library only — enough
 protocol for clients, curl and the bundled CLI, not a framework.  Reads
-are dispatched to a thread pool (queries pin an epoch and run the store
-probes off the event loop), writes go through the serving session's
-bounded queue, and every request carries a server-side timeout.
+(``/query``, ``/ask``, ``/value``) are answered inline on the event loop:
+pin an epoch, read, release, respond, with no ``await`` in between.
+Epochs are frozen and a read holds the interpreter lock throughout, so a
+thread pool would buy no parallelism, only a hop to it and back.  Writes
+go through the serving session's bounded queue.  Each request on a
+connection gets one deadline, ``request_timeout`` after the server starts
+waiting for it: it bounds reading the request and waiting for the writer
+thread, and creates no task of its own.
 
 Endpoints (JSON in, JSON out):
 
@@ -29,7 +34,9 @@ Endpoints (JSON in, JSON out):
 
 Error mapping: a full write queue answers ``503`` with a ``Retry-After``
 header (backpressure is the client's problem to pace, not the server's to
-buffer); a request exceeding the per-request timeout answers ``504``;
+buffer); a write or ``/explain`` the writer has not answered by the
+deadline answers ``504``, and a connection that has not sent a whole
+request by then is dropped;
 malformed input answers ``400`` — a bad request line, header or JSON body,
 a missing field, HiLog text the parser or the reader rejects (a
 :class:`~repro.hilog.errors.ParseError` on any endpoint, a non-ground
@@ -52,7 +59,6 @@ import time
 import urllib.parse
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.hilog.errors import (
     EvaluationError,
@@ -68,9 +74,6 @@ from repro.serve.session import ServingClosed, ServingSession, WriteQueueFull
 #: Refuse request bodies beyond this size (1 MiB) — the write path is for
 #: update streams, not bulk loads; use the CLI ``load`` command for those.
 MAX_BODY = 1 << 20
-
-#: Thread-pool width for query execution.
-READERS = 8
 
 #: What the writer thread raises about the *request* — text that does not
 #: parse, a rule where facts are required, a non-ground atom, an update the
@@ -107,9 +110,11 @@ class ServeServer:
         serving: the :class:`ServingSession` to expose.
         host / port: bind address (port 0 picks a free port; see
             :attr:`address` after :meth:`start`).
-        request_timeout: per-request budget in seconds — covers reading
-            the request, running the query / waiting for the write batch,
-            everything up to the response.
+        request_timeout: per-request deadline in seconds, armed when the
+            server starts waiting for a request on a connection — covers
+            reading the request and waiting for the writer thread (a write
+            batch, ``/explain``).  A read answers inline, within the loop
+            turn that parsed it, and is not cut short.
         slow_query_ms: requests slower than this (milliseconds) land in
             the slow-query log (``/stats``) and, when a tracer is
             installed, emit ``slow_request`` trace events.
@@ -133,9 +138,6 @@ class ServeServer:
         self._port = port
         self._timeout = request_timeout
         self._slow_query_ms = slow_query_ms
-        self._executor = ThreadPoolExecutor(
-            max_workers=READERS, thread_name_prefix="repro-serve-reader",
-        )
         self._server = None
         self._requests = 0
         self._requests_by_endpoint = {}
@@ -162,40 +164,42 @@ class ServeServer:
             await self._server.serve_forever()
 
     async def stop(self):
-        """Stop accepting connections and release the reader pool (the
-        serving session itself is left to its owner)."""
+        """Stop accepting connections (the serving session itself is left
+        to its owner)."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        self._executor.shutdown(wait=False)
 
     # -- connection handling -------------------------------------------------
 
     async def _handle_connection(self, reader, writer):
+        loop = asyncio.get_running_loop()
         try:
             while True:
+                # The request's deadline.  A connection still short of a
+                # whole request at it is dropped: closing the transport
+                # ends the pending read at EOF (a timer, where ``wait_for``
+                # would wrap the read in a task).  The writer's future is
+                # awaited with what remains.
+                deadline = loop.time() + self._timeout
+                expiry = loop.call_at(deadline, writer.close)
                 try:
-                    request = await asyncio.wait_for(
-                        self._read_request(reader), self._timeout,
-                    )
-                except asyncio.TimeoutError:
-                    break  # idle keep-alive connection; just drop it
+                    request = await self._read_request(reader)
                 except _HttpError as error:
                     await self._respond_error(writer, error, close=True)
                     break
+                finally:
+                    expiry.cancel()
                 if request is None:
-                    break  # client closed
-                method, path, headers, body = request
-                keep_alive = headers.get("connection", "keep-alive") != "close"
+                    break  # client closed, or the deadline passed
+                method, path, keep_alive, body = request
                 endpoint = path.partition("?")[0]
                 if endpoint not in self.ENDPOINTS:
                     endpoint = "other"
                 started = time.perf_counter()
                 try:
-                    status, payload = await asyncio.wait_for(
-                        self._dispatch(method, path, body),
-                        self._timeout,
-                    )
+                    status, payload = await self._dispatch(
+                        method, path, body, deadline)
                 except asyncio.TimeoutError:
                     self._observe(endpoint, 504, started, method, path)
                     await self._respond_error(writer, _HttpError(
@@ -231,13 +235,14 @@ class ServeServer:
                 pass
 
     async def _read_request(self, reader):
-        """Parse one request; ``None`` on a closed connection — cleanly
-        between requests, or part-way through one."""
+        """Parse one request into ``(method, path, keep_alive, body)``;
+        ``None`` on a closed connection — cleanly between requests, or
+        part-way through one."""
         line = await self._read_line(reader)
         if not line:
             return None
         try:
-            method, path, _version = line.decode("latin-1").split(None, 2)
+            method, path, version = line.decode("latin-1").split(None, 2)
         except ValueError:
             raise _HttpError(400, "malformed request line")
         headers = {}
@@ -264,7 +269,15 @@ class ServeServer:
             body = await reader.readexactly(length) if length else b""
         except asyncio.IncompleteReadError:
             return None  # closed before the body it announced arrived
-        return method.upper(), path, headers, body
+        # HTTP/1.1 keeps a connection open unless told to close; HTTP/1.0
+        # closes it unless asked to keep it alive.
+        tokens = {token.strip()
+                  for token in headers.get("connection", "").split(",")}
+        if version.strip().upper() == "HTTP/1.0":
+            keep_alive = "keep-alive" in tokens
+        else:
+            keep_alive = "close" not in tokens
+        return method.upper(), path, keep_alive, body
 
     @staticmethod
     async def _read_line(reader):
@@ -307,7 +320,7 @@ class ServeServer:
 
     # -- dispatch ------------------------------------------------------------
 
-    async def _dispatch(self, method, path, body):
+    async def _dispatch(self, method, path, body, deadline):
         path, _, query = path.partition("?")
         if path == "/healthz":
             if method != "GET":
@@ -328,7 +341,7 @@ class ServeServer:
         if path == "/explain":
             if method != "GET":
                 raise _HttpError(405, "use GET")
-            return await self._do_explain(query)
+            return await self._do_explain(query, deadline)
         if path == "/stats":
             if method != "GET":
                 raise _HttpError(405, "use GET")
@@ -343,12 +356,12 @@ class ServeServer:
                 raise _HttpError(405, "use POST")
             payload = self._parse_json(body)
             if path == "/query":
-                return await self._do_query(payload)
+                return self._do_query(payload)
             if path == "/ask":
-                return await self._do_ask(payload, "ask")
+                return self._do_ask(payload, "ask")
             if path == "/value":
-                return await self._do_ask(payload, "value")
-            return await self._do_write(payload, insert=(path == "/insert"))
+                return self._do_ask(payload, "value")
+            return await self._do_write(payload, path == "/insert", deadline)
         raise _HttpError(404, "no such endpoint: %s" % path)
 
     @staticmethod
@@ -369,50 +382,46 @@ class ServeServer:
             raise _HttpError(400, "field %r (a nonempty string) required" % name)
         return value
 
-    async def _in_reader(self, fn):
-        """Run a blocking read on the pool (never on the event loop).
-        Input the reader rejects — text that does not parse, a non-ground
-        ``/ask`` — answers 400; anything else is a fault (500)."""
-        loop = asyncio.get_event_loop()
+    def _in_reader(self, read):
+        """Run ``read(reader)`` on a :class:`ReaderSession` pinned for the
+        call, on the loop.  Input the reader rejects — text that does not
+        parse, a non-ground ``/ask`` — answers 400; anything else is a
+        fault (500)."""
         try:
-            return await loop.run_in_executor(self._executor, fn)
+            with self._serving.reader() as reader:
+                return reader.epoch.eid, read(reader)
         except (HiLogError, ValueError) as error:
             raise _HttpError(400, str(error))
 
     @staticmethod
-    async def _writer_result(future, *client_errors):
+    async def _writer_result(future, deadline, *client_errors):
         """Await a future the writer thread resolves (wrapped for the
-        loop); :data:`_CLIENT_ERRORS` and ``client_errors`` answer 400, any
-        other failure propagates to the connection handler's 500."""
+        loop) until ``deadline``, past which ``asyncio.TimeoutError``
+        propagates to the connection handler's 504.
+        :data:`_CLIENT_ERRORS` and ``client_errors`` answer 400, any other
+        failure propagates to the handler's 500."""
+        loop = asyncio.get_running_loop()
         try:
-            return await asyncio.wrap_future(future)
+            # ``wait_for`` on a future, not a coroutine: no task is made.
+            return await asyncio.wait_for(
+                asyncio.wrap_future(future), deadline - loop.time())
         except _CLIENT_ERRORS + client_errors as error:
             raise _HttpError(400, "%s: %s" % (type(error).__name__, error))
 
-    async def _do_query(self, payload):
+    def _do_query(self, payload):
         text = self._field(payload, "query")
-
-        def run():
-            with self._serving.reader() as reader:
-                answers = reader.query(text)
-                return reader.epoch.eid, [str(answer) for answer in answers]
-
-        eid, answers = await self._in_reader(run)
+        eid, answers = self._in_reader(
+            lambda reader: [str(answer) for answer in reader.query(text)])
         return 200, {"answers": answers, "count": len(answers), "epoch": eid}
 
-    async def _do_ask(self, payload, kind):
+    def _do_ask(self, payload, kind):
         text = self._field(payload, "atom")
-
-        def run():
-            with self._serving.reader() as reader:
-                method = reader.ask if kind == "ask" else reader.value
-                return reader.epoch.eid, method(text)
-
-        eid, result = await self._in_reader(run)
+        eid, result = self._in_reader(
+            lambda reader: getattr(reader, kind)(text))
         key = "result" if kind == "ask" else "value"
         return 200, {key: result, "epoch": eid}
 
-    async def _do_explain(self, query):
+    async def _do_explain(self, query, deadline):
         params = urllib.parse.parse_qs(query)
         values = params.get("q") or []
         if not values or not values[0].strip():
@@ -425,13 +434,13 @@ class ServeServer:
         # Imported on use: 0.5 MiB resident a server that never explains saves.
         from repro.obs.explain import ExplainError
 
-        tree = await self._writer_result(future, ExplainError)
+        tree = await self._writer_result(future, deadline, ExplainError)
         # Encoded here: a proof is as deep as the data's longest chain, and
         # ``json.dumps`` refuses a payload nested past the recursion limit.
         return 200, ('{"atom": %s, "explanation": %s}' % (
             json.dumps(text), tree.to_json())).encode("utf-8")
 
-    async def _do_write(self, payload, insert):
+    async def _do_write(self, payload, insert, deadline):
         facts = self._field(payload, "facts")
         wait = payload.get("wait", True)
         try:
@@ -447,7 +456,7 @@ class ServeServer:
             raise _HttpError(503, str(error))
         if not wait:
             return 200, {"queued": True, "pending": self._serving.pending()}
-        summary = await self._writer_result(future)
+        summary = await self._writer_result(future, deadline)
         return 200, {
             "inserted": summary.inserted,
             "retracted": summary.retracted,

@@ -28,10 +28,11 @@ Threading contract:
   back — all writes go through :meth:`submit` (or its
   :meth:`insert`/:meth:`retract` conveniences).
 * Intern **generations** are writer-thread-only (the generation stack is
-  global); reader threads parse queries at top level, which is safe —
-  constants already in the model resolve to their canonical pinned terms,
-  and unknown constants miss either way.  :meth:`collect` is therefore
-  routed through the writer queue too, so a sweep never races a batch.
+  global); readers (the HTTP server's event loop, callers' threads)
+  parse queries at top level, which is safe — constants already in the
+  model resolve to their canonical pinned terms, and unknown constants
+  miss either way.  :meth:`collect` is therefore routed through the
+  writer queue too, so a sweep never races a batch.
 * Term eviction is safe under pinned readers: the epoch manager's pin
   provider keeps every atom reachable from any live epoch interned.
 """

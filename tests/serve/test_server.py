@@ -5,8 +5,10 @@ import asyncio
 import http.client
 import gc
 import json
+import re
 import socket
 import threading
+import time
 import urllib.parse
 
 import pytest
@@ -338,6 +340,142 @@ class TestEndpoints:
         serving.close()
         with pytest.raises(ConnectionError):
             running.get("/healthz")
+
+
+def read_to_eof(sock):
+    answer = b""
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return answer
+        answer += chunk
+
+
+def exchange(address, data):
+    """Send ``data`` on a raw socket that stays open for writing (no
+    half-close, unlike :meth:`RunningServer.send_bytes`) and return
+    ``(answer, seconds)``: everything the server sends until it closes its
+    side, and how long it took to close."""
+    with socket.create_connection(address, timeout=10) as sock:
+        started = time.monotonic()
+        sock.sendall(data)
+        answer = read_to_eof(sock)
+        return answer, time.monotonic() - started
+
+
+class TestConnections:
+    @pytest.mark.parametrize("request_bytes, connections", [
+        (b"GET /healthz HTTP/1.0\r\n\r\n", [b"close"]),
+        (b"GET /healthz HTTP/1.1\r\nConnection: TE, close\r\n\r\n",
+         [b"close"]),
+        (b"GET /healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"
+         b"GET /healthz HTTP/1.0\r\n\r\n", [b"keep-alive", b"close"]),
+    ], ids=["http10", "token-list", "http10-keep-alive"])
+    def test_connection_header_and_version_decide_keep_alive(
+            self, server, request_bytes, connections):
+        # Regression: HTTP/1.0 without "Connection: keep-alive" was answered
+        # keep-alive and held open until the request timeout (5 s here).
+        answer, seconds = exchange(server.address, request_bytes)
+        assert answer.count(b"HTTP/1.1 200 OK") == len(connections)
+        assert re.findall(rb"Connection: (\S+)", answer) == connections
+        assert seconds < 2.5
+
+    @pytest.mark.parametrize("request_bytes, responses", [
+        (b"GET /healthz HTTP/1.1\r\n", 0),
+        (b"POST /query HTTP/1.1\r\nContent-Length: 40\r\n\r\n{\"q", 0),
+        (b"GET /healthz HTTP/1.1\r\n\r\n", 1),
+    ], ids=["stalled-headers", "stalled-body", "idle-keep-alive"])
+    def test_deadline_drops_stalled_and_idle_connections(
+            self, request_bytes, responses):
+        serving = ServingSession(TC_PROGRAM)
+        running = RunningServer(serving, request_timeout=0.5)
+        try:
+            answer, seconds = exchange(running.address, request_bytes)
+            assert answer.count(b"HTTP/1.1 200 OK") == responses
+            assert 0.45 <= seconds < 4.0
+            TestEndpoints.assert_loop_saw_nothing(running)
+        finally:
+            running.stop()
+            serving.close()
+
+
+class TestReadPath:
+    def test_reads_never_wait_for_the_writer(self):
+        serving = ServingSession(TC_PROGRAM)
+        running = RunningServer(serving, request_timeout=1.0)
+        try:
+            serving.pause()
+            with socket.create_connection(running.address, timeout=10) as a:
+                body = b'{"facts": "e(c, d)."}'
+                a.sendall(b"POST /insert HTTP/1.1\r\nConnection: close\r\n"
+                          b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+                for _ in range(500):
+                    if serving.pending():
+                        break
+                    time.sleep(0.01)
+                assert serving.pending() == 1
+                status, body, _headers = running.post(
+                    "/query", {"query": "tc(a, X)"})
+                assert (status, body["count"], body["epoch"]) == (200, 2, 0)
+                serving.resume()
+                answer = read_to_eof(a)
+            assert answer.startswith(b"HTTP/1.1 200 ")
+            assert json.loads(answer.partition(b"\r\n\r\n")[2])[
+                "inserted"] == 1
+            status, body, _headers = running.post(
+                "/query", {"query": "tc(a, X)"})
+            assert (status, body["count"]) == (200, 3)
+            serving.pause()
+            status, _body, _headers = running.post(
+                "/insert", {"facts": "e(d, f)."})
+            assert status == 504
+            status, body, _headers = running.post(
+                "/query", {"query": "tc(a, X)"})
+            assert (status, body["count"]) == (200, 3)
+            serving.resume()
+            serving.flush(5)
+            assert running.loop_errors == []
+        finally:
+            serving.resume()
+            running.stop()
+            serving.close()
+
+    def test_a_read_creates_no_task_and_no_executor_hop(self, server):
+        tasks, hops = [], []
+        installed = threading.Event()
+
+        def counting_factory(loop, coro, **kwargs):
+            tasks.append(coro.__qualname__)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        def install():
+            loop = server._loop
+            run_in_executor = loop.run_in_executor
+
+            def counting_run_in_executor(*args):
+                hops.append(args)
+                return run_in_executor(*args)
+
+            loop.set_task_factory(counting_factory)
+            loop.run_in_executor = counting_run_in_executor
+            installed.set()
+
+        server._loop.call_soon_threadsafe(install)
+        assert installed.wait(5)
+        conn = http.client.HTTPConnection(*server.address, timeout=10)
+        try:
+            server.get("/healthz", connection=conn)  # the connection's task
+            del tasks[:]
+            for _ in range(50):
+                status, body, _headers = server.post(
+                    "/query", {"query": "tc(a, X)"}, connection=conn)
+                assert (status, body["count"]) == (200, 2)
+                status, body, _headers = server.post(
+                    "/ask", {"atom": "tc(a, c)"}, connection=conn)
+                assert (status, body["result"]) == (200, True)
+        finally:
+            conn.close()
+        assert tasks == [] and hops == []
 
 
 class TestObservabilityEndpoints:
