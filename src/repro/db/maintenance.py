@@ -36,11 +36,10 @@ recomputing it:
 Each leaves the shared :class:`~repro.engine.seminaive.relation.RelationStore`
 consistent and extends the running :class:`Delta` with the stratum's own net
 changes, so the next stratum up sees exactly the facts that flipped.  Each
-takes the update's :class:`~repro.engine.seminaive.engine.Limits` and, like
-the engine's own loop, calls ``limits.check`` once a head has proved new —
-and recorded: the session answers a refusal by recomputing the stratum
-over the store as the step left it, or the whole model when the stratum is
-three-valued.
+takes the update's :class:`~repro.engine.seminaive.engine.Limits`, which
+the engine's loops check once per round on the heads that proved new: the
+session answers a refusal by recomputing the stratum over the store as the
+step left it, or the whole model when the stratum is three-valued.
 """
 
 from __future__ import annotations
@@ -93,10 +92,10 @@ def dred_update(plans, store, delta, edb, edb_added, edb_removed, limits):
     before = old_state(store, delta)
     seeds = chain(
         edb_removed,
-        anchored_heads(plans.positive_variants,
-                       PlanSources(before, delta.removed), limits),
-        anchored_heads(plans.negation_variants,
-                       PlanSources(before, delta.added), limits),
+        anchored_heads(plans.positive_variants, PlanSources(before),
+                       delta.removed, limits),
+        anchored_heads(plans.negation_variants, PlanSources(before),
+                       delta.added, limits),
     )
     _rounds, _overdeleted, removed = delete_rederive(
         plans, store, seeds, PlanSources(before), PlanSources(store), edb, limits
@@ -106,10 +105,10 @@ def dred_update(plans, store, delta, edb, edb_added, edb_removed, limits):
 
     heads = chain(
         edb_added,
-        anchored_heads(plans.positive_variants,
-                       PlanSources(store, delta.added), limits),
-        anchored_heads(plans.negation_variants,
-                       PlanSources(store, delta.removed), limits),
+        anchored_heads(plans.positive_variants, PlanSources(store),
+                       delta.added, limits),
+        anchored_heads(plans.negation_variants, PlanSources(store),
+                       delta.removed, limits),
     )
     _iterations, added = insert_anchored(plans.stratum, store, heads, limits)
     for atom in added:

@@ -865,7 +865,7 @@ class DatabaseSession(ModelReads):
             for atom in stratum_ins.get(None, ()):
                 if self._store.add(atom):
                     delta.record_add(atom)
-                    self._limits.check(atom, self._store)
+            self._limits.check(self._store, delta.added)
             for atom in stratum_rem.get(None, ()):
                 if self._store.remove(atom):
                     delta.record_remove(atom)

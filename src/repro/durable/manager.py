@@ -32,6 +32,7 @@ checkpoint.  Layout of a data directory::
 from __future__ import annotations
 
 import os
+import tempfile
 
 from repro.durable import snapshot as snapshot_io
 from repro.durable.wal import WAL_NAME, WriteAheadLog
@@ -58,7 +59,8 @@ class DirectoryLock:
     POSIX: a non-blocking ``flock`` on ``<dir>/lock`` — held until
     release, dropped automatically by the OS when the process dies, so a
     crashed writer never wedges the directory.  Without :mod:`fcntl`
-    (Windows), falls back to an ``O_EXCL`` pidfile with liveness probing.
+    (Windows), falls back to a pidfile created whole by a hard link, with
+    liveness probing (:meth:`_acquire_pidfile`).
     """
 
     def __init__(self, directory):
@@ -94,31 +96,44 @@ class DirectoryLock:
             return None
 
     def _acquire_pidfile(self, directory):
-        while True:
+        """Take the lock as a pidfile: write the pid to a private temporary
+        file, then hard-link it to the lock path, so the lock file appears
+        with its pid in it and an existing one means the lock is taken.  A
+        lock file whose holder is dead is reclaimed, and so is one without
+        a pid: no writer ever leaves it mid-way, so it is a crash's
+        debris."""
+        fd, temporary = tempfile.mkstemp(prefix=LOCK_NAME + ".", dir=directory)
+        try:
             try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                holder = None
+                os.write(fd, b"%d\n" % os.getpid())
+            finally:
+                os.close(fd)
+            while True:
                 try:
-                    with open(self.path) as handle:
-                        holder = int(handle.read().strip() or 0) or None
-                except (OSError, ValueError):
-                    pass
-                if holder is not None and not _pid_alive(holder):
+                    os.link(temporary, self.path)
+                except FileExistsError:
+                    holder = _recorded_pid(self.path)
+                    if holder is not None and _pid_alive(holder):
+                        raise LockHeld(
+                            "data directory %s is locked (pid %s)"
+                            % (directory, holder),
+                            path=self.path, holder=holder,
+                        )
                     try:
-                        os.unlink(self.path)  # stale: holder is dead
-                    except OSError:
-                        pass
+                        os.unlink(self.path)  # stale: dead holder, or debris
+                    except FileNotFoundError:
+                        pass  # another opener reclaimed it first
+                    except OSError as error:
+                        raise LockHeld(
+                            "data directory %s is locked by a lock file that "
+                            "cannot be reclaimed: %s" % (directory, error),
+                            path=self.path, holder=holder,
+                        )
                     continue
-                raise LockHeld(
-                    "data directory %s is locked%s"
-                    % (directory, " (pid %s)" % holder if holder else ""),
-                    path=self.path, holder=holder,
-                )
-            os.write(fd, b"%d\n" % os.getpid())
-            os.close(fd)
-            self._handle = self.path
-            return
+                self._handle = self.path
+                return
+        finally:
+            os.unlink(temporary)
 
     def release(self):
         """Drop the lock (idempotent)."""
@@ -136,6 +151,15 @@ class DirectoryLock:
                 os.unlink(handle)
             except OSError:
                 pass
+
+
+def _recorded_pid(path):
+    """The pid a pidfile records, or ``None`` when it records none."""
+    try:
+        with open(path) as handle:
+            return int(handle.read().strip() or 0) or None
+    except (OSError, ValueError):
+        return None
 
 
 def _pid_alive(pid):

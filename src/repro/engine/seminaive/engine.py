@@ -60,14 +60,22 @@ the same of every candidate, calling the function itself — and
 :func:`plan_instances` hands each instance to its caller.  Plans whose
 function reports the body's bindings instead of a head finish each solution
 through :func:`_tail_solutions`.  Sources stay pluggable: the function
-resolves every fetch through ``sources.select(step)`` and every negation
-through ``sources.holds(atom)``.
+reads every fetch from ``sources.store`` and asks every negation of
+``sources.holds(atom)``; a delta variant's anchor reads neither, but the
+``anchors`` its caller hands it.
+
+**A round.**  Every semi-naive round there is — :func:`evaluate_stratum`'s,
+and delete-rederive's over-deletion and rederivation — runs in one loop,
+:func:`_propagate`.  A round builds no store: it hands each variant whose
+anchor the round's facts can feed those facts (in a stratum of one head
+indicator, the round's list itself), calls its function directly, admits
+its heads in one pass and meets the caps once.
 
 **The caps.**  ``max_facts`` and ``max_term_depth`` travel as one
-:class:`Limits` object, and :meth:`Limits.check` is the one place a derived
-fact meets them: every loop that adds derived heads to a store — here
+:class:`Limits` object, and :meth:`Limits.check` is the one place derived
+facts meet them: every loop that adds derived heads to a store — here
 (:func:`evaluate_stratum`, :func:`insert_anchored`) and in the session's
-EDB writes — calls it once ``add`` has said the head is new.
+EDB writes — calls it once per round, on the heads ``add`` said were new.
 
 **Delete-rederive exists once**, here, and has two callers: a session's
 maintenance of a stratum
@@ -97,13 +105,14 @@ from repro.engine.aggregates import evaluate_aggregate
 from repro.engine.builtins import solve_builtin
 from repro.engine.seminaive.plan import PlanError, compile_rule
 from repro.engine.seminaive.relation import (
-    FactBuckets,
     FactSource,
     literal_indicator,
+    spill_groups,
 )
 from repro.hilog.depgraph import DependencyGraph
 from repro.hilog.errors import GroundingError, HiLogError
 from repro.hilog.subst import Substitution
+from repro.hilog.terms import App, outermost_symbol
 
 
 class SeminaiveUnsupported(HiLogError):
@@ -294,12 +303,11 @@ def _delta_sites(rule, recursive_indicators):
 
 
 class PlanSources:
-    """Resolves join-plan steps to fact sources.
-
-    The default implementation reads fetches from ``store`` (or the
-    per-iteration ``delta`` store for delta-marked steps) and answers
-    negation checks against ``store``.  A source implements
-    :class:`~repro.engine.seminaive.relation.FactSource`.
+    """What a join plan reads: every fetch reads ``store``, a
+    :class:`~repro.engine.seminaive.relation.FactSource`, and every negation
+    step asks :meth:`holds`, by default of ``store`` too.  A delta
+    variant's anchor reads no source: its caller hands it the facts to scan
+    (:func:`anchored_heads`, :func:`_propagate`).
 
     ``negation`` redirects the membership test of negation steps to a
     different store: the alternating-fixpoint well-founded evaluator
@@ -309,17 +317,12 @@ class PlanSources:
     the underestimate exactly when ``a`` is not even possibly true.
     """
 
-    __slots__ = ("store", "delta", "negation")
+    __slots__ = ("store", "negation")
 
-    def __init__(self, store: FactSource, delta: Optional[FactSource] = None,
+    def __init__(self, store: FactSource,
                  negation: Optional[FactSource] = None) -> None:
         self.store = store
-        self.delta = delta
         self.negation = store if negation is None else negation
-
-    def select(self, step) -> FactSource:
-        """The fact source a fetch step reads from."""
-        return self.delta if step.from_delta else self.store
 
     def holds(self, atom):
         """Membership test used by negation steps."""
@@ -469,9 +472,11 @@ def _tail_solutions(plan, sources, bindings, aggregates):
 MAX_PLAN_RESULTS = 8_000_000
 
 
-def run_plan(plan, sources, max_results=None):
+def run_plan(plan, sources, max_results=None, anchors=None):
     """The ground heads derivable from ``plan`` (a base or delta plan)
-    against ``sources``, as a list, duplicate derivations included.
+    against ``sources``, as a list, duplicate derivations included.  A
+    delta variant runs on ``anchors``, the facts its anchor step can match
+    (see :func:`anchored_heads`); a base plan takes none.
 
     ``max_results`` bounds the number of *distinct* heads one run may
     derive (mirroring the callers' ``max_facts`` fact caps); exceeding it
@@ -484,22 +489,40 @@ def run_plan(plan, sources, max_results=None):
     plan — has them appended straight to the list, no call per head in
     between: its function stops once it has handed over one head more
     than ``max_results`` (``stats.room``).  Only such a run, which may
-    hold duplicates below the cap, is run again head by head.
+    hold duplicates below the cap, is run again head by head
+    (:func:`_collect`).
     """
-    rprog = plan.registers
-    rule = plan.rule
     if max_results is None:
         max_results = MAX_PLAN_RESULTS
+    rprog = plan.registers
     stats = EXECUTION_STATS.counters()
     if rprog.fast and rprog.head_ground:
         out = []
         stats.room = min(max_results, MAX_PLAN_RESULTS) + 1
         try:
-            stopped = rprog.run(sources, out.append, stats)
+            stopped = _run(rprog, sources, anchors, out.append, stats)
         finally:
             stats.room = -1
         if not stopped:
             return out
+    return _collect(plan, sources, anchors, max_results, stats)
+
+
+def _run(rprog, sources, anchors, sink, stats):
+    """Call a forward plan's function, handing a delta variant its
+    ``anchors``."""
+    if anchors is None:
+        return rprog.run(sources, sink, stats)
+    return rprog.run(sources, anchors, sink, stats)
+
+
+def _collect(plan, sources, anchors, max_results, stats):
+    """:func:`run_plan` head by head: every head past the distinct-head
+    and :data:`MAX_PLAN_RESULTS` caps, each checked ground unless the
+    plan vouches for it, and finished by the tail when the plan reports
+    bindings."""
+    rule = plan.rule
+    rprog = plan.registers
     out = []
     seen = set()
     append = out.append
@@ -536,7 +559,7 @@ def run_plan(plan, sources, max_results=None):
         sink = emit
     else:
         sink = emit_checked
-    rprog.run(sources, sink, stats)
+    _run(rprog, sources, anchors, sink, stats)
     return out
 
 
@@ -596,21 +619,25 @@ class Limits:
         self.max_facts = max_facts
         self.max_term_depth = max_term_depth
 
-    def check(self, head, store):
-        """The one place a derived fact meets the caps.  Call it once
-        ``store.add`` has said ``head`` is new: the fact
-        cap then counts facts, not derivations, and a model of exactly
-        ``max_facts`` facts is accepted.  At a refusal ``head`` is therefore
-        in the store: the one-shot evaluators drop theirs; a maintenance
-        step has recorded ``head`` in its delta first, so the session can
-        recompute the stratum over the store as it stands, and only when
-        that is refused too re-evaluates the state before the update."""
-        if self.max_term_depth is not None and head.depth() > self.max_term_depth:
-            raise GroundingError(
-                "derived atom %r exceeds term depth %d; the program is probably "
-                "not strongly range restricted (cf. Example 5.2)"
-                % (head, self.max_term_depth)
-            )
+    def check(self, store, heads):
+        """The one place derived facts meet the caps, once per round: call
+        it once the round's ``heads``, those ``store.add`` said were new,
+        are in ``store``.  The fact cap then counts facts, not derivations,
+        and a model of exactly ``max_facts`` facts is accepted; the depth
+        cap reads each head, and only when it is set.  At a refusal the
+        round's heads are therefore in the store: the one-shot evaluators
+        drop theirs; the session recomputes the stratum over the store as
+        the step left it, and only when that is refused too re-evaluates
+        the state before the update."""
+        depth = self.max_term_depth
+        if depth is not None:
+            for head in heads:
+                if head.depth() > depth:
+                    raise GroundingError(
+                        "derived atom %r exceeds term depth %d; the program is "
+                        "probably not strongly range restricted (cf. Example "
+                        "5.2)" % (head, depth)
+                    )
         if len(store) > self.max_facts:
             raise GroundingError(
                 "semi-naive evaluation exceeded %d facts; the program is "
@@ -720,6 +747,10 @@ def evaluate_stratum(stratum, store, limits=Limits(), seed_delta=None,
     evaluator runs each phase's fixpoint through this entry point with the
     opposite phase's store as the negation context.
 
+    The rounds are :func:`_propagate`'s, with ``store.add`` admitting each
+    head and :meth:`Limits.check` run once per round, the base pass
+    included.
+
     Returns ``(iterations, added)`` where ``added`` lists the facts newly
     added to the store (excluding the seeds themselves).
     """
@@ -728,33 +759,25 @@ def evaluate_stratum(stratum, store, limits=Limits(), seed_delta=None,
         started = _perf_counter()
         stats_before = EXECUTION_STATS.snapshot()
     added = []
-    max_facts = limits.max_facts
-    check = limits.check
+    sources = PlanSources(store, negation=negation_store)
     if seed_delta is None:
         iterations = 1
-        sources = PlanSources(store, negation=negation_store)
         for _rule, plan in stratum.base_plans:
-            for head in run_plan(plan, sources, max_results=max_facts):
-                if store.add(head):
-                    check(head, store)
-                    added.append(head)
+            added.extend(filter(store.add, run_plan(plan, sources, limits.max_facts)))
+        limits.check(store, added)
         delta = list(added)
     else:
         iterations = 0
         delta = list(seed_delta)
-
-    while delta:
+    if stratum.variant_plans:
+        iterations = _propagate(stratum, stratum.variant_plans, delta, sources,
+                                store.add, limits, store, added, tracer,
+                                iterations)
+    elif delta:
+        # No delta site: the one round over the delta finds nothing to run.
         iterations += 1
         if tracer is not None:
             tracer.emit("iteration", iteration=iterations, delta=len(delta))
-        delta_store = _round_store(delta, stratum.head_indicators)
-        delta = []
-        sources = PlanSources(store, delta_store, negation=negation_store)
-        for head in anchored_heads(stratum.variant_plans, sources, limits):
-            if store.add(head):
-                check(head, store)
-                delta.append(head)
-                added.append(head)
     if tracer is not None:
         stats = EXECUTION_STATS.diff(stats_before)
         tracer.emit(
@@ -818,49 +841,94 @@ def compile_delta_plans(stratum):
     )
 
 
-def delta_relevant(delta_store, indicator):
-    """Whether a delta store could feed a variant anchored at ``indicator``
-    (``None``: non-ground site pattern — any delta fact might match)."""
-    if not len(delta_store):
-        return False
-    if indicator is None:
-        return True
-    return delta_store.has_facts(indicator[0], indicator[1])
-
-
-def anchored_heads(variants, sources, limits):
-    """The heads of each of ``variants`` whose anchor ``sources.delta`` holds
-    facts for, one variant at a time: a caller that adds each head to a
-    store the next variant reads has it there, as in a delta round."""
+def anchored_heads(variants, sources, facts, limits):
+    """The heads of each of ``variants`` anchored on ``facts`` (a
+    :class:`~repro.engine.seminaive.relation.FactBuckets`: a side of a
+    :class:`~repro.engine.seminaive.relation.Delta`, a change), one variant
+    at a time: a caller that adds each head to a store the next variant
+    reads has it there, as in a delta round.  A variant runs on the facts
+    of its anchor's indicator — those of its arity, for an open name
+    (:func:`_open_anchors`) — and not at all when there are none."""
+    groups = facts.groups()
     for _rule, _site, indicator, plan in variants:
-        if delta_relevant(sources.delta, indicator):
-            yield from run_plan(plan, sources, max_results=limits.max_facts)
+        anchors = groups.get(indicator) if indicator is not None \
+            else _open_anchors(groups, plan)
+        if anchors is not None:
+            yield from run_plan(plan, sources, limits.max_facts, anchors)
 
 
-def _round_store(facts, heads):
-    """The fact set a delta round anchors on: ``facts``, atoms of a stratum
-    whose head indicators are ``heads`` (``None``: open).  The one bucket
-    of a stratum of one indicator is built whole, reading no fact's
-    indicator."""
-    if heads is not None and len(heads) == 1:
-        (indicator,) = heads
-        return FactBuckets.of(indicator, facts)
-    return FactBuckets(facts)
+def _open_anchors(groups, plan):
+    """What a delta variant anchored at an open name — ``M(X, Y)``,
+    ``winning(M)(X)``, a bare variable — runs on, out of ``groups``, facts
+    by indicator: every fact of the anchor's arity under its name's
+    outermost symbol, or every fact; ``None`` when there is none at all."""
+    if not groups:
+        return None
+    atom = plan.steps[0].literal.atom
+    if type(atom) is not App:
+        return [fact for facts in groups.values() for fact in facts]
+    return spill_groups(groups.items(), len(atom.args), outermost_symbol(atom))
 
 
-def _propagate(stratum, variants, worklist, sources, admit, limits):
+def _by_indicator(facts):
+    """``facts`` as ``{indicator: [fact, ...]}``, in order."""
+    groups = {}
+    for fact in facts:
+        group = groups.get(fact.indicator)
+        if group is None:
+            groups[fact.indicator] = [fact]
+        else:
+            group.append(fact)
+    return groups
+
+
+def _propagate(stratum, variants, worklist, sources, admit, limits,
+               store=None, added=None, tracer=None, rounds=0):
     """Run ``variants`` — of ``stratum``, whose atoms ``worklist`` holds —
     anchored on ``worklist`` against ``sources``, then on the heads
-    ``admit`` took from that round, until it takes none.  Returns the
-    rounds run."""
+    ``admit`` took from that round, until it takes none: every semi-naive
+    round there is, :func:`evaluate_stratum`'s and delete-rederive's.
+
+    A round hands each variant the round's facts its anchor can match — in
+    a stratum of one head indicator the round's list itself, no copy — and
+    calls its function directly, ``room`` set once per call; only a run
+    that exhausts it goes head by head (:func:`_collect`).  Each variant's
+    heads pass ``admit`` in one pass before the next variant runs, so it
+    reads them.  With ``store``, the store ``admit`` adds to, the round's
+    admitted heads meet :meth:`Limits.check` once; ``added`` collects them
+    and ``tracer`` hears of each round.  Returns the rounds run, counted
+    from ``rounds``."""
     heads = stratum.head_indicators
-    rounds = 0
-    while worklist and variants:
-        rounds += 1
-        anchor = PlanSources(sources.store, _round_store(worklist, heads),
-                             sources.negation)
-        worklist = [head for head in anchored_heads(variants, anchor, limits)
-                    if admit(head)]
+    one = next(iter(heads)) if heads is not None and len(heads) == 1 else None
+    stats = EXECUTION_STATS.counters()
+    max_facts = limits.max_facts
+    room = min(max_facts, MAX_PLAN_RESULTS) + 1
+    try:
+        while worklist and variants:
+            rounds += 1
+            if tracer is not None:
+                tracer.emit("iteration", iteration=rounds, delta=len(worklist))
+            groups = {one: worklist} if one is not None else _by_indicator(worklist)
+            fresh = []
+            for _rule, _site, indicator, plan in variants:
+                anchors = groups.get(indicator) if indicator is not None \
+                    else _open_anchors(groups, plan)
+                if anchors is None:
+                    continue
+                rprog = plan.registers
+                out = []
+                stats.room = room
+                if not (rprog.fast and rprog.head_ground) \
+                        or rprog.run(sources, anchors, out.append, stats):
+                    out = _collect(plan, sources, anchors, max_facts, stats)
+                fresh.extend(filter(admit, out))
+            if store is not None:
+                limits.check(store, fresh)
+            if added is not None:
+                added.extend(fresh)
+            worklist = fresh
+    finally:
+        stats.room = -1
     return rounds
 
 
@@ -910,17 +978,14 @@ def rederive(plans, target, candidates, new, keep, limits):
     ``candidates`` (atoms out of it, in their order) that ``keep`` holds or
     some rule still derives from ``new`` — probed through the ``from_head``
     plans, ``target`` included — then push what returned through the
-    stratum's own variants, restoring candidates only.  Every add passes
-    :meth:`Limits.check` against ``target``.  Besides
+    stratum's own variants, restoring candidates only.  Each round's adds
+    pass :meth:`Limits.check` against ``target``.  Besides
     :func:`delete_rederive`, the cone step of a well-founded session calls
     it, to compute a first overestimate of the cone
     (:func:`repro.engine.seminaive.wellfounded.cone_step`).  Returns the
     delta rounds run."""
     def restore(head):
-        if head in candidates and target.add(head):
-            limits.check(head, target)
-            return True
-        return False
+        return head in candidates and target.add(head)
 
     probes = [_probe(plan) for plan in plans.from_head]
     stats = EXECUTION_STATS.counters()
@@ -933,24 +998,21 @@ def rederive(plans, target, candidates, new, keep, limits):
             else:
                 continue
         target.add(atom)
-        limits.check(atom, target)
         restored.append(atom)
+    limits.check(target, restored)
     return _propagate(plans.stratum, plans.stratum.variant_plans, restored,
-                      new, restore, limits)
+                      new, restore, limits, target)
 
 
 def insert_anchored(stratum, store, heads, limits, negation_store=None):
     """The insertion half of delete-rederive: add the anchored ``heads`` to
-    ``store`` — each new one past :meth:`Limits.check` — and resume the
+    ``store`` — the new ones past :meth:`Limits.check` — and resume the
     stratum's fixpoint from them (:func:`evaluate_stratum` with
     ``seed_delta``).  Returns ``(iterations, added)``, the new heads first."""
-    added = []
-    for head in heads:
-        if store.add(head):
-            limits.check(head, store)
-            added.append(head)
+    added = list(filter(store.add, heads))
     if not added:
         return 0, added
+    limits.check(store, added)
     iterations, propagated = evaluate_stratum(
         stratum, store, limits, seed_delta=added, negation_store=negation_store
     )

@@ -16,11 +16,11 @@ indexes on.
 
 A rule has three entry points.  Besides the *base* plan, the compiler
 produces, for semi-naive evaluation, *delta variants*: the same rule with
-one designated body literal forced to the front of the plan, to be scanned
-from the per-iteration delta relation instead of the full store — a
-*negative* literal flipped positive first, so the variant is anchored on
-the atoms whose truth just changed (delete-rederive's negation variants,
-the alternating fixpoint's reseeding).
+one designated body literal — the *anchor* — forced to the front of the
+plan and scanned from the facts the caller hands the variant instead of
+the store — a *negative* literal flipped positive first, so the variant is
+anchored on the atoms whose truth just changed (delete-rederive's negation
+variants, the alternating fixpoint's reseeding).
 And it produces the plan *from the head* (``from_head=True``), which runs
 the rule backwards: in the paper's universal-relation reading a rule head is
 one more tuple pattern over ``call``, so the plan first matches a candidate
@@ -33,9 +33,10 @@ and explain's proof search (:mod:`repro.obs.explain`) are this entry point.
 Beyond the (declarative) :class:`JoinPlan`, the compiler lowers every plan
 into one **generated Python function** (:class:`RegisterProgram`): rule
 variables are numbered into registers, which are the function's locals;
-each fetch is a loop over an indexed probe whose key is read straight from
-registers, and matching a candidate fact is a short run of identity tests
-and register writes — no per-candidate
+each fetch is a loop over an indexed probe of ``sources.store`` whose key
+is read straight from registers — a delta variant's anchor a loop over its
+``anchors`` argument — and matching a candidate fact is a short run of
+identity tests and register writes — no per-candidate
 :class:`~repro.hilog.subst.Substitution` allocation anywhere on the hot
 path, no dispatch on step kinds at run time.  Because terms are hash-consed
 (:mod:`repro.hilog.terms`), "the fact's argument equals the bound value" is
@@ -361,11 +362,17 @@ def compile_rule(rule, delta_index=None, from_head=False):
 #   fact against a subgoal (in the universal relation a head is one more
 #   tuple pattern), so the body below it starts with the head's variables
 #   bound;
-# * a *fetch* is a ``for fact in source.fetch(...)`` loop whose index key is
-#   read straight from registers and whose body matches the fact with
-#   ``is`` tests against interned terms and register writes (nested argument
-#   patterns unfold into the same tests one level down) — or, when the key
-#   covers every argument, a single ``intern_app(...) in source`` probe;
+# * a *fetch* is a ``for fact in store.fetch(...)`` loop over
+#   ``sources.store`` whose index key is read straight from registers and
+#   whose body matches the fact with ``is`` tests against interned terms and
+#   register writes (nested argument patterns unfold into the same tests one
+#   level down) — or, when the key covers every argument, a single
+#   ``intern_app(...) in store`` probe;
+# * the *anchor* of a delta variant — ``run(sources, anchors, sink,
+#   stats)`` — is the same loop or probe over ``anchors``, the facts its
+#   literal can match that the caller hands over: the delta's facts of the
+#   literal's indicator, or of its arity (narrowed by the name's outermost
+#   symbol) for an open name (:func:`repro.engine.seminaive.engine.anchored_heads`);
 # * a *negation* is an inline ``intern_app(...)`` handed to
 #   ``sources.holds``;
 # * a *builtin* is an inline numeric comparison, or one call that bridges to
@@ -388,8 +395,10 @@ def compile_rule(rule, delta_index=None, from_head=False):
 # What is decided per candidate in an interpreter is decided once here:
 # whether a predicate name is ground at runtime, which arguments form the
 # index key, whether a variable is written or checked.  Sources stay
-# pluggable through ``sources.select`` / ``sources.holds``, and every fetch
-# and candidate bumps the ``fetches`` / ``candidates`` counters.
+# pluggable through ``sources.store`` / ``sources.holds``, and every fetch
+# and candidate bumps the ``fetches`` / ``candidates`` counters — the anchor
+# one fetch and ``len(anchors)`` candidates, as a fetch of the delta's
+# bucket would.
 
 #: Fetch steps per generated function.  CPython refuses more than 20
 #: statically nested blocks, so a longer body continues in a second
@@ -403,8 +412,9 @@ COMPARE_OPS = {"<": "<", ">": ">", "=<": "<=", ">=": ">=", "=:=": "==", "=\\=": 
 class RegisterProgram(NamedTuple):
     """A join plan lowered to one specialised Python function."""
 
-    #: ``run(sources, sink, stats)`` — ``run(sources, atom, sink, stats)``
-    #: for a ``from_head`` plan: walk the body, call ``sink(solution)`` per
+    #: ``run(sources, sink, stats)`` — ``run(sources, anchors, sink,
+    #: stats)`` for a delta variant, ``run(sources, atom, sink, stats)`` for
+    #: a ``from_head`` plan: walk the body, call ``sink(solution)`` per
     #: solution, return ``True`` as soon as a sink call does.  Owned by the
     #: plan — no registry holds it.
     run: object
@@ -532,25 +542,32 @@ class _Codegen:
         self.line("stats.candidates += 1")
 
     def scan(self, index, candidates):
-        """Open the loop over the candidates of fetch ``index``;
-        ``candidates`` is the statement that binds ``c<index>``."""
-        self.line(candidates)
-        self.line("stats.candidates += len(c%d)" % index)
-        self.line("for f%d in c%d:" % (index, index))
+        """Open the loop over ``candidates``, an expression listing the
+        candidates of fetch ``index``."""
+        if not candidates.isidentifier():
+            self.line("c%d = %s" % (index, candidates))
+            candidates = "c%d" % index
+        self.line("stats.candidates += len(%s)" % candidates)
+        self.line("for f%d in %s:" % (index, candidates))
         self.indent += 1
         return "f%d" % index
 
     def fetch(self, step, index):
+        """Fetch ``step`` from the store — or, the anchor of a delta
+        variant, from the ``anchors`` argument, which holds exactly the
+        facts a scan of the delta would list."""
         atom = step.literal.atom
-        source = "s%d" % index
-        self.prologue.append("%s = sources.select(%s)" % (source, self.const(step)))
+        source = "anchors" if step.from_delta else "store"
+        if source == "store" and "store = sources.store" not in self.prologue:
+            self.prologue.append("store = sources.store")
         self.line("stats.fetches += 1")
         if not isinstance(atom, App):
             # Propositional subgoal: a symbol, or a bare variable.
             if atom.is_ground() or atom in self.bound:
                 self.probe(self.expr(atom), source)
             else:
-                fact = self.scan(index, "c%d = %s.all_facts()" % (index, source))
+                fact = self.scan(index, source if step.from_delta
+                                 else "store.all_facts()")
                 self.match(atom, fact)
             return
         arity = len(atom.args)
@@ -561,13 +578,11 @@ class _Codegen:
             if len(key) == arity:
                 self.probe("intern_app(%s, %s)" % (name, _tuple(key)), source)
                 return
-            fact = self.scan(
-                index,
-                "c%d = %s.fetch(%s, %d, %r, %s)" % (
-                    index, source, name, arity, step.index_positions,
+            fact = self.scan(index, source if step.from_delta else (
+                "store.fetch(%s, %d, %r, %s)" % (
+                    name, arity, step.index_positions,
                     key[0] if len(key) == 1 else _tuple(key),
-                ),
-            )
+                )))
             self.line("%s = %s.args" % (args, fact))
         else:
             # The predicate name is still open: scan every relation of the
@@ -580,9 +595,8 @@ class _Codegen:
                 symbol = "outermost_symbol(%s)" % self.reg(symbol)
             else:
                 symbol = self.const(symbol) if isinstance(symbol, Sym) else "None"
-            fact = self.scan(
-                index, "c%d = %s.spill(%d, %s)" % (index, source, arity, symbol)
-            )
+            fact = self.scan(index, source if step.from_delta
+                             else "store.spill(%d, %s)" % (arity, symbol))
             self.fail("type(%s) is not App" % fact)
             self.line("%s = %s.args" % (args, fact))
             self.fail("len(%s) != %d" % (args, arity))
@@ -660,6 +674,8 @@ class _Codegen:
         if from_head:
             params.insert(1, "atom")
             self.match(self.rule.head, "atom")
+        elif steps and steps[0].from_delta:
+            params.insert(1, "anchors")
         entry = self.lines  # before the prologue: a refused fact looks up no source
         position = 0
         while name:
@@ -741,9 +757,7 @@ class _Template:
             for kind, index, bound, positions, from_delta in self.steps)
         namespace = dict(_RUNTIME, __template__=self, __builtins__=self.builtins)
         for name, kind, where in self.constants:
-            if kind is _STEP:
-                namespace[name] = steps[where]
-            elif kind is _RULE:
+            if kind is _RULE:
                 namespace[name] = rule
             elif kind is _PATH:
                 namespace[name] = _follow(rule, where)
@@ -759,22 +773,19 @@ class _Template:
         )
 
 
-_STEP, _RULE, _PATH, _SAME = "step", "rule", "path", "same"
+_RULE, _PATH, _SAME = "rule", "path", "same"
 
 
 def _constants(plan):
-    """Where each constant of ``plan``'s functions comes from — one of its
-    steps, its rule, a path into its rule (:func:`_paths`) or itself —
-    or ``None`` when a term among them is not in the rule."""
+    """Where each constant of ``plan``'s functions comes from — its rule,
+    a path into its rule (:func:`_paths`) or itself — or ``None`` when a
+    term among them is not in the rule."""
     paths = _paths(plan.rule)
-    step_of = {id(step): index for index, step in enumerate(plan.steps)}
     constants = []
     for name, value in plan.registers.run.__globals__.items():
         if not (name[0] == "k" and name[1:].isdigit()):
             continue
-        if id(value) in step_of:
-            constants.append((name, _STEP, step_of[id(value)]))
-        elif value is plan.rule:
+        if value is plan.rule:
             constants.append((name, _RULE, None))
         elif id(value) in paths:
             constants.append((name, _PATH, paths[id(value)]))

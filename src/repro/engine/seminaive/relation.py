@@ -38,9 +38,10 @@ substitution)`` question to the protocol.  Three classes implement it:
 
 :class:`FactBuckets`
     A plain fact set, ``{indicator: {atom: None}}``: no indexes.
-    For what is scanned whole per indicator — the semi-naive loop's
-    per-iteration delta, delete-rederive's worklist rounds, both sides of a
-    :class:`Delta`.  ``fetch`` ignores the key and lists the indicator's
+    For what is scanned whole per indicator — both sides of a
+    :class:`Delta`, the changes a well-founded write or alternation anchors
+    on; :meth:`~FactBuckets.groups` hands a delta variant its indicator's
+    bucket as is.  ``fetch`` ignores the key and lists the indicator's
     bucket: this is the source that over-returns.  Freezable like the
     store; a published epoch's delta is frozen before readers can see it.
 
@@ -227,10 +228,11 @@ class Relation:
         return len(self._indexes)
 
 
-def _spill(groups, arity, symbol):
+def spill_groups(groups, arity, symbol):
     """The facts of ``groups`` (``(indicator, facts)`` pairs) whose
-    indicator has ``arity`` and a name under ``symbol`` — the one spill
-    scan behind the store's and the bucket set's."""
+    indicator has ``arity`` and a name under ``symbol`` (``None``: any) —
+    the one spill scan behind the store's, the bucket set's and an open
+    delta variant's anchors."""
     result = []
     for (name, group_arity), facts in groups:
         if group_arity == arity and (
@@ -430,7 +432,7 @@ class RelationStore:
         same_arity = self._by_arity.get(arity)
         if same_arity is None:
             return ()
-        return _spill(
+        return spill_groups(
             ((indicator, relation.facts)
              for indicator, relation in same_arity.items()),
             arity, symbol,
@@ -471,17 +473,6 @@ class FactBuckets:
             else:
                 bucket[atom] = None
         self._count = sum(map(len, buckets.values()))
-
-    @classmethod
-    def of(cls, indicator, facts):
-        """The set of ``facts``, all of them of ``indicator`` (the caller
-        vouches): one bucket, built without reading a fact's indicator."""
-        self = cls()
-        bucket = dict.fromkeys(facts)
-        if bucket:
-            self._buckets[indicator] = bucket
-            self._count = len(bucket)
-        return self
 
     def __len__(self):
         return self._count
@@ -550,6 +541,13 @@ class FactBuckets:
         """``True`` when the indicator has at least one fact."""
         return (name, arity) in self._buckets
 
+    def groups(self):
+        """The set's live ``{indicator: {atom: None}}`` mapping, no bucket
+        empty — what delta variants are anchored on, read without a copy
+        (:func:`repro.engine.seminaive.engine.anchored_heads`).  Read it
+        only, and not while the set changes."""
+        return self._buckets
+
     def pin_roots(self):
         """Every atom of the set, for intern-generation pin sets."""
         return iter(self)
@@ -563,7 +561,7 @@ class FactBuckets:
         return list(bucket) if bucket else ()
 
     def spill(self, arity: int, symbol: Optional[Term]) -> Sequence[Term]:
-        return _spill(self._buckets.items(), arity, symbol)
+        return spill_groups(self._buckets.items(), arity, symbol)
 
     def all_facts(self) -> Sequence[Term]:
         return list(self)

@@ -506,16 +506,15 @@ def _alternate_from(plans, under, over_view, grown, limits):
             layer.remove(atom)
         old_under = StoreView((under,), minus=grown)
         seeds = anchored_heads(
-            plans.negation_variants,
-            PlanSources(over_view, grown, negation=old_under), limits,
+            plans.negation_variants, PlanSources(over_view, negation=old_under),
+            grown, limits,
         )
         its, overdeleted, removed = delete_rederive(
             plans, layer, seeds, over, over, (), limits
         )
         enabled = anchored_heads(
-            plans.negation_variants,
-            PlanSources(under, FactBuckets(removed), negation=over_view),
-            limits,
+            plans.negation_variants, PlanSources(under, negation=over_view),
+            FactBuckets(removed), limits,
         )
         more, grown = insert_anchored(
             stratum, under, enabled, limits, negation_store=over_view
@@ -601,7 +600,7 @@ def cone_step(plans, under, undefined, changed, gone, own, keep, limits):
         cone[atom] = (was_true, undefined.remove(atom))
         if atom in keep:
             if under.add(atom):
-                limits.check(atom, under)
+                limits.check(under, (atom,))
         else:
             under.remove(atom)
             possible.remove(atom)
@@ -612,7 +611,7 @@ def cone_step(plans, under, undefined, changed, gone, own, keep, limits):
     frontier = [atom for atom in own if admit(atom)]
     frontier.extend(head for head in anchored_heads(
         plans.positive_variants + plans.negation_variants,
-        PlanSources(reach, changed, negation=_NOTHING), limits,
+        PlanSources(reach, negation=_NOTHING), changed, limits,
     ) if admit(head))
     _propagate(stratum, stratum.variant_plans + plans.negation_variants,
                frontier, PlanSources(reach, negation=_NOTHING), admit, limits)
@@ -1152,10 +1151,9 @@ def _record_instances(stratum, under, graph, limits):
                     seen[record] = None
                     head = record.args[0]
                     if view.add(head):
-                        limits.check(head, view)
                         delta.add(head)
-            records = list(anchored_heads(
-                variants, PlanSources(view, delta, negation=under), limits))
+            limits.check(view, delta)
+            records = list(anchored_heads(variants, sources, delta, limits))
         for record in seen:
             head, positive, negated, late = record.args
             if any(atom in under for atom in late.args):

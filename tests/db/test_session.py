@@ -435,6 +435,41 @@ class TestFallbacks:
             session.insert("e(c, d).")
         assert session.true == before and len(before) == 6 and session.check()
 
+    @pytest.mark.parametrize("strategy, rules", [
+        ("incremental", "reach(Y) :- reach(X), e(X, Y)."),
+        ("wellfounded", "reach(Y) :- reach(X), e(X, Y), not cut(Y).  "
+                        "cut(Y) :- e(Y, Y), not reach(Y)."),
+    ])
+    @pytest.mark.parametrize("shape", ["thin", "fat"])
+    def test_fact_cap_is_met_once_a_round(self, strategy, rules, shape):
+        """Inserting ``e(a, b)`` makes ``reach`` grow below ``b``: down a
+        chain, one fact a round, or over a fan, nine facts in one round.
+        The cap is met once per round, so a write that crosses it in a late
+        round or partway through the fat one is refused all the same, and
+        leaves the EDB and the model as they were; a model of exactly
+        ``max_facts`` facts is accepted.  The well-founded session's
+        ``reach`` alternates, so its write takes the cone step."""
+        if shape == "thin":
+            edges = " ".join("e(%s, %s)." % pair for pair in zip("bcdefghi", "cdefghij"))
+            size = 19
+        else:
+            edges = " ".join("e(b, c%d)." % i for i in range(1, 10))
+            size = 21
+        program = "reach(a). " + edges + " " + rules
+        session = DatabaseSession(program, strategy=strategy, max_facts=size)
+        if strategy == "wellfounded":
+            assert session.strategies() == ("alternating",)
+        session.insert("e(a, b).")
+        assert len(session.true) == size and session.check()
+
+        for cap in (size - 1, 16):
+            session = DatabaseSession(program, strategy=strategy, max_facts=cap)
+            before, edb = session.true, session.edb()
+            with pytest.raises(GroundingError, match="exceeded %d facts" % cap):
+                session.insert("e(a, b).")
+            assert session.true == before and session.edb() == edb
+            assert session.check()
+
     def test_swap_at_the_fact_cap_keeps_the_delta_whole(self):
         """A batch that swaps ``e(a)`` for ``e(b)`` one fact below the cap
         publishes exactly the swapped model.  DRed deletes a stratum's lost

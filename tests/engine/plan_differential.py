@@ -32,9 +32,10 @@ from repro.engine.seminaive import (
     seminaive_well_founded,
 )
 from repro.engine.seminaive.plan import PlanError, compile_rule
-from repro.engine.seminaive.relation import FactBuckets, RelationStore
+from repro.engine.seminaive.relation import FactBuckets, RelationStore, candidates
 from repro.hilog.errors import GroundingError
 from repro.hilog.parser import parse_program
+from repro.hilog.subst import Substitution
 from repro.hilog.unify import match
 from repro import workloads as w
 
@@ -131,27 +132,36 @@ def counted(thunk):
     return value, spent["fetches"], spent["candidates"]
 
 
-def _run_record(plan, sources):
+def run_on(plan, sources, delta, **options):
+    """:func:`run_plan` of ``plan`` against ``sources``; a delta variant
+    runs on the facts of ``delta`` (a fact source) its anchor can match."""
+    anchors = None
+    if plan.steps and plan.steps[0].from_delta:
+        anchors = candidates(delta, plan.steps[0].literal.atom, Substitution())
+    return run_plan(plan, sources, anchors=anchors, **options)
+
+
+def _run_record(plan, sources, delta):
     try:
-        heads, fetches, candidates = counted(
-            lambda: sorted(map(repr, run_plan(plan, sources)))
+        heads, fetches, spent = counted(
+            lambda: sorted(map(repr, run_on(plan, sources, delta)))
         )
     except GroundingError:
         return ["GroundingError"]
     digest = hashlib.sha1("\n".join(heads).encode()).hexdigest()[:12]
-    return [len(heads), digest, fetches, candidates]
+    return [len(heads), digest, fetches, spent]
 
 
 def _probe_record(rule, plan, sources, facts):
     probes = [fact for fact in facts if match(rule.head, fact) is not None]
     probes = probes[:MAX_PROBES]
     try:
-        satisfied, fetches, candidates = counted(
+        satisfied, fetches, spent = counted(
             lambda: sum(plan_satisfiable(plan, sources, fact) for fact in probes)
         )
     except GroundingError:
         return ["GroundingError"]
-    return [satisfied, len(probes), fetches, candidates]
+    return [satisfied, len(probes), fetches, spent]
 
 
 def _model(program):
@@ -169,7 +179,7 @@ def record_program(program):
     """The records of one program: its base plans, one delta variant per
     positive body site, and one head-entry probe plan per rule."""
     facts = sorted(_model(program), key=repr)
-    sources = PlanSources(RelationStore(facts), FactBuckets(facts))
+    sources, delta = PlanSources(RelationStore(facts)), FactBuckets(facts)
     records = {"facts": len(facts), "run": [], "probe": []}
     for rule in program.proper_rules():
         sites = [None] + [
@@ -182,7 +192,7 @@ def record_program(program):
             except PlanError:
                 records["run"].append(["PlanError"])
                 continue
-            records["run"].append(_run_record(plan, sources))
+            records["run"].append(_run_record(plan, sources, delta))
         try:
             plan = compile_rule(rule, from_head=True)
         except PlanError:

@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from plan_differential import counted
+from plan_differential import counted, run_on
 from repro.engine.seminaive import (
     EXECUTION_STATS,
     PlanSources,
@@ -34,11 +34,14 @@ def _setup(text, **compile_options):
     program = parse_program(text)
     store = RelationStore([rule.head for rule in program.facts()])
     plan = compile_rule(program.proper_rules()[0], **compile_options)
-    return plan, PlanSources(store, FactBuckets(store))
+    return plan, PlanSources(store)
 
 
 def _heads(plan, sources, **options):
-    return sorted(map(repr, run_plan(plan, sources, **options)))
+    """The sorted heads of ``plan``; a delta variant runs with every fact
+    as the delta."""
+    delta = FactBuckets(sources.store)
+    return sorted(map(repr, run_on(plan, sources, delta, **options)))
 
 
 class TestShapes:

@@ -131,6 +131,23 @@ class TestJoinPlans:
 # The engine
 # ---------------------------------------------------------------------------
 
+#: Reachability from ``a``, two-valued; and the same with ``reach`` in a
+#: cycle through negation, so that it alternates (``cut`` never holds).
+REACH = "reach(Y) :- reach(X), e(X, Y)."
+REACH_ALTERNATING = (
+    "reach(Y) :- reach(X), e(X, Y), not cut(Y).  "
+    "cut(Y) :- e(Y, Y), not reach(Y)."
+)
+
+#: Edges below ``b`` and the size of the model ``reach(a). e(a, b).`` has
+#: over them: a chain, ``reach`` gaining one fact a round, or a fan, nine
+#: facts in one round.
+CAP_SHAPES = {
+    "thin": (" ".join("e(%s, %s)." % pair for pair in zip("bcdefghi", "cdefghij")), 19),
+    "fat": (" ".join("e(b, c%d)." % i for i in range(1, 10)), 21),
+}
+
+
 class TestSeminaiveEngine:
     def test_transitive_closure_matches_wfs(self):
         program = transitive_closure_program(chain_edges(12))
@@ -215,6 +232,24 @@ class TestSeminaiveEngine:
         assert len(evaluate(program, max_facts=7).true) == 7
         with pytest.raises(GroundingError, match="exceeded 6 facts"):
             evaluate(program, max_facts=6)
+
+    @pytest.mark.parametrize("evaluate, rules", [
+        (seminaive_evaluate, REACH),
+        (seminaive_well_founded, REACH),
+        (seminaive_well_founded, REACH_ALTERNATING),
+    ])
+    @pytest.mark.parametrize("shape", ["thin", "fat"])
+    def test_fact_cap_is_met_once_a_round(self, evaluate, rules, shape):
+        """The cap is met once per delta round: crossing it in a late round
+        of a chain (one fact a round) or partway through a fan's one fat
+        round is refused all the same, and a model of exactly ``max_facts``
+        facts is accepted."""
+        edges, size = CAP_SHAPES[shape]
+        program = parse_program("reach(a). e(a, b). " + edges + " " + rules)
+        assert len(evaluate(program, max_facts=size).true) == size
+        for cap in (size - 1, 16):
+            with pytest.raises(GroundingError, match="exceeded %d facts" % cap):
+                evaluate(program, max_facts=cap)
 
     def test_perfect_model_is_total(self):
         model = seminaive_perfect_model(transitive_closure_program(chain_edges(5)))

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.db import DatabaseSession
+from repro.durable.snapshot import load_snapshot
 from repro.hilog.errors import GroundingError
 from repro.hilog.parser import parse_term
 from repro.hilog.terms import App, Sym
@@ -190,6 +191,45 @@ class TestBasics:
             assert answers(serving, "win(X)") == {"win(a)", "win(c)"}
             assert answers(serving, "move(X, Y)") == {
                 "move(a, b)", "move(b, c)", "move(c, d)"}
+
+
+class TestCheckpoint:
+    def test_checkpoint_of_a_delta_epoch_beside_a_pinned_older_one(self, tmp_path):
+        """The writer serializes the current epoch — a delta over its base
+        — while a reader holds the base: the snapshot is the session's
+        model and EDB, the reader keeps reading its own epoch, and a crash
+        right after recovers from the snapshot alone."""
+        path = str(tmp_path / "data")
+        serving = ServingSession(TC_RULES + "e(a, b).", path=path, fsync="always")
+        try:
+            pinned = serving.reader()
+            pinned_eid = pinned.epoch.eid
+            pinned_answers = answers(pinned, "tc(X, Y)")
+            serving.insert("e(b, c).", timeout=5)
+            serving.insert("e(c, d).", timeout=5)
+            assert not serving.epochs.current.is_base()
+
+            state = load_snapshot(serving.checkpoint(timeout=5))
+            session = serving.session
+            assert set(state.store) == set(session.store)
+            assert state.edb == set(session.edb())
+            assert not len(state.undefined)
+            assert pinned.epoch.eid == pinned_eid
+            assert answers(pinned, "tc(X, Y)") == pinned_answers
+            assert pinned_answers == {"tc(a, b)"}
+            pinned.close()
+            expected = set(map(str, session.true))
+            session._durable.abandon()  # a kill: no final checkpoint
+        finally:
+            serving.close(timeout=5)
+
+        recovered = DatabaseSession.open(path, verify=True)
+        try:
+            assert recovered.stats()["durability"]["replayed_txns"] == 0
+            assert set(map(str, recovered.true)) == expected
+            assert "tc(a, d)" in expected
+        finally:
+            recovered.close()
 
 
 class TestInternSafety:
