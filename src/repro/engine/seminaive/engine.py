@@ -628,7 +628,11 @@ class Limits:
         round's heads are therefore in the store: the one-shot evaluators
         drop theirs; the session recomputes the stratum over the store as
         the step left it, and only when that is refused too re-evaluates
-        the state before the update."""
+        the state before the update.  A round that added nothing meets no
+        cap: the store may hold more than the model it settles to (the
+        alternation's overestimate does), and only growth is refused."""
+        if not heads:
+            return
         depth = self.max_term_depth
         if depth is not None:
             for head in heads:

@@ -16,6 +16,7 @@ from repro.engine.seminaive import (
     seminaive_perfect_model,
     seminaive_well_founded,
 )
+from repro.engine.seminaive.engine import Limits
 from repro.engine.seminaive.plan import FETCH, NEGATION, PlanError
 from repro.engine.seminaive.relation import candidates
 from repro.hilog.errors import GroundingError
@@ -250,6 +251,21 @@ class TestSeminaiveEngine:
         for cap in (size - 1, 16):
             with pytest.raises(GroundingError, match="exceeded %d facts" % cap):
                 evaluate(program, max_facts=cap)
+
+    def test_a_round_that_adds_nothing_meets_no_cap(self):
+        """Only growth is refused.  A store a round reads may hold more
+        atoms than the cap without the model doing so — the cone step's
+        view of true, undefined and just-falsified atoms does — and a round
+        over it that adds nothing must pass; one that adds a head is
+        refused."""
+        limits = Limits(max_facts=2, max_term_depth=1)
+        store = RelationStore([parse_term(text) for text in ("p(a)", "p(b)", "p(c)")])
+        limits.check(store, ())
+        with pytest.raises(GroundingError, match="exceeded 2 facts"):
+            limits.check(store, [parse_term("p(c)")])
+        deep = parse_term("p(f(a))")
+        with pytest.raises(GroundingError, match="exceeds term depth 1"):
+            limits.check(RelationStore([deep]), [deep])
 
     def test_perfect_model_is_total(self):
         model = seminaive_perfect_model(transitive_closure_program(chain_edges(5)))
