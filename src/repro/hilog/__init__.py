@@ -4,7 +4,7 @@ This package implements the HiLog language of Chen, Kifer and Warren as used
 in Ross's "On Negation in HiLog": terms (where predicate, function and
 constant symbols are not distinguished), variables, applications of arbitrary
 terms to argument lists, substitutions, unification, a concrete syntax with a
-lexer and parser, rules/literals/programs, Herbrand universe enumeration and
+one-scan parser, rules/literals/programs, Herbrand universe enumeration and
 the universal-relation ("call"/"apply") encoding of Section 2 of the paper.
 """
 

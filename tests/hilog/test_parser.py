@@ -1,6 +1,10 @@
-"""Tests for the HiLog lexer and parser."""
+"""Tests for the HiLog parser."""
+
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hilog.errors import ParseError
 from repro.hilog.parser import parse_program, parse_query, parse_rule, parse_term
@@ -245,3 +249,82 @@ class TestProgramsAndQueries:
 
     def test_empty_program(self):
         assert len(parse_program("")) == 0
+
+
+ENTRY_POINTS = [parse_program, parse_rule, parse_term, parse_query]
+
+
+class TestHostileText:
+    """Whatever the text, the parser answers a term or a ParseError."""
+
+    @pytest.mark.parametrize("text, column", [("p(²).", 3), ("p(1²).", 4)])
+    def test_a_digit_that_is_not_decimal_is_a_parse_error(self, text, column):
+        # Regression: ``str.isdigit`` accepts ``²`` but ``int`` refuses it,
+        # and the ValueError escaped the parser.
+        with pytest.raises(ParseError) as info:
+            parse_program(text)
+        assert (info.value.line, info.value.column) == (1, column)
+
+    def test_decimal_digits_of_any_script_are_a_number(self):
+        assert parse_term("p(٣٤)") == App(Sym("p"), (Num(34),))
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() reads numbers of any length here")
+    def test_a_number_too_long_for_int_is_a_parse_error(self):
+        digits = "7" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ParseError) as info:
+            parse_program("p(a).\nq(%s)." % digits)
+        assert (info.value.line, info.value.column) == (2, 3)
+
+    @pytest.mark.parametrize("opening", ["(", "p(", "[", "f(a)("])
+    @pytest.mark.parametrize("parse", ENTRY_POINTS)
+    def test_deep_nesting_is_a_parse_error(self, parse, opening):
+        # Regression: the recursion limit raised RecursionError.
+        depth = 3000
+        closing = {"(": ")", "p(": ")", "[": "]", "f(a)(": ")"}[opening]
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse(opening * depth + "a" + closing * depth + ".")
+
+    @pytest.mark.parametrize("parse", ENTRY_POINTS)
+    def test_a_cased_character_that_is_not_a_word_character(self, parse):
+        # Regression: ``ⓐ`` is lower case but not alphanumeric, so the old
+        # lexer read an empty name at it and never moved on.
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            parse("p(a, ⓐ).")
+        assert info.value.column == 6
+
+    @pytest.mark.parametrize("text, message, column", [
+        ("p('a).", "unterminated quoted atom", 3),
+        ("p('a'').", "unterminated quoted atom", 3),
+        ("p(a). /* c", "unterminated block comment", 7),
+        ("p(a) /*/ .", "unterminated block comment", 6),
+        ("p(#).", "unexpected character '#'", 3),
+        ("p(中).", "unexpected character '中'", 3),
+    ])
+    def test_scan_errors_name_their_cause_and_place(self, text, message, column):
+        with pytest.raises(ParseError, match=message) as info:
+            parse_program(text)
+        assert (info.value.line, info.value.column) == (1, column)
+
+    def test_names_of_any_script(self):
+        assert parse_term("été(Ça, _x1)").args[0] == Var("Ça")
+        assert parse_term("été(Ça)").name == Sym("été")
+        assert parse_term("a²") == Sym("a²")
+
+
+#: Characters the grammar gives a meaning to, most of them twice over.
+_GRAMMAR_ALPHABET = (
+    "abnotisumcXYZ_0123456789 \t\n(),.[]|:-?=<>\\+~*/%'" + "²٣ⓐǅ中é"
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet=_GRAMMAR_ALPHABET, max_size=60),
+), st.sampled_from(ENTRY_POINTS))
+def test_only_parse_errors_escape(text, parse):
+    try:
+        parse(text)
+    except ParseError:
+        pass

@@ -19,7 +19,7 @@ from repro.hilog.program import AggregateSpec, Literal, Program, Rule
 from repro.hilog.program import BUILTIN_PREDICATES
 from repro.hilog.terms import App, Num, Sym, Var, make_list
 
-#: Names the lexer treats specially in term positions.
+#: Names the parser treats specially in term positions.
 _RESERVED = set(BUILTIN_PREDICATES) | {"not", "is"}
 
 _plain_name = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True).filter(

@@ -1,13 +1,24 @@
 """Source spans: parser-attached positions on rules, literals and
 aggregates, their preservation through the program algebra, and
-line/column information on parse errors."""
+line/column information on parse errors, and spans under arbitrary
+layout."""
+
+import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hilog.errors import ParseError
 from repro.hilog.parser import parse_program, parse_rule
+from repro.hilog.pretty import format_program
 from repro.hilog.program import Rule, Span
 from repro.hilog.terms import Sym, Var
+from repro.workloads.random_programs import (
+    random_nonstratified_program,
+    random_range_restricted_program,
+)
 
 
 class TestParserSpans:
@@ -43,6 +54,18 @@ class TestParserSpans:
     def test_multiline_programs_track_lines(self):
         program = parse_program("a(1).\n\n\nb(X) :- a(X).\n")
         assert [rule.span for rule in program.rules] == [Span(1, 1), Span(4, 1)]
+
+    def test_a_newline_inside_a_quoted_atom_counts(self):
+        # Regression: the line count skipped newlines inside quoted atoms,
+        # so every later line number was one short.
+        program = parse_program("p('a\nb').\nq.")
+        assert [rule.span for rule in program.rules] == [Span(1, 1), Span(3, 1)]
+
+    def test_newlines_inside_block_comments_count(self):
+        program = parse_program("p. /* one\ntwo\n */ q :- /*\n*/ r.")
+        [_p, q] = program.rules
+        assert q.span == Span(3, 5)
+        assert q.body[0].span == Span(4, 4)
 
 
 class TestSpanPreservation:
@@ -103,6 +126,13 @@ class TestParseErrorPositions:
         assert info.value.line == line
         assert info.value.column is not None and info.value.column >= 1
 
+    def test_end_of_input_after_a_line_comment(self):
+        # Regression: a line comment did not advance the column, so the
+        # end of the text was placed where the comment began.
+        with pytest.raises(ParseError) as info:
+            parse_program("p(a % c")
+        assert (info.value.line, info.value.column) == (1, 8)
+
     def test_query_aggregate_rejection_carries_position(self):
         from repro.hilog.parser import parse_query
 
@@ -110,3 +140,114 @@ class TestParseErrorPositions:
             parse_query("N = sum(V : p(V))")
         assert info.value.line == 1
         assert info.value.column is not None
+
+
+#: The tokens of a formatted program, for the layout property: quoted
+#: atoms, names and numbers, the multi-character operators, and any other
+#: single character.  Formatted text has no comments.
+_FORMATTED_TOKEN = re.compile(
+    r"'(?:[^']|'')*'|\w+|:-|\?-|=:=|=\\=|=<|>=|\\=|\\\+|\S")
+
+#: Layout put between two tokens; the empty one only where the two stay
+#: two tokens.
+_LAYOUTS = (
+    "", " ", "\n", "\t", "  \n  ", "% note\n", "/* note */",
+    "/* two\nlines */", "\n% x\n\n", "\r\n",
+)
+
+#: Aggregates, builtins, lists, arithmetic and a multi-line quoted atom,
+#: which the random samplers never produce.
+_EXTRA_CLAUSES = (
+    "total(X, N) :- base(X), N = sum(V : in(X, V)), N > 2.\n"
+    "'two\nlines'(X) :- q([X, Y | T]), not r(X), Y is X * 2 + 1, "
+    "\\+ s(T), ~t(X), X =< 3.\n"
+)
+
+
+def _position(text, offset):
+    return Span(text.count("\n", 0, offset) + 1,
+                offset - text.rfind("\n", 0, offset))
+
+
+def _perturbed(tokens, rng):
+    """The tokens joined by random layout; returns the text and the offset
+    each token starts at."""
+    pieces = []
+    starts = []
+    offset = 0
+    previous = None
+    for token in tokens:
+        if previous is not None:
+            layout = rng.choice(_LAYOUTS)
+            if not layout and (
+                _FORMATTED_TOKEN.findall(previous + token) != [previous, token]
+                or previous.endswith("/") and token.startswith("*")
+            ):
+                layout = " "
+            pieces.append(layout)
+            offset += len(layout)
+        starts.append(offset)
+        pieces.append(token)
+        offset += len(token)
+        previous = token
+    return "".join(pieces), starts
+
+
+def _expected_spans(tokens, text, starts):
+    """The spans of each clause and of its body items, read off the token
+    sequence: a clause starts the text or follows a ``.``, a body item
+    follows ``:-`` or a ``,`` outside brackets."""
+    clauses = []
+    depth = 0
+    begins_clause = True
+    for token, offset in zip(tokens, starts):
+        position = _position(text, offset)
+        if begins_clause:
+            clauses.append((position, []))
+            begins_clause = False
+            after_separator = False
+        elif after_separator:
+            clauses[-1][1].append(position)
+            after_separator = False
+        if token in ("(", "["):
+            depth += 1
+        elif token in (")", "]"):
+            depth -= 1
+        elif depth == 0 and token == ".":
+            begins_clause = True
+        elif depth == 0 and token in (":-", ","):
+            after_separator = True
+    return clauses
+
+
+def _check_spans(program, clauses):
+    assert [rule.span for rule in program.rules] == [rule for rule, _ in clauses]
+    for rule, (_span, items) in zip(program.rules, clauses):
+        spans = [item.span for item in rule.body + rule.aggregates]
+        assert sorted(spans) == items
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10 ** 6),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10 ** 6),
+)
+def test_spans_follow_any_layout(seed, stratified, layout_seed):
+    """Random layout — whitespace, newlines, ``%`` and ``/* */`` comments —
+    between the tokens of a formatted program changes no rule, and every
+    rule, literal and aggregate span is the line and column of the offset
+    its first token starts at."""
+    if stratified:
+        sample = random_range_restricted_program(seed=seed, name_open=1)
+    else:
+        sample = random_nonstratified_program(seed=seed, name_open=1)
+    text = format_program(sample) + "\n" + _EXTRA_CLAUSES
+    tokens = _FORMATTED_TOKEN.findall(text)
+    layout, starts = _perturbed(tokens, random.Random(layout_seed))
+
+    program = parse_program(text)
+    perturbed = parse_program(layout)
+    assert perturbed == program
+    assert program.rules[:len(sample.rules)] == sample.rules
+    _check_spans(perturbed, _expected_spans(tokens, layout, starts))

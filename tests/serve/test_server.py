@@ -230,6 +230,19 @@ class TestEndpoints:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("path, field, text", [
+        ("/query", "query", "tc(a, %s)"),
+        ("/insert", "facts", "e(a, %s)."),
+    ])
+    def test_deeply_nested_text_maps_to_400(self, server, path, field, text):
+        # Regression: the parser's RecursionError is not a client error,
+        # and the request answered 500.
+        nested = "f(" * 3000 + "b" + ")" * 3000
+        status, body, _headers = server.post(path, {field: text % nested})
+        assert status == 400 and "nested too deeply" in body["error"]
+        status, body, _headers = server.post("/query", {"query": "tc(a, X)"})
+        assert status == 200 and body["count"] == 2
+
     def test_reader_fault_still_maps_to_500(self, server, monkeypatch):
         def broken(_self, _query):
             raise RuntimeError("boom")
