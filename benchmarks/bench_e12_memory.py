@@ -4,9 +4,9 @@ PR 3's hash-consing made term equality pointer equality, but the intern
 tables originally held strong references forever: a long-lived
 :class:`~repro.db.DatabaseSession` churning ever-fresh constants
 (timestamps, ids) accreted interned terms even after the facts were
-retracted.  This benchmark is the regression gate for the
-generation-scoped eviction that fixed it (``terms.begin_generation`` /
-``collect_generation``, driven by ``DatabaseSession.collect``):
+retracted.  This benchmark is the regression gate for the eviction that
+fixes it (``terms.collect_terms``, a reference-count sweep driven by
+``DatabaseSession.collect``):
 
 * **E12a** — a chain-200 TC session runs ``E12_CYCLES`` (default 10 000)
   insert/retract cycles of facts carrying ten entirely fresh constants
@@ -22,11 +22,11 @@ generation-scoped eviction that fixed it (``terms.begin_generation`` /
   constant, ~25 MB over the run — blows straight through it.
 * **E12b** — derived-fact churn: fresh chain extensions each derive ~200
   transitive-closure facts through DRed maintenance; after retraction and
-  collection the mortal intern population returns to its baseline.
+  collection the interned population returns to its baseline.
 
 Timings (``churn_s``, ``collect_s``, ``cycle_s``) are recorded in
-``extra_info`` and gated by ``run_all.py --check-baseline``, so eviction
-overhead cannot silently regress either.
+``extra_info`` for comparison across runs; ``run_all.py --check-baseline``
+gates only work counters, so it does not hold them to the baseline.
 
 Run with::
 
@@ -39,7 +39,7 @@ import tracemalloc
 
 from repro.analysis.report import ExperimentRow, print_table
 from repro.db import DatabaseSession
-from repro.hilog.terms import intern_generation_sizes, intern_table_sizes
+from repro.hilog.terms import intern_table_sizes
 from repro.workloads.closure import transitive_closure_program
 from repro.workloads.graphs import chain_edges
 
@@ -50,12 +50,6 @@ COLLECT_EVERY = 100
 
 def _total_interned():
     return sum(intern_table_sizes().values())
-
-
-def _mortal_count():
-    return sum(
-        count for gen, count in intern_generation_sizes().items() if gen != 0
-    )
 
 
 def _churn_fresh(session, start, count):
@@ -101,6 +95,8 @@ def test_chain200_fresh_constant_churn(benchmark):
     _current, peak_full = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     session.check()
+    session.collect()
+    interned_after_collect = _total_interned()
 
     slope = (
         (sizes_at_collect[-1] - sizes_at_collect[0]) / (len(sizes_at_collect) - 1)
@@ -116,7 +112,7 @@ def test_chain200_fresh_constant_churn(benchmark):
         interned_start=sizes_start,
         interned_end=sizes_at_collect[-1],
         interned_slope_per_collect=round(slope, 3),
-        mortal_end=_mortal_count(),
+        interned_after_collect=interned_after_collect,
         alloc_peak_window_kb=peak_window // 1024,
         alloc_peak_full_kb=peak_full // 1024,
     )
@@ -153,11 +149,10 @@ def test_chain200_fresh_constant_churn(benchmark):
 
 def test_chain200_derived_churn_evicts_closure(benchmark):
     """E12b: fresh chain extensions derive ~200 TC facts each (DRed);
-    retraction plus collection returns the mortal population to baseline."""
+    retraction plus collection returns the interned population to baseline."""
     program = transitive_closure_program(chain_edges(CHAIN))
     session = DatabaseSession(program)
     session.collect()
-    mortal_baseline = _mortal_count()
     interned_baseline = _total_interned()
 
     cycles = 200
@@ -165,14 +160,17 @@ def test_chain200_derived_churn_evicts_closure(benchmark):
     start = time.perf_counter()
     for index in range(cycles):
         fact = "e(n%d, x%d)." % (CHAIN, index)
-        summary = session.insert(fact)
-        assert len(summary.added) > CHAIN  # the fresh tail closes the chain
+        # The fresh tail closes the chain.  The summary is not kept: it
+        # would hold its atoms through the next collection.
+        assert len(session.insert(fact).added) > CHAIN
         session.retract(fact)
         if (index + 1) % 20 == 0:
             session.collect()
             sizes_at_collect.append(_total_interned())
     elapsed = time.perf_counter() - start
     session.check()
+    session.collect()
+    interned_after_collect = _total_interned()
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     benchmark.extra_info.update(
@@ -181,8 +179,7 @@ def test_chain200_derived_churn_evicts_closure(benchmark):
         cycle_s=round(elapsed / cycles, 6),
         interned_baseline=interned_baseline,
         interned_end=sizes_at_collect[-1],
-        mortal_baseline=mortal_baseline,
-        mortal_end=_mortal_count(),
+        interned_after_collect=interned_after_collect,
     )
     print_table(
         "E12b  Chain-%d session: derived-closure churn over fresh endpoints"
@@ -199,5 +196,5 @@ def test_chain200_derived_churn_evicts_closure(benchmark):
     )
     assert all(size <= sizes_at_collect[0] for size in sizes_at_collect[1:])
     # Fresh endpoints and their derived closure are fully reclaimed: the
-    # mortal population does not grow with the cycle count.
-    assert _mortal_count() <= mortal_baseline + 8
+    # interned population does not grow with the cycle count.
+    assert interned_after_collect <= interned_baseline + 8

@@ -50,14 +50,6 @@ class MaintenancePlans(NamedTuple):
     def reads(self):
         return self.bundle.stratum.reads
 
-    def pin_roots(self):
-        """Term roots the maintenance bundle retains, for intern-generation
-        pin sets.  Every plan of the bundle is compiled from the stratum's
-        rules — the flipped negation variants reuse the original atom
-        objects — so the stratum's rule roots cover every constant any of
-        its register programs holds."""
-        return self.bundle.stratum.pin_roots()
-
 
 def maintenance_plans(stratum, alternating=None):
     """The maintenance bundle of ``stratum``, a compiled

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from typing import AbstractSet, ContextManager, Iterable, Tuple, Union
+from typing import AbstractSet, Iterable, Tuple, Union
 
 from repro.engine.seminaive.relation import RelationStore, StoreView, matching_facts
 from repro.hilog.errors import GroundingError
@@ -25,16 +24,9 @@ class ModelReads:
         """The ``(store, undefined)`` pair to read."""
         raise NotImplementedError
 
-    def _parse_scope(self) -> ContextManager:
-        """Entered around parsing text: nothing by default (readers — the
-        HTTP server's event loop, a caller's own thread — parse at top
-        level; intern generations are writer-thread-only)."""
-        return nullcontext()
-
     def _parsed(self, text, parse):
         if isinstance(text, str):
-            with self._parse_scope():
-                return parse(text)
+            return parse(text)
         return text
 
     def _ground_atom(self, atom: Union[Term, str], caller: str) -> Term:

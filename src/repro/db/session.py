@@ -18,13 +18,13 @@ evaluators, and a write walks whatever plans the last evaluation left.
 **A write is** :meth:`~DatabaseSession.update`.  ``insert`` / ``retract``
 are one-liners over it; a :class:`Transaction` commit, the serving
 writer (:mod:`repro.serve.session`) and WAL replay
-(:mod:`repro.durable.recovery`) call it.  It opens the intern generation,
-coerces the input (:meth:`~DatabaseSession.coerce`), logs to the WAL ahead
-of the apply, maintains the model stratum by stratum — delete-rederive
-where the stratum's reads are two-valued, the cone step where it
-alternates or reads an atom undefined before or after the write,
-stratum-local recomputation for aggregates — seals the WAL batch, then
-notifies the update listeners.  Batches that may name one atom twice are
+(:mod:`repro.durable.recovery`) call it.  It coerces the input
+(:meth:`~DatabaseSession.coerce`), logs to the WAL ahead of the apply,
+maintains the model stratum by stratum — delete-rederive where the
+stratum's reads are two-valued, the cone step where it alternates or
+reads an atom undefined before or after the write, stratum-local
+recomputation for aggregates — seals the WAL batch, then notifies the
+update listeners.  Batches that may name one atom twice are
 merged first by :func:`merge_ops`, the only last-operation-wins rule.
 
 **A recompute is evaluate-and-diff into the live store.**  The recompute
@@ -49,7 +49,7 @@ import weakref
 
 from itertools import chain
 from time import perf_counter as _perf_counter
-from typing import Any, ContextManager, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Any, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.db.maintenance import (
     Delta,
@@ -78,14 +78,7 @@ from repro.engine.seminaive.relation import RelationStore
 from repro.hilog.errors import GroundingError, HiLogError
 from repro.hilog.parser import parse_program, parse_term
 from repro.hilog.program import Program, Rule
-from repro.hilog.terms import (
-    Term,
-    collect_generation,
-    current_generation,
-    intern_generation,
-    intern_table_sizes,
-    register_pin_provider,
-)
+from repro.hilog.terms import Term, collect_terms, intern_table_sizes
 
 #: What :meth:`DatabaseSession.coerce` accepts: a ground atom, a fact rule,
 #: program text holding only facts, or an iterable of any of those.
@@ -150,9 +143,9 @@ class Transaction:
 
     A session allows **one open transaction at a time**: opening a second
     before the first commits or rolls back raises :class:`SessionError`
-    (interleaved staging used to corrupt silently — two batches would race
-    on the same pin registry and commit each other's halves), as does
-    staging into or re-committing a transaction that is already closed.
+    (interleaved staging used to corrupt silently — two batches would
+    commit each other's halves), as does staging into or re-committing a
+    transaction that is already closed.
     """
 
     def __init__(self, session: "DatabaseSession") -> None:
@@ -160,8 +153,7 @@ class Transaction:
         self._ops: List[Tuple[str, Term]] = []
         self._result: Optional[UpdateSummary] = None
         self._closed = False
-        # Tracked (weakly) so the session's pin provider keeps staged atoms
-        # interned if an intern collection runs between staging and commit.
+        # Tracked (weakly): a session allows one open transaction.
         session._transactions.add(self)
 
     def _check_open(self, action):
@@ -175,11 +167,7 @@ class Transaction:
 
     def _stage(self, action, facts):
         self._check_open(action)
-        # Coerced inside a (short) intern generation, so parse transients stay
-        # evictable even when staging and commit straddle a collection (the
-        # staged atoms are pinned through the session's transaction registry).
-        with intern_generation():
-            atoms = self._session.coerce(facts)
+        atoms = self._session.coerce(facts)
         self._ops.extend((action, atom) for atom in atoms)
         return self
 
@@ -279,21 +267,14 @@ class DatabaseSession(ModelReads):
             contains *errors*; warnings alone proceed).  Whatever ran is
             kept on :attr:`diagnostics` and summarized in :meth:`stats`.
 
-    Every update runs inside an **intern generation**
-    (:mod:`repro.hilog.terms`), so the transient terms it builds — parsed
-    fact strings, over-deleted candidates, rederivation probes — and the
-    fresh constants of since-retracted facts are evictable by
-    :meth:`collect`.  The session registers a pin provider covering its
-    store, EDB, rules, compiled plans and staged transactions, so
-    collection (from this session or any other) never evicts a term the
-    session still reaches.  Terms handed *out* of the session (query
-    answers, update summaries) are only guaranteed canonical while the
-    session still reaches them — the pending update's summary is pinned
-    through its own automatic sweep, but atoms held from *earlier*
-    summaries or since-retracted answers must be retained explicitly:
-    :meth:`pin` them (works under ``intern_gc`` too), pass them to a
-    manual ``collect(pins=...)``, or simply re-obtain them at top level
-    (intern hits outside a generation promote the term to immortal).
+    The transient terms an update builds — parsed fact strings,
+    over-deleted candidates, rederivation probes — and the fresh constants
+    of since-retracted facts are evicted by :meth:`collect`, which drops
+    every interned term that nothing holds (:mod:`repro.hilog.terms`).
+    Holding a term is what keeps it canonical: the session's store, EDB,
+    rules and plans hold theirs, and an atom a caller keeps from a query
+    answer or an update summary stays the very object the session will
+    use for that fact, however many collections run meanwhile.
     """
 
     def __init__(self, program, strategy="auto", max_facts=1000000,
@@ -378,7 +359,6 @@ class DatabaseSession(ModelReads):
         self._updates_since_collect = 0
         self._transactions = weakref.WeakSet()
         self._update_listeners = []
-        self._pinned = {}
         self._cone = 0
         if _recover is not None:
             # Recovered EDB replaces the program file's seed facts — the
@@ -408,12 +388,6 @@ class DatabaseSession(ModelReads):
                 model = self._evaluate(self._edb)
             self._store = model.store
             self._install(model.undefined, model.plans, model.rewalk)
-        # Registered weakly, and only once construction has succeeded: the
-        # registry never keeps the session alive, a dead session's pins
-        # drop out of collection automatically, and a session whose
-        # materialization raised (the exception traceback can keep the
-        # half-built object alive) never participates in collections.
-        self._pin_handle = register_pin_provider(self._intern_pin_roots)
         if path is not None or _manager is not None:
             manager = _manager
             if manager is None:
@@ -588,22 +562,6 @@ class DatabaseSession(ModelReads):
 
     # -- intern-table housekeeping ------------------------------------------
 
-    def _intern_pin_roots(self):
-        """Root terms this session retains — the pin set every intern
-        collection must keep: stored atoms (IDB + EDB), asserted facts,
-        rule terms (covering every compiled-plan constant), and the atoms
-        staged in live transactions."""
-        yield from self._store.pin_roots()
-        yield from self._edb
-        yield from self._undefined
-        yield from self._pinned
-        yield from self._rules.pin_roots()
-        for plans in self._plans or ():
-            yield from plans.pin_roots()
-        for transaction in tuple(self._transactions):
-            for _action, atom in transaction._ops:
-                yield atom
-
     def add_update_listener(self, listener):
         """Register ``listener(summary)`` to run after every applied update
         (insert/retract/update/transaction commit), before any automatic
@@ -625,73 +583,31 @@ class DatabaseSession(ModelReads):
 
     def _after_update(self, result):
         """Post-update bookkeeping: notify update listeners (the serving
-        layer's epoch publication hook), then trigger the automatic intern
-        sweep when ``intern_gc`` is configured (skipped while any generation
-        is open — an enclosing computation's terms are not yet pinnable).
-        The update's own summary is pinned through the sweep: its removed
-        atoms just left the store, but the caller has not even received them
-        yet, so evicting them here would hand back stale twins."""
+        layer's epoch publication hook), then run the automatic intern
+        sweep when ``intern_gc`` is configured.  The summary ``result``
+        holds its atoms through the sweep, so the caller receives canonical
+        terms even for the atoms the write removed from the store."""
         for listener in tuple(self._update_listeners):
             listener(result)
         self._updates_since_collect += 1
         every = self._intern_gc_every
-        if every is not None and self._updates_since_collect >= every \
-                and current_generation() == 0:
-            self.collect(
-                pins=result.added + result.removed
-                + result.undefined_added + result.undefined_removed
-            )
+        if every is not None and self._updates_since_collect >= every:
+            self.collect()
 
-    def pin(self, terms):
-        """Keep ``terms`` (a :class:`~repro.hilog.terms.Term` or an iterable
-        of them) canonical across every future collection, including the
-        automatic ``intern_gc`` sweeps, until :meth:`unpin`.
-
-        This is the retention mechanism for results the session handed out
-        — :class:`UpdateSummary` atoms, since-retracted query answers —
-        that a caller keeps beyond the next update: automatic sweeps pin
-        only the *pending* update's summary, so older held atoms would
-        otherwise be evicted and stop matching the live model (terms
-        compare by identity).  Re-obtaining a term at top level (parsing
-        its text while no generation is open) promotes it to immortal and
-        is the zero-bookkeeping alternative.
-        """
-        if isinstance(terms, Term):
-            terms = (terms,)
-        for term in terms:
-            if not isinstance(term, Term):
-                raise TypeError("pin() takes Terms, got %r" % (term,))
-            self._pinned[term] = None
-
-    def unpin(self, terms=None):
-        """Release pins taken by :meth:`pin` (all of them when ``terms`` is
-        ``None``); the terms become reclaimable at the next collection."""
-        if terms is None:
-            self._pinned.clear()
-            return
-        if isinstance(terms, Term):
-            terms = (terms,)
-        for term in terms:
-            self._pinned.pop(term, None)
-
-    def collect(self, pins=()):
-        """Sweep the global term intern tables: evict every term born in a
-        closed generation (this session's past updates, other sessions',
-        explicit :func:`~repro.hilog.terms.intern_generation` blocks) that
-        no registered pin provider — and no root in ``pins`` — reaches.
+    def collect(self):
+        """Sweep the global term intern tables
+        (:func:`~repro.hilog.terms.collect_terms`): evict every interned
+        term that nothing holds — this session's transients and retracted
+        constants, other sessions', anyone's.
 
         With churn-heavy workloads this is what keeps
         :func:`~repro.hilog.terms.intern_table_sizes` bounded by the *live*
-        fact volume instead of growing with every constant ever seen.  Pass
-        ``pins`` for terms you received from the session and still hold —
-        :meth:`query` answers and :class:`UpdateSummary` atom tuples pin
-        directly (``collect(pins=answers)``), substitutions through
-        ``Substitution.pin_roots()``.  Returns the collection stats dict.
+        term volume instead of growing with every constant ever seen.  The
+        sweep visits every interned term, so it costs time in the size of
+        the tables, not of the garbage.  Returns the collection stats dict.
         """
         started = _perf_counter()
-        stats = collect_generation(pins=pins)
-        # Reset only after a successful sweep: a GenerationError (collect
-        # inside an open generation) must not postpone the next auto-gc.
+        stats = collect_terms()
         self._updates_since_collect = 0
         duration = _perf_counter() - started
         get_registry().histogram(
@@ -720,8 +636,7 @@ class DatabaseSession(ModelReads):
         only write entry (see the module docstring).  An atom on both sides
         raises :class:`ValueError`; :func:`merge_ops` settles such batches
         beforehand."""
-        with intern_generation():
-            result = self._apply(self.coerce(inserts), self.coerce(retracts))
+        result = self._apply(self.coerce(inserts), self.coerce(retracts))
         self._after_update(result)
         return result
 
@@ -731,9 +646,9 @@ class DatabaseSession(ModelReads):
         Raises :class:`SessionError` while a previously opened transaction
         is still staging (not yet committed or rolled back): interleaving
         two staging batches on one session corrupts the last-operation-wins
-        merge and the pin bookkeeping, so re-entrant/nested use is rejected
-        up front.  A transaction that is simply dropped (garbage collected)
-        without closing releases the slot."""
+        merge, so re-entrant/nested use is rejected up front.  A
+        transaction that is simply dropped (garbage collected) without
+        closing releases the slot."""
         if not all(live._closed for live in tuple(self._transactions)):
             raise SessionError(
                 "a transaction is already open on this session; commit or "
@@ -1010,10 +925,6 @@ class DatabaseSession(ModelReads):
     def _model(self):
         return self._store, self._undefined
 
-    def _parse_scope(self) -> ContextManager:
-        """An intern generation: a read's parse transients stay evictable."""
-        return intern_generation()
-
     def explain(self, fact):
         """Why is this ground atom true (or undefined)?  Returns a
         :class:`~repro.obs.explain.Derivation` tree.
@@ -1141,7 +1052,7 @@ class DatabaseSession(ModelReads):
         with sample differences otherwise.  Intended for tests, benchmarks
         and paranoid deployments — it costs a full evaluation.
         """
-        with intern_generation(), untraced():
+        with untraced():
             reference = self._reference(self._edb)
         scratch = frozenset(reference.store)
         scratch_undefined = frozenset(reference.undefined)

@@ -668,15 +668,6 @@ class StratumPlan(NamedTuple):
     reads: Optional[FrozenSet]
     has_aggregates: bool
 
-    def pin_roots(self):
-        """Term roots the stratum's compiled plans retain, for intern
-        generation pin sets (:func:`repro.hilog.terms.collect_generation`).
-        The base and delta variants compile from the stratum's own rules
-        (the reordered bodies reuse the same atom objects), so the rules'
-        roots cover every register-program constant."""
-        for rule in self.rules:
-            yield from rule.pin_roots()
-
 
 def compile_stratum(rules, recursive):
     """Compile one stratum's rules into a :class:`StratumPlan`.

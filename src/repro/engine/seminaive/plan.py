@@ -133,15 +133,6 @@ class JoinPlan(NamedTuple):
     #: The plan lowered to a flat register program (the hot-path executable).
     registers: Optional["RegisterProgram"] = None
 
-    def pin_roots(self):
-        """Term roots this plan retains, for intern-generation pin sets.
-
-        Every constant the lowering bakes into the generated function's
-        globals is a subterm of the source rule, so pinning the rule's
-        roots keeps all compiled references canonical across a
-        collection."""
-        return self.rule.pin_roots()
-
 
 def _builtin_ready(literal, bound):
     """Mirror of :func:`repro.engine.builtins.solve_builtin`'s capabilities:

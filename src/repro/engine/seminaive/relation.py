@@ -401,13 +401,6 @@ class RelationStore:
         """All relations, in first-insertion order of their indicators."""
         return list(self._relations.values())
 
-    def pin_roots(self):
-        """The terms this store retains, for intern-generation pin sets
-        (:func:`repro.hilog.terms.collect_generation`): the stored atoms.
-        A relation's name is a subterm of its facts, and a relation without
-        facts does not exist."""
-        return iter(self._members)
-
     # -- the FactSource protocol ---------------------------------------------
     #
     # The generated plan functions (repro.engine.seminaive.plan) resolve
@@ -548,10 +541,6 @@ class FactBuckets:
         only, and not while the set changes."""
         return self._buckets
 
-    def pin_roots(self):
-        """Every atom of the set, for intern-generation pin sets."""
-        return iter(self)
-
     def fetch(self, name: Term, arity: int, positions: Tuple[int, ...],
               key: object) -> Sequence[Term]:
         """The whole ``(name, arity)`` bucket, whatever the key."""
@@ -647,13 +636,6 @@ class Delta:
         self.added.freeze()
         self.removed.freeze()
         return self
-
-    def pin_roots(self):
-        """Both signed sides' atoms, for intern-generation pin sets — a
-        caller retaining a delta past the update that produced it (audit
-        logs, change feeds) pins it across collections this way."""
-        yield from self.added
-        yield from self.removed
 
     def touches(self, indicators):
         """Whether the delta contains facts of any of the given predicate
@@ -762,12 +744,3 @@ class StoreView:
         for layer in self.layers:
             result.extend(layer.all_facts())
         return self._unmasked(result)
-
-    def pin_roots(self):
-        """Every atom the view can reach, for intern-generation pin sets:
-        each layer in full and the mask (a hidden atom is still a key of
-        both)."""
-        for layer in self.layers:
-            yield from layer.pin_roots()
-        if self.minus is not None:
-            yield from self.minus

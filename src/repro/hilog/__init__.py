@@ -8,7 +8,7 @@ one-scan parser, rules/literals/programs, Herbrand universe enumeration and
 the universal-relation ("call"/"apply") encoding of Section 2 of the paper.
 """
 
-from repro.hilog.errors import GenerationError, HiLogError, ParseError, UnificationError
+from repro.hilog.errors import HiLogError, ParseError, UnificationError
 from repro.hilog.terms import (
     App,
     Num,
@@ -16,17 +16,11 @@ from repro.hilog.terms import (
     Term,
     Var,
     app,
-    begin_generation,
-    collect_generation,
-    end_generation,
+    collect_terms,
     fresh_var,
-    intern_generation,
-    intern_generation_sizes,
     intern_table_sizes,
-    register_pin_provider,
     sym,
     term_size,
-    unregister_pin_provider,
 )
 from repro.hilog.subst import Substitution, compose, empty_substitution
 from repro.hilog.unify import match, mgu, unify
@@ -48,16 +42,9 @@ __all__ = [
     "HiLogError",
     "ParseError",
     "UnificationError",
-    "GenerationError",
     "fresh_var",
-    "begin_generation",
-    "end_generation",
-    "intern_generation",
-    "collect_generation",
+    "collect_terms",
     "intern_table_sizes",
-    "intern_generation_sizes",
-    "register_pin_provider",
-    "unregister_pin_provider",
     "Term",
     "Var",
     "Sym",

@@ -67,14 +67,6 @@ class StratificationError(HiLogError):
     program that is not modularly stratified)."""
 
 
-class GenerationError(HiLogError):
-    """Raised on intern-generation misuse: closing a generation that is not
-    open, or collecting (:func:`repro.hilog.terms.collect_generation`) while
-    a generation is still open — in-flight computations hold terms in
-    places no pin provider can see, so sweeping then could split a live
-    term's identity."""
-
-
 class FrozenStoreError(HiLogError):
     """Raised when a mutator is invoked on a frozen relation store.
 

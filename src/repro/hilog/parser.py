@@ -98,7 +98,7 @@ _AGG_OPS = frozenset(("sum", "count", "min", "max"))
 #: interned variables used to make ``_Anon1`` of every parse the *same
 #: object* — silently aliasing anonymous variables across parsed fragments
 #: combined into one rule — while globally unique interned names would
-#: leak one immortal variable per ``_`` per parse.
+#: leak one interned variable per ``_`` per parse.
 _PARSE_IDS = itertools.count(1)
 
 

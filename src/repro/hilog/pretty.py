@@ -47,10 +47,9 @@ def format_term(term):
     identity for interned terms, so it is computed once per canonical object
     and kept in the term's ``_text`` slot (which ``Term.__repr__`` reads
     directly): every later print or ``sorted(key=repr)`` is a slot read.
-    The slot dies with the object, so intern-generation eviction frees the
-    text with the term.  Two threads racing the first render both compute
-    the same string and one store overwrites the other — idempotent, so no
-    lock.
+    The slot dies with the object, so intern eviction frees the text with
+    the term.  Two threads racing the first render both compute the same
+    string and one store overwrites the other — idempotent, so no lock.
     """
     try:
         return term._text

@@ -276,20 +276,6 @@ class Rule:
         """The predicate-name term of the head."""
         return predicate_name(self.head)
 
-    def pin_roots(self):
-        """The rule's term roots, for intern-generation pin sets
-        (:func:`repro.hilog.terms.collect_generation`): the head, every body
-        atom and every aggregate term.  Pinning these keeps all of the
-        rule's subterms — including the constants compiled into its join
-        plans — interned across collections."""
-        yield self.head
-        for literal in self.body:
-            yield literal.atom
-        for aggregate in self.aggregates:
-            yield aggregate.value
-            yield aggregate.condition
-            yield aggregate.result
-
     def substitute(self, subst):
         """Apply a substitution to the whole rule."""
         return Rule(
@@ -384,12 +370,6 @@ class Program:
     def proper_rules(self):
         """All non-fact rules of the program."""
         return tuple(rule for rule in self.rules if not rule.is_fact())
-
-    def pin_roots(self):
-        """Every rule's term roots (see :meth:`Rule.pin_roots`), for intern
-        generation pin sets."""
-        for rule in self.rules:
-            yield from rule.pin_roots()
 
     def symbols(self):
         """The set of symbol names used anywhere in the program.

@@ -185,20 +185,6 @@ class Substitution:
         """Return a plain ``dict`` copy of the bindings."""
         return dict(self._bindings)
 
-    def pin_roots(self):
-        """The terms this substitution retains (variables and values), for
-        intern-generation pin sets.  Callers holding substitutions across a
-        :func:`repro.hilog.terms.collect_generation` — magic-sets bindings,
-        saved unifiers — pass these as explicit pins so the bound terms
-        keep their canonical identity::
-
-            binding = match(pattern, atom)
-            collect_generation(pins=binding.pin_roots())
-        """
-        for variable, value in self._bindings.items():
-            yield variable
-            yield value
-
 
 def empty_substitution():
     """Return the empty substitution."""

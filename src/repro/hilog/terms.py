@@ -41,46 +41,53 @@ each term has a ``_text`` slot the printer fills on first render (see
 Interning alone would make memory grow with the set of *distinct terms
 ever built in the process* — fatal for a long-lived
 :class:`~repro.db.session.DatabaseSession` churning over ever-fresh
-constants (timestamps, ids).  The tables are therefore **generation
-scoped**: terms born while a generation is open (:func:`begin_generation` /
-:func:`end_generation`, or the :class:`intern_generation` context manager)
-record their generation and can later be *evicted* by
-:func:`collect_generation`, which sweeps every closed generation and drops
-the terms that are not reachable from a **pin set** — the explicit pin
-roots passed by the caller plus the roots supplied by every registered
-:func:`pin provider <register_pin_provider>` (relation stores, extensional
-databases, program rules, compiled register programs).  Terms born while
-no generation is open are *immortal* (generation 0) and are never swept,
-so one-shot evaluations and module constants pay nothing; a generational
-term re-obtained through an intern hit while no generation is open is
-*promoted* to immortal on the spot, so the promise covers everything you
-obtain at top level, not just what you build first.  Anonymous variables
-are outside the tables entirely: :func:`fresh_var` creates uninterned
-variables (and applications over them stay uninterned), reclaimed by
-ordinary garbage collection.
+constants (timestamps, ids).  The tables are therefore **weak by reference
+count** (weak hash-consing, after Filliâtre and Conchon, "Type-safe modular
+hash-consing", 2006): :func:`collect_terms` evicts every interned term that
+nothing outside the tables holds.  CPython already counts who holds an
+object, so the intern hit path pays nothing for this — no weak reference,
+no mark, no bookkeeping.  The sweep compares each entry's
+:func:`sys.getrefcount` with the references the tables themselves account
+for: the table's value slot; for a symbol or variable, its own
+``(term, -1)`` indicator; for a term used as a name, its ``_INDICATORS``
+key and one per arity tuple (an indicator tuple held elsewhere holds its
+name, so it does not count).  Children are interned before their parents,
+so one pass over the application table in reverse insertion order frees a
+whole dead structure: evicting a parent drops its key tuple and its
+argument tuple, so each child's count has fallen by the time the pass
+reaches it.
 
-The identity invariant survives collection because eviction is allowed
-only for terms the pin set cannot reach: any term a caller can still
-observe is (transitively) pinned, so rebuilding an evicted structure
-creates a fresh canonical object with no surviving twin.  The contract is
-therefore: **whoever calls** :func:`collect_generation` **must ensure the
-pins (explicit plus registered providers) cover every retained term** —
-do not collect while generational terms are held only in local variables.
-A :class:`~repro.db.session.DatabaseSession` opens a generation around
-every update and registers a pin provider for its store, EDB, rules and
-compiled plans, so session-driven collection is safe by construction.
-Monitor with :func:`intern_table_sizes` (live per-constructor counts) and
-:func:`intern_generation_sizes` (live counts per birth generation).
+Identity survives the sweep because a term is evicted only when nobody
+holds it: rebuilding the structure later creates a fresh canonical object
+that has no surviving twin, so ``a == b`` iff ``a is b`` still holds for
+every term anyone can observe.  Holding a term — in a store, a rule, an
+update summary, a local variable — is what keeps it; there is nothing to
+pin and no scope to open.  A term held only from a reference cycle that is
+already garbage stays until the cyclic collector frees the cycle
+(:func:`gc.collect`).  Two caveats:
+
+* The sweep is **CPython-specific**: it relies on ``sys.getrefcount``
+  reporting exact reference counts (the tests pin the counts the tables
+  hold for each kind of term, so a change in its meaning fails loudly
+  instead of evicting live terms).
+* The hit path takes no lock, so a hit on another thread can take a term
+  between the sweep's count and its delete.  The sweep therefore deletes
+  the entry, counts again, and puts it back when the count rose; a miss
+  waits on :data:`_INTERN_LOCK`, which the sweep holds, so no twin can be
+  built meanwhile.
+
+Anonymous variables are outside the tables entirely: :func:`fresh_var`
+creates uninterned variables (and applications over them stay uninterned),
+reclaimed by ordinary garbage collection.  Monitor the tables with
+:func:`intern_table_sizes`.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 
+from sys import getrefcount
 from typing import Dict, Iterable, Iterator, Set, Tuple, Union
-
-from repro.hilog.errors import GenerationError
 
 #: Guards the intern tables' *construction* (miss) path and the eviction
 #: sweep, so two threads interning the same new structure concurrently
@@ -104,56 +111,14 @@ _APP_INTERN = {}
 #: same tuple.  An entry goes when its name is evicted.
 _INDICATORS = {}
 
-#: Generation bookkeeping.  ``_CURRENT_GEN`` is the innermost open
-#: generation id (0 = none open: terms born now are immortal);
-#: ``_OPEN_GENS`` the stack of open ids; ``_GEN_POOLS`` maps a generation
-#: id to the list of *live* interned terms born in it (entries are removed
-#: on eviction, so pool lengths are accurate live counts).
-_GEN_COUNTER = 0
-_CURRENT_GEN = 0
-_OPEN_GENS = []
-_GEN_POOLS = {}
-
-#: Weak references to the callables consulted at collection time: pin
-#: providers yield root terms that must survive.
-_PIN_PROVIDERS = []
-
-#: Sentinel generation of *fresh* (uninterned) terms — anonymous variables
-#: and any application containing one.  Far above every real generation id,
-#: so the pin-traversal threshold test always descends through fresh terms
-#: into the interned subterms they may hold.
-_FRESH_GEN = 1 << 62
-
-
-def _promote(term):
-    """Make a generational term (and its interned subterms) immortal.
-
-    Called on intern-cache hits while no generation is open: the documented
-    contract is that terms *obtained* at top level are never swept, and a
-    hit on a generational twin would otherwise hand out an object a later
-    collection could evict behind the holder's back.  Stale birth-pool
-    entries are dropped lazily at the next sweep (the sweep skips
-    generation-0 terms), so promotion is O(term size), not O(pool).
-    """
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        if node._gen == 0:
-            continue
-        object.__setattr__(node, "_gen", 0)
-        if type(node) is App:
-            stack.append(node.name)
-            stack.extend(node.args)
-
 
 def intern_table_sizes():
     """Diagnostic: the number of *currently interned* terms per constructor.
 
-    Counts shrink when :func:`collect_generation` evicts unpinned terms, so
-    under generation-scoped churn (a session inserting and retracting facts
-    over fresh constants) the sizes are bounded by the live term volume
-    instead of growing with every term ever built.  Per-birth-generation
-    counts are available from :func:`intern_generation_sizes`.
+    Counts shrink when :func:`collect_terms` evicts the terms nothing holds,
+    so under churn (a session inserting and retracting facts over fresh
+    constants) the sizes after a sweep are bounded by the live term volume
+    instead of growing with every term ever built.
     """
     return {
         "var": len(_VAR_INTERN),
@@ -161,139 +126,6 @@ def intern_table_sizes():
         "num": len(_NUM_INTERN),
         "app": len(_APP_INTERN),
     }
-
-
-def intern_generation_sizes():
-    """Live interned-term counts per birth generation.
-
-    Generation 0 counts the immortal terms (born while no generation was
-    open, or promoted by being re-obtained at top level — never swept);
-    every other key is a generation with at least one surviving term.  The
-    sum over all generations equals the sum of :func:`intern_table_sizes`.
-    """
-    sizes = {}
-    for gen, pool in _GEN_POOLS.items():
-        live = sum(1 for term in pool if term._gen)
-        if live:
-            sizes[gen] = live
-    mortal = sum(sizes.values())
-    total = (
-        len(_VAR_INTERN) + len(_SYM_INTERN) + len(_NUM_INTERN) + len(_APP_INTERN)
-    )
-    sizes[0] = total - mortal
-    return sizes
-
-
-def current_generation():
-    """The innermost open generation id, or 0 when none is open."""
-    return _CURRENT_GEN
-
-
-def begin_generation():
-    """Open a new intern generation and return its id.
-
-    Terms constructed while the generation is open record it as their birth
-    generation and become sweepable by :func:`collect_generation` once the
-    generation is closed.  Generations nest (LIFO).
-    """
-    global _GEN_COUNTER, _CURRENT_GEN
-    _GEN_COUNTER += 1
-    gen = _GEN_COUNTER
-    _OPEN_GENS.append(gen)
-    _CURRENT_GEN = gen
-    _GEN_POOLS[gen] = []
-    return gen
-
-
-def end_generation(gen):
-    """Close generation ``gen`` (and any generation opened after it).
-
-    Closed generations keep their birth pools until collected; empty pools
-    are dropped immediately.  Raises :class:`GenerationError` when ``gen``
-    is not open.
-    """
-    global _CURRENT_GEN
-    if gen not in _OPEN_GENS:
-        raise GenerationError("generation %r is not open" % (gen,))
-    while _OPEN_GENS:
-        closed = _OPEN_GENS.pop()
-        if not _GEN_POOLS.get(closed):
-            _GEN_POOLS.pop(closed, None)
-        if closed == gen:
-            break
-    _CURRENT_GEN = _OPEN_GENS[-1] if _OPEN_GENS else 0
-
-
-class intern_generation:
-    """Context manager sugar over :func:`begin_generation` /
-    :func:`end_generation`::
-
-        with intern_generation():
-            transient = parse_term("obs(t17)")
-        collect_generation(pins=[...])   # transient is sweepable now
-    """
-
-    __slots__ = ("gen",)
-
-    def __enter__(self):
-        self.gen = begin_generation()
-        return self.gen
-
-    def __exit__(self, _exc_type, _exc, _tb):
-        if self.gen in _OPEN_GENS:
-            end_generation(self.gen)
-        return False
-
-
-def _weak_callable(callback):
-    """A weak reference to ``callback`` (WeakMethod for bound methods), so
-    registries never keep sessions or stores alive."""
-    if hasattr(callback, "__self__"):
-        return weakref.WeakMethod(callback)
-    return weakref.ref(callback)
-
-
-def register_pin_provider(provider):
-    """Register a callable yielding root terms that every collection must
-    keep interned (a session's store/EDB/rules, a standalone result a test
-    holds on to, ...).  Held weakly — keep the callable (or its bound
-    instance) alive yourself.  Returns a handle for
-    :func:`unregister_pin_provider`."""
-    handle = _weak_callable(provider)
-    _PIN_PROVIDERS.append(handle)
-    return handle
-
-
-def unregister_pin_provider(handle):
-    """Remove a previously registered pin provider (no-op when absent)."""
-    try:
-        _PIN_PROVIDERS.remove(handle)
-    except ValueError:
-        pass
-
-
-def _call_registered(registry):
-    """Yield the live callables of a weak registry, pruning dead entries."""
-    dead = []
-    for handle in registry:
-        callback = handle()
-        if callback is None:
-            dead.append(handle)
-        else:
-            yield callback
-    for handle in dead:
-        try:
-            registry.remove(handle)
-        except ValueError:
-            pass
-
-
-def _record(term, gen):
-    """Register a freshly interned mortal term in its birth pool."""
-    pool = _GEN_POOLS.get(gen)
-    if pool is None:
-        pool = _GEN_POOLS[gen] = []
-    pool.append(term)
 
 
 def _indicator(name, arity):
@@ -308,112 +140,72 @@ def _indicator(name, arity):
     return indicator
 
 
-def _evict(term, counts):
-    """Drop one term's intern-table entry (the sweep's unpin action), and
-    the indicators naming it: no application of it survives the sweep."""
-    _INDICATORS.pop(term, None)
+def _table_refs(term):
+    """The references to the interned ``term`` that the tables alone
+    account for: its value slot, its own ``(term, -1)`` indicator unless it
+    is an application, and, when it names applications, its
+    ``_INDICATORS`` key and one per arity tuple.  An indicator tuple held
+    outside the tables keeps ``term`` alive through it, so its reference
+    does not count: the sweep then sees one reference too many."""
+    refs = 1
+    # getrefcount's argument and the slot: the term is the tuple's holder.
+    if type(term) is not App and getrefcount(term.indicator) == 2:
+        refs += 1
+    by_arity = _INDICATORS.get(term)
+    if by_arity is not None:
+        refs += 1
+        for indicator in by_arity.values():
+            # The table's value, the loop variable and the argument.
+            if getrefcount(indicator) == 3:
+                refs += 1
+    return refs
+
+
+def _key(term):
+    """The key of an interned ``term`` in its table."""
     kind = type(term)
     if kind is App:
-        key = (term.name,) + term.args
-        if _APP_INTERN.get(key) is term:
-            del _APP_INTERN[key]
-        counts["app"] += 1
-    elif kind is Num:
-        if _NUM_INTERN.get(term.value) is term:
-            del _NUM_INTERN[term.value]
-        counts["num"] += 1
-    elif kind is Var:
-        if _VAR_INTERN.get(term.name) is term:
-            del _VAR_INTERN[term.name]
-        counts["var"] += 1
-    else:
-        if _SYM_INTERN.get(term.name) is term:
-            del _SYM_INTERN[term.name]
-        counts["sym"] += 1
+        return (term.name,) + term.args
+    if kind is Num:
+        return term.value
+    return term.name
 
 
-def collect_generation(pins=()):
-    """Sweep the closed generations: evict every term born in them that is
-    not reachable from the pin set.
+def collect_terms():
+    """Evict every interned term nothing outside the intern tables holds.
 
-    ``pins`` is an iterable of root terms to keep (their subterms are kept
-    too); the roots yielded by every registered pin provider are always
-    added.  Terms that survive stay in their birth pool and are
-    re-examined by future collections, so a pinned term becomes evictable
-    as soon as it stops being reachable (e.g. after the fact holding it is
-    retracted).
+    One pass under :data:`_INTERN_LOCK`: the application table in reverse
+    insertion order (parents before their children, so a dead structure
+    goes whole), then the symbol, number and variable tables.  A term is
+    evicted when its :func:`sys.getrefcount` equals :func:`_table_refs`
+    plus the sweep's own two references; the entry is deleted, counted
+    again and put back if a lock-free hit took the term meanwhile.  Relies
+    on CPython's reference counts (see the module docstring).
 
-    Raises :class:`GenerationError` when any generation is still open —
-    in-flight computations hold terms in places no pin provider can see.
-    Returns a stats dict: the generation ids swept, the pinned-term count,
-    per-constructor eviction counts, and the post-sweep table sizes.
+    The cost is one count per interned term, whatever was evicted.  Returns
+    a stats dict: per-constructor eviction counts, their total, and the
+    post-sweep table sizes.
     """
-    if _OPEN_GENS:
-        raise GenerationError(
-            "cannot collect while generations %r are open" % (_OPEN_GENS,)
-        )
-    target = list(_GEN_POOLS)
     evicted = {"var": 0, "sym": 0, "num": 0, "app": 0}
-    if not target:
-        return {
-            "generations": (),
-            "pinned": 0,
-            "evicted": evicted,
-            "evicted_total": 0,
-            "sizes": intern_table_sizes(),
-        }
-
-    # Mark: the subterm closure of the pin roots, pruned at terms born
-    # before the oldest swept generation (a term can only contain subterms
-    # at most as young as itself, so nothing below the threshold can reach
-    # a candidate).
-    threshold = min(target)
-    pinned = set()
-    stack = []
-
-    def push_roots(roots):
-        for root in roots:
-            if isinstance(root, Term) and root._gen >= threshold:
-                stack.append(root)
-
-    push_roots(pins)
-    for provider in list(_call_registered(_PIN_PROVIDERS)):
-        push_roots(provider())
-    while stack:
-        term = stack.pop()
-        if term in pinned:
-            continue
-        pinned.add(term)
-        if type(term) is App:
-            name = term.name
-            if name._gen >= threshold:
-                stack.append(name)
-            for arg in term.args:
-                if arg._gen >= threshold:
-                    stack.append(arg)
-
-    # Sweep: evict the unpinned, keep survivors in their birth pool.
-    # Terms promoted to immortality since birth (generation 0) are dropped
-    # from the pool without eviction — their table entries are permanent.
-    # The intern lock serializes the table deletions against concurrent
-    # construction misses on other threads (the serving subsystem's readers
-    # may be parsing queries while the writer collects).
     with _INTERN_LOCK:
-        for gen in target:
-            pool = _GEN_POOLS.pop(gen)
-            survivors = []
-            for term in pool:
-                if term._gen == 0:
+        for kind, table in (("app", _APP_INTERN), ("sym", _SYM_INTERN),
+                            ("num", _NUM_INTERN), ("var", _VAR_INTERN)):
+            # Values only, popped newest first: a snapshot of the key
+            # tuples would hold every child and keep dead structures alive.
+            pending = list(table.values())
+            while pending:
+                term = pending.pop()
+                # ``term`` and getrefcount's argument are the sweep's own.
+                if getrefcount(term) - 2 != _table_refs(term):
                     continue
-                if term in pinned:
-                    survivors.append(term)
-                else:
-                    _evict(term, evicted)
-            if survivors:
-                _GEN_POOLS[gen] = survivors
+                # The key is never bound to a name: it holds the children.
+                del table[_key(term)]
+                if getrefcount(term) - 2 != _table_refs(term) - 1:
+                    table[_key(term)] = term  # a lock-free hit took it
+                    continue
+                _INDICATORS.pop(term, None)
+                evicted[kind] += 1
     return {
-        "generations": tuple(target),
-        "pinned": len(pinned),
         "evicted": evicted,
         "evicted_total": sum(evicted.values()),
         "sizes": intern_table_sizes(),
@@ -477,7 +269,8 @@ class Var(Term):
     variables may use any string.
     """
 
-    __slots__ = ("name", "indicator", "_gen", "_text")
+    #: ``_fresh`` is true for the uninterned variables of :func:`fresh_var`.
+    __slots__ = ("name", "indicator", "_fresh", "_text")
 
     #: Groundness, read where :meth:`is_ground` would cost a call.
     _ground = False
@@ -485,23 +278,16 @@ class Var(Term):
     def __new__(cls, name):
         self = _VAR_INTERN.get(name)
         if self is not None:
-            if self._gen and not _CURRENT_GEN:
-                _promote(self)
             return self
         with _INTERN_LOCK:
             self = _VAR_INTERN.get(name)
             if self is not None:
-                if self._gen and not _CURRENT_GEN:
-                    _promote(self)
                 return self
             self = object.__new__(cls)
             object.__setattr__(self, "name", name)
             object.__setattr__(self, "indicator", (self, -1))
-            gen = _CURRENT_GEN
-            object.__setattr__(self, "_gen", gen)
+            object.__setattr__(self, "_fresh", False)
             _VAR_INTERN[name] = self
-            if gen:
-                _record(self, gen)
         return self
 
     def __setattr__(self, key, value):
@@ -531,31 +317,25 @@ class Sym(Term):
     not distinguish these roles.
     """
 
-    __slots__ = ("name", "indicator", "_gen", "_text")
+    __slots__ = ("name", "indicator", "_text")
 
     #: Groundness, read where :meth:`is_ground` would cost a call.
     _ground = True
+    #: A symbol is always interned.
+    _fresh = False
 
     def __new__(cls, name):
         self = _SYM_INTERN.get(name)
         if self is not None:
-            if self._gen and not _CURRENT_GEN:
-                _promote(self)
             return self
         with _INTERN_LOCK:
             self = _SYM_INTERN.get(name)
             if self is not None:
-                if self._gen and not _CURRENT_GEN:
-                    _promote(self)
                 return self
             self = object.__new__(cls)
             object.__setattr__(self, "name", name)
             object.__setattr__(self, "indicator", (self, -1))
-            gen = _CURRENT_GEN
-            object.__setattr__(self, "_gen", gen)
             _SYM_INTERN[name] = self
-            if gen:
-                _record(self, gen)
         return self
 
     def __setattr__(self, key, value):
@@ -591,24 +371,16 @@ class Num(Sym):
         value = int(value)
         self = _NUM_INTERN.get(value)
         if self is not None:
-            if self._gen and not _CURRENT_GEN:
-                _promote(self)
             return self
         with _INTERN_LOCK:
             self = _NUM_INTERN.get(value)
             if self is not None:
-                if self._gen and not _CURRENT_GEN:
-                    _promote(self)
                 return self
             self = object.__new__(cls)
             object.__setattr__(self, "name", str(value))
             object.__setattr__(self, "value", value)
             object.__setattr__(self, "indicator", (self, -1))
-            gen = _CURRENT_GEN
-            object.__setattr__(self, "_gen", gen)
             _NUM_INTERN[value] = self
-            if gen:
-                _record(self, gen)
         return self
 
 
@@ -628,7 +400,7 @@ class App(Term):
     application of the same name and arity shares.
     """
 
-    __slots__ = ("name", "args", "indicator", "_ground", "_depth", "_gen", "_text")
+    __slots__ = ("name", "args", "indicator", "_ground", "_depth", "_fresh", "_text")
 
     # For the type checker, which cannot see ``object.__setattr__`` fill them.
     name: Term
@@ -644,8 +416,6 @@ class App(Term):
         except TypeError:
             self = None  # unhashable non-Term argument; diagnosed below
         if self is not None:
-            if self._gen and not _CURRENT_GEN:
-                _promote(self)
             return self
         for arg in args:
             if not isinstance(arg, Term):
@@ -653,8 +423,6 @@ class App(Term):
         with _INTERN_LOCK:
             self = _APP_INTERN.get(key)
             if self is not None:
-                if self._gen and not _CURRENT_GEN:
-                    _promote(self)
                 return self
             self = object.__new__(cls)
             object.__setattr__(self, "name", name)
@@ -672,44 +440,21 @@ class App(Term):
                 if arg_depth > depth:
                     depth = arg_depth
             object.__setattr__(self, "_depth", depth + 1)
-            # Birth generation: at least the current one, and never younger
-            # than any child — an application built after a generation closed
-            # must still be sweepable together with the mortal children it
-            # references (collection prunes pin traversal below a term's own
-            # generation, so descendants may never outlive their ancestors'
-            # generation bound).  An application over a *fresh* (uninterned)
-            # child inherits the fresh sentinel and is itself left uninterned:
-            # its key contains an identity-unique object, so a table entry
-            # could never be hit again and would only be immortal leak.
-            gen = _CURRENT_GEN
-            child_gen = name._gen
-            if child_gen > gen:
-                gen = child_gen
+            # An application over a *fresh* (uninterned) child is itself
+            # fresh and left uninterned: its key contains an identity-unique
+            # object, so a table entry could never be hit again.  So is its
+            # indicator: an entry in the shared table would hold a fresh
+            # name.
+            fresh = name._fresh
             for arg in args:
-                child_gen = arg._gen
-                if child_gen > gen:
-                    gen = child_gen
-            if gen >= _FRESH_GEN:
-                # Fresh-descended: uninterned, reclaimed by ordinary GC, and
-                # so is its indicator (an entry in the shared table would
-                # keep a fresh name alive).
+                if arg._fresh:
+                    fresh = True
+            object.__setattr__(self, "_fresh", fresh)
+            if fresh:
                 object.__setattr__(self, "indicator", (name, len(args)))
-                object.__setattr__(self, "_gen", gen)
                 return self
             object.__setattr__(self, "indicator", _indicator(name, len(args)))
-            if gen and not _CURRENT_GEN:
-                # Top-level construction over generational children: the
-                # immortality promise covers everything obtained while no
-                # generation is open, so promote the children (mirroring the
-                # intern-hit path) and intern the new application immortally.
-                _promote(name)
-                for arg in args:
-                    _promote(arg)
-                gen = 0
-            object.__setattr__(self, "_gen", gen)
             _APP_INTERN[key] = self
-            if gen:
-                _record(self, gen)
         return self
 
     def __setattr__(self, key, value):
@@ -783,8 +528,6 @@ def intern_app(name, args):
     """
     cached = _APP_INTERN.get((name,) + args)
     if cached is not None:
-        if cached._gen and not _CURRENT_GEN:
-            _promote(cached)
         return cached
     return App(name, args)
 
@@ -819,7 +562,7 @@ def fresh_var(name):
     entry — and neither does any application containing one (its intern key
     holds an identity-unique object that could never be probed again) — so
     the whole structure is reclaimed by ordinary Python garbage collection
-    along with whatever rule holds it, with no generation bookkeeping.
+    along with whatever rule holds it.
     Consequently building the *same* application over the *same* fresh
     variable twice yields two distinct objects, and printing a fresh
     variable then reparsing the text yields an (interned) α-equivalent
@@ -828,7 +571,7 @@ def fresh_var(name):
     self = object.__new__(Var)
     object.__setattr__(self, "name", name)
     object.__setattr__(self, "indicator", (self, -1))
-    object.__setattr__(self, "_gen", _FRESH_GEN)
+    object.__setattr__(self, "_fresh", True)
     return self
 
 

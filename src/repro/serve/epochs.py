@@ -21,12 +21,11 @@ readers (which pin the current epoch for the duration of a query):
   least one reader; the manager's live table is the only liveness record.
   A base shared by several epochs stays reachable exactly as long as one
   of them is live.
-* **Intern-GC safety** — the manager registers a (weak) pin provider with
-  :mod:`repro.hilog.terms`, covering every atom reachable from every live
-  epoch.  Term eviction (:func:`~repro.hilog.terms.collect_generation`)
-  therefore never invalidates a pinned reader view: terms compare by
-  identity, so evicting an atom a reader can still fetch would silently
-  turn its lookups into misses.
+* **Intern-GC safety** — an epoch holds every atom it can answer, and
+  term eviction (:func:`~repro.hilog.terms.collect_terms`) never takes a
+  held term, so a pinned reader view stays valid.  (Terms compare by
+  identity: evicting an atom a reader can still fetch would silently turn
+  its lookups into misses.)
 * **Rebase policy** — each batch is netted into a *copy* of the previous
   epoch's delta, so a reader consults exactly one delta however many
   batches separate its epoch from the base; when the delta's volume
@@ -45,7 +44,6 @@ import threading
 from typing import Optional
 
 from repro.engine.seminaive.relation import Delta, FactSource, RelationStore, StoreView
-from repro.hilog.terms import register_pin_provider
 from repro.obs.trace import current_tracer
 
 #: The rebase policy: publish a fresh frozen snapshot instead of a further
@@ -106,11 +104,6 @@ class Epoch:
         """True when this epoch is a frozen full snapshot with no delta."""
         return self.delta is None
 
-    def pin_roots(self):
-        """Every term reachable from this epoch, for intern pin sets."""
-        yield from self.store.pin_roots()
-        yield from self.undefined
-
 
 class EpochManager:
     """Publishes epochs for one writer and pins them for many readers.
@@ -133,20 +126,6 @@ class EpochManager:
         self._live = {}
         self._rebases = 0
         self._published = 0
-        # Weak registration: a dropped manager stops pinning automatically.
-        self._pin_handle = register_pin_provider(self._intern_pin_roots)
-
-    # -- intern-GC integration ----------------------------------------------
-
-    def _intern_pin_roots(self):
-        """Pin every atom reachable from any live epoch.  Called by
-        :func:`~repro.hilog.terms.collect_generation` on whatever thread
-        collects; the snapshot of the live table is taken under the lock,
-        the (immutable) epochs are walked outside it."""
-        with self._lock:
-            epochs = list(self._live.values())
-        for epoch in epochs:
-            yield from epoch.pin_roots()
 
     # -- publication (writer side) ------------------------------------------
 

@@ -27,14 +27,14 @@ Threading contract:
 * The wrapped session must not be updated behind the serving session's
   back — all writes go through :meth:`submit` (or its
   :meth:`insert`/:meth:`retract` conveniences).
-* Intern **generations** are writer-thread-only (the generation stack is
-  global); readers (the HTTP server's event loop, callers' threads)
-  parse queries at top level, which is safe — constants already in the
-  model resolve to their canonical pinned terms, and unknown constants
-  miss either way.  :meth:`collect` is therefore routed through the
-  writer queue too, so a sweep never races a batch.
-* Term eviction is safe under pinned readers: the epoch manager's pin
-  provider keeps every atom reachable from any live epoch interned.
+* Readers (the HTTP server's event loop, callers' threads) parse their
+  queries on their own threads: constants already in the model resolve
+  to its canonical terms, and the terms a query builds are dropped with
+  it, so an intern sweep reclaims them.  :meth:`collect` is routed
+  through the writer queue, so a sweep never races a batch.
+* Term eviction is safe under pinned readers: an epoch holds every atom
+  it can answer, and a held term is never evicted
+  (:func:`~repro.hilog.terms.collect_terms`).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from repro.db.reads import ModelReads
 from repro.db.session import DatabaseSession, merge_ops
 from repro.obs.metrics import COUNT_BUCKETS, get_registry
 from repro.hilog.errors import HiLogError
-from repro.hilog.terms import Term, intern_generation
+from repro.hilog.terms import Term
 from repro.serve.epochs import EpochManager
 
 
@@ -271,8 +271,8 @@ class ServingSession:
 
     def collect(self):
         """Queue an intern-table sweep (runs on the writer thread, so it
-        never races a batch; live epochs are pinned throughout).  Returns a
-        future resolving to the collection stats dict."""
+        never races a batch; live epochs hold their atoms throughout).
+        Returns a future resolving to the collection stats dict."""
         op = _Op("collect")
         self._enqueue(op)
         return op.future
@@ -296,10 +296,9 @@ class ServingSession:
         so it never races a maintenance batch).  The serialized model
         comes from a **pinned frozen epoch** — the same immutable view
         readers use — so checkpointing a large model never blocks
-        concurrent readers, and the epoch pin keeps every serialized atom
-        interned should a collect land mid-write.  Returns the snapshot
-        path; raises :class:`~repro.db.session.SessionError` when the
-        wrapped session has no data directory."""
+        concurrent readers.  Returns the snapshot path; raises
+        :class:`~repro.db.session.SessionError` when the wrapped session
+        has no data directory."""
         op = _Op("checkpoint")
         self._enqueue(op)
         return op.future.result(timeout)
@@ -386,9 +385,8 @@ class ServingSession:
         live = []
         for op in ops:
             try:
-                with intern_generation():
-                    inserts = session.coerce(op.inserts)
-                    retracts = session.coerce(op.retracts)
+                inserts = session.coerce(op.inserts)
+                retracts = session.coerce(op.retracts)
             except BaseException as error:
                 self._counters["failed_ops"] += 1
                 op.fail(error)
@@ -441,8 +439,7 @@ class ServingSession:
     def _checkpoint_from_epoch(self):
         """Serialize the durability snapshot from a pinned frozen epoch —
         the immutable view readers share — so a large checkpoint never
-        holds up the read side, and the pin keeps every serialized atom
-        interned if a collect lands mid-write."""
+        holds up the read side."""
         with self.reader() as reader:
             epoch = reader.epoch
             return self._session.checkpoint(
@@ -450,8 +447,7 @@ class ServingSession:
 
     def _on_update(self, summary):
         """Session update listener — the epoch publication hook.  Runs on
-        the writer thread, after the batch's generation closed and before
-        any automatic intern sweep."""
+        the writer thread, before any automatic intern sweep."""
         epoch = self._manager.publish_delta(
             summary.added, summary.removed,
             undefined=self._session.undefined,

@@ -41,21 +41,19 @@ def isolate_example():
     """Per-hypothesis-example isolation: ``with isolate_example(): ...``.
 
     Resets ``EXECUTION_STATS`` at example entry (a fixture only runs once
-    per test *function*, while hypothesis runs many examples inside it) and
-    opens an intern generation around the example so the random programs'
-    terms are born mortal; after the example the closed generation is swept,
-    keeping ``intern_table_sizes`` bounded by the live suite instead of
-    growing with every random program ever generated.  The sweep honours
-    the registered pin providers, so terms other tests or sessions still
-    reach are never evicted.
+    per test *function*, while hypothesis runs many examples inside it),
+    and sweeps the intern tables after the example, keeping
+    ``intern_table_sizes`` bounded by the live suite instead of growing
+    with every random program ever generated.  The sweep evicts only the
+    terms nothing holds, so terms other tests or sessions still reach are
+    never evicted.
     """
-    from repro.hilog.terms import collect_generation, intern_generation
+    from repro.hilog.terms import collect_terms
 
     @contextlib.contextmanager
     def _isolated():
         EXECUTION_STATS.reset()
-        with intern_generation():
-            yield
-        collect_generation()
+        yield
+        collect_terms()
 
     return _isolated

@@ -6,11 +6,11 @@ keep three invariants simultaneously:
 
 1. **correctness** — ``session.check()`` stays green (the maintained model
    equals the from-scratch recomputation) after the whole interleaving;
-2. **boundedness** — after every collection, the number of *mortal* (born
-   in a generation) interned terms exceeds the pre-session baseline by at
-   most the total subterm volume of the session's live data (store + EDB),
-   because every surviving mortal term this session caused must be pinned
-   through it;
+2. **boundedness** — after every collection, the number of interned terms
+   exceeds the baseline (the tables swept right after the session was
+   built) by at most the total subterm volume of the session's live data
+   (store + EDB), because every term this session caused that survives a
+   sweep must be held through it;
 3. **identity** — every term reachable from the store (and the EDB) is
    still the canonical interned object: structurally rebuilding it from
    scratch returns the very same Python object (``is``).
@@ -27,8 +27,7 @@ from repro.hilog.terms import (
     Num,
     Sym,
     Var,
-    intern_generation,
-    intern_generation_sizes,
+    intern_table_sizes,
     term_size,
 )
 
@@ -72,15 +71,21 @@ def _rebuild(term):
     return Sym(term.name)
 
 
-def _mortal_count():
-    sizes = intern_generation_sizes()
-    return sum(count for gen, count in sizes.items() if gen != 0)
+def _interned_count():
+    return sum(intern_table_sizes().values())
 
 
 def _live_volume(session):
     return sum(term_size(atom) for atom in session.store) + sum(
         term_size(atom) for atom in session.edb()
     )
+
+
+def _assert_canonical(atoms):
+    """Every atom is still the canonical interned object (a function, so
+    no loop variable outlives the check and holds an atom)."""
+    for atom in atoms:
+        assert _rebuild(atom) is atom
 
 
 @settings(
@@ -90,64 +95,41 @@ def _live_volume(session):
 )
 @given(operations=_ops())
 def test_random_churn_keeps_model_bounds_and_identity(operations):
-    gc.collect()  # release zombie sessions so their pins stop counting
+    gc.collect()  # release zombie sessions so their terms stop counting
     session = DatabaseSession(RULES)
     assert session.mode == "incremental"
     session.collect()
-    # Mortal terms pinned by *others* (earlier tests' leftovers); this
+    # Terms held by *others* (earlier tests' leftovers, the rules); this
     # session's own contribution is bounded by its live data volume.
-    baseline = _mortal_count()
+    baseline = _interned_count()
     for action, payload in operations:
         if action == "toggle":
             fact = "e(%s, %s)." % payload
-            with intern_generation():
-                atoms = session.coerce(fact)
-            if atoms[0] in session.edb():
+            if session.coerce(fact)[0] in session.edb():
                 session.retract(fact)
             else:
                 session.insert(fact)
         else:
             session.collect()
-            # Boundedness: every surviving mortal term this session keeps
-            # alive is pinned through its store/EDB, so the population
-            # cannot exceed the baseline plus the live subterm volume.
-            assert _mortal_count() <= baseline + _live_volume(session)
+            # Boundedness: every term this session keeps alive is held
+            # through its store/EDB, so the population cannot exceed the
+            # baseline plus the live subterm volume.
+            assert _interned_count() <= baseline + _live_volume(session)
             # Identity: everything reachable from the store/EDB is still
             # the canonical interned object.
-            for atom in session.store:
-                assert _rebuild(atom) is atom
-            for atom in session.edb():
-                assert _rebuild(atom) is atom
+            _assert_canonical(session.store)
+            _assert_canonical(session.edb())
     session.check()
     session.collect()
-    assert _mortal_count() <= baseline + _live_volume(session)
-    for atom in session.store:
-        assert _rebuild(atom) is atom
-
-
-def test_failed_session_construction_does_not_poison_collection():
-    """Regression: a session whose materialization raises (resource cap)
-    must not leave a half-built pin provider behind — a later collection
-    would crash on its ``None`` store while the exception traceback keeps
-    the object alive."""
-    from repro.hilog.errors import HiLogError
-    from repro.hilog.terms import collect_generation
-
-    lines = ["tc(X, Y) :- e(X, Y).", "tc(X, Y) :- e(X, Z), tc(Z, Y)."]
-    lines.extend("e(m%d, m%d)." % (i, i + 1) for i in range(10))
-    try:
-        DatabaseSession("\n".join(lines), max_facts=5)
-    except HiLogError:
-        collect_generation()  # must not raise AttributeError
-    else:
-        raise AssertionError("expected the fact cap to trip")
+    assert _interned_count() <= baseline + _live_volume(session)
+    _assert_canonical(session.store)
 
 
 def test_auto_collect_pins_the_pending_update_summary():
     """Regression: with ``intern_gc=1`` the automatic sweep runs before the
     update's summary reaches the caller — the summary's removed atoms (no
-    longer in the store) must be pinned through that sweep, or the caller
-    receives stale twins that compare unequal to freshly parsed atoms."""
+    longer in the store) must survive that sweep, or the caller receives
+    stale twins that compare unequal to freshly parsed atoms."""
     session = DatabaseSession("p(X) :- e(X).", intern_gc=1)
     session.insert("e(k1).")
     summary = session.retract("e(k1).")
@@ -156,19 +138,16 @@ def test_auto_collect_pins_the_pending_update_summary():
         assert _rebuild(atom) is atom
 
 
-def test_session_pin_retains_held_atoms_across_auto_collect():
-    """Atoms held from an *earlier* summary survive later automatic sweeps
-    when pinned through :meth:`DatabaseSession.pin`, and become
-    reclaimable again after :meth:`unpin`."""
+def test_held_atoms_survive_auto_collect():
+    """Atoms held from an *earlier* summary survive later automatic sweeps:
+    holding them is what keeps them canonical."""
     session = DatabaseSession("p(X) :- e(X).", intern_gc=1)
     session.insert("e(c1).")
     held = session.retract("e(c1).").removed
-    session.pin(held)
     session.insert("e(zzz).")  # auto-sweep; held atoms stay canonical
     session.insert("e(c1).")
     assert all(_rebuild(atom) is atom for atom in held)
     assert any(session.ask(atom) for atom in held)  # e(c1) true again
-    session.unpin()
     session.retract("e(c1).")
     session.retract("e(zzz).")
     session.collect()
@@ -184,13 +163,13 @@ def test_full_churn_returns_to_baseline(cycles):
     gc.collect()
     session = DatabaseSession(RULES)
     session.collect()
-    baseline = _mortal_count()
+    baseline = _interned_count()
     for index in range(cycles):
         session.insert("e(g%d, g%d)." % (index, index + 1))
     for index in range(cycles):
         session.retract("e(g%d, g%d)." % (index, index + 1))
     session.collect()
-    # Everything churned was retracted: the mortal population is back to
+    # Everything churned was retracted: the interned population is back to
     # (at most) the baseline — no dependence on ``cycles``.
-    assert _mortal_count() <= baseline + len(RECURRING)
+    assert _interned_count() <= baseline + len(RECURRING)
     session.check()

@@ -354,6 +354,19 @@ class TestQueries:
         with pytest.raises(GroundingError):
             session.ask("tc(a, X)")
 
+    def test_atoms_held_from_an_earlier_summary_survive_collect(self):
+        # Regression: a sweep used to evict the atoms of a retracted fact
+        # although the caller still held them from the insert's summary, so
+        # re-inserting the fact built twins the held atoms never matched.
+        session = DatabaseSession("tc(X, Y) :- e(X, Y).")
+        held = session.insert("e(x1, y1).").added
+        session.retract("e(x1, y1).")
+        session.collect()
+        new = session.insert("e(x1, y1).").added
+        assert len(held) == len(new) == 2
+        assert all(old is atom for old, atom in zip(held, new))
+        assert held[0] in session.query("e(x1, Y)")
+
 
 class TestIntrospection:
     def test_stats_and_model(self):

@@ -31,12 +31,9 @@ from repro.hilog.terms import (
     App,
     Sym,
     Var,
-    collect_generation,
-    intern_generation,
+    collect_terms,
     intern_table_sizes,
     outermost_symbol,
-    register_pin_provider,
-    unregister_pin_provider,
 )
 from repro.hilog.unify import match
 
@@ -80,9 +77,8 @@ def _run(script, target, model):
             model.pop(atom, None)
 
 
-def _check(source, facts, exact, reachable=()):
-    """Every question of the protocol, ``source`` against the set ``facts``;
-    ``reachable`` are further atoms it holds without showing (a mask)."""
+def _check(source, facts, exact):
+    """Every question of the protocol, ``source`` against the set ``facts``."""
     facts = set(facts)
 
     # membership, length, iteration
@@ -149,9 +145,6 @@ def _check(source, facts, exact, reachable=()):
     assert set(source.fetch(p, -1, (), None)) == facts & {p}
     assert set(source.fetch(p, 0, (), None)) == facts & {p0}
 
-    roots = set(source.pin_roots())
-    assert facts <= roots and set(reachable) <= roots
-
 
 def _assert_frozen(target, present, absent):
     """Whatever would change a frozen set raises; a no-op stays one."""
@@ -189,7 +182,7 @@ def test_every_shape_answers_like_a_set(shape, script, hidden):
         base = RelationStore(facts[0::2] + hidden).freeze()
         source = StoreView((base, FactBuckets(facts[1::2]).freeze()),
                            minus=FactBuckets(hidden).freeze())
-        _check(source, model, False, reachable=hidden)
+        _check(source, model, False)
         with pytest.raises(FrozenStoreError):
             source.add(UNIVERSE[0])
         return
@@ -267,7 +260,6 @@ def test_delta_cancels_both_ways_and_copies_apart():
     delta.record_add(a)
     delta.record_remove(b)
     assert (len(delta), set(delta.added), set(delta.removed)) == (2, {a}, {b})
-    assert set(delta.pin_roots()) == {a, b}
     assert delta.touches([(a.name, 2)]) and not delta.touches([(a.name, 3)])
     clone = delta.copy()
     clone.record_remove(a)  # cancels the addition
@@ -279,8 +271,8 @@ def test_delta_cancels_both_ways_and_copies_apart():
 
 def test_masked_view_filters_the_lower_layer_and_appends_the_top():
     """base ⊕ delta on one small example: a removed base fact is hidden from
-    every question, the additions' whole bucket is appended to a keyed
-    fetch, and both are still pinned."""
+    every question, and the additions' whole bucket is appended to a keyed
+    fetch."""
     base = RelationStore(
         parse_term(t) for t in ("e(a, b)", "e(a, c)", "p(x)")).freeze()
     e_ab, e_ac, e_bd, p_x = (
@@ -295,38 +287,30 @@ def test_masked_view_filters_the_lower_layer_and_appends_the_top():
     assert view.fetch(p_x.name, 1, (), None) == []
     assert sorted(map(str, view.all_facts())) == ["e(a, c)", "e(b, d)"]
     assert view.spill(1, None) == []
-    assert {e_ab, e_ac, e_bd, p_x} <= set(view.pin_roots())
     assert e_ab in base and e_bd not in base  # the base is untouched
 
 
 class TestEmptiedRelations:
-    def test_name_churn_leaves_no_relation_index_entry_or_pin(self):
+    def test_name_churn_leaves_no_relation_index_entry(self):
         keep = parse_term("keep(a, b)")
         a, b = keep.args
         store = RelationStore([keep])
-        def pins():  # held here: the registry keeps providers weakly
-            return store.pin_roots()
-
-        handle = register_pin_provider(pins)
-        try:
-            gc.collect()
-            collect_generation()
-            before = intern_table_sizes()
-            with intern_generation():
-                churned = [App(Sym("e%d" % i), (a, b)) for i in range(20000)]
-                for atom in churned:
-                    assert store.add(atom)
-                assert store.stats()["relations"] == 20001
-                for atom in churned:
-                    assert store.remove(atom)
-                del churned, atom
-            assert store.stats() == {"relations": 1, "facts": 1, "indexes": 0}
-            assert store.spill(2, None) == [keep]
-            assert list(store.pin_roots()) == [keep]
-            collect_generation()
-            assert intern_table_sizes() == before
-        finally:
-            unregister_pin_provider(handle)
+        gc.collect()
+        collect_terms()
+        before = intern_table_sizes()
+        churned = [App(Sym("e%d" % i), (a, b)) for i in range(20000)]
+        for atom in churned:
+            assert store.add(atom)
+        assert store.stats()["relations"] == 20001
+        for atom in churned:
+            assert store.remove(atom)
+        del churned, atom
+        assert store.stats() == {"relations": 1, "facts": 1, "indexes": 0}
+        assert store.spill(2, None) == [keep]
+        # Nothing of the churned names stays held: the store kept no index
+        # entry or indicator of them.
+        collect_terms()
+        assert intern_table_sizes() == before
 
     def test_dropped_indicator_comes_back_with_a_lazy_index(self):
         first, second = parse_term("e(a, b)"), parse_term("e(a, c)")

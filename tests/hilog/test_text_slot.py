@@ -10,7 +10,7 @@ under test:
   names, fresh ``_`` variables);
 * ground terms still round-trip to the *same object*;
 * a second ``repr`` performs no render;
-* a term evicted by :func:`collect_generation` takes its text with it, and
+* a term evicted by :func:`collect_terms` takes its text with it, and
   the rebuilt term renders identically;
 * two threads racing the first render of one term get the same string.
 """
@@ -30,9 +30,8 @@ from repro.hilog.terms import (
     App,
     Num,
     Sym,
-    collect_generation,
+    collect_terms,
     fresh_var,
-    intern_generation,
     make_list,
 )
 
@@ -128,19 +127,16 @@ def test_non_terms_are_still_rejected():
 
 def test_evicted_term_takes_its_text_and_rebuilds_identically():
     source = "evict_probe(t17, [x1, 'Q q' | Tail], 2 + k)"
-    with intern_generation():
-        doomed = parse_term(source)
-        text = repr(doomed)
+    doomed = parse_term(source)
+    text = repr(doomed)
     assert doomed._text is text
-    stats = collect_generation()
+    del doomed
+    stats = collect_terms()
     assert stats["evicted"]["app"] >= 1
-    with intern_generation():
-        rebuilt = parse_term(source)
-        # a fresh canonical object: the old text went with the old term
-        assert rebuilt is not doomed
-        assert not hasattr(rebuilt, "_text")
-        assert repr(rebuilt) == text == _uncached(rebuilt)
-    collect_generation()
+    rebuilt = parse_term(source)
+    # a fresh canonical object: the old text went with the old term
+    assert not hasattr(rebuilt, "_text")
+    assert repr(rebuilt) == text == _uncached(rebuilt)
 
 
 def test_racing_first_renders_agree():

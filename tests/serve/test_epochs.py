@@ -16,7 +16,7 @@ from repro.engine.seminaive.relation import RelationStore
 from repro.hilog.errors import FrozenStoreError
 from repro.hilog.parser import parse_term
 from repro.hilog.program import Literal
-from repro.hilog.terms import collect_generation
+from repro.hilog.terms import collect_terms
 from repro.serve import epochs as epochs_module
 from repro.serve.epochs import EpochManager
 
@@ -157,13 +157,20 @@ class TestEpochManager:
             with pytest.raises(FrozenStoreError):
                 mutate(fresh)
 
-    def test_pin_roots_cover_base_additions_removals_and_undefined(self):
-        store = base_store("e(a, b)")
+    def test_epoch_holds_base_additions_removals_and_undefined(self):
+        # Only the epoch holds the addition and the undefined atom: a sweep
+        # keeps them canonical, so a reparse finds the objects it stores.
+        store = base_store("e(ep_a, ep_b)")
         manager = self.manager(store)
         manager.publish_base()
         epoch = manager.publish_delta(
-            atoms("e(b, c)"), atoms("e(a, b)"), undefined=atoms("win(a)"))
-        assert set(atoms("e(a, b)", "e(b, c)", "win(a)")) <= set(epoch.pin_roots())
+            atoms("e(ep_b, ep_c)"), atoms("e(ep_a, ep_b)"),
+            undefined=atoms("win(ep_a)"))
+        collect_terms()
+        assert atoms("e(ep_b, ep_c)")[0] in epoch.store
+        assert atoms("e(ep_a, ep_b)")[0] in epoch.base
+        assert atoms("e(ep_a, ep_b)")[0] not in epoch.store
+        assert atoms("win(ep_a)")[0] in epoch.undefined
 
     def test_rebase_after_overlay_outgrows_base(self, monkeypatch):
         monkeypatch.setattr(epochs_module, "REBASE_MIN", 2)
@@ -267,7 +274,7 @@ def test_epochs_follow_the_session_across_rebases(name, data):
             assert _state(current.store, current.undefined, patterns) == after
             # the reader that pinned the old epoch still reads the old model
             assert _state(pinned.store, pinned.undefined, patterns) == before
-            collect_generation()
+            collect_terms()
             assert _state(current.store, current.undefined, patterns) == after
             assert _state(pinned.store, pinned.undefined, patterns) == before
             assert _state(session.store, session.undefined, patterns) == after

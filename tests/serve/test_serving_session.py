@@ -13,7 +13,7 @@ from repro.db import DatabaseSession
 from repro.durable.snapshot import load_snapshot
 from repro.hilog.errors import GroundingError
 from repro.hilog.parser import parse_term
-from repro.hilog.terms import App, Sym
+from repro.hilog.terms import App, Sym, intern_table_sizes
 from repro.serve import epochs as epochs_module
 from repro.serve import (
     ServeError,
@@ -255,11 +255,25 @@ class TestInternSafety:
                 assert held[0] in reader.epoch.store
                 assert answers(reader, "tc(x0, X)") == {
                     "tc(x0, y0)", "tc(x0, z0)"}
-                keep = held[1]
-            # With the reader released the atoms are collectable: the next
-            # sweep evicts them, so a rebuild is a fresh twin.
+            # With the reader released and the atoms dropped they are
+            # collectable: the next sweep evicts them, so a rebuild is a
+            # fresh object (it has no rendered text yet).
+            del held, rebuilt, reader
             serving.collect().result(5)
-            assert App(Sym("e"), (Sym("y0"), Sym("z0"))) is not keep
+            assert not hasattr(App(Sym("e"), (Sym("y0"), Sym("z0"))), "_text")
+
+    def test_reads_leave_nothing_interned_after_collect(self):
+        # Regression: readers used to intern the terms of their queries
+        # permanently, so a server's tables grew with the reads it served.
+        with ServingSession(TC_RULES) as serving:
+            serving.insert("e(a, b).", timeout=5)
+            serving.collect().result(5)
+            before = intern_table_sizes()
+            with serving.reader() as reader:
+                for index in range(500):
+                    assert not reader.ask("tc(p%d, q%d)" % (index, index))
+            serving.collect().result(5)
+            assert intern_table_sizes() == before
 
     def test_collect_runs_on_writer_thread_under_churn(self):
         with ServingSession(TC_RULES) as serving:
