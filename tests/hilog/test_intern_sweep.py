@@ -43,10 +43,6 @@ from repro.hilog.terms import (
 from repro.serve import ServingSession
 
 
-def _total():
-    return sum(intern_table_sizes().values())
-
-
 def _interned(term):
     """Whether ``term`` is still the canonical interned object."""
     if type(term) is App:
@@ -73,12 +69,16 @@ def _reparse_is_fresh(text):
 class TestEviction:
     def test_unheld_terms_are_evicted(self):
         _rendered("gone_fact(fresh_c17, 99991)")
-        before = _total()
+        before = intern_table_sizes()
         stats = collect_terms()
         # The application, the fresh symbols and the fresh number all go
-        # (shared pre-existing structure, if any, stays).
+        # (shared pre-existing structure, if any, stays), and the stats
+        # count exactly what the tables lost.
         assert stats["evicted_total"] >= 4
-        assert _total() == before - stats["evicted_total"]
+        assert stats["evicted_total"] == sum(stats["evicted"].values())
+        assert stats["sizes"] == intern_table_sizes()
+        assert {kind: before[kind] - stats["sizes"][kind] for kind in before} \
+            == stats["evicted"]
         assert _reparse_is_fresh("gone_fact(fresh_c17, 99991)")
 
     def test_one_sweep_frees_whole_dead_structures(self):
@@ -183,18 +183,6 @@ class TestCounts:
         assert getrefcount(sym_name) - 2 == terms._table_refs(sym_name) == 5
         assert getrefcount(app_name) - 2 == terms._table_refs(app_name) == 4
         assert set(terms._INDICATORS[sym_name]) == {1, 2}
-
-    def test_stats_count_what_the_tables_lose(self):
-        gc.collect()  # nothing dies behind the counts below
-        collect_terms()
-        for index in range(5):
-            parse_term("acct(acct_a%d, %d)" % (index, 7700 + index))
-        before = intern_table_sizes()
-        stats = collect_terms()
-        assert stats["evicted"] == {"var": 0, "sym": 6, "num": 5, "app": 5}
-        assert stats["evicted_total"] == 16
-        assert {kind: before[kind] - stats["sizes"][kind] for kind in before} \
-            == stats["evicted"]
 
 
 class TestRace:
