@@ -125,6 +125,29 @@ def test_random_churn_keeps_model_bounds_and_identity(operations):
     _assert_canonical(session.store)
 
 
+def test_failed_session_construction_does_not_poison_collection():
+    """Regression: a session whose materialization raises (resource cap)
+    must leave the tables consistent — a later collection runs, and a
+    session built afresh over the same text keeps every stored atom
+    canonical."""
+    from repro.hilog.errors import HiLogError
+    from repro.hilog.terms import collect_terms
+
+    lines = ["tc(X, Y) :- e(X, Y).", "tc(X, Y) :- e(X, Z), tc(Z, Y)."]
+    lines.extend("e(m%d, m%d)." % (i, i + 1) for i in range(10))
+    try:
+        DatabaseSession("\n".join(lines), max_facts=5)
+    except HiLogError:
+        collect_terms()
+    else:
+        raise AssertionError("expected the fact cap to trip")
+    session = DatabaseSession("\n".join(lines))
+    session.collect()
+    _assert_canonical(session.store)
+    assert session.ask("tc(m0, m10)")
+    session.check()
+
+
 def test_auto_collect_pins_the_pending_update_summary():
     """Regression: with ``intern_gc=1`` the automatic sweep runs before the
     update's summary reaches the caller — the summary's removed atoms (no

@@ -368,7 +368,31 @@ class TestQueries:
         assert held[0] in session.query("e(x1, Y)")
 
 
+    def test_rule_constants_survive_collect(self):
+        # The compiled rules hold their constants: a sweep before any fact
+        # mentions them keeps them canonical, so a later fact joins.
+        session = DatabaseSession(
+            "p(X) :- e(X, rule_only_c), not q(X, 80808). q(b1, 80808).")
+        session.collect()
+        session.insert("e(a1, rule_only_c). e(b1, rule_only_c).")
+        assert session.query("p(X)") == (parse_term("p(a1)"),)
+        assert session.check()
+
+
 class TestIntrospection:
+    def test_collect_returns_the_sweep_stats(self):
+        from repro.hilog.terms import _SYM_INTERN, intern_table_sizes
+
+        session = DatabaseSession(TC)
+        session.insert("e(st_x, st_y).")
+        session.retract("e(st_x, st_y).")
+        stats = session.collect()
+        assert set(stats) == {"evicted", "evicted_total", "sizes"}
+        assert stats["evicted_total"] == sum(stats["evicted"].values())
+        assert stats["sizes"] == intern_table_sizes()
+        # The retracted fact's constants were held by nothing.
+        assert "st_x" not in _SYM_INTERN and "st_y" not in _SYM_INTERN
+
     def test_stats_and_model(self):
         session = DatabaseSession(TC)
         session.insert("e(c, d).")

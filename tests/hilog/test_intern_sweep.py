@@ -5,7 +5,8 @@ The invariants under test:
 
 * a term nothing outside the tables holds is evicted, and with it every
   subterm only it held — one sweep frees a whole dead structure;
-* a held term — by a store, a parent, a local variable, or only through
+* a held term — by a store, a parent, a program, a substitution, a local
+  variable, or only through
   one of its indicator tuples — survives, together with its whole subterm
   closure, and a reparse returns the very same object;
 * rebuilding an evicted structure yields a fresh canonical object (the
@@ -30,7 +31,8 @@ from sys import getrefcount
 
 from repro.db import DatabaseSession
 from repro.hilog import terms
-from repro.hilog.parser import parse_term
+from repro.hilog.parser import parse_program, parse_term
+from repro.hilog.subst import Substitution
 from repro.hilog.terms import (
     App,
     Num,
@@ -146,6 +148,46 @@ class TestEviction:
         assert App(Sym("ind_name"), (Sym("ind_y"),)).indicator is indicator
         assert own[0] is Sym("ind_own")
 
+    def test_unheld_variables_are_evicted(self):
+        _rendered("var_holder(SweepOnlyVar)")
+        assert "SweepOnlyVar" in terms._VAR_INTERN
+        collect_terms()
+        assert "SweepOnlyVar" not in terms._VAR_INTERN
+
+    def test_dead_name_leaves_no_indicator_entry(self):
+        # A name used at two arities is held only by its two applications'
+        # indicator tuples: once both applications go, the name goes too,
+        # and so does its ``_INDICATORS`` entry.
+        _rendered("dead_name_f(dn_a)")
+        _rendered("dead_name_f(dn_a, dn_b)")
+
+        def has_entry():
+            return any(type(name) is Sym and name.name == "dead_name_f"
+                       for name in terms._INDICATORS)
+
+        assert has_entry()
+        collect_terms()
+        assert not has_entry()
+        assert "dead_name_f" not in terms._SYM_INTERN
+
+    def test_program_keeps_its_rule_constants(self):
+        program = parse_program(
+            "prog_head(X) :- prog_edge(X, prog_only_c), not prog_neg(X, 31337).")
+        collect_terms()
+        (rule,) = program.rules
+        constant = rule.body[0].atom.args[1]
+        number = rule.body[1].atom.args[1]
+        assert _interned(rule.head) and _interned(rule.body[1].atom)
+        assert Sym("prog_only_c") is constant
+        assert Num(31337) is number
+
+    def test_substitution_keeps_its_bindings(self):
+        binding = Substitution({Var("SubstX"): parse_term("subst_val(sv_c1)")})
+        collect_terms()
+        value = binding.apply(Var("SubstX"))
+        assert _interned(value) and _interned(value.args[0])
+        assert parse_term("subst_val(sv_c1)") is value
+
     def test_fresh_variables_and_their_apps_stay_out_of_the_tables(self):
         anon = fresh_var("_AnonT_1")
         wrapped = App(Sym("fresh_wrap"), (anon,))
@@ -185,6 +227,25 @@ class TestCounts:
         assert set(terms._INDICATORS[sym_name]) == {1, 2}
 
 
+class TestAccounting:
+    def test_table_sizes_track_births_and_eviction(self):
+        gc.collect()
+        gc.disable()  # nothing else dies behind the exact counts below
+        try:
+            collect_terms()
+            before = intern_table_sizes()
+            term = parse_term("acct_f(acct_a, 77321, AcctV)")
+            born = intern_table_sizes()
+            assert {kind: born[kind] - before[kind] for kind in before} \
+                == {"var": 1, "sym": 2, "num": 1, "app": 1}
+            del term
+            stats = collect_terms()
+        finally:
+            gc.enable()
+        assert stats["evicted"] == {"var": 1, "sym": 2, "num": 1, "app": 1}
+        assert stats["sizes"] == intern_table_sizes() == before
+
+
 class TestRace:
     def test_hit_between_count_and_delete_puts_the_entry_back(self, monkeypatch):
         # Simulate the lock-free hit of another thread: the moment the sweep
@@ -204,6 +265,26 @@ class TestRace:
         assert taken and hasattr(taken[0], "_text")
         assert _interned(taken[0])
         assert Sym("race_target_sym") is taken[0]
+
+    def test_app_hit_between_count_and_delete_puts_the_entry_back(self, monkeypatch):
+        # The same race on an application: the entry is keyed by its name
+        # and arguments, and putting it back keeps its children too.
+        _rendered("race_app(ra_c1)")
+        taken = []
+        table_refs = terms._table_refs
+
+        def hit_after_count(term):
+            if (not taken and type(term) is App
+                    and getattr(term.name, "name", None) == "race_app"):
+                taken.append(App(Sym("race_app"), (Sym("ra_c1"),)))
+            return table_refs(term)
+
+        monkeypatch.setattr(terms, "_table_refs", hit_after_count)
+        collect_terms()
+        monkeypatch.undo()
+        assert taken and hasattr(taken[0], "_text")
+        assert _interned(taken[0]) and _interned(taken[0].args[0])
+        assert parse_term("race_app(ra_c1)") is taken[0]
 
     def test_reader_threads_keep_identity_while_collect_runs(self):
         # Readers parse atoms of the model, and atoms absent from it, while

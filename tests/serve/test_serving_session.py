@@ -241,8 +241,7 @@ class TestInternSafety:
         monkeypatch.setattr(epochs_module, "REBASE_RATIO", 1e-9)
         monkeypatch.setattr(epochs_module, "REBASE_MIN", 0)
         with ServingSession(TC_RULES) as serving:
-            # Facts parsed on the writer thread are generation-born: after
-            # retraction, the pinned epoch is their only owner.
+            # After retraction, the pinned epoch is the facts' only owner.
             serving.insert("e(x0, y0). e(y0, z0).", timeout=5)
             with serving.reader() as reader:
                 held = sorted(reader.facts("e", 2), key=repr)
@@ -274,6 +273,20 @@ class TestInternSafety:
                     assert not reader.ask("tc(p%d, q%d)" % (index, index))
             serving.collect().result(5)
             assert intern_table_sizes() == before
+
+    def test_answers_held_after_the_reader_closes_stay_canonical(self):
+        # Holding an answer is what keeps it: once the reader is released
+        # and the fact retracted, a sweep leaves the held atom canonical.
+        with ServingSession(TC_RULES) as serving:
+            serving.insert("e(h0, h1).", timeout=5)
+            with serving.reader() as reader:
+                (held,) = reader.query("tc(h0, X)")
+            serving.retract("e(h0, h1).", timeout=5)
+            serving.collect().result(5)
+            assert App(Sym("tc"), (Sym("h0"), Sym("h1"))) is held
+            serving.insert("e(h0, h1).", timeout=5)
+            with serving.reader() as reader:
+                assert reader.query("tc(h0, X)") == (held,)
 
     def test_collect_runs_on_writer_thread_under_churn(self):
         with ServingSession(TC_RULES) as serving:
