@@ -55,7 +55,8 @@ name, so it does not count).  Children are interned before their parents,
 so one pass over the application table in reverse insertion order frees a
 whole dead structure: evicting a parent drops its key tuple and its
 argument tuple, so each child's count has fallen by the time the pass
-reaches it.
+reaches it.  (An entry the sweep puts back after a race, below, moves to
+the end of its table, so a dead parent of it may take a second sweep.)
 
 Identity survives the sweep because a term is evicted only when nobody
 holds it: rebuilding the structure later creates a fresh canonical object
@@ -67,14 +68,18 @@ already garbage stays until the cyclic collector frees the cycle
 (:func:`gc.collect`).  Two caveats:
 
 * The sweep is **CPython-specific**: it relies on ``sys.getrefcount``
-  reporting exact reference counts (the tests pin the counts the tables
-  hold for each kind of term, so a change in its meaning fails loudly
-  instead of evicting live terms).
-* The hit path takes no lock, so a hit on another thread can take a term
-  between the sweep's count and its delete.  The sweep therefore deletes
-  the entry, counts again, and puts it back when the count rose; a miss
-  waits on :data:`_INTERN_LOCK`, which the sweep holds, so no twin can be
-  built meanwhile.
+  reporting exact reference counts.  The first sweep runs over probe
+  terms (:func:`_counts_exact`); on another interpreter, a free-threaded
+  build, or one whose counts read other than the sweep assumes, every
+  sweep evicts nothing, warns, and says so in its stats.  The tests also pin the counts
+  the tables hold for each kind of term.
+* The hit path takes no lock, and the sweep counts without one, so another
+  thread can take a term between the sweep's count and its delete.  The
+  sweep therefore deletes the entry under :data:`_INTERN_LOCK`, counts
+  again, and puts it back when the count rose; a miss waits on the lock,
+  so no twin can be built meanwhile.  The lock is held across a run of
+  evictions only, so a miss waits for one run of garbage, not for the
+  whole pass.
 
 Anonymous variables are outside the tables entirely: :func:`fresh_var`
 creates uninterned variables (and applications over them stay uninterned),
@@ -84,13 +89,14 @@ reclaimed by ordinary garbage collection.  Monitor the tables with
 
 from __future__ import annotations
 
+import sys
 import threading
+import warnings
 
-from sys import getrefcount
 from typing import Dict, Iterable, Iterator, Set, Tuple, Union
 
-#: Guards the intern tables' *construction* (miss) path and the eviction
-#: sweep, so two threads interning the same new structure concurrently
+#: Guards the intern tables' *construction* (miss) path and the sweep's
+#: evictions, so two threads interning the same new structure concurrently
 #: cannot each insert a twin (which would break identity-based equality).
 #: The hit path stays lock-free: dictionary probes are atomic under the
 #: GIL, and a hit never mutates a table.  Contention is negligible — the
@@ -98,6 +104,10 @@ from typing import Dict, Iterable, Iterator, Set, Tuple, Union
 #: the model already interned), and construction is dwarfed by the
 #: dictionary work it guards.
 _INTERN_LOCK = threading.RLock()
+
+#: ``sys.getrefcount``, which some interpreters lack (the sweep then evicts
+#: nothing; see :func:`_counts_exact`).
+getrefcount = getattr(sys, "getrefcount", None)
 
 #: Global intern (hash-consing) tables, one per constructor.  Num gets its
 #: own table so ``Num(1)`` and ``Sym("1")`` stay distinct objects.
@@ -154,9 +164,10 @@ def _table_refs(term):
     by_arity = _INDICATORS.get(term)
     if by_arity is not None:
         refs += 1
-        for indicator in by_arity.values():
-            # The table's value, the loop variable and the argument.
-            if getrefcount(indicator) == 3:
+        # A copy: a miss on another thread may add an arity meanwhile.
+        for indicator in tuple(by_arity.values()):
+            # The table's value, the copy, the loop variable and the argument.
+            if getrefcount(indicator) == 4:
                 refs += 1
     return refs
 
@@ -171,44 +182,132 @@ def _key(term):
     return term.name
 
 
-def collect_terms():
-    """Evict every interned term nothing outside the intern tables holds.
+def _sweep(tables, evicted):
+    """Evict the terms of ``tables``, ``(kind, table)`` pairs, that nothing
+    outside the intern tables holds, each table newest first, and count
+    them into ``evicted``.
 
-    One pass under :data:`_INTERN_LOCK`: the application table in reverse
-    insertion order (parents before their children, so a dead structure
-    goes whole), then the symbol, number and variable tables.  A term is
-    evicted when its :func:`sys.getrefcount` equals :func:`_table_refs`
-    plus the sweep's own two references; the entry is deleted, counted
-    again and put back if a lock-free hit took the term meanwhile.  Relies
-    on CPython's reference counts (see the module docstring).
-
-    The cost is one count per interned term, whatever was evicted.  Returns
-    a stats dict: per-constructor eviction counts, their total, and the
-    post-sweep table sizes.
+    A live term is counted without :data:`_INTERN_LOCK`; an eviction takes
+    it, deletes the entry, counts again and puts the entry back if a hit or
+    a miss took the term since the first count.  The lock is held across a
+    run of evictions and released at the next live term, so a miss waits
+    for one run of garbage, not for the pass.
     """
-    evicted = {"var": 0, "sym": 0, "num": 0, "app": 0}
-    with _INTERN_LOCK:
-        for kind, table in (("app", _APP_INTERN), ("sym", _SYM_INTERN),
-                            ("num", _NUM_INTERN), ("var", _VAR_INTERN)):
-            # Values only, popped newest first: a snapshot of the key
-            # tuples would hold every child and keep dead structures alive.
-            pending = list(table.values())
+    for kind, table in tables:
+        # Values only, popped newest first: a snapshot of the key tuples
+        # would hold every child and keep dead structures alive.
+        pending = list(table.values())
+        locked = False
+        try:
             while pending:
                 term = pending.pop()
                 # ``term`` and getrefcount's argument are the sweep's own.
                 if getrefcount(term) - 2 != _table_refs(term):
+                    if locked:
+                        _INTERN_LOCK.release()
+                        locked = False
                     continue
+                if not locked:
+                    _INTERN_LOCK.acquire()
+                    locked = True
                 # The key is never bound to a name: it holds the children.
                 del table[_key(term)]
                 if getrefcount(term) - 2 != _table_refs(term) - 1:
-                    table[_key(term)] = term  # a lock-free hit took it
+                    table[_key(term)] = term  # taken since the first count
                     continue
                 _INDICATORS.pop(term, None)
                 evicted[kind] += 1
+        finally:
+            if locked:
+                _INTERN_LOCK.release()
+
+
+def _counts_exact():
+    """Whether the sweep's counts read true on this interpreter.
+
+    Only CPython with a GIL can qualify: a free-threaded build running
+    without one has biased counts and no GIL to order its hits.  There the
+    sweep runs over private tables of probe terms, so a
+    ``sys.getrefcount`` that reads other than :func:`_table_refs` assumes
+    (one low, as when an interpreter borrows the reference of a local it
+    passes to a call) shows as a held probe evicted or a dead one kept.
+    The probes cover every count the sweep makes: a symbol and an
+    application held from one place outside the tables, which stay; a dead
+    symbol, a dead symbol used as a name at two arities, and a dead
+    application used as a name, which go.
+    """
+    if (getrefcount is None or sys.implementation.name != "cpython"
+            or not getattr(sys, "_is_gil_enabled", lambda: True)()):
+        return False
+    with _INTERN_LOCK:
+        # Named by fresh objects, so no other term can share a probe's
+        # entry, and moved out of the shared tables, so no hit can take one.
+        lone, kept_name, name, dead = (Sym(object()) for _ in range(4))
+        kept = App(kept_name, ())
+        inner = App(name, (lone,))
+        probes = (lone, kept, kept_name, name, dead, inner,
+                  App(name, (lone, lone)), App(inner, (lone,)))
+        apps = {_key(t): _APP_INTERN.pop(_key(t))
+                for t in probes if type(t) is App}
+        syms = {_key(t): _SYM_INTERN.pop(_key(t))
+                for t in probes if type(t) is Sym}
+    del name, dead, inner, probes
+    evicted = {"app": 0, "sym": 0}
+    _sweep((("app", apps), ("sym", syms)), evicted)
+    exact = (evicted == {"app": 3, "sym": 2}
+             and tuple(apps.values()) == (kept,)
+             and tuple(syms.values()) == (lone, kept_name))
+    for survivor in tuple(apps.values()) + tuple(syms.values()):
+        _INDICATORS.pop(survivor, None)
+    return exact
+
+
+#: Serialises sweeps: a sweep holds :data:`_INTERN_LOCK` only to evict.
+_SWEEP_LOCK = threading.Lock()
+
+#: :func:`_counts_exact`, found on the first sweep.
+_COUNTS_EXACT = None
+
+
+def collect_terms():
+    """Evict every interned term nothing outside the intern tables holds.
+
+    One pass: the application table in reverse insertion order (parents
+    before their children, so a dead structure goes whole), then the
+    symbol, number and variable tables.  A term is evicted when its
+    :func:`sys.getrefcount` equals :func:`_table_refs` plus the sweep's own
+    two references; the entry is deleted under :data:`_INTERN_LOCK`,
+    counted again and put back if a hit or a miss took the term meanwhile.
+    A put-back entry moves to the end of its table, so a dead parent of it
+    may take a second sweep.  Relies on CPython's reference counts (see the
+    module docstring): the first sweep checks them on probe terms
+    (:func:`_counts_exact`), and where they do not read true every sweep
+    evicts nothing and warns.
+
+    The cost is one count per interned term, whatever was evicted.  Returns
+    a stats dict: per-constructor eviction counts, their total, the
+    post-sweep table sizes, and ``exact_counts``, whether the counts read
+    true (no eviction otherwise).
+    """
+    global _COUNTS_EXACT
+    evicted = {"var": 0, "sym": 0, "num": 0, "app": 0}
+    with _SWEEP_LOCK:
+        if _COUNTS_EXACT is None:
+            _COUNTS_EXACT = _counts_exact()
+        exact = _COUNTS_EXACT
+        if exact:
+            _sweep((("app", _APP_INTERN), ("sym", _SYM_INTERN),
+                    ("num", _NUM_INTERN), ("var", _VAR_INTERN)), evicted)
+    if not exact:
+        warnings.warn(
+            "sys.getrefcount does not read exact reference counts on this "
+            "interpreter: interned terms are never evicted",
+            RuntimeWarning, stacklevel=2)
     return {
         "evicted": evicted,
         "evicted_total": sum(evicted.values()),
         "sizes": intern_table_sizes(),
+        "exact_counts": exact,
     }
 
 

@@ -387,7 +387,8 @@ class TestIntrospection:
         session.insert("e(st_x, st_y).")
         session.retract("e(st_x, st_y).")
         stats = session.collect()
-        assert set(stats) == {"evicted", "evicted_total", "sizes"}
+        assert set(stats) == {"evicted", "evicted_total", "sizes", "exact_counts"}
+        assert stats["exact_counts"] is True
         assert stats["evicted_total"] == sum(stats["evicted"].values())
         assert stats["sizes"] == intern_table_sizes()
         # The retracted fact's constants were held by nothing.

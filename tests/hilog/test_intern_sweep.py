@@ -15,6 +15,9 @@ The invariants under test:
 * the references the tables alone account for are pinned per kind of term,
   so a change in what ``sys.getrefcount`` reports fails here instead of
   evicting live terms;
+* where the counts do not read true (a count off by any amount, no
+  ``sys.getrefcount``), a sweep evicts nothing, warns and says so;
+* an intern miss on another thread does not wait for the sweep's pass;
 * a lock-free intern hit that takes a term between the sweep's count and
   its delete keeps the term canonical.
 
@@ -26,6 +29,7 @@ one is a fresh object and the old one was evicted.
 import gc
 import sys
 import threading
+import warnings
 
 from sys import getrefcount
 
@@ -43,6 +47,8 @@ from repro.hilog.terms import (
     intern_table_sizes,
 )
 from repro.serve import ServingSession
+
+import pytest
 
 
 def _interned(term):
@@ -227,6 +233,63 @@ class TestCounts:
         assert set(terms._INDICATORS[sym_name]) == {1, 2}
 
 
+class TestCalibration:
+    def test_counts_read_true_and_probes_leave_nothing(self):
+        before = intern_table_sizes()
+        indicators = len(terms._INDICATORS)
+        assert terms._counts_exact()
+        assert intern_table_sizes() == before
+        assert len(terms._INDICATORS) == indicators
+
+    def test_a_count_off_by_any_amount_evicts_nothing(self, monkeypatch):
+        # Shift every count the sweep reads.  The wrapper's own frame adds
+        # a reference, so which shift reads true is found, not assumed:
+        # exactly one does, and every other one evicts nothing, not even a
+        # term nobody holds, and keeps a term held from one place.
+        real = sys.getrefcount
+        exact = []
+        for shift in range(-3, 4):
+            monkeypatch.setattr(terms, "getrefcount",
+                                lambda obj, shift=shift: real(obj) + shift)
+            monkeypatch.setattr(terms, "_COUNTS_EXACT", None)
+            held = parse_term("calib_held(ch_c%d)" % shift)
+            _rendered("calib_dropped(cd_c%d)" % shift)
+            before = intern_table_sizes()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                stats = collect_terms()
+            assert _interned(held) and _interned(held.args[0])
+            if stats["exact_counts"]:
+                exact.append(shift)
+                assert not caught
+                assert _reparse_is_fresh("calib_dropped(cd_c%d)" % shift)
+            else:
+                assert stats["evicted_total"] == 0
+                assert stats["sizes"] == intern_table_sizes() == before
+                assert [w.category for w in caught] == [RuntimeWarning]
+            del held
+        assert len(exact) == 1
+
+    @pytest.mark.parametrize("lacking", ["getrefcount", "gil"])
+    def test_no_getrefcount_or_no_gil_evicts_nothing(self, monkeypatch, lacking):
+        _rendered("no_count(nc_c1)")
+        before = intern_table_sizes()
+        monkeypatch.setattr(terms, "_COUNTS_EXACT", None)
+        if lacking == "getrefcount":
+            monkeypatch.setattr(terms, "getrefcount", None)
+        else:
+            monkeypatch.setattr(sys, "_is_gil_enabled", lambda: False,
+                                raising=False)
+        with pytest.warns(RuntimeWarning):
+            stats = collect_terms()
+        assert stats["exact_counts"] is False
+        assert stats["evicted_total"] == 0
+        assert intern_table_sizes() == before
+        monkeypatch.undo()
+        collect_terms()
+        assert _reparse_is_fresh("no_count(nc_c1)")
+
+
 class TestAccounting:
     def test_table_sizes_track_births_and_eviction(self):
         gc.collect()
@@ -285,6 +348,29 @@ class TestRace:
         assert taken and hasattr(taken[0], "_text")
         assert _interned(taken[0]) and _interned(taken[0].args[0])
         assert parse_term("race_app(ra_c1)") is taken[0]
+
+    def test_miss_on_another_thread_does_not_wait_for_the_pass(self, monkeypatch):
+        # Mid-pass, another thread interns a new structure: it gets the
+        # intern lock while the sweep is still counting.
+        done = threading.Event()
+        table_refs = terms._table_refs
+
+        def build():
+            parse_term("mid_sweep_miss(msm_c1)")
+            done.set()
+
+        def miss_mid_pass(term):
+            if not hasattr(miss_mid_pass, "thread") and _interned(term):
+                miss_mid_pass.thread = threading.Thread(target=build)
+                miss_mid_pass.thread.start()
+                assert done.wait(10)
+            return table_refs(term)
+
+        monkeypatch.setattr(terms, "_table_refs", miss_mid_pass)
+        collect_terms()
+        monkeypatch.undo()
+        miss_mid_pass.thread.join(10)
+        assert done.is_set()
 
     def test_reader_threads_keep_identity_while_collect_runs(self):
         # Readers parse atoms of the model, and atoms absent from it, while
