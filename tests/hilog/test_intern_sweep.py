@@ -16,7 +16,7 @@ The invariants under test:
   so a change in what ``sys.getrefcount`` reports fails here instead of
   evicting live terms;
 * where the counts do not read true (a count off by any amount, no
-  ``sys.getrefcount``), a sweep evicts nothing, warns and says so;
+  ``sys.getrefcount``, no GIL), a sweep evicts nothing, warns and says so;
 * an intern miss on another thread does not wait for the sweep's pass;
 * a lock-free intern hit that takes a term between the sweep's count and
   its delete keeps the term canonical.
@@ -33,6 +33,8 @@ import warnings
 
 from sys import getrefcount
 
+import pytest
+
 from repro.db import DatabaseSession
 from repro.hilog import terms
 from repro.hilog.parser import parse_program, parse_term
@@ -47,8 +49,6 @@ from repro.hilog.terms import (
     intern_table_sizes,
 )
 from repro.serve import ServingSession
-
-import pytest
 
 
 def _interned(term):
