@@ -26,7 +26,7 @@ import pytest
 
 from repro.engine.seminaive import EXECUTION_STATS
 
-from repro.analysis.report import ExperimentRow, print_table
+from repro.analysis.report import ExperimentRow, best_of, print_table
 from repro.db import DatabaseSession
 from repro.engine.seminaive import seminaive_evaluate
 from repro.workloads.closure import transitive_closure_program
@@ -48,25 +48,14 @@ CHAIN = 200
 SPEEDUP_BAR = float(os.environ.get("E11_SPEEDUP_BAR", "40"))
 
 
-def _best_of(fn, rounds=5):
-    best = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best
-
-
 def _full_recompute_time(program):
-    return _best_of(lambda: seminaive_evaluate(program), rounds=3)
+    return best_of(lambda: seminaive_evaluate(program), repeats=3)[0]
 
 
 def test_chain200_single_edge_insert_and_retract(benchmark):
     """The headline: prepend/undo a single edge on a chain-200 TC session."""
     program = transitive_closure_program(chain_edges(CHAIN))
     session = DatabaseSession(program)
-    full = _full_recompute_time(program)
 
     edge = "e(n_pre, n0)."
     # Warm the session's on-demand indexes out of the measurement.
@@ -75,26 +64,24 @@ def test_chain200_single_edge_insert_and_retract(benchmark):
     session.retract(edge)
     session.check()
 
-    times = {"insert": [], "retract": []}
-    before = EXECUTION_STATS.snapshot()
-    for _ in range(5):
-        start = time.perf_counter()
-        session.insert(edge)
-        times["insert"].append(time.perf_counter() - start)
-        start = time.perf_counter()
-        session.retract(edge)
-        times["retract"].append(time.perf_counter() - start)
-    update_stats = EXECUTION_STATS.diff(before)
+    # The recompute and the two writes alternate, so a change of host load
+    # weighs on the numerator and the denominators alike.
+    full, t_insert, t_retract = best_of(
+        lambda: seminaive_evaluate(program),
+        lambda: session.insert(edge), lambda: session.retract(edge),
+        repeats=10,
+    )
     session.check()
-    t_insert = min(times["insert"])
-    t_retract = min(times["retract"])
 
-    # Attribution: allocation volume of one maintained insert+retract cycle.
+    # Attribution: the join work and allocation volume of one maintained
+    # insert+retract cycle.
+    before = EXECUTION_STATS.snapshot()
     tracemalloc.start()
     session.insert(edge)
     session.retract(edge)
     _current, alloc_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
+    update_stats = EXECUTION_STATS.diff(before)
     session.check()
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
@@ -104,8 +91,8 @@ def test_chain200_single_edge_insert_and_retract(benchmark):
         retract_s=round(t_retract, 6),
         insert_speedup=round(full / t_insert, 1),
         retract_speedup=round(full / t_retract, 1),
-        join_fetches_per_cycle=update_stats["fetches"] // 5,
-        join_candidates_per_cycle=update_stats["candidates"] // 5,
+        join_fetches_per_cycle=update_stats["fetches"],
+        join_candidates_per_cycle=update_stats["candidates"],
         alloc_peak_kb=alloc_peak // 1024,
     )
     print_table(
@@ -143,22 +130,16 @@ def test_chain200_update_positions(benchmark):
          "e(n%d, n%d)." % (CHAIN // 2, CHAIN // 2 + 1)),
     ]:
         if label.startswith("mid"):
-            t_retract = _best_of(lambda: session.retract(edge), rounds=1)
+            (t_retract,) = best_of(lambda: session.retract(edge), repeats=1)
             session.check()
-            t_insert = _best_of(lambda: session.insert(edge), rounds=1)
+            (t_insert,) = best_of(lambda: session.insert(edge), repeats=1)
             session.check()
         else:
             session.insert(edge)
             session.retract(edge)
-            best_i = best_r = None
-            for _ in range(3):
-                start = time.perf_counter(); session.insert(edge)
-                elapsed = time.perf_counter() - start
-                best_i = elapsed if best_i is None else min(best_i, elapsed)
-                start = time.perf_counter(); session.retract(edge)
-                elapsed = time.perf_counter() - start
-                best_r = elapsed if best_r is None else min(best_r, elapsed)
-            t_insert, t_retract = best_i, best_r
+            t_insert, t_retract = best_of(
+                lambda: session.insert(edge), lambda: session.retract(edge),
+                repeats=3)
             session.check()
         rows.append(ExperimentRow(label, {
             "insert (s)": round(t_insert, 5),

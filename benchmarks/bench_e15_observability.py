@@ -34,7 +34,7 @@ import os
 import threading
 import time
 
-from repro.analysis.report import ExperimentRow, print_table
+from repro.analysis.report import ExperimentRow, best_of, print_table
 from repro.core.modular import perfect_model_for_hilog
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -56,25 +56,19 @@ CHAIN = 80
 REPEATS = 5
 
 
-def _best_of(fn, repeats=REPEATS):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def test_tracing_disabled_overhead(benchmark):
     """E15a: span hooks cost nothing measurable when no tracer is live."""
     program = transitive_closure_program(chain_edges(CHAIN))
     evaluate = lambda: perfect_model_for_hilog(program, strategy="seminaive")
     evaluate()  # warmup: imports, first-use code paths
 
-    off_s = _best_of(evaluate)
     tracer = EvaluationTracer(capacity=65536)
-    with tracing(tracer):
-        traced_s = _best_of(evaluate)
+
+    def traced():
+        with tracing(tracer):
+            evaluate()
+
+    off_s, traced_s = best_of(evaluate, traced, repeats=REPEATS)
     events = len(tracer)
     assert events > 0, "enabled tracer captured no spans"
     assert {e["kind"] for e in tracer.events()} >= {

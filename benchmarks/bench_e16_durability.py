@@ -27,7 +27,7 @@ import os
 import shutil
 import time
 
-from repro.analysis.report import ExperimentRow, print_table
+from repro.analysis.report import ExperimentRow, best_of, print_table
 from repro.db import DatabaseSession
 from repro.workloads.closure import transitive_closure_program
 from repro.workloads.graphs import chain_edges
@@ -159,27 +159,20 @@ def test_fsync_batch_overhead_on_updates(benchmark, tmp_path):
     program = transitive_closure_program(chain_edges(CHAIN))
     edge = "e(n_pre, n0)."
 
-    def _cycle_time(session, rounds=5):
-        # Warm indexes, then best-of single-edge insert+retract cycles —
-        # the same measurement e11 gates the in-memory session on.
-        session.insert(edge)
-        session.retract(edge)
-        best = None
-        for _ in range(rounds):
-            start = time.perf_counter()
+    def cycle(session):
+        # One single-edge insert+retract cycle — the same measurement e11
+        # gates the in-memory session on.
+        def run():
             session.insert(edge)
             session.retract(edge)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        return best
+        run()  # warm the indexes
+        return run
 
     plain = DatabaseSession(program)
-    plain_s = _cycle_time(plain)
-
     durable = DatabaseSession(
         program, path=os.path.join(str(tmp_path), "data"), fsync="batch",
     )
-    durable_s = _cycle_time(durable)
+    plain_s, durable_s = best_of(cycle(plain), cycle(durable), repeats=5)
     durable.close()
 
     overhead = durable_s / plain_s

@@ -22,9 +22,8 @@ Run with::
 """
 
 import os
-import time
 
-from repro.analysis.report import ExperimentRow, print_table
+from repro.analysis.report import ExperimentRow, best_of, print_table
 from repro.db.session import DatabaseSession
 from repro.lint import lint_program
 from repro.workloads.closure import transitive_closure_program
@@ -39,15 +38,6 @@ CHAIN = 200
 REPEATS = 5
 
 
-def _best_of(fn, repeats=REPEATS):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def test_lint_cost_vs_materialization(benchmark):
     """E17a: all lint passes on chain-200 TC cost ≤10% of materializing it."""
     program = transitive_closure_program(chain_edges(CHAIN))
@@ -56,8 +46,9 @@ def test_lint_cost_vs_materialization(benchmark):
     assert not report.warnings, [d.code for d in report.warnings]
     DatabaseSession(program).stats()  # warmup the evaluation path
 
-    lint_s = _best_of(lambda: lint_program(program))
-    materialize_s = _best_of(lambda: DatabaseSession(program))
+    lint_s, materialize_s = best_of(
+        lambda: lint_program(program), lambda: DatabaseSession(program),
+        repeats=REPEATS)
     fraction = lint_s / materialize_s
 
     benchmark.extra_info.update({
@@ -92,8 +83,9 @@ def test_validated_session_open_overhead(benchmark):
     program = transitive_closure_program(chain_edges(CHAIN))
     DatabaseSession(program, validate="warn").stats()  # warmup both paths
 
-    raw_s = _best_of(lambda: DatabaseSession(program))
-    validated_s = _best_of(lambda: DatabaseSession(program, validate="warn"))
+    raw_s, validated_s = best_of(
+        lambda: DatabaseSession(program),
+        lambda: DatabaseSession(program, validate="warn"), repeats=REPEATS)
     overhead = validated_s / raw_s
 
     benchmark.extra_info.update({

@@ -1,12 +1,31 @@
-"""Small plain-text table formatting used by the benchmark harness.
+"""Plain-text tables and wall-clock timing for the benchmark harness.
 
 Every benchmark prints the rows it reproduces in a uniform format so that
-EXPERIMENTS.md can paste them verbatim.
+EXPERIMENTS.md can paste them verbatim, and times what it compares with
+one helper, :func:`best_of`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Sequence
+from time import perf_counter
+from typing import Callable, Iterable, List, NamedTuple, Sequence
+
+
+def best_of(*sides: Callable[[], object], repeats: int = 5) -> List[float]:
+    """The least wall time, in seconds, of each of ``sides`` (callables
+    taking no argument) over ``repeats`` runs, in the order given.
+
+    The sides alternate on every repetition — each runs once, in turn,
+    then again — so a change of host load weighs on all of them alike.
+    Timing one side fully and then the next lets the load of each phase
+    decide the ratio a bar compares."""
+    best = [float("inf")] * len(sides)
+    for _ in range(repeats):
+        for index, side in enumerate(sides):
+            started = perf_counter()
+            side()
+            best[index] = min(best[index], perf_counter() - started)
+    return best
 
 
 class ExperimentRow(NamedTuple):

@@ -37,7 +37,6 @@ from repro.db.plans import (
     DRED,
     RECOMPUTE,
     MaintenancePlans,
-    build_maintenance_plans,
 )
 from repro.db.session import (
     DatabaseSession,
@@ -57,7 +56,6 @@ __all__ = [
     "open_session",
     "Delta",
     "MaintenancePlans",
-    "build_maintenance_plans",
     "alternating_update",
     "dred_update",
     "recompute_stratum",

@@ -2,43 +2,45 @@
 
 The paper gives each program class exactly one model — the perfect model
 of a modularly stratified HiLog program (Figure 1, Theorem 6.1), the
-three-valued well-founded model otherwise — so a
-:class:`~repro.db.session.DatabaseSession` mode is nothing more than an
-:data:`Evaluator`.  :func:`choose_mode` picks it, once per session:
+three-valued well-founded model otherwise — and Theorem 6.1 makes the
+first the second, total.  So a :class:`~repro.db.session.DatabaseSession`
+mode is nothing more than an :data:`Evaluator`, and there are two of them.
+:func:`choose_mode` picks one, once per session:
 
-* ``"incremental"`` — the program is in the semi-naive engine's
-  stratified class.  The mode carries **maintenance plans**, one bundle
-  per component, so a write patches the model instead of recomputing it:
-  by **delete-rederive** (DRed; Gupta–Mumick–Subrahmanian, SIGMOD'93),
-  and aggregate strata by stratum-local recomputation, which is also the
-  fallback whenever an incremental step trips an integrity check.  The
-  evaluator is the engine's stratum walk over those bundles' stratum
-  plans.
-* ``"wellfounded"`` — the obstacle is a cycle through negation at the
-  predicate-indicator level (win/move games over cyclic graphs), a
-  **name-open** rule beside negation whose name variables a binder binds
-  (Example 6.3's ``winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).``,
-  the Datahilog game), or both.  The evaluator is the engine's stratum walk
-  (:func:`repro.engine.seminaive.wellfounded.evaluate_strata`) over strata
-  compiled once with negation cycles admitted: no grounding, the store
-  holds the certainly-true atoms, the undefined ones come beside it.
-  Name-open rules are specialised inside that walk, by a binder join over
-  the settled strata, and the compiled object memoises the specialisation.
-  The maintenance plans are the walk's: one bundle per stratum it walked,
-  instances included — an alternating stratum, or one reading
-  possibly-undefined atoms, is maintained by the cone step, the others by
-  delete-rederive — so a write patches the model, and only a write that
-  reaches a binder plan's reads (``game/1``) walks from scratch and may
-  compile.  The model is the well-founded one: wherever Figure 1 accepts
-  the program it is total and the perfect model (Theorem 6.1); where
-  Figure 1 rejects — a cyclic move relation — the session answers
-  three-valued instead of refusing.  A session never asks for Figure 1's
-  verdict; :func:`repro.core.modular.modularly_stratified_for_hilog`
-  takes it from the same walk plus a local-stratification check.  The mode's
-  reference is the same walk over strata compiled afresh for each check,
-  so it shares no plan and no memoised specialisation with the session;
-  the incremental mode's is the walk over strata compiled without
-  negation cycles.
+* **the walk** — every program the engine's stratum walk
+  (:func:`repro.engine.seminaive.wellfounded.evaluate_strata`) accepts:
+  stratified programs, cycles through negation at the predicate-indicator
+  level (win/move games over cyclic graphs), and **name-open** rules
+  beside negation whose name variables a binder binds (Example 6.3's
+  ``winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).``, the Datahilog
+  game).  The rules are compiled once, with negation cycles admitted and
+  one stratum per strongly connected component of the closed rules —
+  sound for the well-founded model by the splitting property — so a write
+  reaches only the components that read what it changed, and an
+  alternating stratum holds one negation cycle and nothing beside it (the
+  instances of name-open rules are stratified among themselves by level,
+  as a one-shot walk does).  No grounding: the
+  store holds the certainly-true atoms, the undefined ones come beside it.
+  The **maintenance plans** are the walk's, one bundle per stratum it
+  walked: a stratum that alternates, or reads an atom undefined before or
+  after a write, is maintained by the cone step, the others by
+  **delete-rederive** (DRed; Gupta–Mumick–Subrahmanian, SIGMOD'93), and
+  aggregate strata by stratum-local recomputation, which is also the
+  fallback whenever an incremental step trips an integrity check.
+  Name-open rules are specialised inside the walk, by a binder join over
+  the settled strata, and the compiled object memoises the
+  specialisation; a write that reaches a binder plan's reads
+  (``game/1``) walks from scratch and may compile.  The mode's label is a
+  description of the compiled rules, not a choice: ``"wellfounded"``
+  when a stratum alternates or a rule is name-open, ``"incremental"``
+  otherwise.  Wherever Figure 1 accepts the program the model is total
+  and the perfect model (Theorem 6.1); where Figure 1 rejects — a cyclic
+  move relation — the session answers three-valued instead of refusing.
+  A session never asks for Figure 1's verdict;
+  :func:`repro.core.modular.modularly_stratified_for_hilog` takes it from
+  the same walk plus a local-stratification check.  The mode's reference
+  is the walk over strata compiled afresh, by level, for each check, so it
+  shares no plan and no memoised specialisation with the session.
 * ``"recompute"`` — what the walk refuses: recursion through aggregation
   (the parts explosion), a name-open rule beside negation with a name
   variable no binder binds, an instance that would re-settle a head
@@ -50,7 +52,7 @@ three-valued well-founded model otherwise — so a
 
 One documented semantic divergence, inherited from the two evaluators:
 for an aggregate whose condition predicate is settled in a *lower*
-stratum, the engine's stratified semantics (incremental sessions,
+stratum, the engine's stratified semantics (walked sessions,
 :func:`~repro.engine.seminaive.seminaive_evaluate`) folds over the full
 condition extension, while the Figure-1 ground path (recompute-mode
 sessions) folds only over the condition atoms of the aggregate's own
@@ -66,19 +68,10 @@ from typing import (
 )
 
 from repro.core.modular import perfect_model_for_hilog
-from repro.db.plans import MaintenancePlans, build_maintenance_plans, walk_plans
-from repro.engine.seminaive.engine import (
-    Limits,
-    SeminaiveUnsupported,
-    stratify_program,
-)
+from repro.db.plans import MaintenancePlans, walk_plans
+from repro.engine.seminaive.engine import Limits, SeminaiveUnsupported
 from repro.engine.seminaive.relation import RelationStore
-from repro.engine.seminaive.wellfounded import (
-    CompiledStrata,
-    compile_strata,
-    evaluate_strata,
-    stratum_entry,
-)
+from repro.engine.seminaive.wellfounded import compile_strata, evaluate_strata
 from repro.hilog.program import Program, Rule
 from repro.hilog.terms import Term
 
@@ -118,68 +111,53 @@ def with_facts(rules: Program, edb: AbstractSet[Term]) -> Program:
 
 def choose_mode(rules: Program, limits: Limits, strategy: str) -> Tuple[
         str, Optional[List[MaintenancePlans]], Evaluator, Evaluator]:
-    """Mode selection: ``(mode, maintenance plans, evaluator, reference)``
-    for the first mode ``strategy`` admits that accepts ``rules``.
+    """Mode selection: ``(mode, maintenance plans, evaluator, reference)``.
+    ``strategy`` is ``"auto"`` (the walk, when it accepts ``rules``) or
+    ``"recompute"`` (Figure 1, whatever the rules).
 
     ``plans`` are what a model the mode did not evaluate itself (a
-    snapshot's) is maintained by: the incremental mode's, which depend on
-    the rules alone; ``None`` otherwise — a well-founded session's plans
-    are its last walk's, so its first write after a snapshot walks from
-    scratch.  ``reference`` is the evaluator :meth:`DatabaseSession.check`
-    holds the maintained model against: an independent run of the
-    engine's stratum walk, compiled when called, which shares no
-    maintenance plan with the session (the recompute mode apart, whose
-    writes are its evaluator's).  Everything the evaluators need depends
-    on the rules alone, so it is compiled here, once, and every call
-    re-evaluates over the EDB it is given."""
+    snapshot's) is maintained by: the walk's over the compiled strata, which
+    depend on the rules alone — ``None`` when a rule is name-open, whose
+    instances only a walk over the facts knows, so such a session's first
+    write after a snapshot walks from scratch, and in recompute mode.
+    ``reference`` is the evaluator :meth:`DatabaseSession.check` holds the
+    maintained model against: an independent run of the engine's stratum
+    walk, compiled when called, which shares no maintenance plan with the
+    session (the recompute mode apart, whose writes are its evaluator's).
+    Everything the evaluators need depends on the rules alone, so it is
+    compiled here, once, and every call re-evaluates over the EDB it is
+    given."""
     def walk(compiled, edb):
         return evaluate_strata(compiled, sorted(edb, key=repr), limits)
 
-    def reference(allow_unstratified):
-        def scratch(edb):
-            result = walk(compile_strata(rules, allow_unstratified), edb)
-            return Materialized(result.store, result.undefined)
-        return scratch
-
-    if strategy in ("auto", INCREMENTAL):
+    if strategy == "auto":
         try:
-            stratification = stratify_program(rules, by_component=True)
-            plans = [
-                build_maintenance_plans(stratum, stratification.recursive)
-                for stratum in stratification.strata
-            ]
+            compiled = compile_strata(rules, allow_unstratified=True,
+                                      by_component=True)
         except SeminaiveUnsupported:
-            if strategy == INCREMENTAL:
-                raise
-        else:
-            maintained = CompiledStrata(tuple(
-                stratum_entry(bundle.stratum) for bundle in plans))
-
-            def materialize(edb):
-                result = walk(maintained, edb)
-                return Materialized(result.store, result.undefined, plans)
-
-            return INCREMENTAL, plans, materialize, reference(False)
-    if strategy in ("auto", WELLFOUNDED):
-        # The non-stratified fast fallback: negation cycles and binder-
-        # guarded name variables are walked by the engine instead of the
-        # (several times slower) Figure-1 grounding path, and maintained
-        # per stratum along the walk.
-        try:
-            compiled = compile_strata(rules, allow_unstratified=True)
-        except SeminaiveUnsupported:
-            if strategy == WELLFOUNDED:
-                raise
+            pass
         else:
             rewalk = compiled.binder_reads()
             bundles = {}
+            plans = None if compiled.open_rules \
+                else walk_plans(compiled.strata, bundles)
+            # The label describes the compiled rules; it selects nothing.
+            alternates = any(delta is not None
+                             for _stratum, delta, _names in compiled.strata)
+            mode = WELLFOUNDED if alternates or compiled.open_rules \
+                else INCREMENTAL
 
-            def wellfounded(edb):
+            def materialize(edb):
                 result = walk(compiled, edb)
                 return Materialized(result.store, result.undefined,
                                     walk_plans(result.walk, bundles), rewalk)
 
-            return WELLFOUNDED, None, wellfounded, reference(True)
+            def reference(edb):
+                result = walk(compile_strata(rules, allow_unstratified=True),
+                              edb)
+                return Materialized(result.store, result.undefined)
+
+            return mode, plans, materialize, reference
 
     def figure1(edb):
         model = perfect_model_for_hilog(

@@ -23,7 +23,6 @@ from repro.engine.seminaive.engine import (
     SeminaiveUnsupported,
     StratumPlan,
     compile_delta_plans,
-    compile_stratum,
 )
 
 #: Maintenance strategies.
@@ -74,13 +73,6 @@ def maintenance_plans(stratum, alternating=None):
             raise
         return unmaintained
     return MaintenancePlans(bundle, DRED)
-
-
-def build_maintenance_plans(rules, recursive):
-    """Compile the maintenance bundle for one stratum of a stratification.
-    Raises :class:`SeminaiveUnsupported` when even the base stratum plan
-    cannot be compiled (see :func:`maintenance_plans`)."""
-    return maintenance_plans(compile_stratum(rules, recursive))
 
 
 def walk_plans(walk, cache):

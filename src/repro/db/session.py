@@ -10,8 +10,8 @@ one model, so a session mode is nothing more than *which function maps the
 EDB to* ``(true atoms, undefined atoms)`` — and to the per-stratum
 maintenance plans that let a write patch that model.
 :func:`repro.db.modes.choose_mode` picks it once, at construction —
-incremental, well-founded (whose plans are the strata its walk visited),
-or Figure-1 recompute (no plans) — and no method compares the mode after
+the engine's stratum walk (whose plans are the strata it visited) or
+Figure-1 recompute (no plans) — and no method compares the mode after
 that: materialization and :meth:`~DatabaseSession.check` call the chosen
 evaluators, and a write walks whatever plans the last evaluation left.
 
@@ -28,8 +28,8 @@ update listeners.  Batches that may name one atom twice are
 merged first by :func:`merge_ops`, the only last-operation-wins rule.
 
 **A recompute is evaluate-and-diff into the live store.**  The recompute
-mode, a well-founded write that reaches a binder plan's reads, the first
-well-founded write after a snapshot restore, and the disaster path of
+mode, a write that reaches a binder plan's reads, the first write of a
+name-open program after a snapshot restore, and the disaster path of
 maintenance share one method: evaluate the new EDB from scratch, diff the
 result against the live store, hand the result's relations to the live
 store (:meth:`~repro.engine.seminaive.relation.RelationStore.adopt`), and
@@ -217,8 +217,9 @@ class Transaction:
 #: Per mode: the :meth:`DatabaseSession.stats` counter every write counts
 #: under besides ``updates`` (``None``: none), the one a write evaluated
 #: from scratch counts under (``None``: none — every write of the mode is),
-#: and the ``mode`` that write's summary reports.  An incremental session
-#: evaluates from scratch only on its disaster path — a rebuild.
+#: and the ``mode`` that write's summary reports.  A walked session
+#: evaluates from scratch only on its disaster path — a rebuild — or, for
+#: a name-open program, when a write reaches a binder plan's reads.
 _MODE_LABELS = {
     INCREMENTAL: (None, "rebuilds", "rebuild"),
     WELLFOUNDED: ("wellfounded_updates", "rebuilds", WELLFOUNDED),
@@ -233,12 +234,10 @@ class DatabaseSession(ModelReads):
         program: a :class:`~repro.hilog.program.Program` or program text;
             its facts seed the extensional database, its proper rules are
             fixed for the session's lifetime.
-        strategy: ``"auto"`` (the first mode of :mod:`repro.db.modes` that
-            accepts the program: incremental, well-founded, recompute),
-            ``"incremental"`` / ``"wellfounded"`` (raise
-            :class:`~repro.engine.seminaive.SeminaiveUnsupported` outside
-            the respective class) or ``"recompute"`` (Figure 1, whatever
-            the program).
+        strategy: ``"auto"`` (the engine's stratum walk, maintained per
+            stratum, whenever it accepts the program; Figure 1 otherwise)
+            or ``"recompute"`` (Figure 1, whatever the program).  See
+            :mod:`repro.db.modes`.
         max_facts / max_term_depth: the engine's resource caps.
         intern_gc: when set to a positive integer N, the session sweeps the
             term intern tables (:meth:`collect`) automatically after every N
@@ -281,10 +280,10 @@ class DatabaseSession(ModelReads):
                  max_term_depth=None, intern_gc=None, path=None,
                  fsync="batch", checkpoint_every=None, validate="off",
                  _manager=None, _recover=None):
-        if strategy not in ("auto", INCREMENTAL, WELLFOUNDED, RECOMPUTE_MODE):
+        if strategy not in ("auto", RECOMPUTE_MODE):
             raise ValueError(
-                "unknown strategy %r (use 'auto', 'incremental', "
-                "'wellfounded' or 'recompute')" % (strategy,)
+                "unknown strategy %r (use 'auto' or 'recompute')"
+                % (strategy,)
             )
         if validate not in ("strict", "warn", "off"):
             raise ValueError(
@@ -377,12 +376,10 @@ class DatabaseSession(ModelReads):
             try:
                 model = self._evaluate(self._edb)
             except SeminaiveUnsupported:
-                # The mode probe accepted the program but compilation
-                # declined (e.g. an unschedulable rule body): demote to the
-                # Figure-1 recompute fallback unless the caller pinned the
-                # fast mode.
-                if strategy in (INCREMENTAL, WELLFOUNDED):
-                    raise
+                # The walk compiled the rules but refused the facts (an
+                # instance re-settling a head, aggregation over undefined
+                # atoms): demote to the Figure-1
+                # recompute fallback.
                 self._mode, plans, self._evaluate, self._reference = \
                     choose_mode(self._rules, self._limits, RECOMPUTE_MODE)
                 model = self._evaluate(self._edb)
@@ -982,7 +979,10 @@ class DatabaseSession(ModelReads):
 
     @property
     def mode(self):
-        """``"incremental"``, ``"wellfounded"`` or ``"recompute"``."""
+        """``"recompute"`` for a Figure-1 session; for a walked one a
+        description of its compiled rules — ``"wellfounded"`` when a
+        stratum alternates or a rule is name-open, else
+        ``"incremental"``."""
         return self._mode
 
     @property
@@ -1000,8 +1000,9 @@ class DatabaseSession(ModelReads):
         """Maintenance strategy per stratum, as the next write would take
         it: ``"alternating"`` (the cone step) for a stratum that alternates
         or reads an atom undefined now, ``"dred"`` or ``"recompute"``
-        otherwise.  Empty in recompute mode, and in a well-founded session
-        restored from a snapshot until its first write walks the strata."""
+        otherwise.  Empty in recompute mode, and in a session of a program
+        with a name-open rule restored from a snapshot until its first
+        write walks the strata."""
         empty = Delta()
         return tuple(
             ALTERNATING if plans.strategy == DRED

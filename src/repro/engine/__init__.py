@@ -33,7 +33,7 @@ from repro.engine.grounding import (
     instantiate_rule,
     relevant_ground_program,
 )
-from repro.engine.fixpoint import least_model, least_model_with_blocked
+from repro.engine.fixpoint import least_model_with_blocked
 from repro.engine.wellfounded import (
     WellFoundedResult,
     greatest_unfounded_set,
@@ -71,7 +71,6 @@ __all__ = [
     "ground_over_universe",
     "relevant_ground_program",
     "instantiate_rule",
-    "least_model",
     "least_model_with_blocked",
     "WellFoundedResult",
     "well_founded_model",

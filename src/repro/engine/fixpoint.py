@@ -19,17 +19,6 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 from repro.hilog.terms import Term
 
 
-def least_model(rules, initial=()):
-    """Least model of a definite ground program.
-
-    ``rules`` is a sequence of objects with ``head`` and ``positive``
-    attributes (negative bodies are ignored — callers that need the
-    Gelfond–Lifschitz transform should use :func:`least_model_with_blocked`).
-    ``initial`` seeds the model with extra true atoms.
-    """
-    return least_model_with_blocked(rules, blocked=lambda rule: False, initial=initial)
-
-
 def least_model_with_blocked(rules, blocked, initial=()):
     """Least model of the positive parts of ``rules``, skipping blocked rules.
 

@@ -180,9 +180,9 @@ class SeminaiveResult(NamedTuple):
     store: RelationStore
     #: The atoms derived by rules (``true`` minus the seeded facts).
     derived: FrozenSet[Term]
-    #: The compiled strata walked, lowest first — :func:`stratum_entry`
-    #: triples, the instances of name-open rules among them — which is what
-    #: a session maintains the model by.
+    #: The compiled strata walked, lowest first — the
+    #: :attr:`CompiledStrata.strata` triples, the instances of name-open
+    #: rules among them — which is what a session maintains the model by.
     walk: Tuple[Tuple, ...]
 
     @property
@@ -322,10 +322,12 @@ def name_binders(rule):
     return variables, binders, unbound
 
 
-def _compile_closed(program, allow_unstratified):
+def _compile_closed(program, allow_unstratified, by_component=False):
     """The compiled strata of ``program``, every rule of which stratifies
-    as it stands."""
-    stratification = stratify_program(program, allow_unstratified=allow_unstratified)
+    as it stands: one per level, or with ``by_component`` one per strongly
+    connected component."""
+    stratification = stratify_program(
+        program, by_component, allow_unstratified=allow_unstratified)
     strata = []
     for index, rules in enumerate(stratification.strata):
         if not rules:
@@ -334,23 +336,20 @@ def _compile_closed(program, allow_unstratified):
         plans = None
         if index in stratification.unstratified:
             plans = compile_delta_plans(stratum)
-        strata.append(stratum_entry(stratum, plans))
+        strata.append((stratum, plans, frozenset(
+            predicate_name(rule.head) for rule in rules)))
     return tuple(strata)
 
 
-def stratum_entry(stratum, plans=None):
-    """One stratum of :attr:`CompiledStrata.strata`: ``stratum`` (a
-    :class:`~repro.engine.seminaive.engine.StratumPlan`), the
-    :class:`~repro.engine.seminaive.engine.DeltaPlans` it alternates with
-    (``None``: it does not), and its head names."""
-    return stratum, plans, frozenset(
-        predicate_name(rule.head) for rule in stratum.rules)
-
-
-def compile_strata(program, allow_unstratified=False):
+def compile_strata(program, allow_unstratified=False, by_component=False):
     """Compile ``program``'s rules for :func:`evaluate_strata`, as a
     :class:`CompiledStrata`.  A negation-SCC stratum exists only with
     ``allow_unstratified``; without it a cycle through negation raises.
+    The strata are levels, as a one-shot evaluation prefers, or with
+    ``by_component`` the strongly connected components, as a session
+    maintaining the model prefers: a write then reaches only the
+    components that read what it changed, and an alternating stratum holds
+    one negation cycle and nothing beside it.
 
     With ``allow_unstratified`` the name-open rules of a program with
     negation or aggregation — Example 6.3's ``winning(M)(X) :- game(M),
@@ -366,11 +365,12 @@ def compile_strata(program, allow_unstratified=False):
     :class:`~repro.engine.seminaive.engine.SeminaiveUnsupported` for
     programs outside the class."""
     if allow_unstratified and (program.has_negation() or program.has_aggregates()):
-        return _compile_specialised(program)
-    return CompiledStrata(_compile_closed(program, allow_unstratified))
+        return _compile_specialised(program, by_component)
+    return CompiledStrata(
+        _compile_closed(program, allow_unstratified, by_component))
 
 
-def _compile_specialised(program):
+def _compile_specialised(program, by_component=False):
     """:func:`compile_strata` with negation cycles admitted and every
     name-open rule set aside, a definite program's too."""
     open_rules = []
@@ -395,7 +395,7 @@ def _compile_specialised(program):
             rule for rule in program.rules if rule not in set_aside
         )
     compiled = CompiledStrata(
-        _compile_closed(program, allow_unstratified=True), tuple(open_rules)
+        _compile_closed(program, True, by_component), tuple(open_rules)
     )
     if open_rules:
         # An instance whose head indicator is known already — the name

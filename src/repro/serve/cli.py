@@ -267,8 +267,10 @@ def build_parser():
     serve_cmd.add_argument("--max-batch", type=int, default=64,
                            help="max ops coalesced per maintenance pass")
     serve_cmd.add_argument("--strategy", default="auto",
-                           choices=("auto", "incremental", "wellfounded",
-                                    "recompute"))
+                           choices=("auto", "recompute"),
+                           help="auto: the engine's maintained walk where it "
+                                "accepts the program; recompute: Figure 1 "
+                                "on every write")
     serve_cmd.add_argument("--intern-gc", type=int, default=None,
                            help="sweep intern tables every N updates")
     serve_cmd.add_argument("--trace-log", default=None, metavar="PATH",

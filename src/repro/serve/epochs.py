@@ -21,11 +21,13 @@ readers (which pin the current epoch for the duration of a query):
   least one reader; the manager's live table is the only liveness record.
   A base shared by several epochs stays reachable exactly as long as one
   of them is live.
-* **Intern-GC safety** — an epoch holds every atom it can answer, and
-  term eviction (:func:`~repro.hilog.terms.collect_terms`) never takes a
-  held term, so a pinned reader view stays valid.  (Terms compare by
-  identity: evicting an atom a reader can still fetch would silently turn
-  its lookups into misses.)
+* **Intern-GC safety** — an epoch's stores hold every atom it can
+  answer, and term eviction (:func:`~repro.hilog.terms.collect_terms`)
+  takes only terms that nothing holds — a term's reference count alone
+  decides — so a reader's view stays valid for as long as the reader
+  holds the epoch object, retired or not.  (Terms compare by identity:
+  evicting an atom a reader can still fetch would silently turn its
+  lookups into misses.)
 * **Rebase policy** — each batch is netted into a *copy* of the previous
   epoch's delta, so a reader consults exactly one delta however many
   batches separate its epoch from the base; when the delta's volume
@@ -205,8 +207,9 @@ class EpochManager:
                 self._retire_locked(epoch)
 
     def _retire_locked(self, epoch):
-        """Remove the epoch from the live table, and so from the intern pin
-        set (caller holds the lock)."""
+        """Remove the epoch from the live table (caller holds the lock).
+        Its atoms stay interned for as long as something still holds the
+        epoch's stores."""
         epoch._live = False
         self._live.pop(epoch.eid, None)
 
@@ -241,8 +244,8 @@ class EpochManager:
 
     def close(self):
         """Retire every epoch (the serving session is shutting down);
-        readers still pinned keep their store objects but the manager stops
-        pinning interned terms for them."""
+        readers still pinned keep their store objects, and with them the
+        interned terms those hold."""
         with self._lock:
             for epoch in list(self._live.values()):
                 self._retire_locked(epoch)

@@ -12,7 +12,6 @@ from repro.db import (
     SessionIntegrityError,
     open_session,
 )
-from repro.engine.seminaive import SeminaiveUnsupported
 from repro.hilog.errors import GroundingError
 from repro.hilog.parser import parse_program, parse_query, parse_term
 from repro.workloads.closure import hilog_closure_program, transitive_closure_program
@@ -195,12 +194,6 @@ class TestRecomputeMode:
         assert not session.ask("winning(b)")  # b's move now leads to a winner
         assert session.check()
 
-    def test_incremental_strategy_raises_outside_class(self):
-        with pytest.raises(SeminaiveUnsupported):
-            DatabaseSession(
-                normal_game_program([("a", "b")]), strategy="incremental"
-            )
-
     def test_recompute_strategy_forces_mode(self):
         session = DatabaseSession(TC, strategy="recompute")
         assert session.mode == "recompute"
@@ -221,9 +214,13 @@ class TestRecomputeMode:
         assert session.true == before
         assert parse_term("m(b, a)") not in session.edb()
 
-    def test_unknown_strategy_rejected(self):
+    @pytest.mark.parametrize("strategy", ["bogus", "incremental", "wellfounded"])
+    def test_unknown_strategy_rejected(self, strategy):
+        """``"auto"`` and ``"recompute"`` are the only strategies: the mode
+        labels ``"incremental"`` and ``"wellfounded"`` describe a walked
+        session, and select nothing."""
         with pytest.raises(ValueError):
-            DatabaseSession(TC, strategy="bogus")
+            DatabaseSession(TC, strategy=strategy)
 
 
 class TestTransactions:
@@ -473,13 +470,13 @@ class TestFallbacks:
             session.insert("e(c, d).")
         assert session.true == before and len(before) == 6 and session.check()
 
-    @pytest.mark.parametrize("strategy, rules", [
+    @pytest.mark.parametrize("mode, rules", [
         ("incremental", "reach(Y) :- reach(X), e(X, Y)."),
         ("wellfounded", "reach(Y) :- reach(X), e(X, Y), not cut(Y).  "
                         "cut(Y) :- e(Y, Y), not reach(Y)."),
     ])
     @pytest.mark.parametrize("shape", ["thin", "fat"])
-    def test_fact_cap_is_met_once_a_round(self, strategy, rules, shape):
+    def test_fact_cap_is_met_once_a_round(self, mode, rules, shape):
         """Inserting ``e(a, b)`` makes ``reach`` grow below ``b``: down a
         chain, one fact a round, or over a fan, nine facts in one round.
         The cap is met once per round, so a write that crosses it in a late
@@ -494,14 +491,15 @@ class TestFallbacks:
             edges = " ".join("e(b, c%d)." % i for i in range(1, 10))
             size = 21
         program = "reach(a). " + edges + " " + rules
-        session = DatabaseSession(program, strategy=strategy, max_facts=size)
-        if strategy == "wellfounded":
+        session = DatabaseSession(program, strategy="auto", max_facts=size)
+        assert session.mode == mode
+        if mode == "wellfounded":
             assert session.strategies() == ("alternating",)
         session.insert("e(a, b).")
         assert len(session.true) == size and session.check()
 
         for cap in (size - 1, 16):
-            session = DatabaseSession(program, strategy=strategy, max_facts=cap)
+            session = DatabaseSession(program, strategy="auto", max_facts=cap)
             before, edb = session.true, session.edb()
             with pytest.raises(GroundingError, match="exceeded %d facts" % cap):
                 session.insert("e(a, b).")

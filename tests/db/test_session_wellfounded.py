@@ -159,6 +159,7 @@ def test_value_and_query_on_partial_model():
 # -- Example 6.3 on the engine: name-open rules specialised by a binder ------
 
 EXAMPLE_63 = "winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y)."
+HILOG_GAME = EXAMPLE_63 + "game(m1). m1(a, b). m1(b, c). m1(c, d)."
 
 
 def _assert_is_the_well_founded_model(session, rules_text=EXAMPLE_63):
@@ -192,8 +193,7 @@ def test_parameterized_games_run_on_the_engine(monkeypatch, make, winning):
     _assert_is_the_well_founded_model(
         session, format_program(Program(tuple(program.proper_rules()))))
     monkeypatch.undo()
-    with pytest.raises(SeminaiveUnsupported):
-        DatabaseSession(program, strategy="incremental")
+    assert DatabaseSession(program, strategy="auto").mode == "wellfounded"
     assert DatabaseSession(program, strategy="recompute").mode == "recompute"
 
 
@@ -450,21 +450,63 @@ def test_a_write_reports_the_strata_and_the_cone_it_reached():
     assert {repr(a) for a in summary.removed} == {"winning(c)"}
 
 
-def test_a_restored_session_walks_once_then_maintains(tmp_path):
+def test_a_restored_session_maintains_from_its_first_write(tmp_path):
+    """A closed program's maintenance plans depend on its rules alone, so a
+    session restored from a snapshot has them before its first write and
+    maintains from it, a well-founded one included."""
     directory = str(tmp_path / "data")
     session = DatabaseSession(WIN_MOVE_RULES + "move(a, b). move(b, a).",
                               path=directory)
     session.close()
     restored = DatabaseSession.open(directory)
-    assert restored.strategies() == ()
-    restored.insert("move(b, c).")
-    assert restored.stats()["rebuilds"] == 1
     assert restored.strategies() == ("alternating",)
-    restored.retract("move(b, c).")
-    assert restored.stats()["rebuilds"] == 1
+    restored.insert("move(b, c).")
+    assert restored.stats()["rebuilds"] == 0
     assert restored.stats()["alternating_updates"] == 1
     _agrees_with_the_oracle(restored, WIN_MOVE_RULES)
     restored.close()
+
+
+def test_a_restored_name_open_session_walks_once_then_maintains(tmp_path):
+    """The instances of a name-open rule are known only once a walk has
+    run its binder plan over the facts: a restored session walks on its
+    first write, then maintains."""
+    directory = str(tmp_path / "data")
+    session = DatabaseSession(HILOG_GAME, path=directory)
+    session.close()
+    restored = DatabaseSession.open(directory)
+    assert restored.strategies() == ()
+    restored.insert("m1(d, e).")
+    assert restored.stats()["rebuilds"] == 1
+    assert restored.strategies() == ("alternating",)
+    restored.retract("m1(d, e).")
+    assert restored.stats()["rebuilds"] == 1
+    assert restored.stats()["alternating_updates"] == 1
+    _agrees_with_the_oracle(restored, EXAMPLE_63)
+    restored.close()
+
+
+def test_an_independent_component_beside_a_negation_cycle_does_not_alternate():
+    """``reach`` sits at the level of the ``win`` cycle but shares no
+    component with it.  Its stratum is its own, maintained by
+    delete-rederive: a write to ``e`` costs the one new fact, not an
+    alternation of the game."""
+    from repro.engine.seminaive import EXECUTION_STATS
+
+    rules = """
+        win(X) :- move(X, Y), not win(Y).
+        reach(Y) :- reach(X), e(X, Y).
+    """
+    edges = " ".join("e(%s, %s)." % pair for pair in chain_edges(60, "n"))
+    session = DatabaseSession(
+        rules + edges + " reach(n0). move(a, b). move(b, a).")
+    assert session.strategies() == ("alternating", "dred")
+    before = EXECUTION_STATS.snapshot()
+    session.insert("e(n60, n61).")
+    cost = EXECUTION_STATS.diff(before)
+    assert cost["alternations"] == 0
+    assert session.ask("reach(n61)")
+    assert session.check()
 
 
 def test_a_write_costs_its_cone_not_the_walk():
