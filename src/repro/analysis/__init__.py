@@ -5,19 +5,13 @@ from repro.analysis.compare import (
     compare_interpretations,
     hilog_vs_normal_reduction,
 )
-from repro.analysis.report import (
-    ExperimentRow,
-    best_of,
-    format_table,
-    print_table,
-)
+from repro.analysis.report import ExperimentRow, format_table, print_table
 
 __all__ = [
     "ComparisonResult",
     "compare_interpretations",
     "hilog_vs_normal_reduction",
     "ExperimentRow",
-    "best_of",
     "format_table",
     "print_table",
 ]

@@ -378,8 +378,7 @@ class DatabaseSession(ModelReads):
             except SeminaiveUnsupported:
                 # The walk compiled the rules but refused the facts (an
                 # instance re-settling a head, aggregation over undefined
-                # atoms): demote to the Figure-1
-                # recompute fallback.
+                # atoms): demote to the Figure-1 recompute fallback.
                 self._mode, plans, self._evaluate, self._reference = \
                     choose_mode(self._rules, self._limits, RECOMPUTE_MODE)
                 model = self._evaluate(self._edb)

@@ -654,7 +654,8 @@ class StratumPlan(NamedTuple):
 
     #: The stratum's rules (in program order).
     rules: Tuple
-    #: rule -> same-stratum body indicators (``None``: definite fallback).
+    #: The stratum's rule -> same-stratum body indicators (``None``:
+    #: definite fallback); the rules of other strata are not in it.
     recursive: Dict
     #: ``(rule, plan)`` pairs for the initial (non-delta) pass.
     base_plans: Tuple
@@ -714,7 +715,7 @@ def compile_stratum(rules, recursive):
 
     return StratumPlan(
         rules=tuple(rules),
-        recursive=dict(recursive),
+        recursive={rule: recursive[rule] for rule in rules},
         base_plans=base_plans,
         variant_plans=tuple(variant_plans),
         head_indicators=frozenset(head_indicators) if head_indicators is not None else None,

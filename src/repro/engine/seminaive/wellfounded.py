@@ -349,7 +349,8 @@ def compile_strata(program, allow_unstratified=False, by_component=False):
     ``by_component`` the strongly connected components, as a session
     maintaining the model prefers: a write then reaches only the
     components that read what it changed, and an alternating stratum holds
-    one negation cycle and nothing beside it.
+    one negation cycle and nothing beside it.  (The instances of name-open
+    rules are stratified by level either way.)
 
     With ``allow_unstratified`` the name-open rules of a program with
     negation or aggregation — Example 6.3's ``winning(M)(X) :- game(M),
