@@ -19,8 +19,8 @@ mode is nothing more than an :data:`Evaluator`, and there are two of them.
   reaches only the components that read what it changed, and an
   alternating stratum holds one negation cycle and nothing beside it (the
   instances of name-open rules are stratified among themselves by level,
-  as a one-shot walk does).  No grounding: the
-  store holds the certainly-true atoms, the undefined ones come beside it.
+  as a one-shot walk does).  No grounding: the store holds the
+  certainly-true atoms, the undefined ones come beside it.
   The **maintenance plans** are the walk's, one bundle per stratum it
   walked: a stratum that alternates, or reads an atom undefined before or
   after a write, is maintained by the cone step, the others by
