@@ -1,5 +1,6 @@
 """Call profile of a delete-rederive write — what one derived fact costs,
-and what one delta round costs — and of text to terms.
+and what one delta round costs — of text to terms, and of a cold model
+and a restore.
 
 The two write cases open a :class:`~repro.db.session.DatabaseSession`
 over a chain of ``e/2`` edges under the transitive closure ``tc/2`` and
@@ -20,17 +21,32 @@ win/move rule and ``move/2`` facts over ``PARSE_NODES`` nodes), then
 half through ``parse_term``, as reads parse theirs.  Every write parses
 its fact as well, so the write cases count the parser too.
 
+Two cases price the cold layers, where nearly every term is new and
+construction (the intern miss path) is most of the cost.  Both take
+``tc`` over a chain of ``COLD_N`` edges whose constants no other case
+interns:
+
+* **cold**: text to model through ``perfect_model_for_hilog(...,
+  strategy="seminaive")`` — parse, compile and the first evaluation;
+* **recovery**: ``DatabaseSession.open`` of a data directory holding that
+  model's snapshot and a ``RECOVERY_TXNS``-transaction WAL tail — the
+  snapshot decode and the replay.  Set-up drops the session that wrote
+  the directory and sweeps the intern tables, so the decode builds every
+  term anew, as a restarted process does.
+
 For each case it prints the profile's total function calls, the calls
-into the package (its modules and the plan functions it generates), and
-the executor's fetches and candidates.  Only the writes and the parses
-are profiled, not the session's first evaluation.
+into the package (its modules and the plan functions it generates), the
+executor's fetches and candidates, and its intern misses: how much the
+intern tables grew over the case.  Only what each case names is
+profiled: the write cases' first evaluation is not.
 
 The run re-executes itself under ``PYTHONHASHSEED=0``, so the call counts
 are those of one fixed string hash.  ``--check`` fails (exit status 1)
 when a case's package calls exceed its budget (:data:`CALL_BUDGET`,
-:data:`LEAF_CALL_BUDGET`, :data:`PARSE_CALL_BUDGET`); CI runs it so that
-a change making the per-fact path, the per-round path or the parser
-slower in calls has to say so here.
+:data:`LEAF_CALL_BUDGET`, :data:`PARSE_CALL_BUDGET`,
+:data:`COLD_CALL_BUDGET`, :data:`RECOVERY_CALL_BUDGET`); CI runs it so
+that a change making the per-fact path, the per-round path, the parser,
+a cold evaluation or a restore slower in calls has to say so here.
 
     python benchmarks/profile_write.py [--check] [--top 20]
 """
@@ -42,6 +58,7 @@ import cProfile
 import os
 import pstats
 import random
+import shutil
 import subprocess
 import sys
 
@@ -55,24 +72,26 @@ LEAF_N = 200
 PAIRS = 20
 
 #: Ceiling on the package's calls over the mid-chain writes (``--check``):
-#: 1 405 916 measured under CPython 3.11 (3.12 M calls in all), plus the
+#: 1 371 936 measured under CPython 3.11 (3.07 M calls in all), plus the
 #: 9.2 % of room for interpreters that count a little more that the budget
 #: has always had.  CPython 3.12 counts fewer, as it inlines comprehensions.
-#: Before a write stopped opening an intern generation and a new term
-#: stopped being recorded in one, the same writes made 1 409 466; before
-#: the parser read its text in one regular-expression scan, 1 413 026;
+#: Before a new application took one trusted miss path, the same writes
+#: made 1 405 836; before a write stopped opening an intern generation and
+#: a new term stopped being recorded in one, 1 409 466; before the parser
+#: read its text in one regular-expression scan, 1 413 026;
 #: before a delta round stopped building a store, a sources object and a
 #: generator and stopped meeting the caps per head, 1 789 016 (3.72 M in
 #: all); before terms hashed by identity and carried their indicator,
 #: about 6 M — with the same fetches and candidates throughout.
-CALL_BUDGET = 1_536_000
+CALL_BUDGET = 1_499_000
 
 #: Ceiling on the package's calls over the leaf writes (``--check``):
-#: 134 401 measured under CPython 3.11 (314 K in all), with the same room.
-#: Before the intern generations went the same writes made 134 964; before
-#: the one-scan parser, 138 564; before a delta round stopped building a
-#: store, a sources object and a generator, 267 544 (513 K in all).
-LEAF_CALL_BUDGET = 147_000
+#: 130 302 measured under CPython 3.11 (308 K in all), with the same room.
+#: Before the one miss path, the same writes made 134 321; before the
+#: intern generations went, 134 964; before the one-scan parser, 138 564;
+#: before a delta round stopped building a store, a sources object and a
+#: generator, 267 544 (513 K in all).
+LEAF_CALL_BUDGET = 143_000
 
 #: Size of the parse case: clauses of its program, nodes of its game
 #: graph, and short texts parsed after it.
@@ -81,14 +100,34 @@ PARSE_NODES = 200
 PARSE_TEXTS = 1000
 
 #: Ceiling on the package's calls over the parse case (``--check``):
-#: 51 961 measured under CPython 3.11 (163 K in all), with the same room.
-#: The character-at-a-time lexer and the token-helper parser before the
-#: one-scan parser made 227 337 (567 K in all).
-PARSE_CALL_BUDGET = 56_750
+#: 35 541 measured under CPython 3.11 (139 K in all), with the same room.
+#: Before the parser built its applications through ``intern_app`` and the
+#: one miss path, 51 961 (163 K in all); the character-at-a-time lexer and
+#: the token-helper parser before the one-scan parser made 227 337 (567 K).
+PARSE_CALL_BUDGET = 39_000
+
+#: Chain length of the cold and recovery cases, the prefix of their
+#: constants (which no other case interns, so every term they build is
+#: new), and the writes the recovery case replays from the WAL.
+COLD_N = 200
+COLD_CONSTANT = "c"
+RECOVERY_TXNS = 30
+
+#: Ceiling on the package's calls over the cold case (``--check``):
+#: 130 376 measured under CPython 3.11 (469 K in all), with the same room;
+#: 333 176 (773 K in all) before the one miss path.
+COLD_CALL_BUDGET = 143_000
+
+#: Ceiling on the package's calls over the recovery case (``--check``):
+#: 173 626 measured under CPython 3.11 (583 K in all), with the same room;
+#: 457 436 (938 K in all) before the one miss path and the snapshot
+#: decoder's trusted constructor.
+RECOVERY_CALL_BUDGET = 190_000
 
 
-def _program(n):
-    edges = " ".join("e(p%d, p%d)." % (i, i + 1) for i in range(n))
+def _program(n, constant="p"):
+    edges = " ".join("e(%s%d, %s%d)." % (constant, i, constant, i + 1)
+                     for i in range(n))
     return "tc(X, Y) :- e(X, Y).  tc(X, Y) :- e(X, Z), tc(Z, Y).  " + edges
 
 
@@ -139,6 +178,55 @@ def _parse():
     return parses, lambda: len(parse_program(text).rules) == PARSE_CLAUSES
 
 
+def _cold():
+    from repro import parse_program, perfect_model_for_hilog
+
+    text = _program(COLD_N, COLD_CONSTANT)
+    models = []
+
+    def build():
+        models.append(perfect_model_for_hilog(parse_program(text),
+                                              strategy="seminaive"))
+    return build, lambda: len(models[0].true) == COLD_N * (COLD_N + 3) // 2
+
+
+def _recovery():
+    import gc
+    import tempfile
+
+    from repro import DatabaseSession
+    from repro.hilog.terms import collect_terms
+
+    directory = os.path.join(tempfile.mkdtemp(prefix="profile-write-"), "db")
+    session = DatabaseSession(_program(COLD_N, COLD_CONSTANT), path=directory,
+                              fsync="off")
+    for txn in range(RECOVERY_TXNS):
+        edge = "e(%s%d, %sx%d)." % (COLD_CONSTANT, COLD_N, COLD_CONSTANT,
+                                    txn // 2)
+        if txn % 2:
+            session.retract(edge)
+        else:
+            session.insert(edge)
+    # A crash after the last commit: the WAL tail stays unreplayed.
+    session.close(checkpoint=False)
+    # The open that is profiled decodes terms that no longer exist.
+    del session
+    gc.collect()
+    collect_terms()
+    sessions = []
+
+    def recover():
+        sessions.append(DatabaseSession.open(directory, fsync="off"))
+
+    def check():
+        recovered = sessions[0]
+        replayed = recovered.stats()["durability"]["replayed_txns"]
+        recovered.close(checkpoint=False)
+        shutil.rmtree(os.path.dirname(directory))
+        return replayed == RECOVERY_TXNS
+    return recover, check
+
+
 #: ``(name, what is profiled, case, budget)`` of each profiled case; a
 #: case sets up what it needs and returns the callable to profile and a
 #: check of the result.
@@ -149,6 +237,9 @@ CASES = (
      LEAF_CALL_BUDGET),
     ("parse", "a %d-clause move/2 program, then %d queries and terms"
      % (PARSE_CLAUSES, PARSE_TEXTS), _parse, PARSE_CALL_BUDGET),
+    ("cold", "text to model, chain-%d tc" % COLD_N, _cold, COLD_CALL_BUDGET),
+    ("recovery", "snapshot load and %d replayed writes, chain-%d tc"
+     % (RECOVERY_TXNS, COLD_N), _recovery, RECOVERY_CALL_BUDGET),
 )
 
 
@@ -160,13 +251,16 @@ def profile(name, what, run, budget, top):
     """Profile one call of ``run``; return its package calls."""
     import repro
     from repro.engine.seminaive import EXECUTION_STATS
+    from repro.hilog.terms import intern_table_sizes
 
     before = EXECUTION_STATS.snapshot()
+    interned = sum(intern_table_sizes().values())
     profiler = cProfile.Profile()
     profiler.enable()
     run()
     profiler.disable()
     work = EXECUTION_STATS.diff(before)
+    misses = sum(intern_table_sizes().values()) - interned
 
     # Counted per code object: ``pstats`` keys functions by file, line and
     # name, and the plan functions of one rule all share ``<plan of ...>``,
@@ -183,6 +277,7 @@ def profile(name, what, run, budget, top):
     print("  package calls   %d (budget %d)" % (package_calls, budget))
     print("  fetches         %d" % work["fetches"])
     print("  candidates      %d" % work["candidates"])
+    print("  intern misses   %d" % misses)
     if top:
         pstats.Stats(profiler).sort_stats("ncalls").print_stats(top)
     return package_calls
@@ -204,6 +299,7 @@ def main(argv=None):
         run, check = case()
         package_calls = profile(name, what, run, budget, args.top)
         assert check(), name
+        del run, check  # a case's terms must not outlive it
         if args.check and package_calls > budget:
             print("FAIL: %s: %d package calls exceed the budget of %d"
                   % (name, package_calls, budget))

@@ -18,10 +18,12 @@ The body is a :mod:`marshal`-serialized dict whose terms live in a
 **post-order term pool**: entry *i* is a symbol name (``str``), a number
 (``int``/``float``) or an application ``[name_id, arg_id, ...]`` whose
 referents all precede it.  Decoding is a single sequential pass through
-the hash-consing :class:`~repro.hilog.terms.Sym`/``Num``/``App``
-constructors — every reloaded atom is the canonical interned object, as
-the identity-based store requires — and loading a chain-200 closure
-snapshot is several times faster than re-deriving the 20k facts.
+the hash-consing :class:`~repro.hilog.terms.Sym` and ``Num`` constructors
+and :func:`~repro.hilog.terms.intern_app`, the trusted application
+constructor (each entry's children are the terms decoded before it) —
+every reloaded atom is the canonical interned object, as the
+identity-based store requires — and loading a chain-200 closure snapshot
+is several times faster than re-deriving the 20k facts.
 
 Writes are atomic: the body lands in a ``*.tmp`` sibling, is fsynced,
 and is :func:`os.replace`-d into place; a crash at any point leaves
@@ -48,7 +50,7 @@ from zlib import crc32
 from repro.durable.faults import fire
 from repro.engine.seminaive.relation import RelationStore
 from repro.hilog.errors import CorruptSnapshot
-from repro.hilog.terms import App, Num, Sym
+from repro.hilog.terms import App, Num, Sym, intern_app
 from repro.obs.metrics import get_registry
 
 MAGIC = b"RSNAP1\0\n"
@@ -251,7 +253,10 @@ def load_snapshot(path):
     """Decode one snapshot file into a :class:`SnapshotState`.
 
     Raises :class:`CorruptSnapshot` on any validation failure — short or
-    mangled header, CRC mismatch, undecodable body, dangling pool ids.
+    mangled header, CRC mismatch, undecodable body — and on a body whose
+    CRC holds but whose ids do not: a pool entry referring to an id that
+    is negative or not before it, a relation, EDB or undefined id naming
+    no term, or a relation atom outside the relation's ``(name, arity)``.
     """
     try:
         with open(path, "rb") as handle:
@@ -291,26 +296,49 @@ def _decode(payload, path):
         )
     terms = []
     append = terms.append
-    for entry in payload["pool"]:
+    term = terms.__getitem__
+    for position, entry in enumerate(payload["pool"]):
         kind = type(entry)
         if kind is str:
             append(Sym(entry))
         elif kind is list:
-            append(App(terms[entry[0]],
-                       tuple(terms[i] for i in entry[1:])))
+            # Post-order: every referent precedes its application, so an
+            # id at or past ``position`` fails its lookup (IndexError, hence
+            # corrupt); a negative one would index from the end.
+            if min(entry) < 0:
+                raise CorruptSnapshot(
+                    "pool entry %d refers to a negative id" % position,
+                    path=path,
+                )
+            append(intern_app(term(entry[0]), tuple(map(term, entry[1:]))))
         else:
             append(Num(entry))
 
-    store = RelationStore.from_groups(
-        ((terms[name_id], arity), [terms[i] for i in ids])
-        for name_id, arity, ids in payload["rels"]
-    )
+    groups = []
+    for name_id, arity, ids in payload["rels"]:
+        name, *atoms = _lookup(terms, [name_id, *ids], path)
+        indicator = (name, arity)
+        if any(atom.indicator != indicator for atom in atoms):
+            raise CorruptSnapshot(
+                "relation %r holds an atom of another indicator"
+                % (indicator,), path=path,
+            )
+        groups.append((indicator, atoms))
     return SnapshotState(
         txn=payload["txn"],
         mode=payload["mode"],
         rules_text=payload["rules"],
-        edb=set(terms[i] for i in payload["edb"]),
-        store=store,
-        undefined=frozenset(terms[i] for i in payload["undef"]),
+        edb=set(_lookup(terms, payload["edb"], path)),
+        store=RelationStore.from_groups(groups),
+        undefined=frozenset(_lookup(terms, payload["undef"], path)),
         path=path,
     )
+
+
+def _lookup(terms, ids, path):
+    """The terms of pool ``ids``, each of which must name an entry."""
+    if ids and (min(ids) < 0 or max(ids) >= len(terms)):
+        raise CorruptSnapshot(
+            "an id outside the pool's %d terms" % len(terms), path=path,
+        )
+    return [terms[i] for i in ids]

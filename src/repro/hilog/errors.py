@@ -100,7 +100,8 @@ class CorruptWal(DurabilityError):
 
 class CorruptSnapshot(DurabilityError):
     """A snapshot file failed validation (bad magic, CRC mismatch,
-    undecodable body).  Recovery falls back past corrupt snapshots to the
+    undecodable body, or ids in a valid body that name no term or the
+    wrong relation).  Recovery falls back past corrupt snapshots to the
     newest valid one and reports each casualty in the recovery details.
 
     Attributes:

@@ -63,7 +63,7 @@ import re
 
 from repro.hilog.errors import ParseError
 from repro.hilog.program import AggregateSpec, Literal, Program, Rule, Span
-from repro.hilog.terms import App, Num, Sym, Var, fresh_var, make_list
+from repro.hilog.terms import Num, Sym, Var, fresh_var, intern_app, make_list
 
 #: One token after any layout.  ``IDENT`` and ``VAR`` are the ASCII names,
 #: ``NAME`` any other name (its first character decides its kind), ``EOF``
@@ -202,9 +202,9 @@ class _Parser:
                 factor = kinds[self._pos]
                 while factor == "*" or factor == "/":
                     self._pos += 1
-                    right = App(Sym(factor), (right, self._application()))
+                    right = intern_app(Sym(factor), (right, self._application()))
                     factor = kinds[self._pos]
-            left = App(Sym(op), (left, right))
+            left = intern_app(Sym(op), (left, right))
             op = kinds[self._pos]
         return left
 
@@ -256,7 +256,7 @@ class _Parser:
                 pos = self._pos
             else:
                 pos += 1
-            term = App(term, tuple(args))
+            term = intern_app(term, tuple(args))
         self._pos = pos
         return term
 
@@ -317,10 +317,12 @@ class _Parser:
                 aggregate = self._aggregate(left, span)
                 if aggregate is not None:
                     return aggregate
-            return Literal(App(Sym(op), (left, self.parse_term())), span=span)
+            return Literal(intern_app(Sym(op), (left, self.parse_term())),
+                           span=span)
         if op == "IDENT" and self._values[pos] == "is":
             self._pos = pos + 1
-            return Literal(App(Sym("is"), (left, self.parse_term())), span=span)
+            return Literal(intern_app(Sym("is"), (left, self.parse_term())),
+                           span=span)
         return Literal(left, span=span)
 
     def _aggregate(self, result, span):

@@ -26,9 +26,18 @@ evaluation engines' hot loops — index probes, join matches, set membership
 Because terms are built bottom-up, an :class:`App`'s children are already
 interned when it is constructed, so its intern key ``(name,) + args`` hashes
 and compares its children by identity — one dictionary probe per
-construction.  Identity hashes vary between processes, so a set of terms
-iterates in an order nothing may depend on: whatever reaches a store, a
-delta, a log or a counter is kept in insertion-ordered dictionaries.
+construction.  A structure not yet in the table takes **one miss path**,
+:func:`_new_app`, whichever constructor missed: ``App(...)`` validates its
+arguments first; :func:`intern_app`, for callers whose children are terms
+already (the generated plans' head builders, the parser, the snapshot
+decoder), does not.  The miss probes again under :data:`_INTERN_LOCK`,
+reads each child's memoized groundness, depth and freshness (slots of an
+application, class attributes of a symbol or variable) and fills the new
+object's slots through their descriptors, so a new term costs little
+more than its allocation and its table insert.  Identity hashes vary
+between processes, so a set of terms iterates in an order nothing may
+depend on: whatever reaches a store, a delta, a log or a counter is kept
+in insertion-ordered dictionaries.
 Every term also carries its **predicate indicator** (:attr:`App.indicator`),
 the ``(name, arity)`` pair the relation stores partition by: one tuple
 shared by every application of a name to an arity, and ``(term, -1)`` for
@@ -136,18 +145,6 @@ def intern_table_sizes():
         "num": len(_NUM_INTERN),
         "app": len(_APP_INTERN),
     }
-
-
-def _indicator(name, arity):
-    """The shared ``(name, arity)`` tuple of the interned applications of
-    ``name`` to ``arity`` arguments (called under the intern lock)."""
-    by_arity = _INDICATORS.get(name)
-    if by_arity is None:
-        by_arity = _INDICATORS[name] = {}
-    indicator = by_arity.get(arity)
-    if indicator is None:
-        indicator = by_arity[arity] = (name, arity)
-    return indicator
 
 
 def _table_refs(term):
@@ -328,7 +325,7 @@ class Term:
 
     def is_ground(self):
         """Return ``True`` when the term contains no variables."""
-        raise NotImplementedError
+        return self._ground
 
     def variables(self):
         """Return the set of :class:`Var` objects occurring in the term."""
@@ -340,7 +337,7 @@ class Term:
 
     def depth(self):
         """Return the nesting depth of the term (symbols and variables are 0)."""
-        raise NotImplementedError
+        return self._depth
 
     def size(self):
         """Return the number of nodes in the term tree."""
@@ -371,8 +368,9 @@ class Var(Term):
     #: ``_fresh`` is true for the uninterned variables of :func:`fresh_var`.
     __slots__ = ("name", "indicator", "_fresh", "_text")
 
-    #: Groundness, read where :meth:`is_ground` would cost a call.
+    #: Groundness and depth, read where a method would cost a call.
     _ground = False
+    _depth = 0
 
     def __new__(cls, name):
         self = _VAR_INTERN.get(name)
@@ -392,17 +390,11 @@ class Var(Term):
     def __setattr__(self, key, value):
         raise AttributeError("Var is immutable")
 
-    def is_ground(self):
-        return False
-
     def variables(self):
         return {self}
 
     def symbols(self):
         return set()
-
-    def depth(self):
-        return 0
 
     def size(self):
         return 1
@@ -418,8 +410,9 @@ class Sym(Term):
 
     __slots__ = ("name", "indicator", "_text")
 
-    #: Groundness, read where :meth:`is_ground` would cost a call.
+    #: Groundness and depth, read where a method would cost a call.
     _ground = True
+    _depth = 0
     #: A symbol is always interned.
     _fresh = False
 
@@ -440,17 +433,11 @@ class Sym(Term):
     def __setattr__(self, key, value):
         raise AttributeError("Sym is immutable")
 
-    def is_ground(self):
-        return True
-
     def variables(self):
         return set()
 
     def symbols(self):
         return {self.name}
-
-    def depth(self):
-        return 0
 
     def size(self):
         return 1
@@ -497,11 +484,16 @@ class App(Term):
     use is memoized in slots at construction: groundness, depth, and
     :attr:`indicator`, the ``(name, arity)`` tuple every interned
     application of the same name and arity shares.
+
+    ``App(...)`` is the validating public constructor: it checks that the
+    name and every argument are terms, then misses through
+    :func:`_new_app`, the one miss path it shares with the trusted
+    :func:`intern_app`.
     """
 
     __slots__ = ("name", "args", "indicator", "_ground", "_depth", "_fresh", "_text")
 
-    # For the type checker, which cannot see ``object.__setattr__`` fill them.
+    # For the type checker, which cannot see the slot setters fill them.
     name: Term
     args: Tuple[Term, ...]
 
@@ -519,42 +511,7 @@ class App(Term):
         for arg in args:
             if not isinstance(arg, Term):
                 raise TypeError("App argument must be a Term, got %r" % (arg,))
-        with _INTERN_LOCK:
-            self = _APP_INTERN.get(key)
-            if self is not None:
-                return self
-            self = object.__new__(cls)
-            object.__setattr__(self, "name", name)
-            object.__setattr__(self, "args", args)
-            object.__setattr__(
-                self, "_ground",
-                name.is_ground() and all(arg.is_ground() for arg in args)
-            )
-            # Children are already interned (hence their depths cached), so
-            # the nesting depth memoizes bottom-up in O(arity) at
-            # construction.
-            depth = name.depth()
-            for arg in args:
-                arg_depth = arg.depth()
-                if arg_depth > depth:
-                    depth = arg_depth
-            object.__setattr__(self, "_depth", depth + 1)
-            # An application over a *fresh* (uninterned) child is itself
-            # fresh and left uninterned: its key contains an identity-unique
-            # object, so a table entry could never be hit again.  So is its
-            # indicator: an entry in the shared table would hold a fresh
-            # name.
-            fresh = name._fresh
-            for arg in args:
-                if arg._fresh:
-                    fresh = True
-            object.__setattr__(self, "_fresh", fresh)
-            if fresh:
-                object.__setattr__(self, "indicator", (name, len(args)))
-                return self
-            object.__setattr__(self, "indicator", _indicator(name, len(args)))
-            _APP_INTERN[key] = self
-        return self
+        return _new_app(key, name, args)
 
     def __setattr__(self, key, value):
         raise AttributeError("App is immutable")
@@ -563,9 +520,6 @@ class App(Term):
     def arity(self):
         """Number of arguments of the application."""
         return len(self.args)
-
-    def is_ground(self):
-        return self._ground
 
     # The traversals below are iterative (explicit stacks) so that deeply
     # nested terms — which arise when saturating non-strongly-range-restricted
@@ -595,9 +549,6 @@ class App(Term):
                 stack.extend(node.args)
         return result
 
-    def depth(self):
-        return self._depth
-
     def size(self):
         count = 0
         stack = [self]
@@ -610,6 +561,63 @@ class App(Term):
         return count
 
 
+#: The slot descriptors' setters of a new application, in slot order: one
+#: C call each, where ``object.__setattr__`` would look the slot up by name.
+(_set_name, _set_args, _set_indicator, _set_ground, _set_depth,
+ _set_fresh) = (App.__dict__[slot].__set__ for slot in App.__slots__[:6])
+
+
+def _new_app(key, name, args):
+    """The one miss path of :class:`App`: the application of ``name`` to
+    ``args``, terms all, whose intern key ``key`` (``(name,) + args``) the
+    caller has just probed and missed.
+
+    Under :data:`_INTERN_LOCK` it probes again (another thread may have
+    built the structure meanwhile), then allocates the object and fills
+    its slots from the children's memoized ``_ground``, ``_depth`` and
+    ``_fresh``.  An application over a *fresh* (uninterned) child is
+    itself fresh and left uninterned: its key holds an identity-unique
+    object, so a table entry could never be hit again; so is its
+    indicator, since an entry in the shared table would hold a fresh name.
+    Any other application takes the ``(name, arity)`` tuple that
+    :data:`_INDICATORS` shares among all applications of its name and
+    arity.
+    """
+    with _INTERN_LOCK:
+        self = _APP_INTERN.get(key)
+        if self is not None:
+            return self
+        self = object.__new__(App)
+        _set_name(self, name)
+        _set_args(self, args)
+        ground = name._ground
+        depth = name._depth
+        fresh = name._fresh
+        for arg in args:
+            if not arg._ground:
+                ground = False
+            if arg._depth > depth:
+                depth = arg._depth
+            if arg._fresh:
+                fresh = True
+        _set_ground(self, ground)
+        _set_depth(self, depth + 1)
+        _set_fresh(self, fresh)
+        arity = len(args)
+        if fresh:
+            _set_indicator(self, (name, arity))
+            return self
+        by_arity = _INDICATORS.get(name)
+        if by_arity is None:
+            by_arity = _INDICATORS[name] = {}
+        indicator = by_arity.get(arity)
+        if indicator is None:
+            indicator = by_arity[arity] = (name, arity)
+        _set_indicator(self, indicator)
+        _APP_INTERN[key] = self
+    return self
+
+
 # ---------------------------------------------------------------------------
 # Convenience constructors and helpers
 # ---------------------------------------------------------------------------
@@ -620,15 +628,19 @@ NIL = Sym("$nil")
 
 
 def intern_app(name, args):
-    """Hot-path :class:`App` construction: one intern probe, no validation.
+    """Trusted :class:`App` construction: one key, one intern probe, no
+    validation, and on a miss :func:`_new_app`, the path ``App(...)`` takes
+    after validating.
 
     ``name`` and every element of ``args`` (a tuple) must already be
-    :class:`Term`\\ s; the register executor's builders guarantee this.
+    :class:`Term`\\ s; the plans' head builders, the parser and the
+    snapshot decoder, which build bottom-up, guarantee this.
     """
-    cached = _APP_INTERN.get((name,) + args)
+    key = (name,) + args
+    cached = _APP_INTERN.get(key)
     if cached is not None:
         return cached
-    return App(name, args)
+    return _new_app(key, name, args)
 
 
 def sym(name):

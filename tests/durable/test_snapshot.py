@@ -134,25 +134,35 @@ def test_snapshot_restores_from_frozen_store(tmp_path):
     assert set(load_snapshot(path).store) == set(session.store)
 
 
+def _rewrite_body(path, edit):
+    """Rewrite the snapshot at ``path`` with ``edit`` applied to its
+    decoded body, re-framed with a valid length and CRC."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    trailer = struct.Struct("<IQ")
+    body = marshal.loads(data[len(MAGIC) + trailer.size:])
+    edit(body)
+    blob = marshal.dumps(body)
+    with open(path, "wb") as handle:
+        handle.write(MAGIC + trailer.pack(zlib.crc32(blob) & 0xFFFFFFFF,
+                                          len(blob)) + blob)
+
+
 def _add_support_section(path):
     """Rewrite the snapshot at ``path`` as the format that kept per-fact
     support counts wrote it: the same body plus a ``"sup"`` list of
     ``(pool id, count)`` pairs, here a count of two for every stored fact
     and of three for every EDB atom the body does not store and for pool
     id 0, which names no fact."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    trailer = struct.Struct("<IQ")
-    body = marshal.loads(data[len(MAGIC) + trailer.size:])
-    assert "sup" not in body
-    stored = [term_id for _name, _arity, ids in body["rels"] for term_id in ids]
-    unstored = [term_id for term_id in body["edb"] if term_id not in stored]
-    body["sup"] = ([(term_id, 2) for term_id in stored]
-                   + [(term_id, 3) for term_id in unstored] + [(0, 3)])
-    blob = marshal.dumps(body)
-    with open(path, "wb") as handle:
-        handle.write(MAGIC + trailer.pack(zlib.crc32(blob) & 0xFFFFFFFF,
-                                          len(blob)) + blob)
+    def add(body):
+        assert "sup" not in body
+        stored = [term_id for _name, _arity, ids in body["rels"]
+                  for term_id in ids]
+        unstored = [term_id for term_id in body["edb"]
+                    if term_id not in stored]
+        body["sup"] = ([(term_id, 2) for term_id in stored]
+                       + [(term_id, 3) for term_id in unstored] + [(0, 3)])
+    _rewrite_body(path, add)
 
 
 def test_a_snapshot_with_support_counts_still_loads(tmp_path):
@@ -196,3 +206,56 @@ def test_support_count_of_an_unstored_atom_adds_no_fact(tmp_path):
     assert set(restored.store) == set(epoch)
     assert stray not in restored.store
     assert stray in restored.edb
+
+
+# -- bodies whose CRC holds but whose ids do not ------------------------------
+
+def _one_edge_snapshot(tmp_path):
+    """A snapshot of the single fact ``e(a, b)``, its pool
+    ``["e", "b", "a", [0, 2, 1]]``: the relation's name first, then the
+    atom's children, then the atom."""
+    path = _checkpoint(DatabaseSession("e(a, b)."), tmp_path)
+    with open(path, "rb") as handle:
+        body = marshal.loads(
+            handle.read()[len(MAGIC) + struct.calcsize("<IQ"):])
+    assert body["pool"] == ["e", "b", "a", [0, 2, 1]]
+    assert body["rels"] == [(0, 2, [3])]
+    return path
+
+
+def test_a_negative_pool_id_is_corrupt_not_indexed_backwards(tmp_path):
+    # ``-1`` would name the last term decoded so far, ``a``: the body
+    # loaded as ``e(a, a)``.
+    path = _one_edge_snapshot(tmp_path)
+    _rewrite_body(path, lambda body: body["pool"].__setitem__(3, [0, -1, 2]))
+    with pytest.raises(CorruptSnapshot, match="negative id") as info:
+        load_snapshot(path)
+    assert info.value.path == path
+
+
+def test_a_relation_atom_under_another_arity_is_corrupt(tmp_path):
+    # The ``e/2`` atom filed under ``(e, 5)`` loaded where no query for
+    # ``e/2`` finds it.
+    path = _one_edge_snapshot(tmp_path)
+    _rewrite_body(path, lambda body: body.__setitem__("rels", [(0, 5, [3])]))
+    with pytest.raises(CorruptSnapshot, match="another indicator"):
+        load_snapshot(path)
+
+
+@pytest.mark.parametrize("damage", [
+    # An application referring to itself, then to a later entry.
+    lambda body: body["pool"].__setitem__(3, [0, 3, 1]),
+    lambda body: body["pool"].__setitem__(1, [0, 2]),
+    # A relation's name, a relation atom, an EDB and an undefined id.
+    lambda body: body.__setitem__("rels", [(-4, 2, [3])]),
+    lambda body: body.__setitem__("rels", [(0, 2, [4])]),
+    lambda body: body.__setitem__("edb", [-1]),
+    lambda body: body.__setitem__("undef", [4]),
+], ids=["self-reference", "forward-reference", "negative-relation-name",
+        "relation-atom-past-the-pool", "negative-edb-id",
+        "undefined-id-past-the-pool"])
+def test_ids_naming_no_term_are_corrupt(tmp_path, damage):
+    path = _one_edge_snapshot(tmp_path)
+    _rewrite_body(path, damage)
+    with pytest.raises(CorruptSnapshot):
+        load_snapshot(path)
