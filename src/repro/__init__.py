@@ -29,66 +29,40 @@ Quickstart::
     ''')
     model = hilog_well_founded_model(program)
     print(sorted(map(repr, model.true)))
+
+The names below are resolved on first use (:mod:`repro._exports`): a
+process that imports one subpackage loads only what that subpackage needs.
 """
 
-from repro.hilog import (
-    App,
-    HerbrandUniverse,
-    Literal,
-    Num,
-    Program,
-    Rule,
-    Sym,
-    Term,
-    Var,
-    format_program,
-    format_rule,
-    format_term,
-    parse_program,
-    parse_query,
-    parse_rule,
-    parse_term,
-)
-from repro.engine import Interpretation, conservatively_extends, well_founded_model, stable_models
-from repro.db import DatabaseSession, Transaction, UpdateSummary, open_session
-from repro.core import (
-    answer_query,
-    check_domain_independence,
-    check_preservation_under_extensions,
-    classify_rule,
-    hilog_stable_models,
-    hilog_well_founded_model,
-    well_founded_for_hilog,
-    is_datahilog,
-    is_range_restricted,
-    is_strongly_range_restricted,
-    magic_evaluate,
-    magic_rewrite,
-    modularly_stratified_for_hilog,
-    normal_stable_models,
-    normal_well_founded_model,
-    perfect_model_for_hilog,
-)
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+_NAMES, __getattr__ = lazy_exports(__name__, {
     # language
-    "Term", "Var", "Sym", "Num", "App", "Literal", "Rule", "Program",
-    "parse_term", "parse_rule", "parse_program", "parse_query",
-    "format_term", "format_rule", "format_program",
-    "HerbrandUniverse",
+    "repro.hilog": (
+        "Term", "Var", "Sym", "Num", "App", "Literal", "Rule", "Program",
+        "parse_term", "parse_rule", "parse_program", "parse_query",
+        "format_term", "format_rule", "format_program",
+        "HerbrandUniverse",
+    ),
     # engine
-    "Interpretation", "conservatively_extends", "well_founded_model", "stable_models",
+    "repro.engine": (
+        "Interpretation", "conservatively_extends", "well_founded_model",
+        "stable_models",
+    ),
     # incremental database sessions
-    "DatabaseSession", "Transaction", "UpdateSummary", "open_session",
+    "repro.db": ("DatabaseSession", "Transaction", "UpdateSummary",
+                 "open_session"),
     # core
-    "hilog_well_founded_model", "well_founded_for_hilog", "hilog_stable_models",
-    "normal_well_founded_model", "normal_stable_models",
-    "is_range_restricted", "is_strongly_range_restricted", "classify_rule",
-    "check_preservation_under_extensions", "check_domain_independence",
-    "modularly_stratified_for_hilog", "perfect_model_for_hilog",
-    "is_datahilog",
-    "magic_rewrite", "magic_evaluate", "answer_query",
-]
+    "repro.core": (
+        "hilog_well_founded_model", "well_founded_for_hilog",
+        "hilog_stable_models", "normal_well_founded_model",
+        "normal_stable_models", "is_range_restricted",
+        "is_strongly_range_restricted", "classify_rule",
+        "check_preservation_under_extensions", "check_domain_independence",
+        "modularly_stratified_for_hilog", "perfect_model_for_hilog",
+        "is_datahilog", "magic_rewrite", "magic_evaluate", "answer_query",
+    ),
+})
+__all__ = ["__version__"] + _NAMES

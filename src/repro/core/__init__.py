@@ -12,73 +12,37 @@ This package implements Sections 4–6 of "On Negation in HiLog":
 * Datahilog recognition and the finiteness guarantee of Lemma 6.3,
 * the magic-sets transformation and query-driven evaluation for modularly
   stratified HiLog programs (Section 6.1).
+
+The names below are resolved on first use (:mod:`repro._exports`).
 """
 
-from repro.core.semantics import (
-    hilog_stable_models,
-    hilog_well_founded_model,
-    normal_well_founded_model,
-    well_founded_for_hilog,
-    normal_stable_models,
-)
-from repro.core.range_restriction import (
-    classify_rule,
-    is_query_range_restricted,
-    is_range_restricted,
-    is_strongly_range_restricted,
-    rule_is_range_restricted,
-    rule_is_strongly_range_restricted,
-)
-from repro.core.preservation import (
-    PreservationReport,
-    check_preservation_under_extensions,
-    random_disjoint_extension,
-)
-from repro.core.domain_independence import (
-    DomainIndependenceReport,
-    check_domain_independence,
-)
-from repro.core.modular import (
-    HiLogModularResult,
-    hilog_reduction,
-    modularly_stratified_for_hilog,
-    perfect_model_for_hilog,
-)
-from repro.core.datahilog import is_datahilog, datahilog_relevant_atoms
-from repro.core.magic import (
-    MagicProgram,
-    answer_from_store,
-    magic_rewrite,
-    magic_evaluate,
-    answer_query,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "hilog_well_founded_model",
-    "well_founded_for_hilog",
-    "hilog_stable_models",
-    "normal_well_founded_model",
-    "normal_stable_models",
-    "is_range_restricted",
-    "is_strongly_range_restricted",
-    "rule_is_range_restricted",
-    "rule_is_strongly_range_restricted",
-    "is_query_range_restricted",
-    "classify_rule",
-    "PreservationReport",
-    "check_preservation_under_extensions",
-    "random_disjoint_extension",
-    "DomainIndependenceReport",
-    "check_domain_independence",
-    "HiLogModularResult",
-    "modularly_stratified_for_hilog",
-    "perfect_model_for_hilog",
-    "hilog_reduction",
-    "is_datahilog",
-    "datahilog_relevant_atoms",
-    "MagicProgram",
-    "magic_rewrite",
-    "magic_evaluate",
-    "answer_query",
-    "answer_from_store",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.core.semantics": (
+        "hilog_well_founded_model", "well_founded_for_hilog",
+        "hilog_stable_models", "normal_well_founded_model",
+        "normal_stable_models",
+    ),
+    "repro.core.range_restriction": (
+        "is_range_restricted", "is_strongly_range_restricted",
+        "rule_is_range_restricted", "rule_is_strongly_range_restricted",
+        "is_query_range_restricted", "classify_rule",
+    ),
+    "repro.core.preservation": (
+        "PreservationReport", "check_preservation_under_extensions",
+        "random_disjoint_extension",
+    ),
+    "repro.core.domain_independence": (
+        "DomainIndependenceReport", "check_domain_independence",
+    ),
+    "repro.core.modular": (
+        "HiLogModularResult", "modularly_stratified_for_hilog",
+        "perfect_model_for_hilog", "hilog_reduction",
+    ),
+    "repro.core.datahilog": ("is_datahilog", "datahilog_relevant_atoms"),
+    "repro.core.magic": (
+        "MagicProgram", "magic_rewrite", "magic_evaluate", "answer_query",
+        "answer_from_store",
+    ),
+})

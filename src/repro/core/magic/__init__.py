@@ -22,29 +22,20 @@ This package provides:
   materializing only query-reachable atoms; the ``dp``/``dn``/``dn'``
   book-keeping relations of Ross'90 are replaced by this
   relevant-subprogram construction (the two coincide on the supported class,
-  and the substitution is recorded in DESIGN.md).
+  and the substitution is recorded in DESIGN.md).  The SIPS is the join
+  planner's (:mod:`repro.engine.seminaive.sips`), re-exported here.
+
+The names below are resolved on first use (:mod:`repro._exports`).
 """
 
-from repro.core.magic.adornment import abstract_call, adornment_of, FREE
-from repro.core.magic.sips import left_to_right_sips, SipsStep
-from repro.core.magic.rewrite import MagicProgram, magic_rewrite
-from repro.core.magic.evaluate import (
-    MagicEvaluationResult,
-    answer_from_store,
-    answer_query,
-    magic_evaluate,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FREE",
-    "abstract_call",
-    "adornment_of",
-    "SipsStep",
-    "left_to_right_sips",
-    "MagicProgram",
-    "magic_rewrite",
-    "MagicEvaluationResult",
-    "answer_from_store",
-    "magic_evaluate",
-    "answer_query",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.core.magic.adornment": ("FREE", "abstract_call", "adornment_of"),
+    "repro.engine.seminaive.sips": ("SipsStep", "left_to_right_sips"),
+    "repro.core.magic.rewrite": ("MagicProgram", "magic_rewrite"),
+    "repro.core.magic.evaluate": (
+        "MagicEvaluationResult", "answer_from_store", "magic_evaluate",
+        "answer_query",
+    ),
+})

@@ -43,7 +43,7 @@ from repro.core.magic.adornment import (
     call_signature,
     generalize_pattern,
 )
-from repro.core.magic.sips import left_to_right_sips
+from repro.engine.seminaive.sips import left_to_right_sips
 from repro.hilog.errors import StratificationError
 from repro.hilog.program import Literal, Program, Rule
 from repro.hilog.terms import App, Sym, Term, Var, predicate_name

@@ -67,7 +67,6 @@ from typing import (
     AbstractSet, Callable, FrozenSet, List, NamedTuple, Optional, Tuple,
 )
 
-from repro.core.modular import perfect_model_for_hilog
 from repro.db.plans import MaintenancePlans, walk_plans
 from repro.engine.seminaive.engine import Limits, SeminaiveUnsupported
 from repro.engine.seminaive.relation import RelationStore
@@ -93,8 +92,9 @@ class Materialized(NamedTuple):
     #: every write evaluates from scratch.
     plans: Optional[List[MaintenancePlans]] = None
     #: The indicators whose change invalidates ``plans`` — the binder
-    #: plans' reads, which decide the instances a walk compiles.
-    rewalk: FrozenSet = frozenset()
+    #: plans' reads, which decide the instances a walk compiles, in
+    #: first-seen order.
+    rewalk: AbstractSet = frozenset()
 
 
 #: A mode's from-scratch evaluator: the EDB in, the model out.
@@ -160,6 +160,9 @@ def choose_mode(rules: Program, limits: Limits, strategy: str) -> Tuple[
             return mode, plans, materialize, reference
 
     def figure1(edb):
+        # Imported here: a process whose sessions the walk accepts never
+        # loads the ground oracle.
+        from repro.core.modular import perfect_model_for_hilog
         model = perfect_model_for_hilog(
             with_facts(rules, edb), strategy="ground",
             max_atoms=limits.max_facts,

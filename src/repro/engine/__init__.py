@@ -18,83 +18,38 @@ and the HiLog semantics of the paper:
   range-restricted programs without materializing a ground program and can
   resume a settled stratum from an injected delta — the primitive the
   incremental session layer (:mod:`repro.db`) maintains models with.
+
+The names below are resolved on first use (:mod:`repro._exports`), so the
+semi-naive engine loads none of the ground constructions.
 """
 
-from repro.engine.interpretation import (
-    Interpretation,
-    conservatively_extends,
-    extends,
-    restrict_to_symbols,
-)
-from repro.engine.grounding import (
-    GroundProgram,
-    GroundRule,
-    ground_over_universe,
-    instantiate_rule,
-    relevant_ground_program,
-)
-from repro.engine.fixpoint import least_model_with_blocked
-from repro.engine.wellfounded import (
-    WellFoundedResult,
-    greatest_unfounded_set,
-    tp_operator,
-    well_founded_model,
-    wp_operator,
-)
-from repro.engine.stable import stable_models, is_stable_model
-from repro.engine.builtins import evaluate_ground_builtin, is_arithmetic_term, solve_builtin
-from repro.engine.aggregates import evaluate_aggregate
-from repro.engine.seminaive import (
-    PlanSources,
-    RelationStore,
-    SeminaiveResult,
-    SeminaiveUnsupported,
-    Stratification,
-    StratumPlan,
-    compile_stratum,
-    evaluate_stratum,
-    run_plan,
-    seminaive_evaluate,
-    seminaive_perfect_model,
-    seminaive_well_founded,
-    seminaive_well_founded_model,
-    stratify_program,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Interpretation",
-    "conservatively_extends",
-    "extends",
-    "restrict_to_symbols",
-    "GroundRule",
-    "GroundProgram",
-    "ground_over_universe",
-    "relevant_ground_program",
-    "instantiate_rule",
-    "least_model_with_blocked",
-    "WellFoundedResult",
-    "well_founded_model",
-    "tp_operator",
-    "wp_operator",
-    "greatest_unfounded_set",
-    "stable_models",
-    "is_stable_model",
-    "solve_builtin",
-    "evaluate_ground_builtin",
-    "is_arithmetic_term",
-    "evaluate_aggregate",
-    "PlanSources",
-    "RelationStore",
-    "SeminaiveResult",
-    "SeminaiveUnsupported",
-    "Stratification",
-    "StratumPlan",
-    "compile_stratum",
-    "evaluate_stratum",
-    "run_plan",
-    "seminaive_evaluate",
-    "seminaive_perfect_model",
-    "seminaive_well_founded",
-    "seminaive_well_founded_model",
-    "stratify_program",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.engine.interpretation": (
+        "Interpretation", "conservatively_extends", "extends",
+        "restrict_to_symbols",
+    ),
+    "repro.engine.grounding": (
+        "GroundRule", "GroundProgram", "ground_over_universe",
+        "relevant_ground_program", "instantiate_rule",
+    ),
+    "repro.engine.fixpoint": ("least_model_with_blocked",),
+    "repro.engine.wellfounded": (
+        "WellFoundedResult", "well_founded_model", "tp_operator",
+        "wp_operator", "greatest_unfounded_set",
+    ),
+    "repro.engine.stable": ("stable_models", "is_stable_model"),
+    "repro.engine.builtins": (
+        "solve_builtin", "evaluate_ground_builtin", "is_arithmetic_term",
+    ),
+    "repro.engine.aggregates": ("evaluate_aggregate",),
+    "repro.engine.seminaive": (
+        "PlanSources", "RelationStore", "SeminaiveResult",
+        "SeminaiveUnsupported", "Stratification", "StratumPlan",
+        "compile_stratum", "evaluate_stratum", "run_plan",
+        "seminaive_evaluate", "seminaive_perfect_model",
+        "seminaive_well_founded", "seminaive_well_founded_model",
+        "stratify_program",
+    ),
+})

@@ -2,8 +2,9 @@
 
 The fast-path evaluation subsystem: per-predicate fact relations with
 on-demand hash indexes (:mod:`repro.engine.seminaive.relation`), a rule
-compiler that orders bodies into join plans with the SIPS machinery of the
-magic-sets rewriting (:mod:`repro.engine.seminaive.plan`), a delta-driven
+compiler that orders bodies into join plans with the SIPS machinery the
+magic-sets rewriting shares (:mod:`repro.engine.seminaive.plan`,
+:mod:`repro.engine.seminaive.sips`), a delta-driven
 fixpoint per stratum (:mod:`repro.engine.seminaive.engine`) and the one
 walk over a program's strata behind every entry point
 (:mod:`repro.engine.seminaive.wellfounded`).

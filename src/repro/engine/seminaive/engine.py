@@ -97,7 +97,7 @@ from __future__ import annotations
 import contextvars as _contextvars
 
 from time import perf_counter as _perf_counter
-from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, KeysView, NamedTuple, Optional, Tuple
 
 from repro.obs.trace import current_tracer
 
@@ -665,8 +665,10 @@ class StratumPlan(NamedTuple):
     #: Indicators of the stratum's head predicates, or ``None`` when some
     #: head predicate name is non-ground (the definite higher-order case).
     head_indicators: Optional[FrozenSet]
-    #: Indicators read by bodies/aggregates, or ``None`` when unknowable.
-    reads: Optional[FrozenSet]
+    #: Indicators read by bodies/aggregates, in first-seen order (a probe
+    #: over them counts the same calls in every process; terms hash by
+    #: identity), or ``None`` when unknowable.
+    reads: Optional[KeysView]
     has_aggregates: bool
 
 
@@ -691,7 +693,7 @@ def compile_stratum(rules, recursive):
         raise SeminaiveUnsupported(str(error))
 
     head_indicators = set()
-    reads = set()
+    reads = {}
     for rule in rules:
         head = literal_indicator(rule.head)
         if head is None:
@@ -705,13 +707,13 @@ def compile_stratum(rules, recursive):
             if indicator is None:
                 reads = None
             elif reads is not None:
-                reads.add(indicator)
+                reads[indicator] = None
         for spec in rule.aggregates:
             indicator = literal_indicator(spec.condition)
             if indicator is None:
                 reads = None
             elif reads is not None:
-                reads.add(indicator)
+                reads[indicator] = None
 
     return StratumPlan(
         rules=tuple(rules),
@@ -719,7 +721,7 @@ def compile_stratum(rules, recursive):
         base_plans=base_plans,
         variant_plans=tuple(variant_plans),
         head_indicators=frozenset(head_indicators) if head_indicators is not None else None,
-        reads=frozenset(reads) if reads is not None else None,
+        reads=reads.keys() if reads is not None else None,
         has_aggregates=any(rule.aggregates for rule in rules),
     )
 

@@ -4,11 +4,11 @@ A rule body is compiled into an ordered sequence of :class:`JoinStep`\\ s:
 fetches of positive literals from the indexed relation store, negation
 checks, and builtin evaluations.  The ordering is chosen greedily with the
 same sideways-information-passing notions the magic-sets rewriting uses
-(:mod:`repro.core.magic.sips`): a builtin runs as soon as it is evaluable, a
-negation as soon as it is ground, and among the positive literals the one
-sharing the most already-bound variables is fetched next (so joins stay
-connected instead of degenerating into cross products).  The compiled plan
-is then annotated by :func:`repro.core.magic.sips.left_to_right_sips` run
+(:mod:`repro.engine.seminaive.sips`): a builtin runs as soon as it is
+evaluable, a negation as soon as it is ground, and among the positive
+literals the one sharing the most already-bound variables is fetched next
+(so joins stay connected instead of degenerating into cross products).  The
+compiled plan is then annotated by :func:`.sips.left_to_right_sips` run
 over the reordered body, which supplies the bound-variable set before each
 step; from it the planner derives, for every fetch, the argument positions
 that will be ground at runtime — exactly the positions the relation store
@@ -65,9 +65,9 @@ import weakref
 from types import FunctionType
 from typing import FrozenSet, NamedTuple, Optional, Tuple
 
-from repro.core.magic.sips import left_to_right_sips
 from repro.engine.aggregates import group_variables
 from repro.engine.builtins import solve_builtin
+from repro.engine.seminaive.sips import left_to_right_sips
 from repro.hilog.errors import GroundingError, HiLogError
 from repro.hilog.program import Literal, Rule
 from repro.hilog.subst import Substitution
@@ -155,7 +155,7 @@ def _builtin_ready(literal, bound):
 def _positive_schedulable(literal, bound):
     """A positive subgoal can be fetched unless its predicate name is an
     unbound variable with no arguments to constrain the scan (the same
-    condition :func:`repro.core.magic.sips._flounders` enforces)."""
+    condition :func:`.sips._flounders` enforces)."""
     name_vars = predicate_name(literal.atom).variables()
     if name_vars and not (name_vars <= bound or atom_arguments(literal.atom)):
         return False

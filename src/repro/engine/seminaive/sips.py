@@ -1,4 +1,5 @@
-"""Sideways information passing (SIPS) for the magic-sets rewriting.
+"""Sideways information passing (SIPS): the join planner's and the magic-sets
+rewriting's one notion of which variables are bound where.
 
 The paper's method assumes rule bodies are ordered so that evaluation can
 proceed left to right without floundering (footnote 10): a negative subgoal,
@@ -14,10 +15,10 @@ and a set of head variables bound by the call:
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, NamedTuple, Sequence, Set, Tuple
+from typing import FrozenSet, NamedTuple, Tuple
 
-from repro.hilog.program import Literal, Rule
-from repro.hilog.terms import App, Sym, Term, Var, atom_arguments, predicate_name
+from repro.hilog.program import Literal
+from repro.hilog.terms import App, Sym, Var, atom_arguments, predicate_name
 
 
 class SipsStep(NamedTuple):

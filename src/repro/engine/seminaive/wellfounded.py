@@ -249,12 +249,13 @@ class CompiledStrata:
     def binder_reads(self):
         """The indicators the binder plans read: a write that changes an
         atom of one may change what the open rules' names range over, and
-        with it which instances a walk compiles."""
-        return frozenset(
+        with it which instances a walk compiles.  In first-seen order, as
+        :attr:`~repro.engine.seminaive.engine.StratumPlan.reads`."""
+        return dict.fromkeys(
             literal_indicator(literal.atom)
             for open_rule in self.open_rules
             for literal in open_rule.plan.rule.body
-        )
+        ).keys()
 
     def specialise(self, round_index, answers):
         """The compiled strata of the instances that ``answers``, a list of

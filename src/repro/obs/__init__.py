@@ -3,10 +3,12 @@
 ``repro.obs.metrics`` and ``repro.obs.trace`` are dependency-free and
 imported eagerly (the engine's span hooks import them, so they must not
 import the engine back).  ``repro.obs.explain`` *does* import the engine —
-it replays rule instances against the store — and is loaded lazily via
-PEP 562 so ``repro.engine`` can import this package mid-initialization
-without a cycle.
+it replays rule instances against the store — and is loaded lazily
+(:mod:`repro._exports`) so ``repro.engine`` can import this package
+mid-initialization without a cycle.
 """
+
+from repro._exports import lazy_exports
 
 from repro.obs.metrics import (
     COUNT_BUCKETS,
@@ -28,8 +30,10 @@ from repro.obs.trace import (
     tracing,
 )
 
-_EXPLAIN_NAMES = ("Derivation", "ExplainError", "explain_atom",
-                  "verify_derivation")
+_EXPLAIN_NAMES, __getattr__ = lazy_exports(__name__, {
+    "repro.obs.explain": ("Derivation", "ExplainError", "explain_atom",
+                          "verify_derivation"),
+})
 
 __all__ = [
     "COUNT_BUCKETS",
@@ -47,13 +51,4 @@ __all__ = [
     "current_tracer",
     "set_global_tracer",
     "tracing",
-] + list(_EXPLAIN_NAMES)
-
-
-def __getattr__(name):
-    if name in _EXPLAIN_NAMES:
-        from repro.obs import explain as _explain
-        value = getattr(_explain, name)
-        globals()[name] = value
-        return value
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+] + _EXPLAIN_NAMES

@@ -56,8 +56,6 @@ import argparse
 import json
 import sys
 import time
-import urllib.error
-import urllib.request
 
 
 def _url(args, path):
@@ -66,7 +64,11 @@ def _url(args, path):
 
 def _request(args, path, payload=None, retries=5):
     """One JSON request; retries on 503 backpressure with the server's
-    suggested delay."""
+    suggested delay.  ``urllib`` is imported here: only the client commands
+    need it, and ``serve`` loads no HTTP client."""
+    import urllib.error
+    import urllib.request
+
     attempt = 0
     while True:
         request = urllib.request.Request(

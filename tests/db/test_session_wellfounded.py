@@ -14,9 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import modular
 from repro.core.modular import perfect_model_for_hilog
 from repro.core.semantics import hilog_well_founded_model
-from repro.db import DatabaseSession, modes
+from repro.db import DatabaseSession
 from repro.engine.seminaive import SeminaiveUnsupported, seminaive_well_founded
 from repro.hilog.errors import GroundingError
 from repro.hilog.parser import parse_program, parse_term
@@ -169,10 +170,18 @@ def _assert_is_the_well_founded_model(session, rules_text=EXAMPLE_63):
 
 
 def _figure_1_is_never_entered(monkeypatch):
+    # The recompute mode imports Figure 1 when it runs, so the guard patches
+    # the name where that import reads it.
     def refuse(*_args, **_kwargs):
         raise AssertionError("the Figure-1 fallback ran")
 
-    monkeypatch.setattr(modes, "perfect_model_for_hilog", refuse)
+    monkeypatch.setattr(modular, "perfect_model_for_hilog", refuse)
+
+
+def test_the_figure_1_guard_catches_the_fallback(monkeypatch):
+    _figure_1_is_never_entered(monkeypatch)
+    with pytest.raises(AssertionError, match="the Figure-1 fallback ran"):
+        DatabaseSession(HILOG_GAME, strategy="recompute")
 
 
 @pytest.mark.parametrize("make, winning", [

@@ -103,6 +103,19 @@ class TestStratification:
         assert len(strat.strata) == 1
         assert list(strat.recursive.values()) == [None]
 
+    def test_reads_are_in_first_seen_order(self):
+        # Indicators hash by the identity of their name term, so a set of
+        # them iterates in memory order, and a probe over ``reads`` that
+        # stops at its first hit would count different calls in each run.
+        program = parse_program("""
+            p(X) :- z(X), y(X), not x(X), z(X).
+            p(X) :- w(X), y(X), N = count(V : v(V)), N > 0.
+        """)
+        strat = stratify_program(program, by_component=True)
+        stratum = compile_stratum(strat.strata[-1], strat.recursive)
+        assert [(name.name, arity) for name, arity in stratum.reads] == [
+            ("z", 1), ("y", 1), ("x", 1), ("w", 1), ("v", 1)]
+
     def test_result_unchanged_for_one_shot_evaluation(self):
         program = parse_program(self.PROGRAM)
         result = seminaive_evaluate(program)

@@ -1,13 +1,23 @@
-"""The oracle/production line, as import statements.
+"""The oracle/production line, checked twice.
 
 The paper-literal ground constructions (``repro.normal``, the grounder, the
 ground fixpoint / well-founded / stable engines) are the reference semantics
-and the test oracle.  Production packages — sessions, serving, durability,
-observability, the linter, the semi-naive engine — never import them, at
-any nesting depth, and the runtime packages reach ``repro.core`` through
-one sanctioned crossing only."""
+and the test oracle.
+
+* **Statically**, as import statements: production packages — sessions,
+  serving, durability, observability, the linter, the semi-naive engine —
+  never import them, at any nesting depth, and the runtime packages reach
+  ``repro.core`` through one sanctioned crossing only.
+* **Dynamically**, as loaded modules: a process that imports the server,
+  opens sessions and writes to them has loaded no oracle module, nothing of
+  ``repro.core`` and no HTTP client.  Import statements alone miss what a
+  package ``__init__`` drags in."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -19,7 +29,7 @@ ORACLE = (
     "repro.engine.wellfounded", "repro.engine.stable",
 )
 PRODUCTION = ("db", "serve", "durable", "obs", "lint", "engine/seminaive")
-RUNTIME = ("db", "serve", "durable", "obs")
+RUNTIME = ("db", "serve", "durable", "obs", "engine/seminaive")
 
 #: The only ``repro.core`` imports the runtime packages may make, each with
 #: the reason it is allowed.
@@ -72,3 +82,36 @@ def test_runtime_packages_cross_into_core_exactly_once():
             if core:
                 crossings.append((file, core[0]))
     assert crossings == sorted(CORE_ALLOWED)
+
+
+#: A server process's imports and first writes: a stratified session and a
+#: win/move one, each written once.  Prints the modules then loaded.
+_SERVER_PROCESS = """
+import json, sys
+import repro.serve.cli, repro.serve.server, repro.db, repro.durable, repro.obs
+from repro.db import DatabaseSession
+
+stratified = DatabaseSession(
+    "reach(X) :- e(a, X). reach(Y) :- reach(X), e(X, Y). "
+    "unreached(X) :- node(X), not reach(X). "
+    "e(a, b). node(b). node(c).")
+stratified.insert(["e(b, c)"])
+game = DatabaseSession(
+    "win(X) :- move(X, Y), not win(Y). move(a, b). move(b, a).")
+game.insert(["move(b, c)"])
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_a_serving_process_loads_no_oracle_no_core_and_no_http_client():
+    env = dict(os.environ, PYTHONPATH=str(ROOT.parent))
+    completed = subprocess.run(
+        [sys.executable, "-c", _SERVER_PROCESS], env=env,
+        capture_output=True, text=True)
+    assert completed.returncode == 0, completed.stderr
+    loaded = json.loads(completed.stdout)
+    assert [name for name in loaded
+            if any(_under(name, oracle) for oracle in ORACLE)] == []
+    assert [name for name in loaded if _under(name, "repro.core")] == []
+    assert [name for name in loaded
+            if name in ("urllib.request", "http.client")] == []
