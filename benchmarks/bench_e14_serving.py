@@ -97,7 +97,7 @@ class _Reader(threading.Thread):
         while not self.stop.is_set():
             start = time.perf_counter()
             with self.serving.reader() as reader:
-                eid = reader.epoch.eid
+                eid = reader.eid
                 answers = frozenset(map(str, reader.query("tc(n0, X)")))
                 self.latencies.append(time.perf_counter() - start)
                 # 1. reachability invariant: every consistent snapshot keeps
@@ -141,7 +141,7 @@ def test_consistency_under_churn(benchmark):
 
     try:
         with serving.reader() as reader:  # seed the oracle with epoch 0
-            oracle[reader.epoch.eid] = frozenset(
+            oracle[reader.eid] = frozenset(
                 map(str, reader.query("tc(n0, X)")))
         serving.add_publish_hook(record)
 

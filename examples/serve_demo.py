@@ -79,7 +79,7 @@ def client():
         result = http_query("tc(n0, X)")
         queries += 1
         epochs_seen = max(epochs_seen, result["epoch"] + 1)
-        # the server answered from one pinned epoch: the count it reports
+        # the server answered from one epoch: the count it reports
         # must match the answers it actually shipped
         assert result["count"] == len(result["answers"])
     tallies.append((queries, epochs_seen))
@@ -100,7 +100,7 @@ for update in sliding_window_stream(chain, window=12):
         serving.submit(retracts=list(update.atoms))
     steps += 1
     if steps % 8 == 0:
-        serving.collect()  # intern sweep mid-churn, readers stay pinned
+        serving.collect()  # intern sweep mid-churn, epochs keep their atoms
         time.sleep(0.001)  # let clients interleave between batches
 serving.flush(30)
 time.sleep(0.05)

@@ -16,7 +16,7 @@ class ModelReads:
     text → term parsing, the groundness check, query normalisation and the
     true / undefined / false verdict.
     :class:`~repro.db.session.DatabaseSession` reads its live model through
-    it, :class:`~repro.serve.session.ReaderSession` a pinned epoch."""
+    it, :class:`~repro.serve.epochs.Epoch` its own published snapshot."""
 
     __slots__ = ()
 

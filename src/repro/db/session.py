@@ -38,7 +38,7 @@ never changes identity — an epoch manager may keep its bound
 ``snapshot``.
 
 Reads (:class:`~repro.db.reads.ModelReads`, shared with the serving
-layer's pinned readers) are answered from the store through
+layer's epochs) are answered from the store through
 :func:`repro.engine.seminaive.relation.matching_facts` — a handful of index
 probes, no evaluation at all.
 """
@@ -488,7 +488,7 @@ class DatabaseSession(ModelReads):
     def checkpoint(self, store=None, undefined=None):
         """Write a snapshot checkpoint now (atomic temp + fsync + rename);
         returns its path.  ``store``/``undefined`` override the serialized
-        source — the serving layer passes a pinned frozen epoch so
+        source — the serving layer passes its current frozen epoch so
         checkpointing never blocks concurrent readers.  Raises
         :class:`SessionError` for sessions without a data directory."""
         if self._durable is None:

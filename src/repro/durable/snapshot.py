@@ -33,8 +33,9 @@ and CRC and raise :class:`~repro.hilog.errors.CorruptSnapshot` on any
 mismatch — recovery then falls back to the next-newest snapshot.
 
 Snapshots are written from the single writer thread; in the serving path
-the source store is a pinned frozen epoch, so checkpointing never blocks
-concurrent readers (they answer from their own pinned epochs throughout).
+the source store is the current frozen epoch, so checkpointing never
+blocks concurrent readers (they answer from the epochs they hold
+throughout).
 """
 
 from __future__ import annotations

@@ -49,21 +49,6 @@ class Interpretation:
     def __setattr__(self, key, value):
         raise AttributeError("Interpretation is immutable")
 
-    def __eq__(self, other):
-        if not isinstance(other, Interpretation):
-            return NotImplemented
-        return self.true == other.true and self.false == other.false and self.base == other.base
-
-    def __hash__(self):
-        return hash((self.true, self.false, self.base))
-
-    def __repr__(self):
-        return "Interpretation(true=%d, false=%d, undefined=%d)" % (
-            len(self.true),
-            len(self.false),
-            len(self.undefined),
-        )
-
     # -- truth queries --------------------------------------------------------
     @property
     def undefined(self):

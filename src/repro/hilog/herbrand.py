@@ -75,15 +75,6 @@ class HerbrandUniverse:
 
     # -- properties -----------------------------------------------------------
     @property
-    def symbols(self):
-        """The generating symbol names, sorted."""
-        return self._symbols
-
-    @property
-    def max_depth(self):
-        return self._max_depth
-
-    @property
     def max_arity(self):
         return self._max_arity
 

@@ -382,12 +382,6 @@ class Program:
             result |= rule.symbols()
         return result - set(BUILTIN_PREDICATES)
 
-    def variables(self):
-        result = set()
-        for rule in self.rules:
-            result |= rule.variables()
-        return result
-
     def head_predicates(self):
         """The set of predicate-name terms appearing in rule heads."""
         return {rule.head_predicate() for rule in self.rules}

@@ -7,8 +7,6 @@ in the unification and grounding code without defensive copying.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional
-
 from repro.hilog.terms import App, Term, Var
 
 
@@ -52,23 +50,11 @@ class Substitution:
     def __getitem__(self, variable):
         return self._bindings[variable]
 
-    def get(self, variable, default=None):
-        return self._bindings.get(variable, default)
-
-    def __len__(self):
-        return len(self._bindings)
-
-    def __iter__(self):
-        return iter(self._bindings)
-
     def items(self):
         return self._bindings.items()
 
     def keys(self):
         return self._bindings.keys()
-
-    def values(self):
-        return self._bindings.values()
 
     def __eq__(self, other):
         if not isinstance(other, Substitution):
@@ -78,31 +64,14 @@ class Substitution:
     def __hash__(self):
         return hash(frozenset(self._bindings.items()))
 
-    def __repr__(self):
-        pairs = ", ".join("%s/%r" % (variable.name, value) for variable, value in sorted(
-            self._bindings.items(), key=lambda item: item[0].name))
-        return "{%s}" % pairs
-
     def is_empty(self):
         """Return ``True`` when the substitution binds no variables."""
         return not self._bindings
 
     # -- application --------------------------------------------------------
-    def resolve(self, variable):
-        """Follow bindings starting at ``variable`` until a non-variable term
-        or an unbound variable is reached."""
-        seen = set()
-        current = variable
-        while isinstance(current, Var) and current in self._bindings:
-            if current in seen:
-                break
-            seen.add(current)
-            current = self._bindings[current]
-        return current
-
     def _deref(self, term):
         """Follow variable bindings without allocating a seen-set; bounded by
-        the binding count so accidental cycles terminate (like ``resolve``)."""
+        the binding count so accidental cycles terminate."""
         bindings = self._bindings
         hops = len(bindings)
         while type(term) is Var:
@@ -180,10 +149,6 @@ class Substitution:
         """Return the restriction of the substitution to ``variables``."""
         keep = set(variables)
         return Substitution({v: t for v, t in self._bindings.items() if v in keep})
-
-    def as_dict(self):
-        """Return a plain ``dict`` copy of the bindings."""
-        return dict(self._bindings)
 
 
 def empty_substitution():

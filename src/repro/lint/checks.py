@@ -240,8 +240,9 @@ def check_stratification(program):
             % (_format_indicator(source), witness),
             span=(literal.span if literal is not None else None) or rule.span,
             rule=repr(rule),
-            hint="evaluate with mode=\"wellfounded\" (three-valued), or "
-                 "restructure to remove the negative cycle",
+            hint="a session answers this three-valued (the well-founded "
+                 "model) by itself; restructure to remove the negative "
+                 "cycle for a two-valued model",
         ))
     return diagnostics
 

@@ -19,7 +19,6 @@ from repro.obs.metrics import (
     NULL_METRIC,
     get_registry,
     parse_prometheus_text,
-    render_prometheus,
     set_default_registry,
     use_registry,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "NULL_METRIC",
     "get_registry",
     "parse_prometheus_text",
-    "render_prometheus",
     "set_default_registry",
     "use_registry",
     "EvaluationTracer",

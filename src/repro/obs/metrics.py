@@ -22,11 +22,11 @@ is :mod:`repro.obs.trace`).  Design constraints, in order:
   background threads (which do *not* inherit later ``ContextVar`` sets)
   share the global one.
 
-* **Standard exposition.**  ``render_prometheus()`` emits the Prometheus
-  text format (``# HELP``/``# TYPE``, ``_total`` counters, cumulative
-  ``_bucket{le="..."}`` histogram series with ``_sum``/``_count``), and
-  ``parse_prometheus_text()`` validates/parses it back — used by the
-  serving tests and the e15 scrape-format gate.
+* **Standard exposition.**  ``MetricsRegistry.render_prometheus()`` emits
+  the Prometheus text format (``# HELP``/``# TYPE``, ``_total`` counters,
+  cumulative ``_bucket{le="..."}`` histogram series with
+  ``_sum``/``_count``), and ``parse_prometheus_text()`` validates/parses
+  it back — used by the serving tests and the e15 scrape-format gate.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "get_registry",
     "use_registry",
     "set_default_registry",
-    "render_prometheus",
     "parse_prometheus_text",
 ]
 
@@ -210,10 +209,6 @@ class Histogram(_Metric):
     def count(self):
         return self._count
 
-    @property
-    def sum(self):
-        return self._sum
-
     def quantile(self, q):
         """Estimated q-quantile (0 <= q <= 1) by cumulative bucket scan with
         linear interpolation inside the containing bucket; None when empty."""
@@ -364,10 +359,6 @@ class MetricsRegistry(object):
                         exposed, _labels(base_labels), _format(metric.value)))
         return "\n".join(lines) + "\n" if lines else ""
 
-    def clear(self):
-        with self._lock:
-            self._metrics.clear()
-
 
 def _labels(pairs):
     if not pairs:
@@ -480,11 +471,6 @@ def parse_prometheus_text(text):
             if not buckets or buckets[-1][0] != float("inf"):
                 raise ValueError("histogram %s is missing its +Inf bucket" % name)
     return samples
-
-
-def render_prometheus(registry=None):
-    """Module-level convenience over the resolved registry."""
-    return (registry or get_registry()).render_prometheus()
 
 
 # -- default registry resolution ------------------------------------------

@@ -12,11 +12,12 @@ with **snapshot isolation**:
   :class:`~repro.db.session.DatabaseSession`; a single writer thread drains
   a bounded update queue, coalesces queued inserts/retracts into one
   maintenance pass per batch, and publishes each result as an immutable
-  **epoch** (:mod:`repro.serve.epochs`).  Readers pin an epoch and see that
-  model — never a half-applied batch — while the writer keeps publishing.
+  **epoch** (:mod:`repro.serve.epochs`).  A reader holds an epoch and
+  sees that model — never a half-applied batch — while the writer keeps
+  publishing.
 * :mod:`repro.serve.server` exposes the session over an asyncio HTTP front
   end (query/ask/insert/retract/stats).  Reads are answered on the event
-  loop from a pinned epoch, in the turn that parsed the request; writes
+  loop from the current epoch, in the turn that parsed the request; writes
   wait for the writer thread under a per-request deadline (``504``), and
   backpressure is explicit (bounded write queue → 503 + ``Retry-After``).
 * ``python -m repro.serve`` (:mod:`repro.serve.cli`) gives daemon
@@ -33,14 +34,13 @@ Quickstart::
     ''')
     future = serving.submit(inserts=["e(c, d)."])   # queued for the writer
     future.result()                                  # wait for the batch
-    with serving.reader() as reader:                 # pinned snapshot
+    with serving.reader() as reader:                 # one epoch
         print(reader.query("tc(a, X)"))
     serving.close()
 """
 
 from repro.serve.epochs import Epoch, EpochManager
 from repro.serve.session import (
-    ReaderSession,
     ServeError,
     ServingClosed,
     ServingSession,
@@ -50,7 +50,6 @@ from repro.serve.session import (
 __all__ = [
     "Epoch",
     "EpochManager",
-    "ReaderSession",
     "ServeError",
     "ServingClosed",
     "ServingSession",

@@ -9,35 +9,30 @@ the update batches since that snapshot — read through the
 ``(base ∪ delta.added) − delta.removed``.
 The :class:`EpochManager` is the single point of coordination between the
 writer (which publishes a new epoch after every maintained batch) and the
-readers (which pin the current epoch for the duration of a query):
+readers (which take the current epoch and read it):
 
 * **Atomic publication** — the current epoch swaps under the manager's
-  lock, so a reader acquiring "the current epoch" always gets a complete
+  lock, so a reader taking "the current epoch" always gets a complete
   model, never a half-applied batch.
-* **Pinning** — :meth:`EpochManager.acquire` increments the epoch's
-  refcount *under the same lock* that publication takes, so an epoch can
-  never retire between a reader choosing it and pinning it.
-* **Liveness** — an epoch is live while it is current or pinned by at
-  least one reader; the manager's live table is the only liveness record.
-  A base shared by several epochs stays reachable exactly as long as one
-  of them is live.
+* **An epoch is a value** — it is the reader: it answers every read of
+  :class:`~repro.db.reads.ModelReads` from its own frozen layers.  The
+  manager keeps only the current epoch and forgets it at the next
+  publication; a reader that holds an older one keeps reading that model
+  for as long as it holds it.  Nothing pins, releases or retires an
+  epoch — a base shared by several epochs lives exactly as long as
+  something holds one of them.
 * **Intern-GC safety** — an epoch's stores hold every atom it can
   answer, and term eviction (:func:`~repro.hilog.terms.collect_terms`)
   takes only terms that nothing holds — a term's reference count alone
   decides — so a reader's view stays valid for as long as the reader
-  holds the epoch object, retired or not.  (Terms compare by identity:
-  evicting an atom a reader can still fetch would silently turn its
-  lookups into misses.)
+  holds the epoch object.  (Terms compare by identity: evicting an atom a
+  reader can still fetch would silently turn its lookups into misses.)
 * **Rebase policy** — each batch is netted into a *copy* of the previous
   epoch's delta, so a reader consults exactly one delta however many
   batches separate its epoch from the base; when the delta's volume
   exceeds :data:`REBASE_RATIO` of the base (and the absolute floor
   :data:`REBASE_MIN`), the manager publishes a fresh frozen snapshot
   instead, keeping per-read overhead bounded under unbounded churn.
-
-Epochs deliberately know nothing about queries — reading an epoch is
-:func:`repro.engine.seminaive.relation.matching_facts` over ``epoch.store``,
-exactly the maintained-store query path, which both shapes serve.
 """
 
 from __future__ import annotations
@@ -45,6 +40,7 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
+from repro.db.reads import ModelReads
 from repro.engine.seminaive.relation import Delta, FactSource, RelationStore, StoreView
 from repro.obs.trace import current_tracer
 
@@ -57,20 +53,20 @@ REBASE_RATIO = 0.5
 REBASE_MIN = 256
 
 
-class Epoch:
-    """One published snapshot of the maintained model.
+class Epoch(ModelReads):
+    """One published snapshot of the maintained model, and the reader over
+    it.
 
     Immutable after construction (the serving invariant readers rely on,
     enforced by freezing: the base and both sides of the delta raise from
-    every mutator); the mutable ``refs`` counter is owned by the
-    :class:`EpochManager` and only ever touched under its lock.
+    every mutator).  Usable as a context manager, which does nothing: a
+    ``with serving.reader() as reader:`` block reads one epoch throughout.
     """
 
-    __slots__ = ("eid", "base", "delta", "store", "undefined", "version",
-                 "refs", "_live")
+    __slots__ = ("eid", "base", "delta", "store", "undefined")
 
     def __init__(self, eid, base: RelationStore, delta: Optional[Delta],
-                 undefined, version) -> None:
+                 undefined) -> None:
         #: Monotone epoch number (0 is the initial model).
         self.eid = eid
         #: The frozen full snapshot this epoch reads through.
@@ -85,30 +81,23 @@ class Epoch:
             self.store = StoreView((base, delta.added), minus=delta.removed)
         #: Undefined atoms of the model at this epoch (well-founded mode).
         self.undefined = undefined
-        #: The session version this epoch reflects.
-        self.version = version
-        #: Reader pins (managed by the EpochManager, under its lock).
-        self.refs = 0
-        self._live = True
 
-    def __len__(self):
-        return len(self.store)
-
-    def __contains__(self, atom):
-        return atom in self.store
-
-    @property
-    def live(self):
-        """Whether the epoch is still current or read-pinned."""
-        return self._live
+    def _model(self):
+        return self.store, self.undefined
 
     def is_base(self):
         """True when this epoch is a frozen full snapshot with no delta."""
         return self.delta is None
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc):
+        return False
+
 
 class EpochManager:
-    """Publishes epochs for one writer and pins them for many readers.
+    """Publishes epochs for one writer; readers take :attr:`current`.
 
     Args:
         snapshot: zero-argument callable returning a fresh
@@ -124,20 +113,15 @@ class EpochManager:
         self._lock = threading.Lock()
         self._current = None
         self._next_eid = 0
-        #: eid -> Epoch, every epoch that is current or read-pinned.
-        self._live = {}
         self._rebases = 0
-        self._published = 0
 
-    # -- publication (writer side) ------------------------------------------
-
-    def publish_base(self, undefined=frozenset(), version=0):
+    def publish_base(self, undefined=frozenset()):
         """Publish a fresh frozen full snapshot as the new current epoch
         (the initial publication, and the rebase path).  Runs ``snapshot()``
         on the calling (writer) thread; only the swap takes the lock."""
-        return self._install(self._snapshot().freeze(), None, undefined, version)
+        return self._install(self._snapshot().freeze(), None, undefined)
 
-    def publish_delta(self, added, removed, undefined=frozenset(), version=0):
+    def publish_delta(self, added, removed, undefined=frozenset()):
         """Publish the net effect of one maintained batch as the new
         current epoch: the current epoch's base under a copy of its delta
         with the batch netted in, or — once that delta outgrows the rebase
@@ -148,10 +132,9 @@ class EpochManager:
         semantics).  Construction happens outside the lock and on a copy:
         the published layers are frozen and readers of the current epoch
         never see the new batch, so only the final swap synchronizes."""
-        with self._lock:
-            current = self._current
+        current = self.current
         if current is None:
-            return self.publish_base(undefined, version)
+            return self.publish_base(undefined)
         delta = Delta() if current.delta is None else current.delta.copy()
         for atom in removed:
             delta.record_remove(atom)
@@ -163,79 +146,34 @@ class EpochManager:
             self._rebases += 1
             tracer = current_tracer()
             if tracer is not None:
-                tracer.emit("rebase", overlay=volume, base=len(base),
-                            version=version)
-            return self.publish_base(undefined, version)
-        return self._install(base, delta.freeze(), undefined, version)
+                tracer.emit("rebase", overlay=volume, base=len(base))
+            return self.publish_base(undefined)
+        return self._install(base, delta.freeze(), undefined)
 
-    def _install(self, base, delta, undefined, version):
-        """Swap ``base`` ⊕ ``delta`` in as the current epoch, retiring the
-        old current epoch's *current* pin (readers still holding it keep it
-        live)."""
+    def _install(self, base, delta, undefined):
+        """Swap ``base`` ⊕ ``delta`` in as the current epoch.  The previous
+        one is forgotten; a reader still holding it keeps reading it."""
         with self._lock:
-            epoch = Epoch(self._next_eid, base, delta, frozenset(undefined),
-                          version)
+            epoch = Epoch(self._next_eid, base, delta, frozenset(undefined))
             self._next_eid += 1
-            self._published += 1
-            self._live[epoch.eid] = epoch
-            previous, self._current = self._current, epoch
-            if previous is not None and previous.refs == 0:
-                self._retire_locked(previous)
+            self._current = epoch
         return epoch
-
-    # -- pinning (reader side) ----------------------------------------------
-
-    def acquire(self):
-        """Pin and return the current epoch.  The pin is taken under the
-        publication lock, so the returned epoch is guaranteed live until
-        the matching :meth:`release`."""
-        with self._lock:
-            epoch = self._current
-            if epoch is None:
-                raise RuntimeError("no epoch has been published yet")
-            epoch.refs += 1
-            return epoch
-
-    def release(self, epoch):
-        """Drop one reader pin; retires the epoch when it is no longer
-        current and unpinned."""
-        with self._lock:
-            if epoch.refs > 0:
-                epoch.refs -= 1
-            if epoch.refs == 0 and epoch is not self._current \
-                    and epoch._live:
-                self._retire_locked(epoch)
-
-    def _retire_locked(self, epoch):
-        """Remove the epoch from the live table (caller holds the lock).
-        Its atoms stay interned for as long as something still holds the
-        epoch's stores."""
-        epoch._live = False
-        self._live.pop(epoch.eid, None)
-
-    # -- introspection -------------------------------------------------------
 
     @property
     def current(self):
-        """The current epoch (unpinned — use :meth:`acquire` to read)."""
+        """The current epoch, or ``None`` before the first publication and
+        after :meth:`close`."""
         with self._lock:
             return self._current
 
-    def live_epochs(self):
-        """Snapshot of the live epoch table (current + reader-pinned)."""
-        with self._lock:
-            return list(self._live.values())
-
     def stats(self):
-        """Publication / pinning counters for diagnostics."""
+        """Publication counters for diagnostics."""
         with self._lock:
             current = self._current
             return {
-                "published": self._published,
+                "published": self._next_eid,
                 "rebases": self._rebases,
-                "live_epochs": len(self._live),
                 "current_eid": current.eid if current is not None else None,
-                "current_refs": current.refs if current is not None else 0,
                 "current_is_base": current.is_base() if current is not None
                 else None,
                 "current_overlay": 0 if current is None or current.is_base()
@@ -243,10 +181,7 @@ class EpochManager:
             }
 
     def close(self):
-        """Retire every epoch (the serving session is shutting down);
-        readers still pinned keep their store objects, and with them the
-        interned terms those hold."""
+        """Forget the current epoch (the serving session is shutting down);
+        readers still holding an epoch keep reading it."""
         with self._lock:
-            for epoch in list(self._live.values()):
-                self._retire_locked(epoch)
             self._current = None

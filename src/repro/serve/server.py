@@ -3,7 +3,7 @@
 A deliberately small HTTP/1.1 server on the standard library only — enough
 protocol for clients, curl and the bundled CLI, not a framework.  Reads
 (``/query``, ``/ask``, ``/value``) are answered inline on the event loop:
-pin an epoch, read, release, respond, with no ``await`` in between.
+take the current epoch, read it, respond, with no ``await`` in between.
 Epochs are frozen and a read holds the interpreter lock throughout, so a
 thread pool would buy no parallelism, only a hop to it and back.  Writes
 go through the serving session's bounded queue.  Each request on a
@@ -383,13 +383,15 @@ class ServeServer:
         return value
 
     def _in_reader(self, read):
-        """Run ``read(reader)`` on a :class:`ReaderSession` pinned for the
-        call, on the loop.  Input the reader rejects — text that does not
+        """Run ``read(reader)`` on the current epoch, on the loop.  A closed
+        session answers 503; input the reader rejects — text that does not
         parse, a non-ground ``/ask`` — answers 400; anything else is a
         fault (500)."""
         try:
-            with self._serving.reader() as reader:
-                return reader.epoch.eid, read(reader)
+            reader = self._serving.reader()
+            return reader.eid, read(reader)
+        except ServingClosed as error:
+            raise _HttpError(503, str(error))
         except (HiLogError, ValueError) as error:
             raise _HttpError(400, str(error))
 

@@ -12,11 +12,11 @@ one **writer thread**, owned by the serving session, ever touches it:
   absorbs any number of queued updates), applies it, and publishes the
   result as a new immutable epoch through the
   :class:`~repro.serve.epochs.EpochManager`;
-* readers open a :class:`ReaderSession` (:meth:`ServingSession.reader`),
-  which pins the current epoch: every query inside the block is answered
-  from that one published model, however many batches the writer applies
-  meanwhile — snapshot isolation without blocking the writer, and without
-  the writer blocking readers.
+* readers take the current epoch (:meth:`ServingSession.reader`), which
+  is itself the reader: every query on it is answered from that one
+  published model, however many batches the writer applies meanwhile —
+  snapshot isolation without blocking the writer, and without the writer
+  blocking readers.
 
 Backpressure is explicit: when the queue holds ``max_pending`` ops,
 :meth:`submit` raises :class:`WriteQueueFull` (the HTTP front end maps it
@@ -32,21 +32,21 @@ Threading contract:
   to its canonical terms, and the terms a query builds are dropped with
   it, so an intern sweep reclaims them.  :meth:`collect` is routed
   through the writer queue, so a sweep never races a batch.
-* Term eviction is safe under pinned readers: an epoch holds every atom
-  it can answer, and a held term is never evicted
+* Term eviction is safe under readers: an epoch holds every atom it can
+  answer, and a held term is never evicted
   (:func:`~repro.hilog.terms.collect_terms`).
 """
 
 from __future__ import annotations
 
 import threading
+import traceback
 import weakref
 
 from collections import deque
 from concurrent.futures import Future
 from typing import List, Tuple
 
-from repro.db.reads import ModelReads
 from repro.db.session import DatabaseSession, merge_ops
 from repro.obs.metrics import COUNT_BUCKETS, get_registry
 from repro.hilog.errors import HiLogError
@@ -101,53 +101,17 @@ class _Op:
                 pass
 
     def fail(self, error):
+        # The future keeps the error, and its traceback the writer's frames
+        # it passed through, in a cycle with this op: drop the locals of
+        # those that have returned (a failed parse's terms among them), or
+        # they stay interned until the cycle collector runs.  The traceback
+        # keeps its lines.
+        traceback.clear_frames(error.__traceback__)
         if not self.future.cancelled():
             try:
                 self.future.set_exception(error)
             except Exception:
                 pass
-
-
-class ReaderSession(ModelReads):
-    """A pinned read view over one published epoch.
-
-    Every read (:class:`~repro.db.reads.ModelReads`) answers from the
-    epoch's immutable store — concurrent writer batches are invisible until
-    a new reader is opened.  Usable as a context manager (the recommended
-    form); :meth:`close` releases the pin explicitly otherwise.  Closing is
-    idempotent; reading after close raises :class:`ServeError`.
-    """
-
-    __slots__ = ("_manager", "_epoch")
-
-    def __init__(self, manager):
-        self._manager = manager
-        self._epoch = manager.acquire()
-
-    @property
-    def epoch(self):
-        """The pinned :class:`~repro.serve.epochs.Epoch` (``None`` after
-        close)."""
-        return self._epoch
-
-    def _model(self):
-        epoch = self._epoch
-        if epoch is None:
-            raise ServeError("reader session is closed")
-        return epoch.store, epoch.undefined
-
-    def close(self):
-        """Release the epoch pin (idempotent)."""
-        epoch, self._epoch = self._epoch, None
-        if epoch is not None:
-            self._manager.release(epoch)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *_exc):
-        self.close()
-        return False
 
 
 class ServingSession:
@@ -201,9 +165,7 @@ class ServingSession:
         # The initial epoch reflects the freshly materialized model; from
         # here on every applied batch publishes a successor via the
         # session's update-listener hook.
-        self._manager.publish_base(
-            undefined=self._session.undefined, version=0,
-        )
+        self._manager.publish_base(undefined=self._session.undefined)
         self._session.add_update_listener(self._on_update)
         self._writer = threading.Thread(
             target=self._writer_loop, name="repro-serve-writer", daemon=True,
@@ -228,12 +190,6 @@ class ServingSession:
             serving = ref()
             return 1 if serving is not None and serving.writer_alive else 0
 
-        def _live_epochs():
-            serving = ref()
-            if serving is None:
-                return 0
-            return serving.epochs.stats().get("live_epochs", 0)
-
         registry.gauge(
             "repro_serve_pending_ops", "Write-queue depth",
             family="serve", callback=_pending,
@@ -242,10 +198,6 @@ class ServingSession:
             "repro_serve_writer_alive",
             "1 while the writer thread is running", family="serve",
             callback=_writer_alive,
-        )
-        registry.gauge(
-            "repro_serve_live_epochs", "Epochs pinned by live readers",
-            family="serve", callback=_live_epochs,
         )
 
     # -- write side ----------------------------------------------------------
@@ -294,7 +246,7 @@ class ServingSession:
     def checkpoint(self, timeout=None):
         """Write a durability snapshot (a control op on the writer thread,
         so it never races a maintenance batch).  The serialized model
-        comes from a **pinned frozen epoch** — the same immutable view
+        comes from the **current frozen epoch** — the same immutable view
         readers use — so checkpointing a large model never blocks
         concurrent readers.  Returns the snapshot path; raises
         :class:`~repro.db.session.SessionError` when the wrapped session
@@ -313,11 +265,6 @@ class ServingSession:
         op = _Op("explain", inserts=fact)
         self._enqueue(op)
         return op.future
-
-    def explain(self, fact, timeout=None):
-        """Blocking :meth:`submit_explain`; returns the
-        :class:`~repro.obs.explain.Derivation` tree."""
-        return self.submit_explain(fact).result(timeout)
 
     def _enqueue(self, op):
         with self._cond:
@@ -437,22 +384,19 @@ class ServingSession:
             op.resolve(result)
 
     def _checkpoint_from_epoch(self):
-        """Serialize the durability snapshot from a pinned frozen epoch —
-        the immutable view readers share — so a large checkpoint never
+        """Serialize the durability snapshot from the current frozen epoch
+        — the immutable view readers share — so a large checkpoint never
         holds up the read side."""
-        with self.reader() as reader:
-            epoch = reader.epoch
-            return self._session.checkpoint(
-                store=epoch.store, undefined=epoch.undefined)
+        epoch = self.reader()
+        return self._session.checkpoint(
+            store=epoch.store, undefined=epoch.undefined)
 
     def _on_update(self, summary):
         """Session update listener — the epoch publication hook.  Runs on
         the writer thread, before any automatic intern sweep."""
         epoch = self._manager.publish_delta(
             summary.added, summary.removed,
-            undefined=self._session.undefined,
-            version=self._counters["batches"] + 1,
-        )
+            undefined=self._session.undefined)
         for hook in tuple(self._publish_hooks):
             hook(epoch, summary)
 
@@ -465,23 +409,25 @@ class ServingSession:
     # -- read side -----------------------------------------------------------
 
     def reader(self):
-        """Open a :class:`ReaderSession` pinned to the current epoch."""
-        return ReaderSession(self._manager)
+        """The current :class:`~repro.serve.epochs.Epoch`, which answers
+        every read from its one published model.  Raises
+        :class:`ServingClosed` after :meth:`close`."""
+        epoch = self._manager.current
+        if epoch is None:
+            raise ServingClosed("serving session is closed")
+        return epoch
 
     def query(self, query):
-        """One-shot query against the current epoch (pin, query, release)."""
-        with self.reader() as reader:
-            return reader.query(query)
+        """One-shot query against the current epoch."""
+        return self.reader().query(query)
 
     def ask(self, atom):
         """One-shot truth check against the current epoch."""
-        with self.reader() as reader:
-            return reader.ask(atom)
+        return self.reader().ask(atom)
 
     def value(self, atom):
         """One-shot three-valued verdict against the current epoch."""
-        with self.reader() as reader:
-            return reader.value(atom)
+        return self.reader().value(atom)
 
     # -- introspection / lifecycle -------------------------------------------
 
@@ -527,9 +473,10 @@ class ServingSession:
 
     def close(self, timeout=None):
         """Stop accepting ops, drain the queue, stop the writer thread and
-        retire every epoch.  Idempotent.  Ops still queued when the writer
-        exits (only possible when ``timeout`` expires first) fail with
-        :class:`ServingClosed`."""
+        forget the current epoch, so a later read raises
+        :class:`ServingClosed`.  Idempotent.  Ops still queued when the
+        writer exits (only possible when ``timeout`` expires first) fail
+        with :class:`ServingClosed`."""
         with self._cond:
             if self._closing:
                 self._cond.notify_all()

@@ -165,7 +165,7 @@ def test_every_write_entry_is_the_same_write(mode, tmp_path):
         assert got == expected
         assert _state(serving.session) == model
         with serving.reader() as reader:
-            assert frozenset(reader.epoch.store) == model[0]
+            assert frozenset(reader.store) == model[0]
 
     # kill-and-open: the WAL tail replays through the same path
     durable = DatabaseSession(program, path=str(tmp_path / "data"),

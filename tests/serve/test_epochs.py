@@ -1,5 +1,5 @@
 """Unit tests for the epoch layer: frozen snapshots, base ⊕ delta epochs
-and the epoch manager's publication/pinning/rebase machinery, then the
+and the epoch manager's publication/rebase machinery, then the
 published epochs against the session they follow.  (What a base ⊕ delta
 view answers to each question of the fact-source protocol is in
 ``tests/engine/test_fact_sources.py``.)"""
@@ -85,18 +85,18 @@ class TestEpochManager:
         assert added[0] in second and added[0] not in first
         assert manager.current is second
 
-    def test_acquire_release_retires_old_epochs(self):
+    def test_a_held_epoch_keeps_its_model_after_the_next_publication(self):
         store = base_store("e(a, b)")
         manager = self.manager(store)
         first = manager.publish_base()
-        pinned = manager.acquire()
-        assert pinned is first and first.refs == 1
-        second = manager.publish_delta(atoms("e(b, c)"), [])
-        assert first.live  # still pinned by the reader
-        manager.release(first)
-        assert not first.live  # retired: unpinned and not current
-        assert second.live
-        assert [epoch.eid for epoch in manager.live_epochs()] == [second.eid]
+        held = manager.current
+        assert held is first
+        (added,) = atoms("e(b, c)")
+        second = manager.publish_delta([added], [])
+        assert manager.current is second
+        assert added not in held and len(held) == 1
+        assert held.query("e(X, Y)") == tuple(atoms("e(a, b)"))
+        assert added in second and len(second) == 2
 
     def test_delta_is_read_over_the_untouched_base(self):
         store = base_store("e(a, b)", "e(b, c)")
@@ -186,19 +186,14 @@ class TestEpochManager:
         assert any(epoch.is_base() for epoch in epochs)
         assert len(epochs[-1]) == 6  # rebasing never changes the contents
 
-    def test_acquire_without_publication_raises(self):
-        manager = self.manager(base_store())
-        with pytest.raises(RuntimeError):
-            manager.acquire()
-
-    def test_close_retires_everything(self):
+    def test_no_current_epoch_before_publication_or_after_close(self):
         store = base_store("e(a, b)")
         manager = self.manager(store)
+        assert manager.current is None
         epoch = manager.publish_base()
         manager.close()
-        assert not epoch.live
         assert manager.current is None
-        assert manager.live_epochs() == []
+        assert epoch.ask("e(a, b)") and len(epoch) == 1  # a held epoch reads
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +256,7 @@ def test_epochs_follow_the_session_across_rebases(name, data):
         summary.added, summary.removed, undefined=session.undefined))
     try:
         for inserts, retracts in batches:
-            pinned = manager.acquire()
+            pinned = manager.current
             before = _state(pinned.store, pinned.undefined, patterns)
             assert before == _state(session.store, session.undefined, patterns)
 
@@ -278,7 +273,6 @@ def test_epochs_follow_the_session_across_rebases(name, data):
             assert _state(current.store, current.undefined, patterns) == after
             assert _state(pinned.store, pinned.undefined, patterns) == before
             assert _state(session.store, session.undefined, patterns) == after
-            manager.release(pinned)
         assert manager.stats()["rebases"] >= 1
         assert session.check()
     finally:

@@ -14,7 +14,7 @@ import urllib.parse
 import pytest
 
 from repro.obs.metrics import parse_prometheus_text
-from repro.serve import ServingSession
+from repro.serve import ServingClosed, ServingSession
 from repro.serve.server import ServeServer, serve
 
 TC_PROGRAM = """
@@ -247,7 +247,7 @@ class TestEndpoints:
         def broken(_self, _query):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr("repro.serve.session.ReaderSession.query", broken)
+        monkeypatch.setattr("repro.serve.epochs.Epoch.query", broken)
         status, body, _headers = server.post("/query", {"query": "tc(a, X)"})
         assert status == 500 and "RuntimeError" in body["error"]
 
@@ -610,3 +610,29 @@ class TestHealthzLiveness:
         finally:
             running.stop()
             serving.close()
+
+    @pytest.mark.parametrize("path, field, text", [
+        ("/query", "query", "tc(a, X)"),
+        ("/ask", "atom", "tc(a, b)"),
+        ("/value", "atom", "tc(a, b)"),
+    ])
+    def test_reads_answer_503_when_session_closed(self, path, field, text):
+        # Regression: a closed session's reads answered 500 where its
+        # writes answered 503.
+        serving = ServingSession(TC_PROGRAM)
+        running = RunningServer(serving)
+        try:
+            status, _body, _headers = running.post(path, {field: text})
+            assert status == 200
+            serving.close()
+            status, body, _headers = running.post(path, {field: text})
+            assert status == 503 and "closed" in body["error"]
+        finally:
+            running.stop()
+            serving.close()
+
+    def test_a_closed_session_refuses_reads(self):
+        serving = ServingSession(TC_PROGRAM)
+        serving.close()
+        with pytest.raises(ServingClosed):
+            serving.query("tc(a, X)")

@@ -1,6 +1,7 @@
 """Serving-session tests: writer batching, snapshot isolation under
 concurrent reader threads, intern-GC safety for pinned epochs."""
 
+import gc
 import threading
 import time
 
@@ -11,12 +12,11 @@ from hypothesis import strategies as st
 
 from repro.db import DatabaseSession
 from repro.durable.snapshot import load_snapshot
-from repro.hilog.errors import GroundingError
+from repro.hilog.errors import GroundingError, ParseError
 from repro.hilog.parser import parse_term
 from repro.hilog.terms import App, Sym, intern_table_sizes
 from repro.serve import epochs as epochs_module
 from repro.serve import (
-    ServeError,
     ServingClosed,
     ServingSession,
     WriteQueueFull,
@@ -79,24 +79,16 @@ class TestBasics:
     def test_reader_pins_one_epoch(self):
         with ServingSession(TC_RULES + "e(a, b).") as serving:
             with serving.reader() as reader:
-                eid = reader.epoch.eid
+                eid = reader.eid
                 before = answers(reader, "tc(a, X)")
                 serving.insert("e(b, c).", timeout=5)
                 serving.insert("e(c, d).", timeout=5)
                 # the pinned reader still answers from its epoch...
                 assert answers(reader, "tc(a, X)") == before
-                assert reader.epoch.eid == eid
+                assert reader.eid == eid
             # ...while a fresh reader sees the new model
             assert answers(serving, "tc(a, X)") == {
                 "tc(a, b)", "tc(a, c)", "tc(a, d)"}
-
-    def test_reader_use_after_close_raises(self):
-        with ServingSession("p(a).") as serving:
-            reader = serving.reader()
-            reader.close()
-            reader.close()  # idempotent
-            with pytest.raises(ServeError):
-                reader.query("p(X)")
 
     def test_coalescing_merges_queued_ops(self):
         with ServingSession(TC_RULES + "e(a, b).") as serving:
@@ -203,7 +195,7 @@ class TestCheckpoint:
         serving = ServingSession(TC_RULES + "e(a, b).", path=path, fsync="always")
         try:
             pinned = serving.reader()
-            pinned_eid = pinned.epoch.eid
+            pinned_eid = pinned.eid
             pinned_answers = answers(pinned, "tc(X, Y)")
             serving.insert("e(b, c).", timeout=5)
             serving.insert("e(c, d).", timeout=5)
@@ -214,10 +206,9 @@ class TestCheckpoint:
             assert set(state.store) == set(session.store)
             assert state.edb == set(session.edb())
             assert not len(state.undefined)
-            assert pinned.epoch.eid == pinned_eid
+            assert pinned.eid == pinned_eid
             assert answers(pinned, "tc(X, Y)") == pinned_answers
             assert pinned_answers == {"tc(a, b)"}
-            pinned.close()
             expected = set(map(str, session.true))
             session._durable.abandon()  # a kill: no final checkpoint
         finally:
@@ -251,7 +242,7 @@ class TestInternSafety:
                 # identity preserved: a structural rebuild is the same object
                 rebuilt = App(Sym("e"), (Sym("x0"), Sym("y0")))
                 assert rebuilt is held[0]
-                assert held[0] in reader.epoch.store
+                assert held[0] in reader.store
                 assert answers(reader, "tc(x0, X)") == {
                     "tc(x0, y0)", "tc(x0, z0)"}
             # With the reader released and the atoms dropped they are
@@ -273,6 +264,23 @@ class TestInternSafety:
                     assert not reader.ask("tc(p%d, q%d)" % (index, index))
             serving.collect().result(5)
             assert intern_table_sizes() == before
+
+    def test_failed_ops_leave_nothing_interned_after_collect(self):
+        # Regression: a failed op's error kept the frames of its parse, and
+        # with them the terms it built, until the cycle collector ran.
+        with ServingSession(TC_RULES) as serving:
+            serving.collect().result(5)
+            before = intern_table_sizes()
+            gc.disable()
+            try:
+                with pytest.raises(ParseError):
+                    serving.submit_explain("tc(f0, f1) :- nope").result(5)
+                with pytest.raises(ParseError):
+                    serving.insert("e(f0, f1) e(f1, f2).", timeout=5)
+                serving.collect().result(5)
+                assert intern_table_sizes() == before
+            finally:
+                gc.enable()
 
     def test_answers_held_after_the_reader_closes_stay_canonical(self):
         # Holding an answer is what keeps it: once the reader is released
@@ -315,7 +323,7 @@ class _ReaderWorker(threading.Thread):
     def run(self):
         while not self.stop.is_set():
             with self.serving.reader() as reader:
-                eid = reader.epoch.eid
+                eid = reader.eid
                 first = answers(reader, self.query)
                 expected = self.oracle.get(eid)
                 if expected is not None and first != expected:
@@ -326,8 +334,8 @@ class _ReaderWorker(threading.Thread):
                 second = answers(reader, self.query)
                 if second != first:
                     self.violations.append(("torn", eid, first, second))
-                if reader.epoch.eid != eid:
-                    self.violations.append(("moved", eid, reader.epoch.eid))
+                if reader.eid != eid:
+                    self.violations.append(("moved", eid, reader.eid))
             self.checked += 1
 
 
@@ -362,7 +370,7 @@ class TestSnapshotIsolationProperty:
 
             # seed the oracle with the initial epoch
             with serving.reader() as reader:
-                oracle[reader.epoch.eid] = answers(reader, query)
+                oracle[reader.eid] = answers(reader, query)
             serving.add_publish_hook(record)
 
             stop = threading.Event()
