@@ -9,9 +9,11 @@ repository root, preceded by a few lines that say what it breaks and, on a
 mutant the runner copies ``src/`` and ``tests/`` into a temporary directory
 — the tree itself is never patched — runs the test there (it must pass),
 applies the patch with ``patch -p1`` and runs the test again (it must now
-fail).  It prints one line per mutant and exits 1 unless every mutant is
-killed.  A patch that no longer applies is a failure too: refresh it
-against the code it mutates.
+fail).  Each run gets :data:`TIMEOUT` seconds: a mutated run that takes
+longer is killed (a mutant may make the code loop forever), an unmutated
+one is a failure.  It prints one line per mutant and exits 1 unless every
+mutant is killed.  A patch that no longer applies is a failure too:
+refresh it against the code it mutates.
 """
 
 from __future__ import annotations
@@ -28,19 +30,29 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent.parent
 _KILLED_BY = re.compile(r"^Killed-by: (\S+)$", re.MULTILINE)
 
+#: Seconds one pytest run of a mutant's test may take.
+TIMEOUT = 60
+
 
 def _passes(copy, test):
-    """Whether ``test`` passes in ``copy``; ``None`` when pytest did not run
-    it to a verdict (no such test, a collection error)."""
-    completed = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
-        cwd=copy, env=dict(os.environ, PYTHONPATH=str(copy / "src")),
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    """Whether ``test`` passes in ``copy``: ``True``, ``False``,
+    ``"timeout"`` when the run outlasted :data:`TIMEOUT`, or ``None`` when
+    pytest did not run it to a verdict (no such test, a collection error)."""
+    try:
+        completed = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             test],
+            cwd=copy, env=dict(os.environ, PYTHONPATH=str(copy / "src")),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return "timeout"
     return {0: True, 1: False}.get(completed.returncode)
 
 
 def run_mutant(patch):
-    """``(verdict, test)``: ``"killed"`` or what went wrong instead."""
+    """``(verdict, test)``: ``"killed"``, ``"killed (timed out)"`` or what
+    went wrong instead."""
     found = _KILLED_BY.search(patch.read_text())
     if found is None:
         return "names no Killed-by test", None
@@ -51,7 +63,10 @@ def run_mutant(patch):
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", copy)
-        if not _passes(copy, test):
+        unmutated = _passes(copy, test)
+        if unmutated == "timeout":
+            return "its test timed out unmutated", test
+        if not unmutated:
             return "its test does not pass unmutated", test
         applied = subprocess.run(
             ["patch", "-p1", "--batch", "--silent", "-d", str(copy),
@@ -62,6 +77,8 @@ def run_mutant(patch):
         verdict = _passes(copy, test)
     if verdict is None:
         return "its test did not run", test
+    if verdict == "timeout":
+        return "killed (timed out)", test
     return ("SURVIVED" if verdict else "killed"), test
 
 
@@ -72,7 +89,7 @@ def main(argv=None):
     failed = 0
     for patch in patches:
         verdict, test = run_mutant(patch)
-        failed += verdict != "killed"
+        failed += not verdict.startswith("killed")
         print("%-28s %s (%s)" % (patch.stem, verdict, test))
     return 1 if failed else 0
 
