@@ -28,18 +28,19 @@ recomputing it:
   only the stratum's atoms a changed atom can reach are re-alternated, from
   below, and their old and new values become the next strata's delta.
 
-* :func:`recompute_stratum` — stratum-local recomputation, the fallback for
-  aggregate strata (whose group extensions may change non-monotonically in
-  ways DRed does not track) and for any stratum whose incremental step
-  fails its integrity checks.
+* :func:`recompute_stratum` — stratum-local recomputation, for aggregate
+  strata (whose group extensions may change non-monotonically in ways DRed
+  does not track), whose heads are ground.
 
 Each leaves the shared :class:`~repro.engine.seminaive.relation.RelationStore`
 consistent and extends the running :class:`Delta` with the stratum's own net
 changes, so the next stratum up sees exactly the facts that flipped.  Each
 takes the update's :class:`~repro.engine.seminaive.engine.Limits`, which
-the engine's loops check once per round on the heads that proved new: the
-session answers a refusal by recomputing the stratum over the store as the
-step left it, or the whole model when the stratum is three-valued.
+the engine's loops check once per round on the heads that proved new.  A
+stratum's extension is fixed by the strata below it, so every route to it
+meets the same caps: the session answers a refusal by evaluating the
+whole model from scratch (its disaster path), never by a second route to
+the same stratum.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from repro.engine.seminaive.relation import (
     StoreView,
 )
 from repro.engine.seminaive.wellfounded import cone_step
-from repro.hilog.errors import GroundingError
 
 
 def old_state(store: FactSource, delta: Delta) -> FactSource:
@@ -147,18 +147,13 @@ def alternating_update(plans, store, undefined, delta, undefined_delta, edb,
 
 
 # ---------------------------------------------------------------------------
-# Stratum-local recomputation (aggregates, integrity fallback)
+# Stratum-local recomputation (aggregates)
 # ---------------------------------------------------------------------------
 
 def recompute_stratum(plans, store, delta, edb, limits):
     """Throw the stratum's extension away and recompute it from the current
-    lower strata — correct for every two-valued stratum shape, used for
-    aggregate strata and as the fallback when an incremental step fails."""
-    if plans.head_indicators is None:
-        raise GroundingError(
-            "cannot locally recompute a stratum with non-ground head "
-            "predicate names"
-        )
+    lower strata — correct for every two-valued stratum shape whose head
+    indicators are ground; a session takes it for aggregate strata."""
     # Insertion-ordered dicts, not sets, and the indicators in rule order:
     # the order reaches the delta.
     indicators = dict.fromkeys(rule.head.indicator for rule in plans.stratum.rules)

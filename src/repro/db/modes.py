@@ -25,8 +25,8 @@ mode is nothing more than an :data:`Evaluator`, and there are two of them.
   walked: a stratum that alternates, or reads an atom undefined before or
   after a write, is maintained by the cone step, the others by
   **delete-rederive** (DRed; Gupta–Mumick–Subrahmanian, SIGMOD'93), and
-  aggregate strata by stratum-local recomputation, which is also the
-  fallback whenever an incremental step trips an integrity check.
+  aggregate strata by stratum-local recomputation; a step that trips a
+  cap or an integrity check sends the write to a whole-model rebuild.
   Name-open rules are specialised inside the walk, by a binder join over
   the settled strata, and the compiled object memoises the
   specialisation; a write that reaches a binder plan's reads

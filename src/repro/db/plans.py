@@ -7,11 +7,11 @@ not define (its own are the stratum plan's recursive variants), flipped
 negation variants for every negative site, one ``from_head`` plan per rule
 — plus the strategy :mod:`repro.db.maintenance` maintains it by:
 ``alternating`` (the cone step, :func:`~repro.db.maintenance.alternating_update`)
-for a stratum with a cycle through negation, ``dred`` (the engine's
+for a stratum with a cycle through negation, ``recompute`` (stratum-local
+recomputation) for an aggregate stratum, ``dred`` (the engine's
 delete-rederive step, shared with the alternating fixpoint) for every other
-stratum whose bundle compiles, ``recompute`` for aggregate strata and strata
-whose variants cannot be compiled.  A ``dred`` stratum that reads an atom
-undefined before or after a write takes the cone step for that write.
+stratum.  A ``dred`` stratum that reads an atom undefined before or after a
+write takes the cone step for that write.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 from repro.engine.seminaive.engine import (
     DeltaPlans,
-    SeminaiveUnsupported,
     StratumPlan,
     compile_delta_plans,
 )
@@ -54,44 +53,29 @@ def maintenance_plans(stratum, alternating=None):
     """The maintenance bundle of ``stratum``, a compiled
     :class:`~repro.engine.seminaive.engine.StratumPlan`; ``alternating`` is
     the :class:`~repro.engine.seminaive.engine.DeltaPlans` the walk
-    alternates the stratum with, when it does.
-
-    A failure to compile the incremental plans demotes the stratum to the
-    ``recompute`` strategy when its head indicators are ground — otherwise
-    there is no local recomputation boundary and
-    :class:`~repro.engine.seminaive.engine.SeminaiveUnsupported` propagates.
-    """
+    alternates the stratum with, when it does.  The delta plans of every
+    stratum a walk visits compile (``tests/db/test_plans_compile.py``
+    holds the premise as a property)."""
     if alternating is not None:
         return MaintenancePlans(alternating, ALTERNATING)
-    unmaintained = MaintenancePlans(DeltaPlans(stratum, (), (), ()), RECOMPUTE)
     if stratum.has_aggregates:
-        return unmaintained
-    try:
-        bundle = compile_delta_plans(stratum)
-    except SeminaiveUnsupported:
-        if stratum.head_indicators is None:
-            raise
-        return unmaintained
-    return MaintenancePlans(bundle, DRED)
+        return MaintenancePlans(DeltaPlans(stratum, (), (), ()), RECOMPUTE)
+    return MaintenancePlans(compile_delta_plans(stratum), DRED)
 
 
 def walk_plans(walk, cache):
     """One :class:`MaintenancePlans` per stratum of ``walk`` — the
     ``(stratum, alternating delta plans or None, head names)`` entries an
-    evaluation walked — or ``None`` when one of them has no local
-    maintenance boundary.  ``cache`` maps ``id(stratum)`` to the bundles of
+    evaluation walked.  ``cache`` maps ``id(stratum)`` to the bundles of
     the previous walk and is replaced by this walk's, so a stratum walked
     again, memoised instances of name-open rules included, compiles
     nothing."""
-    try:
-        plans = []
-        for stratum, alternating, _names in walk:
-            cached = cache.get(id(stratum))
-            if cached is None or cached.stratum is not stratum:
-                cached = maintenance_plans(stratum, alternating)
-            plans.append(cached)
-    except SeminaiveUnsupported:
-        plans = None
+    plans = []
+    for stratum, alternating, _names in walk:
+        cached = cache.get(id(stratum))
+        if cached is None or cached.stratum is not stratum:
+            cached = maintenance_plans(stratum, alternating)
+        plans.append(cached)
     cache.clear()
-    cache.update((id(bundle.stratum), bundle) for bundle in plans or ())
+    cache.update((id(bundle.stratum), bundle) for bundle in plans)
     return plans

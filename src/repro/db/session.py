@@ -227,6 +227,16 @@ _MODE_LABELS = {
 }
 
 
+def _refuse_closed(durable):
+    """Raise :class:`SessionError` when the durable side ``durable`` is
+    closed — by :meth:`DatabaseSession.close` or by a failed commit."""
+    if durable.closed:
+        raise SessionError(
+            "durable session is closed; reopen with "
+            "DatabaseSession.open(%r)" % durable.directory
+        )
+
+
 class DatabaseSession(ModelReads):
     """A long-lived deductive database over one HiLog program.
 
@@ -349,7 +359,6 @@ class DatabaseSession(ModelReads):
             "dred_updates": 0,
             "alternating_updates": 0,
             "recompute_updates": 0,
-            "stratum_fallbacks": 0,
             "rebuilds": 0,
             "recompute_mode_updates": 0,
             "wellfounded_updates": 0,
@@ -453,7 +462,8 @@ class DatabaseSession(ModelReads):
         """Wire the durability manager in: persist the program text (fresh
         directories), open the WAL — truncating any torn tail — replay the
         committed tail past the snapshot, and leave the directory covered
-        by a checkpoint."""
+        by a checkpoint.  The session logs its writes only once the replay
+        is done: the tail is in the WAL already."""
         from repro.durable.recovery import replay
 
         fresh = not manager.initialized()
@@ -464,7 +474,6 @@ class DatabaseSession(ModelReads):
                 with_facts(self._rules, self._edb))
         if fresh:
             manager.write_program(self._program_text)
-        self._durable = manager
         wal = manager.open_wal()
         if not fresh:
             since = state.txn if state is not None else 0
@@ -472,15 +481,12 @@ class DatabaseSession(ModelReads):
                 state.txn if state is not None else None
             )
             batches = [b for b in wal.committed if b.txn > since]
-            manager.suspended = True
-            try:
-                txns, facts = replay(self, batches)
-            finally:
-                manager.suspended = False
+            txns, facts = replay(self, batches)
             manager.recovery["replayed_txns"] = txns
             manager.recovery["replayed_facts"] = facts
             manager.records_since_checkpoint = txns
         wal.committed = []
+        self._durable = manager
         if fresh or manager.should_checkpoint():
             # A fresh directory gets an immediate checkpoint so recovery
             # never needs a from-scratch rematerialization; a recovered one
@@ -488,21 +494,21 @@ class DatabaseSession(ModelReads):
             # the checkpoint interval.
             self.checkpoint()
 
-    def checkpoint(self, store=None, undefined=None):
-        """Write a snapshot checkpoint now (atomic temp + fsync + rename);
-        returns its path.  ``store``/``undefined`` override the serialized
-        source — the serving layer passes its current frozen epoch so
-        checkpointing never blocks concurrent readers.  Raises
-        :class:`SessionError` for sessions without a data directory."""
-        if self._durable is None:
+    def checkpoint(self):
+        """Write a snapshot checkpoint of the session's store now (atomic
+        temp + fsync + rename); returns its path.  Raises
+        :class:`SessionError` for sessions without a data directory and
+        for a closed one."""
+        durable = self._durable
+        if durable is None:
             raise SessionError(
                 "session has no data directory (construct with path=... or "
                 "DatabaseSession.open)"
             )
-        return self._durable.checkpoint(
+        _refuse_closed(durable)
+        return durable.checkpoint(
             rules_text=self._program_text, mode=self._mode, edb=self._edb,
-            store=self._store if store is None else store,
-            undefined=self._undefined if undefined is None else undefined,
+            store=self._store, undefined=self._undefined,
         )
 
     def close(self, checkpoint=True):
@@ -703,12 +709,8 @@ class DatabaseSession(ModelReads):
         durable = self._durable
         txn = None
         if durable is not None:
-            if durable.closed:
-                raise SessionError(
-                    "durable session is closed; reopen with "
-                    "DatabaseSession.open(%r)" % durable.directory
-                )
-            if durable.active and (inserts or retracts):
+            _refuse_closed(durable)
+            if inserts or retracts:
                 txn = durable.log_begin(inserts, retracts)
         try:
             result = self._apply_inner(inserts, retracts)
@@ -721,7 +723,14 @@ class DatabaseSession(ModelReads):
             ).inc()
             raise
         if txn is not None:
-            durable.log_commit(txn)
+            try:
+                durable.log_commit(txn)
+            except BaseException:
+                # The batch is applied in memory but may not be in the log:
+                # stop here, so no later write or checkpoint builds on a
+                # state recovery may not reach.
+                durable.abandon()
+                raise
             if durable.should_checkpoint():
                 self.checkpoint()
         duration = _perf_counter() - started
@@ -853,30 +862,22 @@ class DatabaseSession(ModelReads):
                     "possibly-undefined atoms"
                 )
             strategy = ALTERNATING
-        try:
-            if strategy == ALTERNATING:
-                self._cone += alternating_update(
-                    plans.bundle, self._store, self._undefined, delta,
-                    undefined_delta, self._edb, edb_added + edb_removed,
-                    self._limits,
-                )
-                self._stats["alternating_updates"] += 1
-            elif strategy == DRED:
-                dred_update(
-                    plans.bundle, self._store, delta, self._edb, edb_added,
-                    edb_removed, self._limits,
-                )
-                self._stats["dred_updates"] += 1
-            else:
-                recompute_stratum(plans, self._store, delta, self._edb, self._limits)
-                self._stats["recompute_updates"] += 1
-        except HiLogError:
-            if strategy != DRED or plans.head_indicators is None:
-                raise
-            # A delta invalidated the settled stratum in a way the
-            # incremental step could not absorb: recompute just this stratum.
-            self._stats["stratum_fallbacks"] += 1
+        if strategy == ALTERNATING:
+            self._cone += alternating_update(
+                plans.bundle, self._store, self._undefined, delta,
+                undefined_delta, self._edb, edb_added + edb_removed,
+                self._limits,
+            )
+            self._stats["alternating_updates"] += 1
+        elif strategy == DRED:
+            dred_update(
+                plans.bundle, self._store, delta, self._edb, edb_added,
+                edb_removed, self._limits,
+            )
+            self._stats["dred_updates"] += 1
+        else:
             recompute_stratum(plans, self._store, delta, self._edb, self._limits)
+            self._stats["recompute_updates"] += 1
 
     def _recompute(self, ins, rem, dirty=False):
         """The one from-scratch update: evaluate the model over the EDB

@@ -178,7 +178,13 @@ def is_initialized(directory):
 
 
 class DurabilityManager:
-    """WAL + snapshots + lockfile for one session's data directory."""
+    """WAL + snapshots + lockfile for one session's data directory.
+
+    It has two states, open and :attr:`closed`.  A session attaches it once
+    recovery has replayed the WAL tail, and logs every non-empty batch to
+    it from then on; :meth:`close` (a clean shutdown) and :meth:`abandon`
+    (a crash, or a commit that failed) close it, and the session then
+    refuses writes and checkpoints until the directory is reopened."""
 
     def __init__(self, directory, fsync="batch", checkpoint_every=None):
         if checkpoint_every is not None and checkpoint_every <= 0:
@@ -189,9 +195,6 @@ class DurabilityManager:
         self.fsync_policy = fsync
         self.checkpoint_every = checkpoint_every
         self.wal = None
-        #: True while recovery replays the WAL tail — the session's
-        #: ``_apply`` must not re-log replayed batches.
-        self.suspended = False
         self.records_since_checkpoint = 0
         #: Recovery provenance, surfaced through ``session.stats()``.
         self.recovery = {
@@ -250,12 +253,6 @@ class DurabilityManager:
             ).inc(self.wal.truncated_bytes)
         return self.wal
 
-    @property
-    def active(self):
-        """Whether update batches should be logged right now."""
-        return self.wal is not None and not self.wal.closed \
-            and not self.suspended
-
     def log_begin(self, inserts, retracts):
         """Log a batch's ``begin`` + op frames (atoms rendered in concrete
         syntax); returns the WAL transaction id."""
@@ -282,15 +279,14 @@ class DurabilityManager:
     def checkpoint(self, *, rules_text, mode, edb, store, undefined):
         """Write a snapshot current through the WAL's last transaction,
         prune old snapshots, and fsync the WAL (a checkpoint is a
-        durability barrier whatever the fsync policy)."""
-        txn = self.wal.last_txn if self.wal is not None else 0
+        durability barrier whatever the fsync policy).  The WAL is open:
+        a session checkpoints only an open durable side."""
         path = snapshot_io.write_snapshot(
-            self.directory, rules_text=rules_text, mode=mode, txn=txn,
-            edb=edb, store=store, undefined=undefined,
+            self.directory, rules_text=rules_text, mode=mode,
+            txn=self.wal.last_txn, edb=edb, store=store, undefined=undefined,
         )
         snapshot_io.prune_snapshots(self.directory, keep=KEEP_SNAPSHOTS)
-        if self.wal is not None and not self.wal.closed:
-            self.wal.sync()
+        self.wal.sync()
         self.records_since_checkpoint = 0
         return path
 
@@ -320,9 +316,10 @@ class DurabilityManager:
         self.lock.release()
 
     def abandon(self):
-        """Simulate a process kill: drop the descriptors without syncing
-        and release the lock the way process death would.  The test hook
-        behind the kill-and-recover suite."""
+        """Close without syncing and release the lock, the way process
+        death would: the kill-and-recover suite's crash, and the session's
+        answer to a commit that failed (an fsync error, say), after which
+        nothing more is written here."""
         if self.closed:
             return
         self.closed = True

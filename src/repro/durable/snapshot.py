@@ -32,10 +32,9 @@ that validates.  Readers (:func:`load_snapshot`) verify magic, length
 and CRC and raise :class:`~repro.hilog.errors.CorruptSnapshot` on any
 mismatch — recovery then falls back to the next-newest snapshot.
 
-Snapshots are written from the single writer thread; in the serving path
-the source store is the current frozen epoch, so checkpointing never
-blocks concurrent readers (they answer from the epochs they hold
-throughout).
+Snapshots are written from the session's own store, on the single
+writer thread, between batches; serving readers answer from the epochs
+they hold throughout, never from that store.
 """
 
 from __future__ import annotations
@@ -155,28 +154,16 @@ def _term_id(term, index, pool):
     return index[term]
 
 
-def _relation_groups(store):
-    """``indicator -> [atoms]`` for any store shape: the fast path reads a
-    :class:`RelationStore`'s own relations; epoch views (and any other
-    iterable store) group through ``atom.indicator``."""
-    if isinstance(store, RelationStore):
-        return {relation.indicator: list(relation.facts)
-                for relation in store.relations()}
-    groups = {}
-    for atom in store:
-        groups.setdefault(atom.indicator, []).append(atom)
-    return groups
-
-
 def encode_snapshot(*, rules_text, mode, txn, edb, store, undefined):
-    """The marshal-ready body dict for one checkpoint."""
+    """The marshal-ready body dict for one checkpoint; ``store`` is a
+    :class:`RelationStore`, encoded relation by relation."""
     index = {}
     pool = []
     rels = []
-    for indicator, atoms in _relation_groups(store).items():
-        name_id = _term_id(indicator[0], index, pool)
-        rels.append((name_id, indicator[1],
-                     [_term_id(atom, index, pool) for atom in atoms]))
+    for relation in store.relations():
+        name, arity = relation.indicator
+        rels.append((_term_id(name, index, pool), arity,
+                     [_term_id(atom, index, pool) for atom in relation.facts]))
     body = {
         "format": _FORMAT,
         "txn": txn,
@@ -185,9 +172,9 @@ def encode_snapshot(*, rules_text, mode, txn, edb, store, undefined):
         "pool": pool,
         "rels": rels,
         "edb": [_term_id(atom, index, pool) for atom in edb],
-        # A published epoch holds its undefined atoms as a frozenset, whose
-        # order changes from one process to the next (terms hash by
-        # identity): sorted, they encode to the same bytes.
+        # The undefined atoms, sorted: a caller may hold them as a set,
+        # whose order changes from one process to the next (terms hash by
+        # identity), and sorted they encode to the same bytes.
         "undef": [_term_id(atom, index, pool)
                   for atom in sorted(undefined, key=repr)],
     }
@@ -196,7 +183,8 @@ def encode_snapshot(*, rules_text, mode, txn, edb, store, undefined):
 
 def write_snapshot(directory, *, rules_text, mode, txn, edb, store,
                    undefined):
-    """Atomically write one checkpoint; returns its path.
+    """Atomically write one checkpoint of the :class:`RelationStore`
+    ``store``; returns its path.
 
     Crash points: ``snapshot.mid_write`` (tmp file half-written, never
     renamed — recovery ignores it), ``snapshot.pre_rename`` (tmp complete

@@ -86,8 +86,9 @@ def evaluate_aggregate(spec, subst, atoms, group_vars=None):
             raise EvaluationError(
                 "aggregate grouping variables not ground after matching %r" % (atom,)
             )
-        value_term = combined.apply(spec.value)
-        value = _as_number(value_term)
+        value = combined.apply(spec.value)
+        if spec.op != "count":  # count counts matches, of any value
+            value = _as_number(value)
         groups.setdefault(key, []).append(value)
 
     fold = _FOLDS[spec.op]

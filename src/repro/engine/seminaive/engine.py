@@ -626,11 +626,11 @@ class Limits:
         and a model of exactly ``max_facts`` facts is accepted; the depth
         cap reads each head, and only when it is set.  At a refusal the
         round's heads are therefore in the store: the one-shot evaluators
-        drop theirs; the session recomputes the stratum over the store as
-        the step left it, and only when that is refused too re-evaluates
-        the state before the update.  A round that added nothing meets no
-        cap: the store may hold more than the model it settles to (the
-        alternation's overestimate does), and only growth is refused."""
+        drop theirs; the session re-evaluates the state before the update
+        into its store.  A round that added nothing meets no cap: the store
+        may hold more than the model it settles to (the alternation's
+        overestimate does), and only growth is refused — so a walk checks
+        its facts once, as the heads of the round that seeds the store."""
         if not heads:
             return
         depth = self.max_term_depth

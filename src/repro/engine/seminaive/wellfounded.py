@@ -739,6 +739,9 @@ def evaluate_strata(compiled, facts, limits):
 
     under = RelationStore(facts)
     seeds = frozenset(under)
+    # The facts meet the caps as a round's heads do: a stratum that derives
+    # nothing never checks them.
+    limits.check(under, seeds)
 
     over_extra = RelationStore()
     uncertain = set()

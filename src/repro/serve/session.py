@@ -265,13 +265,12 @@ class ServingSession:
         return op.future.result(timeout)
 
     def checkpoint(self, timeout=None):
-        """Write a durability snapshot (a control op on the writer thread,
-        so it never races a maintenance batch).  The serialized model
-        comes from the **current frozen epoch** — the same immutable view
-        readers use — so checkpointing a large model never blocks
-        concurrent readers.  Returns the snapshot path; raises
-        :class:`~repro.db.session.SessionError` when the wrapped session
-        has no data directory."""
+        """Write a durability snapshot: a control op on the writer thread,
+        between batches, so the wrapped session's store it serializes
+        equals the current epoch.  Readers answer from their epochs, never
+        from that store, so they run on meanwhile.  Returns the snapshot
+        path; raises :class:`~repro.db.session.SessionError` when the
+        wrapped session has no data directory or a closed one."""
         op = _Op("checkpoint")
         self._enqueue(op)
         return op.future.result(timeout)
@@ -396,7 +395,7 @@ class ServingSession:
             elif op.kind == "explain":
                 result = self._session.explain(op.inserts)
             elif op.kind == "checkpoint":
-                result = self._checkpoint_from_epoch()
+                result = self._session.checkpoint()
             else:  # barrier
                 current = self._manager.current
                 result = current.eid if current is not None else None
@@ -404,14 +403,6 @@ class ServingSession:
             op.fail(error)
         else:
             op.resolve(result)
-
-    def _checkpoint_from_epoch(self):
-        """Serialize the durability snapshot from the current frozen epoch
-        — the immutable view readers share — so a large checkpoint never
-        holds up the read side."""
-        epoch = self.reader()
-        return self._session.checkpoint(
-            store=epoch.store, undefined=epoch.undefined)
 
     def _on_update(self, summary):
         """Session update listener — the epoch publication hook.  Runs on

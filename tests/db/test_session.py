@@ -424,7 +424,7 @@ class TestFallbacks:
             e(one). f(one).
         """)
         assert session.strategies() == (DRED,)
-        # Simulate the fallback path: recompute the stratum locally.
+        # Recompute the stratum locally; DRed then maintains what it left.
         recompute_stratum(
             session._plans[0], session.store, Delta(), session.edb(),
             session._limits,
@@ -510,14 +510,14 @@ class TestFallbacks:
         """A batch that swaps ``e(a)`` for ``e(b)`` one fact below the cap
         publishes exactly the swapped model.  DRed deletes a stratum's lost
         facts before it inserts the new ones, so no step overshoots the cap
-        and no stratum falls back."""
+        and the write is maintained, not rebuilt."""
         session = DatabaseSession(
             "p(X, Y) :- e(X), f(Y).  q(X, Y) :- p(X, Y).  e(a). f(1). f(2). f(3).",
             max_facts=11,
         )
         assert len(session.true) == 10
         summary = session.update("e(b).", "e(a).")
-        assert session.stats()["stratum_fallbacks"] == 0
+        assert session.stats()["rebuilds"] == 0
         assert session.check()
         expected = {"e(b)"} | {
             "%s(b, %d)" % (name, n) for name in "pq" for n in (1, 2, 3)
@@ -533,10 +533,8 @@ class TestFallbacks:
         def explode(*_args, **_kwargs):
             raise GroundingError("synthetic maintenance failure")
 
-        # Both the incremental step and the stratum-local fallback must
-        # fail before the whole-model rebuild path runs.
+        # A failed incremental step takes the whole-model rebuild path.
         monkeypatch.setattr(session_module, "dred_update", explode)
-        monkeypatch.setattr(session_module, "recompute_stratum", explode)
         summary = session.insert("e(c, d).")
         monkeypatch.undo()
         assert summary.mode == "rebuild"
@@ -544,6 +542,74 @@ class TestFallbacks:
         assert summary.removed == ()
         assert session.ask("tc(a, d)")
         assert session.check()
+
+    def test_fact_cap_holds_for_facts_no_rule_reads(self):
+        """61 ``pad`` facts under ``max_facts=60``: no rule reads them, so
+        no round derives anything, and the walk's seeding meets the cap
+        all the same — on the rebuild path a refused write takes, and at
+        construction."""
+        rules = "tc(X, Y) :- e(X, Y).  tc(X, Y) :- e(X, Z), tc(Z, Y)."
+        pads = " ".join("pad(p%d)." % i for i in range(61))
+        session = DatabaseSession(rules, max_facts=60)
+        before, edb = session.true, session.edb()
+        with pytest.raises(GroundingError, match="exceeded 60 facts"):
+            session.insert(pads)
+        assert session.true == before and session.edb() == edb
+        with pytest.raises(GroundingError, match="exceeded 60 facts"):
+            DatabaseSession(rules + " " + pads, max_facts=60)
+
+
+class TestRarelyTakenPaths:
+    def test_walk_refused_at_construction_demotes_to_recompute(self):
+        """The walk compiles the rules but refuses the facts: the instance
+        ``q(X) :- game(q), m0(X), not r(X)`` would re-settle ``q/1``.
+        Figure 1 accepts the program, so the session opens in recompute
+        mode."""
+        session = DatabaseSession(
+            "p(a). q(X) :- p(X). M(X) :- game(M), m0(X), not r(X). "
+            "game(q). m0(b). r(z)."
+        )
+        assert session.mode == "recompute"
+        assert session.ask("q(a)") and session.ask("q(b)")
+        assert session.check()
+
+    def test_maintained_write_that_changes_a_binder_read_rewalks(self):
+        """``game/1`` is derived, so inserting ``gamedef(m2)`` is
+        maintained first; the maintained ``game(m2)`` is a binder plan's
+        read, so the write walks again from scratch — one rebuild."""
+        program = (
+            "winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y). "
+            "game(M) :- gamedef(M). gamedef(m1). m1(a, b). m1(b, c)."
+        )
+        session = DatabaseSession(program)
+        session.insert("gamedef(m2). m2(c, d).")
+        assert session.stats()["rebuilds"] == 1
+        fresh = DatabaseSession(program + " gamedef(m2). m2(c, d).")
+        assert session.true == fresh.true
+        assert session.undefined == fresh.undefined
+        assert session.check()
+
+    def test_aggregate_over_atoms_a_write_makes_undefined_is_refused(self):
+        """``move(2, 1)`` makes ``win(1)`` and ``win(2)`` undefined, and
+        ``count`` over them is outside the supported class: the write is
+        refused and leaves the session as it was."""
+        from repro.engine.seminaive.engine import SeminaiveUnsupported
+
+        session = DatabaseSession(
+            "move(1, 2). win(X) :- move(X, Y), not win(Y). "
+            "n(N) :- N = count(X : win(X))."
+        )
+        before, edb = session.true, session.edb()
+        with pytest.raises(SeminaiveUnsupported):
+            session.insert("move(2, 1).")
+        assert session.true == before and session.edb() == edb
+        assert session.check()
+
+    def test_count_counts_non_numeric_values(self):
+        session = DatabaseSession("p(a). p(b). n(N) :- N = count(X : p(X)).")
+        assert session.ask("n(2)")
+        session.insert("p(c).")
+        assert session.ask("n(3)") and session.check()
 
 
 class TestStreams:

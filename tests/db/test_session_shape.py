@@ -108,7 +108,6 @@ def test_store_survives_a_rebuild_and_a_failed_one(monkeypatch):
         raise GroundingError("synthetic maintenance failure")
 
     monkeypatch.setattr(session_module, "dred_update", explode)
-    monkeypatch.setattr(session_module, "recompute_stratum", explode)
     summary = session.insert("e(c, d).")
     monkeypatch.undo()
     assert summary.mode == "rebuild" and session.store is store0

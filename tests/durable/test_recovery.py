@@ -260,3 +260,48 @@ def test_failed_update_logs_abort_and_recovers_clean(tmp_path):
     recovered = DatabaseSession.open(_dir(tmp_path), verify=True)
     assert recovered.edb() == expected_edb
     recovered.close()
+
+
+def test_failed_commit_closes_the_durable_side(tmp_path, monkeypatch):
+    """A commit that fails once its batch applied (an fsync error, say)
+    leaves the batch in memory but not in the log.  The session stops
+    there: later writes and checkpoints raise, ``close()`` writes no
+    snapshot holding the unlogged batch, and the directory reopens to
+    exactly the acknowledged writes."""
+    import errno
+
+    from repro.durable.wal import WriteAheadLog
+
+    rules = "tc(X, Y) :- e(X, Y).  tc(X, Y) :- e(X, Z), tc(Z, Y)."
+    session = DatabaseSession("e(a, b). " + rules, path=_dir(tmp_path))
+    commit = WriteAheadLog.commit
+
+    def fail_once(wal, txn):
+        monkeypatch.setattr(WriteAheadLog, "commit", commit)
+        raise OSError(errno.EIO, "injected commit failure")
+
+    monkeypatch.setattr(WriteAheadLog, "commit", fail_once)
+    with pytest.raises(OSError):
+        session.insert("e(b, c).")
+    snapshots = list_snapshots(_dir(tmp_path))
+    with pytest.raises(SessionError, match="reopen"):
+        session.insert("e(c, d).")
+    with pytest.raises(SessionError, match="closed"):
+        session.checkpoint()
+    session.close()
+    assert list_snapshots(_dir(tmp_path)) == snapshots
+
+    recovered = DatabaseSession.open(_dir(tmp_path), verify=True)
+    assert {repr(atom) for atom in recovered.edb()} == {"e(a, b)"}
+    recovered.close()
+
+
+def test_checkpoint_after_close_raises(tmp_path):
+    session = DatabaseSession(TC, path=_dir(tmp_path))
+    session.close()
+    successor = DatabaseSession.open(_dir(tmp_path))
+    snapshots = list_snapshots(_dir(tmp_path))
+    with pytest.raises(SessionError, match="closed"):
+        session.checkpoint()
+    assert list_snapshots(_dir(tmp_path)) == snapshots
+    successor.close()

@@ -123,8 +123,7 @@ def test_prune_keeps_newest_two(tmp_path):
 
 
 def test_snapshot_restores_from_frozen_store(tmp_path):
-    # The serving path checkpoints a pinned frozen epoch; freezing must
-    # not change what gets serialized.
+    # A store's copy serializes as the store itself does.
     session = DatabaseSession(TC)
     frozen = session.store.snapshot()
     path = write_snapshot(

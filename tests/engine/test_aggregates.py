@@ -3,8 +3,9 @@
 import pytest
 
 from repro.engine.aggregates import evaluate_aggregate, group_variables
+from repro.engine.seminaive import seminaive_evaluate
 from repro.hilog.errors import EvaluationError
-from repro.hilog.parser import parse_rule, parse_term
+from repro.hilog.parser import parse_program, parse_rule, parse_term
 from repro.hilog.subst import Substitution
 from repro.hilog.terms import Num, Sym, Var
 
@@ -98,3 +99,16 @@ class TestEvaluateAggregate:
         with pytest.raises(EvaluationError):
             evaluate_aggregate(spec, Substitution(), [parse_term("q(abc)")],
                                group_vars=set())
+
+    def test_count_counts_non_numeric_values(self):
+        """Only ``sum``, ``min`` and ``max`` fold numbers; ``count`` counts
+        the matches, whatever their values."""
+        rule = parse_rule("n(N) :- N = count(X : p(X)).")
+        spec = rule.aggregates[0]
+        results = evaluate_aggregate(
+            spec, Substitution(), [parse_term("p(a)"), parse_term("p(b)")],
+            group_vars=group_variables(spec, rule))
+        assert [subst.apply(Var("N")) for subst in results] == [Num(2)]
+        model = seminaive_evaluate(parse_program(
+            "p(a). p(b). n(N) :- N = count(X : p(X))."))
+        assert parse_term("n(2)") in model.true

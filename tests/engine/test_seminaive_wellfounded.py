@@ -275,13 +275,15 @@ class TestNameOpenRules:
         assert again.true == first.true and len(compiled.rounds) == 1
 
     def test_instances_count_against_max_facts(self):
+        """Two binder literals over three ``rel`` facts: nine instances,
+        so the instance cap trips where the facts still fit."""
         program = parse_program(
-            "on(P)(X) :- rel(P), P(X), not off(X).\n"
-            + " ".join("rel(r%d)." % i for i in range(8))
+            "on(P, Q)(X) :- rel(P), rel(Q), P(X), not off(X).\n"
+            + " ".join("rel(r%d)." % i for i in range(3))
         )
-        assert seminaive_well_founded(program, max_facts=8).true
+        assert seminaive_well_founded(program, max_facts=9).true
         with pytest.raises(GroundingError, match="instances|distinct heads"):
-            seminaive_well_founded(program, max_facts=7)
+            seminaive_well_founded(program, max_facts=8)
 
 
 class TestStrataMixing:
